@@ -184,8 +184,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 "base_kind": "cross_entropy",
                 "focal_gamma": 2.0,
                 "b_compare": 10,
-                "score_per_batch": False,
-                "cached_score_grads": False,
                 "agem_ref_batch": 64,
             },
             "train",
@@ -202,8 +200,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 beta=float(tr["beta"]),
             ),
             b_compare=int(tr["b_compare"]),
-            score_per_batch=bool(tr["score_per_batch"]),
-            cached_score_grads=bool(tr["cached_score_grads"]),
             agem_ref_batch=int(tr["agem_ref_batch"]),
         )
 
@@ -293,8 +289,6 @@ def run_cell(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Pa
         loss=config.train.loss,
         b_compare=config.train.b_compare,
         seed=train_seed,
-        score_per_batch=config.train.score_per_batch,
-        cached_score_grads=config.train.cached_score_grads,
         agem_ref_batch=config.train.agem_ref_batch,
     )
     result = train_stream(model, stream, strategy, train_cfg)

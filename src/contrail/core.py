@@ -53,6 +53,10 @@ class Scene:
     ``t_c``.  ``sv_histories`` holds one equally long track per neighbor
     slot; slots whose ``sv_mask`` entry is False carry zero-filled
     padding and must be ignored by consumers.
+
+    The hash is computed once, from the fields, when the scene is
+    built: scenes key the feature cache, and rehashing dozens of nested
+    states on every lookup dominates a cache hit.
     """
 
     tv_history: tuple[AgentState, ...]
@@ -71,6 +75,11 @@ class Scene:
                 raise ValueError("neighbor histories must match t_obs")
         if self.t_c != t_obs - 1:
             raise ValueError("t_c must index the last observed step")
+        key = (self.tv_history, self.sv_histories, self.sv_mask, self.t_c)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)

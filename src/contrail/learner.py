@@ -85,10 +85,9 @@ class TrainConfig:
     ``buffer_total`` is the whole memory budget; dual replay splits it
     evenly between its two buffers, every other strategy hands it to
     its single store.  ``replay_batch`` defaults to ``batch_size``.
-    ``score_per_batch`` scores a whole batch with its mean gradient
-    instead of per sample; ``cached_score_grads`` reuses each stored
-    item's insertion-time gradient when scoring (an approximation that
-    trades fidelity for speed).  Both are off by default.
+    ``b_compare`` is the number of stored items each offered sample's
+    separation score is drawn against; scoring is always exact (every
+    cosine comes from the post-step per-sample gradients).
     """
 
     lr: float = 1e-3
@@ -99,8 +98,6 @@ class TrainConfig:
     b_compare: int = 10
     seed: int = 0
     checkpoint_after_each_task: bool = True
-    score_per_batch: bool = False
-    cached_score_grads: bool = False
     agem_ref_batch: int = 64
 
     def __post_init__(self) -> None:
@@ -304,7 +301,6 @@ def train_stream(
     agem_memory = (
         _AgemMemory(cfg.buffer_total, rng_agem) if strategy is Strategy.AGEM else None
     )
-    grad_cache: dict[int, np.ndarray] = {}
 
     params = model.init_params() if init_params is None else init_params.copy()
     adam = AdamState.zeros(model.param_count)
@@ -370,7 +366,6 @@ def train_stream(
                 agem_memory,
                 cfg,
                 rng_buffers,
-                grad_cache,
             )
 
         end = start + len(batch)
@@ -402,11 +397,17 @@ def _offer_batch(
     agem_memory: "_AgemMemory | None",
     cfg: TrainConfig,
     rng: np.random.Generator,
-    grad_cache: dict[int, np.ndarray],
 ) -> None:
-    """Feed one trained batch to the strategy's stores.  Scoring
-    gradients are base-loss gradients at the current (post-step)
-    parameters, batched across the offered samples."""
+    """Feed one trained batch to the strategy's stores.
+
+    Separation scores are base-loss gradient cosines at the current
+    (post-step) parameters.  One factored pass covers the separation
+    buffer's items held at batch start (row ``s`` for slot ``s``)
+    followed by the batch (row ``n0 + k`` for sample ``k``); a slot
+    filled or replaced mid-batch points at its batch row from then on,
+    which is the same gradient a fresh pass over the new item would
+    give.
+    """
     grid = model.config.grid
     rows, cols = grid.rows_h, grid.cols_w
     triplets = [
@@ -420,38 +421,23 @@ def _offer_batch(
             agem_memory.observe(s.task_label, t)
         return
 
-    new_grads: np.ndarray | None = None
+    cosines = np.zeros((0, 0))
+    slot_rows: list[int] = []
     if sp_buffer is not None:
-        pairs = [(s.scene, s.truth) for s in batch]
-        new_grads = model.per_sample_grads(params, _base_targets(pairs, grid), cfg.loss)
-        if cfg.score_per_batch:
-            shared = new_grads.mean(axis=0)
-            new_grads = np.broadcast_to(shared, new_grads.shape)
+        n0 = len(sp_buffer)
+        pairs = [(t.scene, t.truth) for t in sp_buffer.items]
+        pairs += [(s.scene, s.truth) for s in batch]
+        grads = model.per_sample_grads(params, _base_targets(pairs, grid), cfg.loss)
+        cosines = grads.cosines(np.arange(n0, n0 + len(batch)))
+        slot_rows = list(range(n0))
 
-    def grads_of(items: Sequence[MemoryTriplet]) -> np.ndarray:
-        if cfg.cached_score_grads:
-            hits = [grad_cache.get(id(it)) for it in items]
-            if all(h is not None for h in hits):
-                return np.stack(hits)  # type: ignore[arg-type]
-        pairs = [(it.scene, it.truth) for it in items]
-        return model.per_sample_grads(params, _base_targets(pairs, grid), cfg.loss)
-
-    def grad_of(item: MemoryTriplet) -> np.ndarray:
-        return grads_of([item])[0]
-
-    for k, (sample, triplet) in enumerate(zip(batch, triplets)):
+    for k, triplet in enumerate(triplets):
         if sp_buffer is not None:
-            assert new_grads is not None
-            stored = sp_buffer.offer(
-                triplet, new_grads[k], rng, grad_of=grad_of, grads_of=grads_of
-            )
-            if cfg.cached_score_grads and stored:
-                grad_cache[id(triplet)] = new_grads[k].copy()
+            if sp_buffer.offer(triplet, cosines[k, slot_rows], rng):
+                if len(sp_buffer) > len(slot_rows):
+                    slot_rows.append(n0 + k)
+                else:
+                    slot = next(s for s, it in enumerate(sp_buffer.items) if it is triplet)
+                    slot_rows[slot] = n0 + k
         if cp_buffer is not None:
             cp_buffer.observe(triplet, rng)
-
-    if cfg.cached_score_grads and sp_buffer is not None:
-        live = {id(it) for it in sp_buffer.items}
-        for key in list(grad_cache):
-            if key not in live:
-                del grad_cache[key]

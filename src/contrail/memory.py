@@ -7,7 +7,10 @@ proportions.  The separation buffer scores each arriving sample by the
 cosine similarity between its loss gradient and the gradients of stored
 items, and prefers to keep items whose gradients point in directions
 the buffer does not already cover; redundant samples are rejected and
-similar stored items are the ones most likely to be evicted.
+similar stored items are the ones most likely to be evicted.  The
+buffer never holds gradients: callers hand it the offered sample's
+cosines against the stored slots (the trainer computes them from
+factored per-sample gradients, see ``HeatmapPredictor.per_sample_grads``).
 
 Neither buffer ever sees a task label; items are (scene, truth,
 init_logits) triplets, where init_logits are the model's logits at the
@@ -17,7 +20,6 @@ step the sample was first trained on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,16 +151,19 @@ class SeparationBuffer:
     def offer(
         self,
         item: MemoryTriplet,
-        grad: np.ndarray,
+        cosines: np.ndarray,
         rng: np.random.Generator,
-        grad_of: Callable[[MemoryTriplet], np.ndarray],
-        grads_of: Callable[[Sequence[MemoryTriplet]], np.ndarray] | None = None,
     ) -> bool:
-        """Score-then-observe convenience covering the first-sample rule."""
+        """Score-then-observe convenience covering the first-sample rule.
+
+        ``cosines`` is the item's gradient cosine against each stored
+        slot, as :func:`separation_score` takes it; the stream's first
+        sample gets ``FIRST_SAMPLE_SCORE`` and does not read it.
+        """
         if self.stream_count == 0:
             q_new = FIRST_SAMPLE_SCORE
         else:
-            q_new = separation_score(grad, self, rng, grad_of, grads_of)
+            q_new = separation_score(cosines, self, rng)
         return self.observe(item, q_new, rng)
 
 
@@ -172,30 +177,30 @@ def _cosine_rows(grad: np.ndarray, others: np.ndarray) -> np.ndarray:
 
 
 def separation_score(
-    grad: np.ndarray,
+    cosines: np.ndarray,
     buffer: SeparationBuffer,
     rng: np.random.Generator,
-    grad_of: Callable[[MemoryTriplet], np.ndarray],
-    grads_of: Callable[[Sequence[MemoryTriplet]], np.ndarray] | None = None,
 ) -> float:
     """Similarity of a gradient to the buffer: max cosine + 1 over
     ``b_compare`` stored items drawn uniformly with replacement.
 
-    ``grad_of`` maps a stored item to its gradient; ``grads_of``, when
-    given, does the same for a whole list at once (same values, fewer
-    backward passes).  Scores land in [0, 2]; zero-norm gradients
-    contribute cosine 0.
+    ``cosines[s]`` is the offered gradient's cosine against the
+    gradient of stored slot ``s`` (one entry per slot, slot order); only
+    the drawn slots are read.  Callers holding explicit gradient vectors
+    get it from ``_cosine_rows``; the trainer reads it off a factored
+    Gram product.  A zero-norm gradient on either side counts as cosine
+    0, so scores land in [0, 2].
     """
     if not buffer.items:
         raise ValueError("cannot score against an empty buffer")
     n = len(buffer.items)
+    cosines = np.asarray(cosines, dtype=np.float64)
+    if cosines.shape != (n,):
+        raise ValueError(
+            f"expected one cosine per stored slot ({n}), got shape {cosines.shape}"
+        )
     draws = rng.integers(0, n, size=min(buffer.b_compare, n))
-    drawn = [buffer.items[int(i)] for i in draws]
-    if grads_of is not None:
-        others = np.asarray(grads_of(drawn))
-    else:
-        others = np.stack([np.asarray(grad_of(item)) for item in drawn])
-    return float(_cosine_rows(np.asarray(grad), others).max() + 1.0)
+    return float(cosines[draws].max() + 1.0)
 
 
 def draw_minibatch(

@@ -8,8 +8,10 @@ derivatives of the configured loss; a finite-difference oracle in the
 test suite pins this down.
 
 Parameters live in a single flat float64 vector (weights row-major,
-then bias, layer by layer) so the optimizer, checkpointing, and the
-gradient-similarity buffer all see one canonical layout.
+then bias, layer by layer) so the optimizer and checkpointing see one
+canonical layout.  Per-sample gradients, which only the
+gradient-similarity buffer needs, stay factored per layer and are
+compared through Gram products instead of P-length rows.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .losses import LossSpec, Target, batch_loss_and_dlogits
 
 __all__ = [
     "AdamState",
+    "FactoredGrads",
     "HeatmapPredictor",
     "PredictorConfig",
     "adam_step",
@@ -212,16 +215,22 @@ class HeatmapPredictor:
         params: np.ndarray,
         batch: Sequence[tuple[Scene, Target]],
         loss_spec: LossSpec,
-    ) -> np.ndarray:
-        """One full-parameter loss gradient per sample, shape ``(n, P)``.
+    ) -> "FactoredGrads":
+        """One full-parameter loss gradient per sample, in factored form.
 
-        This is the scoring path of the gradient-similarity buffer, so
-        it is batched: the per-layer weight gradients are per-sample
-        outer products assembled with einsum rather than n separate
-        backward passes.
+        This is the scoring path of the gradient-similarity buffer.  A
+        sample's weight gradient in each layer is the outer product of
+        its back-propagated delta and the layer input, so one batched
+        forward/backward yields every per-sample gradient without ever
+        building the ``(n, P)`` matrix; see :class:`FactoredGrads` for
+        the inner products, norms, cosines and (on demand) dense rows.
         """
+        n_layers = len(self._shapes)
         if not batch:
-            return np.zeros((0, self.param_count))
+            return FactoredGrads(
+                tuple(np.zeros((0, o)) for o, _ in self._shapes),
+                tuple(np.zeros((0, i)) for _, i in self._shapes),
+            )
         scenes = [scene for scene, _ in batch]
         targets = [t for _, t in batch]
         x = self._features_matrix(scenes)
@@ -230,17 +239,76 @@ class HeatmapPredictor:
             logits, targets, loss_spec, self.config.grid.cols_w
         )
         layers = self._layers(params)
-        n = x.shape[0]
-        pieces: list[np.ndarray | None] = [None] * len(layers)
-        delta = dlogits
-        for li in range(len(layers) - 1, -1, -1):
-            w, _ = layers[li]
-            h_prev = acts[li]
-            dw = np.einsum("no,ni->noi", delta, h_prev).reshape(n, -1)
-            pieces[li] = np.concatenate([dw, delta], axis=1)
-            if li > 0:
-                delta = (delta @ w) * (1.0 - acts[li] ** 2)
-        return np.concatenate(pieces, axis=1)  # type: ignore[arg-type]
+        deltas = [dlogits]
+        for li in range(n_layers - 1, 0, -1):
+            deltas.append((deltas[-1] @ layers[li][0]) * (1.0 - acts[li] ** 2))
+        return FactoredGrads(tuple(reversed(deltas)), tuple(acts[:n_layers]))
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredGrads:
+    """Per-sample gradients of the MLP as per-layer outer-product factors.
+
+    For sample ``i`` and layer ``l`` the weight gradient is
+    ``outer(deltas[l][i], inputs[l][i])`` and the bias gradient is
+    ``deltas[l][i]``, so inner products follow from per-layer Gram
+    matrices without any P-length vector (Goodfellow, arXiv:1510.01799):
+
+        <g_i, g_j> = sum_l (delta_i . delta_j) (h_i . h_j + 1)
+
+    ``dense``/indexing rebuild rows in the flat parameter layout; they
+    exist for tests and are never needed for scoring.
+    """
+
+    deltas: tuple[np.ndarray, ...]
+    inputs: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        return self.deltas[0].shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the dense gradient matrix these factors stand for."""
+        width = sum(d.shape[1] * (h.shape[1] + 1) for d, h in zip(self.deltas, self.inputs))
+        return len(self), width
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.dense()[i]
+
+    def dense(self) -> np.ndarray:
+        """The dense gradient matrix, shape ``(n, P)``."""
+        pieces = []
+        for d, h in zip(self.deltas, self.inputs):
+            outer = np.einsum("no,ni->noi", d, h)
+            pieces.append(outer.reshape(d.shape[0], d.shape[1] * h.shape[1]))
+            pieces.append(d)
+        return np.concatenate(pieces, axis=1)
+
+    def inner(self, rows: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Gradient inner products of ``rows`` against every sample,
+        shape ``(len(rows), n)``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        out = np.zeros((rows.size, len(self)))
+        for d, h in zip(self.deltas, self.inputs):
+            out += (d[rows] @ d.T) * (h[rows] @ h.T + 1.0)
+        return out
+
+    def sq_norms(self) -> np.ndarray:
+        """Squared gradient norm of every sample:
+        ``sum_l |delta_i|^2 (|h_i|^2 + 1)``."""
+        out = np.zeros(len(self))
+        for d, h in zip(self.deltas, self.inputs):
+            out += np.einsum("no,no->n", d, d) * (np.einsum("ni,ni->n", h, h) + 1.0)
+        return out
+
+    def cosines(self, rows: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Gradient cosines of ``rows`` against every sample, shape
+        ``(len(rows), n)``; a zero-norm gradient gives cosine 0."""
+        rows = np.asarray(rows, dtype=np.intp)
+        norms = np.sqrt(self.sq_norms())
+        denom = norms[rows, None] * norms[None, :]
+        dots = self.inner(rows)
+        return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
 
 
 @dataclass

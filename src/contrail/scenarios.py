@@ -322,6 +322,8 @@ def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
                 label = int(row[7])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+            if not all(math.isfinite(v) for v in (x, y, vx, vy)):
+                raise ValueError(f"{path}:{lineno}: non-finite x, y, vx or vy")
             if role not in ("tv", "sv"):
                 raise ValueError(f"{path}:{lineno}: agent_role must be 'tv' or 'sv'")
             track = tracks.setdefault(track_id, _Track(role=role))

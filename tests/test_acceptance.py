@@ -37,7 +37,7 @@ from contrail.core import (
 )
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.losses import LossSpec, Target
-from contrail.memory import CompletionBuffer, SeparationBuffer
+from contrail.memory import CompletionBuffer, SeparationBuffer, _cosine_rows
 from contrail.metrics import (
     EvalReport,
     PredictionSet,
@@ -296,7 +296,7 @@ def test_04_separation_buffer_diversity():
         comp = CompletionBuffer(capacity=capacity)
         for i in range(n):
             comp.observe(i, rng)  # type: ignore[arg-type]
-            sep.offer(i, grads[i], rng, grad_of=lambda j: grads[j])  # type: ignore[arg-type]
+            sep.offer(i, _cosine_rows(grads[i], grads[sep.items]), rng)  # type: ignore[arg-type]
         sep_shares.append(np.mean([labels[i] for i in sep.items]))
         comp_shares.append(np.mean([labels[i] for i in comp.items]))
 

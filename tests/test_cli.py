@@ -100,6 +100,9 @@ class TestParseConfig:
             parse_config(json.dumps(base_config(extra=1)))
         with pytest.raises(ConfigError, match="unknown key.*train"):
             parse_config(json.dumps(base_config(train={"momentum": 0.9})))
+        for removed in ("score_per_batch", "cached_score_grads"):
+            with pytest.raises(ConfigError, match=f"unknown key.*train.*{removed}"):
+                parse_config(json.dumps(base_config(train={removed: False})))
         with pytest.raises(ConfigError, match=r"tasks\[0\]"):
             parse_config(
                 json.dumps(

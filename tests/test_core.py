@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -122,6 +124,26 @@ class TestSceneValidation:
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
             GroundTruth(endpoint=(0.0, 0.0), speed_v=-1.0)
+
+
+class TestSceneHash:
+    def test_equal_scenes_hash_equal(self):
+        a = make_scene(np.random.default_rng(5))
+        b = make_scene(np.random.default_rng(5))
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert {a: "stored"}[b] == "stored"
+
+    def test_hash_survives_pickle(self):
+        scene = make_scene(np.random.default_rng(6))
+        copy = pickle.loads(pickle.dumps(scene))
+        assert copy == scene and hash(copy) == hash(scene)
+        assert repr(copy) == repr(scene)
+
+    def test_scene_stays_frozen(self):
+        scene = make_scene(np.random.default_rng(7))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scene.t_c = 0  # type: ignore[misc]
 
 
 class TestHeatmap:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from contrail import learner
+from contrail.core import target_cell
 from contrail.learner import (
     TASK_FREE,
     Strategy,
@@ -15,8 +17,14 @@ from contrail.learner import (
     gss_style_step,
     train_stream,
 )
-from contrail.losses import LossSpec
-from contrail.memory import CompletionBuffer, MemoryTriplet, SeparationBuffer, draw_minibatch
+from contrail.losses import LossSpec, Target
+from contrail.memory import (
+    CompletionBuffer,
+    MemoryTriplet,
+    SeparationBuffer,
+    _cosine_rows,
+    draw_minibatch,
+)
 from contrail.learner import _AgemMemory
 
 from conftest import make_sample
@@ -388,17 +396,6 @@ class TestTrainStream:
         )
         assert all(d >= -1e-9 for d in result.agem_dots)
 
-    def test_scoring_variants_still_run_one_pass(self, tiny_model):
-        grid = tiny_model.config.grid
-        stream = self._stream(331, grid)
-        for kwargs in ({"score_per_batch": True}, {"cached_score_grads": True}):
-            cfg = TrainConfig(buffer_total=8, **kwargs)
-            a = train_stream(tiny_model, stream, Strategy.DUAL_REPLAY, cfg)
-            b = train_stream(tiny_model, stream, Strategy.DUAL_REPLAY, cfg)
-            assert np.all(a.visits == 1)
-            assert len(a.separation) == 4
-            assert np.array_equal(a.final_params, b.final_params)
-
     def test_explicit_init_params_are_respected_and_unchanged(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(332, grid)
@@ -409,6 +406,70 @@ class TestTrainStream:
         )
         assert np.array_equal(init, before)
         assert not np.array_equal(result.final_params, init)
+
+
+def _dense_offer_batch(late_admissions):
+    """Reference for ``learner._offer_batch``: scores every offer from
+    dense per-sample gradient rows of the batch sample and of every
+    item stored at that moment, through ``_cosine_rows``.  Records the
+    batch positions of admissions into a full buffer."""
+
+    def offer_batch(model, params, batch, snapshot, strategy, sp_buffer, cp_buffer,
+                    agem_memory, cfg, rng):
+        grid = model.config.grid
+
+        def dense(pairs):
+            targets = [(sc, Target(target_cell(sc, tr, grid))) for sc, tr in pairs]
+            return model.per_sample_grads(params, targets, cfg.loss).dense()
+
+        new = dense([(s.scene, s.truth) for s in batch])
+        for k, s in enumerate(batch):
+            triplet = MemoryTriplet(
+                s.scene, s.truth, snapshot[k].reshape(grid.rows_h, grid.cols_w)
+            )
+            if sp_buffer is not None:
+                stored = dense([(t.scene, t.truth) for t in sp_buffer.items])
+                full = len(sp_buffer) == sp_buffer.capacity
+                if sp_buffer.offer(triplet, _cosine_rows(new[k], stored), rng) and full:
+                    late_admissions.append((k, len(batch)))
+            if cp_buffer is not None:
+                cp_buffer.observe(triplet, rng)
+
+    return offer_batch
+
+
+class TestExactScoring:
+    """The trainer scores from one factored Gram pass per batch; that
+    must make the same buffer decisions as dense scoring per offer."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.DUAL_REPLAY, Strategy.GSS_STYLE])
+    def test_gram_scoring_matches_dense_reference(self, tiny_model, monkeypatch, strategy):
+        grid = tiny_model.config.grid
+        stream = make_stream(
+            np.random.default_rng(336), grid, [1] * 24 + [2] * 24 + [3] * 24
+        )
+        cfg = TrainConfig(buffer_total=8, batch_size=4, b_compare=3, seed=3)
+        fast = train_stream(tiny_model, stream, strategy, cfg)
+
+        late: list[tuple[int, int]] = []
+        monkeypatch.setattr(learner, "_offer_batch", _dense_offer_batch(late))
+        ref = train_stream(tiny_model, stream, strategy, cfg)
+
+        # Some admission into the full buffer was followed, within its
+        # batch, by an offer scored against the replaced slot.
+        assert any(k < n - 1 for k, n in late)
+        assert np.array_equal(fast.final_params, ref.final_params)
+        for got, want in ((fast.separation, ref.separation), (fast.completion, ref.completion)):
+            if want is None:
+                assert got is None
+                continue
+            assert len(got.items) == len(want.items)
+            for a, b in zip(got.items, want.items):
+                assert a.scene == b.scene and a.truth == b.truth
+                assert np.array_equal(a.init_logits, b.init_logits)
+        np.testing.assert_allclose(
+            fast.separation.scores, ref.separation.scores, rtol=0, atol=1e-12
+        )
 
 
 class TestAgemMemory:

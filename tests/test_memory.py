@@ -12,6 +12,7 @@ from contrail.memory import (
     CompletionBuffer,
     MemoryTriplet,
     SeparationBuffer,
+    _cosine_rows,
     draw_minibatch,
     separation_score,
 )
@@ -84,60 +85,63 @@ class TestSeparationScore:
         buf.items.append(item)
         buf.scores.append(0.5)
         buf.stream_count = 1
-        grads = {id(item): np.asarray(stored_grad, dtype=float)}
-        return buf, (lambda it: grads[id(it)])
+        stored = np.asarray([stored_grad], dtype=float)
+        return buf, (lambda g: _cosine_rows(np.asarray(g, dtype=float), stored))
 
     def test_aligned_opposite_orthogonal(self, tiny_grid):
         rng = np.random.default_rng(110)
-        buf, grad_of = self._single_item_buffer(rng, tiny_grid, [1.0, 0.0])
-        assert separation_score(np.array([2.0, 0.0]), buf, rng, grad_of) == pytest.approx(2.0)
-        assert separation_score(np.array([-3.0, 0.0]), buf, rng, grad_of) == pytest.approx(0.0)
-        assert separation_score(np.array([0.0, 5.0]), buf, rng, grad_of) == pytest.approx(1.0)
+        buf, cos = self._single_item_buffer(rng, tiny_grid, [1.0, 0.0])
+        assert separation_score(cos([2.0, 0.0]), buf, rng) == pytest.approx(2.0)
+        assert separation_score(cos([-3.0, 0.0]), buf, rng) == pytest.approx(0.0)
+        assert separation_score(cos([0.0, 5.0]), buf, rng) == pytest.approx(1.0)
 
     def test_zero_norm_gradients_score_one(self, tiny_grid):
         rng = np.random.default_rng(111)
-        buf, grad_of = self._single_item_buffer(rng, tiny_grid, [1.0, 0.0])
-        assert separation_score(np.zeros(2), buf, rng, grad_of) == pytest.approx(1.0)
-        buf2, grad_of2 = self._single_item_buffer(rng, tiny_grid, [0.0, 0.0])
-        assert separation_score(np.array([1.0, 1.0]), buf2, rng, grad_of2) == pytest.approx(1.0)
+        buf, cos = self._single_item_buffer(rng, tiny_grid, [1.0, 0.0])
+        assert separation_score(cos(np.zeros(2)), buf, rng) == pytest.approx(1.0)
+        buf2, cos2 = self._single_item_buffer(rng, tiny_grid, [0.0, 0.0])
+        assert separation_score(cos2([1.0, 1.0]), buf2, rng) == pytest.approx(1.0)
 
     def test_scores_stay_in_range(self, tiny_grid):
         rng = np.random.default_rng(112)
         buf = SeparationBuffer(capacity=20)
-        grads = {}
+        grads = []
         for _ in range(20):
             item = dummy_triplet(rng, tiny_grid)
             buf.items.append(item)
             buf.scores.append(1.0)
-            grads[id(item)] = rng.normal(size=30)
+            grads.append(rng.normal(size=30))
         buf.stream_count = 20
-        grad_of = lambda it: grads[id(it)]
+        stored = np.stack(grads)
         for _ in range(200):
-            q = separation_score(rng.normal(size=30), buf, rng, grad_of)
+            q = separation_score(_cosine_rows(rng.normal(size=30), stored), buf, rng)
             assert 0.0 <= q <= 2.0
 
     def test_batch_and_single_paths_agree(self, tiny_grid):
         rng = np.random.default_rng(113)
         buf = SeparationBuffer(capacity=8, b_compare=5)
-        grads = {}
+        grads = []
         for _ in range(8):
             item = dummy_triplet(rng, tiny_grid)
             buf.items.append(item)
             buf.scores.append(1.0)
-            grads[id(item)] = rng.normal(size=12)
+            grads.append(rng.normal(size=12))
         buf.stream_count = 8
-        grad_of = lambda it: grads[id(it)]
-        grads_of = lambda its: np.stack([grads[id(it)] for it in its])
-        query = rng.normal(size=12)
-        q_single = separation_score(query, buf, np.random.default_rng(7), grad_of)
-        q_batch = separation_score(query, buf, np.random.default_rng(7), grad_of, grads_of)
+        cos = _cosine_rows(rng.normal(size=12), np.stack(grads))
+        # Single path: the max over the drawn slots, one at a time.  The
+        # batch path gets inf on every slot it should not read.
+        draws = np.random.default_rng(7).integers(0, 8, size=5)
+        q_single = float(max(cos[int(d)] for d in draws) + 1.0)
+        masked = np.full(8, np.inf)
+        masked[draws] = cos[draws]
+        q_batch = separation_score(masked, buf, np.random.default_rng(7))
         assert q_single == q_batch
 
     def test_empty_buffer_rejected(self):
         rng = np.random.default_rng(114)
         buf = SeparationBuffer(capacity=4)
         with pytest.raises(ValueError, match="empty"):
-            separation_score(np.ones(3), buf, rng, lambda it: np.ones(3))
+            separation_score(np.ones(0), buf, rng)
 
 
 class TestSeparationBuffer:
@@ -231,10 +235,8 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(128)
         buf = SeparationBuffer(capacity=3)
 
-        def explode(_it):
-            raise AssertionError("no stored gradient should be requested")
-
-        stored = buf.offer(dummy_triplet(rng, tiny_grid), np.ones(4), rng, explode)
+        # No stored slot exists, so no cosine can be read.
+        stored = buf.offer(dummy_triplet(rng, tiny_grid), np.ones(0), rng)
         assert stored is True
         assert buf.scores == [FIRST_SAMPLE_SCORE]
 
@@ -242,9 +244,10 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(129)
         buf = SeparationBuffer(capacity=3)
         first = dummy_triplet(rng, tiny_grid)
-        buf.offer(first, np.array([1.0, 0.0]), rng, lambda it: np.array([1.0, 0.0]))
+        g = np.array([1.0, 0.0])
+        buf.offer(first, _cosine_rows(g, np.zeros((0, 2))), rng)
         second = dummy_triplet(rng, tiny_grid)
-        stored = buf.offer(second, np.array([1.0, 0.0]), rng, lambda it: np.array([1.0, 0.0]))
+        stored = buf.offer(second, _cosine_rows(g, np.stack([g])), rng)
         assert stored is True
         assert buf.scores[1] == pytest.approx(2.0)
 

@@ -13,8 +13,10 @@ import pytest
 
 from contrail.core import GridSpec
 from contrail.losses import LossSpec, Target
+from contrail.memory import _cosine_rows
 from contrail.predictor import (
     AdamState,
+    FactoredGrads,
     HeatmapPredictor,
     PredictorConfig,
     adam_step,
@@ -155,6 +157,39 @@ class TestGradient:
         for k, item in enumerate(batch):
             _, g = tiny_model.loss_and_grad(params, [item], spec)
             np.testing.assert_allclose(per[k], g, rtol=1e-10, atol=1e-14)
+
+    def test_factored_products_match_dense_rows(self, tiny_model):
+        rng = np.random.default_rng(9)
+        spec = LossSpec()
+        params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
+        batch = random_batch(rng, tiny_model, 7, with_distill=True)
+        assert any(t.init_logits is not None for _, t in batch)
+        grads = tiny_model.per_sample_grads(params, batch, spec)
+        dense = grads.dense()
+        rows = [0, 3, 6]
+        np.testing.assert_allclose(
+            grads.inner(rows), dense[rows] @ dense.T, rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            grads.sq_norms(), np.einsum("np,np->n", dense, dense), rtol=1e-12
+        )
+        reference = np.stack([_cosine_rows(dense[r], dense) for r in rows])
+        np.testing.assert_allclose(grads.cosines(rows), reference, rtol=0, atol=1e-12)
+
+    def test_zero_gradient_row_has_cosine_zero(self, tiny_model):
+        rng = np.random.default_rng(10)
+        params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
+        grads = tiny_model.per_sample_grads(
+            params, random_batch(rng, tiny_model, 4, with_distill=True), LossSpec()
+        )
+        zeroed = FactoredGrads(
+            tuple(np.vstack([np.zeros_like(d[:1]), d[1:]]) for d in grads.deltas),
+            grads.inputs,
+        )
+        assert not zeroed.dense()[0].any()
+        cos = zeroed.cosines(range(len(zeroed)))
+        assert np.all(cos[0] == 0.0) and np.all(cos[:, 0] == 0.0)
+        assert np.all(cos[1:, 1:] != 0.0)
 
     def test_param_count_matches_layout(self, tiny_grid):
         cfg = PredictorConfig(t_obs=2, k_sv=1, hidden_dims=(6, 3), grid=tiny_grid, seed=0)

@@ -333,3 +333,15 @@ class TestIngestion:
         path.write_text(csv_text(rows))
         with pytest.raises(ValueError, match="duplicate frames"):
             ingest_csv(path)
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("column", [2, 3, 4, 5])
+    def test_rejected_with_path_and_line(self, tmp_path, value, column):
+        rows = [["car", f, float(f), 0.0, 10.0, 0.0, "tv", 1] for f in range(6)]
+        rows[2][column] = value
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(csv_text(rows))
+        with pytest.raises(ValueError, match=r"nonfinite\.csv:4: non-finite"):
+            ingest_csv(path, t_obs=3, t_pred=2)
