@@ -34,7 +34,7 @@ from .metrics import (
     mr_threshold,
 )
 from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step
-from .scenarios import StreamSpec, TaskSpec, build_stream, generate_task, ingest_csv
+from .scenarios import TaskSpec, build_stream, generate_task, ingest_csv, task_datasets
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "Sample",
     "Scene",
     "SeparationBuffer",
-    "StreamSpec",
     "Strategy",
     "Target",
     "TaskSpec",
@@ -81,6 +80,7 @@ __all__ = [
     "scene_frame",
     "separation_score",
     "target_cell",
+    "task_datasets",
     "total_loss",
     "train_stream",
 ]

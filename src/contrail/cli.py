@@ -21,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .core import (
     GridSpec,
     GroundTruth,
+    Heatmap,
     ResultMatrix,
     Sample,
     scene_frame,
@@ -48,7 +49,14 @@ from .metrics import (
     write_matrix_csv,
 )
 from .predictor import HeatmapPredictor, PredictorConfig
-from .scenarios import StreamSpec, TaskSpec, build_stream, ingest_csv, task_datasets, write_task_csv
+from .scenarios import (
+    TaskSpec,
+    build_stream,
+    check_episode_geometry,
+    ingest_csv,
+    task_datasets,
+    write_task_csv,
+)
 
 __all__ = ["ExperimentConfig", "main", "run_experiment"]
 
@@ -84,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError("w_endpoints must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        try:
+            check_episode_geometry(self.tasks)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _take(data: dict, allowed: dict[str, object], where: str) -> dict:
@@ -249,8 +261,6 @@ def evaluate_task(
     cases = []
     for k, s in enumerate(samples):
         heatmap_logits = logits[k].reshape(grid.rows_h, grid.cols_w)
-        from .core import Heatmap
-
         pred = extract_endpoints(Heatmap(heatmap_logits, grid), w)
         local_end = scene_frame(s.scene).to_local(s.truth.endpoint)
         local_truth = GroundTruth(endpoint=local_end, speed_v=s.truth.speed_v)
@@ -264,13 +274,19 @@ def _cell_seeds(base_seed: int, rep: int) -> tuple[int, int, int]:
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def run_cell(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Path) -> dict:
-    """Train and evaluate one (strategy, repetition) cell; write its
-    artifacts and return the headline numbers."""
+def run_cell(
+    config: ExperimentConfig,
+    strategy: Strategy,
+    rep: int,
+    out_dir: Path,
+    datasets: Sequence[tuple[list[Sample], list[Sample]]],
+) -> dict:
+    """Train and evaluate one (strategy, repetition) cell on the
+    experiment's ``task_datasets``; write its artifacts and return the
+    headline numbers.  The cell only reshuffles the training order."""
     model_seed, stream_seed, train_seed = _cell_seeds(config.seed, rep)
-    stream_spec = StreamSpec(tasks=config.tasks, seed=stream_seed)
-    stream = build_stream(stream_spec)
-    test_sets = [test for _, test in task_datasets(stream_spec)]
+    stream = build_stream(datasets, stream_seed)
+    test_sets = [test for _, test in datasets]
 
     model = HeatmapPredictor(
         PredictorConfig(
@@ -281,17 +297,7 @@ def run_cell(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Pa
             seed=model_seed,
         )
     )
-    train_cfg = TrainConfig(
-        lr=config.train.lr,
-        batch_size=config.train.batch_size,
-        buffer_total=config.train.buffer_total,
-        replay_batch=config.train.replay_batch,
-        loss=config.train.loss,
-        b_compare=config.train.b_compare,
-        seed=train_seed,
-        agem_ref_batch=config.train.agem_ref_batch,
-    )
-    result = train_stream(model, stream, strategy, train_cfg)
+    result = train_stream(model, stream, strategy, replace(config.train, seed=train_seed))
 
     n = len(config.tasks)
     fde_m = ResultMatrix(n)
@@ -377,9 +383,10 @@ def format_summary(summary: dict, strategy_order: Sequence[str]) -> str:
 def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> dict:
     """Run every (strategy, repetition) cell and write all artifacts.
 
-    Cells are independent; with ``workers > 1`` they run in a process
-    pool.  Identical configs produce identical artifacts apart from the
-    manifest's wall-clock entry.
+    The tasks are generated once and shared by every cell and worker.
+    Cells are otherwise independent; with ``workers > 1`` they run in a
+    process pool.  Identical configs produce identical artifacts apart
+    from the manifest's wall-clock entry.
     """
     started = time.time()
     out_root = Path(out_root if out_root is not None else config.output_dir)
@@ -395,15 +402,16 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
         for strategy, rep in jobs
     }
 
+    datasets = task_datasets(config.tasks)
     if config.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                pool.submit(run_cell, config, s, r, cell_dirs[(s, r)]): (s, r)
+            futures = [
+                pool.submit(run_cell, config, s, r, cell_dirs[(s, r)], datasets)
                 for s, r in jobs
-            }
+            ]
             results = [f.result() for f in futures]
     else:
-        results = [run_cell(config, s, r, cell_dirs[(s, r)]) for s, r in jobs]
+        results = [run_cell(config, s, r, cell_dirs[(s, r)], datasets) for s, r in jobs]
 
     results.sort(key=lambda r: (r["strategy"], r["rep"]))
     summary = summarize(results)

@@ -21,15 +21,16 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .core import AgentState, GroundTruth, Sample, Scene
 
 __all__ = [
-    "StreamSpec",
     "TaskSpec",
     "build_stream",
+    "check_episode_geometry",
     "generate_task",
     "ingest_csv",
     "preset_task",
@@ -88,31 +89,6 @@ class TaskSpec:
 def preset_task(kind: str, n_samples: int, seed: int = 0, noise_sigma: float = 0.15, **overrides) -> TaskSpec:
     """Family presets whose endpoint clusters are well separated."""
     return TaskSpec(kind=kind, n_samples=n_samples, seed=seed, noise_sigma=noise_sigma, **overrides)
-
-
-@dataclass(frozen=True)
-class StreamSpec:
-    """Ordered tasks forming one continual stream.  ``seed`` drives the
-    within-task shuffling of the training portions (vary it between
-    repetitions); task content comes from each task's own seed."""
-
-    tasks: tuple[TaskSpec, ...]
-    seed: int = 0
-    shuffle_within_task: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.tasks:
-            raise ValueError("a stream needs at least one task")
-        first = self.tasks[0]
-        for t in self.tasks[1:]:
-            same = (
-                t.t_obs == first.t_obs
-                and t.t_pred == first.t_pred
-                and t.dt == first.dt
-                and t.k_sv == first.k_sv
-            )
-            if not same:
-                raise ValueError("all tasks in a stream must share episode geometry")
 
 
 def _pose_on(
@@ -241,29 +217,43 @@ def generate_task(spec: TaskSpec, label: int = 0) -> list[Sample]:
     return [ep.sample for ep in _generate_episodes(spec, label)]
 
 
-def task_datasets(spec: StreamSpec) -> list[tuple[list[Sample], list[Sample]]]:
+def check_episode_geometry(tasks: Sequence[TaskSpec]) -> None:
+    """Reject a stream that is empty or whose tasks differ from
+    ``tasks[0]`` in t_obs, t_pred, dt or k_sv; the error names the task
+    and the field."""
+    if not tasks:
+        raise ValueError("a stream needs at least one task")
+    for i, task in enumerate(tasks[1:], start=1):
+        for name in ("t_obs", "t_pred", "dt", "k_sv"):
+            if getattr(task, name) != getattr(tasks[0], name):
+                raise ValueError(
+                    f"tasks[{i}].{name} is {getattr(task, name)}, tasks[0].{name} is "
+                    f"{getattr(tasks[0], name)}: all tasks in a stream must share episode geometry"
+                )
+
+
+def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[list[Sample], list[Sample]]]:
     """Per-task (train, test) pairs under the fixed 80/20 index split:
     the first four fifths of each task's samples train, the rest test.
-    The split ignores the stream seed, so holdouts are identical across
-    repetitions."""
+    Content comes only from each task's own seed, so one call serves
+    every repetition and strategy of an experiment."""
+    check_episode_geometry(tasks)
     out = []
-    for i, task in enumerate(spec.tasks):
+    for i, task in enumerate(tasks):
         samples = generate_task(task, label=i + 1)
         n_train = (4 * len(samples)) // 5
         out.append((samples[:n_train], samples[n_train:]))
     return out
 
 
-def build_stream(spec: StreamSpec) -> list[Sample]:
-    """Training stream: tasks in order, each task's training portion
-    shuffled by the stream seed (when enabled)."""
+def build_stream(datasets: Sequence[tuple[list[Sample], list[Sample]]], seed: int) -> list[Sample]:
+    """Training stream: the train halves of ``datasets`` in task order,
+    each shuffled by ``seed`` (vary it between repetitions).  The test
+    halves never enter it."""
     stream: list[Sample] = []
-    for i, (train, _) in enumerate(task_datasets(spec)):
-        if spec.shuffle_within_task:
-            rng = np.random.default_rng([spec.seed, i])
-            order = rng.permutation(len(train))
-            train = [train[int(j)] for j in order]
-        stream.extend(train)
+    for i, (train, _) in enumerate(datasets):
+        order = np.random.default_rng([seed, i]).permutation(len(train))
+        stream.extend(train[int(j)] for j in order)
     return stream
 
 

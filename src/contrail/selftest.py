@@ -22,7 +22,7 @@ from .losses import LossSpec, Target
 from .memory import CompletionBuffer, MemoryTriplet, SeparationBuffer
 from .metrics import extract_endpoints, fde_sample, mr_threshold
 from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step
-from .scenarios import StreamSpec, TaskSpec, build_stream
+from .scenarios import TaskSpec, task_datasets
 
 __all__ = ["run_selftest"]
 
@@ -240,7 +240,7 @@ def _tiny_matrix_values() -> list[float]:
     )
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "cell"
-        run_cell(config, Strategy.DUAL_REPLAY, 0, out)
+        run_cell(config, Strategy.DUAL_REPLAY, 0, out, task_datasets(tasks))
         from .metrics import read_matrix_csv
 
         fde_m = read_matrix_csv(out / "matrix_fde.csv")

@@ -49,7 +49,7 @@ from contrail.metrics import (
     report_from_matrices,
 )
 from contrail.predictor import HeatmapPredictor, PredictorConfig
-from contrail.scenarios import StreamSpec, TaskSpec, task_datasets
+from contrail.scenarios import TaskSpec, task_datasets
 
 # ---------------------------------------------------------------------------
 # The shared three-task stream experiment behind checks 6 and 9.
@@ -104,7 +104,7 @@ def _experiment_datasets(noise: float = 0.05) -> tuple[list, list]:
         tasks = tuple(
             dataclasses.replace(t, noise_sigma=noise) for t in EXP_TASKS
         )
-        pairs = task_datasets(StreamSpec(tasks=tasks, seed=0))
+        pairs = task_datasets(tasks)
         _DATASETS[noise] = (
             [train for train, _ in pairs],
             [test for _, test in pairs],
@@ -488,7 +488,7 @@ def test_07_imbalanced_stream_buffer_composition():
         TaskSpec(kind="turn", n_samples=2500, seed=202, noise_sigma=0.05, k_sv=0),
         TaskSpec(kind="straight", n_samples=625, seed=201, noise_sigma=0.05, k_sv=0),
     )
-    pairs = task_datasets(StreamSpec(tasks=tasks, seed=0))
+    pairs = task_datasets(tasks)
     trains = [train for train, _ in pairs]
     assert [len(t) for t in trains] == [2000, 500]
     # The rare task arrives once the buffers are warm, which is where
@@ -542,7 +542,7 @@ def test_08_agem_projection_constraint():
         TaskSpec(kind="straight", n_samples=1250, seed=301, noise_sigma=0.05, k_sv=0),
         TaskSpec(kind="turn", n_samples=1250, seed=302, noise_sigma=0.05, k_sv=0),
     )
-    pairs = task_datasets(StreamSpec(tasks=tasks, seed=0))
+    pairs = task_datasets(tasks)
     stream = [s for train, _ in pairs for s in train]
     model = HeatmapPredictor(
         PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(32, 32), grid=EXP_GRID, seed=5)
@@ -632,7 +632,7 @@ def test_10_determinism_and_task_label_audit(tmp_path):
         TaskSpec(kind="straight", n_samples=100, seed=8, noise_sigma=0.1, k_sv=0),
         TaskSpec(kind="turn", n_samples=100, seed=9, noise_sigma=0.1, k_sv=0),
     )
-    pairs = task_datasets(StreamSpec(tasks=tasks, seed=0))
+    pairs = task_datasets(tasks)
     stream = [s for train, _ in pairs for s in train]
     model = HeatmapPredictor(
         PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(8,), grid=EXP_GRID, seed=4)

@@ -2,26 +2,31 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from contrail import cli, scenarios
 from contrail.cli import (
     ConfigError,
+    ExperimentConfig,
     _cell_seeds,
     evaluate_task,
     format_summary,
     load_config,
     main,
     parse_config,
+    run_cell,
     run_experiment,
     summarize,
 )
-from contrail.learner import Strategy
+from contrail.core import GridSpec
+from contrail.learner import Strategy, TrainConfig
 from contrail.predictor import HeatmapPredictor, PredictorConfig
-from contrail.scenarios import generate_task, ingest_csv, preset_task
+from contrail.scenarios import generate_task, ingest_csv, preset_task, task_datasets
 
 
 def base_config(**overrides):
@@ -134,6 +139,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("field,value", [("t_obs", 12), ("t_pred", 20), ("dt", 0.2), ("k_sv", 2)])
+    def test_tasks_must_share_episode_geometry(self, field, value):
+        tasks = [
+            {"kind": "straight", "n_samples": 10},
+            {"kind": "arc", "n_samples": 10},
+            {"kind": "turn", "n_samples": 10, field: value},
+        ]
+        with pytest.raises(ConfigError, match=rf"tasks\[2\]\.{field} .*share episode geometry"):
+            parse_config(json.dumps(base_config(tasks=tasks)))
+
 
 class TestCellSeeds:
     def test_deterministic_and_distinct(self):
@@ -232,7 +247,50 @@ class TestGenCommand:
         assert len(samples) == 6
 
 
+class TestRunCell:
+    def test_every_train_setting_but_the_seed_reaches_training(self, tmp_path, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def capture(model, stream, strategy, train_cfg):
+            seen.append(train_cfg)
+            raise Stop
+
+        monkeypatch.setattr(cli, "train_stream", capture)
+        config = ExperimentConfig(
+            tasks=(preset_task("straight", 10, seed=1),),
+            strategies=(Strategy.VANILLA,),
+            train=TrainConfig(lr=0.01, checkpoint_after_each_task=False, agem_ref_batch=7),
+            grid=GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=1.0),
+            seed=3,
+        )
+        with pytest.raises(Stop):
+            run_cell(config, Strategy.VANILLA, 1, tmp_path / "cell", task_datasets(config.tasks))
+        assert seen == [dataclasses.replace(config.train, seed=_cell_seeds(3, 1)[2])]
+
+
 class TestRunCommand:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tasks_are_generated_once_per_run(self, tmp_path, monkeypatch, workers):
+        labels = []
+        generate = scenarios.generate_task
+
+        def counting(spec, label=0):
+            labels.append(label)
+            return generate(spec, label)
+
+        monkeypatch.setattr(scenarios, "generate_task", counting)
+        tasks = [
+            {"kind": "straight", "n_samples": 20},
+            {"kind": "turn", "n_samples": 20},
+        ]
+        cfg = write_config(tmp_path / "cfg.json", tasks=tasks, workers=workers)
+        assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+        # Two strategies x two repetitions, yet each task is drawn once.
+        assert labels == [1, 2]
+
     def test_full_run_artifacts_and_summary_math(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", strategies=["vanilla", "dual", "joint"])
         out = tmp_path / "out"
@@ -403,3 +461,14 @@ class TestExitCodes:
         assert main(["run"]) == 1
         assert main(["no-such-command"]) == 1
         capsys.readouterr()
+
+    def test_mismatched_episode_geometry_exits_one_before_any_output(self, tmp_path, capsys):
+        tasks = [
+            {"kind": "straight", "n_samples": 20},
+            {"kind": "turn", "n_samples": 20, "k_sv": 2},
+        ]
+        cfg = write_config(tmp_path / "cfg.json", tasks=tasks)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert "config error: tasks[1].k_sv" in capsys.readouterr().err

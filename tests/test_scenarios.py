@@ -15,7 +15,6 @@ import pytest
 from contrail.core import scene_frame, task_boundaries
 from contrail.scenarios import (
     CSV_HEADER,
-    StreamSpec,
     TaskSpec,
     build_stream,
     generate_task,
@@ -155,10 +154,10 @@ class TestGeneration:
         with pytest.raises(ValueError, match="geometry"):
             TaskSpec(kind="arc", n_samples=1, t_obs=1)
         with pytest.raises(ValueError, match="at least one task"):
-            StreamSpec(tasks=())
+            task_datasets(())
         with pytest.raises(ValueError, match="share episode geometry"):
-            StreamSpec(
-                tasks=(
+            task_datasets(
+                (
                     TaskSpec(kind="arc", n_samples=1, t_obs=10),
                     TaskSpec(kind="turn", n_samples=1, t_obs=12),
                 )
@@ -166,18 +165,16 @@ class TestGeneration:
 
 
 class TestSplitsAndStream:
-    def _spec(self, seed=0, shuffle=True):
-        return StreamSpec(
-            tasks=(
+    def _datasets(self):
+        return task_datasets(
+            (
                 preset_task("straight", 10, seed=1),
                 preset_task("turn", 10, seed=2),
-            ),
-            seed=seed,
-            shuffle_within_task=shuffle,
+            )
         )
 
     def test_eighty_twenty_index_split(self):
-        datasets = task_datasets(self._spec())
+        datasets = self._datasets()
         assert [len(tr) for tr, _ in datasets] == [8, 8]
         assert [len(te) for _, te in datasets] == [2, 2]
         full = generate_task(preset_task("straight", 10, seed=1), label=1)
@@ -185,28 +182,40 @@ class TestSplitsAndStream:
         assert [s.truth for s in train + test] == [s.truth for s in full]
 
     def test_holdout_ignores_stream_seed(self):
-        test_a = task_datasets(self._spec(seed=0))[0][1]
-        test_b = task_datasets(self._spec(seed=99))[0][1]
-        assert [s.truth for s in test_a] == [s.truth for s in test_b]
+        datasets = self._datasets()
+        holdouts = [[s.truth for s in te] for _, te in datasets]
+        held_out = {id(s) for _, te in datasets for s in te}
+        for seed in (0, 99):
+            stream = build_stream(datasets, seed)
+            assert held_out.isdisjoint(id(s) for s in stream)
+            assert [[s.truth for s in te] for _, te in datasets] == holdouts
+
+    def test_stream_is_made_of_the_train_samples_themselves(self):
+        datasets = self._datasets()
+        stream = build_stream(datasets, 0)
+        assert sorted(map(id, stream[:8])) == sorted(map(id, datasets[0][0]))
+        assert sorted(map(id, stream[8:])) == sorted(map(id, datasets[1][0]))
 
     def test_stream_keeps_task_order_and_labels(self):
-        stream = build_stream(self._spec())
+        stream = build_stream(self._datasets(), 0)
         assert len(stream) == 16
         assert task_boundaries(stream) == [(1, 8), (2, 16)]
 
     def test_shuffle_permutes_within_a_task(self):
-        ordered = build_stream(self._spec(shuffle=False))
-        shuffled = build_stream(self._spec(seed=0, shuffle=True))
+        datasets = self._datasets()
+        ordered = [s for train, _ in datasets for s in train]
+        shuffled = build_stream(datasets, 0)
         assert {id(s) for s in shuffled} == {id(s) for s in ordered} or [
             s.truth for s in sorted(shuffled[:8], key=lambda s: s.truth.endpoint)
         ] == [s.truth for s in sorted(ordered[:8], key=lambda s: s.truth.endpoint)]
         assert [s.truth for s in shuffled] != [s.truth for s in ordered]
-        again = build_stream(self._spec(seed=0, shuffle=True))
+        again = build_stream(datasets, 0)
         assert [s.truth for s in again] == [s.truth for s in shuffled]
 
     def test_stream_seed_changes_the_order(self):
-        a = build_stream(self._spec(seed=0))
-        b = build_stream(self._spec(seed=1))
+        datasets = self._datasets()
+        a = build_stream(datasets, 0)
+        b = build_stream(datasets, 1)
         assert [s.truth for s in a] != [s.truth for s in b]
 
 
