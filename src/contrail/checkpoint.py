@@ -84,6 +84,8 @@ def save_checkpoint(
                 "cell_size": config.grid.cell_size,
             },
             "seed": config.seed,
+            "t_pred": config.t_pred,
+            "dt": config.dt,
         },
         "params": params.tolist(),
         "adam": None
@@ -118,10 +120,14 @@ def load_checkpoint(
     SeparationBuffer | None,
     CompletionBuffer | None,
 ]:
+    """Inverse of ``save_checkpoint``.  A file written before the header
+    carried the trained horizon gets ``PredictorConfig``'s defaults
+    (t_pred 30, dt 0.1)."""
     data = json.loads(Path(path).read_text())
     if data.get("format") != FORMAT:
         raise ValueError(f"{path} is not a {FORMAT} file")
     c = data["config"]
+    horizon = {k: c[k] for k in ("t_pred", "dt") if k in c}
     config = PredictorConfig(
         t_obs=c["t_obs"],
         k_sv=c["k_sv"],
@@ -133,6 +139,7 @@ def load_checkpoint(
             cell_size=c["grid"]["cell_size"],
         ),
         seed=c["seed"],
+        **horizon,
     )
     params = np.array(data["params"], dtype=np.float64)
     adam = None

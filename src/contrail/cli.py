@@ -295,6 +295,8 @@ def run_cell(
             hidden_dims=config.hidden_dims,
             grid=config.grid,
             seed=model_seed,
+            t_pred=config.tasks[0].t_pred,
+            dt=config.tasks[0].dt,
         )
     )
     result = train_stream(model, stream, strategy, replace(config.train, seed=train_seed))
@@ -337,6 +339,20 @@ def run_cell(
         "fde_bwt": report.fde_bwt,
         "mr_bwt": report.mr_bwt,
     }
+
+
+# The datasets of the experiment a pool worker serves: set once per
+# worker process by the pool's initializer, so no job carries them.
+_worker_datasets: Sequence[tuple[list[Sample], list[Sample]]] = ()
+
+
+def _init_worker(datasets: Sequence[tuple[list[Sample], list[Sample]]]) -> None:
+    global _worker_datasets
+    _worker_datasets = datasets
+
+
+def _run_cell_in_worker(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Path) -> dict:
+    return run_cell(config, strategy, rep, out_dir, _worker_datasets)
 
 
 def _mean_std(values: list[float | None]) -> dict | None:
@@ -383,10 +399,11 @@ def format_summary(summary: dict, strategy_order: Sequence[str]) -> str:
 def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> dict:
     """Run every (strategy, repetition) cell and write all artifacts.
 
-    The tasks are generated once and shared by every cell and worker.
-    Cells are otherwise independent; with ``workers > 1`` they run in a
-    process pool.  Identical configs produce identical artifacts apart
-    from the manifest's wall-clock entry.
+    The tasks are generated once and shared by every cell; each pool
+    worker receives them once, when it starts.  Cells are otherwise
+    independent; with ``workers > 1`` they run in a process pool.
+    Identical configs produce identical artifacts apart from the
+    manifest's wall-clock entry.
     """
     started = time.time()
     out_root = Path(out_root if out_root is not None else config.output_dir)
@@ -404,9 +421,11 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
 
     datasets = task_datasets(config.tasks)
     if config.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=config.workers, initializer=_init_worker, initargs=(datasets,)
+        ) as pool:
             futures = [
-                pool.submit(run_cell, config, s, r, cell_dirs[(s, r)], datasets)
+                pool.submit(_run_cell_in_worker, config, s, r, cell_dirs[(s, r)])
                 for s, r in jobs
             ]
             results = [f.result() for f in futures]
@@ -509,9 +528,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config, params, _, _, _ = load_checkpoint(args.checkpoint)
+    if args.t_pred is not None and args.t_pred != config.t_pred:
+        raise ConfigError(
+            f"--t-pred {args.t_pred} differs from the horizon the checkpoint was "
+            f"trained for (t_pred {config.t_pred})"
+        )
     model = HeatmapPredictor(config)
     samples = ingest_csv(
-        args.data, t_obs=config.t_obs, t_pred=args.t_pred, k_sv=config.k_sv
+        args.data, t_obs=config.t_obs, t_pred=config.t_pred, k_sv=config.k_sv
     )
     if not samples:
         raise ValueError(f"{args.data} produced no samples")
@@ -570,7 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV dataset")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--t-pred", type=int, default=30, dest="t_pred")
+    p_eval.add_argument(
+        "--t-pred", type=int, dest="t_pred", help="defaults to the checkpoint's trained horizon"
+    )
     p_eval.add_argument("--w", type=int, default=6)
     p_eval.set_defaults(fn=cmd_eval)
 

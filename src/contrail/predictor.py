@@ -40,7 +40,9 @@ class PredictorConfig:
     """Architecture and initialisation of the predictor.
 
     ``input_dim`` is fixed by the scene layout: ``(1 + k_sv)`` tracks of
-    ``t_obs`` steps with 4 channels each.
+    ``t_obs`` steps with 4 channels each.  ``t_pred`` steps of ``dt``
+    seconds is the horizon the model is trained to predict; the network
+    does not read it, but evaluation must use the same horizon.
     """
 
     t_obs: int
@@ -48,6 +50,8 @@ class PredictorConfig:
     hidden_dims: tuple[int, ...]
     grid: GridSpec
     seed: int = 0
+    t_pred: int = 30
+    dt: float = 0.1
 
     def __post_init__(self) -> None:
         if self.t_obs < 1:
@@ -58,6 +62,8 @@ class PredictorConfig:
             raise ValueError("at least one hidden layer is required")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden layer widths must be positive")
+        if self.t_pred < 1 or self.dt <= 0:
+            raise ValueError("t_pred must be >= 1 and dt positive")
 
     @property
     def input_dim(self) -> int:

@@ -283,10 +283,13 @@ def write_task_csv(spec: TaskSpec, label: int, path: Path) -> list[Sample]:
     return [ep.sample for ep in episodes]
 
 
+_Row = tuple[int, float, float, float, float, int]  # frame, x, y, vx, vy, label
+
+
 @dataclass
 class _Track:
     role: str
-    rows: list[tuple[int, float, float, float, float, int]] = field(default_factory=list)
+    rows: list[_Row] = field(default_factory=list)
 
 
 def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
@@ -322,23 +325,55 @@ def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
             track.rows.append((frame, x, y, vx, vy, label))
 
     gaps = 0
-    for track in tracks.values():
+    for track_id, track in tracks.items():
         track.rows.sort(key=lambda r: r[0])
         frames = [r[0] for r in track.rows]
         if len(set(frames)) != len(frames):
-            raise ValueError(f"{path}: duplicate frames within a track")
+            raise _duplicate_frame_error(path, track_id)
         gaps += sum(1 for a, b in zip(frames, frames[1:]) if b - a > 1)
     return tracks, gaps
 
 
-def _segments(track: _Track) -> list[list[tuple[int, float, float, float, float, int]]]:
-    segs: list[list] = []
+def _duplicate_frame_error(path: Path, track_id: str) -> ValueError:
+    """Name the line of the first repeated frame of ``track_id``.  Only
+    the error path reads the file a second time; it already parsed."""
+    seen: set[int] = set()
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if row and row[0] == track_id:
+                frame = int(row[1])
+                if frame in seen:
+                    return ValueError(
+                        f"{path}:{lineno}: duplicate frames within track {track_id}: "
+                        f"frame {frame} appears again"
+                    )
+                seen.add(frame)
+    return ValueError(f"{path}: duplicate frames within track {track_id}")
+
+
+def _segments(track: _Track) -> list[list[_Row]]:
+    segs: list[list[_Row]] = []
     for row in track.rows:
         if segs and row[0] == segs[-1][-1][0] + 1:
             segs[-1].append(row)
         else:
             segs.append([row])
     return segs
+
+
+def _index_by_frame(segments: dict[str, list[list[_Row]]]) -> dict[int, list[tuple[str, list[_Row]]]]:
+    """Map each frame to the ``(track_id, segment)`` pairs alive at it,
+    in track order.  A track's frames are unique, so at most one of its
+    segments is alive at any frame."""
+    alive: dict[int, list[tuple[str, list[_Row]]]] = {}
+    for track_id, segs in segments.items():
+        for seg in segs:
+            entry = (track_id, seg)
+            for row in seg:
+                alive.setdefault(row[0], []).append(entry)
+    return alive
 
 
 def ingest_csv(
@@ -351,14 +386,21 @@ def ingest_csv(
 
     Every contiguous ``t_obs + t_pred`` frame window of a tv track
     yields one sample.  Neighbor slots take the k_sv tracks nearest to
-    the target at the decision step among those covering the whole
-    observation window; missing slots are zero-filled and masked out.
-    Windows never span frame gaps (gaps are counted and logged).
+    the target at the decision step, ties broken by track id, among
+    those whose segment alive at the window's first frame covers the
+    whole observation window; missing slots are zero-filled and masked
+    out.  Windows never span frame gaps (gaps are counted and logged).
+    Each track is segmented once and candidates are looked up by frame,
+    so the cost is linear in rows while the number of tracks alive at
+    one frame stays bounded.
     """
     path = Path(path)
     tracks, gaps = _parse_rows(path)
     if gaps:
         logger.warning("%s: %d frame gap(s); windows do not span them", path, gaps)
+
+    segments = {track_id: _segments(track) for track_id, track in tracks.items()}
+    alive = _index_by_frame(segments)
 
     samples: list[Sample] = []
     window = t_obs + t_pred
@@ -366,29 +408,23 @@ def ingest_csv(
     for tv_id, track in tracks.items():
         if track.role != "tv":
             continue
-        for seg in _segments(track):
+        for seg in segments[tv_id]:
             if len(seg) < window:
                 continue
             for s in range(len(seg) - window + 1):
                 obs = seg[s : s + t_obs]
                 t_c_row = obs[-1]
                 end_row = seg[s + window - 1]
-                obs_frames = (obs[0][0], t_c_row[0])
+                first, last = obs[0][0], t_c_row[0]
 
                 candidates = []
-                for other_id, other in tracks.items():
-                    if other_id == tv_id:
+                for other_id, oseg in alive[first]:
+                    if other_id == tv_id or oseg[-1][0] < last:
                         continue
-                    for oseg in _segments(other):
-                        start, stop = oseg[0][0], oseg[-1][0]
-                        if start <= obs_frames[0] and stop >= obs_frames[1]:
-                            off = obs_frames[0] - start
-                            rows = oseg[off : off + t_obs]
-                            d = math.hypot(
-                                rows[-1][1] - t_c_row[1], rows[-1][2] - t_c_row[2]
-                            )
-                            candidates.append((d, other_id, rows))
-                            break
+                    off = first - oseg[0][0]
+                    rows = oseg[off : off + t_obs]
+                    d = math.hypot(rows[-1][1] - t_c_row[1], rows[-1][2] - t_c_row[2])
+                    candidates.append((d, other_id, rows))
                 candidates.sort(key=lambda c: (c[0], c[1]))
 
                 sv_histories = []

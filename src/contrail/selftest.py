@@ -1,17 +1,20 @@
 """Fast invariant suite behind ``contrail selftest``.
 
-Six independent checks that catch the classic silent breakages:
+Seven independent checks that catch the classic silent breakages:
 analytic gradients against finite differences, reservoir uniformity,
 the score-proportional replacement frequency, endpoint extraction
 against a brute-force re-implementation, an optimizer descent probe,
-and a seeded tiny experiment whose result matrix must hash to a pinned
-golden value.  Everything is seeded and runs in a few seconds.
+a CSV write/ingest round trip, and a seeded tiny experiment whose
+result matrix must hash to a pinned golden value.  Everything is
+seeded and runs in a few seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from scipy import stats
@@ -22,7 +25,7 @@ from .losses import LossSpec, Target
 from .memory import CompletionBuffer, MemoryTriplet, SeparationBuffer
 from .metrics import extract_endpoints, fde_sample, mr_threshold
 from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step
-from .scenarios import TaskSpec, task_datasets
+from .scenarios import TaskSpec, ingest_csv, task_datasets, write_task_csv
 
 __all__ = ["run_selftest"]
 
@@ -218,11 +221,22 @@ def check_adam_descends(steps: int = 60) -> bool:
     return last < first
 
 
+def check_csv_round_trip() -> bool:
+    """A written task ingests back to the same scenes and endpoints."""
+    spec = TaskSpec(kind="arc", n_samples=4, seed=23, noise_sigma=0.1, k_sv=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "task.csv"
+        written = write_task_csv(spec, 1, path)
+        ingested = ingest_csv(path, t_obs=spec.t_obs, t_pred=spec.t_pred, k_sv=spec.k_sv)
+    return len(ingested) == len(written) and all(
+        g.scene == w.scene and g.truth.endpoint == w.truth.endpoint
+        for w, g in zip(written, ingested)
+    )
+
+
 def _tiny_matrix_values() -> list[float]:
     """Deterministic tiny two-task experiment; returns matrix entries."""
     from .cli import ExperimentConfig, run_cell  # local import to avoid a cycle
-    import tempfile
-    from pathlib import Path
 
     grid = GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0)
     tasks = (
@@ -267,6 +281,7 @@ CHECKS = [
     ("replacement frequency", check_replacement_frequency),
     ("metric oracles", check_metric_oracles),
     ("adam descends", check_adam_descends),
+    ("csv round trip", check_csv_round_trip),
     ("golden tiny experiment", check_golden),
 ]
 

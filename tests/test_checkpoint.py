@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,24 @@ class TestRoundTrip:
 
         assert np.array_equal(params, params2)
         assert np.array_equal(adam.v, adam2.v)
+
+    def test_trained_horizon_round_trips(self, tiny_model, tmp_path):
+        config = dataclasses.replace(tiny_model.config, t_pred=20, dt=0.2)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, config, tiny_model.init_params())
+        header = json.loads(path.read_text())["config"]
+        assert (header["t_pred"], header["dt"]) == (20, 0.2)
+        assert load_checkpoint(path)[0] == config
+
+    def test_header_without_horizon_gets_the_defaults(self, tiny_model, tmp_path):
+        path = tmp_path / "old.json"
+        save_checkpoint(path, tiny_model.config, tiny_model.init_params())
+        data = json.loads(path.read_text())
+        del data["config"]["t_pred"], data["config"]["dt"]
+        path.write_text(json.dumps(data))
+        config, params, adam, sp, cp = load_checkpoint(path)
+        assert (config.t_pred, config.dt) == (30, 0.1)
+        assert config == tiny_model.config
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "other.json"

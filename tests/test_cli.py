@@ -374,6 +374,10 @@ class TestRunCommand:
         assert main(["run", "--config", str(serial_cfg), "--output", str(s_out)]) == 0
         assert main(["run", "--config", str(pool_cfg), "--output", str(p_out)]) == 0
         assert (s_out / "summary.json").read_text() == (p_out / "summary.json").read_text()
+        files = sorted(p.relative_to(s_out) for p in (s_out / "runs").rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(p_out) for p in (p_out / "runs").rglob("*") if p.is_file())
+        for rel in files:
+            assert (s_out / rel).read_bytes() == (p_out / rel).read_bytes(), rel
 
 
 class TestReportCommand:
@@ -436,6 +440,26 @@ class TestEvalCommand:
         assert payload["fde"] >= 0.0
         assert 0.0 <= payload["mr"] <= 100.0
 
+    def test_horizon_comes_from_the_checkpoint(self, tmp_path, capsys):
+        tasks = [{"kind": "straight", "n_samples": 20, "t_pred": 20}]
+        cfg = write_config(tmp_path / "cfg.json", strategies=["vanilla"], repetitions=1, tasks=tasks)
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        checkpoint = out / "runs" / "vanilla" / "rep_00" / "checkpoint.json"
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(out / "data" / "task_01.csv")]
+        capsys.readouterr()
+        # Written episodes span t_obs + 20 frames: one window each only
+        # at the trained horizon.
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 20
+        assert main(argv + ["--t-pred", "20"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--t-pred", "30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--t-pred 30" in captured.err and "t_pred 20" in captured.err
+
     def test_missing_checkpoint_is_a_runtime_error(self, tmp_path, capsys):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "no.json"), "--data", "x.csv"]
@@ -449,7 +473,8 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count(" ok") >= 6
+        assert out.count(" ok") >= 7
+        assert "csv round trip" in out
 
 
 class TestExitCodes:

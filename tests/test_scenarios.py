@@ -7,12 +7,15 @@ down to float precision.
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contrail.core import scene_frame, task_boundaries
+from contrail import scenarios
+from contrail.core import AgentState, GroundTruth, Sample, Scene, scene_frame, task_boundaries
 from contrail.scenarios import (
     CSV_HEADER,
     TaskSpec,
@@ -340,7 +343,18 @@ class TestIngestion:
         ]
         path = tmp_path / "dup.csv"
         path.write_text(csv_text(rows))
-        with pytest.raises(ValueError, match="duplicate frames"):
+        with pytest.raises(ValueError, match=r"dup\.csv:3: duplicate frames within track car: frame 0"):
+            ingest_csv(path)
+        # The repeat is named where it is, past other tracks' rows.
+        rows = [
+            ["car", 0, 0.0, 0.0, 1.0, 0.0, "tv", 1],
+            ["bike", 0, 5.0, 0.0, 1.0, 0.0, "sv", 1],
+            ["bike", 1, 6.0, 0.0, 1.0, 0.0, "sv", 1],
+            ["car", 1, 1.0, 0.0, 1.0, 0.0, "tv", 1],
+            ["bike", 0, 7.0, 0.0, 1.0, 0.0, "sv", 1],
+        ]
+        path.write_text(csv_text(rows))
+        with pytest.raises(ValueError, match=r"dup\.csv:6: duplicate frames within track bike: frame 0"):
             ingest_csv(path)
 
 
@@ -354,3 +368,173 @@ class TestNonFiniteRows:
         path.write_text(csv_text(rows))
         with pytest.raises(ValueError, match=r"nonfinite\.csv:4: non-finite"):
             ingest_csv(path, t_obs=3, t_pred=2)
+
+
+def quadratic_ingest(path, t_obs=10, t_pred=30, k_sv=4):
+    """The plain quadratic neighbor search, kept as the reference
+    ``ingest_csv`` must equal: every window rescans every other track
+    and re-segments it, taking its first segment that covers the whole
+    observation window."""
+    tracks, _ = scenarios._parse_rows(Path(path))
+    samples = []
+    window = t_obs + t_pred
+    zero = AgentState(0.0, 0.0, 0.0, 0.0)
+    for tv_id, track in tracks.items():
+        if track.role != "tv":
+            continue
+        for seg in scenarios._segments(track):
+            for s in range(len(seg) - window + 1):
+                obs = seg[s : s + t_obs]
+                t_c_row = obs[-1]
+                end_row = seg[s + window - 1]
+                candidates = []
+                for other_id, other in tracks.items():
+                    if other_id == tv_id:
+                        continue
+                    for oseg in scenarios._segments(other):
+                        if oseg[0][0] <= obs[0][0] and oseg[-1][0] >= t_c_row[0]:
+                            off = obs[0][0] - oseg[0][0]
+                            rows = oseg[off : off + t_obs]
+                            d = math.hypot(rows[-1][1] - t_c_row[1], rows[-1][2] - t_c_row[2])
+                            candidates.append((d, other_id, rows))
+                            break
+                candidates.sort(key=lambda c: (c[0], c[1]))
+                slots = [
+                    tuple(AgentState(r[1], r[2], r[3], r[4]) for r in c[2]) for c in candidates[:k_sv]
+                ]
+                n_real = len(slots)
+                slots += [tuple(zero for _ in range(t_obs))] * (k_sv - n_real)
+                scene = Scene(
+                    tv_history=tuple(AgentState(r[1], r[2], r[3], r[4]) for r in obs),
+                    sv_histories=tuple(slots),
+                    sv_mask=tuple(k < n_real for k in range(k_sv)),
+                    t_c=t_obs - 1,
+                )
+                truth = GroundTruth(
+                    endpoint=(end_row[1], end_row[2]),
+                    speed_v=math.hypot(t_c_row[3], t_c_row[4]),
+                )
+                samples.append(Sample(scene, truth, task_label=t_c_row[5]))
+    return samples
+
+
+def track_rows(track_id, role, frames, x0, y0, vx=1.0, vy=0.0, label=1):
+    return [[track_id, f, x0 + vx * f, y0 + vy * f, vx, vy, role, label] for f in frames]
+
+
+class TestNeighborLookupMatchesQuadraticScan:
+    """``ingest_csv`` against ``quadratic_ingest`` on tables built to hit
+    each rule of the neighbor search."""
+
+    def _ingest_both(self, tmp_path, rows, **kw):
+        path = tmp_path / "table.csv"
+        path.write_text(csv_text(rows))
+        got = ingest_csv(path, **kw)
+        assert got == quadratic_ingest(path, **kw)
+        assert got
+        return got
+
+    def test_concurrent_overlapping_tracks(self, tmp_path):
+        rows = track_rows("a", "tv", range(0, 12), 0.0, 0.0)
+        rows += track_rows("b", "sv", range(2, 14), 0.0, 3.0)
+        rows += track_rows("c", "sv", range(0, 5), 1.0, -2.0)
+        rows += track_rows("d", "sv", range(5, 16), -1.0, 1.5, vx=0.5)
+        rows += track_rows("e", "tv", range(3, 15), 2.0, -4.0, vy=0.25)
+        samples = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=3)
+        assert len(samples) == 8 + 8
+        assert any(not all(s.scene.sv_mask) for s in samples)
+        assert any(all(s.scene.sv_mask) for s in samples)
+
+    def test_neighbor_split_by_a_gap_counts_only_where_a_segment_covers(self, tmp_path):
+        rows = track_rows("car", "tv", range(0, 10), 0.0, 0.0)
+        rows += track_rows("gappy", "sv", [0, 1, 2] + list(range(4, 13)), 0.0, 2.0)
+        samples = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=1)
+        # Window s observes frames s..s+2: the first segment covers s = 0,
+        # no segment covers s = 1..3, the second covers s >= 4.
+        assert [s.scene.sv_mask for s in samples] == [(True,), (False,), (False,), (False,), (True,), (True,)]
+        assert samples[4].scene.sv_histories[0][0].x == 4.0
+
+    def test_equal_distances_break_on_track_id(self, tmp_path):
+        rows = track_rows("car", "tv", range(0, 5), 0.0, 0.0)
+        rows += track_rows("zeta", "sv", range(0, 5), 0.0, 2.0)
+        rows += track_rows("alpha", "sv", range(0, 5), 0.0, -2.0)
+        (sample,) = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
+        assert [h[0].y for h in sample.scene.sv_histories] == [-2.0, 2.0]
+
+    def test_more_candidates_than_slots(self, tmp_path):
+        rows = track_rows("car", "tv", range(0, 6), 0.0, 0.0)
+        for k, y in enumerate((5.0, -1.0, 4.0, -3.0, 2.0)):
+            rows += track_rows(f"sv{k}", "sv", range(0, 6), 0.0, y)
+        samples = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
+        for sample in samples:
+            assert [h[0].y for h in sample.scene.sv_histories] == [-1.0, 2.0]
+
+    def test_two_targets_are_each_others_neighbors(self, tmp_path):
+        rows = track_rows("p", "tv", range(0, 6), 0.0, 0.0)
+        rows += track_rows("q", "tv", range(0, 6), 0.0, 3.0)
+        samples = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
+        assert [s.scene.tv_history[0].y for s in samples] == [0.0, 0.0, 3.0, 3.0]
+        assert [s.scene.sv_histories[0][0].y for s in samples] == [3.0, 3.0, 0.0, 0.0]
+        assert all(s.scene.sv_mask == (True, False) for s in samples)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_tables_with_gaps_and_ties(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for k in range(12):
+            start = int(rng.integers(0, 20))
+            frames = [f for f in range(start, start + int(rng.integers(3, 25))) if rng.random() > 0.1]
+            role = "tv" if k % 3 == 0 else "sv"
+            # Integer positions on a small grid make distance ties common.
+            x0, y0 = (float(v) for v in rng.integers(-3, 4, size=2))
+            rows += track_rows(f"t{int(rng.integers(0, 1000)):03d}_{k}", role, frames, x0, y0, vx=0.0)
+        rng.shuffle(rows)
+        path = tmp_path / "random.csv"
+        path.write_text(csv_text(rows))
+        assert ingest_csv(path, t_obs=3, t_pred=2, k_sv=3) == quadratic_ingest(path, t_obs=3, t_pred=2, k_sv=3)
+
+
+class TestIngestionWorkIsLinear:
+    def test_each_track_segmented_once_and_windows_check_only_live_tracks(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.csv"
+        written = write_task_csv(TaskSpec(kind="straight", n_samples=2000, seed=8, k_sv=2), 1, path)
+
+        segmented = []
+        segments = scenarios._segments
+
+        def counting_segments(track):
+            segmented.append(id(track))
+            return segments(track)
+
+        checks = []  # (first frame, candidates looked at) per lookup
+
+        class CountingList(list):
+            def __init__(self, frame, items):
+                super().__init__(items)
+                self.frame = frame
+
+            def __iter__(self):
+                checks.append([self.frame, 0])
+                for item in super().__iter__():
+                    checks[-1][1] += 1
+                    yield item
+
+        index_by_frame = scenarios._index_by_frame
+
+        def counting_index(segs):
+            return {f: CountingList(f, entries) for f, entries in index_by_frame(segs).items()}
+
+        monkeypatch.setattr(scenarios, "_segments", counting_segments)
+        monkeypatch.setattr(scenarios, "_index_by_frame", counting_index)
+        samples = ingest_csv(path, t_obs=10, t_pred=30, k_sv=2)
+        assert len(samples) == len(written) == 2000
+
+        alive: dict[int, set[str]] = {}
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                alive.setdefault(int(row[1]), set()).add(row[0])
+        n_tracks = len(set().union(*alive.values()))
+        assert len(segmented) == len(set(segmented)) == n_tracks == 2000 * 3
+        assert len(checks) == len(samples)
+        for frame, looked_at in checks:
+            assert looked_at <= len(alive[frame])
