@@ -15,7 +15,7 @@ from .core import (
     target_cell,
 )
 from .learner import Strategy, TrainConfig, TrainResult, agem_project, train_stream
-from .losses import LossSpec, Target, base_loss, replay_loss, total_loss
+from .losses import LossSpec, base_loss, replay_loss, total_loss
 from .memory import (
     CompletionBuffer,
     MemoryTriplet,
@@ -57,7 +57,6 @@ __all__ = [
     "Scene",
     "SeparationBuffer",
     "Strategy",
-    "Target",
     "TaskSpec",
     "TrainConfig",
     "TrainResult",

@@ -98,21 +98,31 @@ def save_checkpoint(
             "b_compare": separation.b_compare,
             "stream_count": separation.stream_count,
             "scores": list(separation.scores),
-            "items": [_triplet_to_json(t) for t in separation.items],
+            "items": [_triplet_to_json(t) for t in separation.contents()],
         },
         "completion": None
         if completion is None
         else {
             "capacity": completion.capacity,
             "stream_count": completion.stream_count,
-            "items": [_triplet_to_json(t) for t in completion.items],
+            "items": [_triplet_to_json(t) for t in completion.contents()],
         },
     }
     Path(path).write_text(json.dumps(payload))
 
 
+def _slots(items: list[dict]) -> dict:
+    triplets = [_triplet_from_json(t) for t in items]
+    return {
+        "samples": triplets,
+        "rows": list(range(len(triplets))),
+        "logits": [t.init_logits for t in triplets],
+    }
+
+
 def load_checkpoint(
     path: Path | str,
+    params_only: bool = False,
 ) -> tuple[
     PredictorConfig,
     np.ndarray,
@@ -122,7 +132,10 @@ def load_checkpoint(
 ]:
     """Inverse of ``save_checkpoint``.  A file written before the header
     carried the trained horizon gets ``PredictorConfig``'s defaults
-    (t_pred 30, dt 0.1)."""
+    (t_pred 30, dt 0.1).  A loaded buffer's slots index the triplets
+    read from the file.  With ``params_only`` (all that evaluation
+    needs) only the header and parameters are read back; the optimizer
+    state and buffers come back as None, unbuilt."""
     data = json.loads(Path(path).read_text())
     if data.get("format") != FORMAT:
         raise ValueError(f"{path} is not a {FORMAT} file")
@@ -142,6 +155,8 @@ def load_checkpoint(
         **horizon,
     )
     params = np.array(data["params"], dtype=np.float64)
+    if params_only:
+        return config, params, None, None, None
     adam = None
     if data["adam"] is not None:
         adam = AdamState(
@@ -155,16 +170,16 @@ def load_checkpoint(
         separation = SeparationBuffer(
             capacity=s["capacity"],
             b_compare=s["b_compare"],
-            items=[_triplet_from_json(t) for t in s["items"]],
             scores=[float(q) for q in s["scores"]],
             stream_count=s["stream_count"],
+            **_slots(s["items"]),
         )
     completion = None
     if data["completion"] is not None:
         s = data["completion"]
         completion = CompletionBuffer(
             capacity=s["capacity"],
-            items=[_triplet_from_json(t) for t in s["items"]],
             stream_count=s["stream_count"],
+            **_slots(s["items"]),
         )
     return config, params, adam, separation, completion

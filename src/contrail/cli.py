@@ -34,7 +34,7 @@ from .core import (
     Heatmap,
     ResultMatrix,
     Sample,
-    scene_frame,
+    local_endpoints,
 )
 from .learner import Strategy, TrainConfig, train_stream
 from .losses import LossSpec
@@ -251,19 +251,20 @@ def evaluate_task(
 
     Predictions live on the target-centric grid, so the truth endpoint
     is moved into each scene's frame; the heading there is +x by
-    construction.
+    construction.  The task is featurised once.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty task")
-    logits = model.forward_logits(params, [s.scene for s in samples])
+    scenes = [s.scene for s in samples]
+    logits = model.forward_logits(params, model.features(scenes))
+    local_ends = local_endpoints(scenes, [s.truth.endpoint for s in samples]).tolist()
     grid = model.config.grid
     fdes = []
     cases = []
     for k, s in enumerate(samples):
         heatmap_logits = logits[k].reshape(grid.rows_h, grid.cols_w)
         pred = extract_endpoints(Heatmap(heatmap_logits, grid), w)
-        local_end = scene_frame(s.scene).to_local(s.truth.endpoint)
-        local_truth = GroundTruth(endpoint=local_end, speed_v=s.truth.speed_v)
+        local_truth = GroundTruth(endpoint=tuple(local_ends[k]), speed_v=s.truth.speed_v)
         fdes.append(fde_sample(pred, local_truth))
         cases.append((pred, local_truth, (1.0, 0.0)))
     return float(np.mean(fdes)), mr_task(cases)
@@ -527,7 +528,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config, params, _, _, _ = load_checkpoint(args.checkpoint)
+    config, params, _, _, _ = load_checkpoint(args.checkpoint, params_only=True)
     if args.t_pred is not None and args.t_pred != config.t_pred:
         raise ConfigError(
             f"--t-pred {args.t_pred} differs from the horizon the checkpoint was "

@@ -13,7 +13,9 @@ rows index the y axis and columns the x axis, both row-major.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +30,11 @@ __all__ = [
     "Scene",
     "cell_to_center",
     "endpoint_to_cell",
+    "local_endpoints",
     "scene_frame",
+    "scene_frames",
     "target_cell",
+    "target_cells",
     "task_boundaries",
     "task_label_reads",
 ]
@@ -53,10 +58,6 @@ class Scene:
     ``t_c``.  ``sv_histories`` holds one equally long track per neighbor
     slot; slots whose ``sv_mask`` entry is False carry zero-filled
     padding and must be ignored by consumers.
-
-    The hash is computed once, from the fields, when the scene is
-    built: scenes key the feature cache, and rehashing dozens of nested
-    states on every lookup dominates a cache hit.
     """
 
     tv_history: tuple[AgentState, ...]
@@ -75,11 +76,6 @@ class Scene:
                 raise ValueError("neighbor histories must match t_obs")
         if self.t_c != t_obs - 1:
             raise ValueError("t_c must index the last observed step")
-        key = (self.tv_history, self.sv_histories, self.sv_mask, self.t_c)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -258,6 +254,49 @@ def target_cell(scene: Scene, truth: GroundTruth, grid: GridSpec) -> tuple[int, 
     target-centric frame, snapped to the grid."""
     local = scene_frame(scene).to_local(truth.endpoint)
     return endpoint_to_cell(local, grid)
+
+
+def float_rows(rows: Iterable[Iterable[float]], n: int, width: int) -> np.ndarray:
+    """``n`` rows of ``width`` floats as an ``(n, width)`` array, read in
+    one ``np.fromiter`` pass without an intermediate nested list."""
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=n * width)
+    return flat.reshape(n, width)
+
+
+def scene_frames(scenes: Sequence[Scene]) -> np.ndarray:
+    """Every scene's :func:`scene_frame` as one ``(n, 4)`` array of
+    (origin x, origin y, cos, sin)."""
+    frames = (
+        (f.origin[0], f.origin[1], f.cos_h, f.sin_h) for f in map(scene_frame, scenes)
+    )
+    return float_rows(frames, len(scenes), 4)
+
+
+def local_endpoints(
+    scenes: Sequence[Scene], endpoints: Sequence[tuple[float, float]]
+) -> np.ndarray:
+    """World endpoints moved into their scenes' target-centric frames,
+    shape ``(n, 2)``; elementwise the same arithmetic as
+    ``Frame.to_local``, so bit-equal to it."""
+    frames = scene_frames(scenes)
+    points = float_rows(endpoints, len(scenes), 2)
+    dx = points[:, 0] - frames[:, 0]
+    dy = points[:, 1] - frames[:, 1]
+    cos_h, sin_h = frames[:, 2], frames[:, 3]
+    return np.stack([dx * cos_h + dy * sin_h, -dx * sin_h + dy * cos_h], axis=1)
+
+
+def target_cells(
+    scenes: Sequence[Scene], truths: Sequence[GroundTruth], grid: GridSpec
+) -> np.ndarray:
+    """:func:`target_cell` of every (scene, truth) pair as flat cell
+    indices ``row * cols_w + col``, shape ``(n,)``."""
+    local = local_endpoints(scenes, [t.endpoint for t in truths])
+    if not np.all(np.isfinite(local)):
+        raise ValueError("non-finite endpoint cannot be snapped to the grid")
+    col = np.clip(np.floor((local[:, 0] - grid.origin[0]) / grid.cell_size), 0, grid.cols_w - 1)
+    row = np.clip(np.floor((local[:, 1] - grid.origin[1]) / grid.cell_size), 0, grid.rows_h - 1)
+    return (row * grid.cols_w + col).astype(np.intp)
 
 
 @dataclass

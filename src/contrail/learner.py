@@ -7,6 +7,10 @@ is: snapshot the model's logits for the batch, compute the strategy
 loss and step, then offer the batch to the buffers carrying the
 pre-update logits.
 
+The stream is featurised and targeted once, on entry, into a
+:class:`~contrail.predictor.SampleTable`; batches, buffer slots and
+replay draws are row indices into it.
+
 Task labels are evaluation metadata.  The four task-free strategies
 (vanilla, dual replay, DER-style, GSS-style) never read them on the
 training path; checkpoint placement uses the evaluation-side boundary
@@ -24,15 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import Sample, Scene, GroundTruth, target_cell
-from .losses import LossSpec, Target, replay_targets
-from .memory import (
-    CompletionBuffer,
-    MemoryTriplet,
-    SeparationBuffer,
-    draw_minibatch,
-)
-from .predictor import AdamState, HeatmapPredictor, adam_step
+from .core import Sample
+from .losses import LossSpec, replay_targets
+from .memory import CompletionBuffer, SeparationBuffer, draw_minibatch
+from .predictor import AdamState, HeatmapPredictor, SampleTable, adam_step
 
 __all__ = [
     "Strategy",
@@ -134,36 +133,33 @@ class TrainResult:
     n_steps: int
 
 
-def _base_targets(
-    pairs: Sequence[tuple[Scene, GroundTruth]], grid
-) -> list[tuple[Scene, Target]]:
-    return [(scene, Target(target_cell(scene, truth, grid))) for scene, truth in pairs]
-
-
 def dual_replay_step(
     model: HeatmapPredictor,
     params: np.ndarray,
-    batch: Sequence[tuple[Scene, GroundTruth]],
+    table: SampleTable,
+    batch: np.ndarray,
     sp_buffer: SeparationBuffer | None,
     cp_buffer: CompletionBuffer | None,
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
-    """Loss and gradient of the current batch plus weighted replay from
-    both buffers (base loss + logit distillation on replayed samples).
+    """Loss and gradient of the current batch (rows of ``table``) plus
+    weighted replay from both buffers (base loss + logit distillation
+    on replayed samples).
 
     A missing or empty buffer, a zero replay weight, or replay_batch 0
     silently drops that term, which makes the alpha = beta = 0 case
     coincide with a vanilla step.
     """
     spec = cfg.loss
-    grid = model.config.grid
-    loss, grad = model.loss_and_grad(params, _base_targets(batch, grid), spec)
+    loss, grad = model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
     for weight, buffer in ((spec.alpha, sp_buffer), (spec.beta, cp_buffer)):
         if weight == 0.0 or buffer is None or len(buffer) == 0 or cfg.replay_n == 0:
             continue
-        drawn = draw_minibatch(buffer, cfg.replay_n, rng)
-        r_loss, r_grad = model.loss_and_grad(params, replay_targets(drawn, grid), spec)
+        rows, stored = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
+        r_loss, r_grad = model.loss_and_grad(
+            params, table.x[rows], table.cells[rows], spec, stored
+        )
         loss += weight * r_loss
         grad += weight * r_grad
     return loss, grad
@@ -172,7 +168,8 @@ def dual_replay_step(
 def gss_style_step(
     model: HeatmapPredictor,
     params: np.ndarray,
-    batch: Sequence[tuple[Scene, GroundTruth]],
+    table: SampleTable,
+    batch: np.ndarray,
     buffer: SeparationBuffer | None,
     cfg: TrainConfig,
     rng: np.random.Generator,
@@ -180,12 +177,11 @@ def gss_style_step(
     """Base loss over the current batch concatenated with a buffer
     draw; no distillation.  The mean runs over the mixed batch, so the
     sub-batches weigh in proportion to their sizes."""
-    grid = model.config.grid
-    mixed = list(batch)
+    mixed = np.asarray(batch, dtype=np.intp)
     if buffer is not None and len(buffer) > 0 and cfg.replay_n > 0:
-        drawn = draw_minibatch(buffer, cfg.replay_n, rng)
-        mixed.extend((t.scene, t.truth) for t in drawn)
-    return model.loss_and_grad(params, _base_targets(mixed, grid), cfg.loss)
+        rows, _ = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
+        mixed = np.concatenate([mixed, rows])
+    return model.loss_and_grad(params, table.x[mixed], table.cells[mixed], cfg.loss)
 
 
 def agem_project(grad: np.ndarray, ref_grad: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -215,34 +211,35 @@ class _AgemMemory:
         self.rng = rng
         self.reservoirs: dict[int, CompletionBuffer] = {}
 
-    def observe(self, label: int, item: MemoryTriplet) -> None:
+    def observe(self, label: int, row: int) -> None:
         if self.total <= 0:
             return
         if label not in self.reservoirs:
             quota = max(1, self.total // (len(self.reservoirs) + 1))
             for buf in self.reservoirs.values():
-                if len(buf.items) > quota:
-                    keep = self.rng.choice(len(buf.items), size=quota, replace=False)
-                    buf.items = [buf.items[int(i)] for i in sorted(keep)]
+                if len(buf) > quota:
+                    keep = self.rng.choice(len(buf), size=quota, replace=False)
+                    buf.retain(sorted(int(i) for i in keep))
                 buf.capacity = quota
             self.reservoirs[label] = CompletionBuffer(capacity=quota)
-        self.reservoirs[label].observe(item, self.rng)
+        self.reservoirs[label].observe(row, self.rng)
 
-    def reference_items(self, exclude_label: int, n: int) -> list[MemoryTriplet]:
+    def reference_rows(self, exclude_label: int, n: int) -> np.ndarray:
+        """``n`` stream rows drawn uniformly from every other task's
+        reservoir; none when those are empty."""
         pool = [
-            item
+            row
             for label, buf in self.reservoirs.items()
             if label != exclude_label
-            for item in buf.items
+            for row in buf.rows
         ]
         if not pool:
-            return []
-        idx = self.rng.integers(0, len(pool), size=n)
-        return [pool[int(i)] for i in idx]
+            return np.zeros(0, dtype=np.intp)
+        return np.asarray(pool, dtype=np.intp)[self.rng.integers(0, len(pool), size=n)]
 
 
 def _make_buffers(
-    strategy: Strategy, cfg: TrainConfig
+    strategy: Strategy, cfg: TrainConfig, stream: Sequence[Sample]
 ) -> tuple[SeparationBuffer | None, CompletionBuffer | None]:
     total = cfg.buffer_total
     if total == 0:
@@ -252,13 +249,13 @@ def _make_buffers(
             raise ValueError("dual replay splits buffer_total evenly; use an even total")
         half = total // 2
         return (
-            SeparationBuffer(capacity=half, b_compare=cfg.b_compare),
-            CompletionBuffer(capacity=half),
+            SeparationBuffer(capacity=half, b_compare=cfg.b_compare, samples=stream),
+            CompletionBuffer(capacity=half, samples=stream),
         )
     if strategy is Strategy.DER_STYLE:
-        return None, CompletionBuffer(capacity=total)
+        return None, CompletionBuffer(capacity=total, samples=stream)
     if strategy is Strategy.GSS_STYLE:
-        return SeparationBuffer(capacity=total, b_compare=cfg.b_compare), None
+        return SeparationBuffer(capacity=total, b_compare=cfg.b_compare, samples=stream), None
     return None, None
 
 
@@ -283,7 +280,6 @@ def train_stream(
     boundaries = core.task_boundaries(stream)  # also validates ordering
 
     reads_before = core.task_label_reads()
-    grid = model.config.grid
     spec = cfg.loss
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
@@ -297,7 +293,8 @@ def train_stream(
         stream = [stream[int(i)] for i in order]
         boundaries = []
 
-    sp_buffer, cp_buffer = _make_buffers(strategy, cfg)
+    table = model.encode([s.scene for s in stream], [s.truth for s in stream])
+    sp_buffer, cp_buffer = _make_buffers(strategy, cfg, stream)
     agem_memory = (
         _AgemMemory(cfg.buffer_total, rng_agem) if strategy is Strategy.AGEM else None
     )
@@ -312,63 +309,54 @@ def train_stream(
         Strategy.DUAL_REPLAY,
         Strategy.DER_STYLE,
         Strategy.GSS_STYLE,
-        Strategy.AGEM,
     ) and cfg.buffer_total > 0
     n_steps = 0
 
     for start in range(0, len(stream), cfg.batch_size):
-        batch = stream[start : start + cfg.batch_size]
-        pairs = [(s.scene, s.truth) for s in batch]
-        scenes = [scene for scene, _ in pairs]
+        end = min(start + cfg.batch_size, len(stream))
+        batch = np.arange(start, end)
+        x, cells = table.x[batch], table.cells[batch]
 
-        snapshot = model.forward_logits(params, scenes) if needs_snapshot else None
+        snapshot = model.forward_logits(params, x) if needs_snapshot else None
 
         if strategy in (Strategy.VANILLA, Strategy.JOINT):
-            loss, grad = model.loss_and_grad(params, _base_targets(pairs, grid), spec)
+            loss, grad = model.loss_and_grad(params, x, cells, spec)
         elif strategy is Strategy.DUAL_REPLAY:
             loss, grad = dual_replay_step(
-                model, params, pairs, sp_buffer, cp_buffer, cfg, rng_replay
+                model, params, table, batch, sp_buffer, cp_buffer, cfg, rng_replay
             )
         elif strategy is Strategy.DER_STYLE:
             loss, grad = dual_replay_step(
-                model, params, pairs, None, cp_buffer, cfg, rng_replay
+                model, params, table, batch, None, cp_buffer, cfg, rng_replay
             )
         elif strategy is Strategy.GSS_STYLE:
-            loss, grad = gss_style_step(model, params, pairs, sp_buffer, cfg, rng_replay)
-        else:  # AGEM
-            loss, grad = model.loss_and_grad(params, _base_targets(pairs, grid), spec)
-            assert agem_memory is not None
-            refs = agem_memory.reference_items(
-                exclude_label=batch[-1].task_label, n=cfg.agem_ref_batch
+            loss, grad = gss_style_step(
+                model, params, table, batch, sp_buffer, cfg, rng_replay
             )
-            if refs:
-                ref_pairs = [(t.scene, t.truth) for t in refs]
-                _, g_ref = model.loss_and_grad(
-                    params, _base_targets(ref_pairs, grid), spec
-                )
+        else:  # AGEM
+            loss, grad = model.loss_and_grad(params, x, cells, spec)
+            assert agem_memory is not None
+            refs = agem_memory.reference_rows(
+                exclude_label=stream[end - 1].task_label, n=cfg.agem_ref_batch
+            )
+            if len(refs):
+                _, g_ref = model.loss_and_grad(params, table.x[refs], table.cells[refs], spec)
                 grad, projected = agem_project(grad, g_ref)
                 if projected:
                     agem_dots.append(float(grad @ g_ref))
 
         params, adam = adam_step(params, grad, adam, cfg.lr)
-        visits[start : start + len(batch)] += 1
+        visits[start:end] += 1
         n_steps += 1
 
         if snapshot is not None:
             _offer_batch(
-                model,
-                params,
-                batch,
-                snapshot,
-                strategy,
-                sp_buffer,
-                cp_buffer,
-                agem_memory,
-                cfg,
-                rng_buffers,
+                model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng_buffers
             )
+        elif agem_memory is not None:
+            for row in range(start, end):
+                agem_memory.observe(stream[row].task_label, row)
 
-        end = start + len(batch)
         while pending and pending[0][1] <= end:
             label, _ = pending.pop(0)
             checkpoints.append((label, params.copy()))
@@ -389,55 +377,41 @@ def train_stream(
 def _offer_batch(
     model: HeatmapPredictor,
     params: np.ndarray,
-    batch: Sequence[Sample],
+    table: SampleTable,
+    batch: np.ndarray,
     snapshot: np.ndarray,
-    strategy: Strategy,
     sp_buffer: SeparationBuffer | None,
     cp_buffer: CompletionBuffer | None,
-    agem_memory: "_AgemMemory | None",
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Feed one trained batch to the strategy's stores.
+    """Feed one trained batch (rows of ``table``) to the stores, each row
+    with its pre-update logits from ``snapshot``.
 
     Separation scores are base-loss gradient cosines at the current
     (post-step) parameters.  One factored pass covers the separation
-    buffer's items held at batch start (row ``s`` for slot ``s``)
-    followed by the batch (row ``n0 + k`` for sample ``k``); a slot
+    buffer's rows held at batch start (pass row ``s`` for slot ``s``)
+    followed by the batch (pass row ``n0 + k`` for sample ``k``); a slot
     filled or replaced mid-batch points at its batch row from then on,
-    which is the same gradient a fresh pass over the new item would
-    give.
+    which is the same gradient a fresh pass over the new row would give.
     """
     grid = model.config.grid
-    rows, cols = grid.rows_h, grid.cols_w
-    triplets = [
-        MemoryTriplet(s.scene, s.truth, snapshot[k].reshape(rows, cols))
-        for k, s in enumerate(batch)
-    ]
-
-    if strategy is Strategy.AGEM:
-        assert agem_memory is not None
-        for s, t in zip(batch, triplets):
-            agem_memory.observe(s.task_label, t)
-        return
-
     cosines = np.zeros((0, 0))
     slot_rows: list[int] = []
     if sp_buffer is not None:
         n0 = len(sp_buffer)
-        pairs = [(t.scene, t.truth) for t in sp_buffer.items]
-        pairs += [(s.scene, s.truth) for s in batch]
-        grads = model.per_sample_grads(params, _base_targets(pairs, grid), cfg.loss)
+        rows = np.concatenate([np.asarray(sp_buffer.rows, dtype=np.intp), batch])
+        grads = model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss)
         cosines = grads.cosines(np.arange(n0, n0 + len(batch)))
         slot_rows = list(range(n0))
 
-    for k, triplet in enumerate(triplets):
+    for k, row in enumerate(batch.tolist()):
+        logits = snapshot[k].reshape(grid.rows_h, grid.cols_w)
         if sp_buffer is not None:
-            if sp_buffer.offer(triplet, cosines[k, slot_rows], rng):
+            if sp_buffer.offer(row, cosines[k, slot_rows], rng, logits):
                 if len(sp_buffer) > len(slot_rows):
                     slot_rows.append(n0 + k)
                 else:
-                    slot = next(s for s, it in enumerate(sp_buffer.items) if it is triplet)
-                    slot_rows[slot] = n0 + k
+                    slot_rows[sp_buffer.rows.index(row)] = n0 + k
         if cp_buffer is not None:
-            cp_buffer.observe(triplet, rng)
+            cp_buffer.observe(row, rng, logits)

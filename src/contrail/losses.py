@@ -7,9 +7,10 @@ were stored with.  The replay loss pairs both; the total stream loss
 adds weighted replay terms from the two memory buffers to the
 current-batch loss.
 
-All kernels operate on flat logit vectors so the predictor's backward
-pass can reuse them; ``base_loss``/``replay_loss``/``total_loss`` are
-the heatmap-level entry points.
+All kernels operate on flat logit vectors and flat target-cell indices
+(``row * cols_w + col``) so the predictor's backward pass can reuse
+them; ``base_loss``/``replay_loss``/``total_loss`` are the heatmap-level
+entry points.
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, Heatmap, Scene, target_cell
+from .core import GroundTruth, Heatmap, Scene
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .memory import MemoryTriplet
+    from .memory import CompletionBuffer, MemoryTriplet, SeparationBuffer
     from .predictor import HeatmapPredictor
 
 __all__ = [
     "LossSpec",
-    "Target",
     "base_loss",
     "batch_loss_and_dlogits",
     "replay_loss",
+    "replay_targets",
     "total_loss",
 ]
 
@@ -61,16 +62,6 @@ class LossSpec:
             raise ValueError("replay weights alpha and beta must be non-negative")
 
 
-@dataclass(frozen=True)
-class Target:
-    """Supervision for one sample: the true endpoint cell, plus the
-    stored logits to distill toward when the sample is replayed from
-    memory (``init_logits`` is a flat vector or None)."""
-
-    cell: tuple[int, int]
-    init_logits: np.ndarray | None = None
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -78,20 +69,24 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def batch_loss_and_dlogits(
     logits: np.ndarray,
-    targets: Sequence[Target],
+    cells: Sequence[int] | np.ndarray,
     spec: LossSpec,
-    cols_w: int,
+    stored: np.ndarray | None = None,
+    distill: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and their logit gradients for a batch.
 
-    ``logits`` has shape ``(n, n_cells)``; each target's cell index is
-    ``row * cols_w + col``.  Returns ``(losses, dlogits)`` with shapes
-    ``(n,)`` and ``(n, n_cells)``.
+    ``logits`` has shape ``(n, n_cells)`` and ``cells`` holds each
+    sample's flat target cell.  ``stored``, shape ``(n, n_cells)``, are
+    the logits to distill toward; the squared distance normalised by the
+    cell count is added on the rows the boolean mask ``distill``
+    selects, or on every row when it is None.  Returns ``(losses,
+    dlogits)`` with shapes ``(n,)`` and ``(n, n_cells)``.
     """
     n, n_cells = logits.shape
-    if len(targets) != n:
+    idx = np.asarray(cells, dtype=np.intp)
+    if idx.shape != (n,):
         raise ValueError("batch size mismatch between logits and targets")
-    idx = np.array([t.cell[0] * cols_w + t.cell[1] for t in targets])
     if np.any(idx < 0) or np.any(idx >= n_cells):
         raise ValueError("target cell outside the grid")
 
@@ -118,14 +113,19 @@ def batch_loss_and_dlogits(
         coeff = lead - one_m**gamma
         dlogits = (onehot - softmax) * coeff[:, None]
 
-    for k, t in enumerate(targets):
-        if t.init_logits is not None:
-            stored = np.asarray(t.init_logits, dtype=np.float64).reshape(-1)
-            if stored.shape[0] != n_cells:
-                raise ValueError("stored logits do not match the grid size")
-            diff = logits[k] - stored
-            losses[k] = losses[k] + diff.dot(diff) / n_cells
-            dlogits[k] += 2.0 * diff / n_cells
+    if stored is not None:
+        stored = np.asarray(stored, dtype=np.float64)
+        if stored.ndim != 2 or stored.shape[1] != n_cells:
+            raise ValueError("stored logits do not match the grid size")
+        if stored.shape[0] != n:
+            raise ValueError("batch size mismatch between logits and stored logits")
+        on = slice(None) if distill is None else np.asarray(distill, dtype=bool)
+        diff = logits[on] - stored[on]
+        # The gradient term is elementwise, so bit-equal to a per-row
+        # loop; the loss's row sums may round differently from a per-row
+        # dot product, and training never reads the loss value.
+        losses[on] += np.einsum("ij,ij->i", diff, diff) / n_cells
+        dlogits[on] += 2.0 * diff / n_cells
 
     return losses, dlogits
 
@@ -134,20 +134,19 @@ def base_loss(heatmap: Heatmap, cell: tuple[int, int], spec: LossSpec | None = N
     """Classification loss of a heatmap against the true endpoint cell."""
     spec = spec or LossSpec()
     flat = heatmap.logits.reshape(1, -1)
-    losses, _ = batch_loss_and_dlogits(flat, [Target(cell)], spec, heatmap.grid.cols_w)
+    losses, _ = batch_loss_and_dlogits(flat, [cell[0] * heatmap.grid.cols_w + cell[1]], spec)
     return float(losses[0])
 
 
 def replay_targets(
-    triplets: Sequence["MemoryTriplet"], grid
-) -> list[tuple[Scene, Target]]:
-    """Replay supervision for stored triplets: true cell plus stored
-    logits as the distillation anchor."""
-    out = []
-    for t in triplets:
-        cell = target_cell(t.scene, t.truth, grid)
-        out.append((t.scene, Target(cell, t.init_logits.reshape(-1))))
-    return out
+    buffer: "SeparationBuffer | CompletionBuffer", slots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay supervision for drawn buffer slots: the stream rows they
+    hold and the logits they were stored with (one flat row per draw),
+    the distillation anchor."""
+    rows = np.array([buffer.rows[s] for s in slots], dtype=np.intp)
+    stored = np.stack([buffer.logits[s] for s in slots]).reshape(len(rows), -1)
+    return rows, stored
 
 
 def replay_loss(
@@ -164,8 +163,9 @@ def replay_loss(
     spec = spec or LossSpec()
     if not triplets:
         return 0.0
-    batch = replay_targets(triplets, model.config.grid)
-    value, _ = model.loss_and_grad(params, batch, spec)
+    x, cells = model.encode([t.scene for t in triplets], [t.truth for t in triplets])
+    stored = np.stack([t.init_logits.reshape(-1) for t in triplets])
+    value, _ = model.loss_and_grad(params, x, cells, spec, stored)
     return value
 
 
@@ -180,9 +180,8 @@ def total_loss(
     """Stream loss plus ``alpha`` / ``beta`` weighted replay terms from
     the two buffers."""
     spec = spec or LossSpec()
-    grid = model.config.grid
-    batch = [(scene, Target(target_cell(scene, truth, grid))) for scene, truth in current]
-    value, _ = model.loss_and_grad(params, batch, spec)
+    x, cells = model.encode([scene for scene, _ in current], [truth for _, truth in current])
+    value, _ = model.loss_and_grad(params, x, cells, spec)
     return (
         value
         + spec.alpha * replay_loss(model, params, sp_batch, spec)

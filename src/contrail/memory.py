@@ -12,14 +12,17 @@ buffer never holds gradients: callers hand it the offered sample's
 cosines against the stored slots (the trainer computes them from
 factored per-sample gradients, see ``HeatmapPredictor.per_sample_grads``).
 
-Neither buffer ever sees a task label; items are (scene, truth,
-init_logits) triplets, where init_logits are the model's logits at the
-step the sample was first trained on.
+Neither buffer ever sees a task label.  A slot holds a stream row index
+(into the trainer's sample table) and the logits the model produced when
+that sample was first trained on; the separation buffer adds the slot's
+score.  ``contents()`` turns slots back into (scene, truth, init_logits)
+triplets at the edge, from the very sample objects the rows index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -52,16 +55,19 @@ class MemoryTriplet:
         object.__setattr__(self, "init_logits", logits)
 
 
-@dataclass
-class CompletionBuffer:
-    """Uniform reservoir over the stream (pattern completion side).
+@dataclass(eq=False)
+class _Slots:
+    """Fixed-capacity slots shared by both buffers.
 
-    After n observations every item has inclusion probability
-    ``capacity / n``.
+    ``rows[s]`` is the row of ``samples`` (anything with ``.scene`` and
+    ``.truth``) that slot ``s`` holds and ``logits[s]`` the logits it was
+    stored with, or None when none were given.
     """
 
     capacity: int
-    items: list[MemoryTriplet] = field(default_factory=list)
+    samples: Sequence[Any] = ()
+    rows: list[int] = field(default_factory=list)
+    logits: list[np.ndarray | None] = field(default_factory=list)
     stream_count: int = 0
 
     def __post_init__(self) -> None:
@@ -69,25 +75,51 @@ class CompletionBuffer:
             raise ValueError("capacity must be positive")
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.rows)
 
-    def observe(self, item: MemoryTriplet, rng: np.random.Generator) -> None:
+    def _put(self, slot: int, row: int, logits: np.ndarray | None) -> None:
+        if slot == len(self.rows):
+            self.rows.append(row)
+            self.logits.append(logits)
+        else:
+            self.rows[slot] = row
+            self.logits[slot] = logits
+
+    def retain(self, slots: Sequence[int]) -> None:
+        """Keep only ``slots``, in the given order."""
+        self.rows = [self.rows[s] for s in slots]
+        self.logits = [self.logits[s] for s in slots]
+
+    def contents(self) -> list[MemoryTriplet]:
+        """The stored experiences as triplets, in slot order."""
+        return [
+            MemoryTriplet(self.samples[r].scene, self.samples[r].truth, lg)
+            for r, lg in zip(self.rows, self.logits)
+        ]
+
+
+@dataclass(eq=False)
+class CompletionBuffer(_Slots):
+    """Uniform reservoir over the stream (pattern completion side).
+
+    After n observations every item has inclusion probability
+    ``capacity / n``.
+    """
+
+    def observe(self, row: int, rng: np.random.Generator, logits: np.ndarray | None = None) -> None:
         """Reservoir step: append while below capacity, then replace a
         uniformly drawn slot only when the draw lands inside the buffer."""
         self.stream_count += 1
-        if len(self.items) < self.capacity:
-            self.items.append(item)
+        if len(self.rows) < self.capacity:
+            self._put(len(self.rows), row, logits)
             return
         slot = int(rng.integers(0, self.stream_count))
         if slot < self.capacity:
-            self.items[slot] = item
-
-    def contents(self) -> list[MemoryTriplet]:
-        return list(self.items)
+            self._put(slot, row, logits)
 
 
-@dataclass
-class SeparationBuffer:
+@dataclass(eq=False)
+class SeparationBuffer(_Slots):
     """Gradient-diversity store (pattern separation side).
 
     Each stored item carries a similarity score ``q`` in [0, 2]: the
@@ -96,36 +128,32 @@ class SeparationBuffer:
     in a direction the buffer had not seen.
     """
 
-    capacity: int
     b_compare: int = 10
-    items: list[MemoryTriplet] = field(default_factory=list)
     scores: list[float] = field(default_factory=list)
-    stream_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
+        super().__post_init__()
         if self.b_compare < 1:
             raise ValueError("b_compare must be positive")
 
-    def __len__(self) -> int:
-        return len(self.items)
+    def observe(
+        self,
+        row: int,
+        q_new: float,
+        rng: np.random.Generator,
+        logits: np.ndarray | None = None,
+    ) -> bool:
+        """Offer an already-scored row; returns True if it was stored.
 
-    def contents(self) -> list[MemoryTriplet]:
-        return list(self.items)
-
-    def observe(self, item: MemoryTriplet, q_new: float, rng: np.random.Generator) -> bool:
-        """Offer an already-scored item; returns True if it was stored.
-
-        Below capacity the item is always appended.  At capacity an item
+        Below capacity the row is always appended.  At capacity a row
         similar to the buffer (q_new >= 1) is discarded outright;
         otherwise a stored candidate is drawn with probability
         proportional to its score and swapped out with probability
         q_cand / (q_cand + q_new), inheriting the newcomer's score.
         """
         self.stream_count += 1
-        if len(self.items) < self.capacity:
-            self.items.append(item)
+        if len(self.rows) < self.capacity:
+            self._put(len(self.rows), row, logits)
             self.scores.append(float(q_new))
             return True
         if q_new >= 1.0:
@@ -134,29 +162,30 @@ class SeparationBuffer:
         total = q.sum()
         if total > 0.0:
             probs = q / total
-            cand = int(rng.choice(len(self.items), p=probs))
+            cand = int(rng.choice(len(self.rows), p=probs))
         else:
-            cand = int(rng.integers(0, len(self.items)))
+            cand = int(rng.integers(0, len(self.rows)))
         q_cand = self.scores[cand]
         denom = q_cand + q_new
         # Both scores zero: the candidate is exactly as (un)redundant as
         # the newcomer, treat like the q_cand == q_new tie.
         p_replace = q_cand / denom if denom > 0.0 else 0.5
         if rng.random() < p_replace:
-            self.items[cand] = item
+            self._put(cand, row, logits)
             self.scores[cand] = float(q_new)
             return True
         return False
 
     def offer(
         self,
-        item: MemoryTriplet,
+        row: int,
         cosines: np.ndarray,
         rng: np.random.Generator,
+        logits: np.ndarray | None = None,
     ) -> bool:
         """Score-then-observe convenience covering the first-sample rule.
 
-        ``cosines`` is the item's gradient cosine against each stored
+        ``cosines`` is the row's gradient cosine against each stored
         slot, as :func:`separation_score` takes it; the stream's first
         sample gets ``FIRST_SAMPLE_SCORE`` and does not read it.
         """
@@ -164,7 +193,7 @@ class SeparationBuffer:
             q_new = FIRST_SAMPLE_SCORE
         else:
             q_new = separation_score(cosines, self, rng)
-        return self.observe(item, q_new, rng)
+        return self.observe(row, q_new, rng, logits)
 
 
 def _cosine_rows(grad: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -191,9 +220,9 @@ def separation_score(
     Gram product.  A zero-norm gradient on either side counts as cosine
     0, so scores land in [0, 2].
     """
-    if not buffer.items:
+    if not buffer.rows:
         raise ValueError("cannot score against an empty buffer")
-    n = len(buffer.items)
+    n = len(buffer.rows)
     cosines = np.asarray(cosines, dtype=np.float64)
     if cosines.shape != (n,):
         raise ValueError(
@@ -207,11 +236,11 @@ def draw_minibatch(
     buffer: CompletionBuffer | SeparationBuffer,
     n: int,
     rng: np.random.Generator,
-) -> list[MemoryTriplet]:
-    """Uniform with-replacement draw of n items; empty buffer gives []."""
+) -> np.ndarray:
+    """Uniform with-replacement draw of n slots; an empty buffer or
+    ``n == 0`` gives no slots and consumes no randomness."""
     if n < 0:
         raise ValueError("minibatch size must be non-negative")
-    if not buffer.items or n == 0:
-        return []
-    idx = rng.integers(0, len(buffer.items), size=n)
-    return [buffer.items[int(i)] for i in idx]
+    if not buffer.rows or n == 0:
+        return np.zeros(0, dtype=np.intp)
+    return rng.integers(0, len(buffer.rows), size=n)

@@ -16,20 +16,22 @@ compared through Gram products instead of P-length rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+import operator
+from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GridSpec, Heatmap, Scene, scene_frame
-from .losses import LossSpec, Target, batch_loss_and_dlogits
+from .core import GridSpec, GroundTruth, Heatmap, Scene, float_rows, scene_frames, target_cells
+from .losses import LossSpec, batch_loss_and_dlogits
 
 __all__ = [
     "AdamState",
     "FactoredGrads",
     "HeatmapPredictor",
     "PredictorConfig",
+    "SampleTable",
     "adam_step",
     "scene_features",
 ]
@@ -74,29 +76,57 @@ class PredictorConfig:
         return (self.input_dim, *self.hidden_dims, self.grid.n_cells)
 
 
-@lru_cache(maxsize=16384)
-def scene_features(scene: Scene) -> np.ndarray:
-    """Flatten a scene into the network input.
+_STATE_FLOATS = operator.attrgetter("x", "y", "vx", "vy")
 
-    All states are re-expressed in the target-centric frame (positions
-    translated and rotated, velocities rotated), target track first and
-    then the neighbor slots; masked-out slots are zero-filled.  Layout
-    per track: t_obs rows of (x, y, vx, vy).
+
+def scene_features(scenes: Sequence[Scene]) -> np.ndarray:
+    """Flatten scenes into network inputs, one row per scene.
+
+    All states are re-expressed in each scene's target-centric frame
+    (positions translated and rotated, velocities rotated), target
+    track first and then the neighbor slots; masked-out slots are
+    zero-filled.  Layout per track: t_obs rows of (x, y, vx, vy).  The
+    scenes must share t_obs and k_sv.
+
+    The states are read in one ``np.fromiter`` pass and rotated with
+    elementwise array operations, the same arithmetic as
+    ``Frame.to_local``/``vector_to_local``, so every row is bit-equal to
+    transforming the scene's states one at a time.
     """
-    frame = scene_frame(scene)
-    t_obs = len(scene.tv_history)
-    tracks = 1 + len(scene.sv_histories)
-    out = np.zeros((tracks, t_obs, 4), dtype=np.float64)
-    for t, st in enumerate(scene.tv_history):
-        out[0, t, 0:2] = frame.to_local((st.x, st.y))
-        out[0, t, 2:4] = frame.vector_to_local((st.vx, st.vy))
-    for k, track in enumerate(scene.sv_histories):
-        if not scene.sv_mask[k]:
-            continue
-        for t, st in enumerate(track):
-            out[k + 1, t, 0:2] = frame.to_local((st.x, st.y))
-            out[k + 1, t, 2:4] = frame.vector_to_local((st.vx, st.vy))
-    return out.reshape(-1)
+    n = len(scenes)
+    if n == 0:
+        return np.zeros((0, 0))
+    t_obs = len(scenes[0].tv_history)
+    k_sv = len(scenes[0].sv_histories)
+    if any(len(s.tv_history) != t_obs or len(s.sv_histories) != k_sv for s in scenes):
+        raise ValueError("scenes in one batch must share t_obs and k_sv")
+    tracks = chain.from_iterable((s.tv_history,) + s.sv_histories for s in scenes)
+    states = map(_STATE_FLOATS, chain.from_iterable(tracks))
+    out = float_rows(states, n * (1 + k_sv) * t_obs, 4).reshape(n, 1 + k_sv, t_obs, 4)
+
+    frames = scene_frames(scenes)[:, None, None, :]
+    cos_h, sin_h = frames[..., 2], frames[..., 3]
+    dx = out[..., 0] - frames[..., 0]
+    dy = out[..., 1] - frames[..., 1]
+    out[..., 0] = dx * cos_h + dy * sin_h
+    out[..., 1] = -dx * sin_h + dy * cos_h
+    vx = out[..., 2].copy()
+    vy = out[..., 3]
+    out[..., 2] = vx * cos_h + vy * sin_h
+    out[..., 3] = -vx * sin_h + vy * cos_h
+    if k_sv:
+        mask = np.fromiter(chain.from_iterable(s.sv_mask for s in scenes), bool, n * k_sv)
+        out[:, 1:][~mask.reshape(n, k_sv)] = 0.0
+    return out.reshape(n, -1)
+
+
+class SampleTable(NamedTuple):
+    """Samples as arrays: row ``i`` holds sample ``i``'s network input
+    ``x[i]`` and its target cell ``cells[i]`` (flat index ``row *
+    cols_w + col``).  Training and scoring select rows by index."""
+
+    x: np.ndarray
+    cells: np.ndarray
 
 
 class HeatmapPredictor:
@@ -133,21 +163,25 @@ class HeatmapPredictor:
             layers.append((w, b))
         return layers
 
-    def _check_scene(self, scene: Scene) -> None:
+    def features(self, scenes: Sequence[Scene]) -> np.ndarray:
+        """Network inputs of ``scenes``, shape ``(n, input_dim)``."""
+        if not scenes:
+            return np.zeros((0, self.config.input_dim))
+        first = scenes[0]
         if (
-            len(scene.tv_history) != self.config.t_obs
-            or len(scene.sv_histories) != self.config.k_sv
+            len(first.tv_history) != self.config.t_obs
+            or len(first.sv_histories) != self.config.k_sv
         ):
             raise ValueError(
-                f"scene with t_obs={len(scene.tv_history)}, "
-                f"k_sv={len(scene.sv_histories)} does not match config "
+                f"scene with t_obs={len(first.tv_history)}, "
+                f"k_sv={len(first.sv_histories)} does not match config "
                 f"(t_obs={self.config.t_obs}, k_sv={self.config.k_sv})"
             )
+        return scene_features(scenes)
 
-    def _features_matrix(self, scenes: Sequence[Scene]) -> np.ndarray:
-        for s in scenes:
-            self._check_scene(s)
-        return np.stack([scene_features(s) for s in scenes])
+    def encode(self, scenes: Sequence[Scene], truths: Sequence[GroundTruth]) -> SampleTable:
+        """Featurise and target every (scene, truth) pair once."""
+        return SampleTable(self.features(scenes), target_cells(scenes, truths, self.config.grid))
 
     def _forward_cached(
         self, params: np.ndarray, x: np.ndarray
@@ -164,14 +198,13 @@ class HeatmapPredictor:
             acts.append(h)
         return acts[-1], acts
 
-    def forward_logits(self, params: np.ndarray, scenes: Sequence[Scene]) -> np.ndarray:
-        """Logits for a batch of scenes, shape ``(n, n_cells)``."""
-        x = self._features_matrix(scenes)
+    def forward_logits(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Logits for a batch of feature rows, shape ``(n, n_cells)``."""
         logits, _ = self._forward_cached(params, x)
         return logits
 
     def forward(self, params: np.ndarray, scene: Scene) -> Heatmap:
-        logits = self.forward_logits(params, [scene])[0]
+        logits = self.forward_logits(params, self.features([scene]))[0]
         grid = self.config.grid
         return Heatmap(logits.reshape(grid.rows_h, grid.cols_w), grid)
 
@@ -199,28 +232,35 @@ class HeatmapPredictor:
     def loss_and_grad(
         self,
         params: np.ndarray,
-        batch: Sequence[tuple[Scene, Target]],
+        x: np.ndarray,
+        cells: np.ndarray,
         loss_spec: LossSpec,
+        stored: np.ndarray | None = None,
+        distill: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
-        """Mean loss over the batch and its full parameter gradient."""
-        if not batch:
+        """Mean loss over the batch and its full parameter gradient.
+
+        ``x`` holds one feature row per sample and ``cells`` its flat
+        target cell.  ``stored`` (one logit row per sample) adds the
+        distillation term on the rows ``distill`` selects, every row
+        when ``distill`` is None; see :func:`batch_loss_and_dlogits`.
+        """
+        n = len(x)
+        if n == 0:
             raise ValueError("loss_and_grad requires a non-empty batch")
-        scenes = [scene for scene, _ in batch]
-        targets = [t for _, t in batch]
-        x = self._features_matrix(scenes)
         logits, acts = self._forward_cached(params, x)
-        losses, dlogits = batch_loss_and_dlogits(
-            logits, targets, loss_spec, self.config.grid.cols_w
-        )
-        n = len(batch)
+        losses, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec, stored, distill)
         grad = self._backward(params, acts, dlogits / n)
         return float(losses.mean()), grad
 
     def per_sample_grads(
         self,
         params: np.ndarray,
-        batch: Sequence[tuple[Scene, Target]],
+        x: np.ndarray,
+        cells: np.ndarray,
         loss_spec: LossSpec,
+        stored: np.ndarray | None = None,
+        distill: np.ndarray | None = None,
     ) -> "FactoredGrads":
         """One full-parameter loss gradient per sample, in factored form.
 
@@ -230,20 +270,16 @@ class HeatmapPredictor:
         forward/backward yields every per-sample gradient without ever
         building the ``(n, P)`` matrix; see :class:`FactoredGrads` for
         the inner products, norms, cosines and (on demand) dense rows.
+        The arguments are those of :meth:`loss_and_grad`.
         """
         n_layers = len(self._shapes)
-        if not batch:
+        if len(x) == 0:
             return FactoredGrads(
                 tuple(np.zeros((0, o)) for o, _ in self._shapes),
                 tuple(np.zeros((0, i)) for _, i in self._shapes),
             )
-        scenes = [scene for scene, _ in batch]
-        targets = [t for _, t in batch]
-        x = self._features_matrix(scenes)
         logits, acts = self._forward_cached(params, x)
-        _, dlogits = batch_loss_and_dlogits(
-            logits, targets, loss_spec, self.config.grid.cols_w
-        )
+        _, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec, stored, distill)
         layers = self._layers(params)
         deltas = [dlogits]
         for li in range(n_layers - 1, 0, -1):

@@ -310,12 +310,14 @@ def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
             try:
                 track_id = row[0]
                 frame = int(row[1])
-                x, y, vx, vy = (float(v) for v in row[2:6])
+                x, y, vx, vy = float(row[2]), float(row[3]), float(row[4]), float(row[5])
                 role = row[6]
                 label = int(row[7])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-            if not all(math.isfinite(v) for v in (x, y, vx, vy)):
+            if not (
+                math.isfinite(x) and math.isfinite(y) and math.isfinite(vx) and math.isfinite(vy)
+            ):
                 raise ValueError(f"{path}:{lineno}: non-finite x, y, vx or vy")
             if role not in ("tv", "sv"):
                 raise ValueError(f"{path}:{lineno}: agent_role must be 'tv' or 'sv'")

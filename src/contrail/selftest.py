@@ -21,8 +21,8 @@ from scipy import stats
 
 from .core import AgentState, GridSpec, GroundTruth, Heatmap, Sample, Scene
 from .learner import Strategy, TrainConfig, train_stream
-from .losses import LossSpec, Target
-from .memory import CompletionBuffer, MemoryTriplet, SeparationBuffer
+from .losses import LossSpec
+from .memory import CompletionBuffer, SeparationBuffer
 from .metrics import extract_endpoints, fde_sample, mr_threshold
 from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step
 from .scenarios import TaskSpec, ingest_csv, task_datasets, write_task_csv
@@ -63,23 +63,24 @@ def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
     for case in range(n_cases):
         params = rng.normal(0.0, 0.5, size=model.param_count)
         spec = LossSpec(base_kind="focal" if case % 2 else "cross_entropy", focal_gamma=2.0)
-        batch = []
+        scenes, cells, stored, distill = [], [], [], []
         for _ in range(3):
             # O(1) features keep the finite-difference truncation error
             # (quadratic in the activations) well under the tolerance.
-            scene = _random_scene(rng, 2, 1, span=2.0)
-            cell = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            stored = rng.normal(size=9) if rng.random() < 0.5 else None
-            batch.append((scene, Target(cell, stored)))
-        _, grad = model.loss_and_grad(params, batch, spec)
+            scenes.append(_random_scene(rng, 2, 1, span=2.0))
+            cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
+            distill.append(bool(rng.random() < 0.5))
+            stored.append(rng.normal(size=9) if distill[-1] else np.zeros(9))
+        batch = (model.features(scenes), np.array(cells), spec, np.stack(stored), np.array(distill))
+        _, grad = model.loss_and_grad(params, *batch)
         fd = np.empty_like(grad)
         for i in range(model.param_count):
             p_hi = params.copy()
             p_hi[i] += eps
             p_lo = params.copy()
             p_lo[i] -= eps
-            hi, _ = model.loss_and_grad(p_hi, batch, spec)
-            lo, _ = model.loss_and_grad(p_lo, batch, spec)
+            hi, _ = model.loss_and_grad(p_hi, *batch)
+            lo, _ = model.loss_and_grad(p_lo, *batch)
             fd[i] = (hi - lo) / (2 * eps)
         scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-12)
         if np.abs(grad - fd).max() / scale >= tol:
@@ -90,17 +91,14 @@ def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
 def check_reservoir(runs: int = 4000, n: int = 40, k: int = 5) -> bool:
     """Inclusion frequencies within 3-sigma and a chi-square pass."""
 
-    def dummy(i: int) -> int:
-        return i  # the buffer stores items opaquely
-
     counts = np.zeros(n)
     rng = np.random.default_rng(11)
     for _ in range(runs):
         buf = CompletionBuffer(capacity=k)
         for i in range(n):
-            buf.observe(dummy(i), rng)  # type: ignore[arg-type]
-        for item in buf.items:
-            counts[item] += 1
+            buf.observe(i, rng)
+        for row in buf.rows:
+            counts[row] += 1
     p = k / n
     sigma = math.sqrt(p * (1 - p) / runs)
     if np.any(np.abs(counts / runs - p) > 3 * sigma):
@@ -117,16 +115,16 @@ def check_replacement_frequency(trials: int = 30000) -> bool:
     for _ in range(trials):
         buf = SeparationBuffer(capacity=4)
         for i in range(4):
-            buf.observe(i, 0.5, rng)  # type: ignore[arg-type]
-        if buf.observe(99, 0.5, rng):  # type: ignore[arg-type]
+            buf.observe(i, 0.5, rng)
+        if buf.observe(99, 0.5, rng):
             replaced += 1
     if abs(replaced / trials - 0.5) > 0.01:
         return False
     for _ in range(2000):
         buf = SeparationBuffer(capacity=4)
         for i in range(4):
-            buf.observe(i, 0.5, rng)  # type: ignore[arg-type]
-        if not buf.observe(99, 0.0, rng):  # type: ignore[arg-type]
+            buf.observe(i, 0.5, rng)
+        if not buf.observe(99, 0.0, rng):
             return False
     return True
 
@@ -203,21 +201,18 @@ def check_adam_descends(steps: int = 60) -> bool:
     model = HeatmapPredictor(
         PredictorConfig(t_obs=3, k_sv=1, hidden_dims=(8,), grid=grid, seed=3)
     )
-    batch = [
-        (
-            _random_scene(rng, 3, 1),
-            Target((int(rng.integers(0, 4)), int(rng.integers(0, 4)))),
-        )
-        for _ in range(6)
-    ]
-    spec = LossSpec()
+    scenes, cells = [], []
+    for _ in range(6):
+        scenes.append(_random_scene(rng, 3, 1))
+        cells.append(int(rng.integers(0, 4)) * 4 + int(rng.integers(0, 4)))
+    batch = (model.features(scenes), np.array(cells), LossSpec())
     params = model.init_params()
     adam = AdamState.zeros(model.param_count)
-    first, _ = model.loss_and_grad(params, batch, spec)
+    first, _ = model.loss_and_grad(params, *batch)
     for _ in range(steps):
-        _, grad = model.loss_and_grad(params, batch, spec)
+        _, grad = model.loss_and_grad(params, *batch)
         params, adam = adam_step(params, grad, adam, lr=1e-2)
-    last, _ = model.loss_and_grad(params, batch, spec)
+    last, _ = model.loss_and_grad(params, *batch)
     return last < first
 
 

@@ -36,7 +36,7 @@ from contrail.core import (
     Scene,
 )
 from contrail.learner import Strategy, TrainConfig, train_stream
-from contrail.losses import LossSpec, Target
+from contrail.losses import LossSpec
 from contrail.memory import CompletionBuffer, SeparationBuffer, _cosine_rows
 from contrail.metrics import (
     EvalReport,
@@ -199,22 +199,23 @@ def test_01_gradient_finite_difference_agreement():
             base_kind="focal" if case % 2 else "cross_entropy",
             focal_gamma=float(rng.uniform(0.5, 2.5)),
         )
-        batch = []
+        scenes, cells, stored, distill = [], [], [], []
         for _ in range(int(rng.integers(1, 4))):
-            scene = _small_scene(rng, t_obs, k_sv)
-            cell = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            stored = rng.normal(0.0, 0.8, size=9) if rng.random() < 0.5 else None
-            batch.append((scene, Target(cell, stored)))
+            scenes.append(_small_scene(rng, t_obs, k_sv))
+            cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
+            distill.append(bool(rng.random() < 0.5))
+            stored.append(rng.normal(0.0, 0.8, size=9) if distill[-1] else np.zeros(9))
+        batch = (model.features(scenes), np.array(cells), spec, np.stack(stored), np.array(distill))
 
-        _, grad = model.loss_and_grad(params, batch, spec)
+        _, grad = model.loss_and_grad(params, *batch)
         fd = np.empty_like(grad)
         for i in range(model.param_count):
             p_hi = params.copy()
             p_hi[i] += eps
             p_lo = params.copy()
             p_lo[i] -= eps
-            hi, _ = model.loss_and_grad(p_hi, batch, spec)
-            lo, _ = model.loss_and_grad(p_lo, batch, spec)
+            hi, _ = model.loss_and_grad(p_hi, *batch)
+            lo, _ = model.loss_and_grad(p_lo, *batch)
             fd[i] = (hi - lo) / (2 * eps)
         scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-12)
         rel = float(np.abs(grad - fd).max() / scale)
@@ -235,9 +236,9 @@ def test_02_reservoir_inclusion_uniformity():
     for _ in range(runs):
         buf = CompletionBuffer(capacity=k)
         for i in range(n):
-            buf.observe(i, rng)  # type: ignore[arg-type]
-        for item in buf.items:
-            counts[item] += 1
+            buf.observe(i, rng)
+        for row in buf.rows:
+            counts[row] += 1
     p = k / n
     sigma = math.sqrt(p * (1 - p) / runs)
     deviation = np.abs(counts / runs - p).max()
@@ -261,15 +262,15 @@ def test_03_replacement_rate():
     rng = np.random.default_rng(7003)
     trials = 100_000
     buf = SeparationBuffer(capacity=1)
-    buf.observe(0, 0.5, rng)  # type: ignore[arg-type]
-    replaced = sum(buf.observe(i, 0.5, rng) for i in range(trials))  # type: ignore[arg-type]
+    buf.observe(0, 0.5, rng)
+    replaced = sum(buf.observe(i, 0.5, rng) for i in range(trials))
     rate = replaced / trials
     assert abs(rate - 0.5) <= 0.005, f"equal-score replacement rate {rate:.4f}"
 
     always = 0
     for i in range(10_000):
         buf.scores[0] = 0.5
-        always += buf.observe(i, 0.0, rng)  # type: ignore[arg-type]
+        always += buf.observe(i, 0.0, rng)
     assert always == 10_000, "zero-score newcomer failed to replace"
     elapsed = time.time() - started
     assert elapsed < 10.0
@@ -295,10 +296,10 @@ def test_04_separation_buffer_diversity():
         sep = SeparationBuffer(capacity=capacity)
         comp = CompletionBuffer(capacity=capacity)
         for i in range(n):
-            comp.observe(i, rng)  # type: ignore[arg-type]
-            sep.offer(i, _cosine_rows(grads[i], grads[sep.items]), rng)  # type: ignore[arg-type]
-        sep_shares.append(np.mean([labels[i] for i in sep.items]))
-        comp_shares.append(np.mean([labels[i] for i in comp.items]))
+            comp.observe(i, rng)
+            sep.offer(i, _cosine_rows(grads[i], grads[sep.rows]), rng)
+        sep_shares.append(np.mean([labels[i] for i in sep.rows]))
+        comp_shares.append(np.mean([labels[i] for i in comp.rows]))
 
     result = stats.ttest_rel(sep_shares, comp_shares, alternative="greater")
     mean_sep = float(np.mean(sep_shares))

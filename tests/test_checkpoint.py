@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from contrail import checkpoint
 from contrail.checkpoint import load_checkpoint, save_checkpoint
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.predictor import AdamState
@@ -65,18 +66,17 @@ class TestRoundTrip:
         assert sp.b_compare == result.separation.b_compare
         assert sp.stream_count == result.separation.stream_count
         assert sp.scores == result.separation.scores
-        assert_triplets_equal(sp.items, result.separation.items)
+        assert_triplets_equal(sp.contents(), result.separation.contents())
 
         assert cp is not None and result.completion is not None
         assert cp.capacity == result.completion.capacity
         assert cp.stream_count == result.completion.stream_count
-        assert_triplets_equal(cp.items, result.completion.items)
+        assert_triplets_equal(cp.contents(), result.completion.contents())
 
     def test_loaded_state_resumes_identically(self, tiny_model, tmp_path):
         # Saving mid-run and resuming must match an uninterrupted run.
         rng = np.random.default_rng(401)
         grid = tiny_model.config.grid
-        from contrail.learner import _base_targets
         from contrail.predictor import adam_step
 
         cfg = TrainConfig()
@@ -84,21 +84,22 @@ class TestRoundTrip:
             [(make_sample(rng, grid).scene, make_sample(rng, grid).truth) for _ in range(4)]
             for _ in range(4)
         ]
+        tables = [tiny_model.encode(*zip(*batch)) for batch in pairs]
 
         params = tiny_model.init_params()
         adam = AdamState.zeros(tiny_model.param_count)
-        for batch in pairs[:2]:
-            _, grad = tiny_model.loss_and_grad(params, _base_targets(batch, grid), cfg.loss)
+        for x, cells in tables[:2]:
+            _, grad = tiny_model.loss_and_grad(params, x, cells, cfg.loss)
             params, adam = adam_step(params, grad, adam, cfg.lr)
 
         path = tmp_path / "mid.json"
         save_checkpoint(path, tiny_model.config, params, adam=adam)
         _, params2, adam2, _, _ = load_checkpoint(path)
 
-        for batch in pairs[2:]:
-            _, grad = tiny_model.loss_and_grad(params, _base_targets(batch, grid), cfg.loss)
+        for x, cells in tables[2:]:
+            _, grad = tiny_model.loss_and_grad(params, x, cells, cfg.loss)
             params, adam = adam_step(params, grad, adam, cfg.lr)
-            _, grad2 = tiny_model.loss_and_grad(params2, _base_targets(batch, grid), cfg.loss)
+            _, grad2 = tiny_model.loss_and_grad(params2, x, cells, cfg.loss)
             params2, adam2 = adam_step(params2, grad2, adam2, cfg.lr)
 
         assert np.array_equal(params, params2)
@@ -121,6 +122,31 @@ class TestRoundTrip:
         config, params, adam, sp, cp = load_checkpoint(path)
         assert (config.t_pred, config.dt) == (30, 0.1)
         assert config == tiny_model.config
+
+    def test_params_only_builds_no_state(self, tiny_model, tmp_path, monkeypatch):
+        rng = np.random.default_rng(402)
+        grid = tiny_model.config.grid
+        stream = [make_sample(rng, grid, task_label=1) for _ in range(16)]
+        result = train_stream(tiny_model, stream, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8))
+        path = tmp_path / "ck.json"
+        save_checkpoint(
+            path,
+            tiny_model.config,
+            result.final_params,
+            adam=result.adam_state,
+            separation=result.separation,
+            completion=result.completion,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("evaluation built optimizer or buffer state")
+
+        for name in ("AdamState", "SeparationBuffer", "CompletionBuffer", "_triplet_from_json"):
+            monkeypatch.setattr(checkpoint, name, refuse)
+        config, params, adam, sp, cp = load_checkpoint(path, params_only=True)
+        assert config == tiny_model.config
+        assert np.array_equal(params, result.final_params)
+        assert adam is None and sp is None and cp is None
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "other.json"

@@ -460,6 +460,31 @@ class TestEvalCommand:
         assert captured.out == ""
         assert "--t-pred 30" in captured.err and "t_pred 20" in captured.err
 
+    def test_eval_builds_no_buffer_or_optimizer_state(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            strategies=["dual"],
+            repetitions=1,
+            tasks=[{"kind": "straight", "n_samples": 20}],
+        )
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        checkpoint = out / "runs" / "dual" / "rep_00" / "checkpoint.json"
+        assert json.loads(checkpoint.read_text())["separation"]["items"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval built optimizer or buffer state")
+
+        from contrail import checkpoint as ckpt
+
+        for name in ("AdamState", "SeparationBuffer", "CompletionBuffer", "_triplet_from_json"):
+            monkeypatch.setattr(ckpt, name, refuse)
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(out / "data" / "task_01.csv")]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 20
+
     def test_missing_checkpoint_is_a_runtime_error(self, tmp_path, capsys):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "no.json"), "--data", "x.csv"]

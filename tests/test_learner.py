@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from contrail import learner
-from contrail.core import target_cell
+from contrail import core, learner, predictor
 from contrail.learner import (
     TASK_FREE,
     Strategy,
@@ -17,10 +16,9 @@ from contrail.learner import (
     gss_style_step,
     train_stream,
 )
-from contrail.losses import LossSpec, Target
+from contrail.losses import LossSpec, replay_targets
 from contrail.memory import (
     CompletionBuffer,
-    MemoryTriplet,
     SeparationBuffer,
     _cosine_rows,
     draw_minibatch,
@@ -34,12 +32,8 @@ def make_stream(rng, grid, labels):
     return [make_sample(rng, grid, task_label=label) for label in labels]
 
 
-def make_triplets(rng, grid, n):
-    out = []
-    for _ in range(n):
-        s = make_sample(rng, grid)
-        out.append(MemoryTriplet(s.scene, s.truth, rng.normal(size=(grid.rows_h, grid.cols_w))))
-    return out
+def encode(model, samples):
+    return model.encode([s.scene for s in samples], [s.truth for s in samples])
 
 
 class TestStrategyParsing:
@@ -116,24 +110,29 @@ class TestAgemProject:
 
 
 class TestStepFunctions:
-    def _pairs(self, rng, grid, n):
-        return [(s.scene, s.truth) for s in make_stream(rng, grid, [1] * n)]
+    """Rows 0-3 of the table are the current batch, rows 4 on are
+    what the buffers hold."""
+
+    batch = np.arange(4)
+
+    def _table(self, rng, model, n):
+        return encode(model, make_stream(rng, model.config.grid, [1] * n))
+
+    def _logits(self, rng, grid):
+        return rng.normal(size=(grid.rows_h, grid.cols_w))
 
     def test_empty_buffers_match_vanilla(self, tiny_model):
         rng = np.random.default_rng(310)
-        grid = tiny_model.config.grid
         params = tiny_model.init_params()
-        pairs = self._pairs(rng, grid, 4)
+        table = self._table(rng, tiny_model, 4)
         cfg = TrainConfig()
-        from contrail.learner import _base_targets
 
-        base_loss, base_grad = tiny_model.loss_and_grad(
-            params, _base_targets(pairs, grid), cfg.loss
-        )
+        base_loss, base_grad = tiny_model.loss_and_grad(params, *table, cfg.loss)
         loss, grad = dual_replay_step(
             tiny_model,
             params,
-            pairs,
+            table,
+            self.batch,
             SeparationBuffer(capacity=4),
             CompletionBuffer(capacity=4),
             cfg,
@@ -146,20 +145,21 @@ class TestStepFunctions:
         rng = np.random.default_rng(311)
         grid = tiny_model.config.grid
         params = tiny_model.init_params()
-        pairs = self._pairs(rng, grid, 4)
+        table = self._table(rng, tiny_model, 8)
         sp = SeparationBuffer(capacity=4)
         cp = CompletionBuffer(capacity=4)
-        for t in make_triplets(rng, grid, 4):
-            sp.observe(t, 0.5, rng)
-            cp.observe(t, rng)
+        for row in range(4, 8):
+            logits = self._logits(rng, grid)
+            sp.observe(row, 0.5, rng, logits)
+            cp.observe(row, rng, logits)
         cfg = TrainConfig(loss=LossSpec(alpha=0.0, beta=0.0))
-        from contrail.learner import _base_targets
 
+        b = self.batch
         base_loss, base_grad = tiny_model.loss_and_grad(
-            params, _base_targets(pairs, grid), cfg.loss
+            params, table.x[b], table.cells[b], cfg.loss
         )
         step_rng = np.random.default_rng(77)
-        loss, grad = dual_replay_step(tiny_model, params, pairs, sp, cp, cfg, step_rng)
+        loss, grad = dual_replay_step(tiny_model, params, table, b, sp, cp, cfg, step_rng)
         assert loss == base_loss
         assert np.array_equal(grad, base_grad)
         # The generator was never consumed.
@@ -169,18 +169,19 @@ class TestStepFunctions:
         rng = np.random.default_rng(312)
         grid = tiny_model.config.grid
         params = tiny_model.init_params()
-        pairs = self._pairs(rng, grid, 4)
+        table = self._table(rng, tiny_model, 8)
         sp = SeparationBuffer(capacity=4)
         cp = CompletionBuffer(capacity=4)
-        for t in make_triplets(rng, grid, 4):
-            sp.observe(t, 0.5, rng)
-            cp.observe(t, rng)
+        for row in range(4, 8):
+            logits = self._logits(rng, grid)
+            sp.observe(row, 0.5, rng, logits)
+            cp.observe(row, rng, logits)
         cfg = TrainConfig(loss=LossSpec(alpha=0.0, beta=1.0))
         with_sp = dual_replay_step(
-            tiny_model, params, pairs, sp, cp, cfg, np.random.default_rng(5)
+            tiny_model, params, table, self.batch, sp, cp, cfg, np.random.default_rng(5)
         )
         without_sp = dual_replay_step(
-            tiny_model, params, pairs, None, cp, cfg, np.random.default_rng(5)
+            tiny_model, params, table, self.batch, None, cp, cfg, np.random.default_rng(5)
         )
         assert with_sp[0] == without_sp[0]
         assert np.array_equal(with_sp[1], without_sp[1])
@@ -189,61 +190,57 @@ class TestStepFunctions:
         rng = np.random.default_rng(313)
         grid = tiny_model.config.grid
         params = tiny_model.init_params()
-        pairs = self._pairs(rng, grid, 4)
+        table = self._table(rng, tiny_model, 8)
         cp = CompletionBuffer(capacity=4)
-        for t in make_triplets(rng, grid, 4):
-            cp.observe(t, rng)
+        for row in range(4, 8):
+            cp.observe(row, rng, self._logits(rng, grid))
         cfg = TrainConfig(loss=LossSpec(alpha=1.0, beta=2.0))
-        from contrail.learner import _base_targets
-        from contrail.losses import replay_targets
 
+        b = self.batch
         loss, grad = dual_replay_step(
-            tiny_model, params, pairs, None, cp, cfg, np.random.default_rng(9)
+            tiny_model, params, table, b, None, cp, cfg, np.random.default_rng(9)
         )
-        drawn = draw_minibatch(cp, cfg.replay_n, np.random.default_rng(9))
-        base_l, base_g = tiny_model.loss_and_grad(
-            params, _base_targets(pairs, grid), cfg.loss
-        )
+        slots = draw_minibatch(cp, cfg.replay_n, np.random.default_rng(9))
+        rows, stored = replay_targets(cp, slots)
+        assert np.array_equal(rows, np.asarray(cp.rows)[slots])
+        assert np.array_equal(stored, np.stack([cp.logits[s].reshape(-1) for s in slots]))
+        base_l, base_g = tiny_model.loss_and_grad(params, table.x[b], table.cells[b], cfg.loss)
         rep_l, rep_g = tiny_model.loss_and_grad(
-            params, replay_targets(drawn, grid), cfg.loss
+            params, table.x[rows], table.cells[rows], cfg.loss, stored
         )
         assert loss == pytest.approx(base_l + 2.0 * rep_l, rel=1e-12)
         assert np.allclose(grad, base_g + 2.0 * rep_g, atol=1e-15)
 
     def test_gss_step_is_the_mixed_batch_mean(self, tiny_model):
         rng = np.random.default_rng(314)
-        grid = tiny_model.config.grid
         params = tiny_model.init_params()
-        pairs = self._pairs(rng, grid, 4)
+        table = self._table(rng, tiny_model, 10)
         sp = SeparationBuffer(capacity=6)
-        for t in make_triplets(rng, grid, 6):
-            sp.observe(t, 0.5, rng)
+        for row in range(4, 10):
+            sp.observe(row, 0.5, rng)
         cfg = TrainConfig(replay_batch=3)
-        from contrail.learner import _base_targets
 
         loss, grad = gss_style_step(
-            tiny_model, params, pairs, sp, cfg, np.random.default_rng(4)
+            tiny_model, params, table, self.batch, sp, cfg, np.random.default_rng(4)
         )
-        drawn = draw_minibatch(sp, 3, np.random.default_rng(4))
-        mixed = list(pairs) + [(t.scene, t.truth) for t in drawn]
+        slots = draw_minibatch(sp, 3, np.random.default_rng(4))
+        mixed = np.concatenate([self.batch, np.asarray(sp.rows)[slots]])
         want_l, want_g = tiny_model.loss_and_grad(
-            params, _base_targets(mixed, grid), cfg.loss
+            params, table.x[mixed], table.cells[mixed], cfg.loss
         )
         assert loss == want_l
         assert np.array_equal(grad, want_g)
 
     def test_gss_step_without_buffer_matches_vanilla(self, tiny_model):
         rng = np.random.default_rng(315)
-        grid = tiny_model.config.grid
         params = tiny_model.init_params()
-        pairs = self._pairs(rng, grid, 4)
+        table = self._table(rng, tiny_model, 4)
         cfg = TrainConfig()
-        from contrail.learner import _base_targets
 
         loss, grad = gss_style_step(
-            tiny_model, params, pairs, None, cfg, np.random.default_rng(0)
+            tiny_model, params, table, self.batch, None, cfg, np.random.default_rng(0)
         )
-        want_l, want_g = tiny_model.loss_and_grad(params, _base_targets(pairs, grid), cfg.loss)
+        want_l, want_g = tiny_model.loss_and_grad(params, *table, cfg.loss)
         assert loss == want_l
         assert np.array_equal(grad, want_g)
 
@@ -411,29 +408,26 @@ class TestTrainStream:
 def _dense_offer_batch(late_admissions):
     """Reference for ``learner._offer_batch``: scores every offer from
     dense per-sample gradient rows of the batch sample and of every
-    item stored at that moment, through ``_cosine_rows``.  Records the
+    row stored at that moment, through ``_cosine_rows``.  Records the
     batch positions of admissions into a full buffer."""
 
-    def offer_batch(model, params, batch, snapshot, strategy, sp_buffer, cp_buffer,
-                    agem_memory, cfg, rng):
+    def offer_batch(model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng):
         grid = model.config.grid
 
-        def dense(pairs):
-            targets = [(sc, Target(target_cell(sc, tr, grid))) for sc, tr in pairs]
-            return model.per_sample_grads(params, targets, cfg.loss).dense()
+        def dense(rows):
+            rows = np.asarray(rows, dtype=np.intp)
+            return model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss).dense()
 
-        new = dense([(s.scene, s.truth) for s in batch])
-        for k, s in enumerate(batch):
-            triplet = MemoryTriplet(
-                s.scene, s.truth, snapshot[k].reshape(grid.rows_h, grid.cols_w)
-            )
+        new = dense(batch)
+        for k, row in enumerate(batch.tolist()):
+            logits = snapshot[k].reshape(grid.rows_h, grid.cols_w)
             if sp_buffer is not None:
-                stored = dense([(t.scene, t.truth) for t in sp_buffer.items])
+                stored = dense(sp_buffer.rows)
                 full = len(sp_buffer) == sp_buffer.capacity
-                if sp_buffer.offer(triplet, _cosine_rows(new[k], stored), rng) and full:
+                if sp_buffer.offer(row, _cosine_rows(new[k], stored), rng, logits) and full:
                     late_admissions.append((k, len(batch)))
             if cp_buffer is not None:
-                cp_buffer.observe(triplet, rng)
+                cp_buffer.observe(row, rng, logits)
 
     return offer_batch
 
@@ -463,8 +457,10 @@ class TestExactScoring:
             if want is None:
                 assert got is None
                 continue
-            assert len(got.items) == len(want.items)
-            for a, b in zip(got.items, want.items):
+            assert got.rows == want.rows
+            got_items, want_items = got.contents(), want.contents()
+            assert len(got_items) == len(want_items) == len(want)
+            for a, b in zip(got_items, want_items):
                 assert a.scene == b.scene and a.truth == b.truth
                 assert np.array_equal(a.init_logits, b.init_logits)
         np.testing.assert_allclose(
@@ -472,43 +468,84 @@ class TestExactScoring:
         )
 
 
+class TestWorkIsOncePerSample:
+    """``train_stream`` featurises and targets its stream once, on
+    entry; the batch loop, replay and scoring only index rows."""
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.DUAL_REPLAY, Strategy.GSS_STYLE, Strategy.AGEM]
+    )
+    def test_each_sample_is_featurised_once(self, tiny_model, monkeypatch, strategy):
+        grid = tiny_model.config.grid
+        stream = make_stream(np.random.default_rng(337), grid, [1] * 24 + [2] * 24 + [3] * 24)
+        featurised: list = []
+        counts = {"scene_frame": 0, "target_cell": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        real_features = predictor.scene_features
+
+        def features(scenes):
+            featurised.append(scenes)
+            return real_features(scenes)
+
+        monkeypatch.setattr(predictor, "scene_features", features)
+        monkeypatch.setattr(core, "scene_frame", counting("scene_frame", core.scene_frame))
+        target_cell = counting("target_cell", core.target_cell)
+        monkeypatch.setattr(core, "target_cell", target_cell)
+        monkeypatch.setattr(learner, "target_cell", target_cell, raising=False)
+
+        cfg = TrainConfig(buffer_total=8, batch_size=4, agem_ref_batch=8)
+        result = train_stream(tiny_model, stream, strategy, cfg)
+
+        assert result.n_steps == 18
+        assert len(featurised) == 1
+        assert [s.scene for s in stream] == list(featurised[0])
+        assert counts["target_cell"] == 0
+        # One frame per sample for its features and one for its target.
+        assert len(stream) <= counts["scene_frame"] <= 2 * len(stream)
+
+
 class TestAgemMemory:
-    def test_quotas_rebalance_as_tasks_arrive(self, tiny_grid):
+    def test_quotas_rebalance_as_tasks_arrive(self):
         rng = np.random.default_rng(340)
         mem = _AgemMemory(total=6, rng=rng)
-        triplets = make_triplets(rng, tiny_grid, 30)
-        for t in triplets[:10]:
-            mem.observe(1, t)
-        assert len(mem.reservoirs[1].items) == 6
+        for row in range(10):
+            mem.observe(1, row)
+        assert len(mem.reservoirs[1]) == 6
 
-        mem.observe(2, triplets[10])
+        mem.observe(2, 10)
         assert mem.reservoirs[1].capacity == 3
-        assert len(mem.reservoirs[1].items) == 3
-        for t in triplets[11:20]:
-            mem.observe(2, t)
-        assert len(mem.reservoirs[2].items) == 3
+        assert len(mem.reservoirs[1]) == 3
+        for row in range(11, 20):
+            mem.observe(2, row)
+        assert len(mem.reservoirs[2]) == 3
 
-        mem.observe(3, triplets[20])
+        mem.observe(3, 20)
         assert all(buf.capacity == 2 for buf in mem.reservoirs.values())
-        assert all(len(buf.items) <= 2 for buf in mem.reservoirs.values())
+        assert all(len(buf) <= 2 for buf in mem.reservoirs.values())
+        assert all(len(buf.logits) == len(buf.rows) for buf in mem.reservoirs.values())
 
-    def test_reference_pool_excludes_the_current_task(self, tiny_grid):
+    def test_reference_pool_excludes_the_current_task(self):
         rng = np.random.default_rng(341)
         mem = _AgemMemory(total=8, rng=rng)
-        first = make_triplets(rng, tiny_grid, 4)
-        second = make_triplets(rng, tiny_grid, 4)
-        for t in first:
-            mem.observe(1, t)
-        assert mem.reference_items(exclude_label=1, n=5) == []
-        for t in second:
-            mem.observe(2, t)
-        refs = mem.reference_items(exclude_label=2, n=16)
+        for row in range(4):
+            mem.observe(1, row)
+        assert len(mem.reference_rows(exclude_label=1, n=5)) == 0
+        for row in range(4, 8):
+            mem.observe(2, row)
+        refs = mem.reference_rows(exclude_label=2, n=16)
         assert len(refs) == 16
-        assert all(r in mem.reservoirs[1].items for r in refs)
+        assert all(r in mem.reservoirs[1].rows for r in refs)
 
-    def test_zero_budget_stores_nothing(self, tiny_grid):
+    def test_zero_budget_stores_nothing(self):
         rng = np.random.default_rng(342)
         mem = _AgemMemory(total=0, rng=rng)
-        mem.observe(1, make_triplets(rng, tiny_grid, 1)[0])
+        mem.observe(1, 0)
         assert mem.reservoirs == {}
-        assert mem.reference_items(exclude_label=2, n=3) == []
+        assert len(mem.reference_rows(exclude_label=2, n=3)) == 0

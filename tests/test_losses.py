@@ -15,7 +15,6 @@ import pytest
 from contrail.core import target_cell
 from contrail.losses import (
     LossSpec,
-    Target,
     base_loss,
     batch_loss_and_dlogits,
     replay_loss,
@@ -26,7 +25,7 @@ from contrail.memory import MemoryTriplet
 from conftest import make_sample
 
 
-def fd_dlogits(logits_row, target, spec, cols_w, eps=1e-6):
+def fd_dlogits(logits_row, cell, spec, stored=None, eps=1e-6):
     """Central finite difference of the per-sample loss in logit space."""
     grad = np.zeros_like(logits_row)
     for j in range(logits_row.size):
@@ -34,8 +33,8 @@ def fd_dlogits(logits_row, target, spec, cols_w, eps=1e-6):
         lo = logits_row.copy()
         hi[j] += eps
         lo[j] -= eps
-        l_hi, _ = batch_loss_and_dlogits(hi[None, :], [target], spec, cols_w)
-        l_lo, _ = batch_loss_and_dlogits(lo[None, :], [target], spec, cols_w)
+        l_hi, _ = batch_loss_and_dlogits(hi[None, :], [cell], spec, stored)
+        l_lo, _ = batch_loss_and_dlogits(lo[None, :], [cell], spec, stored)
         grad[j] = (l_hi[0] - l_lo[0]) / (2 * eps)
     return grad
 
@@ -45,27 +44,27 @@ class TestCrossEntropy:
         spec = LossSpec()
         for rows, cols in [(2, 2), (4, 5), (3, 7)]:
             logits = np.full((1, rows * cols), 3.25)
-            losses, _ = batch_loss_and_dlogits(logits, [Target((1, 1))], spec, cols)
+            losses, _ = batch_loss_and_dlogits(logits, [1 * cols + 1], spec)
             assert losses[0] == pytest.approx(math.log(rows * cols), abs=1e-12)
 
     def test_matches_manual_log_softmax(self):
         rng = np.random.default_rng(7)
         spec = LossSpec()
         logits = rng.normal(size=(6, 12))
-        targets = [Target((0, int(rng.integers(0, 12)))) for _ in range(6)]
-        losses, _ = batch_loss_and_dlogits(logits, targets, spec, cols_w=12)
-        for k, t in enumerate(targets):
+        cells = [int(rng.integers(0, 12)) for _ in range(6)]
+        losses, _ = batch_loss_and_dlogits(logits, cells, spec)
+        for k, cell in enumerate(cells):
             row = logits[k]
-            manual = -(row[t.cell[1]] - math.log(np.exp(row - row.max()).sum()) - row.max())
+            manual = -(row[cell] - math.log(np.exp(row - row.max()).sum()) - row.max())
             assert losses[k] == pytest.approx(manual, rel=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(8)
         spec = LossSpec()
         logits = rng.normal(size=(3, 10))
-        targets = [Target((0, 4))] * 3
-        base, dbase = batch_loss_and_dlogits(logits, targets, spec, cols_w=10)
-        shifted, dshift = batch_loss_and_dlogits(logits + 57.0, targets, spec, cols_w=10)
+        cells = [4] * 3
+        base, dbase = batch_loss_and_dlogits(logits, cells, spec)
+        shifted, dshift = batch_loss_and_dlogits(logits + 57.0, cells, spec)
         assert np.allclose(base, shifted, rtol=1e-10)
         assert np.allclose(dbase, dshift, atol=1e-10)
 
@@ -73,8 +72,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(9)
         spec = LossSpec()
         logits = rng.normal(size=(4, 8))
-        targets = [Target((0, k)) for k in (0, 3, 5, 7)]
-        _, dlogits = batch_loss_and_dlogits(logits, targets, spec, cols_w=8)
+        _, dlogits = batch_loss_and_dlogits(logits, np.array([0, 3, 5, 7]), spec)
         shifted = logits - logits.max(axis=1, keepdims=True)
         softmax = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
         onehot = np.zeros_like(logits)
@@ -89,9 +87,9 @@ class TestFocal:
         focal0 = LossSpec(base_kind="focal", focal_gamma=0.0)
         for _ in range(100):
             logits = rng.normal(scale=2.0, size=(1, 15))
-            target = [Target((0, int(rng.integers(0, 15))))]
-            l_ce, d_ce = batch_loss_and_dlogits(logits, target, ce, cols_w=15)
-            l_f, d_f = batch_loss_and_dlogits(logits, target, focal0, cols_w=15)
+            cells = [int(rng.integers(0, 15))]
+            l_ce, d_ce = batch_loss_and_dlogits(logits, cells, ce)
+            l_f, d_f = batch_loss_and_dlogits(logits, cells, focal0)
             assert abs(l_ce[0] - l_f[0]) < 1e-10
             assert np.abs(d_ce - d_f).max() < 1e-10
 
@@ -100,9 +98,9 @@ class TestFocal:
         ce = LossSpec()
         focal = LossSpec(base_kind="focal", focal_gamma=2.0)
         logits = rng.normal(scale=1.5, size=(50, 9))
-        targets = [Target((0, int(rng.integers(0, 9)))) for _ in range(50)]
-        l_ce, _ = batch_loss_and_dlogits(logits, targets, ce, cols_w=9)
-        l_f, _ = batch_loss_and_dlogits(logits, targets, focal, cols_w=9)
+        cells = [int(rng.integers(0, 9)) for _ in range(50)]
+        l_ce, _ = batch_loss_and_dlogits(logits, cells, ce)
+        l_f, _ = batch_loss_and_dlogits(logits, cells, focal)
         assert np.all(l_f <= l_ce + 1e-12)
 
     def test_two_cell_closed_form(self):
@@ -110,7 +108,7 @@ class TestFocal:
         for gamma in (0.5, 1.0, 2.0, 3.0):
             spec = LossSpec(base_kind="focal", focal_gamma=gamma)
             logits = np.array([[1.7, 1.7]])
-            losses, _ = batch_loss_and_dlogits(logits, [Target((0, 0))], spec, cols_w=2)
+            losses, _ = batch_loss_and_dlogits(logits, [0], spec)
             assert losses[0] == pytest.approx(0.5**gamma * math.log(2.0), rel=1e-12)
 
     def test_matches_finite_differences(self):
@@ -119,9 +117,9 @@ class TestFocal:
             gamma = float(rng.uniform(0.5, 3.0))
             spec = LossSpec(base_kind="focal", focal_gamma=gamma)
             logits = rng.normal(size=10)
-            target = Target((0, int(rng.integers(0, 10))))
-            _, dlogits = batch_loss_and_dlogits(logits[None, :], [target], spec, cols_w=10)
-            fd = fd_dlogits(logits, target, spec, cols_w=10)
+            cell = int(rng.integers(0, 10))
+            _, dlogits = batch_loss_and_dlogits(logits[None, :], [cell], spec)
+            fd = fd_dlogits(logits, cell, spec)
             assert np.abs(dlogits[0] - fd).max() < 1e-6
 
     def test_saturated_probability_stays_finite(self):
@@ -129,7 +127,7 @@ class TestFocal:
         # emit nan or inf.
         spec = LossSpec(base_kind="focal", focal_gamma=2.0)
         logits = np.array([[40.0, -40.0]])
-        losses, dlogits = batch_loss_and_dlogits(logits, [Target((0, 0))], spec, cols_w=2)
+        losses, dlogits = batch_loss_and_dlogits(logits, [0], spec)
         assert np.isfinite(losses).all()
         assert np.isfinite(dlogits).all()
         assert losses[0] == pytest.approx(0.0, abs=1e-12)
@@ -142,9 +140,8 @@ class TestDistillation:
         # (1-0)^2 + 0 + 0 + (0-1)^2 = 2, normalised by 4 cells.
         spec = LossSpec()
         logits = np.array([[1.0, 0.0, 0.0, 0.0]])
-        stored = np.array([0.0, 0.0, 0.0, 1.0])
-        target = Target((0, 0), init_logits=stored)
-        losses, _ = batch_loss_and_dlogits(logits, [target], spec, cols_w=2)
+        stored = np.array([[0.0, 0.0, 0.0, 1.0]])
+        losses, _ = batch_loss_and_dlogits(logits, [0], spec, stored)
         ce = -1.0 + math.log(math.e + 3.0)
         assert losses[0] == pytest.approx(ce + 2.0 / 4.0, rel=1e-12)
 
@@ -152,12 +149,10 @@ class TestDistillation:
         rng = np.random.default_rng(31)
         spec = LossSpec()
         logits = rng.normal(size=(1, 6))
-        stored = rng.normal(size=6)
-        plain = Target((0, 2))
-        with_store = Target((0, 2), init_logits=stored)
-        _, d_plain = batch_loss_and_dlogits(logits, [plain], spec, cols_w=6)
-        _, d_store = batch_loss_and_dlogits(logits, [with_store], spec, cols_w=6)
-        expected = 2.0 * (logits[0] - stored) / 6.0
+        stored = rng.normal(size=(1, 6))
+        _, d_plain = batch_loss_and_dlogits(logits, [2], spec)
+        _, d_store = batch_loss_and_dlogits(logits, [2], spec, stored)
+        expected = 2.0 * (logits[0] - stored[0]) / 6.0
         assert np.allclose(d_store[0] - d_plain[0], expected, atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -165,19 +160,41 @@ class TestDistillation:
         spec = LossSpec(base_kind="focal", focal_gamma=1.5)
         for _ in range(20):
             logits = rng.normal(size=8)
-            target = Target((0, int(rng.integers(0, 8))), init_logits=rng.normal(size=8))
-            _, dlogits = batch_loss_and_dlogits(logits[None, :], [target], spec, cols_w=8)
-            fd = fd_dlogits(logits, target, spec, cols_w=8)
+            cell = int(rng.integers(0, 8))
+            stored = rng.normal(size=(1, 8))
+            _, dlogits = batch_loss_and_dlogits(logits[None, :], [cell], spec, stored)
+            fd = fd_dlogits(logits, cell, spec, stored)
             assert np.abs(dlogits[0] - fd).max() < 1e-6
 
     def test_identical_logits_add_nothing(self):
         spec = LossSpec()
         logits = np.array([[0.3, -0.2, 1.1, 0.0]])
-        plain = Target((0, 1))
-        anchored = Target((0, 1), init_logits=logits[0].copy())
-        l_plain, _ = batch_loss_and_dlogits(logits, [plain], spec, cols_w=2)
-        l_anch, _ = batch_loss_and_dlogits(logits, [anchored], spec, cols_w=2)
+        l_plain, _ = batch_loss_and_dlogits(logits, [1], spec)
+        l_anch, _ = batch_loss_and_dlogits(logits, [1], spec, logits.copy())
         assert l_plain[0] == pytest.approx(l_anch[0], rel=1e-14)
+
+    def test_mask_matches_a_per_row_loop(self):
+        # The masked array op against the per-row loop it replaced: the
+        # gradient bit for bit, the loss to rounding.
+        rng = np.random.default_rng(33)
+        for base_kind in ("cross_entropy", "focal"):
+            spec = LossSpec(base_kind=base_kind, focal_gamma=1.5)
+            logits = rng.normal(size=(7, 12))
+            cells = rng.integers(0, 12, size=7)
+            stored = rng.normal(size=(7, 12))
+            distill = rng.random(7) < 0.5
+            distill[:2] = (True, False)
+            losses, dlogits = batch_loss_and_dlogits(logits, cells, spec, stored, distill)
+            want_l, want_d = batch_loss_and_dlogits(logits, cells, spec)
+            for k in np.flatnonzero(distill):
+                diff = logits[k] - stored[k]
+                want_l[k] = want_l[k] + diff.dot(diff) / 12
+                want_d[k] += 2.0 * diff / 12
+            assert dlogits.tobytes() == want_d.tobytes()
+            np.testing.assert_allclose(losses, want_l, rtol=1e-14, atol=0)
+            everything, _ = batch_loss_and_dlogits(logits, cells, spec, stored)
+            all_rows, _ = batch_loss_and_dlogits(logits, cells, spec, stored, np.ones(7, bool))
+            assert everything.tobytes() == all_rows.tobytes()
 
 
 class TestReplayLoss:
@@ -187,7 +204,7 @@ class TestReplayLoss:
         out = []
         for _ in range(n):
             sample = make_sample(rng, grid)
-            logits = model.forward_logits(params, [sample.scene])[0]
+            logits = model.forward_logits(params, model.features([sample.scene]))[0]
             shape = (grid.rows_h, grid.cols_w)
             out.append(
                 MemoryTriplet(sample.scene, sample.truth, logits.reshape(shape) + 0.1)
@@ -208,10 +225,10 @@ class TestReplayLoss:
 
         per_sample = []
         for t in triplets:
-            logits = tiny_model.forward_logits(params, [t.scene])
-            cell = target_cell(t.scene, t.truth, grid)
-            target = Target(cell, init_logits=t.init_logits.reshape(-1))
-            losses, _ = batch_loss_and_dlogits(logits, [target], spec, grid.cols_w)
+            logits = tiny_model.forward_logits(params, tiny_model.features([t.scene]))
+            row, col = target_cell(t.scene, t.truth, grid)
+            stored = t.init_logits.reshape(1, -1)
+            losses, _ = batch_loss_and_dlogits(logits, [row * grid.cols_w + col], spec, stored)
             per_sample.append(losses[0])
         assert value == pytest.approx(float(np.mean(per_sample)), rel=1e-12)
 
@@ -258,7 +275,7 @@ class TestTotalLoss:
         value = base_loss(heatmap, (2, 3))
         flat = heatmap.logits.reshape(1, -1)
         losses, _ = batch_loss_and_dlogits(
-            flat, [Target((2, 3))], LossSpec(), tiny_model.config.grid.cols_w
+            flat, [2 * tiny_model.config.grid.cols_w + 3], LossSpec()
         )
         assert value == pytest.approx(losses[0], rel=1e-14)
 
@@ -277,15 +294,14 @@ class TestValidation:
     def test_batch_size_mismatch(self):
         logits = np.zeros((2, 4))
         with pytest.raises(ValueError, match="batch size"):
-            batch_loss_and_dlogits(logits, [Target((0, 0))], LossSpec(), cols_w=2)
+            batch_loss_and_dlogits(logits, [0], LossSpec())
 
     def test_target_outside_grid(self):
         logits = np.zeros((1, 4))
         with pytest.raises(ValueError, match="outside the grid"):
-            batch_loss_and_dlogits(logits, [Target((1, 3))], LossSpec(), cols_w=2)
+            batch_loss_and_dlogits(logits, [1 * 2 + 3], LossSpec())
 
     def test_stored_logits_wrong_length(self):
         logits = np.zeros((1, 4))
-        bad = Target((0, 0), init_logits=np.zeros(5))
         with pytest.raises(ValueError, match="stored logits"):
-            batch_loss_and_dlogits(logits, [bad], LossSpec(), cols_w=2)
+            batch_loss_and_dlogits(logits, [0], LossSpec(), np.zeros((1, 5)))

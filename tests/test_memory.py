@@ -20,53 +20,59 @@ from contrail.memory import (
 from conftest import make_sample
 
 
-def dummy_triplet(rng, grid):
-    sample = make_sample(rng, grid)
-    logits = rng.normal(size=(grid.rows_h, grid.cols_w))
-    return MemoryTriplet(sample.scene, sample.truth, logits)
-
-
 class TestCompletionBuffer:
-    def test_fills_in_order_below_capacity(self, tiny_grid):
+    def test_fills_in_order_below_capacity(self):
         rng = np.random.default_rng(100)
         buf = CompletionBuffer(capacity=5)
-        items = [dummy_triplet(rng, tiny_grid) for _ in range(3)]
-        for it in items:
-            buf.observe(it, rng)
+        for row in (7, 3, 11):
+            buf.observe(row, rng)
         assert len(buf) == 3
-        assert buf.items == items
+        assert buf.rows == [7, 3, 11]
         assert buf.stream_count == 3
+
+    def test_contents_are_built_from_the_samples_themselves(self, tiny_grid):
+        rng = np.random.default_rng(101)
+        samples = [make_sample(rng, tiny_grid) for _ in range(3)]
+        logits = [rng.normal(size=(tiny_grid.rows_h, tiny_grid.cols_w)) for _ in range(3)]
+        buf = CompletionBuffer(capacity=2, samples=samples)
+        buf.observe(2, rng, logits[2])
+        buf.observe(0, rng, logits[0])
+        items = buf.contents()
+        assert [t.scene for t in items] == [samples[2].scene, samples[0].scene]
+        assert items[0].scene is samples[2].scene and items[0].truth is samples[2].truth
+        assert np.array_equal(items[1].init_logits, logits[0])
 
     def test_contents_returns_a_copy(self, tiny_grid):
         rng = np.random.default_rng(101)
-        buf = CompletionBuffer(capacity=2)
-        buf.observe(dummy_triplet(rng, tiny_grid), rng)
+        buf = CompletionBuffer(capacity=2, samples=[make_sample(rng, tiny_grid)])
+        buf.observe(0, rng, rng.normal(size=(tiny_grid.rows_h, tiny_grid.cols_w)))
         snapshot = buf.contents()
         snapshot.clear()
         assert len(buf) == 1
 
-    def test_never_exceeds_capacity(self, tiny_grid):
+    def test_never_exceeds_capacity(self):
         rng = np.random.default_rng(102)
         buf = CompletionBuffer(capacity=4)
-        for _ in range(50):
-            buf.observe(dummy_triplet(rng, tiny_grid), rng)
+        for row in range(50):
+            buf.observe(row, rng, np.full((2, 2), float(row)))
             assert len(buf) <= 4
+            assert len(buf.logits) == len(buf)
         assert len(buf) == 4
         assert buf.stream_count == 50
+        # Each slot keeps the logits it was stored with.
+        assert all(lg[0, 0] == row for row, lg in zip(buf.rows, buf.logits))
 
-    def test_retention_is_uniform(self, tiny_grid):
+    def test_retention_is_uniform(self):
         # Every stream item should survive with probability k/n.
         rng = np.random.default_rng(103)
         k, n, runs = 5, 40, 3000
-        items = [dummy_triplet(rng, tiny_grid) for _ in range(n)]
-        index = {id(it): i for i, it in enumerate(items)}
         counts = np.zeros(n)
         for _ in range(runs):
             buf = CompletionBuffer(capacity=k)
-            for it in items:
-                buf.observe(it, rng)
-            for it in buf.items:
-                counts[index[id(it)]] += 1
+            for row in range(n):
+                buf.observe(row, rng)
+            for row in buf.rows:
+                counts[row] += 1
         p = k / n
         expected = runs * p
         sigma = math.sqrt(runs * p * (1 - p))
@@ -79,54 +85,45 @@ class TestCompletionBuffer:
 
 
 class TestSeparationScore:
-    def _single_item_buffer(self, rng, grid, stored_grad):
+    def _single_item_buffer(self, rng, stored_grad):
         buf = SeparationBuffer(capacity=4)
-        item = dummy_triplet(rng, grid)
-        buf.items.append(item)
-        buf.scores.append(0.5)
-        buf.stream_count = 1
+        buf.observe(0, 0.5, rng)
         stored = np.asarray([stored_grad], dtype=float)
         return buf, (lambda g: _cosine_rows(np.asarray(g, dtype=float), stored))
 
-    def test_aligned_opposite_orthogonal(self, tiny_grid):
+    def test_aligned_opposite_orthogonal(self):
         rng = np.random.default_rng(110)
-        buf, cos = self._single_item_buffer(rng, tiny_grid, [1.0, 0.0])
+        buf, cos = self._single_item_buffer(rng, [1.0, 0.0])
         assert separation_score(cos([2.0, 0.0]), buf, rng) == pytest.approx(2.0)
         assert separation_score(cos([-3.0, 0.0]), buf, rng) == pytest.approx(0.0)
         assert separation_score(cos([0.0, 5.0]), buf, rng) == pytest.approx(1.0)
 
-    def test_zero_norm_gradients_score_one(self, tiny_grid):
+    def test_zero_norm_gradients_score_one(self):
         rng = np.random.default_rng(111)
-        buf, cos = self._single_item_buffer(rng, tiny_grid, [1.0, 0.0])
+        buf, cos = self._single_item_buffer(rng, [1.0, 0.0])
         assert separation_score(cos(np.zeros(2)), buf, rng) == pytest.approx(1.0)
-        buf2, cos2 = self._single_item_buffer(rng, tiny_grid, [0.0, 0.0])
+        buf2, cos2 = self._single_item_buffer(rng, [0.0, 0.0])
         assert separation_score(cos2([1.0, 1.0]), buf2, rng) == pytest.approx(1.0)
 
-    def test_scores_stay_in_range(self, tiny_grid):
+    def test_scores_stay_in_range(self):
         rng = np.random.default_rng(112)
         buf = SeparationBuffer(capacity=20)
         grads = []
-        for _ in range(20):
-            item = dummy_triplet(rng, tiny_grid)
-            buf.items.append(item)
-            buf.scores.append(1.0)
+        for row in range(20):
+            buf.observe(row, 1.0, rng)
             grads.append(rng.normal(size=30))
-        buf.stream_count = 20
         stored = np.stack(grads)
         for _ in range(200):
             q = separation_score(_cosine_rows(rng.normal(size=30), stored), buf, rng)
             assert 0.0 <= q <= 2.0
 
-    def test_batch_and_single_paths_agree(self, tiny_grid):
+    def test_batch_and_single_paths_agree(self):
         rng = np.random.default_rng(113)
         buf = SeparationBuffer(capacity=8, b_compare=5)
         grads = []
-        for _ in range(8):
-            item = dummy_triplet(rng, tiny_grid)
-            buf.items.append(item)
-            buf.scores.append(1.0)
+        for row in range(8):
+            buf.observe(row, 1.0, rng)
             grads.append(rng.normal(size=12))
-        buf.stream_count = 8
         cos = _cosine_rows(rng.normal(size=12), np.stack(grads))
         # Single path: the max over the drawn slots, one at a time.  The
         # batch path gets inf on every slot it should not read.
@@ -145,111 +142,104 @@ class TestSeparationScore:
 
 
 class TestSeparationBuffer:
-    def _full_buffer(self, rng, grid, scores):
+    def _full_buffer(self, rng, scores):
         buf = SeparationBuffer(capacity=len(scores))
-        for q in scores:
-            buf.items.append(dummy_triplet(rng, grid))
-            buf.scores.append(float(q))
-        buf.stream_count = len(scores)
+        for row, q in enumerate(scores):
+            buf.observe(row, float(q), rng)
         return buf
 
-    def test_appends_below_capacity(self, tiny_grid):
+    def test_appends_below_capacity(self):
         rng = np.random.default_rng(120)
         buf = SeparationBuffer(capacity=3)
-        item = dummy_triplet(rng, tiny_grid)
-        assert buf.observe(item, 0.7, rng) is True
-        assert buf.items == [item]
+        logits = np.ones((2, 2))
+        assert buf.observe(5, 0.7, rng, logits) is True
+        assert buf.rows == [5]
+        assert buf.logits[0] is logits
         assert buf.scores == [0.7]
 
-    def test_similar_newcomer_discarded_at_capacity(self, tiny_grid):
+    def test_similar_newcomer_discarded_at_capacity(self):
         rng = np.random.default_rng(121)
-        buf = self._full_buffer(rng, tiny_grid, [0.2, 0.4])
-        before = list(buf.items)
-        newcomer = dummy_triplet(rng, tiny_grid)
-        assert buf.observe(newcomer, 1.0, rng) is False
-        assert buf.observe(newcomer, 1.7, rng) is False
-        assert buf.items == before
+        buf = self._full_buffer(rng, [0.2, 0.4])
+        before = list(buf.rows)
+        assert buf.observe(9, 1.0, rng) is False
+        assert buf.observe(9, 1.7, rng) is False
+        assert buf.rows == before
         assert buf.stream_count == 4
 
-    def test_zero_score_newcomer_always_stored(self, tiny_grid):
+    def test_zero_score_newcomer_always_stored(self):
         rng = np.random.default_rng(122)
         for _ in range(300):
-            buf = self._full_buffer(rng, tiny_grid, [0.7])
-            stored = buf.observe(dummy_triplet(rng, tiny_grid), 0.0, rng)
+            buf = self._full_buffer(rng, [0.7])
+            stored = buf.observe(9, 0.0, rng)
             assert stored is True
 
-    def test_replacement_inherits_new_score(self, tiny_grid):
+    def test_replacement_inherits_new_score(self):
         rng = np.random.default_rng(123)
-        buf = self._full_buffer(rng, tiny_grid, [0.9])
-        newcomer = dummy_triplet(rng, tiny_grid)
-        assert buf.observe(newcomer, 0.25, rng) is True
-        assert buf.items == [newcomer]
+        buf = self._full_buffer(rng, [0.9])
+        logits = np.zeros((2, 2))
+        assert buf.observe(9, 0.25, rng, logits) is True
+        assert buf.rows == [9]
+        assert buf.logits == [logits]
         assert buf.scores == [0.25]
 
-    def test_equal_scores_replace_half_the_time(self, tiny_grid):
+    def test_equal_scores_replace_half_the_time(self):
         rng = np.random.default_rng(124)
-        buf = self._full_buffer(rng, tiny_grid, [0.5])
+        buf = self._full_buffer(rng, [0.5])
         trials = 20000
-        stored = sum(
-            buf.observe(dummy_triplet(rng, tiny_grid), 0.5, rng) for _ in range(trials)
-        )
+        stored = sum(buf.observe(1 + i, 0.5, rng) for i in range(trials))
         assert abs(stored / trials - 0.5) < 0.015
 
-    def test_zero_zero_tie_replaces_half_the_time(self, tiny_grid):
+    def test_zero_zero_tie_replaces_half_the_time(self):
         rng = np.random.default_rng(125)
-        buf = self._full_buffer(rng, tiny_grid, [0.0])
+        buf = self._full_buffer(rng, [0.0])
         trials = 20000
-        stored = sum(
-            buf.observe(dummy_triplet(rng, tiny_grid), 0.0, rng) for _ in range(trials)
-        )
+        stored = sum(buf.observe(1 + i, 0.0, rng) for i in range(trials))
         assert abs(stored / trials - 0.5) < 0.015
 
-    def test_all_zero_scores_pick_candidates_uniformly(self, tiny_grid):
+    def test_all_zero_scores_pick_candidates_uniformly(self):
         rng = np.random.default_rng(126)
-        buf = self._full_buffer(rng, tiny_grid, [0.0, 0.0, 0.0])
+        buf = self._full_buffer(rng, [0.0, 0.0, 0.0])
         slot_counts = np.zeros(3)
         replaced = 0
-        for _ in range(6000):
-            newcomer = dummy_triplet(rng, tiny_grid)
+        for newcomer in range(3, 6003):
             if buf.observe(newcomer, 0.0, rng):
                 replaced += 1
-                slot_counts[buf.items.index(newcomer)] += 1
+                slot_counts[buf.rows.index(newcomer)] += 1
         assert replaced > 2500
         expected = replaced / 3
         sigma = math.sqrt(replaced * (1 / 3) * (2 / 3))
         assert np.abs(slot_counts - expected).max() < 4 * sigma
 
-    def test_high_score_candidates_evicted_more_often(self, tiny_grid):
+    def test_high_score_candidates_evicted_more_often(self):
         # One redundant item (q = 1.8) and one distinctive item
         # (q = 0.05): the redundant one should absorb most evictions.
         rng = np.random.default_rng(127)
         evictions = np.zeros(2)
         for _ in range(2000):
-            buf = self._full_buffer(rng, tiny_grid, [1.8, 0.05])
-            originals = list(buf.items)
-            if buf.observe(dummy_triplet(rng, tiny_grid), 0.3, rng):
-                evictions[0 if buf.items[0] is not originals[0] else 1] += 1
+            buf = self._full_buffer(rng, [1.8, 0.05])
+            if buf.observe(2, 0.3, rng):
+                evictions[buf.rows.index(2)] += 1
         assert evictions[0] > 10 * evictions[1]
 
-    def test_offer_first_sample_rule(self, tiny_grid):
+    def test_offer_first_sample_rule(self):
         rng = np.random.default_rng(128)
         buf = SeparationBuffer(capacity=3)
 
         # No stored slot exists, so no cosine can be read.
-        stored = buf.offer(dummy_triplet(rng, tiny_grid), np.ones(0), rng)
+        stored = buf.offer(0, np.ones(0), rng)
         assert stored is True
         assert buf.scores == [FIRST_SAMPLE_SCORE]
 
-    def test_offer_scores_later_samples(self, tiny_grid):
+    def test_offer_scores_later_samples(self):
         rng = np.random.default_rng(129)
         buf = SeparationBuffer(capacity=3)
-        first = dummy_triplet(rng, tiny_grid)
         g = np.array([1.0, 0.0])
-        buf.offer(first, _cosine_rows(g, np.zeros((0, 2))), rng)
-        second = dummy_triplet(rng, tiny_grid)
-        stored = buf.offer(second, _cosine_rows(g, np.stack([g])), rng)
+        buf.offer(0, _cosine_rows(g, np.zeros((0, 2))), rng)
+        logits = np.ones((2, 2))
+        stored = buf.offer(1, _cosine_rows(g, np.stack([g])), rng, logits)
         assert stored is True
         assert buf.scores[1] == pytest.approx(2.0)
+        assert buf.rows == [0, 1] and buf.logits[1] is logits
 
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -261,38 +251,35 @@ class TestSeparationBuffer:
 class TestDrawMinibatch:
     def test_empty_buffer_gives_empty_list(self):
         rng = np.random.default_rng(130)
-        assert draw_minibatch(CompletionBuffer(capacity=3), 5, rng) == []
+        assert draw_minibatch(CompletionBuffer(capacity=3), 5, rng).size == 0
 
-    def test_zero_draws_give_empty_list(self, tiny_grid):
+    def test_zero_draws_give_empty_list(self):
         rng = np.random.default_rng(131)
         buf = CompletionBuffer(capacity=3)
-        buf.observe(dummy_triplet(rng, tiny_grid), rng)
-        assert draw_minibatch(buf, 0, rng) == []
+        buf.observe(0, rng)
+        assert draw_minibatch(buf, 0, rng).size == 0
 
     def test_negative_size_rejected(self):
         rng = np.random.default_rng(132)
         with pytest.raises(ValueError, match="non-negative"):
             draw_minibatch(CompletionBuffer(capacity=3), -1, rng)
 
-    def test_draws_with_replacement_from_buffer(self, tiny_grid):
+    def test_draws_with_replacement_from_buffer(self):
         rng = np.random.default_rng(133)
         buf = CompletionBuffer(capacity=2)
-        for _ in range(2):
-            buf.observe(dummy_triplet(rng, tiny_grid), rng)
-        batch = draw_minibatch(buf, 10, rng)
-        assert len(batch) == 10
-        assert all(item in buf.items for item in batch)
+        for row in range(2):
+            buf.observe(row, rng)
+        slots = draw_minibatch(buf, 10, rng)
+        assert len(slots) == 10
+        assert all(0 <= s < len(buf) for s in slots)
 
-    def test_draws_are_uniform(self, tiny_grid):
+    def test_draws_are_uniform(self):
         rng = np.random.default_rng(134)
         buf = CompletionBuffer(capacity=4)
-        for _ in range(4):
-            buf.observe(dummy_triplet(rng, tiny_grid), rng)
-        index = {id(it): i for i, it in enumerate(buf.items)}
-        counts = np.zeros(4)
+        for row in range(4):
+            buf.observe(row, rng)
         trials = 8000
-        for item in draw_minibatch(buf, trials, rng):
-            counts[index[id(item)]] += 1
+        counts = np.bincount(draw_minibatch(buf, trials, rng), minlength=4)
         expected = trials / 4
         sigma = math.sqrt(trials * 0.25 * 0.75)
         assert np.abs(counts - expected).max() < 4 * sigma

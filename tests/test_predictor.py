@@ -8,11 +8,21 @@ measured against the gradient's own scale.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from contrail.core import GridSpec
-from contrail.losses import LossSpec, Target
+from contrail.core import (
+    AgentState,
+    GridSpec,
+    Sample,
+    local_endpoints,
+    scene_frame,
+    target_cell,
+    target_cells,
+)
+from contrail.losses import LossSpec
 from contrail.memory import _cosine_rows
 from contrail.predictor import (
     AdamState,
@@ -23,7 +33,9 @@ from contrail.predictor import (
     scene_features,
 )
 
-from conftest import make_scene
+from contrail.scenarios import TaskSpec, generate_task, ingest_csv, write_task_csv
+
+from conftest import make_sample, make_scene
 
 
 def finite_difference_grad(model, params, batch, spec, eps=1e-3):
@@ -33,8 +45,8 @@ def finite_difference_grad(model, params, batch, spec, eps=1e-3):
         hi[i] += eps
         lo = params.copy()
         lo[i] -= eps
-        l_hi, _ = model.loss_and_grad(hi, batch, spec)
-        l_lo, _ = model.loss_and_grad(lo, batch, spec)
+        l_hi, _ = loss_and_grad(model, hi, batch, spec)
+        l_lo, _ = loss_and_grad(model, lo, batch, spec)
         fd[i] = (l_hi - l_lo) / (2 * eps)
     return fd
 
@@ -45,19 +57,26 @@ def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def random_batch(rng, model, n, with_distill=False, span=20.0):
+    """Feature rows, flat target cells, stored logits and the mask of
+    rows that distill toward them."""
     grid = model.config.grid
-    batch = []
+    scenes, cells, stored, distill = [], [], [], []
     for _ in range(n):
-        scene = make_scene(rng, model.config.t_obs, model.config.k_sv, span=span)
-        cell = (
-            int(rng.integers(0, grid.rows_h)),
-            int(rng.integers(0, grid.cols_w)),
-        )
-        stored = None
-        if with_distill and rng.random() < 0.7:
-            stored = rng.normal(size=grid.n_cells)
-        batch.append((scene, Target(cell, stored)))
-    return batch
+        scenes.append(make_scene(rng, model.config.t_obs, model.config.k_sv, span=span))
+        row = int(rng.integers(0, grid.rows_h))
+        cells.append(row * grid.cols_w + int(rng.integers(0, grid.cols_w)))
+        distill.append(bool(with_distill and rng.random() < 0.7))
+        stored.append(rng.normal(size=grid.n_cells) if distill[-1] else np.zeros(grid.n_cells))
+    return model.features(scenes), np.array(cells), np.stack(stored), np.array(distill)
+
+
+def loss_and_grad(model, params, batch, spec):
+    x, cells, stored, distill = batch
+    return model.loss_and_grad(params, x, cells, spec, stored, distill)
+
+
+def rows_of(batch, rows):
+    return tuple(part[rows] for part in batch)
 
 
 class TestForward:
@@ -111,7 +130,7 @@ class TestForward:
             sv_mask=(base.sv_mask[0], False),
             t_c=base.t_c,
         )
-        feats = scene_features(masked)
+        feats = scene_features([masked])[0]
         per_track = len(base.tv_history) * 4
         assert np.all(feats[2 * per_track :] == 0.0)
 
@@ -129,7 +148,7 @@ class TestGradient:
             batch = random_batch(
                 rng, tiny_model, int(rng.integers(1, 4)), with_distill=True, span=2.0
             )
-            _, grad = tiny_model.loss_and_grad(params, batch, spec)
+            _, grad = loss_and_grad(tiny_model, params, batch, spec)
             fd = finite_difference_grad(tiny_model, params, batch, spec)
             assert relative_gap(grad, fd) < 1e-4
 
@@ -138,24 +157,31 @@ class TestGradient:
         spec = LossSpec()
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
         batch = random_batch(rng, tiny_model, 3)
-        loss_1, grad_1 = tiny_model.loss_and_grad(params, batch, spec)
-        loss_2, grad_2 = tiny_model.loss_and_grad(params, batch + batch, spec)
+        loss_1, grad_1 = loss_and_grad(tiny_model, params, batch, spec)
+        twice = tuple(np.concatenate([part, part]) for part in batch)
+        loss_2, grad_2 = loss_and_grad(tiny_model, params, twice, spec)
         assert loss_2 == pytest.approx(loss_1, rel=1e-12)
         np.testing.assert_allclose(grad_1, grad_2, rtol=1e-10, atol=1e-14)
 
     def test_empty_batch_rejected(self, tiny_model):
         with pytest.raises(ValueError):
-            tiny_model.loss_and_grad(np.zeros(tiny_model.param_count), [], LossSpec())
+            tiny_model.loss_and_grad(
+                np.zeros(tiny_model.param_count),
+                np.zeros((0, tiny_model.config.input_dim)),
+                np.zeros(0, dtype=int),
+                LossSpec(),
+            )
 
     def test_per_sample_grads_match_single_calls(self, tiny_model):
         rng = np.random.default_rng(6)
         spec = LossSpec()
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
         batch = random_batch(rng, tiny_model, 5, with_distill=True)
-        per = tiny_model.per_sample_grads(params, batch, spec)
+        x, cells, stored, distill = batch
+        per = tiny_model.per_sample_grads(params, x, cells, spec, stored, distill)
         assert per.shape == (5, tiny_model.param_count)
-        for k, item in enumerate(batch):
-            _, g = tiny_model.loss_and_grad(params, [item], spec)
+        for k in range(5):
+            _, g = loss_and_grad(tiny_model, params, rows_of(batch, [k]), spec)
             np.testing.assert_allclose(per[k], g, rtol=1e-10, atol=1e-14)
 
     def test_factored_products_match_dense_rows(self, tiny_model):
@@ -163,8 +189,9 @@ class TestGradient:
         spec = LossSpec()
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
         batch = random_batch(rng, tiny_model, 7, with_distill=True)
-        assert any(t.init_logits is not None for _, t in batch)
-        grads = tiny_model.per_sample_grads(params, batch, spec)
+        x, cells, stored, distill = batch
+        assert distill.any()
+        grads = tiny_model.per_sample_grads(params, x, cells, spec, stored, distill)
         dense = grads.dense()
         rows = [0, 3, 6]
         np.testing.assert_allclose(
@@ -179,9 +206,8 @@ class TestGradient:
     def test_zero_gradient_row_has_cosine_zero(self, tiny_model):
         rng = np.random.default_rng(10)
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
-        grads = tiny_model.per_sample_grads(
-            params, random_batch(rng, tiny_model, 4, with_distill=True), LossSpec()
-        )
+        x, cells, stored, distill = random_batch(rng, tiny_model, 4, with_distill=True)
+        grads = tiny_model.per_sample_grads(params, x, cells, LossSpec(), stored, distill)
         zeroed = FactoredGrads(
             tuple(np.vstack([np.zeros_like(d[:1]), d[1:]]) for d in grads.deltas),
             grads.inputs,
@@ -248,3 +274,81 @@ class TestConfigValidation:
             PredictorConfig(t_obs=0, k_sv=1, hidden_dims=(4,), grid=tiny_grid)
         with pytest.raises(ValueError):
             PredictorConfig(t_obs=2, k_sv=-1, hidden_dims=(4,), grid=tiny_grid)
+
+
+def per_scene_features(scene) -> np.ndarray:
+    """Reference: the scene-at-a-time featuriser the batched one replaced."""
+    frame = scene_frame(scene)
+    t_obs = len(scene.tv_history)
+    out = np.zeros((1 + len(scene.sv_histories), t_obs, 4), dtype=np.float64)
+    for t, st in enumerate(scene.tv_history):
+        out[0, t, 0:2] = frame.to_local((st.x, st.y))
+        out[0, t, 2:4] = frame.vector_to_local((st.vx, st.vy))
+    for k, track in enumerate(scene.sv_histories):
+        if not scene.sv_mask[k]:
+            continue
+        for t, st in enumerate(track):
+            out[k + 1, t, 0:2] = frame.to_local((st.x, st.y))
+            out[k + 1, t, 2:4] = frame.vector_to_local((st.vx, st.vy))
+    return out.reshape(-1)
+
+
+class TestBatchedMatchesPerScene:
+    """``scene_features``, ``target_cells`` and ``local_endpoints`` against
+    the per-scene featuriser and the ``target_cell`` loop, bit for bit."""
+
+    grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
+
+    def assert_bit_equal(self, samples):
+        scenes = [s.scene for s in samples]
+        truths = [s.truth for s in samples]
+        want_x = np.stack([per_scene_features(sc) for sc in scenes])
+        assert scene_features(scenes).tobytes() == want_x.tobytes()
+        cells = [target_cell(sc, tr, self.grid) for sc, tr in zip(scenes, truths)]
+        want_cells = np.array([r * self.grid.cols_w + c for r, c in cells])
+        assert np.array_equal(target_cells(scenes, truths, self.grid), want_cells)
+        want_local = np.array(
+            [scene_frame(sc).to_local(tr.endpoint) for sc, tr in zip(scenes, truths)]
+        )
+        assert local_endpoints(scenes, [t.endpoint for t in truths]).tobytes() == want_local.tobytes()
+
+    @pytest.mark.parametrize("kind", ["straight", "arc", "turn"])
+    def test_every_family(self, kind):
+        samples = generate_task(TaskSpec(kind=kind, n_samples=60, seed=61, noise_sigma=0.3))
+        self.assert_bit_equal(samples)
+
+    def test_no_neighbor_slots(self):
+        samples = generate_task(TaskSpec(kind="arc", n_samples=20, seed=62, k_sv=0))
+        self.assert_bit_equal(samples)
+        assert scene_features([s.scene for s in samples]).shape == (20, 10 * 4)
+
+    def test_stationary_target_keeps_world_orientation(self):
+        rng = np.random.default_rng(63)
+        samples = []
+        for _ in range(5):
+            s = make_sample(rng, self.grid, k_sv=2)
+            tv = s.scene.tv_history
+            still = tv[:-1] + (AgentState(tv[-1].x, tv[-1].y, 0.0, 0.0),)
+            scene = dataclasses.replace(s.scene, tv_history=still)
+            assert scene_frame(scene).cos_h == 1.0 and scene_frame(scene).sin_h == 0.0
+            samples.append(Sample(scene, s.truth, 1))
+        samples.append(make_sample(rng, self.grid, k_sv=2))
+        self.assert_bit_equal(samples)
+
+    def test_masked_slots_from_a_sparse_track_table(self, tmp_path):
+        # Written with one neighbor, ingested with three slots: two are
+        # zero-filled and masked in every scene.
+        spec = TaskSpec(kind="turn", n_samples=12, seed=64, noise_sigma=0.2, k_sv=1)
+        path = tmp_path / "sparse.csv"
+        write_task_csv(spec, 1, path)
+        samples = ingest_csv(path, t_obs=spec.t_obs, t_pred=spec.t_pred, k_sv=3)
+        assert len(samples) == 12
+        assert all(s.scene.sv_mask == (True, False, False) for s in samples)
+        self.assert_bit_equal(samples)
+        per_track = spec.t_obs * 4
+        assert not scene_features([s.scene for s in samples])[:, 2 * per_track :].any()
+
+    def test_scenes_of_mixed_geometry_rejected(self):
+        rng = np.random.default_rng(65)
+        with pytest.raises(ValueError, match="share t_obs and k_sv"):
+            scene_features([make_scene(rng, k_sv=1), make_scene(rng, k_sv=2)])
