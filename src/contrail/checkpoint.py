@@ -8,6 +8,7 @@ dump makes a checkpoint a full run-resumption unit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import AgentState, GridSpec, GroundTruth, Scene
 from .memory import CompletionBuffer, MemoryTriplet, SeparationBuffer
-from .predictor import AdamState, PredictorConfig
+from .predictor import AdamState, HeatmapPredictor, PredictorConfig
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
@@ -73,20 +74,7 @@ def save_checkpoint(
 ) -> None:
     payload: dict = {
         "format": FORMAT,
-        "config": {
-            "t_obs": config.t_obs,
-            "k_sv": config.k_sv,
-            "hidden_dims": list(config.hidden_dims),
-            "grid": {
-                "rows_h": config.grid.rows_h,
-                "cols_w": config.grid.cols_w,
-                "origin": list(config.grid.origin),
-                "cell_size": config.grid.cell_size,
-            },
-            "seed": config.seed,
-            "t_pred": config.t_pred,
-            "dt": config.dt,
-        },
+        "config": dataclasses.asdict(config),
         "params": params.tolist(),
         "adam": None
         if adam is None
@@ -135,26 +123,32 @@ def load_checkpoint(
     (t_pred 30, dt 0.1).  A loaded buffer's slots index the triplets
     read from the file.  With ``params_only`` (all that evaluation
     needs) only the header and parameters are read back; the optimizer
-    state and buffers come back as None, unbuilt."""
+    state and buffers come back as None, unbuilt.  A header missing a
+    key, or parameters that are non-finite or do not fit the header's
+    geometry, raise a ValueError that starts with ``path``."""
     data = json.loads(Path(path).read_text())
-    if data.get("format") != FORMAT:
+    if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ValueError(f"{path} is not a {FORMAT} file")
-    c = data["config"]
-    horizon = {k: c[k] for k in ("t_pred", "dt") if k in c}
-    config = PredictorConfig(
-        t_obs=c["t_obs"],
-        k_sv=c["k_sv"],
-        hidden_dims=tuple(c["hidden_dims"]),
-        grid=GridSpec(
-            rows_h=c["grid"]["rows_h"],
-            cols_w=c["grid"]["cols_w"],
-            origin=tuple(c["grid"]["origin"]),
-            cell_size=c["grid"]["cell_size"],
-        ),
-        seed=c["seed"],
-        **horizon,
-    )
-    params = np.array(data["params"], dtype=np.float64)
+    try:
+        c, g = data["config"], data["config"]["grid"]
+        config = PredictorConfig(
+            t_obs=c["t_obs"],
+            k_sv=c["k_sv"],
+            hidden_dims=tuple(c["hidden_dims"]),
+            grid=GridSpec(g["rows_h"], g["cols_w"], tuple(g["origin"]), g["cell_size"]),
+            seed=c["seed"],
+            **{k: c[k] for k in ("t_pred", "dt") if k in c},
+        )
+        params = np.array(data["params"], dtype=np.float64)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header or parameters: {exc}") from None
+    expected = HeatmapPredictor(config).param_count
+    if params.shape != (expected,):
+        raise ValueError(f"{path}: the header's geometry needs {expected} parameters, not {params.size}")
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"{path}: parameters hold non-finite values")
     if params_only:
         return config, params, None, None, None
     adam = None

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -36,9 +35,8 @@ from .core import (
     Sample,
     local_endpoints,
 )
-from .learner import Strategy, TrainConfig, train_stream
+from .learner import Strategy, TrainConfig, check_buffer_split, train_stream
 from .losses import LossSpec
-from .memory import CompletionBuffer, SeparationBuffer
 from .metrics import (
     EvalReport,
     extract_endpoints,
@@ -94,6 +92,7 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         try:
             check_episode_geometry(self.tasks)
+            check_buffer_split(self.strategies, self.train.buffer_total)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -305,18 +304,14 @@ def run_cell(
     n = len(config.tasks)
     fde_m = ResultMatrix(n)
     mr_m = ResultMatrix(n)
-    for label, params in result.checkpoints:
+    evaluated = list(result.checkpoints)
+    if not evaluated or evaluated[-1][0] != n:
+        evaluated.append((n, result.final_params))
+    for label, params in evaluated:
         for j in range(1, label + 1):
             fde, mr = evaluate_task(model, params, test_sets[j - 1], config.w_endpoints)
             fde_m.set(label, j, fde)
             mr_m.set(label, j, mr)
-    if not result.checkpoints or result.checkpoints[-1][0] != n:
-        for j in range(1, n + 1):
-            fde, mr = evaluate_task(
-                model, result.final_params, test_sets[j - 1], config.w_endpoints
-            )
-            fde_m.set(n, j, fde)
-            mr_m.set(n, j, mr)
 
     report = report_from_matrices(strategy.value, rep, fde_m, mr_m)
 
@@ -332,13 +327,15 @@ def run_cell(
         separation=result.separation,
         completion=result.completion,
     )
+    return _headline(report)
+
+
+def _headline(report: EvalReport) -> dict:
+    """A cell's headline numbers; ``report.seed`` is the repetition."""
     return {
-        "strategy": strategy.value,
-        "rep": rep,
-        "fde_avg": report.fde_avg,
-        "mr_avg": report.mr_avg,
-        "fde_bwt": report.fde_bwt,
-        "mr_bwt": report.mr_bwt,
+        "strategy": report.strategy,
+        "rep": report.seed,
+        **{m: getattr(report, m) for m in ("fde_avg", "mr_avg", "fde_bwt", "mr_bwt")},
     }
 
 
@@ -477,17 +474,7 @@ def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
             fde_m = read_matrix_csv(rep_dir / "matrix_fde.csv")
             mr_m = read_matrix_csv(rep_dir / "matrix_mr.csv")
             rep = int(rep_dir.name.split("_")[1])
-            report = report_from_matrices(strat_dir.name, rep, fde_m, mr_m)
-            results.append(
-                {
-                    "strategy": strat_dir.name,
-                    "rep": rep,
-                    "fde_avg": report.fde_avg,
-                    "mr_avg": report.mr_avg,
-                    "fde_bwt": report.fde_bwt,
-                    "mr_bwt": report.mr_bwt,
-                }
-            )
+            results.append(_headline(report_from_matrices(strat_dir.name, rep, fde_m, mr_m)))
     return summarize(results), order
 
 

@@ -3,9 +3,10 @@
 ``train_stream`` consumes an ordered sample stream in consecutive
 batches, takes one Adam step per batch, and (strategy permitting)
 feeds each trained sample to replay memory.  The fixed order per batch
-is: snapshot the model's logits for the batch, compute the strategy
-loss and step, then offer the batch to the buffers carrying the
-pre-update logits.
+is: one forward and one backward pass over the batch and its replay
+rows give the strategy loss, its gradient and the batch's pre-update
+logits; Adam steps; then the batch is offered to the buffers carrying
+those logits.
 
 The stream is featurised and targeted once, on entry, into a
 :class:`~contrail.predictor.SampleTable`; batches, buffer slots and
@@ -38,6 +39,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "agem_project",
+    "check_buffer_split",
     "dual_replay_step",
     "gss_style_step",
     "train_stream",
@@ -142,27 +144,35 @@ def dual_replay_step(
     cp_buffer: CompletionBuffer | None,
     cfg: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[float, np.ndarray]:
-    """Loss and gradient of the current batch (rows of ``table``) plus
-    weighted replay from both buffers (base loss + logit distillation
-    on replayed samples).
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss, gradient and logits of the current batch (rows of ``table``)
+    plus weighted replay from both buffers (base loss + logit distillation
+    on replayed samples), in one forward/backward pass over the batch and
+    both draws, whose rows weigh 1/n_b, alpha/n_r and beta/n_r.
 
     A missing or empty buffer, a zero replay weight, or replay_batch 0
-    silently drops that term, which makes the alpha = beta = 0 case
-    coincide with a vanilla step.
+    drops that term without drawing; with no term left this is exactly
+    a vanilla step.
     """
     spec = cfg.loss
-    loss, grad = model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
+    n_b = len(batch)
+    rows, weights = [batch], [np.full(n_b, 1.0 / n_b)]
+    stored = [np.zeros((n_b, model.config.grid.n_cells))]
     for weight, buffer in ((spec.alpha, sp_buffer), (spec.beta, cp_buffer)):
         if weight == 0.0 or buffer is None or len(buffer) == 0 or cfg.replay_n == 0:
             continue
-        rows, stored = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
-        r_loss, r_grad = model.loss_and_grad(
-            params, table.x[rows], table.cells[rows], spec, stored
-        )
-        loss += weight * r_loss
-        grad += weight * r_grad
-    return loss, grad
+        drawn, logits = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
+        rows.append(drawn)
+        weights.append(np.full(len(drawn), weight / len(drawn)))
+        stored.append(logits)
+    if len(rows) == 1:
+        return model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
+    mixed = np.concatenate(rows)
+    distill = np.arange(len(mixed)) >= n_b
+    return model.loss_and_grad(
+        params, table.x[mixed], table.cells[mixed], spec, np.concatenate(stored), distill,
+        np.concatenate(weights),
+    )
 
 
 def gss_style_step(
@@ -173,10 +183,11 @@ def gss_style_step(
     buffer: SeparationBuffer | None,
     cfg: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[float, np.ndarray]:
-    """Base loss over the current batch concatenated with a buffer
-    draw; no distillation.  The mean runs over the mixed batch, so the
-    sub-batches weigh in proportion to their sizes."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Base loss, gradient and logits over the current batch
+    concatenated with a buffer draw; no distillation.  The mean runs
+    over the mixed batch, so the sub-batches weigh in proportion to
+    their sizes."""
     mixed = np.asarray(batch, dtype=np.intp)
     if buffer is not None and len(buffer) > 0 and cfg.replay_n > 0:
         rows, _ = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
@@ -238,15 +249,22 @@ class _AgemMemory:
         return np.asarray(pool, dtype=np.intp)[self.rng.integers(0, len(pool), size=n)]
 
 
+def check_buffer_split(strategies: Sequence[Strategy], buffer_total: int) -> None:
+    """Dual replay splits the memory budget evenly between its buffers."""
+    if Strategy.DUAL_REPLAY in strategies and buffer_total % 2:
+        raise ValueError(
+            f"train.buffer_total is {buffer_total}: dual replay splits it evenly; use an even total"
+        )
+
+
 def _make_buffers(
     strategy: Strategy, cfg: TrainConfig, stream: Sequence[Sample]
 ) -> tuple[SeparationBuffer | None, CompletionBuffer | None]:
     total = cfg.buffer_total
     if total == 0:
         return None, None
+    check_buffer_split((strategy,), total)
     if strategy is Strategy.DUAL_REPLAY:
-        if total % 2:
-            raise ValueError("dual replay splits buffer_total evenly; use an even total")
         half = total // 2
         return (
             SeparationBuffer(capacity=half, b_compare=cfg.b_compare, samples=stream),
@@ -305,42 +323,30 @@ def train_stream(
     checkpoints: list[tuple[int, np.ndarray]] = []
     agem_dots: list[float] = []
     pending = list(boundaries) if cfg.checkpoint_after_each_task else []
-    needs_snapshot = strategy in (
-        Strategy.DUAL_REPLAY,
-        Strategy.DER_STYLE,
-        Strategy.GSS_STYLE,
-    ) and cfg.buffer_total > 0
     n_steps = 0
 
     for start in range(0, len(stream), cfg.batch_size):
         end = min(start + cfg.batch_size, len(stream))
         batch = np.arange(start, end)
-        x, cells = table.x[batch], table.cells[batch]
 
-        snapshot = model.forward_logits(params, x) if needs_snapshot else None
-
-        if strategy in (Strategy.VANILLA, Strategy.JOINT):
-            loss, grad = model.loss_and_grad(params, x, cells, spec)
-        elif strategy is Strategy.DUAL_REPLAY:
-            loss, grad = dual_replay_step(
+        # The step's forward pass runs at the pre-update parameters: its
+        # first len(batch) logit rows are the batch's snapshot.
+        if strategy in (Strategy.DUAL_REPLAY, Strategy.DER_STYLE):
+            _, grad, logits = dual_replay_step(
                 model, params, table, batch, sp_buffer, cp_buffer, cfg, rng_replay
             )
-        elif strategy is Strategy.DER_STYLE:
-            loss, grad = dual_replay_step(
-                model, params, table, batch, None, cp_buffer, cfg, rng_replay
-            )
         elif strategy is Strategy.GSS_STYLE:
-            loss, grad = gss_style_step(
+            _, grad, logits = gss_style_step(
                 model, params, table, batch, sp_buffer, cfg, rng_replay
             )
-        else:  # AGEM
-            loss, grad = model.loss_and_grad(params, x, cells, spec)
-            assert agem_memory is not None
+        else:
+            _, grad, logits = model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
+        if agem_memory is not None:
             refs = agem_memory.reference_rows(
                 exclude_label=stream[end - 1].task_label, n=cfg.agem_ref_batch
             )
             if len(refs):
-                _, g_ref = model.loss_and_grad(params, table.x[refs], table.cells[refs], spec)
+                _, g_ref, _ = model.loss_and_grad(params, table.x[refs], table.cells[refs], spec)
                 grad, projected = agem_project(grad, g_ref)
                 if projected:
                     agem_dots.append(float(grad @ g_ref))
@@ -349,7 +355,9 @@ def train_stream(
         visits[start:end] += 1
         n_steps += 1
 
-        if snapshot is not None:
+        if sp_buffer is not None or cp_buffer is not None:
+            # A copy, so buffer slots do not keep the whole step's logits alive.
+            snapshot = logits[: len(batch)].copy()
             _offer_batch(
                 model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng_buffers
             )

@@ -165,7 +165,7 @@ def replay_loss(
         return 0.0
     x, cells = model.encode([t.scene for t in triplets], [t.truth for t in triplets])
     stored = np.stack([t.init_logits.reshape(-1) for t in triplets])
-    value, _ = model.loss_and_grad(params, x, cells, spec, stored)
+    value, _, _ = model.loss_and_grad(params, x, cells, spec, stored)
     return value
 
 
@@ -181,7 +181,7 @@ def total_loss(
     the two buffers."""
     spec = spec or LossSpec()
     x, cells = model.encode([scene for scene, _ in current], [truth for _, truth in current])
-    value, _ = model.loss_and_grad(params, x, cells, spec)
+    value, _, _ = model.loss_and_grad(params, x, cells, spec)
     return (
         value
         + spec.alpha * replay_loss(model, params, sp_batch, spec)

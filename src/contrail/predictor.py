@@ -237,21 +237,27 @@ class HeatmapPredictor:
         loss_spec: LossSpec,
         stored: np.ndarray | None = None,
         distill: np.ndarray | None = None,
-    ) -> tuple[float, np.ndarray]:
-        """Mean loss over the batch and its full parameter gradient.
+        weights: np.ndarray | None = None,
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Mean loss over the batch, its full parameter gradient and the logits.
 
         ``x`` holds one feature row per sample and ``cells`` its flat
         target cell.  ``stored`` (one logit row per sample) adds the
         distillation term on the rows ``distill`` selects, every row
         when ``distill`` is None; see :func:`batch_loss_and_dlogits`.
+        ``weights`` (one non-negative weight per row) replaces the batch
+        mean with ``losses @ weights``.
         """
         n = len(x)
         if n == 0:
             raise ValueError("loss_and_grad requires a non-empty batch")
         logits, acts = self._forward_cached(params, x)
         losses, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec, stored, distill)
-        grad = self._backward(params, acts, dlogits / n)
-        return float(losses.mean()), grad
+        if weights is None:
+            loss, dlogits = float(losses.mean()), dlogits / n
+        else:
+            loss, dlogits = float(losses @ weights), dlogits * weights[:, None]
+        return loss, self._backward(params, acts, dlogits), logits
 
     def per_sample_grads(
         self,
@@ -270,7 +276,7 @@ class HeatmapPredictor:
         forward/backward yields every per-sample gradient without ever
         building the ``(n, P)`` matrix; see :class:`FactoredGrads` for
         the inner products, norms, cosines and (on demand) dense rows.
-        The arguments are those of :meth:`loss_and_grad`.
+        The arguments are those of :meth:`loss_and_grad` but ``weights``.
         """
         n_layers = len(self._shapes)
         if len(x) == 0:

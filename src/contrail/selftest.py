@@ -71,16 +71,18 @@ def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
             cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
             distill.append(bool(rng.random() < 0.5))
             stored.append(rng.normal(size=9) if distill[-1] else np.zeros(9))
-        batch = (model.features(scenes), np.array(cells), spec, np.stack(stored), np.array(distill))
-        _, grad = model.loss_and_grad(params, *batch)
+        x, distill = model.features(scenes), np.array(distill)
+        # Random non-negative row weights, as the fused replay step uses.
+        batch = (x, np.array(cells), spec, np.stack(stored), distill, rng.uniform(0.0, 2.0, size=3))
+        _, grad, _ = model.loss_and_grad(params, *batch)
         fd = np.empty_like(grad)
         for i in range(model.param_count):
             p_hi = params.copy()
             p_hi[i] += eps
             p_lo = params.copy()
             p_lo[i] -= eps
-            hi, _ = model.loss_and_grad(p_hi, *batch)
-            lo, _ = model.loss_and_grad(p_lo, *batch)
+            hi, _, _ = model.loss_and_grad(p_hi, *batch)
+            lo, _, _ = model.loss_and_grad(p_lo, *batch)
             fd[i] = (hi - lo) / (2 * eps)
         scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-12)
         if np.abs(grad - fd).max() / scale >= tol:
@@ -208,11 +210,11 @@ def check_adam_descends(steps: int = 60) -> bool:
     batch = (model.features(scenes), np.array(cells), LossSpec())
     params = model.init_params()
     adam = AdamState.zeros(model.param_count)
-    first, _ = model.loss_and_grad(params, *batch)
+    first, _, _ = model.loss_and_grad(params, *batch)
     for _ in range(steps):
-        _, grad = model.loss_and_grad(params, *batch)
+        _, grad, _ = model.loss_and_grad(params, *batch)
         params, adam = adam_step(params, grad, adam, lr=1e-2)
-    last, _ = model.loss_and_grad(params, *batch)
+    last, _, _ = model.loss_and_grad(params, *batch)
     return last < first
 
 

@@ -207,15 +207,15 @@ def test_01_gradient_finite_difference_agreement():
             stored.append(rng.normal(0.0, 0.8, size=9) if distill[-1] else np.zeros(9))
         batch = (model.features(scenes), np.array(cells), spec, np.stack(stored), np.array(distill))
 
-        _, grad = model.loss_and_grad(params, *batch)
+        _, grad, _ = model.loss_and_grad(params, *batch)
         fd = np.empty_like(grad)
         for i in range(model.param_count):
             p_hi = params.copy()
             p_hi[i] += eps
             p_lo = params.copy()
             p_lo[i] -= eps
-            hi, _ = model.loss_and_grad(p_hi, *batch)
-            lo, _ = model.loss_and_grad(p_lo, *batch)
+            hi, _, _ = model.loss_and_grad(p_hi, *batch)
+            lo, _, _ = model.loss_and_grad(p_lo, *batch)
             fd[i] = (hi - lo) / (2 * eps)
         scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-12)
         rel = float(np.abs(grad - fd).max() / scale)

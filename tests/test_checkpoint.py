@@ -89,7 +89,7 @@ class TestRoundTrip:
         params = tiny_model.init_params()
         adam = AdamState.zeros(tiny_model.param_count)
         for x, cells in tables[:2]:
-            _, grad = tiny_model.loss_and_grad(params, x, cells, cfg.loss)
+            _, grad, _ = tiny_model.loss_and_grad(params, x, cells, cfg.loss)
             params, adam = adam_step(params, grad, adam, cfg.lr)
 
         path = tmp_path / "mid.json"
@@ -97,9 +97,9 @@ class TestRoundTrip:
         _, params2, adam2, _, _ = load_checkpoint(path)
 
         for x, cells in tables[2:]:
-            _, grad = tiny_model.loss_and_grad(params, x, cells, cfg.loss)
+            _, grad, _ = tiny_model.loss_and_grad(params, x, cells, cfg.loss)
             params, adam = adam_step(params, grad, adam, cfg.lr)
-            _, grad2 = tiny_model.loss_and_grad(params2, x, cells, cfg.loss)
+            _, grad2, _ = tiny_model.loss_and_grad(params2, x, cells, cfg.loss)
             params2, adam2 = adam_step(params2, grad2, adam2, cfg.lr)
 
         assert np.array_equal(params, params2)

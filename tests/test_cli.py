@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from contrail import cli, scenarios
+from contrail.checkpoint import save_checkpoint
 from contrail.cli import (
     ConfigError,
     ExperimentConfig,
@@ -485,6 +486,22 @@ class TestEvalCommand:
         assert main(argv) == 0, capsys.readouterr().err
         assert json.loads(capsys.readouterr().out)["n_samples"] == 20
 
+    @pytest.mark.parametrize("fault", ["missing header key", "params one short", "nan param"])
+    def test_malformed_checkpoint_is_named(self, tiny_model, tmp_path, capsys, fault):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, tiny_model.config, tiny_model.init_params())
+        data = json.loads(path.read_text())
+        if fault == "missing header key":
+            del data["config"]["k_sv"]
+        elif fault == "params one short":
+            data["params"] = data["params"][:-1]
+        else:
+            data["params"][3] = math.nan
+        path.write_text(json.dumps(data))
+        code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: ValueError: {path}: " in capsys.readouterr().err
+
     def test_missing_checkpoint_is_a_runtime_error(self, tmp_path, capsys):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "no.json"), "--data", "x.csv"]
@@ -522,3 +539,10 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
         assert not out.exists()
         assert "config error: tasks[1].k_sv" in capsys.readouterr().err
+
+    def test_odd_dual_budget_exits_one_before_any_output(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", train={"buffer_total": 9, "batch_size": 8})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert "config error: train.buffer_total is 9" in capsys.readouterr().err

@@ -127,8 +127,8 @@ class TestStepFunctions:
         table = self._table(rng, tiny_model, 4)
         cfg = TrainConfig()
 
-        base_loss, base_grad = tiny_model.loss_and_grad(params, *table, cfg.loss)
-        loss, grad = dual_replay_step(
+        base_loss, base_grad, _ = tiny_model.loss_and_grad(params, *table, cfg.loss)
+        loss, grad, _ = dual_replay_step(
             tiny_model,
             params,
             table,
@@ -155,11 +155,11 @@ class TestStepFunctions:
         cfg = TrainConfig(loss=LossSpec(alpha=0.0, beta=0.0))
 
         b = self.batch
-        base_loss, base_grad = tiny_model.loss_and_grad(
+        base_loss, base_grad, _ = tiny_model.loss_and_grad(
             params, table.x[b], table.cells[b], cfg.loss
         )
         step_rng = np.random.default_rng(77)
-        loss, grad = dual_replay_step(tiny_model, params, table, b, sp, cp, cfg, step_rng)
+        loss, grad, _ = dual_replay_step(tiny_model, params, table, b, sp, cp, cfg, step_rng)
         assert loss == base_loss
         assert np.array_equal(grad, base_grad)
         # The generator was never consumed.
@@ -197,19 +197,76 @@ class TestStepFunctions:
         cfg = TrainConfig(loss=LossSpec(alpha=1.0, beta=2.0))
 
         b = self.batch
-        loss, grad = dual_replay_step(
+        loss, grad, _ = dual_replay_step(
             tiny_model, params, table, b, None, cp, cfg, np.random.default_rng(9)
         )
         slots = draw_minibatch(cp, cfg.replay_n, np.random.default_rng(9))
         rows, stored = replay_targets(cp, slots)
         assert np.array_equal(rows, np.asarray(cp.rows)[slots])
         assert np.array_equal(stored, np.stack([cp.logits[s].reshape(-1) for s in slots]))
-        base_l, base_g = tiny_model.loss_and_grad(params, table.x[b], table.cells[b], cfg.loss)
-        rep_l, rep_g = tiny_model.loss_and_grad(
+        base_l, base_g, _ = tiny_model.loss_and_grad(params, table.x[b], table.cells[b], cfg.loss)
+        rep_l, rep_g, _ = tiny_model.loss_and_grad(
             params, table.x[rows], table.cells[rows], cfg.loss, stored
         )
         assert loss == pytest.approx(base_l + 2.0 * rep_l, rel=1e-12)
         assert np.allclose(grad, base_g + 2.0 * rep_g, atol=1e-15)
+
+    def _full_buffers(self, rng, grid, rows):
+        sp = SeparationBuffer(capacity=len(rows))
+        cp = CompletionBuffer(capacity=len(rows))
+        for row in rows:
+            sp.observe(row, 0.5, rng, self._logits(rng, grid))
+            cp.observe(row, rng, self._logits(rng, grid))
+        return sp, cp
+
+    def test_fused_step_matches_the_separate_terms(self, tiny_model):
+        rng = np.random.default_rng(316)
+        grid = tiny_model.config.grid
+        params = tiny_model.init_params()
+        table = self._table(rng, tiny_model, 13)
+        sp, cp = self._full_buffers(rng, grid, range(5, 13))
+        cfg = TrainConfig(batch_size=5, replay_batch=3, loss=LossSpec(alpha=0.5, beta=2.0))
+
+        b = np.arange(5)
+        loss, grad, logits = dual_replay_step(
+            tiny_model, params, table, b, sp, cp, cfg, np.random.default_rng(9)
+        )
+        draw_rng = np.random.default_rng(9)
+        want_l, want_g, _ = tiny_model.loss_and_grad(
+            params, table.x[b], table.cells[b], cfg.loss
+        )
+        want_rows = [b]
+        for weight, buffer in ((0.5, sp), (2.0, cp)):
+            rows, stored = replay_targets(buffer, draw_minibatch(buffer, 3, draw_rng))
+            r_l, r_g, _ = tiny_model.loss_and_grad(
+                params, table.x[rows], table.cells[rows], cfg.loss, stored
+            )
+            want_l += weight * r_l
+            want_g = want_g + weight * r_g
+            want_rows.append(rows)
+        assert loss == pytest.approx(want_l, rel=1e-12)
+        assert np.allclose(grad, want_g, atol=1e-15)
+        rows = np.concatenate(want_rows)
+        assert np.array_equal(logits, tiny_model.forward_logits(params, table.x[rows]))
+
+    def test_step_logits_are_the_batch_snapshot(self, tiny_model):
+        rng = np.random.default_rng(317)
+        grid = tiny_model.config.grid
+        params = tiny_model.init_params()
+        table = self._table(rng, tiny_model, 13)
+        sp, cp = self._full_buffers(rng, grid, range(5, 13))
+        cfg = TrainConfig(batch_size=5, loss=LossSpec(alpha=0.5, beta=2.0))
+
+        b = np.arange(5)
+        snapshot = tiny_model.forward_logits(params, table.x[b])
+        _, _, dual = dual_replay_step(
+            tiny_model, params, table, b, sp, cp, cfg, np.random.default_rng(1)
+        )
+        _, _, gss = gss_style_step(tiny_model, params, table, b, sp, cfg, np.random.default_rng(1))
+        assert dual.shape == (5 + 2 * cfg.replay_n, grid.n_cells)
+        assert gss.shape == (5 + cfg.replay_n, grid.n_cells)
+        assert np.array_equal(dual[:5], snapshot)
+        assert np.array_equal(gss[:5], snapshot)
 
     def test_gss_step_is_the_mixed_batch_mean(self, tiny_model):
         rng = np.random.default_rng(314)
@@ -220,12 +277,12 @@ class TestStepFunctions:
             sp.observe(row, 0.5, rng)
         cfg = TrainConfig(replay_batch=3)
 
-        loss, grad = gss_style_step(
+        loss, grad, _ = gss_style_step(
             tiny_model, params, table, self.batch, sp, cfg, np.random.default_rng(4)
         )
         slots = draw_minibatch(sp, 3, np.random.default_rng(4))
         mixed = np.concatenate([self.batch, np.asarray(sp.rows)[slots]])
-        want_l, want_g = tiny_model.loss_and_grad(
+        want_l, want_g, _ = tiny_model.loss_and_grad(
             params, table.x[mixed], table.cells[mixed], cfg.loss
         )
         assert loss == want_l
@@ -237,10 +294,10 @@ class TestStepFunctions:
         table = self._table(rng, tiny_model, 4)
         cfg = TrainConfig()
 
-        loss, grad = gss_style_step(
+        loss, grad, _ = gss_style_step(
             tiny_model, params, table, self.batch, None, cfg, np.random.default_rng(0)
         )
-        want_l, want_g = tiny_model.loss_and_grad(params, *table, cfg.loss)
+        want_l, want_g, _ = tiny_model.loss_and_grad(params, *table, cfg.loss)
         assert loss == want_l
         assert np.array_equal(grad, want_g)
 
@@ -509,6 +566,50 @@ class TestWorkIsOncePerSample:
         assert counts["target_cell"] == 0
         # One frame per sample for its features and one for its target.
         assert len(stream) <= counts["scene_frame"] <= 2 * len(stream)
+
+
+class TestOnePassPerStep:
+    """Each training step is one forward and one backward pass over the
+    batch and its replay rows; the snapshot comes from that forward.
+    The separation buffer's scoring pass adds one forward per step."""
+
+    @pytest.mark.parametrize(
+        "strategy, forwards_per_step",
+        [
+            (Strategy.VANILLA, 1),
+            (Strategy.DER_STYLE, 1),
+            (Strategy.DUAL_REPLAY, 2),
+            (Strategy.GSS_STYLE, 2),
+        ],
+    )
+    def test_one_forward_and_backward_per_step(
+        self, tiny_model, monkeypatch, strategy, forwards_per_step
+    ):
+        grid = tiny_model.config.grid
+        stream = make_stream(np.random.default_rng(338), grid, [1] * 24 + [2] * 24 + [3] * 24)
+        counts = {"_forward_cached": 0, "_backward": 0, "forward_logits": 0}
+
+        def counting(name):
+            real = getattr(predictor.HeatmapPredictor, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(predictor.HeatmapPredictor, name, counting(name))
+
+        cfg = TrainConfig(buffer_total=8, batch_size=4)
+        result = train_stream(tiny_model, stream, strategy, cfg)
+
+        assert result.n_steps == 18
+        assert counts == {
+            "_forward_cached": forwards_per_step * result.n_steps,
+            "_backward": result.n_steps,
+            "forward_logits": 0,
+        }
 
 
 class TestAgemMemory:

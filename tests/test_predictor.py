@@ -45,8 +45,8 @@ def finite_difference_grad(model, params, batch, spec, eps=1e-3):
         hi[i] += eps
         lo = params.copy()
         lo[i] -= eps
-        l_hi, _ = loss_and_grad(model, hi, batch, spec)
-        l_lo, _ = loss_and_grad(model, lo, batch, spec)
+        l_hi, _, _ = loss_and_grad(model, hi, batch, spec)
+        l_lo, _, _ = loss_and_grad(model, lo, batch, spec)
         fd[i] = (l_hi - l_lo) / (2 * eps)
     return fd
 
@@ -56,9 +56,10 @@ def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max() / scale)
 
 
-def random_batch(rng, model, n, with_distill=False, span=20.0):
-    """Feature rows, flat target cells, stored logits and the mask of
-    rows that distill toward them."""
+def random_batch(rng, model, n, with_distill=False, span=20.0, weighted=False):
+    """Feature rows, flat target cells, stored logits, the mask of rows
+    that distill toward them, and random non-negative row weights (None,
+    the batch mean, unless ``weighted``)."""
     grid = model.config.grid
     scenes, cells, stored, distill = [], [], [], []
     for _ in range(n):
@@ -67,16 +68,17 @@ def random_batch(rng, model, n, with_distill=False, span=20.0):
         cells.append(row * grid.cols_w + int(rng.integers(0, grid.cols_w)))
         distill.append(bool(with_distill and rng.random() < 0.7))
         stored.append(rng.normal(size=grid.n_cells) if distill[-1] else np.zeros(grid.n_cells))
-    return model.features(scenes), np.array(cells), np.stack(stored), np.array(distill)
+    weights = rng.uniform(0.0, 2.0, size=n) if weighted else None
+    return model.features(scenes), np.array(cells), np.stack(stored), np.array(distill), weights
 
 
 def loss_and_grad(model, params, batch, spec):
-    x, cells, stored, distill = batch
-    return model.loss_and_grad(params, x, cells, spec, stored, distill)
+    x, cells, stored, distill, weights = batch
+    return model.loss_and_grad(params, x, cells, spec, stored, distill, weights)
 
 
 def rows_of(batch, rows):
-    return tuple(part[rows] for part in batch)
+    return tuple(None if part is None else part[rows] for part in batch)
 
 
 class TestForward:
@@ -146,9 +148,14 @@ class TestGradient:
             )
             params = rng.normal(0.0, 0.4, size=tiny_model.param_count)
             batch = random_batch(
-                rng, tiny_model, int(rng.integers(1, 4)), with_distill=True, span=2.0
+                rng,
+                tiny_model,
+                int(rng.integers(1, 4)),
+                with_distill=True,
+                span=2.0,
+                weighted=bool(case % 2),
             )
-            _, grad = loss_and_grad(tiny_model, params, batch, spec)
+            _, grad, _ = loss_and_grad(tiny_model, params, batch, spec)
             fd = finite_difference_grad(tiny_model, params, batch, spec)
             assert relative_gap(grad, fd) < 1e-4
 
@@ -157,9 +164,9 @@ class TestGradient:
         spec = LossSpec()
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
         batch = random_batch(rng, tiny_model, 3)
-        loss_1, grad_1 = loss_and_grad(tiny_model, params, batch, spec)
-        twice = tuple(np.concatenate([part, part]) for part in batch)
-        loss_2, grad_2 = loss_and_grad(tiny_model, params, twice, spec)
+        loss_1, grad_1, _ = loss_and_grad(tiny_model, params, batch, spec)
+        twice = rows_of(batch, [0, 1, 2, 0, 1, 2])
+        loss_2, grad_2, _ = loss_and_grad(tiny_model, params, twice, spec)
         assert loss_2 == pytest.approx(loss_1, rel=1e-12)
         np.testing.assert_allclose(grad_1, grad_2, rtol=1e-10, atol=1e-14)
 
@@ -177,11 +184,11 @@ class TestGradient:
         spec = LossSpec()
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
         batch = random_batch(rng, tiny_model, 5, with_distill=True)
-        x, cells, stored, distill = batch
+        x, cells, stored, distill, _ = batch
         per = tiny_model.per_sample_grads(params, x, cells, spec, stored, distill)
         assert per.shape == (5, tiny_model.param_count)
         for k in range(5):
-            _, g = loss_and_grad(tiny_model, params, rows_of(batch, [k]), spec)
+            _, g, _ = loss_and_grad(tiny_model, params, rows_of(batch, [k]), spec)
             np.testing.assert_allclose(per[k], g, rtol=1e-10, atol=1e-14)
 
     def test_factored_products_match_dense_rows(self, tiny_model):
@@ -189,7 +196,7 @@ class TestGradient:
         spec = LossSpec()
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
         batch = random_batch(rng, tiny_model, 7, with_distill=True)
-        x, cells, stored, distill = batch
+        x, cells, stored, distill, _ = batch
         assert distill.any()
         grads = tiny_model.per_sample_grads(params, x, cells, spec, stored, distill)
         dense = grads.dense()
@@ -206,7 +213,7 @@ class TestGradient:
     def test_zero_gradient_row_has_cosine_zero(self, tiny_model):
         rng = np.random.default_rng(10)
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
-        x, cells, stored, distill = random_batch(rng, tiny_model, 4, with_distill=True)
+        x, cells, stored, distill, _ = random_batch(rng, tiny_model, 4, with_distill=True)
         grads = tiny_model.per_sample_grads(params, x, cells, LossSpec(), stored, distill)
         zeroed = FactoredGrads(
             tuple(np.vstack([np.zeros_like(d[:1]), d[1:]]) for d in grads.deltas),
