@@ -1,67 +1,72 @@
 """Checkpoint files: parameters, optimizer state, and buffer contents.
 
-One JSON document per checkpoint.  Floats go through Python's repr, so
-a save/load cycle is bit-exact; the architecture header lets a loader
-rebuild the predictor without outside context, and the optional buffer
-dump makes a checkpoint a full run-resumption unit.
+One JSON document per checkpoint.  Every float array (the parameters,
+the Adam moments, the buffers' stored states, truths and logits) is a
+``{"dtype": "<f8", "shape": [...], "data": ...}`` block whose data is
+the base64 of its little-endian float64 bytes, so a save/load cycle is
+bit-exact and two saves of the same state give the same bytes.  A
+buffer stores its slots as columns, one block per field: ``tv`` (n,
+t_obs, 4), ``svs`` (n, k_sv, t_obs, 4), ``endpoint`` (n, 2), ``speed``
+(n,) and ``logits`` (n, rows_h, cols_w), plus plain JSON ``mask`` and
+``t_c`` lists.  The architecture header lets a loader rebuild the
+predictor without outside context, and the optional buffer dump makes a
+checkpoint a full run-resumption unit.
+
+``contrail-checkpoint-v1`` files, which wrote every float as a JSON
+number and every buffer slot as one nested dict, still load.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import AgentState, GridSpec, GroundTruth, Scene
+from .core import AgentState, GridSpec, GroundTruth, Scene, atomic_write, float_rows
 from .memory import CompletionBuffer, MemoryTriplet, SeparationBuffer
-from .predictor import AdamState, HeatmapPredictor, PredictorConfig
+from .predictor import _STATE_FLOATS, AdamState, HeatmapPredictor, PredictorConfig
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
-FORMAT = "contrail-checkpoint-v1"
+FORMAT = "contrail-checkpoint-v2"
+V1_FORMAT = "contrail-checkpoint-v1"
 
 
-def _scene_to_json(scene: Scene) -> dict:
+def _pack(array: np.ndarray) -> dict:
+    data = np.ascontiguousarray(array, dtype="<f8")
     return {
-        "tv": [[st.x, st.y, st.vx, st.vy] for st in scene.tv_history],
-        "svs": [
-            [[st.x, st.y, st.vx, st.vy] for st in track]
-            for track in scene.sv_histories
-        ],
-        "mask": list(scene.sv_mask),
-        "t_c": scene.t_c,
+        "dtype": "<f8",
+        "shape": list(data.shape),
+        "data": base64.b64encode(data.tobytes()).decode("ascii"),
     }
 
 
-def _scene_from_json(data: dict) -> Scene:
-    return Scene(
-        tv_history=tuple(AgentState(*row) for row in data["tv"]),
-        sv_histories=tuple(
-            tuple(AgentState(*row) for row in track) for track in data["svs"]
-        ),
-        sv_mask=tuple(bool(m) for m in data["mask"]),
-        t_c=data["t_c"],
-    )
-
-
-def _triplet_to_json(t: MemoryTriplet) -> dict:
+def _columns(triplets: list[MemoryTriplet], config: PredictorConfig) -> dict:
+    """A buffer's stored triplets as one column per field."""
+    n, t_obs, k_sv, grid = len(triplets), config.t_obs, config.k_sv, config.grid
+    scenes = [t.scene for t in triplets]
+    tv = chain.from_iterable(s.tv_history for s in scenes)
+    svs = chain.from_iterable(chain.from_iterable(s.sv_histories) for s in scenes)
     return {
-        "scene": _scene_to_json(t.scene),
-        "truth": {"endpoint": list(t.truth.endpoint), "speed_v": t.truth.speed_v},
-        "init_logits": t.init_logits.tolist(),
-    }
-
-
-def _triplet_from_json(data: dict) -> MemoryTriplet:
-    return MemoryTriplet(
-        scene=_scene_from_json(data["scene"]),
-        truth=GroundTruth(
-            endpoint=tuple(data["truth"]["endpoint"]), speed_v=data["truth"]["speed_v"]
+        "tv": _pack(float_rows(map(_STATE_FLOATS, tv), n * t_obs, 4).reshape(n, t_obs, 4)),
+        "svs": _pack(
+            float_rows(map(_STATE_FLOATS, svs), n * k_sv * t_obs, 4).reshape(n, k_sv, t_obs, 4)
         ),
-        init_logits=np.array(data["init_logits"], dtype=np.float64),
-    )
+        "mask": [list(s.sv_mask) for s in scenes],
+        "t_c": [s.t_c for s in scenes],
+        "endpoint": _pack(float_rows((t.truth.endpoint for t in triplets), n, 2)),
+        "speed": _pack(np.fromiter((t.truth.speed_v for t in triplets), np.float64, n)),
+        "logits": _pack(
+            np.array([t.init_logits for t in triplets], dtype=np.float64).reshape(
+                n, grid.rows_h, grid.cols_w
+            )
+        ),
+    }
 
 
 def save_checkpoint(
@@ -75,10 +80,10 @@ def save_checkpoint(
     payload: dict = {
         "format": FORMAT,
         "config": dataclasses.asdict(config),
-        "params": params.tolist(),
+        "params": _pack(params),
         "adam": None
         if adam is None
-        else {"m": adam.m.tolist(), "v": adam.v.tolist(), "t": adam.t},
+        else {"m": _pack(adam.m), "v": _pack(adam.v), "t": adam.t},
         "separation": None
         if separation is None
         else {
@@ -86,26 +91,149 @@ def save_checkpoint(
             "b_compare": separation.b_compare,
             "stream_count": separation.stream_count,
             "scores": list(separation.scores),
-            "items": [_triplet_to_json(t) for t in separation.contents()],
+            "items": _columns(separation.contents(), config),
         },
         "completion": None
         if completion is None
         else {
             "capacity": completion.capacity,
             "stream_count": completion.stream_count,
-            "items": [_triplet_to_json(t) for t in completion.contents()],
+            "items": _columns(completion.contents(), config),
         },
     }
-    Path(path).write_text(json.dumps(payload))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload))
 
 
-def _slots(items: list[dict]) -> dict:
-    triplets = [_triplet_from_json(t) for t in items]
+def _floats(value: dict | list, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Decode one float field, a v2 packed block or a v1 JSON list, to a
+    finite float64 array of ``shape``.  A v1 list holding no floats
+    takes ``shape`` if that holds none either."""
+    if isinstance(value, dict):
+        if value["dtype"] != "<f8":
+            raise ValueError(f"{what} has dtype {value['dtype']!r}, not '<f8'")
+        raw = base64.b64decode(value["data"], validate=True)
+        stored = tuple(value["shape"])
+        if len(raw) != 8 * math.prod(stored):
+            raise ValueError(f"{what} holds {len(raw)} bytes, which do not fit shape {list(stored)}")
+        array = np.frombuffer(raw, dtype="<f8").reshape(stored).astype(np.float64)
+    else:
+        array = np.array(value, dtype=np.float64)
+        if array.size == 0 == math.prod(shape):
+            array = array.reshape(shape)
+    if array.shape != shape:
+        raise ValueError(f"{what} has shape {array.shape}, the header's geometry needs {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} holds non-finite values")
+    return array
+
+
+def _v1_columns(items: list[dict]) -> dict:
+    """A v1 buffer's per-slot dicts regrouped as v2 columns of lists."""
+    return {
+        "tv": [t["scene"]["tv"] for t in items],
+        "svs": [t["scene"]["svs"] for t in items],
+        "mask": [t["scene"]["mask"] for t in items],
+        "t_c": [t["scene"]["t_c"] for t in items],
+        "endpoint": [t["truth"]["endpoint"] for t in items],
+        "speed": [t["truth"]["speed_v"] for t in items],
+        "logits": [t["init_logits"] for t in items],
+    }
+
+
+def _slots(block: dict, config: PredictorConfig, what: str) -> dict:
+    """A buffer's slots, rebuilt from its stored columns (or v1 items)
+    as triplets, each slot indexing its own triplet."""
+    items = block["items"]
+    if isinstance(items, list):
+        items = _v1_columns(items)
+    t_obs, k_sv, grid = config.t_obs, config.k_sv, config.grid
+    mask, t_c = items["mask"], items["t_c"]
+    n = len(t_c)
+    if n > block["capacity"]:
+        raise ValueError(f"{what} holds {n} slots, more than its capacity {block['capacity']}")
+    if not all(type(t) is int for t in t_c):
+        raise ValueError(f"{what}.t_c holds a value that is not an int")
+    if len(mask) != n or not all(
+        len(m) == k_sv and all(type(b) is bool for b in m) for m in mask
+    ):
+        raise ValueError(f"{what}.mask is not {n} rows of {k_sv} bools")
+    tv = _floats(items["tv"], (n, t_obs, 4), f"{what}.tv")
+    svs = _floats(items["svs"], (n, k_sv, t_obs, 4), f"{what}.svs")
+    endpoint = _floats(items["endpoint"], (n, 2), f"{what}.endpoint")
+    speed = _floats(items["speed"], (n,), f"{what}.speed")
+    logits = _floats(items["logits"], (n, grid.rows_h, grid.cols_w), f"{what}.logits")
+    triplets = [
+        MemoryTriplet(
+            scene=Scene(
+                tv_history=tuple(AgentState(*row) for row in tv_i),
+                sv_histories=tuple(tuple(AgentState(*row) for row in track) for track in svs_i),
+                sv_mask=tuple(mask_i),
+                t_c=t_c_i,
+            ),
+            truth=GroundTruth(endpoint=tuple(end_i), speed_v=speed_i),
+            init_logits=logits_i,
+        )
+        for tv_i, svs_i, mask_i, t_c_i, end_i, speed_i, logits_i in zip(
+            tv.tolist(), svs.tolist(), mask, t_c, endpoint.tolist(), speed.tolist(), logits
+        )
+    ]
     return {
         "samples": triplets,
-        "rows": list(range(len(triplets))),
+        "rows": list(range(n)),
         "logits": [t.init_logits for t in triplets],
     }
+
+
+def _decode(data: dict, params_only: bool) -> tuple:
+    c, g = data["config"], data["config"]["grid"]
+    config = PredictorConfig(
+        t_obs=c["t_obs"],
+        k_sv=c["k_sv"],
+        hidden_dims=tuple(c["hidden_dims"]),
+        grid=GridSpec(g["rows_h"], g["cols_w"], tuple(g["origin"]), g["cell_size"]),
+        seed=c["seed"],
+        **{k: c[k] for k in ("t_pred", "dt") if k in c},
+    )
+    params = _floats(data["params"], (HeatmapPredictor(config).param_count,), "params")
+    if params_only:
+        return config, params, None, None, None
+    adam = None
+    if data["adam"] is not None:
+        a = data["adam"]
+        if type(a["t"]) is not int or a["t"] < 0:
+            raise ValueError(f"adam.t is {a['t']!r}, not a non-negative int")
+        adam = AdamState(
+            m=_floats(a["m"], params.shape, "adam.m"),
+            v=_floats(a["v"], params.shape, "adam.v"),
+            t=a["t"],
+        )
+    separation = None
+    if data["separation"] is not None:
+        s = data["separation"]
+        slots = _slots(s, config, "separation")
+        scores = [float(q) for q in s["scores"]]
+        if len(scores) != len(slots["rows"]) or not all(map(math.isfinite, scores)):
+            raise ValueError(
+                f"separation.scores needs one finite score per slot ({len(slots['rows'])}), "
+                f"not {len(scores)} values"
+            )
+        separation = SeparationBuffer(
+            capacity=s["capacity"],
+            b_compare=s["b_compare"],
+            scores=scores,
+            stream_count=s["stream_count"],
+            **slots,
+        )
+    completion = None
+    if data["completion"] is not None:
+        s = data["completion"]
+        completion = CompletionBuffer(
+            capacity=s["capacity"],
+            stream_count=s["stream_count"],
+            **_slots(s, config, "completion"),
+        )
+    return config, params, adam, separation, completion
 
 
 def load_checkpoint(
@@ -118,62 +246,26 @@ def load_checkpoint(
     SeparationBuffer | None,
     CompletionBuffer | None,
 ]:
-    """Inverse of ``save_checkpoint``.  A file written before the header
-    carried the trained horizon gets ``PredictorConfig``'s defaults
-    (t_pred 30, dt 0.1).  A loaded buffer's slots index the triplets
-    read from the file.  With ``params_only`` (all that evaluation
-    needs) only the header and parameters are read back; the optimizer
-    state and buffers come back as None, unbuilt.  A header missing a
-    key, or parameters that are non-finite or do not fit the header's
-    geometry, raise a ValueError that starts with ``path``."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or data.get("format") != FORMAT:
-        raise ValueError(f"{path} is not a {FORMAT} file")
+    """Inverse of ``save_checkpoint``; reads v2 and v1 files.  A file
+    written before the header carried the trained horizon gets
+    ``PredictorConfig``'s defaults (t_pred 30, dt 0.1).  A loaded
+    buffer's slots index the triplets read from the file.  With
+    ``params_only`` (all that evaluation needs) only the header and
+    parameters are decoded; the optimizer state and buffers come back
+    as None, unbuilt.  A file that is not JSON, a missing key, and any
+    array that is non-finite, undecodable or does not fit the header's
+    geometry (the parameters, the Adam moments, every buffer column and
+    the separation scores) raise a ValueError that starts with
+    ``path``."""
     try:
-        c, g = data["config"], data["config"]["grid"]
-        config = PredictorConfig(
-            t_obs=c["t_obs"],
-            k_sv=c["k_sv"],
-            hidden_dims=tuple(c["hidden_dims"]),
-            grid=GridSpec(g["rows_h"], g["cols_w"], tuple(g["origin"]), g["cell_size"]),
-            seed=c["seed"],
-            **{k: c[k] for k in ("t_pred", "dt") if k in c},
-        )
-        params = np.array(data["params"], dtype=np.float64)
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(data, dict) or data.get("format") not in (FORMAT, V1_FORMAT):
+        raise ValueError(f"{path} is not a {FORMAT} (or {V1_FORMAT}) file")
+    try:
+        return _decode(data, params_only)
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed header or parameters: {exc}") from None
-    expected = HeatmapPredictor(config).param_count
-    if params.shape != (expected,):
-        raise ValueError(f"{path}: the header's geometry needs {expected} parameters, not {params.size}")
-    if not np.all(np.isfinite(params)):
-        raise ValueError(f"{path}: parameters hold non-finite values")
-    if params_only:
-        return config, params, None, None, None
-    adam = None
-    if data["adam"] is not None:
-        adam = AdamState(
-            m=np.array(data["adam"]["m"], dtype=np.float64),
-            v=np.array(data["adam"]["v"], dtype=np.float64),
-            t=data["adam"]["t"],
-        )
-    separation = None
-    if data["separation"] is not None:
-        s = data["separation"]
-        separation = SeparationBuffer(
-            capacity=s["capacity"],
-            b_compare=s["b_compare"],
-            scores=[float(q) for q in s["scores"]],
-            stream_count=s["stream_count"],
-            **_slots(s["items"]),
-        )
-    completion = None
-    if data["completion"] is not None:
-        s = data["completion"]
-        completion = CompletionBuffer(
-            capacity=s["capacity"],
-            stream_count=s["stream_count"],
-            **_slots(s["items"]),
-        )
-    return config, params, adam, separation, completion
+        raise ValueError(f"{path}: malformed checkpoint: {exc}") from None

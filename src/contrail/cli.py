@@ -33,6 +33,7 @@ from .core import (
     Heatmap,
     ResultMatrix,
     Sample,
+    atomic_write,
     local_endpoints,
 )
 from .learner import Strategy, TrainConfig, check_buffer_split, train_stream
@@ -318,7 +319,8 @@ def run_cell(
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(fde_m, out_dir / "matrix_fde.csv")
     write_matrix_csv(mr_m, out_dir / "matrix_mr.csv")
-    (out_dir / "report.json").write_text(report.to_json())
+    with atomic_write(out_dir / "report.json") as fh:
+        fh.write(report.to_json())
     save_checkpoint(
         out_dir / "checkpoint.json",
         model.config,
@@ -433,8 +435,10 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
     results.sort(key=lambda r: (r["strategy"], r["rep"]))
     summary = summarize(results)
     order = [s.value for s in config.strategies]
-    (out_root / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    (out_root / "summary.txt").write_text(format_summary(summary, order))
+    with atomic_write(out_root / "summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True))
+    with atomic_write(out_root / "summary.txt") as fh:
+        fh.write(format_summary(summary, order))
 
     manifest = {
         "seed": config.seed,
@@ -455,7 +459,8 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
         },
         "wall_clock_seconds": time.time() - started,
     }
-    (out_root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with atomic_write(out_root / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
     return summary
 
 
@@ -501,7 +506,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
         print(f"gen: wrote {path} ({len(samples)} samples)")
     manifest = {"schema": "track table", "tasks": files}
-    (out_root / "gen_manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    with atomic_write(out_root / "gen_manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
     return 0
 
 

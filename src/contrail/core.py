@@ -8,14 +8,19 @@ rectangular grid of square cells.
 
 Grid convention: cell ``(0, 0)`` has its corner at ``GridSpec.origin``,
 rows index the y axis and columns the x axis, both row-major.
+
+Every artifact file is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -28,6 +33,7 @@ __all__ = [
     "ResultMatrix",
     "Sample",
     "Scene",
+    "atomic_write",
     "cell_to_center",
     "endpoint_to_cell",
     "local_endpoints",
@@ -367,3 +373,20 @@ class ResultMatrix:
         if not isinstance(other, ResultMatrix):
             return NotImplemented
         return self.n_tasks == other.n_tasks and self._values == other._values
+
+
+@contextmanager
+def atomic_write(path: Path | str) -> Iterator[TextIO]:
+    """Open ``path`` for writing text so that it appears whole or not at
+    all: the block writes a temp file in the same directory, which
+    replaces ``path`` when the block ends and is removed if it raises.
+    Newlines are written as given."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

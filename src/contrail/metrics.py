@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GroundTruth, Heatmap, ResultMatrix, cell_to_center
+from .core import GroundTruth, Heatmap, ResultMatrix, atomic_write, cell_to_center
 
 __all__ = [
     "EvalReport",
@@ -230,7 +230,7 @@ class EvalReport:
 
 def write_matrix_csv(matrix: ResultMatrix, path: Path) -> None:
     """Flat CSV of a result matrix: after_task, tested_task, value."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["after_task", "tested_task", "value"])
         for i, j, v in matrix.entries():

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AgentState, GroundTruth, Sample, Scene
+from .core import AgentState, GroundTruth, Sample, Scene, atomic_write
 
 __all__ = [
     "TaskSpec",
@@ -264,7 +264,7 @@ def write_task_csv(spec: TaskSpec, label: int, path: Path) -> list[Sample]:
     one sample per episode with the same neighbor assignment.
     """
     episodes = _generate_episodes(spec, label)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for idx, ep in enumerate(episodes):

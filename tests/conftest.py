@@ -1,6 +1,10 @@
-"""Shared fixtures: a tiny model and scene factories."""
+"""Shared fixtures: a tiny model, scene factories and a v1 checkpoint
+writer."""
 
 from __future__ import annotations
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -52,3 +56,51 @@ def tiny_model(tiny_grid: GridSpec) -> HeatmapPredictor:
     return HeatmapPredictor(
         PredictorConfig(t_obs=2, k_sv=1, hidden_dims=(6,), grid=tiny_grid, seed=42)
     )
+
+
+def write_v1_checkpoint(path, config, params, adam=None, separation=None, completion=None):
+    """Write a ``contrail-checkpoint-v1`` file, the layout of files saved
+    before v2: every float a JSON number, one nested dict per buffer
+    slot."""
+
+    def states(track):
+        return [[st.x, st.y, st.vx, st.vy] for st in track]
+
+    def items(buffer):
+        return [
+            {
+                "scene": {
+                    "tv": states(t.scene.tv_history),
+                    "svs": [states(track) for track in t.scene.sv_histories],
+                    "mask": list(t.scene.sv_mask),
+                    "t_c": t.scene.t_c,
+                },
+                "truth": {"endpoint": list(t.truth.endpoint), "speed_v": t.truth.speed_v},
+                "init_logits": t.init_logits.tolist(),
+            }
+            for t in buffer.contents()
+        ]
+
+    payload = {
+        "format": "contrail-checkpoint-v1",
+        "config": dataclasses.asdict(config),
+        "params": params.tolist(),
+        "adam": None if adam is None else {"m": adam.m.tolist(), "v": adam.v.tolist(), "t": adam.t},
+        "separation": None
+        if separation is None
+        else {
+            "capacity": separation.capacity,
+            "b_compare": separation.b_compare,
+            "stream_count": separation.stream_count,
+            "scores": list(separation.scores),
+            "items": items(separation),
+        },
+        "completion": None
+        if completion is None
+        else {
+            "capacity": completion.capacity,
+            "stream_count": completion.stream_count,
+            "items": items(completion),
+        },
+    }
+    path.write_text(json.dumps(payload))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from contrail.checkpoint import load_checkpoint, save_checkpoint
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.predictor import AdamState
 
-from conftest import make_sample
+from conftest import make_sample, write_v1_checkpoint
 
 
 def assert_triplets_equal(a, b):
@@ -141,7 +143,7 @@ class TestRoundTrip:
         def refuse(*args, **kwargs):
             raise AssertionError("evaluation built optimizer or buffer state")
 
-        for name in ("AdamState", "SeparationBuffer", "CompletionBuffer", "_triplet_from_json"):
+        for name in ("AdamState", "SeparationBuffer", "CompletionBuffer", "_slots"):
             monkeypatch.setattr(checkpoint, name, refuse)
         config, params, adam, sp, cp = load_checkpoint(path, params_only=True)
         assert config == tiny_model.config
@@ -152,4 +154,209 @@ class TestRoundTrip:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a contrail-checkpoint"):
+            load_checkpoint(path)
+
+
+@pytest.fixture
+def dual_result(tiny_model):
+    """A trained ``dual`` run with both buffers full."""
+    rng = np.random.default_rng(403)
+    grid = tiny_model.config.grid
+    stream = [make_sample(rng, grid, task_label=1) for _ in range(12)]
+    stream += [make_sample(rng, grid, task_label=2) for _ in range(12)]
+    return train_stream(tiny_model, stream, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8))
+
+
+def save_full(path, model, result, write=save_checkpoint):
+    write(
+        path,
+        model.config,
+        result.final_params,
+        adam=result.adam_state,
+        separation=result.separation,
+        completion=result.completion,
+    )
+
+
+def unpack(block):
+    """A v2 float block as an array."""
+    raw = base64.b64decode(block["data"])
+    return np.frombuffer(raw, dtype="<f8").reshape(block["shape"]).copy()
+
+
+def pack(array):
+    array = np.ascontiguousarray(array, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode()}
+
+
+def assert_same_state(a, b):
+    config_a, params_a, adam_a, sp_a, cp_a = a
+    config_b, params_b, adam_b, sp_b, cp_b = b
+    assert config_a == config_b
+    assert params_a.tobytes() == params_b.tobytes()
+    assert adam_a.t == adam_b.t
+    assert adam_a.m.tobytes() == adam_b.m.tobytes()
+    assert adam_a.v.tobytes() == adam_b.v.tobytes()
+    for buf_a, buf_b in ((sp_a, sp_b), (cp_a, cp_b)):
+        assert (buf_a.capacity, buf_a.stream_count) == (buf_b.capacity, buf_b.stream_count)
+        assert_triplets_equal(buf_a.contents(), buf_b.contents())
+    assert sp_a.b_compare == sp_b.b_compare
+    assert sp_a.scores == sp_b.scores
+
+
+class TestFormat:
+    def test_arrays_are_packed_and_buffers_are_columns(self, tiny_model, dual_result, tmp_path):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result)
+        data = json.loads(path.read_text())
+        assert data["format"] == "contrail-checkpoint-v2"
+        assert data["params"]["dtype"] == "<f8"
+        assert data["params"]["shape"] == [tiny_model.param_count]
+        assert np.array_equal(unpack(data["params"]), dual_result.final_params)
+        items = data["separation"]["items"]
+        n = len(dual_result.separation)
+        g = tiny_model.config.grid
+        assert unpack(items["tv"]).shape == (n, 2, 4)
+        assert unpack(items["svs"]).shape == (n, 1, 2, 4)
+        assert unpack(items["endpoint"]).shape == (n, 2)
+        assert unpack(items["speed"]).shape == (n,)
+        assert unpack(items["logits"]).shape == (n, g.rows_h, g.cols_w)
+        assert len(items["mask"]) == len(items["t_c"]) == n
+
+    def test_v1_document_loads_to_the_same_state(self, tiny_model, dual_result, tmp_path):
+        save_full(tmp_path / "v2.json", tiny_model, dual_result)
+        save_full(tmp_path / "v1.json", tiny_model, dual_result, write=write_v1_checkpoint)
+        v1 = load_checkpoint(tmp_path / "v1.json")
+        assert_same_state(v1, load_checkpoint(tmp_path / "v2.json"))
+        assert np.array_equal(v1[1], dual_result.final_params)
+        assert_triplets_equal(v1[3].contents(), dual_result.separation.contents())
+        assert_triplets_equal(v1[4].contents(), dual_result.completion.contents())
+        assert v1[3].scores == dual_result.separation.scores
+
+    def test_extreme_floats_round_trip_bit_exact(self, tiny_model, tmp_path):
+        params = tiny_model.init_params()
+        params[:3] = [-0.0, 5e-324, 1.7e308]
+        adam = AdamState(m=-params, v=params[::-1].copy(), t=7)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, tiny_model.config, params, adam=adam)
+        _, loaded, adam2, _, _ = load_checkpoint(path)
+        assert loaded.tobytes() == params.tobytes()
+        assert adam2.m.tobytes() == adam.m.tobytes()
+        assert adam2.v.tobytes() == adam.v.tobytes()
+        assert np.signbit(loaded[0])
+
+    def test_saves_of_one_state_are_byte_identical(self, tiny_model, dual_result, tmp_path):
+        save_full(tmp_path / "a.json", tiny_model, dual_result)
+        save_full(tmp_path / "b.json", tiny_model, dual_result)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_failed_save_leaves_no_file(self, tiny_model, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("serialisation failed")
+
+        monkeypatch.setattr(checkpoint.json, "dumps", boom)
+        with pytest.raises(RuntimeError, match="serialisation failed"):
+            save_checkpoint(tmp_path / "checkpoint.json", tiny_model.config, tiny_model.init_params())
+        assert list(tmp_path.iterdir()) == []
+
+
+def _adam_nan_v(adam, n):
+    adam["v"] = [float("nan")] * 3 if isinstance(adam["v"], list) else pack(np.full(3, np.nan))
+
+
+def _adam_nan_m(adam, n):
+    m = np.array(adam["m"]) if isinstance(adam["m"], list) else unpack(adam["m"])
+    m[5] = np.inf
+    adam["m"] = m.tolist() if isinstance(adam["m"], list) else pack(m)
+
+
+ADAM_FAULTS = {
+    "v missing": (lambda adam, n: adam.pop("v"), "lacks the key 'v'"),
+    "v three NaNs": (_adam_nan_v, "adam.v has shape (3,)"),
+    "m non-finite": (_adam_nan_m, "adam.m holds non-finite values"),
+    "t negative": (lambda adam, n: adam.update(t=-1), "adam.t is -1"),
+    "t not an int": (lambda adam, n: adam.update(t=2.5), "adam.t is 2.5"),
+}
+
+
+def _column(name, field, edit):
+    def fault(data):
+        items = data[name]["items"]
+        items[field] = pack(edit(unpack(items[field])))
+
+    return fault
+
+
+def _set(name, key, edit):
+    def fault(data):
+        data[name][key] = edit(data[name][key])
+
+    return fault
+
+
+def _mask_row_too_long(data):
+    data["completion"]["items"]["mask"][0].append(True)
+
+
+BUFFER_FAULTS = {
+    "column one slot short": (
+        _column("completion", "speed", lambda a: a[:-1]),
+        "completion.speed has shape",
+    ),
+    "column off the geometry": (
+        _column("separation", "tv", lambda a: a[:, :-1]),
+        "separation.tv has shape",
+    ),
+    "logits off the grid": (
+        _column("completion", "logits", lambda a: a[:, :, :-1]),
+        "completion.logits has shape",
+    ),
+    "mask row too long": (_mask_row_too_long, "completion.mask is not"),
+    "t_c not ints": (
+        _set("separation", "items", lambda items: {**items, "t_c": [float(t) for t in items["t_c"]]}),
+        "separation.t_c",
+    ),
+    "non-finite logit": (
+        _column("separation", "logits", lambda a: np.where(a == a.flat[3], np.inf, a)),
+        "separation.logits holds non-finite values",
+    ),
+    "non-finite endpoint": (
+        _column("completion", "endpoint", lambda a: np.where(a == a.flat[0], np.nan, a)),
+        "completion.endpoint holds non-finite values",
+    ),
+    "scores one short": (_set("separation", "scores", lambda q: q[:-1]), "separation.scores"),
+    "score non-finite": (_set("separation", "scores", lambda q: [float("nan")] + q[1:]), "separation.scores"),
+    "more slots than capacity": (
+        _set("completion", "capacity", lambda c: c - 1),
+        "more than its capacity",
+    ),
+}
+
+
+class TestFullLoadChecks:
+    """Every part of a full load is checked; each fault names the file."""
+
+    @pytest.mark.parametrize("layout", ["v1", "v2"])
+    @pytest.mark.parametrize("fault", ADAM_FAULTS)
+    def test_bad_adam_state_is_named(self, tiny_model, dual_result, tmp_path, layout, fault):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result, write=write_v1_checkpoint if layout == "v1" else save_checkpoint)
+        data = json.loads(path.read_text())
+        edit, message = ADAM_FAULTS[fault]
+        edit(data["adam"], tiny_model.param_count)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            load_checkpoint(path)
+        # Evaluation reads only the header and parameters.
+        assert load_checkpoint(path, params_only=True)[2:] == (None, None, None)
+
+    @pytest.mark.parametrize("fault", BUFFER_FAULTS)
+    def test_bad_buffer_is_named(self, tiny_model, dual_result, tmp_path, fault):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result)
+        data = json.loads(path.read_text())
+        edit, message = BUFFER_FAULTS[fault]
+        edit(data)
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             load_checkpoint(path)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from contrail import cli, scenarios
-from contrail.checkpoint import save_checkpoint
+from contrail.checkpoint import load_checkpoint, save_checkpoint
 from contrail.cli import (
     ConfigError,
     ExperimentConfig,
@@ -28,6 +29,8 @@ from contrail.core import GridSpec
 from contrail.learner import Strategy, TrainConfig
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import generate_task, ingest_csv, preset_task, task_datasets
+
+from conftest import write_v1_checkpoint
 
 
 def base_config(**overrides):
@@ -472,14 +475,14 @@ class TestEvalCommand:
         assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
         checkpoint = out / "runs" / "dual" / "rep_00" / "checkpoint.json"
-        assert json.loads(checkpoint.read_text())["separation"]["items"]
+        assert json.loads(checkpoint.read_text())["separation"]["items"]["t_c"]
 
         def refuse(*args, **kwargs):
             raise AssertionError("eval built optimizer or buffer state")
 
         from contrail import checkpoint as ckpt
 
-        for name in ("AdamState", "SeparationBuffer", "CompletionBuffer", "_triplet_from_json"):
+        for name in ("AdamState", "SeparationBuffer", "CompletionBuffer", "_slots"):
             monkeypatch.setattr(ckpt, name, refuse)
         capsys.readouterr()
         argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(out / "data" / "task_01.csv")]
@@ -489,7 +492,7 @@ class TestEvalCommand:
     @pytest.mark.parametrize("fault", ["missing header key", "params one short", "nan param"])
     def test_malformed_checkpoint_is_named(self, tiny_model, tmp_path, capsys, fault):
         path = tmp_path / "ck.json"
-        save_checkpoint(path, tiny_model.config, tiny_model.init_params())
+        write_v1_checkpoint(path, tiny_model.config, tiny_model.init_params())
         data = json.loads(path.read_text())
         if fault == "missing header key":
             del data["config"]["k_sv"]
@@ -501,6 +504,59 @@ class TestEvalCommand:
         code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "x.csv")])
         assert code == 2
         assert f"error: ValueError: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            "missing header key",
+            "params one short",
+            "nan param",
+            "not JSON",
+            "bad base64",
+            "bytes do not fit shape",
+        ],
+    )
+    def test_malformed_v2_checkpoint_is_named(self, tiny_model, tmp_path, capsys, fault):
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, tiny_model.config, tiny_model.init_params())
+        data = json.loads(path.read_text())
+        block = data["params"]
+        params = np.frombuffer(base64.b64decode(block["data"]), dtype="<f8").copy()
+        if fault == "missing header key":
+            del data["config"]["k_sv"]
+        elif fault == "params one short":
+            block.update(shape=[params.size - 1], data=base64.b64encode(params[:-1].tobytes()).decode())
+        elif fault == "nan param":
+            params[3] = math.nan
+            block["data"] = base64.b64encode(params.tobytes()).decode()
+        elif fault == "bad base64":
+            block["data"] = "!" + block["data"][1:]
+        elif fault == "bytes do not fit shape":
+            block["data"] = base64.b64encode(params.tobytes()[:-4]).decode()
+        path.write_text("{broken" if fault == "not JSON" else json.dumps(data))
+        code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: ValueError: {path}: " in capsys.readouterr().err
+
+    def test_v1_checkpoint_evaluates_the_same(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            strategies=["dual"],
+            repetitions=1,
+            tasks=[{"kind": "straight", "n_samples": 20}],
+        )
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        v2 = out / "runs" / "dual" / "rep_00" / "checkpoint.json"
+        v1 = tmp_path / "v1.json"
+        write_v1_checkpoint(v1, *load_checkpoint(v2))
+        data = str(out / "data" / "task_01.csv")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(v2), "--data", data]) == 0
+        from_v2 = capsys.readouterr().out
+        assert main(["eval", "--checkpoint", str(v1), "--data", data]) == 0
+        assert capsys.readouterr().out == from_v2
 
     def test_missing_checkpoint_is_a_runtime_error(self, tmp_path, capsys):
         code = main(

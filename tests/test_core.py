@@ -17,6 +17,7 @@ from contrail.core import (
     ResultMatrix,
     Sample,
     Scene,
+    atomic_write,
     cell_to_center,
     endpoint_to_cell,
     scene_frame,
@@ -215,3 +216,25 @@ class TestResultMatrix:
         m.set(2, 1, 3.0)
         m.set(2, 2, 2.0)
         assert m.final_row() == [3.0, 2.0]
+
+
+class TestAtomicWrite:
+    def test_block_end_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_write(path) as fh:
+            fh.write("new\r\nline\n")
+            assert path.read_text() == "old"
+        assert path.read_bytes() == b"new\r\nline\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_raising_block_leaves_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("half")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old"
+        assert list(tmp_path.iterdir()) == [path]
+

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from contrail import metrics
 from contrail.core import GridSpec, GroundTruth, Heatmap, ResultMatrix
 from contrail.metrics import (
     EvalReport,
@@ -305,6 +306,28 @@ class TestReportsAndCsv:
         write_matrix_csv(m, path)
         back = read_matrix_csv(path)
         assert back.entries() == m.entries()
+
+    def test_interrupted_matrix_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        fde, mr = self._matrices()
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(fde, path)
+        real_writer = metrics.csv.writer
+
+        class FailingWriter:
+            def __init__(self, fh):
+                self.inner, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows > 2:
+                    raise OSError("disk full")
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(metrics.csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="disk full"):
+            write_matrix_csv(mr, path)
+        assert read_matrix_csv(path) == fde
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_matrix_csv_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.csv"
