@@ -25,11 +25,10 @@ from .memory import (
 )
 from .metrics import (
     EvalReport,
-    PredictionSet,
     averages,
     bwt,
     extract_endpoints,
-    fde_sample,
+    fde,
     mr_task,
     mr_threshold,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "HeatmapPredictor",
     "LossSpec",
     "MemoryTriplet",
-    "PredictionSet",
     "PredictorConfig",
     "ResultMatrix",
     "Sample",
@@ -70,7 +68,7 @@ __all__ = [
     "draw_minibatch",
     "endpoint_to_cell",
     "extract_endpoints",
-    "fde_sample",
+    "fde",
     "generate_task",
     "ingest_csv",
     "mr_task",

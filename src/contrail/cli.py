@@ -27,27 +27,19 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import (
-    GridSpec,
-    GroundTruth,
-    Heatmap,
-    ResultMatrix,
-    Sample,
-    atomic_write,
-    local_endpoints,
-)
+from .core import GridSpec, ResultMatrix, Sample, atomic_write
 from .learner import Strategy, TrainConfig, check_buffer_split, train_stream
 from .losses import LossSpec
 from .metrics import (
     EvalReport,
     extract_endpoints,
-    fde_sample,
+    fde,
     mr_task,
     read_matrix_csv,
     report_from_matrices,
     write_matrix_csv,
 )
-from .predictor import HeatmapPredictor, PredictorConfig
+from .predictor import HeatmapPredictor, PredictorConfig, SampleTable
 from .scenarios import (
     TaskSpec,
     build_stream,
@@ -57,7 +49,7 @@ from .scenarios import (
     write_task_csv,
 )
 
-__all__ = ["ExperimentConfig", "main", "run_experiment"]
+__all__ = ["ExperimentConfig", "encode_tasks", "main", "run_experiment"]
 
 
 class ConfigError(ValueError):
@@ -87,8 +79,11 @@ class ExperimentConfig:
             raise ConfigError("at least one strategy is required")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if self.w_endpoints < 1:
-            raise ConfigError("w_endpoints must be >= 1")
+        if not 1 <= self.w_endpoints <= self.grid.n_cells:
+            raise ConfigError(
+                f"w_endpoints is {self.w_endpoints}: it must be in 1..{self.grid.n_cells}, "
+                f"the grid's cell count"
+            )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         try:
@@ -241,38 +236,61 @@ def load_config(path: Path | str) -> ExperimentConfig:
     return parse_config(path.read_text())
 
 
+def _samples_table(model: HeatmapPredictor, samples: Sequence[Sample]) -> SampleTable:
+    return model.encode([s.scene for s in samples], [s.truth for s in samples])
+
+
+def encode_tasks(
+    model: HeatmapPredictor, datasets: Sequence[tuple[list[Sample], list[Sample]]]
+) -> list[tuple[SampleTable, SampleTable]]:
+    """Each task's (train, test) split of ``task_datasets`` as table rows.
+
+    The rows depend on the model's geometry and grid, not on its
+    parameters, so one call serves every cell of an experiment.
+    """
+    return [(_samples_table(model, train), _samples_table(model, test)) for train, test in datasets]
+
+
 def evaluate_task(
     model: HeatmapPredictor,
     params: np.ndarray,
-    samples: Sequence[Sample],
+    table: SampleTable,
     w: int = 6,
 ) -> tuple[float, float]:
-    """Mean FDE and miss rate of one parameter vector on one task.
+    """Mean FDE and miss rate of one parameter vector on one task's rows.
 
-    Predictions live on the target-centric grid, so the truth endpoint
-    is moved into each scene's frame; the heading there is +x by
-    construction.  The task is featurised once.
+    Predictions live on the target-centric grid, where the table holds
+    each truth endpoint; the heading there is +x by construction.  The
+    whole task is scored at once.
     """
-    if not samples:
+    if not len(table):
         raise ValueError("cannot evaluate on an empty task")
-    scenes = [s.scene for s in samples]
-    logits = model.forward_logits(params, model.features(scenes))
-    local_ends = local_endpoints(scenes, [s.truth.endpoint for s in samples]).tolist()
     grid = model.config.grid
-    fdes = []
-    cases = []
-    for k, s in enumerate(samples):
-        heatmap_logits = logits[k].reshape(grid.rows_h, grid.cols_w)
-        pred = extract_endpoints(Heatmap(heatmap_logits, grid), w)
-        local_truth = GroundTruth(endpoint=tuple(local_ends[k]), speed_v=s.truth.speed_v)
-        fdes.append(fde_sample(pred, local_truth))
-        cases.append((pred, local_truth, (1.0, 0.0)))
-    return float(np.mean(fdes)), mr_task(cases)
+    logits = model.forward_logits(params, table.x).reshape(len(table), grid.rows_h, grid.cols_w)
+    endpoints = extract_endpoints(logits, grid, w)
+    mean_fde = float(np.mean(fde(endpoints, table.ends)))
+    return mean_fde, mr_task(endpoints, table.ends, table.speeds, np.array([1.0, 0.0]))
 
 
 def _cell_seeds(base_seed: int, rep: int) -> tuple[int, int, int]:
     state = np.random.SeedSequence([base_seed, rep]).generate_state(3)
     return int(state[0]), int(state[1]), int(state[2])
+
+
+def _model(config: ExperimentConfig, seed: int) -> HeatmapPredictor:
+    """The experiment's predictor, initialised from ``seed``."""
+    first = config.tasks[0]
+    return HeatmapPredictor(
+        PredictorConfig(
+            t_obs=first.t_obs,
+            k_sv=first.k_sv,
+            hidden_dims=config.hidden_dims,
+            grid=config.grid,
+            seed=seed,
+            t_pred=first.t_pred,
+            dt=first.dt,
+        )
+    )
 
 
 def run_cell(
@@ -281,26 +299,20 @@ def run_cell(
     rep: int,
     out_dir: Path,
     datasets: Sequence[tuple[list[Sample], list[Sample]]],
+    tables: Sequence[tuple[SampleTable, SampleTable]],
 ) -> dict:
     """Train and evaluate one (strategy, repetition) cell on the
-    experiment's ``task_datasets``; write its artifacts and return the
-    headline numbers.  The cell only reshuffles the training order."""
+    experiment's ``task_datasets`` and their ``encode_tasks`` rows; write
+    its artifacts and return the headline numbers.  The cell only
+    reorders the training rows."""
     model_seed, stream_seed, train_seed = _cell_seeds(config.seed, rep)
-    stream = build_stream(datasets, stream_seed)
-    test_sets = [test for _, test in datasets]
+    order = build_stream(datasets, stream_seed)
+    train = [s for samples, _ in datasets for s in samples]
+    stream = [train[i] for i in order.tolist()]
+    rows = SampleTable.concat([t for t, _ in tables]).take(order)
 
-    model = HeatmapPredictor(
-        PredictorConfig(
-            t_obs=config.tasks[0].t_obs,
-            k_sv=config.tasks[0].k_sv,
-            hidden_dims=config.hidden_dims,
-            grid=config.grid,
-            seed=model_seed,
-            t_pred=config.tasks[0].t_pred,
-            dt=config.tasks[0].dt,
-        )
-    )
-    result = train_stream(model, stream, strategy, replace(config.train, seed=train_seed))
+    model = _model(config, model_seed)
+    result = train_stream(model, stream, rows, strategy, replace(config.train, seed=train_seed))
 
     n = len(config.tasks)
     fde_m = ResultMatrix(n)
@@ -310,9 +322,9 @@ def run_cell(
         evaluated.append((n, result.final_params))
     for label, params in evaluated:
         for j in range(1, label + 1):
-            fde, mr = evaluate_task(model, params, test_sets[j - 1], config.w_endpoints)
-            fde_m.set(label, j, fde)
-            mr_m.set(label, j, mr)
+            fde_j, mr_j = evaluate_task(model, params, tables[j - 1][1], config.w_endpoints)
+            fde_m.set(label, j, fde_j)
+            mr_m.set(label, j, mr_j)
 
     report = report_from_matrices(strategy.value, rep, fde_m, mr_m)
 
@@ -341,18 +353,22 @@ def _headline(report: EvalReport) -> dict:
     }
 
 
-# The datasets of the experiment a pool worker serves: set once per
-# worker process by the pool's initializer, so no job carries them.
-_worker_datasets: Sequence[tuple[list[Sample], list[Sample]]] = ()
+# The datasets and table rows of the experiment a pool worker serves:
+# set once per worker process by the pool's initializer, so no job
+# carries them.
+_worker_data: tuple[Sequence, Sequence] = ((), ())
 
 
-def _init_worker(datasets: Sequence[tuple[list[Sample], list[Sample]]]) -> None:
-    global _worker_datasets
-    _worker_datasets = datasets
+def _init_worker(
+    datasets: Sequence[tuple[list[Sample], list[Sample]]],
+    tables: Sequence[tuple[SampleTable, SampleTable]],
+) -> None:
+    global _worker_data
+    _worker_data = (datasets, tables)
 
 
 def _run_cell_in_worker(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Path) -> dict:
-    return run_cell(config, strategy, rep, out_dir, _worker_datasets)
+    return run_cell(config, strategy, rep, out_dir, *_worker_data)
 
 
 def _mean_std(values: list[float | None]) -> dict | None:
@@ -399,8 +415,9 @@ def format_summary(summary: dict, strategy_order: Sequence[str]) -> str:
 def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> dict:
     """Run every (strategy, repetition) cell and write all artifacts.
 
-    The tasks are generated once and shared by every cell; each pool
-    worker receives them once, when it starts.  Cells are otherwise
+    The tasks are generated and encoded into table rows once and
+    shared by every cell; each pool worker receives them once, when it
+    starts.  Cells are otherwise
     independent; with ``workers > 1`` they run in a process pool.
     Identical configs produce identical artifacts apart from the
     manifest's wall-clock entry.
@@ -420,9 +437,10 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
     }
 
     datasets = task_datasets(config.tasks)
+    tables = encode_tasks(_model(config, seed=0), datasets)
     if config.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=(datasets,)
+            max_workers=config.workers, initializer=_init_worker, initargs=(datasets, tables)
         ) as pool:
             futures = [
                 pool.submit(_run_cell_in_worker, config, s, r, cell_dirs[(s, r)])
@@ -430,7 +448,7 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
             ]
             results = [f.result() for f in futures]
     else:
-        results = [run_cell(config, s, r, cell_dirs[(s, r)], datasets) for s, r in jobs]
+        results = [run_cell(config, s, r, cell_dirs[(s, r)], datasets, tables) for s, r in jobs]
 
     results.sort(key=lambda r: (r["strategy"], r["rep"]))
     summary = summarize(results)
@@ -527,14 +545,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"--t-pred {args.t_pred} differs from the horizon the checkpoint was "
             f"trained for (t_pred {config.t_pred})"
         )
+    if not 1 <= args.w <= config.grid.n_cells:
+        raise ConfigError(f"--w {args.w} must be in 1..{config.grid.n_cells}, the grid's cell count")
     model = HeatmapPredictor(config)
     samples = ingest_csv(
         args.data, t_obs=config.t_obs, t_pred=config.t_pred, k_sv=config.k_sv
     )
     if not samples:
         raise ValueError(f"{args.data} produced no samples")
-    fde, mr = evaluate_task(model, params, samples, args.w)
-    print(json.dumps({"n_samples": len(samples), "fde": fde, "mr": mr}, indent=2))
+    mean_fde, mr = evaluate_task(model, params, _samples_table(model, samples), args.w)
+    print(json.dumps({"n_samples": len(samples), "fde": mean_fde, "mr": mr}, indent=2))
     return 0
 
 

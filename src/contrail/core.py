@@ -35,12 +35,13 @@ __all__ = [
     "Scene",
     "atomic_write",
     "cell_to_center",
+    "endpoint_cells",
     "endpoint_to_cell",
     "local_endpoints",
     "scene_frame",
     "scene_frames",
+    "softmax",
     "target_cell",
-    "target_cells",
     "task_boundaries",
     "task_label_reads",
 ]
@@ -278,31 +279,35 @@ def scene_frames(scenes: Sequence[Scene]) -> np.ndarray:
     return float_rows(frames, len(scenes), 4)
 
 
-def local_endpoints(
-    scenes: Sequence[Scene], endpoints: Sequence[tuple[float, float]]
-) -> np.ndarray:
-    """World endpoints moved into their scenes' target-centric frames,
+def local_endpoints(frames: np.ndarray, endpoints: Sequence[tuple[float, float]]) -> np.ndarray:
+    """World endpoints moved into their :func:`scene_frames` rows,
     shape ``(n, 2)``; elementwise the same arithmetic as
     ``Frame.to_local``, so bit-equal to it."""
-    frames = scene_frames(scenes)
-    points = float_rows(endpoints, len(scenes), 2)
+    points = float_rows(endpoints, len(frames), 2)
     dx = points[:, 0] - frames[:, 0]
     dy = points[:, 1] - frames[:, 1]
     cos_h, sin_h = frames[:, 2], frames[:, 3]
     return np.stack([dx * cos_h + dy * sin_h, -dx * sin_h + dy * cos_h], axis=1)
 
 
-def target_cells(
-    scenes: Sequence[Scene], truths: Sequence[GroundTruth], grid: GridSpec
-) -> np.ndarray:
-    """:func:`target_cell` of every (scene, truth) pair as flat cell
-    indices ``row * cols_w + col``, shape ``(n,)``."""
-    local = local_endpoints(scenes, [t.endpoint for t in truths])
-    if not np.all(np.isfinite(local)):
+def endpoint_cells(points: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """:func:`endpoint_to_cell` of every row of ``points`` ``(n, 2)`` as
+    flat cell indices ``row * cols_w + col``, shape ``(n,)``.  Applied to
+    :func:`local_endpoints` this is :func:`target_cell` of each sample."""
+    if not np.all(np.isfinite(points)):
         raise ValueError("non-finite endpoint cannot be snapped to the grid")
-    col = np.clip(np.floor((local[:, 0] - grid.origin[0]) / grid.cell_size), 0, grid.cols_w - 1)
-    row = np.clip(np.floor((local[:, 1] - grid.origin[1]) / grid.cell_size), 0, grid.rows_h - 1)
+    col = np.clip(np.floor((points[:, 0] - grid.origin[0]) / grid.cell_size), 0, grid.cols_w - 1)
+    row = np.clip(np.floor((points[:, 1] - grid.origin[1]) / grid.cell_size), 0, grid.rows_h - 1)
     return (row * grid.cols_w + col).astype(np.intp)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the cells of each heatmap in a stack ``(n, ...)``:
+    every entry of a row is shifted by the row's maximum, exponentiated
+    and divided by the row's sum."""
+    flat = logits.reshape(len(logits), -1)
+    e = np.exp(flat - flat.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)).reshape(logits.shape)
 
 
 @dataclass
@@ -324,10 +329,7 @@ class Heatmap:
             raise ValueError("heatmap logits must be finite")
 
     def probabilities(self) -> np.ndarray:
-        flat = self.logits.reshape(-1)
-        shifted = flat - flat.max()
-        e = np.exp(shifted)
-        return (e / e.sum()).reshape(self.logits.shape)
+        return softmax(self.logits[None])[0]
 
 
 class ResultMatrix:

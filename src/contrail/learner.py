@@ -8,9 +8,9 @@ rows give the strategy loss, its gradient and the batch's pre-update
 logits; Adam steps; then the batch is offered to the buffers carrying
 those logits.
 
-The stream is featurised and targeted once, on entry, into a
-:class:`~contrail.predictor.SampleTable`; batches, buffer slots and
-replay draws are row indices into it.
+The trainer never featurises: it receives the stream's rows, a
+:class:`~contrail.predictor.SampleTable` encoded once per experiment,
+and batches, buffer slots and replay draws are row indices into it.
 
 Task labels are evaluation metadata.  The four task-free strategies
 (vanilla, dual replay, DER-style, GSS-style) never read them on the
@@ -280,6 +280,7 @@ def _make_buffers(
 def train_stream(
     model: HeatmapPredictor,
     stream: Sequence[Sample],
+    table: SampleTable,
     strategy: Strategy,
     cfg: TrainConfig,
     init_params: np.ndarray | None = None,
@@ -287,14 +288,17 @@ def train_stream(
     """Train over the stream once and return params, checkpoints, and
     final buffer contents.
 
-    The stream must be ordered by task label (checkpoints are recorded
-    right after the step that consumes a task's last sample).  Given
-    the same model config, stream, strategy, and train config, the run
-    is bit-reproducible.
+    ``table`` holds the stream's samples encoded by ``model.encode``,
+    row ``i`` for ``stream[i]``.  The stream must be ordered by task
+    label (checkpoints are recorded right after the step that consumes
+    a task's last sample).  Given the same model config, stream, table,
+    strategy, and train config, the run is bit-reproducible.
     """
     stream = list(stream)
     if not stream:
         raise ValueError("cannot train on an empty stream")
+    if len(table) != len(stream):
+        raise ValueError(f"{len(table)} table rows for a stream of {len(stream)} samples")
     boundaries = core.task_boundaries(stream)  # also validates ordering
 
     reads_before = core.task_label_reads()
@@ -309,9 +313,9 @@ def train_stream(
     if strategy is Strategy.JOINT:
         order = rng_joint.permutation(len(stream))
         stream = [stream[int(i)] for i in order]
+        table = table.take(order)
         boundaries = []
 
-    table = model.encode([s.scene for s in stream], [s.truth for s in stream])
     sp_buffer, cp_buffer = _make_buffers(strategy, cfg, stream)
     agem_memory = (
         _AgemMemory(cfg.buffer_total, rng_agem) if strategy is Strategy.AGEM else None

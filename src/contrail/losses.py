@@ -163,9 +163,9 @@ def replay_loss(
     spec = spec or LossSpec()
     if not triplets:
         return 0.0
-    x, cells = model.encode([t.scene for t in triplets], [t.truth for t in triplets])
+    table = model.encode([t.scene for t in triplets], [t.truth for t in triplets])
     stored = np.stack([t.init_logits.reshape(-1) for t in triplets])
-    value, _, _ = model.loss_and_grad(params, x, cells, spec, stored)
+    value, _, _ = model.loss_and_grad(params, table.x, table.cells, spec, stored)
     return value
 
 
@@ -180,8 +180,8 @@ def total_loss(
     """Stream loss plus ``alpha`` / ``beta`` weighted replay terms from
     the two buffers."""
     spec = spec or LossSpec()
-    x, cells = model.encode([scene for scene, _ in current], [truth for _, truth in current])
-    value, _, _ = model.loss_and_grad(params, x, cells, spec)
+    table = model.encode([scene for scene, _ in current], [truth for _, truth in current])
+    value, _, _ = model.loss_and_grad(params, table.x, table.cells, spec)
     return (
         value
         + spec.alpha * replay_loss(model, params, sp_batch, spec)

@@ -4,31 +4,30 @@ A heatmap is reduced to W candidate endpoints (peaks of the probability
 surface).  Final displacement error takes the best candidate per
 sample; miss rate checks every candidate against a speed-dependent
 longitudinal gate and a fixed 1 m lateral gate in the target vehicle's
-heading frame.  Backward transfer summarises how much performance on
-earlier tasks degraded after later training, straight off the result
-matrix.
+heading frame.  All three work on whole stacks of samples as arrays; a
+single heatmap is a stack of one.  Backward transfer summarises how
+much performance on earlier tasks degraded after later training,
+straight off the result matrix.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import GroundTruth, Heatmap, ResultMatrix, atomic_write, cell_to_center
+from .core import GridSpec, ResultMatrix, atomic_write, softmax
 
 __all__ = [
     "EvalReport",
-    "PredictionSet",
     "averages",
     "bwt",
     "extract_endpoints",
-    "fde_sample",
+    "fde",
     "mr_task",
     "mr_threshold",
 ]
@@ -36,115 +35,106 @@ __all__ = [
 LATERAL_GATE_M = 1.0
 
 
-@dataclass(frozen=True)
-class PredictionSet:
-    """W candidate endpoints, best-first, in the heatmap's frame."""
+def extract_endpoints(logits: np.ndarray, grid: GridSpec, w: int = 6) -> np.ndarray:
+    """Top-W endpoint candidates of each heatmap in a stack.
 
-    endpoints: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.endpoints:
-            raise ValueError("a prediction needs at least one endpoint")
-
-
-def extract_endpoints(heatmap: Heatmap, w: int = 6) -> PredictionSet:
-    """Top-W endpoint candidates from a heatmap.
-
+    ``logits`` has shape ``(n, rows_h, cols_w)``; the result holds each
+    heatmap's W cell centers in metric coordinates, shape ``(n, w, 2)``.
     Candidates are the strict local maxima of the probability surface
     over 3x3 neighborhoods (clipped at the borders), in descending
     probability; if fewer than W exist, the highest remaining cells fill
-    the tail.  Ties break lexicographically by (row, col).  Returns the
-    cell centers in metric coordinates.
+    the tail.  Ties break lexicographically by (row, col): both sorts
+    are stable and the flat cell index runs in (row, col) order.
     """
-    grid = heatmap.grid
     if not (1 <= w <= grid.n_cells):
         raise ValueError(f"w must be in 1..{grid.n_cells}")
-    probs = heatmap.probabilities()
-    padded = np.full((grid.rows_h + 2, grid.cols_w + 2), -np.inf)
-    padded[1:-1, 1:-1] = probs
-    neighbors = np.stack(
-        [
-            padded[1 + dr : 1 + dr + grid.rows_h, 1 + dc : 1 + dc + grid.cols_w]
-            for dr in (-1, 0, 1)
-            for dc in (-1, 0, 1)
-            if (dr, dc) != (0, 0)
-        ]
+    n = len(logits)
+    if logits.shape != (n, grid.rows_h, grid.cols_w):
+        raise ValueError(
+            f"logits shape {logits.shape} does not match grid ({grid.rows_h}, {grid.cols_w})"
+        )
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("heatmap logits must be finite")
+    probs = softmax(logits)
+    padded = np.full((n, grid.rows_h + 2, grid.cols_w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = probs
+    neighbors = np.full_like(probs, -np.inf)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if (dr, dc) != (0, 0):
+                shifted = padded[:, 1 + dr : 1 + dr + grid.rows_h, 1 + dc : 1 + dc + grid.cols_w]
+                np.maximum(neighbors, shifted, out=neighbors)
+    is_peak = (probs > neighbors).reshape(n, -1)
+
+    by_prob = np.argsort(-probs.reshape(n, -1), axis=1, kind="stable")
+    peaks_first = np.argsort(
+        ~np.take_along_axis(is_peak, by_prob, axis=1), axis=1, kind="stable"
     )
-    is_peak = probs > neighbors.max(axis=0)
-
-    def ordered(mask: np.ndarray) -> list[tuple[int, int]]:
-        rr, cc = np.nonzero(mask)
-        cells = sorted(zip(rr, cc), key=lambda rc: (-probs[rc[0], rc[1]], rc[0], rc[1]))
-        return [(int(r), int(c)) for r, c in cells]
-
-    selected = ordered(is_peak)[:w]
-    if len(selected) < w:
-        rest = np.ones_like(is_peak)
-        for r, c in selected:
-            rest[r, c] = False
-        selected.extend(ordered(rest)[: w - len(selected)])
-    return PredictionSet(tuple(cell_to_center(cell, grid) for cell in selected))
+    cells = np.take_along_axis(by_prob, peaks_first[:, :w], axis=1)
+    row, col = np.divmod(cells, grid.cols_w)
+    x = grid.origin[0] + (col + 0.5) * grid.cell_size
+    y = grid.origin[1] + (row + 0.5) * grid.cell_size
+    return np.stack([x, y], axis=-1)
 
 
-def fde_sample(pred: PredictionSet, truth: GroundTruth) -> float:
-    """Final displacement error: distance from the truth endpoint to the
-    closest predicted endpoint."""
-    tx, ty = truth.endpoint
-    best = math.inf
-    for ex, ey in pred.endpoints:
-        dx = ex - tx
-        dy = ey - ty
-        d = math.sqrt(dx * dx + dy * dy)
-        if d < best:
-            best = d
-    return best
+def _offsets(endpoints: np.ndarray, truths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate-minus-truth offsets ``(n, w)`` in x and y."""
+    if endpoints.ndim != 3 or endpoints.shape[2] != 2 or truths.shape != (len(endpoints), 2):
+        raise ValueError(
+            f"endpoints {endpoints.shape} and truths {truths.shape} are not (n, w, 2) and (n, 2)"
+        )
+    if endpoints.shape[1] == 0:
+        raise ValueError("a prediction needs at least one endpoint")
+    return endpoints[..., 0] - truths[:, None, 0], endpoints[..., 1] - truths[:, None, 1]
 
 
-def mr_threshold(speed_v: float) -> float:
-    """Longitudinal miss gate in meters as a function of target speed.
+def fde(endpoints: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Final displacement error of each sample: distance from its truth
+    endpoint ``truths[i]`` to the closest of its candidates
+    ``endpoints[i]``; shape ``(n,)``."""
+    dx, dy = _offsets(endpoints, truths)
+    return np.sqrt(dx * dx + dy * dy).min(axis=1)
+
+
+def mr_threshold(speed_v: float | np.ndarray) -> float | np.ndarray:
+    """Longitudinal miss gate in meters as a function of target speed,
+    elementwise.
 
     1 m below 1.4 m/s, 2 m above 11 m/s, linear in between.
     """
-    if speed_v < 0:
+    speed = np.asarray(speed_v, dtype=np.float64)
+    if np.any(speed < 0):
         raise ValueError("speed must be non-negative")
-    if speed_v < 1.4:
-        return 1.0
-    if speed_v > 11.0:
-        return 2.0
-    return 1.0 + (speed_v - 1.4) / (11.0 - 1.4)
+    gate = np.where(speed < 1.4, 1.0, np.where(speed > 11.0, 2.0, 1.0 + (speed - 1.4) / (11.0 - 1.4)))
+    return gate[()]
 
 
 def mr_task(
-    cases: Sequence[tuple[PredictionSet, GroundTruth, tuple[float, float]]],
+    endpoints: np.ndarray, truths: np.ndarray, speeds: np.ndarray, headings: np.ndarray
 ) -> float:
     """Miss rate over a task, in percent.
 
-    Each case is (prediction, truth, tv_heading).  Every endpoint is a
-    miss when its offset from the truth, rotated into the heading frame,
-    leaves the box of half-width 1 m laterally and ``mr_threshold``
-    longitudinally.  The rate is misses over candidates.
+    Sample ``i`` has candidates ``endpoints[i]`` ``(w, 2)``, truth
+    endpoint ``truths[i]``, target speed ``speeds[i]`` and target heading
+    ``headings[i]`` (or one heading ``(2,)`` for every sample).  Every
+    endpoint is a miss when its offset from the truth, rotated into the
+    heading frame, leaves the box of half-width 1 m laterally and
+    ``mr_threshold`` longitudinally.  The rate is misses over candidates.
     """
-    if not cases:
+    if len(endpoints) == 0:
         raise ValueError("mr_task needs at least one case")
-    misses = 0
-    total = 0
-    for pred, truth, heading in cases:
-        hx, hy = heading
-        norm = math.sqrt(hx * hx + hy * hy)
-        if norm < 1e-12:
-            raise ValueError("tv_heading must be a nonzero vector")
-        hx, hy = hx / norm, hy / norm
-        gate_lon = mr_threshold(truth.speed_v)
-        tx, ty = truth.endpoint
-        for ex, ey in pred.endpoints:
-            dx = ex - tx
-            dy = ey - ty
-            lon = dx * hx + dy * hy
-            lat = -dx * hy + dy * hx
-            if abs(lat) > LATERAL_GATE_M or abs(lon) > gate_lon:
-                misses += 1
-            total += 1
-    return 100.0 * misses / total
+    dx, dy = _offsets(endpoints, truths)
+    heading = np.broadcast_to(np.asarray(headings, dtype=np.float64), (len(endpoints), 2))
+    hx, hy = heading[:, 0], heading[:, 1]
+    norm = np.sqrt(hx * hx + hy * hy)
+    if np.any(norm < 1e-12):
+        raise ValueError("tv_heading must be a nonzero vector")
+    hx, hy = (hx / norm)[:, None], (hy / norm)[:, None]
+    gate = mr_threshold(np.asarray(speeds, dtype=np.float64))[:, None]
+    lon = dx * hx + dy * hy
+    lat = -dx * hy + dy * hx
+    misses = int(np.count_nonzero((np.abs(lat) > LATERAL_GATE_M) | (np.abs(lon) > gate)))
+    return 100.0 * misses / dx.size
 
 
 def bwt(matrix: ResultMatrix, c: int) -> float:

@@ -19,11 +19,20 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import GridSpec, GroundTruth, Heatmap, Scene, float_rows, scene_frames, target_cells
+from .core import (
+    GridSpec,
+    GroundTruth,
+    Heatmap,
+    Scene,
+    endpoint_cells,
+    float_rows,
+    local_endpoints,
+    scene_frames,
+)
 from .losses import LossSpec, batch_loss_and_dlogits
 
 __all__ = [
@@ -79,11 +88,12 @@ class PredictorConfig:
 _STATE_FLOATS = operator.attrgetter("x", "y", "vx", "vy")
 
 
-def scene_features(scenes: Sequence[Scene]) -> np.ndarray:
+def scene_features(scenes: Sequence[Scene], frames: np.ndarray) -> np.ndarray:
     """Flatten scenes into network inputs, one row per scene.
 
-    All states are re-expressed in each scene's target-centric frame
-    (positions translated and rotated, velocities rotated), target
+    All states are re-expressed in each scene's target-centric frame,
+    row ``i`` of ``frames`` (:func:`~contrail.core.scene_frames`):
+    positions translated and rotated, velocities rotated; target
     track first and then the neighbor slots; masked-out slots are
     zero-filled.  Layout per track: t_obs rows of (x, y, vx, vy).  The
     scenes must share t_obs and k_sv.
@@ -104,7 +114,7 @@ def scene_features(scenes: Sequence[Scene]) -> np.ndarray:
     states = map(_STATE_FLOATS, chain.from_iterable(tracks))
     out = float_rows(states, n * (1 + k_sv) * t_obs, 4).reshape(n, 1 + k_sv, t_obs, 4)
 
-    frames = scene_frames(scenes)[:, None, None, :]
+    frames = frames[:, None, None, :]
     cos_h, sin_h = frames[..., 2], frames[..., 3]
     dx = out[..., 0] - frames[..., 0]
     dy = out[..., 1] - frames[..., 1]
@@ -120,13 +130,35 @@ def scene_features(scenes: Sequence[Scene]) -> np.ndarray:
     return out.reshape(n, -1)
 
 
-class SampleTable(NamedTuple):
-    """Samples as arrays: row ``i`` holds sample ``i``'s network input
-    ``x[i]`` and its target cell ``cells[i]`` (flat index ``row *
-    cols_w + col``).  Training and scoring select rows by index."""
+@dataclass(frozen=True, eq=False)
+class SampleTable:
+    """Samples as arrays, one row per sample: the network input ``x``,
+    the flat target cell ``cells`` (``row * cols_w + col``), the truth
+    endpoint in the scene's target-centric frame ``ends`` and the target
+    speed ``speeds``.  Training selects rows by index; evaluation scores
+    whole tables."""
 
     x: np.ndarray
     cells: np.ndarray
+    ends: np.ndarray
+    speeds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def take(self, rows: np.ndarray) -> "SampleTable":
+        """The table of ``rows``, in that order."""
+        return SampleTable(self.x[rows], self.cells[rows], self.ends[rows], self.speeds[rows])
+
+    @classmethod
+    def concat(cls, tables: Sequence["SampleTable"]) -> "SampleTable":
+        """The rows of ``tables``, one after the other."""
+        return cls(
+            np.concatenate([t.x for t in tables]),
+            np.concatenate([t.cells for t in tables]),
+            np.concatenate([t.ends for t in tables]),
+            np.concatenate([t.speeds for t in tables]),
+        )
 
 
 class HeatmapPredictor:
@@ -165,6 +197,24 @@ class HeatmapPredictor:
 
     def features(self, scenes: Sequence[Scene]) -> np.ndarray:
         """Network inputs of ``scenes``, shape ``(n, input_dim)``."""
+        return self._features(scenes, scene_frames(scenes))
+
+    def encode(self, scenes: Sequence[Scene], truths: Sequence[GroundTruth]) -> SampleTable:
+        """Every (scene, truth) pair as one table row.  Each scene's frame
+        is computed once; its features, local endpoint and target cell
+        all derive from it."""
+        if len(scenes) != len(truths):
+            raise ValueError(f"{len(scenes)} scenes but {len(truths)} truths")
+        frames = scene_frames(scenes)
+        ends = local_endpoints(frames, [t.endpoint for t in truths])
+        return SampleTable(
+            self._features(scenes, frames),
+            endpoint_cells(ends, self.config.grid),
+            ends,
+            np.fromiter((t.speed_v for t in truths), np.float64, len(truths)),
+        )
+
+    def _features(self, scenes: Sequence[Scene], frames: np.ndarray) -> np.ndarray:
         if not scenes:
             return np.zeros((0, self.config.input_dim))
         first = scenes[0]
@@ -177,11 +227,7 @@ class HeatmapPredictor:
                 f"k_sv={len(first.sv_histories)} does not match config "
                 f"(t_obs={self.config.t_obs}, k_sv={self.config.k_sv})"
             )
-        return scene_features(scenes)
-
-    def encode(self, scenes: Sequence[Scene], truths: Sequence[GroundTruth]) -> SampleTable:
-        """Featurise and target every (scene, truth) pair once."""
-        return SampleTable(self.features(scenes), target_cells(scenes, truths, self.config.grid))
+        return scene_features(scenes, frames)
 
     def _forward_cached(
         self, params: np.ndarray, x: np.ndarray

@@ -246,15 +246,17 @@ def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[list[Sample], list[Sa
     return out
 
 
-def build_stream(datasets: Sequence[tuple[list[Sample], list[Sample]]], seed: int) -> list[Sample]:
-    """Training stream: the train halves of ``datasets`` in task order,
-    each shuffled by ``seed`` (vary it between repetitions).  The test
-    halves never enter it."""
-    stream: list[Sample] = []
+def build_stream(datasets: Sequence[tuple[list[Sample], list[Sample]]], seed: int) -> np.ndarray:
+    """Training stream as a row order over the train halves of
+    ``datasets``, concatenated in task order: each task's rows stay
+    together and are shuffled by ``seed`` (vary it between repetitions).
+    The test halves never enter it."""
+    orders = []
+    start = 0
     for i, (train, _) in enumerate(datasets):
-        order = np.random.default_rng([seed, i]).permutation(len(train))
-        stream.extend(train[int(j)] for j in order)
-    return stream
+        orders.append(start + np.random.default_rng([seed, i]).permutation(len(train)))
+        start += len(train)
+    return np.concatenate(orders)
 
 
 def write_task_csv(spec: TaskSpec, label: int, path: Path) -> list[Sample]:

@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .core import AgentState, GridSpec, GroundTruth, Heatmap, Sample, Scene
+from .core import AgentState, GridSpec, Heatmap, Scene
 from .learner import Strategy, TrainConfig, train_stream
 from .losses import LossSpec
 from .memory import CompletionBuffer, SeparationBuffer
-from .metrics import extract_endpoints, fde_sample, mr_threshold
+from .metrics import extract_endpoints, fde, mr_threshold
 from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step
-from .scenarios import TaskSpec, ingest_csv, task_datasets, write_task_csv
+from .scenarios import TaskSpec, ingest_csv, write_task_csv
 
 __all__ = ["run_selftest"]
 
@@ -171,29 +171,28 @@ def _brute_force_endpoints(heatmap: Heatmap, w: int) -> list[tuple[float, float]
 
 
 def check_metric_oracles(cases: int = 200) -> bool:
+    """Batched extraction against the brute force, row by row: the
+    cases are scored in one stack per endpoint count."""
     rng = np.random.default_rng(17)
     grid = GridSpec(rows_h=6, cols_w=5, origin=(-10.0, -10.0), cell_size=2.0)
+    by_w: dict[int, list[np.ndarray]] = {}
     for _ in range(cases):
-        hm = Heatmap(rng.normal(size=(6, 5)), grid)
-        w = int(rng.integers(1, 12))
-        got = extract_endpoints(hm, w)
-        want = _brute_force_endpoints(hm, w)
-        if list(got.endpoints) != want:
-            return False
+        logits = rng.normal(size=(6, 5))
+        by_w.setdefault(int(rng.integers(1, 12)), []).append(logits)
+    for w, stack in by_w.items():
+        got = extract_endpoints(np.stack(stack), grid, w)
+        for logits, endpoints in zip(stack, got):
+            if [tuple(p) for p in endpoints.tolist()] != _brute_force_endpoints(Heatmap(logits, grid), w):
+                return False
     branch_ok = (
         mr_threshold(0.5) == 1.0
         and abs(mr_threshold(6.2) - 1.5) < 1e-12
         and mr_threshold(20.0) == 2.0
     )
-    fde_ok = (
-        fde_sample(
-            extract_endpoints(
-                Heatmap(np.zeros((6, 5)), grid), 1
-            ),  # uniform: tie-break picks no peak, highest remaining = (0, 0)
-            GroundTruth(endpoint=(-9.0, -9.0), speed_v=1.0),
-        )
-        >= 0.0
-    )
+    # Uniform heatmap: no peak, so the fill picks the highest remaining
+    # cell in scan order, (0, 0).
+    uniform = extract_endpoints(np.zeros((1, 6, 5)), grid, 1)
+    fde_ok = fde(uniform, np.array([[-9.0, -9.0]]))[0] >= 0.0
     return branch_ok and fde_ok
 
 
@@ -233,7 +232,8 @@ def check_csv_round_trip() -> bool:
 
 def _tiny_matrix_values() -> list[float]:
     """Deterministic tiny two-task experiment; returns matrix entries."""
-    from .cli import ExperimentConfig, run_cell  # local import to avoid a cycle
+    from .cli import ExperimentConfig, run_experiment  # local import to avoid a cycle
+    from .metrics import read_matrix_csv
 
     grid = GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0)
     tasks = (
@@ -250,12 +250,10 @@ def _tiny_matrix_values() -> list[float]:
         repetitions=1,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "cell"
-        run_cell(config, Strategy.DUAL_REPLAY, 0, out, task_datasets(tasks))
-        from .metrics import read_matrix_csv
-
-        fde_m = read_matrix_csv(out / "matrix_fde.csv")
-        mr_m = read_matrix_csv(out / "matrix_mr.csv")
+        run_experiment(config, Path(tmp))
+        cell = Path(tmp) / "runs" / Strategy.DUAL_REPLAY.value / "rep_00"
+        fde_m = read_matrix_csv(cell / "matrix_fde.csv")
+        mr_m = read_matrix_csv(cell / "matrix_mr.csv")
     values = [v for _, _, v in fde_m.entries()] + [v for _, _, v in mr_m.entries()]
     return values
 

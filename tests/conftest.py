@@ -1,5 +1,5 @@
-"""Shared fixtures: a tiny model, scene factories and a v1 checkpoint
-writer."""
+"""Shared fixtures: a tiny model, scene factories, the samples-to-rows
+encoder and a v1 checkpoint writer."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from contrail.core import AgentState, GridSpec, GroundTruth, Sample, Scene
-from contrail.predictor import HeatmapPredictor, PredictorConfig
+from contrail.predictor import HeatmapPredictor, PredictorConfig, SampleTable
 
 
 def make_scene(
@@ -44,6 +44,12 @@ def make_sample(
     )
     truth = GroundTruth(endpoint=endpoint, speed_v=float(rng.uniform(0.5, 12.0)))
     return Sample(scene, truth, task_label)
+
+
+def encode(model: HeatmapPredictor, samples) -> SampleTable:
+    """``samples`` (anything with ``.scene`` and ``.truth``) as the rows
+    ``train_stream`` and ``evaluate_task`` take."""
+    return model.encode([s.scene for s in samples], [s.truth for s in samples])
 
 
 @pytest.fixture

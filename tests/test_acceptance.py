@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from contrail.cli import ExperimentConfig, evaluate_task, run_experiment
+from contrail.cli import ExperimentConfig, encode_tasks, evaluate_task, run_experiment
 from contrail.core import (
     AgentState,
     GridSpec,
@@ -40,16 +40,17 @@ from contrail.losses import LossSpec
 from contrail.memory import CompletionBuffer, SeparationBuffer, _cosine_rows
 from contrail.metrics import (
     EvalReport,
-    PredictionSet,
     bwt,
     extract_endpoints,
-    fde_sample,
+    fde,
     mr_task,
     mr_threshold,
     report_from_matrices,
 )
-from contrail.predictor import HeatmapPredictor, PredictorConfig
+from contrail.predictor import HeatmapPredictor, PredictorConfig, SampleTable
 from contrail.scenarios import TaskSpec, task_datasets
+
+from conftest import encode
 
 # ---------------------------------------------------------------------------
 # The shared three-task stream experiment behind checks 6 and 9.
@@ -99,17 +100,37 @@ _DATASETS: dict[float, tuple[list, list]] = {}
 _CELLS: dict[tuple[str, int, int, float], EvalReport] = {}
 
 
+def _experiment_model(seed: int = 0) -> HeatmapPredictor:
+    return HeatmapPredictor(
+        PredictorConfig(t_obs=10, k_sv=0, hidden_dims=EXP_HIDDEN, grid=EXP_GRID, seed=seed)
+    )
+
+
 def _experiment_datasets(noise: float = 0.05) -> tuple[list, list]:
+    """The three tasks at one noise level and their rows, encoded once
+    through the encoder ``run_experiment`` uses."""
     if noise not in _DATASETS:
         tasks = tuple(
             dataclasses.replace(t, noise_sigma=noise) for t in EXP_TASKS
         )
         pairs = task_datasets(tasks)
-        _DATASETS[noise] = (
-            [train for train, _ in pairs],
-            [test for _, test in pairs],
-        )
+        _DATASETS[noise] = (pairs, encode_tasks(_experiment_model(), pairs))
     return _DATASETS[noise]
+
+
+def _shuffled_stream(pairs, tables, stream_seed: int) -> tuple[list, SampleTable]:
+    """The train halves in task order, each shuffled by
+    ``[stream_seed, label]``, as samples and as rows."""
+    orders = []
+    start = 0
+    for label, (train, _) in enumerate(pairs, start=1):
+        order = np.random.default_rng([stream_seed, label]).permutation(len(train))
+        orders.append(start + order)
+        start += len(train)
+    order = np.concatenate(orders)
+    train = [s for samples, _ in pairs for s in samples]
+    stream = [train[i] for i in order.tolist()]
+    return stream, SampleTable.concat([rows for rows, _ in tables]).take(order)
 
 
 def _experiment_cell(
@@ -120,36 +141,30 @@ def _experiment_cell(
     key = (strategy.value, buffer_total, rep, noise)
     if key in _CELLS:
         return _CELLS[key]
-    trains, tests = _experiment_datasets(noise)
+    pairs, tables = _experiment_datasets(noise)
+    tests = [rows for _, rows in tables]
     model_seed, stream_seed, train_seed = (
         int(v) for v in np.random.SeedSequence([EXP_SEED, rep]).generate_state(3)
     )
-    stream = []
-    for label, train in enumerate(trains, start=1):
-        order = np.random.default_rng([stream_seed, label]).permutation(len(train))
-        stream.extend(train[int(i)] for i in order)
-    model = HeatmapPredictor(
-        PredictorConfig(
-            t_obs=10, k_sv=0, hidden_dims=EXP_HIDDEN, grid=EXP_GRID, seed=model_seed
-        )
-    )
+    stream, rows = _shuffled_stream(pairs, tables, stream_seed)
+    model = _experiment_model(model_seed)
     assert model.param_count <= 50_000
     cfg = TrainConfig(lr=EXP_LR, buffer_total=buffer_total, seed=train_seed)
-    result = train_stream(model, stream, strategy, cfg)
+    result = train_stream(model, stream, rows, strategy, cfg)
 
     n = len(EXP_TASKS)
     fde_m = ResultMatrix(n)
     mr_m = ResultMatrix(n)
     for label, params in result.checkpoints:
         for j in range(1, label + 1):
-            fde, mr = evaluate_task(model, params, tests[j - 1], EXP_W)
-            fde_m.set(label, j, fde)
-            mr_m.set(label, j, mr)
+            fde_j, mr_j = evaluate_task(model, params, tests[j - 1], EXP_W)
+            fde_m.set(label, j, fde_j)
+            mr_m.set(label, j, mr_j)
     if not result.checkpoints or result.checkpoints[-1][0] != n:
         for j in range(1, n + 1):
-            fde, mr = evaluate_task(model, result.final_params, tests[j - 1], EXP_W)
-            fde_m.set(n, j, fde)
-            mr_m.set(n, j, mr)
+            fde_j, mr_j = evaluate_task(model, result.final_params, tests[j - 1], EXP_W)
+            fde_m.set(n, j, fde_j)
+            mr_m.set(n, j, mr_j)
     report = report_from_matrices(strategy.value, rep, fde_m, mr_m)
     _CELLS[key] = report
     return report
@@ -347,39 +362,35 @@ def _brute_endpoints(heatmap: Heatmap, w: int) -> tuple[tuple[float, float], ...
 
 
 def test_05_metric_brute_force_oracles():
-    """fde_sample, mr_task, extract_endpoints, and bwt agree exactly
+    """fde, mr_task, extract_endpoints, and bwt agree exactly
     with independent brute-force implementations on 1,000 random cases
     each; mr_threshold hits its documented branch values."""
     started = time.time()
 
     for case in range(1000):
         rng = np.random.default_rng(np.random.SeedSequence([7005, case]))
-        pred = PredictionSet(
-            tuple(
-                (float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30)))
-                for _ in range(int(rng.integers(1, 9)))
-            )
+        pred = tuple(
+            (float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30)))
+            for _ in range(int(rng.integers(1, 9)))
         )
         truth = GroundTruth(
             endpoint=(float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30))),
             speed_v=float(rng.uniform(0, 13)),
         )
         distances = []
-        for ex, ey in pred.endpoints:
+        for ex, ey in pred:
             dx = ex - truth.endpoint[0]
             dy = ey - truth.endpoint[1]
             distances.append(math.sqrt(dx * dx + dy * dy))
-        assert fde_sample(pred, truth) == min(distances)
+        assert fde(np.array([pred]), np.array([truth.endpoint]))[0] == min(distances)
 
     for case in range(1000):
         rng = np.random.default_rng(np.random.SeedSequence([7006, case]))
         cases = []
+        w = int(rng.integers(1, 6))  # every sample of a task has w candidates
         for _ in range(int(rng.integers(1, 5))):
-            pred = PredictionSet(
-                tuple(
-                    (float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20)))
-                    for _ in range(int(rng.integers(1, 6)))
-                )
+            pred = tuple(
+                (float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20))) for _ in range(w)
             )
             truth = GroundTruth(
                 endpoint=(float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20))),
@@ -396,14 +407,22 @@ def test_05_metric_brute_force_oracles():
             hx, hy = heading[0] / norm, heading[1] / norm
             v = truth.speed_v
             gate = 1.0 if v < 1.4 else 2.0 if v > 11.0 else 1.0 + (v - 1.4) / (11.0 - 1.4)
-            for ex, ey in pred.endpoints:
+            for ex, ey in pred:
                 dx, dy = ex - truth.endpoint[0], ey - truth.endpoint[1]
                 lon = dx * hx + dy * hy
                 lat = -dx * hy + dy * hx
                 misses += abs(lat) > 1.0 or abs(lon) > gate
                 total += 1
-        assert mr_task(cases) == 100.0 * misses / total
+        got = mr_task(
+            np.array([pred for pred, _, _ in cases]),
+            np.array([truth.endpoint for _, truth, _ in cases]),
+            np.array([truth.speed_v for _, truth, _ in cases]),
+            np.array([heading for _, _, heading in cases]),
+        )
+        assert got == 100.0 * misses / total
 
+    # Extraction is scored in stacks: one per (grid, w) among the cases.
+    stacks: dict[tuple[GridSpec, int], list[np.ndarray]] = {}
     for case in range(1000):
         rng = np.random.default_rng(np.random.SeedSequence([7007, case]))
         grid = GridSpec(6, 5, (-10.0, -8.0), 3.0) if case % 2 else GridSpec(3, 7, (0.0, 0.0), 2.0)
@@ -411,9 +430,13 @@ def test_05_metric_brute_force_oracles():
             logits = rng.integers(0, 4, size=(grid.rows_h, grid.cols_w)).astype(float)
         else:
             logits = rng.normal(size=(grid.rows_h, grid.cols_w))
-        heatmap = Heatmap(logits, grid)
         w = int(rng.integers(1, grid.n_cells + 1))
-        assert extract_endpoints(heatmap, w).endpoints == _brute_endpoints(heatmap, w)
+        stacks.setdefault((grid, w), []).append(logits)
+    for (grid, w), stack in stacks.items():
+        got = extract_endpoints(np.stack(stack), grid, w)
+        for logits, endpoints in zip(stack, got):
+            want = _brute_endpoints(Heatmap(logits, grid), w)
+            assert tuple(tuple(p) for p in endpoints.tolist()) == want
 
     for case in range(1000):
         rng = np.random.default_rng(np.random.SeedSequence([7008, case]))
@@ -490,6 +513,7 @@ def test_07_imbalanced_stream_buffer_composition():
         TaskSpec(kind="straight", n_samples=625, seed=201, noise_sigma=0.05, k_sv=0),
     )
     pairs = task_datasets(tasks)
+    tables = encode_tasks(_experiment_model(), pairs)
     trains = [train for train, _ in pairs]
     assert [len(t) for t in trains] == [2000, 500]
     # The rare task arrives once the buffers are warm, which is where
@@ -502,15 +526,12 @@ def test_07_imbalanced_stream_buffer_composition():
         model_seed, stream_seed, train_seed = (
             int(v) for v in np.random.SeedSequence([7107, rep]).generate_state(3)
         )
-        stream = []
-        for label, train in enumerate(trains, start=1):
-            order = np.random.default_rng([stream_seed, label]).permutation(len(train))
-            stream.extend(train[int(i)] for i in order)
+        stream, rows = _shuffled_stream(pairs, tables, stream_seed)
         model = HeatmapPredictor(
             PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(32, 32), grid=grid, seed=model_seed)
         )
         cfg = TrainConfig(lr=EXP_LR, buffer_total=200, seed=train_seed)
-        result = train_stream(model, stream, Strategy.DUAL_REPLAY, cfg)
+        result = train_stream(model, stream, rows, Strategy.DUAL_REPLAY, cfg)
         comp_items = result.completion.contents()
         sep_items = result.separation.contents()
         comp_shares.append(
@@ -549,7 +570,7 @@ def test_08_agem_projection_constraint():
         PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(32, 32), grid=EXP_GRID, seed=5)
     )
     cfg = TrainConfig(lr=EXP_LR, buffer_total=200, seed=6)
-    result = train_stream(model, stream, Strategy.AGEM, cfg)
+    result = train_stream(model, stream, encode(model, stream), Strategy.AGEM, cfg)
     assert result.agem_dots, "no projected steps were recorded"
     worst = min(result.agem_dots)
     assert worst >= -1e-9, f"projected step with g'.g_ref = {worst:.3e}"
@@ -638,9 +659,10 @@ def test_10_determinism_and_task_label_audit(tmp_path):
     model = HeatmapPredictor(
         PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(8,), grid=EXP_GRID, seed=4)
     )
+    table = encode(model, stream)
     reads = {}
     for strategy in Strategy:
-        result = train_stream(model, stream, strategy, TrainConfig(buffer_total=16, seed=2))
+        result = train_stream(model, stream, table, strategy, TrainConfig(buffer_total=16, seed=2))
         reads[strategy] = result.label_reads
     for strategy in (Strategy.VANILLA, Strategy.DUAL_REPLAY, Strategy.DER_STYLE, Strategy.GSS_STYLE):
         assert reads[strategy] == 0, f"{strategy.value} read {reads[strategy]} task labels"

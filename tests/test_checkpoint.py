@@ -15,7 +15,7 @@ from contrail.checkpoint import load_checkpoint, save_checkpoint
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.predictor import AdamState
 
-from conftest import make_sample, write_v1_checkpoint
+from conftest import encode, make_sample, write_v1_checkpoint
 
 
 def assert_triplets_equal(a, b):
@@ -42,7 +42,8 @@ class TestRoundTrip:
         stream = [make_sample(rng, grid, task_label=1) for _ in range(12)]
         stream += [make_sample(rng, grid, task_label=2) for _ in range(12)]
         result = train_stream(
-            tiny_model, stream, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8)
+            tiny_model, stream, encode(tiny_model, stream), Strategy.DUAL_REPLAY,
+            TrainConfig(buffer_total=8),
         )
 
         path = tmp_path / "ck.json"
@@ -90,18 +91,18 @@ class TestRoundTrip:
 
         params = tiny_model.init_params()
         adam = AdamState.zeros(tiny_model.param_count)
-        for x, cells in tables[:2]:
-            _, grad, _ = tiny_model.loss_and_grad(params, x, cells, cfg.loss)
+        for table in tables[:2]:
+            _, grad, _ = tiny_model.loss_and_grad(params, table.x, table.cells, cfg.loss)
             params, adam = adam_step(params, grad, adam, cfg.lr)
 
         path = tmp_path / "mid.json"
         save_checkpoint(path, tiny_model.config, params, adam=adam)
         _, params2, adam2, _, _ = load_checkpoint(path)
 
-        for x, cells in tables[2:]:
-            _, grad, _ = tiny_model.loss_and_grad(params, x, cells, cfg.loss)
+        for table in tables[2:]:
+            _, grad, _ = tiny_model.loss_and_grad(params, table.x, table.cells, cfg.loss)
             params, adam = adam_step(params, grad, adam, cfg.lr)
-            _, grad2, _ = tiny_model.loss_and_grad(params2, x, cells, cfg.loss)
+            _, grad2, _ = tiny_model.loss_and_grad(params2, table.x, table.cells, cfg.loss)
             params2, adam2 = adam_step(params2, grad2, adam2, cfg.lr)
 
         assert np.array_equal(params, params2)
@@ -129,7 +130,10 @@ class TestRoundTrip:
         rng = np.random.default_rng(402)
         grid = tiny_model.config.grid
         stream = [make_sample(rng, grid, task_label=1) for _ in range(16)]
-        result = train_stream(tiny_model, stream, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8))
+        result = train_stream(
+            tiny_model, stream, encode(tiny_model, stream), Strategy.DUAL_REPLAY,
+            TrainConfig(buffer_total=8),
+        )
         path = tmp_path / "ck.json"
         save_checkpoint(
             path,
@@ -164,7 +168,10 @@ def dual_result(tiny_model):
     grid = tiny_model.config.grid
     stream = [make_sample(rng, grid, task_label=1) for _ in range(12)]
     stream += [make_sample(rng, grid, task_label=2) for _ in range(12)]
-    return train_stream(tiny_model, stream, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8))
+    return train_stream(
+        tiny_model, stream, encode(tiny_model, stream), Strategy.DUAL_REPLAY,
+        TrainConfig(buffer_total=8),
+    )
 
 
 def save_full(path, model, result, write=save_checkpoint):

@@ -6,11 +6,12 @@ import base64
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from contrail import cli, scenarios
+from contrail import cli, core, predictor, scenarios
 from contrail.checkpoint import load_checkpoint, save_checkpoint
 from contrail.cli import (
     ConfigError,
@@ -30,7 +31,7 @@ from contrail.learner import Strategy, TrainConfig
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import generate_task, ingest_csv, preset_task, task_datasets
 
-from conftest import write_v1_checkpoint
+from conftest import encode, write_v1_checkpoint
 
 
 def base_config(**overrides):
@@ -190,8 +191,8 @@ class TestSummaries:
 
 class TestEvaluateTask:
     def test_wires_the_metric_components_together(self):
-        from contrail.core import GridSpec, GroundTruth, Heatmap, scene_frame
-        from contrail.metrics import extract_endpoints, fde_sample, mr_task
+        from contrail.core import GridSpec, scene_frame
+        from contrail.metrics import extract_endpoints, fde, mr_task
 
         grid = GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0)
         model = HeatmapPredictor(
@@ -200,23 +201,26 @@ class TestEvaluateTask:
         params = model.init_params()
         samples = generate_task(preset_task("straight", 6, seed=9), label=1)
 
-        got_fde, got_mr = evaluate_task(model, params, samples, w=3)
+        got_fde, got_mr = evaluate_task(model, params, encode(model, samples), w=3)
 
         fdes = []
-        cases = []
+        preds = []
+        locals_ = []
         for s in samples:
             heatmap = model.forward(params, s.scene)
-            pred = extract_endpoints(heatmap, 3)
-            local = scene_frame(s.scene).to_local(s.truth.endpoint)
-            truth = GroundTruth(endpoint=local, speed_v=s.truth.speed_v)
-            fdes.append(fde_sample(pred, truth))
-            cases.append((pred, truth, (1.0, 0.0)))
+            pred = extract_endpoints(heatmap.logits[None], grid, 3)
+            local = np.array([scene_frame(s.scene).to_local(s.truth.endpoint)])
+            fdes.append(fde(pred, local)[0])
+            preds.append(pred[0])
+            locals_.append(local[0])
+        speeds = np.array([s.truth.speed_v for s in samples])
+        want_mr = mr_task(np.stack(preds), np.stack(locals_), speeds, np.array([1.0, 0.0]))
         assert got_fde == pytest.approx(float(np.mean(fdes)), rel=1e-12)
-        assert got_mr == pytest.approx(mr_task(cases), rel=1e-12)
+        assert got_mr == pytest.approx(want_mr, rel=1e-12)
 
     def test_empty_task_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="empty task"):
-            evaluate_task(tiny_model, tiny_model.init_params(), [])
+            evaluate_task(tiny_model, tiny_model.init_params(), encode(tiny_model, []))
 
 
 class TestGenCommand:
@@ -258,7 +262,7 @@ class TestRunCell:
 
         seen = []
 
-        def capture(model, stream, strategy, train_cfg):
+        def capture(model, stream, table, strategy, train_cfg):
             seen.append(train_cfg)
             raise Stop
 
@@ -270,8 +274,10 @@ class TestRunCell:
             grid=GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=1.0),
             seed=3,
         )
+        datasets = task_datasets(config.tasks)
+        tables = cli.encode_tasks(cli._model(config, seed=0), datasets)
         with pytest.raises(Stop):
-            run_cell(config, Strategy.VANILLA, 1, tmp_path / "cell", task_datasets(config.tasks))
+            run_cell(config, Strategy.VANILLA, 1, tmp_path / "cell", datasets, tables)
         assert seen == [dataclasses.replace(config.train, seed=_cell_seeds(3, 1)[2])]
 
 
@@ -294,6 +300,43 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
         # Two strategies x two repetitions, yet each task is drawn once.
         assert labels == [1, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_task_split_is_featurised_once_per_run(self, tmp_path, monkeypatch, workers):
+        # Counted in this process; a featurisation in a pool worker fails the run.
+        main_pid = os.getpid()
+        featurised = []
+        frames = []
+        real_features, real_frame = predictor.scene_features, core.scene_frame
+
+        def features(scenes, *rest):
+            assert os.getpid() == main_pid, "a worker featurised"
+            featurised.append(list(scenes))
+            return real_features(scenes, *rest)
+
+        def frame(scene):
+            assert os.getpid() == main_pid, "a worker computed a frame"
+            frames.append(scene)
+            return real_frame(scene)
+
+        monkeypatch.setattr(predictor, "scene_features", features)
+        monkeypatch.setattr(core, "scene_frame", frame)
+        tasks = [
+            {"kind": "straight", "n_samples": 20},
+            {"kind": "turn", "n_samples": 20},
+        ]
+        cfg = write_config(tmp_path / "cfg.json", tasks=tasks, workers=workers)
+        assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+        # Two strategies x two repetitions, yet each split is featurised
+        # once, one frame per sample.
+        splits = [
+            [s.scene for s in split]
+            for pair in task_datasets(load_config(cfg).tasks)
+            for split in pair
+        ]
+        assert [len(split) for split in splits] == [16, 4, 16, 4]
+        assert featurised == splits
+        assert frames == [scene for split in splits for scene in split]
 
     def test_full_run_artifacts_and_summary_math(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", strategies=["vanilla", "dual", "joint"])
@@ -558,6 +601,24 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(v1), "--data", data]) == 0
         assert capsys.readouterr().out == from_v2
 
+    def test_endpoint_count_outside_the_grid_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tasks=[{"kind": "straight", "n_samples": 5}])
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
+        grid = GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0)
+        model = HeatmapPredictor(PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(4,), grid=grid))
+        checkpoint = tmp_path / "ck.json"
+        save_checkpoint(checkpoint, model.config, model.init_params())
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(out / "data" / "task_01.csv")]
+        capsys.readouterr()
+        for w in (0, 65):
+            assert main(argv + ["--w", str(w)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"config error: --w {w} must be in 1..64" in captured.err
+        assert main(argv + ["--w", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 5
+
     def test_missing_checkpoint_is_a_runtime_error(self, tmp_path, capsys):
         code = main(
             ["eval", "--checkpoint", str(tmp_path / "no.json"), "--data", "x.csv"]
@@ -595,6 +656,15 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
         assert not out.exists()
         assert "config error: tasks[1].k_sv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("w", [0, 65, 300])
+    def test_endpoint_count_outside_the_grid_exits_one_before_any_output(self, tmp_path, capsys, w):
+        cfg = write_config(tmp_path / "cfg.json", w_endpoints=w)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"config error: w_endpoints is {w}: it must be in 1..64" in err
 
     def test_odd_dual_budget_exits_one_before_any_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", train={"buffer_total": 9, "batch_size": 8})

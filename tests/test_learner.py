@@ -25,15 +25,11 @@ from contrail.memory import (
 )
 from contrail.learner import _AgemMemory
 
-from conftest import make_sample
+from conftest import encode, make_sample
 
 
 def make_stream(rng, grid, labels):
     return [make_sample(rng, grid, task_label=label) for label in labels]
-
-
-def encode(model, samples):
-    return model.encode([s.scene for s in samples], [s.truth for s in samples])
 
 
 class TestStrategyParsing:
@@ -127,7 +123,7 @@ class TestStepFunctions:
         table = self._table(rng, tiny_model, 4)
         cfg = TrainConfig()
 
-        base_loss, base_grad, _ = tiny_model.loss_and_grad(params, *table, cfg.loss)
+        base_loss, base_grad, _ = tiny_model.loss_and_grad(params, table.x, table.cells, cfg.loss)
         loss, grad, _ = dual_replay_step(
             tiny_model,
             params,
@@ -297,7 +293,7 @@ class TestStepFunctions:
         loss, grad, _ = gss_style_step(
             tiny_model, params, table, self.batch, None, cfg, np.random.default_rng(0)
         )
-        want_l, want_g, _ = tiny_model.loss_and_grad(params, *table, cfg.loss)
+        want_l, want_g, _ = tiny_model.loss_and_grad(params, table.x, table.cells, cfg.loss)
         assert loss == want_l
         assert np.array_equal(grad, want_g)
 
@@ -308,20 +304,22 @@ class TestTrainStream:
 
     def test_empty_stream_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="empty stream"):
-            train_stream(tiny_model, [], Strategy.VANILLA, TrainConfig())
+            train_stream(tiny_model, [], encode(tiny_model, []), Strategy.VANILLA, TrainConfig())
 
     def test_unordered_stream_rejected(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(320, grid, labels=[1, 2, 1])
+        table = encode(tiny_model, stream)
         with pytest.raises(ValueError, match="non-decreasing"):
-            train_stream(tiny_model, stream, Strategy.VANILLA, TrainConfig())
+            train_stream(tiny_model, stream, table, Strategy.VANILLA, TrainConfig())
 
     def test_single_pass_visits(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(321, grid)
+        table = encode(tiny_model, stream)
         for strategy in Strategy:
             cfg = TrainConfig(batch_size=5, buffer_total=8)
-            result = train_stream(tiny_model, stream, strategy, cfg)
+            result = train_stream(tiny_model, stream, table, strategy, cfg)
             assert result.visits.shape == (24,)
             assert np.all(result.visits == 1)
             assert result.n_steps == 5
@@ -329,10 +327,11 @@ class TestTrainStream:
     def test_bit_reproducible(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(322, grid)
+        table = encode(tiny_model, stream)
         cfg = TrainConfig(buffer_total=8, seed=13)
         for strategy in (Strategy.DUAL_REPLAY, Strategy.AGEM, Strategy.JOINT):
-            a = train_stream(tiny_model, stream, strategy, cfg)
-            b = train_stream(tiny_model, stream, strategy, cfg)
+            a = train_stream(tiny_model, stream, table, strategy, cfg)
+            b = train_stream(tiny_model, stream, table, strategy, cfg)
             assert np.array_equal(a.final_params, b.final_params)
             assert a.agem_dots == b.agem_dots
             assert len(a.checkpoints) == len(b.checkpoints)
@@ -343,46 +342,50 @@ class TestTrainStream:
     def test_buffer_wiring_per_strategy(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(323, grid)
+        table = encode(tiny_model, stream)
         cfg = TrainConfig(buffer_total=8)
 
-        dual = train_stream(tiny_model, stream, Strategy.DUAL_REPLAY, cfg)
+        dual = train_stream(tiny_model, stream, table, Strategy.DUAL_REPLAY, cfg)
         assert dual.separation is not None and dual.separation.capacity == 4
         assert dual.completion is not None and dual.completion.capacity == 4
         assert len(dual.completion) == 4
 
-        der = train_stream(tiny_model, stream, Strategy.DER_STYLE, cfg)
+        der = train_stream(tiny_model, stream, table, Strategy.DER_STYLE, cfg)
         assert der.separation is None
         assert der.completion is not None and der.completion.capacity == 8
 
-        gss = train_stream(tiny_model, stream, Strategy.GSS_STYLE, cfg)
+        gss = train_stream(tiny_model, stream, table, Strategy.GSS_STYLE, cfg)
         assert gss.separation is not None and gss.separation.capacity == 8
         assert gss.completion is None
 
-        vanilla = train_stream(tiny_model, stream, Strategy.VANILLA, cfg)
+        vanilla = train_stream(tiny_model, stream, table, Strategy.VANILLA, cfg)
         assert vanilla.separation is None and vanilla.completion is None
 
     def test_dual_needs_an_even_budget(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(324, grid)
+        table = encode(tiny_model, stream)
         with pytest.raises(ValueError, match="even total"):
             train_stream(
-                tiny_model, stream, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=7)
+                tiny_model, stream, table, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=7)
             )
 
     def test_dual_without_memory_matches_vanilla_bitwise(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(325, grid)
+        table = encode(tiny_model, stream)
         vanilla = train_stream(
-            tiny_model, stream, Strategy.VANILLA, TrainConfig(buffer_total=0)
+            tiny_model, stream, table, Strategy.VANILLA, TrainConfig(buffer_total=0)
         )
         no_budget = train_stream(
-            tiny_model, stream, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=0)
+            tiny_model, stream, table, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=0)
         )
         assert np.array_equal(vanilla.final_params, no_budget.final_params)
 
         zero_weights = train_stream(
             tiny_model,
             stream,
+            table,
             Strategy.DUAL_REPLAY,
             TrainConfig(buffer_total=8, loss=LossSpec(alpha=0.0, beta=0.0)),
         )
@@ -391,45 +394,51 @@ class TestTrainStream:
     def test_replay_changes_the_outcome(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(326, grid)
-        vanilla = train_stream(tiny_model, stream, Strategy.VANILLA, TrainConfig())
+        table = encode(tiny_model, stream)
+        vanilla = train_stream(tiny_model, stream, table, Strategy.VANILLA, TrainConfig())
         dual = train_stream(
-            tiny_model, stream, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8)
+            tiny_model, stream, table, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8)
         )
         assert not np.array_equal(vanilla.final_params, dual.final_params)
 
     def test_joint_equals_vanilla_on_the_shuffled_stream(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(327, grid, labels=[1] * 20)
+        table = encode(tiny_model, stream)
         cfg = TrainConfig(seed=5)
-        joint = train_stream(tiny_model, stream, Strategy.JOINT, cfg)
+        joint = train_stream(tiny_model, stream, table, Strategy.JOINT, cfg)
         assert joint.checkpoints == []
 
         seeds = np.random.SeedSequence(cfg.seed).spawn(4)
         order = np.random.default_rng(seeds[2]).permutation(len(stream))
         shuffled = [stream[int(i)] for i in order]
-        vanilla = train_stream(tiny_model, shuffled, Strategy.VANILLA, cfg)
+        vanilla = train_stream(
+            tiny_model, shuffled, encode(tiny_model, shuffled), Strategy.VANILLA, cfg
+        )
         assert np.array_equal(joint.final_params, vanilla.final_params)
 
     def test_task_free_strategies_read_no_labels(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(328, grid)
+        table = encode(tiny_model, stream)
         for strategy in TASK_FREE:
             result = train_stream(
-                tiny_model, stream, strategy, TrainConfig(buffer_total=8)
+                tiny_model, stream, table, strategy, TrainConfig(buffer_total=8)
             )
             assert result.label_reads == 0, strategy
-        joint = train_stream(tiny_model, stream, Strategy.JOINT, TrainConfig())
+        joint = train_stream(tiny_model, stream, table, Strategy.JOINT, TrainConfig())
         assert joint.label_reads == 0
         agem = train_stream(
-            tiny_model, stream, Strategy.AGEM, TrainConfig(buffer_total=8)
+            tiny_model, stream, table, Strategy.AGEM, TrainConfig(buffer_total=8)
         )
         assert agem.label_reads > 0
 
     def test_checkpoints_follow_task_boundaries(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(329, grid, labels=[1] * 6 + [2] * 6)
+        table = encode(tiny_model, stream)
         cfg = TrainConfig(batch_size=4)
-        result = train_stream(tiny_model, stream, Strategy.VANILLA, cfg)
+        result = train_stream(tiny_model, stream, table, Strategy.VANILLA, cfg)
         assert [label for label, _ in result.checkpoints] == [1, 2]
         assert np.array_equal(result.checkpoints[1][1], result.final_params)
         assert not np.array_equal(result.checkpoints[0][1], result.final_params)
@@ -437,6 +446,7 @@ class TestTrainStream:
         silent = train_stream(
             tiny_model,
             stream,
+            table,
             Strategy.VANILLA,
             TrainConfig(batch_size=4, checkpoint_after_each_task=False),
         )
@@ -445,18 +455,20 @@ class TestTrainStream:
     def test_agem_projections_stay_non_negative(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(330, grid, labels=[1] * 16 + [2] * 16 + [3] * 16)
+        table = encode(tiny_model, stream)
         result = train_stream(
-            tiny_model, stream, Strategy.AGEM, TrainConfig(buffer_total=12, batch_size=4)
+            tiny_model, stream, table, Strategy.AGEM, TrainConfig(buffer_total=12, batch_size=4)
         )
         assert all(d >= -1e-9 for d in result.agem_dots)
 
     def test_explicit_init_params_are_respected_and_unchanged(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(332, grid)
+        table = encode(tiny_model, stream)
         init = np.zeros(tiny_model.param_count)
         before = init.copy()
         result = train_stream(
-            tiny_model, stream, Strategy.VANILLA, TrainConfig(), init_params=init
+            tiny_model, stream, table, Strategy.VANILLA, TrainConfig(), init_params=init
         )
         assert np.array_equal(init, before)
         assert not np.array_equal(result.final_params, init)
@@ -499,12 +511,13 @@ class TestExactScoring:
         stream = make_stream(
             np.random.default_rng(336), grid, [1] * 24 + [2] * 24 + [3] * 24
         )
+        table = encode(tiny_model, stream)
         cfg = TrainConfig(buffer_total=8, batch_size=4, b_compare=3, seed=3)
-        fast = train_stream(tiny_model, stream, strategy, cfg)
+        fast = train_stream(tiny_model, stream, table, strategy, cfg)
 
         late: list[tuple[int, int]] = []
         monkeypatch.setattr(learner, "_offer_batch", _dense_offer_batch(late))
-        ref = train_stream(tiny_model, stream, strategy, cfg)
+        ref = train_stream(tiny_model, stream, table, strategy, cfg)
 
         # Some admission into the full buffer was followed, within its
         # batch, by an offer scored against the replaced slot.
@@ -526,8 +539,8 @@ class TestExactScoring:
 
 
 class TestWorkIsOncePerSample:
-    """``train_stream`` featurises and targets its stream once, on
-    entry; the batch loop, replay and scoring only index rows."""
+    """Encoding computes each sample's frame once and featurises the
+    whole set in one call; ``train_stream`` then only indexes rows."""
 
     @pytest.mark.parametrize(
         "strategy", [Strategy.DUAL_REPLAY, Strategy.GSS_STYLE, Strategy.AGEM]
@@ -547,9 +560,9 @@ class TestWorkIsOncePerSample:
 
         real_features = predictor.scene_features
 
-        def features(scenes):
+        def features(scenes, frames):
             featurised.append(scenes)
-            return real_features(scenes)
+            return real_features(scenes, frames)
 
         monkeypatch.setattr(predictor, "scene_features", features)
         monkeypatch.setattr(core, "scene_frame", counting("scene_frame", core.scene_frame))
@@ -557,15 +570,24 @@ class TestWorkIsOncePerSample:
         monkeypatch.setattr(core, "target_cell", target_cell)
         monkeypatch.setattr(learner, "target_cell", target_cell, raising=False)
 
+        table = encode(tiny_model, stream)
+        assert len(featurised) == 1
+        assert [s.scene for s in stream] == list(featurised[0])
+        assert counts == {"scene_frame": len(stream), "target_cell": 0}
+
         cfg = TrainConfig(buffer_total=8, batch_size=4, agem_ref_batch=8)
-        result = train_stream(tiny_model, stream, strategy, cfg)
+        result = train_stream(tiny_model, stream, table, strategy, cfg)
 
         assert result.n_steps == 18
         assert len(featurised) == 1
-        assert [s.scene for s in stream] == list(featurised[0])
-        assert counts["target_cell"] == 0
-        # One frame per sample for its features and one for its target.
-        assert len(stream) <= counts["scene_frame"] <= 2 * len(stream)
+        assert counts == {"scene_frame": len(stream), "target_cell": 0}
+
+    def test_rows_must_match_the_stream(self, tiny_model):
+        stream = make_stream(np.random.default_rng(339), tiny_model.config.grid, [1] * 6)
+        with pytest.raises(ValueError, match="5 table rows for a stream of 6"):
+            train_stream(
+                tiny_model, stream, encode(tiny_model, stream[:5]), Strategy.VANILLA, TrainConfig()
+            )
 
 
 class TestOnePassPerStep:
@@ -587,6 +609,7 @@ class TestOnePassPerStep:
     ):
         grid = tiny_model.config.grid
         stream = make_stream(np.random.default_rng(338), grid, [1] * 24 + [2] * 24 + [3] * 24)
+        table = encode(tiny_model, stream)
         counts = {"_forward_cached": 0, "_backward": 0, "forward_logits": 0}
 
         def counting(name):
@@ -602,7 +625,7 @@ class TestOnePassPerStep:
             monkeypatch.setattr(predictor.HeatmapPredictor, name, counting(name))
 
         cfg = TrainConfig(buffer_total=8, batch_size=4)
-        result = train_stream(tiny_model, stream, strategy, cfg)
+        result = train_stream(tiny_model, stream, table, strategy, cfg)
 
         assert result.n_steps == 18
         assert counts == {

@@ -11,17 +11,71 @@ from contrail import metrics
 from contrail.core import GridSpec, GroundTruth, Heatmap, ResultMatrix
 from contrail.metrics import (
     EvalReport,
-    PredictionSet,
     averages,
     bwt,
     extract_endpoints,
-    fde_sample,
+    fde,
     mr_task,
     mr_threshold,
     read_matrix_csv,
     report_from_matrices,
     write_matrix_csv,
 )
+
+
+def endpoints_of(heatmap: Heatmap, w: int):
+    """``extract_endpoints`` on a batch of one, as a tuple of points."""
+    got = extract_endpoints(heatmap.logits[None], heatmap.grid, w)
+    assert got.shape == (1, w, 2)
+    return tuple(tuple(p) for p in got[0].tolist())
+
+
+def fde_of(points, endpoint) -> float:
+    """``fde`` of one sample's candidate ``points``."""
+    return fde(np.array([points], dtype=float), np.array([endpoint], dtype=float))[0]
+
+
+def mr_of(cases) -> float:
+    """``mr_task`` over (candidates, truth, heading) cases of one width."""
+    return mr_task(
+        np.array([points for points, _, _ in cases], dtype=float),
+        np.array([truth.endpoint for _, truth, _ in cases]),
+        np.array([truth.speed_v for _, truth, _ in cases]),
+        np.array([heading for _, _, heading in cases], dtype=float),
+    )
+
+
+def fde_loop(points, truth) -> float:
+    """Reference: the per-sample FDE loop the array form replaced."""
+    tx, ty = truth
+    best = math.inf
+    for ex, ey in points:
+        dx = ex - tx
+        dy = ey - ty
+        d = math.sqrt(dx * dx + dy * dy)
+        if d < best:
+            best = d
+    return best
+
+
+def mr_loop(cases) -> float:
+    """Reference: the per-sample miss-rate loop the array form replaced;
+    cases are (candidates, truth endpoint, speed, heading)."""
+    misses = 0
+    total = 0
+    for points, (tx, ty), speed, (hx, hy) in cases:
+        norm = math.sqrt(hx * hx + hy * hy)
+        hx, hy = hx / norm, hy / norm
+        gate = 1.0 if speed < 1.4 else 2.0 if speed > 11.0 else 1.0 + (speed - 1.4) / (11.0 - 1.4)
+        for ex, ey in points:
+            dx = ex - tx
+            dy = ey - ty
+            lon = dx * hx + dy * hy
+            lat = -dx * hy + dy * hx
+            if abs(lat) > 1.0 or abs(lon) > gate:
+                misses += 1
+            total += 1
+    return 100.0 * misses / total
 
 
 def brute_force_endpoints(heatmap: Heatmap, w: int):
@@ -73,9 +127,7 @@ class TestExtractEndpoints:
             logits = rng.normal(size=(grid.rows_h, grid.cols_w))
             heatmap = Heatmap(logits, grid)
             w = int(rng.integers(1, grid.n_cells + 1))
-            assert extract_endpoints(heatmap, w).endpoints == brute_force_endpoints(
-                heatmap, w
-            )
+            assert endpoints_of(heatmap, w) == brute_force_endpoints(heatmap, w)
 
     def test_matches_brute_force_with_ties(self, tiny_grid):
         # Integer-valued logits force duplicated probabilities, so both
@@ -85,21 +137,19 @@ class TestExtractEndpoints:
             logits = rng.integers(0, 3, size=(tiny_grid.rows_h, tiny_grid.cols_w))
             heatmap = Heatmap(logits.astype(float), tiny_grid)
             w = int(rng.integers(1, tiny_grid.n_cells + 1))
-            assert extract_endpoints(heatmap, w).endpoints == brute_force_endpoints(
-                heatmap, w
-            )
+            assert endpoints_of(heatmap, w) == brute_force_endpoints(heatmap, w)
 
     def test_dominant_cell_comes_first(self, tiny_grid):
         logits = np.zeros((4, 5))
         logits[2, 3] = 10.0
-        first = extract_endpoints(Heatmap(logits, tiny_grid), 3).endpoints[0]
+        first = endpoints_of(Heatmap(logits, tiny_grid), 3)[0]
         assert first == (-10.0 + 3.5 * 4.0, -8.0 + 2.5 * 4.0)
 
     def test_flat_heatmap_falls_back_to_scan_order(self, tiny_grid):
         # No strict maxima anywhere: the tail fill walks cells in
         # (row, col) order.
         heatmap = Heatmap(np.zeros((4, 5)), tiny_grid)
-        got = extract_endpoints(heatmap, 3).endpoints
+        got = endpoints_of(heatmap, 3)
         expected = tuple(
             (-10.0 + (c + 0.5) * 4.0, -8.0 + 0.5 * 4.0) for c in range(3)
         )
@@ -109,46 +159,118 @@ class TestExtractEndpoints:
         rng = np.random.default_rng(202)
         logits = rng.normal(size=(4, 5))
         heatmap = Heatmap(logits, tiny_grid)
-        small = extract_endpoints(heatmap, 2).endpoints
-        large = extract_endpoints(heatmap, 6).endpoints
+        small = endpoints_of(heatmap, 2)
+        large = endpoints_of(heatmap, 6)
         assert large[:2] == small
 
     def test_w_bounds(self, tiny_grid):
         heatmap = Heatmap(np.zeros((4, 5)), tiny_grid)
         with pytest.raises(ValueError, match="w must be"):
-            extract_endpoints(heatmap, 0)
+            endpoints_of(heatmap, 0)
         with pytest.raises(ValueError, match="w must be"):
-            extract_endpoints(heatmap, 21)
-        assert len(extract_endpoints(heatmap, 20).endpoints) == 20
+            endpoints_of(heatmap, 21)
+        assert len(endpoints_of(heatmap, 20)) == 20
 
-    def test_prediction_set_rejects_empty(self):
+    def test_empty_prediction_rejected(self):
         with pytest.raises(ValueError, match="at least one endpoint"):
-            PredictionSet(())
+            fde(np.zeros((1, 0, 2)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="at least one endpoint"):
+            mr_task(np.zeros((1, 0, 2)), np.zeros((1, 2)), np.ones(1), np.array([1.0, 0.0]))
+
+
+class TestBatchedScoring:
+    """Whole stacks against the per-heatmap brute force and the
+    per-sample loops, row by row and bit for bit."""
+
+    def _check_stack(self, logits, grid, w):
+        got = extract_endpoints(logits, grid, w)
+        assert got.shape == (len(logits), w, 2)
+        for row, endpoints in zip(logits, got):
+            want = brute_force_endpoints(Heatmap(row, grid), w)
+            assert tuple(tuple(p) for p in endpoints.tolist()) == want
+
+    def test_stacks_with_ties_flat_heatmaps_and_plateaus(self, tiny_grid):
+        rng = np.random.default_rng(240)
+        for grid, n in (
+            (tiny_grid, 20),
+            (GridSpec(rows_h=6, cols_w=5, origin=(-3.0, -4.0), cell_size=2.0), 20),
+            (GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5), 4),
+        ):
+            shape = (grid.rows_h, grid.cols_w)
+            ties = rng.integers(0, 3, size=(n, *shape)).astype(float)
+            normal = rng.normal(size=(n, *shape))
+            plateaus = np.zeros((3, *shape))
+            plateaus[0, 1:3, 1:3] = 2.0  # a 2x2 top plateau: no strict maximum
+            plateaus[1, :, :2] = 1.0
+            plateaus[1, -1, -1] = 3.0  # one peak beside a long ridge
+            plateaus[2] = np.arange(grid.cols_w) // 2  # a staircase of flat steps
+            stack = np.concatenate([ties, normal, np.zeros((1, *shape)), plateaus])
+            stack = stack[rng.permutation(len(stack))]
+            for w in (1, 2, 7, grid.n_cells):
+                self._check_stack(stack, grid, w)
+
+    def test_stack_rows_are_scored_independently(self, tiny_grid):
+        rng = np.random.default_rng(241)
+        stack = rng.integers(0, 3, size=(12, 4, 5)).astype(float)
+        whole = extract_endpoints(stack, tiny_grid, 5)
+        for k in range(len(stack)):
+            assert np.array_equal(extract_endpoints(stack[k : k + 1], tiny_grid, 5)[0], whole[k])
+
+    def test_logits_are_checked(self, tiny_grid):
+        bad = np.zeros((2, 4, 5))
+        bad[1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            extract_endpoints(bad, tiny_grid, 3)
+        with pytest.raises(ValueError, match="does not match grid"):
+            extract_endpoints(np.zeros((2, 5, 4)), tiny_grid, 3)
+
+    def test_fde_and_mr_equal_the_per_sample_loops(self):
+        rng = np.random.default_rng(242)
+        for w in (1, 3, 6):
+            n = 60
+            truths = rng.uniform(-20, 20, size=(n, 2))
+            speeds = rng.uniform(0, 13, size=n)
+            speeds[:3] = (1.4, 11.0, 0.0)
+            headings = rng.uniform(-2, 2, size=(n, 2))
+            # Candidates on and just beside the gate edges, so any change
+            # in the arithmetic flips a decision.
+            unit = headings / np.hypot(headings[:, :1], headings[:, 1:])
+            gate = np.asarray(mr_threshold(speeds))[:, None]
+            lon = gate * rng.choice([-1.0, 1.0, 1.0 - 1e-15, 1.0 + 1e-15, 0.3], size=(n, w))
+            lat = rng.choice([-1.0, 1.0, 1.0 - 1e-15, 1.0 + 1e-15, 0.2], size=(n, w))
+            endpoints = np.stack(
+                [
+                    truths[:, None, 0] + lon * unit[:, None, 0] - lat * unit[:, None, 1],
+                    truths[:, None, 1] + lon * unit[:, None, 1] + lat * unit[:, None, 0],
+                ],
+                axis=-1,
+            )
+            assert fde(endpoints, truths).tolist() == [
+                fde_loop(p, t) for p, t in zip(endpoints.tolist(), truths.tolist())
+            ]
+            cases = list(zip(endpoints.tolist(), truths.tolist(), speeds.tolist(), headings.tolist()))
+            assert mr_task(endpoints, truths, speeds, headings) == mr_loop(cases)
+            plus_x = [(p, t, v, (1.0, 0.0)) for p, t, v, _ in cases]
+            assert mr_task(endpoints, truths, speeds, np.array([1.0, 0.0])) == mr_loop(plus_x)
 
 
 class TestFde:
     def test_three_four_five(self):
-        pred = PredictionSet(((3.0, 4.0),))
-        truth = GroundTruth(endpoint=(0.0, 0.0), speed_v=5.0)
-        assert fde_sample(pred, truth) == pytest.approx(5.0, abs=1e-15)
+        assert fde_of([(3.0, 4.0)], (0.0, 0.0)) == pytest.approx(5.0, abs=1e-15)
 
     def test_takes_the_closest_candidate(self):
-        pred = PredictionSet(((3.0, 4.0), (0.0, 1.0), (-7.0, 2.0)))
-        truth = GroundTruth(endpoint=(0.0, 0.0), speed_v=5.0)
-        assert fde_sample(pred, truth) == pytest.approx(1.0, abs=1e-15)
+        pred = [(3.0, 4.0), (0.0, 1.0), (-7.0, 2.0)]
+        assert fde_of(pred, (0.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_candidate_order_is_irrelevant(self):
         rng = np.random.default_rng(210)
         pts = [tuple(p) for p in rng.normal(size=(6, 2))]
-        truth = GroundTruth(endpoint=(0.3, -0.4), speed_v=1.0)
-        a = fde_sample(PredictionSet(tuple(pts)), truth)
-        b = fde_sample(PredictionSet(tuple(reversed(pts))), truth)
+        a = fde_of(pts, (0.3, -0.4))
+        b = fde_of(pts[::-1], (0.3, -0.4))
         assert a == b
 
     def test_exact_hit_is_zero(self):
-        pred = PredictionSet(((1.5, -2.5), (9.0, 9.0)))
-        truth = GroundTruth(endpoint=(1.5, -2.5), speed_v=0.0)
-        assert fde_sample(pred, truth) == 0.0
+        assert fde_of([(1.5, -2.5), (9.0, 9.0)], (1.5, -2.5)) == 0.0
 
 
 class TestMrThreshold:
@@ -180,15 +302,15 @@ class TestMrTask:
         # Speed 0 gives gates of 1 m both ways.  Two of the four
         # candidates fall outside the box.
         truth = GroundTruth(endpoint=(0.0, 0.0), speed_v=0.0)
-        pred = PredictionSet(((0.5, 0.0), (1.5, 0.0), (0.0, 1.5), (0.9, 0.9)))
-        assert mr_task([(pred, truth, (1.0, 0.0))]) == pytest.approx(50.0, abs=1e-12)
+        pred = ((0.5, 0.0), (1.5, 0.0), (0.0, 1.5), (0.9, 0.9))
+        assert mr_of([(pred, truth, (1.0, 0.0))]) == pytest.approx(50.0, abs=1e-12)
 
     def test_gate_boundary_is_a_hit(self):
         truth = GroundTruth(endpoint=(0.0, 0.0), speed_v=0.0)
-        on_edge = PredictionSet(((1.0, 0.0),))
-        beyond = PredictionSet(((1.0 + 1e-9, 0.0),))
-        assert mr_task([(on_edge, truth, (1.0, 0.0))]) == 0.0
-        assert mr_task([(beyond, truth, (1.0, 0.0))]) == 100.0
+        on_edge = ((1.0, 0.0),)
+        beyond = ((1.0 + 1e-9, 0.0),)
+        assert mr_of([(on_edge, truth, (1.0, 0.0))]) == 0.0
+        assert mr_of([(beyond, truth, (1.0, 0.0))]) == 100.0
 
     def test_rotated_frames_match_the_axis_aligned_oracle(self):
         rng = np.random.default_rng(220)
@@ -211,30 +333,32 @@ class TestMrTask:
                 endpoints.append(
                     (tx + lon * hx - lat * hy, ty + lon * hy + lat * hx)
                 )
-            got = mr_task([(PredictionSet(tuple(endpoints)), truth, (hx, hy))])
+            got = mr_of([(endpoints, truth, (hx, hy))])
             assert got == pytest.approx(100.0 * expected_misses / 6, abs=1e-9)
 
     def test_candidates_pool_across_cases(self):
         truth = GroundTruth(endpoint=(0.0, 0.0), speed_v=0.0)
-        hit = PredictionSet(((0.0, 0.0),))
-        mixed = PredictionSet(((0.0, 0.0), (5.0, 0.0), (0.0, 5.0)))
-        rate = mr_task([(hit, truth, (1.0, 0.0)), (mixed, truth, (1.0, 0.0))])
-        assert rate == pytest.approx(100.0 * 2 / 4, abs=1e-12)
+        hit = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+        mixed = ((0.0, 0.0), (5.0, 0.0), (0.0, 5.0))
+        rate = mr_of([(hit, truth, (1.0, 0.0)), (mixed, truth, (1.0, 0.0))])
+        assert rate == pytest.approx(100.0 * 2 / 6, abs=1e-12)
 
     def test_heading_scale_is_irrelevant(self):
         truth = GroundTruth(endpoint=(0.0, 0.0), speed_v=0.0)
-        pred = PredictionSet(((1.5, 0.0), (0.5, 0.5)))
-        a = mr_task([(pred, truth, (1.0, 0.0))])
-        b = mr_task([(pred, truth, (20.0, 0.0))])
+        pred = ((1.5, 0.0), (0.5, 0.5))
+        a = mr_of([(pred, truth, (1.0, 0.0))])
+        b = mr_of([(pred, truth, (20.0, 0.0))])
         assert a == b
 
     def test_validation(self):
         truth = GroundTruth(endpoint=(0.0, 0.0), speed_v=0.0)
-        pred = PredictionSet(((0.0, 0.0),))
+        pred = ((0.0, 0.0),)
         with pytest.raises(ValueError, match="at least one case"):
-            mr_task([])
+            mr_task(np.zeros((0, 1, 2)), np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)))
         with pytest.raises(ValueError, match="nonzero"):
-            mr_task([(pred, truth, (0.0, 0.0))])
+            mr_of([(pred, truth, (0.0, 0.0))])
+        with pytest.raises(ValueError, match="non-negative"):
+            mr_task(np.zeros((1, 1, 2)), np.zeros((1, 2)), np.array([-0.5]), np.array([1.0, 0.0]))
 
 
 class TestBwt:

@@ -17,10 +17,11 @@ from contrail.core import (
     AgentState,
     GridSpec,
     Sample,
+    endpoint_cells,
     local_endpoints,
     scene_frame,
+    scene_frames,
     target_cell,
-    target_cells,
 )
 from contrail.losses import LossSpec
 from contrail.memory import _cosine_rows
@@ -132,7 +133,7 @@ class TestForward:
             sv_mask=(base.sv_mask[0], False),
             t_c=base.t_c,
         )
-        feats = scene_features([masked])[0]
+        feats = features_of([masked])[0]
         per_track = len(base.tv_history) * 4
         assert np.all(feats[2 * per_track :] == 0.0)
 
@@ -283,6 +284,10 @@ class TestConfigValidation:
             PredictorConfig(t_obs=2, k_sv=-1, hidden_dims=(4,), grid=tiny_grid)
 
 
+def features_of(scenes) -> np.ndarray:
+    return scene_features(scenes, scene_frames(scenes))
+
+
 def per_scene_features(scene) -> np.ndarray:
     """Reference: the scene-at-a-time featuriser the batched one replaced."""
     frame = scene_frame(scene)
@@ -301,23 +306,40 @@ def per_scene_features(scene) -> np.ndarray:
 
 
 class TestBatchedMatchesPerScene:
-    """``scene_features``, ``target_cells`` and ``local_endpoints`` against
-    the per-scene featuriser and the ``target_cell`` loop, bit for bit."""
+    """``HeatmapPredictor.encode`` (``scene_features``,
+    ``local_endpoints`` and ``endpoint_cells`` over one ``scene_frames``
+    pass) against the per-scene featuriser and the ``target_cell`` loop,
+    bit for bit."""
 
     grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
 
     def assert_bit_equal(self, samples):
         scenes = [s.scene for s in samples]
         truths = [s.truth for s in samples]
+        model = HeatmapPredictor(
+            PredictorConfig(
+                t_obs=len(scenes[0].tv_history),
+                k_sv=len(scenes[0].sv_histories),
+                hidden_dims=(4,),
+                grid=self.grid,
+            )
+        )
+        table = model.encode(scenes, truths)
         want_x = np.stack([per_scene_features(sc) for sc in scenes])
-        assert scene_features(scenes).tobytes() == want_x.tobytes()
+        assert table.x.tobytes() == want_x.tobytes()
+        assert features_of(scenes).tobytes() == want_x.tobytes()
         cells = [target_cell(sc, tr, self.grid) for sc, tr in zip(scenes, truths)]
         want_cells = np.array([r * self.grid.cols_w + c for r, c in cells])
-        assert np.array_equal(target_cells(scenes, truths, self.grid), want_cells)
+        assert np.array_equal(table.cells, want_cells)
         want_local = np.array(
             [scene_frame(sc).to_local(tr.endpoint) for sc, tr in zip(scenes, truths)]
         )
-        assert local_endpoints(scenes, [t.endpoint for t in truths]).tobytes() == want_local.tobytes()
+        assert table.ends.tobytes() == want_local.tobytes()
+        frames = scene_frames(scenes)
+        local = local_endpoints(frames, [t.endpoint for t in truths])
+        assert local.tobytes() == want_local.tobytes()
+        assert np.array_equal(endpoint_cells(local, self.grid), want_cells)
+        assert table.speeds.tolist() == [t.speed_v for t in truths]
 
     @pytest.mark.parametrize("kind", ["straight", "arc", "turn"])
     def test_every_family(self, kind):
@@ -327,7 +349,7 @@ class TestBatchedMatchesPerScene:
     def test_no_neighbor_slots(self):
         samples = generate_task(TaskSpec(kind="arc", n_samples=20, seed=62, k_sv=0))
         self.assert_bit_equal(samples)
-        assert scene_features([s.scene for s in samples]).shape == (20, 10 * 4)
+        assert features_of([s.scene for s in samples]).shape == (20, 10 * 4)
 
     def test_stationary_target_keeps_world_orientation(self):
         rng = np.random.default_rng(63)
@@ -353,9 +375,9 @@ class TestBatchedMatchesPerScene:
         assert all(s.scene.sv_mask == (True, False, False) for s in samples)
         self.assert_bit_equal(samples)
         per_track = spec.t_obs * 4
-        assert not scene_features([s.scene for s in samples])[:, 2 * per_track :].any()
+        assert not features_of([s.scene for s in samples])[:, 2 * per_track :].any()
 
     def test_scenes_of_mixed_geometry_rejected(self):
         rng = np.random.default_rng(65)
         with pytest.raises(ValueError, match="share t_obs and k_sv"):
-            scene_features([make_scene(rng, k_sv=1), make_scene(rng, k_sv=2)])
+            features_of([make_scene(rng, k_sv=1), make_scene(rng, k_sv=2)])

@@ -176,6 +176,11 @@ class TestSplitsAndStream:
             )
         )
 
+    def _stream(self, datasets, seed):
+        """The samples of ``build_stream``'s row order."""
+        train = [s for samples, _ in datasets for s in samples]
+        return [train[i] for i in build_stream(datasets, seed)]
+
     def test_eighty_twenty_index_split(self):
         datasets = self._datasets()
         assert [len(tr) for tr, _ in datasets] == [8, 8]
@@ -189,36 +194,44 @@ class TestSplitsAndStream:
         holdouts = [[s.truth for s in te] for _, te in datasets]
         held_out = {id(s) for _, te in datasets for s in te}
         for seed in (0, 99):
-            stream = build_stream(datasets, seed)
+            stream = self._stream(datasets, seed)
             assert held_out.isdisjoint(id(s) for s in stream)
             assert [[s.truth for s in te] for _, te in datasets] == holdouts
 
     def test_stream_is_made_of_the_train_samples_themselves(self):
         datasets = self._datasets()
-        stream = build_stream(datasets, 0)
+        stream = self._stream(datasets, 0)
         assert sorted(map(id, stream[:8])) == sorted(map(id, datasets[0][0]))
         assert sorted(map(id, stream[8:])) == sorted(map(id, datasets[1][0]))
 
+    def test_stream_is_a_row_order_over_the_train_halves(self):
+        datasets = self._datasets()
+        order = build_stream(datasets, 0)
+        assert sorted(order.tolist()) == list(range(16))
+        assert sorted(order[:8].tolist()) == list(range(8))
+        assert np.array_equal(order[:8], np.random.default_rng([0, 0]).permutation(8))
+        assert np.array_equal(order[8:], 8 + np.random.default_rng([0, 1]).permutation(8))
+
     def test_stream_keeps_task_order_and_labels(self):
-        stream = build_stream(self._datasets(), 0)
+        stream = self._stream(self._datasets(), 0)
         assert len(stream) == 16
         assert task_boundaries(stream) == [(1, 8), (2, 16)]
 
     def test_shuffle_permutes_within_a_task(self):
         datasets = self._datasets()
         ordered = [s for train, _ in datasets for s in train]
-        shuffled = build_stream(datasets, 0)
+        shuffled = self._stream(datasets, 0)
         assert {id(s) for s in shuffled} == {id(s) for s in ordered} or [
             s.truth for s in sorted(shuffled[:8], key=lambda s: s.truth.endpoint)
         ] == [s.truth for s in sorted(ordered[:8], key=lambda s: s.truth.endpoint)]
         assert [s.truth for s in shuffled] != [s.truth for s in ordered]
-        again = build_stream(datasets, 0)
+        again = self._stream(datasets, 0)
         assert [s.truth for s in again] == [s.truth for s in shuffled]
 
     def test_stream_seed_changes_the_order(self):
         datasets = self._datasets()
-        a = build_stream(datasets, 0)
-        b = build_stream(datasets, 1)
+        a = self._stream(datasets, 0)
+        b = self._stream(datasets, 1)
         assert [s.truth for s in a] != [s.truth for s in b]
 
 
