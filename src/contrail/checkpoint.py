@@ -101,8 +101,9 @@ def save_checkpoint(
             "items": _columns(completion.contents(), config),
         },
     }
+    # Streamed into the file: the document is never held as one string.
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload))
+        json.dump(payload, fh)
 
 
 def _floats(value: dict | list, shape: tuple[int, ...], what: str) -> np.ndarray:

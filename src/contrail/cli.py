@@ -298,21 +298,28 @@ def run_cell(
     strategy: Strategy,
     rep: int,
     out_dir: Path,
-    datasets: Sequence[tuple[list[Sample], list[Sample]]],
+    trains: Sequence[list[Sample]],
     tables: Sequence[tuple[SampleTable, SampleTable]],
 ) -> dict:
-    """Train and evaluate one (strategy, repetition) cell on the
-    experiment's ``task_datasets`` and their ``encode_tasks`` rows; write
-    its artifacts and return the headline numbers.  The cell only
-    reorders the training rows."""
+    """Train and evaluate one (strategy, repetition) cell on the train
+    halves of the experiment's ``task_datasets`` and the ``encode_tasks``
+    rows of both halves; write its artifacts and return the headline
+    numbers.  The cell only reorders the training rows."""
     model_seed, stream_seed, train_seed = _cell_seeds(config.seed, rep)
-    order = build_stream(datasets, stream_seed)
-    train = [s for samples, _ in datasets for s in samples]
-    stream = [train[i] for i in order.tolist()]
-    rows = SampleTable.concat([t for t, _ in tables]).take(order)
+    order = build_stream(trains, stream_seed)
+    samples = [s for train in trains for s in train]
+    stream = [samples[i] for i in order.tolist()]
 
     model = _model(config, model_seed)
-    result = train_stream(model, stream, rows, strategy, replace(config.train, seed=train_seed))
+    # The stream's rows are handed over, not kept: they are freed when
+    # training returns.
+    result = train_stream(
+        model,
+        stream,
+        SampleTable.concat([rows for rows, _ in tables]).take(order),
+        strategy,
+        replace(config.train, seed=train_seed),
+    )
 
     n = len(config.tasks)
     fde_m = ResultMatrix(n)
@@ -353,18 +360,17 @@ def _headline(report: EvalReport) -> dict:
     }
 
 
-# The datasets and table rows of the experiment a pool worker serves:
-# set once per worker process by the pool's initializer, so no job
-# carries them.
+# The train halves and table rows of the experiment a pool worker
+# serves: set once per worker process by the pool's initializer, so no
+# job carries them.
 _worker_data: tuple[Sequence, Sequence] = ((), ())
 
 
 def _init_worker(
-    datasets: Sequence[tuple[list[Sample], list[Sample]]],
-    tables: Sequence[tuple[SampleTable, SampleTable]],
+    trains: Sequence[list[Sample]], tables: Sequence[tuple[SampleTable, SampleTable]]
 ) -> None:
     global _worker_data
-    _worker_data = (datasets, tables)
+    _worker_data = (trains, tables)
 
 
 def _run_cell_in_worker(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Path) -> dict:
@@ -412,6 +418,15 @@ def format_summary(summary: dict, strategy_order: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _experiment_data(
+    config: ExperimentConfig,
+) -> tuple[list[list[Sample]], list[tuple[SampleTable, SampleTable]]]:
+    """The tasks' train halves and every split's rows.  The test samples
+    are dropped once encoded: cells score them from their rows."""
+    datasets = task_datasets(config.tasks)
+    return [train for train, _ in datasets], encode_tasks(_model(config, seed=0), datasets)
+
+
 def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> dict:
     """Run every (strategy, repetition) cell and write all artifacts.
 
@@ -436,11 +451,10 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
         for strategy, rep in jobs
     }
 
-    datasets = task_datasets(config.tasks)
-    tables = encode_tasks(_model(config, seed=0), datasets)
+    trains, tables = _experiment_data(config)
     if config.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=(datasets, tables)
+            max_workers=config.workers, initializer=_init_worker, initargs=(trains, tables)
         ) as pool:
             futures = [
                 pool.submit(_run_cell_in_worker, config, s, r, cell_dirs[(s, r)])
@@ -448,7 +462,7 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
             ]
             results = [f.result() for f in futures]
     else:
-        results = [run_cell(config, s, r, cell_dirs[(s, r)], datasets, tables) for s, r in jobs]
+        results = [run_cell(config, s, r, cell_dirs[(s, r)], trains, tables) for s, r in jobs]
 
     results.sort(key=lambda r: (r["strategy"], r["rep"]))
     summary = summarize(results)

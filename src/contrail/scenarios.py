@@ -246,14 +246,14 @@ def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[list[Sample], list[Sa
     return out
 
 
-def build_stream(datasets: Sequence[tuple[list[Sample], list[Sample]]], seed: int) -> np.ndarray:
-    """Training stream as a row order over the train halves of
-    ``datasets``, concatenated in task order: each task's rows stay
-    together and are shuffled by ``seed`` (vary it between repetitions).
-    The test halves never enter it."""
+def build_stream(trains: Sequence[Sequence[Sample]], seed: int) -> np.ndarray:
+    """Training stream as a row order over the train halves ``trains``
+    of ``task_datasets``, concatenated in task order: each task's rows
+    stay together and are shuffled by ``seed`` (vary it between
+    repetitions)."""
     orders = []
     start = 0
-    for i, (train, _) in enumerate(datasets):
+    for i, train in enumerate(trains):
         orders.append(start + np.random.default_rng([seed, i]).permutation(len(train)))
         start += len(train)
     return np.concatenate(orders)

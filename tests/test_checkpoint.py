@@ -258,10 +258,11 @@ class TestFormat:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_failed_save_leaves_no_file(self, tiny_model, tmp_path, monkeypatch):
-        def boom(*args, **kwargs):
+        def boom(payload, fh, **kwargs):
+            fh.write('{"format": ')  # fail halfway through the document
             raise RuntimeError("serialisation failed")
 
-        monkeypatch.setattr(checkpoint.json, "dumps", boom)
+        monkeypatch.setattr(checkpoint.json, "dump", boom)
         with pytest.raises(RuntimeError, match="serialisation failed"):
             save_checkpoint(tmp_path / "checkpoint.json", tiny_model.config, tiny_model.init_params())
         assert list(tmp_path.iterdir()) == []

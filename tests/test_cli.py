@@ -274,10 +274,9 @@ class TestRunCell:
             grid=GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=1.0),
             seed=3,
         )
-        datasets = task_datasets(config.tasks)
-        tables = cli.encode_tasks(cli._model(config, seed=0), datasets)
+        trains, tables = cli._experiment_data(config)
         with pytest.raises(Stop):
-            run_cell(config, Strategy.VANILLA, 1, tmp_path / "cell", datasets, tables)
+            run_cell(config, Strategy.VANILLA, 1, tmp_path / "cell", trains, tables)
         assert seen == [dataclasses.replace(config.train, seed=_cell_seeds(3, 1)[2])]
 
 

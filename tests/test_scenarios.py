@@ -178,8 +178,9 @@ class TestSplitsAndStream:
 
     def _stream(self, datasets, seed):
         """The samples of ``build_stream``'s row order."""
-        train = [s for samples, _ in datasets for s in samples]
-        return [train[i] for i in build_stream(datasets, seed)]
+        trains = [train for train, _ in datasets]
+        samples = [s for train in trains for s in train]
+        return [samples[i] for i in build_stream(trains, seed)]
 
     def test_eighty_twenty_index_split(self):
         datasets = self._datasets()
@@ -206,7 +207,7 @@ class TestSplitsAndStream:
 
     def test_stream_is_a_row_order_over_the_train_halves(self):
         datasets = self._datasets()
-        order = build_stream(datasets, 0)
+        order = build_stream([train for train, _ in datasets], 0)
         assert sorted(order.tolist()) == list(range(16))
         assert sorted(order[:8].tolist()) == list(range(8))
         assert np.array_equal(order[:8], np.random.default_rng([0, 0]).permutation(8))
