@@ -432,8 +432,8 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
 
     The tasks are generated and encoded into table rows once and
     shared by every cell; each pool worker receives them once, when it
-    starts.  Cells are otherwise
-    independent; with ``workers > 1`` they run in a process pool.
+    starts.  Cells are otherwise independent; with ``workers > 1`` they
+    run in a process pool.
     Identical configs produce identical artifacts apart from the
     manifest's wall-clock entry.
     """
