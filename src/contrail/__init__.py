@@ -1,28 +1,9 @@
 """contrail: task-free continual learning for streaming trajectory prediction."""
 
-from .core import (
-    AgentState,
-    Frame,
-    GridSpec,
-    GroundTruth,
-    Heatmap,
-    ResultMatrix,
-    Sample,
-    Scene,
-    cell_to_center,
-    endpoint_to_cell,
-    scene_frame,
-    target_cell,
-)
+from .core import GridSpec, Heatmap, ResultMatrix, Scenes, cell_to_center, endpoint_to_cell
 from .learner import Strategy, TrainConfig, TrainResult, agem_project, train_stream
-from .losses import LossSpec, base_loss, replay_loss, total_loss
-from .memory import (
-    CompletionBuffer,
-    MemoryTriplet,
-    SeparationBuffer,
-    draw_minibatch,
-    separation_score,
-)
+from .losses import LossSpec, base_loss
+from .memory import CompletionBuffer, SeparationBuffer, draw_minibatch, separation_score
 from .metrics import (
     EvalReport,
     averages,
@@ -39,20 +20,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState",
-    "AgentState",
     "CompletionBuffer",
     "EvalReport",
-    "Frame",
     "GridSpec",
-    "GroundTruth",
     "Heatmap",
     "HeatmapPredictor",
     "LossSpec",
-    "MemoryTriplet",
     "PredictorConfig",
     "ResultMatrix",
-    "Sample",
-    "Scene",
+    "Scenes",
     "SeparationBuffer",
     "Strategy",
     "TaskSpec",
@@ -73,11 +49,7 @@ __all__ = [
     "ingest_csv",
     "mr_task",
     "mr_threshold",
-    "replay_loss",
-    "scene_frame",
     "separation_score",
-    "target_cell",
     "task_datasets",
-    "total_loss",
     "train_stream",
 ]

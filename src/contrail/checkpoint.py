@@ -5,12 +5,13 @@ the Adam moments, the buffers' stored states, truths and logits) is a
 ``{"dtype": "<f8", "shape": [...], "data": ...}`` block whose data is
 the base64 of its little-endian float64 bytes, so a save/load cycle is
 bit-exact and two saves of the same state give the same bytes.  A
-buffer stores its slots as columns, one block per field: ``tv`` (n,
-t_obs, 4), ``svs`` (n, k_sv, t_obs, 4), ``endpoint`` (n, 2), ``speed``
-(n,) and ``logits`` (n, rows_h, cols_w), plus plain JSON ``mask`` and
-``t_c`` lists.  The architecture header lets a loader rebuild the
-predictor without outside context, and the optional buffer dump makes a
-checkpoint a full run-resumption unit.
+buffer stores its slots as columns, the :class:`~contrail.core.Scenes`
+columns of its stored rows packed as they are: ``tv`` (n, t_obs, 4),
+``svs`` (n, k_sv, t_obs, 4), ``endpoint`` (n, 2), ``speed`` (n,) and
+``logits`` (n, rows_h, cols_w), plus plain JSON ``mask`` and ``t_c``
+(always ``t_obs - 1``) lists.  The architecture header lets a loader
+rebuild the predictor without outside context, and the optional buffer
+dump makes a checkpoint a full run-resumption unit.
 
 ``contrail-checkpoint-v1`` files, which wrote every float as a JSON
 number and every buffer slot as one nested dict, still load.
@@ -22,14 +23,13 @@ import base64
 import dataclasses
 import json
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import AgentState, GridSpec, GroundTruth, Scene, atomic_write, float_rows
-from .memory import CompletionBuffer, MemoryTriplet, SeparationBuffer
-from .predictor import _STATE_FLOATS, AdamState, HeatmapPredictor, PredictorConfig
+from .core import GridSpec, Scenes, atomic_write
+from .memory import CompletionBuffer, SeparationBuffer
+from .predictor import AdamState, HeatmapPredictor, PredictorConfig
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
@@ -46,26 +46,18 @@ def _pack(array: np.ndarray) -> dict:
     }
 
 
-def _columns(triplets: list[MemoryTriplet], config: PredictorConfig) -> dict:
-    """A buffer's stored triplets as one column per field."""
-    n, t_obs, k_sv, grid = len(triplets), config.t_obs, config.k_sv, config.grid
-    scenes = [t.scene for t in triplets]
-    tv = chain.from_iterable(s.tv_history for s in scenes)
-    svs = chain.from_iterable(chain.from_iterable(s.sv_histories) for s in scenes)
+def _columns(buffer: SeparationBuffer | CompletionBuffer, config: PredictorConfig) -> dict:
+    """A buffer's stored rows and logits as one column per field."""
+    scenes, logits = buffer.contents()
+    n, grid = len(scenes), config.grid
     return {
-        "tv": _pack(float_rows(map(_STATE_FLOATS, tv), n * t_obs, 4).reshape(n, t_obs, 4)),
-        "svs": _pack(
-            float_rows(map(_STATE_FLOATS, svs), n * k_sv * t_obs, 4).reshape(n, k_sv, t_obs, 4)
-        ),
-        "mask": [list(s.sv_mask) for s in scenes],
-        "t_c": [s.t_c for s in scenes],
-        "endpoint": _pack(float_rows((t.truth.endpoint for t in triplets), n, 2)),
-        "speed": _pack(np.fromiter((t.truth.speed_v for t in triplets), np.float64, n)),
-        "logits": _pack(
-            np.array([t.init_logits for t in triplets], dtype=np.float64).reshape(
-                n, grid.rows_h, grid.cols_w
-            )
-        ),
+        "tv": _pack(scenes.tv),
+        "svs": _pack(scenes.svs),
+        "mask": scenes.mask.tolist(),
+        "t_c": [config.t_obs - 1] * n,
+        "endpoint": _pack(scenes.ends),
+        "speed": _pack(scenes.speeds),
+        "logits": _pack(logits.reshape(n, grid.rows_h, grid.cols_w)),
     }
 
 
@@ -91,14 +83,14 @@ def save_checkpoint(
             "b_compare": separation.b_compare,
             "stream_count": separation.stream_count,
             "scores": list(separation.scores),
-            "items": _columns(separation.contents(), config),
+            "items": _columns(separation, config),
         },
         "completion": None
         if completion is None
         else {
             "capacity": completion.capacity,
             "stream_count": completion.stream_count,
-            "items": _columns(completion.contents(), config),
+            "items": _columns(completion, config),
         },
     }
     # Streamed into the file: the document is never held as one string.
@@ -143,8 +135,9 @@ def _v1_columns(items: list[dict]) -> dict:
 
 
 def _slots(block: dict, config: PredictorConfig, what: str) -> dict:
-    """A buffer's slots, rebuilt from its stored columns (or v1 items)
-    as triplets, each slot indexing its own triplet."""
+    """A buffer's slots, rebuilt from its stored columns (or v1 items):
+    the columns become one source table whose row ``s`` slot ``s``
+    holds."""
     items = block["items"]
     if isinstance(items, list):
         items = _v1_columns(items)
@@ -155,6 +148,8 @@ def _slots(block: dict, config: PredictorConfig, what: str) -> dict:
         raise ValueError(f"{what} holds {n} slots, more than its capacity {block['capacity']}")
     if not all(type(t) is int for t in t_c):
         raise ValueError(f"{what}.t_c holds a value that is not an int")
+    if any(t != t_obs - 1 for t in t_c):
+        raise ValueError(f"{what}.t_c holds a step other than t_obs - 1 = {t_obs - 1}")
     if len(mask) != n or not all(
         len(m) == k_sv and all(type(b) is bool for b in m) for m in mask
     ):
@@ -163,27 +158,12 @@ def _slots(block: dict, config: PredictorConfig, what: str) -> dict:
     svs = _floats(items["svs"], (n, k_sv, t_obs, 4), f"{what}.svs")
     endpoint = _floats(items["endpoint"], (n, 2), f"{what}.endpoint")
     speed = _floats(items["speed"], (n,), f"{what}.speed")
+    if np.any(speed < 0):
+        raise ValueError(f"{what}.speed holds a negative speed")
     logits = _floats(items["logits"], (n, grid.rows_h, grid.cols_w), f"{what}.logits")
-    triplets = [
-        MemoryTriplet(
-            scene=Scene(
-                tv_history=tuple(AgentState(*row) for row in tv_i),
-                sv_histories=tuple(tuple(AgentState(*row) for row in track) for track in svs_i),
-                sv_mask=tuple(mask_i),
-                t_c=t_c_i,
-            ),
-            truth=GroundTruth(endpoint=tuple(end_i), speed_v=speed_i),
-            init_logits=logits_i,
-        )
-        for tv_i, svs_i, mask_i, t_c_i, end_i, speed_i, logits_i in zip(
-            tv.tolist(), svs.tolist(), mask, t_c, endpoint.tolist(), speed.tolist(), logits
-        )
-    ]
-    return {
-        "samples": triplets,
-        "rows": list(range(n)),
-        "logits": [t.init_logits for t in triplets],
-    }
+    mask = np.array(mask, dtype=bool).reshape(n, k_sv)
+    source = Scenes(tv, svs, mask, endpoint, speed, np.zeros(n, dtype=np.int64))
+    return {"source": source, "rows": list(range(n)), "logits": list(logits)}
 
 
 def _decode(data: dict, params_only: bool) -> tuple:
@@ -250,13 +230,15 @@ def load_checkpoint(
     """Inverse of ``save_checkpoint``; reads v2 and v1 files.  A file
     written before the header carried the trained horizon gets
     ``PredictorConfig``'s defaults (t_pred 30, dt 0.1).  A loaded
-    buffer's slots index the triplets read from the file.  With
+    buffer's slots index one table of the rows read from the file,
+    whose task labels, never stored, read 0.  With
     ``params_only`` (all that evaluation needs) only the header and
     parameters are decoded; the optimizer state and buffers come back
     as None, unbuilt.  A file that is not JSON, a missing key, and any
     array that is non-finite, undecodable or does not fit the header's
     geometry (the parameters, the Adam moments, every buffer column and
-    the separation scores) raise a ValueError that starts with
+    the separation scores), a stored ``t_c`` other than ``t_obs - 1``
+    and a negative stored speed raise a ValueError that starts with
     ``path``."""
     try:
         data = json.loads(Path(path).read_text())

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import GridSpec, ResultMatrix, Sample, atomic_write
+from .core import GridSpec, ResultMatrix, Scenes, atomic_write
 from .learner import Strategy, TrainConfig, check_buffer_split, train_stream
 from .losses import LossSpec
 from .metrics import (
@@ -86,6 +86,17 @@ class ExperimentConfig:
             )
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not self.hidden_dims or min(self.hidden_dims) < 1:
+            raise ConfigError(
+                f"hidden_dims is {list(self.hidden_dims)}: it needs at least one hidden layer, "
+                f"every width >= 1"
+            )
+        for i, task in enumerate(self.tasks):
+            if (4 * task.n_samples) // 5 == 0:
+                raise ConfigError(
+                    f"tasks[{i}].n_samples is {task.n_samples}: its 80/20 train half is empty; "
+                    f"use at least 2"
+                )
         try:
             check_episode_geometry(self.tasks)
             check_buffer_split(self.strategies, self.train.buffer_total)
@@ -236,19 +247,15 @@ def load_config(path: Path | str) -> ExperimentConfig:
     return parse_config(path.read_text())
 
 
-def _samples_table(model: HeatmapPredictor, samples: Sequence[Sample]) -> SampleTable:
-    return model.encode([s.scene for s in samples], [s.truth for s in samples])
-
-
 def encode_tasks(
-    model: HeatmapPredictor, datasets: Sequence[tuple[list[Sample], list[Sample]]]
+    model: HeatmapPredictor, datasets: Sequence[tuple[Scenes, Scenes]]
 ) -> list[tuple[SampleTable, SampleTable]]:
     """Each task's (train, test) split of ``task_datasets`` as table rows.
 
     The rows depend on the model's geometry and grid, not on its
     parameters, so one call serves every cell of an experiment.
     """
-    return [(_samples_table(model, train), _samples_table(model, test)) for train, test in datasets]
+    return [(model.encode(train), model.encode(test)) for train, test in datasets]
 
 
 def evaluate_task(
@@ -298,7 +305,7 @@ def run_cell(
     strategy: Strategy,
     rep: int,
     out_dir: Path,
-    trains: Sequence[list[Sample]],
+    trains: Sequence[Scenes],
     tables: Sequence[tuple[SampleTable, SampleTable]],
 ) -> dict:
     """Train and evaluate one (strategy, repetition) cell on the train
@@ -307,15 +314,13 @@ def run_cell(
     numbers.  The cell only reorders the training rows."""
     model_seed, stream_seed, train_seed = _cell_seeds(config.seed, rep)
     order = build_stream(trains, stream_seed)
-    samples = [s for train in trains for s in train]
-    stream = [samples[i] for i in order.tolist()]
 
     model = _model(config, model_seed)
     # The stream's rows are handed over, not kept: they are freed when
     # training returns.
     result = train_stream(
         model,
-        stream,
+        Scenes.concat(trains).take(order),
         SampleTable.concat([rows for rows, _ in tables]).take(order),
         strategy,
         replace(config.train, seed=train_seed),
@@ -367,7 +372,7 @@ _worker_data: tuple[Sequence, Sequence] = ((), ())
 
 
 def _init_worker(
-    trains: Sequence[list[Sample]], tables: Sequence[tuple[SampleTable, SampleTable]]
+    trains: Sequence[Scenes], tables: Sequence[tuple[SampleTable, SampleTable]]
 ) -> None:
     global _worker_data
     _worker_data = (trains, tables)
@@ -420,7 +425,7 @@ def format_summary(summary: dict, strategy_order: Sequence[str]) -> str:
 
 def _experiment_data(
     config: ExperimentConfig,
-) -> tuple[list[list[Sample]], list[tuple[SampleTable, SampleTable]]]:
+) -> tuple[list[Scenes], list[tuple[SampleTable, SampleTable]]]:
     """The tasks' train halves and every split's rows.  The test samples
     are dropped once encoded: cells score them from their rows."""
     datasets = task_datasets(config.tasks)
@@ -526,17 +531,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
     files = []
     for i, task in enumerate(config.tasks):
         path = out_root / f"task_{i + 1:02d}.csv"
-        samples = write_task_csv(task, i + 1, path)
+        n = len(write_task_csv(task, i + 1, path))
         files.append(
             {
                 "file": path.name,
                 "kind": task.kind,
                 "label": i + 1,
-                "n_samples": len(samples),
+                "n_samples": n,
                 "seed": task.seed,
             }
         )
-        print(f"gen: wrote {path} ({len(samples)} samples)")
+        print(f"gen: wrote {path} ({n} samples)")
     manifest = {"schema": "track table", "tasks": files}
     with atomic_write(out_root / "gen_manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
@@ -562,13 +567,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not 1 <= args.w <= config.grid.n_cells:
         raise ConfigError(f"--w {args.w} must be in 1..{config.grid.n_cells}, the grid's cell count")
     model = HeatmapPredictor(config)
-    samples = ingest_csv(
+    scenes = ingest_csv(
         args.data, t_obs=config.t_obs, t_pred=config.t_pred, k_sv=config.k_sv
     )
-    if not samples:
+    if not len(scenes):
         raise ValueError(f"{args.data} produced no samples")
-    mean_fde, mr = evaluate_task(model, params, _samples_table(model, samples), args.w)
-    print(json.dumps({"n_samples": len(samples), "fde": mean_fde, "mr": mr}, indent=2))
+    mean_fde, mr = evaluate_task(model, params, model.encode(scenes), args.w)
+    print(json.dumps({"n_samples": len(scenes), "fde": mean_fde, "mr": mr}, indent=2))
     return 0
 
 

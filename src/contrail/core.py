@@ -1,7 +1,10 @@
 """Shared domain types and grid geometry.
 
 Everything downstream (predictor, buffers, metrics, scenario generation)
-speaks in terms of these types.  Coordinates are metric (meters, seconds);
+speaks in terms of these types.  A sample exists once, as a row of a
+:class:`Scenes` table: scenario generation and CSV ingestion write
+them, the predictor encodes them, the trainer, the buffers and the
+checkpoint select rows.  Coordinates are metric (meters, seconds);
 velocities are instantaneous.  A prediction target is a single endpoint
 ``t_pred`` steps past the decision step ``t_c``, discretised onto a
 rectangular grid of square cells.
@@ -17,143 +20,112 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
 __all__ = [
-    "AgentState",
-    "Frame",
     "GridSpec",
-    "GroundTruth",
     "Heatmap",
     "ResultMatrix",
-    "Sample",
-    "Scene",
+    "Scenes",
     "atomic_write",
     "cell_to_center",
     "endpoint_cells",
     "endpoint_to_cell",
     "local_endpoints",
-    "scene_frame",
     "scene_frames",
     "softmax",
-    "target_cell",
     "task_boundaries",
     "task_label_reads",
 ]
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Pose of one agent at one timestep."""
+@dataclass(frozen=True, eq=False)
+class Scenes:
+    """Samples in the world frame, one row per sample.
 
-    x: float
-    y: float
-    vx: float
-    vy: float
+    ``tv`` (n, t_obs, 4) holds the target vehicle's observed states
+    (x, y, vx, vy) ending at the decision step; ``svs`` (n, k_sv, t_obs,
+    4) one equally long track per neighbor slot, whose ``mask`` (n, k_sv)
+    entry is False for zero-filled padding that consumers must ignore.
+    ``ends`` (n, 2) is the truth endpoint ``t_pred`` steps past the
+    decision step and ``speeds`` (n,) the target's speed at the decision
+    step (the miss-rate gate reads it).
 
-
-@dataclass(frozen=True)
-class Scene:
-    """Observed history for a target vehicle and its neighbors.
-
-    ``tv_history`` holds ``t_obs`` states ending at the decision step
-    ``t_c``.  ``sv_histories`` holds one equally long track per neighbor
-    slot; slots whose ``sv_mask`` entry is False carry zero-filled
-    padding and must be ignored by consumers.
+    The task labels (n,) are evaluation metadata.  Reads through
+    :meth:`task_label` are counted so tests can audit that training-path
+    code never looks at them; evaluation-side bookkeeping that is
+    allowed to see labels goes through :func:`task_boundaries`.
     """
 
-    tv_history: tuple[AgentState, ...]
-    sv_histories: tuple[tuple[AgentState, ...], ...]
-    sv_mask: tuple[bool, ...]
-    t_c: int
+    tv: np.ndarray
+    svs: np.ndarray
+    mask: np.ndarray
+    ends: np.ndarray
+    speeds: np.ndarray
+    _labels: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not self.tv_history:
-            raise ValueError("tv_history must not be empty")
-        if len(self.sv_histories) != len(self.sv_mask):
-            raise ValueError("sv_histories and sv_mask lengths differ")
-        t_obs = len(self.tv_history)
-        for track in self.sv_histories:
-            if len(track) != t_obs:
-                raise ValueError("neighbor histories must match t_obs")
-        if self.t_c != t_obs - 1:
-            raise ValueError("t_c must index the last observed step")
+        n, t_obs = self.tv.shape[:2] if self.tv.ndim == 3 else (-1, -1)
+        if t_obs < 1 or self.tv.shape[2] != 4:
+            raise ValueError(f"tv has shape {self.tv.shape}, not (n, t_obs >= 1, 4)")
+        k_sv = self.mask.shape[1] if self.mask.ndim == 2 else -1
+        if self.mask.dtype != bool or self.mask.shape != (n, k_sv):
+            raise ValueError(f"mask must be (n, k_sv) bools, not {self.mask.dtype} {self.mask.shape}")
+        for name, shape in (
+            ("svs", (n, k_sv, t_obs, 4)),
+            ("ends", (n, 2)),
+            ("speeds", (n,)),
+            ("_labels", (n,)),
+        ):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, the tv and mask need {shape}")
+        if not np.all(self.speeds >= 0):
+            raise ValueError("speeds must be non-negative")
 
+    def __len__(self) -> int:
+        return len(self.tv)
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Prediction target: endpoint at ``t_c + t_pred`` plus the target
-    vehicle speed at ``t_c`` (used by the miss-rate threshold)."""
-
-    endpoint: tuple[float, float]
-    speed_v: float
-
-    def __post_init__(self) -> None:
-        if self.speed_v < 0:
-            raise ValueError("speed_v must be non-negative")
-
-
-class Sample:
-    """One stream element: a scene, its ground truth, and a task label.
-
-    The label is evaluation metadata only.  Reads through the public
-    ``task_label`` attribute are counted so tests can audit that
-    training-path code never looks at it; evaluation-side bookkeeping
-    that is allowed to see labels goes through :func:`task_boundaries`.
-    """
-
-    __slots__ = ("scene", "truth", "_task_label")
-
-    def __init__(self, scene: Scene, truth: GroundTruth, task_label: int):
-        self.scene = scene
-        self.truth = truth
-        self._task_label = int(task_label)
-
-    @property
-    def task_label(self) -> int:
+    def task_label(self, row: int) -> int:
+        """The task label of ``row``; every call counts as one read."""
         global _LABEL_READS
         _LABEL_READS += 1
-        return self._task_label
+        return int(self._labels[row])
 
-    def __repr__(self) -> str:
-        return f"Sample(task_label={self._task_label}, t_c={self.scene.t_c})"
+    def take(self, rows: np.ndarray) -> "Scenes":
+        """The table of ``rows``, in that order."""
+        return Scenes(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.scene == other.scene
-            and self.truth == other.truth
-            and self._task_label == other._task_label
-        )
+    @classmethod
+    def concat(cls, tables: Sequence["Scenes"]) -> "Scenes":
+        """The rows of ``tables``, one after the other."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)))
 
 
 _LABEL_READS = 0
 
 
 def task_label_reads() -> int:
-    """Monotone counter of ``Sample.task_label`` reads (audit hook)."""
+    """Monotone counter of :meth:`Scenes.task_label` reads (audit hook)."""
     return _LABEL_READS
 
 
-def task_boundaries(stream: list[Sample]) -> list[tuple[int, int]]:
+def task_boundaries(scenes: Scenes) -> list[tuple[int, int]]:
     """Per-task extents of an ordered stream, as ``(label, end_index)``.
 
     ``end_index`` is exclusive.  This is evaluation-side bookkeeping (it
     bypasses the audited label accessor) used for checkpoint placement.
     Raises ValueError if labels are not monotonically non-decreasing.
     """
-    if not stream:
+    labels = scenes._labels.tolist()
+    if not labels:
         return []
     bounds: list[tuple[int, int]] = []
-    current = stream[0]._task_label
-    for i, sample in enumerate(stream):
-        label = sample._task_label
+    current = labels[0]
+    for i, label in enumerate(labels):
         if label < current:
             raise ValueError(
                 f"task labels must be non-decreasing along the stream; "
@@ -162,7 +134,7 @@ def task_boundaries(stream: list[Sample]) -> list[tuple[int, int]]:
         if label != current:
             bounds.append((current, i))
             current = label
-    bounds.append((current, len(stream)))
+    bounds.append((current, len(labels)))
     return bounds
 
 
@@ -211,79 +183,26 @@ def cell_to_center(cell: tuple[int, int], grid: GridSpec) -> tuple[float, float]
     return x, y
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Rigid 2-D frame: translate by ``origin`` then rotate by the
-    heading whose cosine/sine are stored.  ``to_local`` maps world
-    points into the frame; vectors (velocities) rotate without the
-    translation."""
-
-    origin: tuple[float, float]
-    cos_h: float
-    sin_h: float
-
-    def to_local(self, point: tuple[float, float]) -> tuple[float, float]:
-        dx = point[0] - self.origin[0]
-        dy = point[1] - self.origin[1]
-        return (
-            dx * self.cos_h + dy * self.sin_h,
-            -dx * self.sin_h + dy * self.cos_h,
-        )
-
-    def to_world(self, point: tuple[float, float]) -> tuple[float, float]:
-        px, py = point
-        return (
-            self.origin[0] + px * self.cos_h - py * self.sin_h,
-            self.origin[1] + px * self.sin_h + py * self.cos_h,
-        )
-
-    def vector_to_local(self, vec: tuple[float, float]) -> tuple[float, float]:
-        vx, vy = vec
-        return (
-            vx * self.cos_h + vy * self.sin_h,
-            -vx * self.sin_h + vy * self.cos_h,
-        )
+def scene_frames(scenes: Scenes) -> np.ndarray:
+    """Every row's target-centric frame at the decision step as one
+    ``(n, 4)`` array of (origin x, origin y, cos, sin): origin at the
+    target vehicle's position, +x along its velocity.  A (near)
+    stationary target keeps the world orientation.  The speed is
+    ``math.hypot`` row by row, whose last bit ``np.hypot`` does not
+    always match."""
+    last = scenes.tv[:, -1]
+    vx, vy = last[:, 2], last[:, 3]
+    speed = np.fromiter(map(math.hypot, vx.tolist(), vy.tolist()), np.float64, len(last))
+    still = speed < 1e-9
+    speed[still] = 1.0
+    cos_h = np.where(still, 1.0, vx / speed)
+    sin_h = np.where(still, 0.0, vy / speed)
+    return np.stack([last[:, 0], last[:, 1], cos_h, sin_h], axis=1)
 
 
-def scene_frame(scene: Scene) -> Frame:
-    """Target-centric frame at the decision step: origin at the target
-    vehicle's position, +x along its velocity.  A (near) stationary
-    target keeps the world orientation."""
-    tv = scene.tv_history[-1]
-    speed = math.hypot(tv.vx, tv.vy)
-    if speed < 1e-9:
-        return Frame(origin=(tv.x, tv.y), cos_h=1.0, sin_h=0.0)
-    return Frame(origin=(tv.x, tv.y), cos_h=tv.vx / speed, sin_h=tv.vy / speed)
-
-
-def target_cell(scene: Scene, truth: GroundTruth, grid: GridSpec) -> tuple[int, int]:
-    """Training target: the truth endpoint expressed in the scene's
-    target-centric frame, snapped to the grid."""
-    local = scene_frame(scene).to_local(truth.endpoint)
-    return endpoint_to_cell(local, grid)
-
-
-def float_rows(rows: Iterable[Iterable[float]], n: int, width: int) -> np.ndarray:
-    """``n`` rows of ``width`` floats as an ``(n, width)`` array, read in
-    one ``np.fromiter`` pass without an intermediate nested list."""
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=n * width)
-    return flat.reshape(n, width)
-
-
-def scene_frames(scenes: Sequence[Scene]) -> np.ndarray:
-    """Every scene's :func:`scene_frame` as one ``(n, 4)`` array of
-    (origin x, origin y, cos, sin)."""
-    frames = (
-        (f.origin[0], f.origin[1], f.cos_h, f.sin_h) for f in map(scene_frame, scenes)
-    )
-    return float_rows(frames, len(scenes), 4)
-
-
-def local_endpoints(frames: np.ndarray, endpoints: Sequence[tuple[float, float]]) -> np.ndarray:
-    """World endpoints moved into their :func:`scene_frames` rows,
-    shape ``(n, 2)``; elementwise the same arithmetic as
-    ``Frame.to_local``, so bit-equal to it."""
-    points = float_rows(endpoints, len(frames), 2)
+def local_endpoints(frames: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """World points ``(n, 2)`` moved into their :func:`scene_frames`
+    rows: translated to the origin, then rotated by the heading."""
     dx = points[:, 0] - frames[:, 0]
     dy = points[:, 1] - frames[:, 1]
     cos_h, sin_h = frames[:, 2], frames[:, 3]
@@ -293,7 +212,7 @@ def local_endpoints(frames: np.ndarray, endpoints: Sequence[tuple[float, float]]
 def endpoint_cells(points: np.ndarray, grid: GridSpec) -> np.ndarray:
     """:func:`endpoint_to_cell` of every row of ``points`` ``(n, 2)`` as
     flat cell indices ``row * cols_w + col``, shape ``(n,)``.  Applied to
-    :func:`local_endpoints` this is :func:`target_cell` of each sample."""
+    :func:`local_endpoints` this is each sample's training target."""
     if not np.all(np.isfinite(points)):
         raise ValueError("non-finite endpoint cannot be snapped to the grid")
     col = np.clip(np.floor((points[:, 0] - grid.origin[0]) / grid.cell_size), 0, grid.cols_w - 1)

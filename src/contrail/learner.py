@@ -1,16 +1,18 @@
 """Streaming trainers: one-pass continual learning strategies.
 
-``train_stream`` consumes an ordered sample stream in consecutive
-batches, takes one Adam step per batch, and (strategy permitting)
-feeds each trained sample to replay memory.  The fixed order per batch
+``train_stream`` consumes an ordered stream of samples (rows of a
+:class:`~contrail.core.Scenes` table) in consecutive batches, takes one
+Adam step per batch, and (strategy permitting) feeds each trained
+sample to replay memory.  The fixed order per batch
 is: one forward and one backward pass over the batch and its replay
 rows give the strategy loss, its gradient and the batch's pre-update
 logits; Adam steps; then the batch is offered to the buffers carrying
 those logits.
 
-The trainer never featurises: it receives the stream's rows, a
-:class:`~contrail.predictor.SampleTable` encoded once per experiment,
-and batches, buffer slots and replay draws are row indices into it.
+The trainer never featurises: it receives the stream's samples with
+their :class:`~contrail.predictor.SampleTable` rows, encoded once per
+experiment, and batches, buffer slots and replay draws are row indices
+into both.  The buffers' source table is the stream's samples.
 
 Task labels are evaluation metadata.  The four task-free strategies
 (vanilla, dual replay, DER-style, GSS-style) never read them on the
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import Sample
+from .core import Scenes
 from .losses import LossSpec, replay_targets
 from .memory import CompletionBuffer, SeparationBuffer, draw_minibatch
 from .predictor import AdamState, HeatmapPredictor, SampleTable, adam_step
@@ -98,7 +100,6 @@ class TrainConfig:
     loss: LossSpec = field(default_factory=LossSpec)
     b_compare: int = 10
     seed: int = 0
-    checkpoint_after_each_task: bool = True
     agem_ref_batch: int = 64
 
     def __post_init__(self) -> None:
@@ -258,7 +259,7 @@ def check_buffer_split(strategies: Sequence[Strategy], buffer_total: int) -> Non
 
 
 def _make_buffers(
-    strategy: Strategy, cfg: TrainConfig, stream: Sequence[Sample]
+    strategy: Strategy, cfg: TrainConfig, stream: Scenes
 ) -> tuple[SeparationBuffer | None, CompletionBuffer | None]:
     total = cfg.buffer_total
     if total == 0:
@@ -267,19 +268,19 @@ def _make_buffers(
     if strategy is Strategy.DUAL_REPLAY:
         half = total // 2
         return (
-            SeparationBuffer(capacity=half, b_compare=cfg.b_compare, samples=stream),
-            CompletionBuffer(capacity=half, samples=stream),
+            SeparationBuffer(capacity=half, b_compare=cfg.b_compare, source=stream),
+            CompletionBuffer(capacity=half, source=stream),
         )
     if strategy is Strategy.DER_STYLE:
-        return None, CompletionBuffer(capacity=total, samples=stream)
+        return None, CompletionBuffer(capacity=total, source=stream)
     if strategy is Strategy.GSS_STYLE:
-        return SeparationBuffer(capacity=total, b_compare=cfg.b_compare, samples=stream), None
+        return SeparationBuffer(capacity=total, b_compare=cfg.b_compare, source=stream), None
     return None, None
 
 
 def train_stream(
     model: HeatmapPredictor,
-    stream: Sequence[Sample],
+    stream: Scenes,
     table: SampleTable,
     strategy: Strategy,
     cfg: TrainConfig,
@@ -289,13 +290,13 @@ def train_stream(
     final buffer contents.
 
     ``table`` holds the stream's samples encoded by ``model.encode``,
-    row ``i`` for ``stream[i]``.  The stream must be ordered by task
-    label (checkpoints are recorded right after the step that consumes
-    a task's last sample).  Given the same model config, stream, table,
-    strategy, and train config, the run is bit-reproducible.
+    row ``i`` for row ``i`` of ``stream``.  The stream must be ordered
+    by task label (checkpoints are recorded right after the step that
+    consumes a task's last sample).  Given the same model config,
+    stream, table, strategy, and train config, the run is
+    bit-reproducible.
     """
-    stream = list(stream)
-    if not stream:
+    if not len(stream):
         raise ValueError("cannot train on an empty stream")
     if len(table) != len(stream):
         raise ValueError(f"{len(table)} table rows for a stream of {len(stream)} samples")
@@ -312,7 +313,7 @@ def train_stream(
 
     if strategy is Strategy.JOINT:
         order = rng_joint.permutation(len(stream))
-        stream = [stream[int(i)] for i in order]
+        stream = stream.take(order)
         table = table.take(order)
         boundaries = []
 
@@ -326,7 +327,7 @@ def train_stream(
     visits = np.zeros(len(stream), dtype=np.int64)
     checkpoints: list[tuple[int, np.ndarray]] = []
     agem_dots: list[float] = []
-    pending = list(boundaries) if cfg.checkpoint_after_each_task else []
+    pending = list(boundaries)
     n_steps = 0
 
     for start in range(0, len(stream), cfg.batch_size):
@@ -347,7 +348,7 @@ def train_stream(
             _, grad, logits = model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
         if agem_memory is not None:
             refs = agem_memory.reference_rows(
-                exclude_label=stream[end - 1].task_label, n=cfg.agem_ref_batch
+                exclude_label=stream.task_label(end - 1), n=cfg.agem_ref_batch
             )
             if len(refs):
                 _, g_ref, _ = model.loss_and_grad(params, table.x[refs], table.cells[refs], spec)
@@ -367,7 +368,7 @@ def train_stream(
             )
         elif agem_memory is not None:
             for row in range(start, end):
-                agem_memory.observe(stream[row].task_label, row)
+                agem_memory.observe(stream.task_label(row), row)
 
         while pending and pending[0][1] <= end:
             label, _ = pending.pop(0)

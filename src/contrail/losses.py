@@ -3,14 +3,12 @@
 Two ingredients: a per-cell classification loss against the true
 endpoint cell (cross-entropy or its focal variant), and a logit
 distillation penalty that anchors replayed samples to the logits they
-were stored with.  The replay loss pairs both; the total stream loss
-adds weighted replay terms from the two memory buffers to the
-current-batch loss.
+were stored with.  The trainer weighs the current batch and the replay
+draws from the two memory buffers in one call.
 
 All kernels operate on flat logit vectors and flat target-cell indices
 (``row * cols_w + col``) so the predictor's backward pass can reuse
-them; ``base_loss``/``replay_loss``/``total_loss`` are the heatmap-level
-entry points.
+them; ``base_loss`` is the heatmap-level entry point.
 """
 
 from __future__ import annotations
@@ -20,19 +18,16 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, Heatmap, Scene
+from .core import Heatmap
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .memory import CompletionBuffer, MemoryTriplet, SeparationBuffer
-    from .predictor import HeatmapPredictor
+    from .memory import CompletionBuffer, SeparationBuffer
 
 __all__ = [
     "LossSpec",
     "base_loss",
     "batch_loss_and_dlogits",
-    "replay_loss",
     "replay_targets",
-    "total_loss",
 ]
 
 _BASE_KINDS = ("cross_entropy", "focal")
@@ -147,43 +142,3 @@ def replay_targets(
     rows = np.array([buffer.rows[s] for s in slots], dtype=np.intp)
     stored = np.stack([buffer.logits[s] for s in slots]).reshape(len(rows), -1)
     return rows, stored
-
-
-def replay_loss(
-    model: "HeatmapPredictor",
-    params: np.ndarray,
-    triplets: Sequence["MemoryTriplet"],
-    spec: LossSpec | None = None,
-) -> float:
-    """Mean over a replayed batch of base loss plus the squared logit
-    distance to the stored logits, normalised by the cell count.
-
-    An empty batch contributes zero.
-    """
-    spec = spec or LossSpec()
-    if not triplets:
-        return 0.0
-    table = model.encode([t.scene for t in triplets], [t.truth for t in triplets])
-    stored = np.stack([t.init_logits.reshape(-1) for t in triplets])
-    value, _, _ = model.loss_and_grad(params, table.x, table.cells, spec, stored)
-    return value
-
-
-def total_loss(
-    model: "HeatmapPredictor",
-    params: np.ndarray,
-    current: Sequence[tuple[Scene, GroundTruth]],
-    sp_batch: Sequence["MemoryTriplet"],
-    cp_batch: Sequence["MemoryTriplet"],
-    spec: LossSpec | None = None,
-) -> float:
-    """Stream loss plus ``alpha`` / ``beta`` weighted replay terms from
-    the two buffers."""
-    spec = spec or LossSpec()
-    table = model.encode([scene for scene, _ in current], [truth for _, truth in current])
-    value, _, _ = model.loss_and_grad(params, table.x, table.cells, spec)
-    return (
-        value
-        + spec.alpha * replay_loss(model, params, sp_batch, spec)
-        + spec.beta * replay_loss(model, params, cp_batch, spec)
-    )

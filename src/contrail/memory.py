@@ -12,25 +12,24 @@ buffer never holds gradients: callers hand it the offered sample's
 cosines against the stored slots (the trainer computes them from
 factored per-sample gradients, see ``HeatmapPredictor.per_sample_grads``).
 
-Neither buffer ever sees a task label.  A slot holds a stream row index
-(into the trainer's sample table) and the logits the model produced when
-that sample was first trained on; the separation buffer adds the slot's
-score.  ``contents()`` turns slots back into (scene, truth, init_logits)
-triplets at the edge, from the very sample objects the rows index.
+Neither buffer ever sees a task label.  A slot holds a row index into
+the buffer's source table (the trainer's stream) and the logits the
+model produced when that sample was first trained on; the separation
+buffer adds the slot's score.  ``contents()`` gives the source table's
+rows of every slot and the stack of their logits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import GroundTruth, Scene
+from .core import Scenes
 
 __all__ = [
     "CompletionBuffer",
-    "MemoryTriplet",
     "SeparationBuffer",
     "draw_minibatch",
     "separation_score",
@@ -39,33 +38,17 @@ __all__ = [
 FIRST_SAMPLE_SCORE = 0.1
 
 
-@dataclass(frozen=True)
-class MemoryTriplet:
-    """One stored experience: the scene, its ground truth, and the
-    logits the model produced when the sample was first trained on."""
-
-    scene: Scene
-    truth: GroundTruth
-    init_logits: np.ndarray
-
-    def __post_init__(self) -> None:
-        logits = np.asarray(self.init_logits, dtype=np.float64)
-        if logits.ndim != 2:
-            raise ValueError("init_logits must be a rows x cols array")
-        object.__setattr__(self, "init_logits", logits)
-
-
 @dataclass(eq=False)
 class _Slots:
     """Fixed-capacity slots shared by both buffers.
 
-    ``rows[s]`` is the row of ``samples`` (anything with ``.scene`` and
-    ``.truth``) that slot ``s`` holds and ``logits[s]`` the logits it was
-    stored with, or None when none were given.
+    ``rows[s]`` is the row of ``source`` that slot ``s`` holds and
+    ``logits[s]`` the logits it was stored with, or None when none were
+    given.
     """
 
     capacity: int
-    samples: Sequence[Any] = ()
+    source: Scenes | None = None
     rows: list[int] = field(default_factory=list)
     logits: list[np.ndarray | None] = field(default_factory=list)
     stream_count: int = 0
@@ -90,12 +73,13 @@ class _Slots:
         self.rows = [self.rows[s] for s in slots]
         self.logits = [self.logits[s] for s in slots]
 
-    def contents(self) -> list[MemoryTriplet]:
-        """The stored experiences as triplets, in slot order."""
-        return [
-            MemoryTriplet(self.samples[r].scene, self.samples[r].truth, lg)
-            for r, lg in zip(self.rows, self.logits)
-        ]
+    def contents(self) -> tuple[Scenes, np.ndarray]:
+        """The stored samples, the source's rows in slot order, and the
+        stack of the logits they were stored with."""
+        return (
+            self.source.take(np.asarray(self.rows, dtype=np.intp)),
+            np.array(self.logits),
+        )
 
 
 @dataclass(eq=False)

@@ -16,23 +16,12 @@ compared through Gram products instead of P-length rows.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    GridSpec,
-    GroundTruth,
-    Heatmap,
-    Scene,
-    endpoint_cells,
-    float_rows,
-    local_endpoints,
-    scene_frames,
-)
+from .core import GridSpec, Scenes, endpoint_cells, local_endpoints, scene_frames
 from .losses import LossSpec, batch_loss_and_dlogits
 
 __all__ = [
@@ -85,35 +74,17 @@ class PredictorConfig:
         return (self.input_dim, *self.hidden_dims, self.grid.n_cells)
 
 
-_STATE_FLOATS = operator.attrgetter("x", "y", "vx", "vy")
-
-
-def scene_features(scenes: Sequence[Scene], frames: np.ndarray) -> np.ndarray:
+def scene_features(scenes: Scenes, frames: np.ndarray) -> np.ndarray:
     """Flatten scenes into network inputs, one row per scene.
 
     All states are re-expressed in each scene's target-centric frame,
     row ``i`` of ``frames`` (:func:`~contrail.core.scene_frames`):
     positions translated and rotated, velocities rotated; target
     track first and then the neighbor slots; masked-out slots are
-    zero-filled.  Layout per track: t_obs rows of (x, y, vx, vy).  The
-    scenes must share t_obs and k_sv.
-
-    The states are read in one ``np.fromiter`` pass and rotated with
-    elementwise array operations, the same arithmetic as
-    ``Frame.to_local``/``vector_to_local``, so every row is bit-equal to
-    transforming the scene's states one at a time.
+    zero-filled.  Layout per track: t_obs rows of (x, y, vx, vy).
     """
-    n = len(scenes)
-    if n == 0:
-        return np.zeros((0, 0))
-    t_obs = len(scenes[0].tv_history)
-    k_sv = len(scenes[0].sv_histories)
-    if any(len(s.tv_history) != t_obs or len(s.sv_histories) != k_sv for s in scenes):
-        raise ValueError("scenes in one batch must share t_obs and k_sv")
-    tracks = chain.from_iterable((s.tv_history,) + s.sv_histories for s in scenes)
-    states = map(_STATE_FLOATS, chain.from_iterable(tracks))
-    out = float_rows(states, n * (1 + k_sv) * t_obs, 4).reshape(n, 1 + k_sv, t_obs, 4)
-
+    n, t_obs, k_sv = len(scenes), scenes.tv.shape[1], scenes.mask.shape[1]
+    out = np.concatenate([scenes.tv[:, None], scenes.svs], axis=1)
     frames = frames[:, None, None, :]
     cos_h, sin_h = frames[..., 2], frames[..., 3]
     dx = out[..., 0] - frames[..., 0]
@@ -124,10 +95,8 @@ def scene_features(scenes: Sequence[Scene], frames: np.ndarray) -> np.ndarray:
     vy = out[..., 3]
     out[..., 2] = vx * cos_h + vy * sin_h
     out[..., 3] = -vx * sin_h + vy * cos_h
-    if k_sv:
-        mask = np.fromiter(chain.from_iterable(s.sv_mask for s in scenes), bool, n * k_sv)
-        out[:, 1:][~mask.reshape(n, k_sv)] = 0.0
-    return out.reshape(n, -1)
+    out[:, 1:][~scenes.mask] = 0.0
+    return out.reshape(n, (1 + k_sv) * t_obs * 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,39 +164,24 @@ class HeatmapPredictor:
             layers.append((w, b))
         return layers
 
-    def features(self, scenes: Sequence[Scene]) -> np.ndarray:
-        """Network inputs of ``scenes``, shape ``(n, input_dim)``."""
-        return self._features(scenes, scene_frames(scenes))
-
-    def encode(self, scenes: Sequence[Scene], truths: Sequence[GroundTruth]) -> SampleTable:
-        """Every (scene, truth) pair as one table row.  Each scene's frame
+    def encode(self, scenes: Scenes) -> SampleTable:
+        """Every row of ``scenes`` as one table row.  Each scene's frame
         is computed once; its features, local endpoint and target cell
         all derive from it."""
-        if len(scenes) != len(truths):
-            raise ValueError(f"{len(scenes)} scenes but {len(truths)} truths")
-        frames = scene_frames(scenes)
-        ends = local_endpoints(frames, [t.endpoint for t in truths])
-        return SampleTable(
-            self._features(scenes, frames),
-            endpoint_cells(ends, self.config.grid),
-            ends,
-            np.fromiter((t.speed_v for t in truths), np.float64, len(truths)),
-        )
-
-    def _features(self, scenes: Sequence[Scene], frames: np.ndarray) -> np.ndarray:
-        if not scenes:
-            return np.zeros((0, self.config.input_dim))
-        first = scenes[0]
-        if (
-            len(first.tv_history) != self.config.t_obs
-            or len(first.sv_histories) != self.config.k_sv
-        ):
+        t_obs, k_sv = scenes.tv.shape[1], scenes.mask.shape[1]
+        if (t_obs, k_sv) != (self.config.t_obs, self.config.k_sv):
             raise ValueError(
-                f"scene with t_obs={len(first.tv_history)}, "
-                f"k_sv={len(first.sv_histories)} does not match config "
+                f"scene geometry t_obs={t_obs}, k_sv={k_sv} does not match config "
                 f"(t_obs={self.config.t_obs}, k_sv={self.config.k_sv})"
             )
-        return scene_features(scenes, frames)
+        frames = scene_frames(scenes)
+        ends = local_endpoints(frames, scenes.ends)
+        return SampleTable(
+            scene_features(scenes, frames),
+            endpoint_cells(ends, self.config.grid),
+            ends,
+            scenes.speeds,
+        )
 
     def _forward_cached(
         self, params: np.ndarray, x: np.ndarray
@@ -248,11 +202,6 @@ class HeatmapPredictor:
         """Logits for a batch of feature rows, shape ``(n, n_cells)``."""
         logits, _ = self._forward_cached(params, x)
         return logits
-
-    def forward(self, params: np.ndarray, scene: Scene) -> Heatmap:
-        logits = self.forward_logits(params, self.features([scene]))[0]
-        grid = self.config.grid
-        return Heatmap(logits.reshape(grid.rows_h, grid.cols_w), grid)
 
     def _backward(
         self,

@@ -7,11 +7,12 @@ change unfolding over the prediction horizon ("turn", to the right by
 default).  Episodes place the vehicle anywhere in the world with any
 heading, so only the target-centric geometry carries task identity.
 Tracks are exact closed-form rollouts plus optional Gaussian position
-noise; velocities stay exact.
+noise; velocities stay exact.  Each episode is written straight into
+the arrays of a :class:`~contrail.core.Scenes` table as it is drawn.
 
 The CSV side round-trips generated data through a plain track table
 (one row per agent per frame) and can ingest externally recorded files
-with the same schema.
+with the same schema into one table per file.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .core import AgentState, GroundTruth, Sample, Scene, atomic_write
+from .core import Scenes, atomic_write
 
 __all__ = [
     "TaskSpec",
@@ -124,9 +125,10 @@ def _episode_track(
     omega_pred: float,
     n_future: int,
     rng: np.random.Generator,
-) -> list[AgentState]:
-    """States for one agent at dt steps: t_obs history ending at the
-    anchor time plus n_future prediction steps, with position noise."""
+) -> list[list[float]]:
+    """States (x, y, vx, vy) for one agent at dt steps: t_obs history
+    ending at the anchor time plus n_future prediction steps, with
+    position noise."""
     states = []
     for i in range(spec.t_obs + n_future):
         t = (i - (spec.t_obs - 1)) * spec.dt
@@ -137,30 +139,24 @@ def _episode_track(
         if spec.noise_sigma > 0:
             x += rng.normal(0.0, spec.noise_sigma)
             y += rng.normal(0.0, spec.noise_sigma)
-        states.append(
-            AgentState(x=x, y=y, vx=speed * math.cos(h), vy=speed * math.sin(h))
-        )
+        states.append([x, y, speed * math.cos(h), speed * math.sin(h)])
     return states
 
 
-@dataclass
-class _Episode:
-    """Full tracks behind one sample, kept so CSV export can write the
-    whole future path rather than just the endpoint."""
-
-    tv_track: list[AgentState]
-    sv_tracks: list[list[AgentState]]
-    sample: Sample
-
-
-def _generate_episodes(spec: TaskSpec, label: int) -> list[_Episode]:
+def _generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
+    """A task's samples and the target vehicles' whole tracks (n,
+    t_obs + t_pred, 4), which CSV export writes in full.  Each episode
+    is written into the arrays as it is drawn."""
     rng = np.random.default_rng(spec.seed)
-    episodes = []
-    for _ in range(spec.n_samples):
+    n, t_obs, k_sv = spec.n_samples, spec.t_obs, spec.k_sv
+    tracks = np.empty((n, t_obs + spec.t_pred, 4))
+    svs = np.empty((n, k_sv, t_obs, 4))
+    speeds = np.empty(n)
+    horizon = spec.t_pred * spec.dt
+    for i in range(n):
         anchor = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
         heading = rng.uniform(0.0, 2.0 * math.pi)
         speed = rng.uniform(*spec.speed_range)
-        horizon = spec.t_pred * spec.dt
         if spec.kind == "straight":
             omega_obs = omega_pred = 0.0
         elif spec.kind == "arc":
@@ -170,13 +166,12 @@ def _generate_episodes(spec: TaskSpec, label: int) -> list[_Episode]:
             omega_obs = 0.0
             angle = rng.uniform(*spec.turn_angle_range)
             omega_pred = angle / horizon
-
         tv_track = _episode_track(
             spec, anchor, heading, speed, omega_obs, omega_pred, spec.t_pred, rng
         )
 
         sv_tracks = []
-        for _ in range(spec.k_sv):
+        for _ in range(k_sv):
             lon = rng.uniform(-15.0, 15.0)
             lat = rng.uniform(-6.0, 6.0)
             sv_anchor = (
@@ -191,30 +186,27 @@ def _generate_episodes(spec: TaskSpec, label: int) -> list[_Episode]:
             )
         # Neighbor slots ordered by distance at the decision step, matching
         # how ingestion ranks candidate neighbors.
-        tv_at_tc = tv_track[spec.t_obs - 1]
-        sv_tracks.sort(
-            key=lambda tr: math.hypot(
-                tr[spec.t_obs - 1].x - tv_at_tc.x, tr[spec.t_obs - 1].y - tv_at_tc.y
-            )
-        )
+        tv_x, tv_y = tv_track[t_obs - 1][:2]
+        sv_tracks.sort(key=lambda tr: math.hypot(tr[-1][0] - tv_x, tr[-1][1] - tv_y))
 
-        scene = Scene(
-            tv_history=tuple(tv_track[: spec.t_obs]),
-            sv_histories=tuple(tuple(tr) for tr in sv_tracks),
-            sv_mask=tuple(True for _ in sv_tracks),
-            t_c=spec.t_obs - 1,
-        )
-        end = tv_track[-1]
-        truth = GroundTruth(endpoint=(end.x, end.y), speed_v=speed)
-        episodes.append(
-            _Episode(tv_track, sv_tracks, Sample(scene, truth, task_label=label))
-        )
-    return episodes
+        tracks[i] = tv_track
+        if k_sv:
+            svs[i] = sv_tracks
+        speeds[i] = speed
+    scenes = Scenes(
+        tracks[:, :t_obs].copy(),
+        svs,
+        np.ones((n, k_sv), dtype=bool),
+        tracks[:, -1, :2].copy(),
+        speeds,
+        np.full(n, label),
+    )
+    return scenes, tracks
 
 
-def generate_task(spec: TaskSpec, label: int = 0) -> list[Sample]:
+def generate_task(spec: TaskSpec, label: int = 0) -> Scenes:
     """Draw a task's samples; fully determined by ``spec.seed``."""
-    return [ep.sample for ep in _generate_episodes(spec, label)]
+    return _generate(spec, label)[0]
 
 
 def check_episode_geometry(tasks: Sequence[TaskSpec]) -> None:
@@ -232,7 +224,7 @@ def check_episode_geometry(tasks: Sequence[TaskSpec]) -> None:
                 )
 
 
-def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[list[Sample], list[Sample]]]:
+def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[Scenes, Scenes]]:
     """Per-task (train, test) pairs under the fixed 80/20 index split:
     the first four fifths of each task's samples train, the rest test.
     Content comes only from each task's own seed, so one call serves
@@ -240,13 +232,14 @@ def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[list[Sample], list[Sa
     check_episode_geometry(tasks)
     out = []
     for i, task in enumerate(tasks):
-        samples = generate_task(task, label=i + 1)
-        n_train = (4 * len(samples)) // 5
-        out.append((samples[:n_train], samples[n_train:]))
+        scenes = generate_task(task, label=i + 1)
+        n_train = (4 * len(scenes)) // 5
+        rows = np.arange(len(scenes))
+        out.append((scenes.take(rows[:n_train]), scenes.take(rows[n_train:])))
     return out
 
 
-def build_stream(trains: Sequence[Sequence[Sample]], seed: int) -> np.ndarray:
+def build_stream(trains: Sequence[Scenes], seed: int) -> np.ndarray:
     """Training stream as a row order over the train halves ``trains``
     of ``task_datasets``, concatenated in task order: each task's rows
     stay together and are shuffled by ``seed`` (vary it between
@@ -259,30 +252,27 @@ def build_stream(trains: Sequence[Sequence[Sample]], seed: int) -> np.ndarray:
     return np.concatenate(orders)
 
 
-def write_task_csv(spec: TaskSpec, label: int, path: Path) -> list[Sample]:
+def write_task_csv(spec: TaskSpec, label: int, path: Path) -> Scenes:
     """Write one task as a track table and return its samples.
 
     Episodes get disjoint frame ranges so re-ingestion recovers exactly
     one sample per episode with the same neighbor assignment.
     """
-    episodes = _generate_episodes(spec, label)
+    scenes, tracks = _generate(spec, label)
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for idx, ep in enumerate(episodes):
+        # Python floats, whose repr is the shortest round-tripping form.
+        for idx, (tv_track, sv_tracks) in enumerate(zip(tracks.tolist(), scenes.svs.tolist())):
             base = idx * 100
             tv_id = f"e{idx:05d}_tv"
-            for f, st in enumerate(ep.tv_track):
-                writer.writerow(
-                    [tv_id, base + f, repr(st.x), repr(st.y), repr(st.vx), repr(st.vy), "tv", label]
-                )
-            for k, track in enumerate(ep.sv_tracks):
+            for f, (x, y, vx, vy) in enumerate(tv_track):
+                writer.writerow([tv_id, base + f, repr(x), repr(y), repr(vx), repr(vy), "tv", label])
+            for k, track in enumerate(sv_tracks):
                 sv_id = f"e{idx:05d}_sv{k}"
-                for f, st in enumerate(track):
-                    writer.writerow(
-                        [sv_id, base + f, repr(st.x), repr(st.y), repr(st.vx), repr(st.vy), "sv", label]
-                    )
-    return [ep.sample for ep in episodes]
+                for f, (x, y, vx, vy) in enumerate(track):
+                    writer.writerow([sv_id, base + f, repr(x), repr(y), repr(vx), repr(vy), "sv", label])
+    return scenes
 
 
 _Row = tuple[int, float, float, float, float, int]  # frame, x, y, vx, vy, label
@@ -385,7 +375,7 @@ def ingest_csv(
     t_obs: int = 10,
     t_pred: int = 30,
     k_sv: int = 4,
-) -> list[Sample]:
+) -> Scenes:
     """Samples from a track table via sliding windows.
 
     Every contiguous ``t_obs + t_pred`` frame window of a tv track
@@ -396,7 +386,8 @@ def ingest_csv(
     out.  Windows never span frame gaps (gaps are counted and logged).
     Each track is segmented once and candidates are looked up by frame,
     so the cost is linear in rows while the number of tracks alive at
-    one frame stays bounded.
+    one frame stays bounded.  The windows' rows are collected as lists
+    and become the table's arrays once per file.
     """
     path = Path(path)
     tracks, gaps = _parse_rows(path)
@@ -406,9 +397,14 @@ def ingest_csv(
     segments = {track_id: _segments(track) for track_id, track in tracks.items()}
     alive = _index_by_frame(segments)
 
-    samples: list[Sample] = []
+    tv: list[tuple[float, ...]] = []
+    svs: list[tuple[float, ...]] = []
+    mask: list[bool] = []
+    ends: list[tuple[float, float]] = []
+    speeds: list[float] = []
+    labels: list[int] = []
     window = t_obs + t_pred
-    zero = AgentState(0.0, 0.0, 0.0, 0.0)
+    padding = [(0.0, 0.0, 0.0, 0.0)] * t_obs
     for tv_id, track in tracks.items():
         if track.role != "tv":
             continue
@@ -431,28 +427,22 @@ def ingest_csv(
                     candidates.append((d, other_id, rows))
                 candidates.sort(key=lambda c: (c[0], c[1]))
 
-                sv_histories = []
-                sv_mask = []
+                tv.extend(r[1:5] for r in obs)
                 for k in range(k_sv):
                     if k < len(candidates):
-                        rows = candidates[k][2]
-                        sv_histories.append(
-                            tuple(AgentState(r[1], r[2], r[3], r[4]) for r in rows)
-                        )
-                        sv_mask.append(True)
+                        svs.extend(r[1:5] for r in candidates[k][2])
                     else:
-                        sv_histories.append(tuple(zero for _ in range(t_obs)))
-                        sv_mask.append(False)
-
-                scene = Scene(
-                    tv_history=tuple(AgentState(r[1], r[2], r[3], r[4]) for r in obs),
-                    sv_histories=tuple(sv_histories),
-                    sv_mask=tuple(sv_mask),
-                    t_c=t_obs - 1,
-                )
-                truth = GroundTruth(
-                    endpoint=(end_row[1], end_row[2]),
-                    speed_v=math.hypot(t_c_row[3], t_c_row[4]),
-                )
-                samples.append(Sample(scene, truth, task_label=t_c_row[5]))
-    return samples
+                        svs.extend(padding)
+                    mask.append(k < len(candidates))
+                ends.append(end_row[1:3])
+                speeds.append(math.hypot(t_c_row[3], t_c_row[4]))
+                labels.append(t_c_row[5])
+    n = len(labels)
+    return Scenes(
+        np.array(tv, dtype=np.float64).reshape(n, t_obs, 4),
+        np.array(svs, dtype=np.float64).reshape(n, k_sv, t_obs, 4),
+        np.array(mask, dtype=bool).reshape(n, k_sv),
+        np.array(ends, dtype=np.float64).reshape(n, 2),
+        np.array(speeds, dtype=np.float64),
+        np.array(labels, dtype=np.int64),
+    )

@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .core import AgentState, GridSpec, Heatmap, Scene
+from .core import GridSpec, Heatmap, Scenes, scene_frames
 from .learner import Strategy, TrainConfig, train_stream
 from .losses import LossSpec
 from .memory import CompletionBuffer, SeparationBuffer
 from .metrics import extract_endpoints, fde, mr_threshold
-from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step
+from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step, scene_features
 from .scenarios import TaskSpec, ingest_csv, write_task_csv
 
 __all__ = ["run_selftest"]
@@ -37,19 +37,17 @@ GOLDEN_MATRIX_SHA256 = "0da4227e520ae1edadbda18023bba3715e12de651531b98fa8ce668d
 
 def _random_scene(
     rng: np.random.Generator, t_obs: int, k_sv: int, span: float = 20.0
-) -> Scene:
-    def track():
-        return tuple(
-            AgentState(*(float(v) for v in rng.uniform(-span, span, size=4)))
-            for _ in range(t_obs)
-        )
+) -> Scenes:
+    """One scene of uniform states in +-span, each neighbor slot kept
+    with probability 0.8."""
+    tracks = rng.uniform(-span, span, size=(1 + k_sv, t_obs, 4))
+    mask = rng.random(k_sv) < 0.8
+    return Scenes(tracks[None, 0], tracks[None, 1:], mask[None], np.zeros((1, 2)), np.ones(1), np.zeros(1, int))
 
-    return Scene(
-        tv_history=track(),
-        sv_histories=tuple(track() for _ in range(k_sv)),
-        sv_mask=tuple(bool(rng.random() < 0.8) for _ in range(k_sv)),
-        t_c=t_obs - 1,
-    )
+
+def _features(scenes: list[Scenes]) -> np.ndarray:
+    table = Scenes.concat(scenes)
+    return scene_features(table, scene_frames(table))
 
 
 def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
@@ -71,7 +69,7 @@ def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
             cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
             distill.append(bool(rng.random() < 0.5))
             stored.append(rng.normal(size=9) if distill[-1] else np.zeros(9))
-        x, distill = model.features(scenes), np.array(distill)
+        x, distill = _features(scenes), np.array(distill)
         # Random non-negative row weights, as the fused replay step uses.
         batch = (x, np.array(cells), spec, np.stack(stored), distill, rng.uniform(0.0, 2.0, size=3))
         _, grad, _ = model.loss_and_grad(params, *batch)
@@ -206,7 +204,7 @@ def check_adam_descends(steps: int = 60) -> bool:
     for _ in range(6):
         scenes.append(_random_scene(rng, 3, 1))
         cells.append(int(rng.integers(0, 4)) * 4 + int(rng.integers(0, 4)))
-    batch = (model.features(scenes), np.array(cells), LossSpec())
+    batch = (_features(scenes), np.array(cells), LossSpec())
     params = model.init_params()
     adam = AdamState.zeros(model.param_count)
     first, _, _ = model.loss_and_grad(params, *batch)
@@ -218,15 +216,16 @@ def check_adam_descends(steps: int = 60) -> bool:
 
 
 def check_csv_round_trip() -> bool:
-    """A written task ingests back to the same scenes and endpoints."""
+    """A written task ingests back to exactly the same states, masks
+    and endpoints."""
     spec = TaskSpec(kind="arc", n_samples=4, seed=23, noise_sigma=0.1, k_sv=2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "task.csv"
         written = write_task_csv(spec, 1, path)
         ingested = ingest_csv(path, t_obs=spec.t_obs, t_pred=spec.t_pred, k_sv=spec.k_sv)
-    return len(ingested) == len(written) and all(
-        g.scene == w.scene and g.truth.endpoint == w.truth.endpoint
-        for w, g in zip(written, ingested)
+    return all(
+        np.array_equal(getattr(written, name), getattr(ingested, name))
+        for name in ("tv", "svs", "mask", "ends")
     )
 
 

@@ -1,55 +1,53 @@
-"""Shared fixtures: a tiny model, scene factories, the samples-to-rows
-encoder and a v1 checkpoint writer."""
+"""Shared fixtures: a tiny model, a random scene factory and a v1
+checkpoint writer."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from contrail.core import AgentState, GridSpec, GroundTruth, Sample, Scene
-from contrail.predictor import HeatmapPredictor, PredictorConfig, SampleTable
+from contrail.core import GridSpec, Scenes
+from contrail.predictor import HeatmapPredictor, PredictorConfig
 
 
-def make_scene(
-    rng: np.random.Generator, t_obs: int = 2, k_sv: int = 1, span: float = 20.0
-) -> Scene:
-    def track():
-        return tuple(
-            AgentState(*(float(v) for v in rng.uniform(-span, span, size=4)))
-            for _ in range(t_obs)
-        )
-
-    return Scene(
-        tv_history=track(),
-        sv_histories=tuple(track() for _ in range(k_sv)),
-        sv_mask=tuple(bool(rng.random() < 0.8) for _ in range(k_sv)),
-        t_c=t_obs - 1,
-    )
-
-
-def make_sample(
+def make_scenes(
     rng: np.random.Generator,
-    grid: GridSpec,
-    task_label: int = 1,
+    n: int = 1,
     t_obs: int = 2,
     k_sv: int = 1,
-) -> Sample:
-    scene = make_scene(rng, t_obs, k_sv)
-    endpoint = (
-        float(rng.uniform(grid.origin[0], grid.origin[0] + grid.cols_w * grid.cell_size)),
-        float(rng.uniform(grid.origin[1], grid.origin[1] + grid.rows_h * grid.cell_size)),
+    span: float = 20.0,
+    grid: GridSpec | None = None,
+    labels: int | Sequence[int] = 1,
+) -> Scenes:
+    """``n`` random scenes, drawn one after the other: uniform states in
+    +-span and each neighbor slot kept with probability 0.8.  With a
+    ``grid`` each scene then draws an endpoint inside it and a speed in
+    [0.5, 12]; without one the endpoint is the origin and the speed 1.
+    ``labels`` is one label for every row or one per row."""
+    tv, svs, mask = np.empty((n, t_obs, 4)), np.empty((n, k_sv, t_obs, 4)), np.empty((n, k_sv), bool)
+    ends, speeds = np.zeros((n, 2)), np.ones(n)
+    for i in range(n):
+        tracks = rng.uniform(-span, span, size=(1 + k_sv, t_obs, 4))
+        tv[i], svs[i] = tracks[0], tracks[1:]
+        mask[i] = rng.random(k_sv) < 0.8
+        if grid is not None:
+            ends[i] = (
+                rng.uniform(grid.origin[0], grid.origin[0] + grid.cols_w * grid.cell_size),
+                rng.uniform(grid.origin[1], grid.origin[1] + grid.rows_h * grid.cell_size),
+            )
+            speeds[i] = rng.uniform(0.5, 12.0)
+    return Scenes(tv, svs, mask, ends, speeds, np.broadcast_to(np.asarray(labels), (n,)).copy())
+
+
+def same_scenes(a: Scenes, b: Scenes) -> bool:
+    """Every column of ``a`` and ``b``, the labels included, is equal."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(Scenes)
     )
-    truth = GroundTruth(endpoint=endpoint, speed_v=float(rng.uniform(0.5, 12.0)))
-    return Sample(scene, truth, task_label)
-
-
-def encode(model: HeatmapPredictor, samples) -> SampleTable:
-    """``samples`` (anything with ``.scene`` and ``.truth``) as the rows
-    ``train_stream`` and ``evaluate_task`` take."""
-    return model.encode([s.scene for s in samples], [s.truth for s in samples])
 
 
 @pytest.fixture
@@ -69,22 +67,18 @@ def write_v1_checkpoint(path, config, params, adam=None, separation=None, comple
     before v2: every float a JSON number, one nested dict per buffer
     slot."""
 
-    def states(track):
-        return [[st.x, st.y, st.vx, st.vy] for st in track]
-
     def items(buffer):
+        scenes, logits = buffer.contents()
         return [
             {
-                "scene": {
-                    "tv": states(t.scene.tv_history),
-                    "svs": [states(track) for track in t.scene.sv_histories],
-                    "mask": list(t.scene.sv_mask),
-                    "t_c": t.scene.t_c,
-                },
-                "truth": {"endpoint": list(t.truth.endpoint), "speed_v": t.truth.speed_v},
-                "init_logits": t.init_logits.tolist(),
+                "scene": {"tv": tv, "svs": svs, "mask": mask, "t_c": config.t_obs - 1},
+                "truth": {"endpoint": end, "speed_v": speed},
+                "init_logits": lg,
             }
-            for t in buffer.contents()
+            for tv, svs, mask, end, speed, lg in zip(
+                scenes.tv.tolist(), scenes.svs.tolist(), scenes.mask.tolist(),
+                scenes.ends.tolist(), scenes.speeds.tolist(), logits.tolist(),
+            )
         ]
 
     payload = {

@@ -21,20 +21,14 @@ import json
 import math
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from contrail.cli import ExperimentConfig, encode_tasks, evaluate_task, run_experiment
-from contrail.core import (
-    AgentState,
-    GridSpec,
-    GroundTruth,
-    Heatmap,
-    ResultMatrix,
-    Scene,
-)
+from contrail.core import GridSpec, Heatmap, ResultMatrix, Scenes, scene_frames
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.losses import LossSpec
 from contrail.memory import CompletionBuffer, SeparationBuffer, _cosine_rows
@@ -47,10 +41,8 @@ from contrail.metrics import (
     mr_threshold,
     report_from_matrices,
 )
-from contrail.predictor import HeatmapPredictor, PredictorConfig, SampleTable
+from contrail.predictor import HeatmapPredictor, PredictorConfig, SampleTable, scene_features
 from contrail.scenarios import TaskSpec, task_datasets
-
-from conftest import encode
 
 # ---------------------------------------------------------------------------
 # The shared three-task stream experiment behind checks 6 and 9.
@@ -118,9 +110,10 @@ def _experiment_datasets(noise: float = 0.05) -> tuple[list, list]:
     return _DATASETS[noise]
 
 
-def _shuffled_stream(pairs, tables, stream_seed: int) -> tuple[list, SampleTable]:
+def _shuffled_stream(pairs, tables, stream_seed: int) -> tuple[Scenes, SampleTable, np.ndarray]:
     """The train halves in task order, each shuffled by
-    ``[stream_seed, label]``, as samples and as rows."""
+    ``[stream_seed, label]``, as samples and as rows, and that order
+    over the concatenated train halves."""
     orders = []
     start = 0
     for label, (train, _) in enumerate(pairs, start=1):
@@ -128,9 +121,8 @@ def _shuffled_stream(pairs, tables, stream_seed: int) -> tuple[list, SampleTable
         orders.append(start + order)
         start += len(train)
     order = np.concatenate(orders)
-    train = [s for samples, _ in pairs for s in samples]
-    stream = [train[i] for i in order.tolist()]
-    return stream, SampleTable.concat([rows for rows, _ in tables]).take(order)
+    stream = Scenes.concat([train for train, _ in pairs]).take(order)
+    return stream, SampleTable.concat([rows for rows, _ in tables]).take(order), order
 
 
 def _experiment_cell(
@@ -146,7 +138,7 @@ def _experiment_cell(
     model_seed, stream_seed, train_seed = (
         int(v) for v in np.random.SeedSequence([EXP_SEED, rep]).generate_state(3)
     )
-    stream, rows = _shuffled_stream(pairs, tables, stream_seed)
+    stream, rows, _ = _shuffled_stream(pairs, tables, stream_seed)
     model = _experiment_model(model_seed)
     assert model.param_count <= 50_000
     cfg = TrainConfig(lr=EXP_LR, buffer_total=buffer_total, seed=train_seed)
@@ -170,22 +162,12 @@ def _experiment_cell(
     return report
 
 
-def _small_scene(rng: np.random.Generator, t_obs: int, k_sv: int) -> Scene:
+def _small_scene(rng: np.random.Generator, t_obs: int, k_sv: int) -> Scenes:
     """Random scene with order-one coordinates, where central finite
     differences at eps=1e-3 stay far below the gradient tolerance."""
-
-    def track():
-        return tuple(
-            AgentState(*(float(v) for v in rng.uniform(-2.0, 2.0, size=4)))
-            for _ in range(t_obs)
-        )
-
-    return Scene(
-        tv_history=track(),
-        sv_histories=tuple(track() for _ in range(k_sv)),
-        sv_mask=tuple(bool(rng.random() < 0.8) for _ in range(k_sv)),
-        t_c=t_obs - 1,
-    )
+    tracks = rng.uniform(-2.0, 2.0, size=(1 + k_sv, t_obs, 4))
+    mask = rng.random(k_sv) < 0.8
+    return Scenes(tracks[None, 0], tracks[None, 1:], mask[None], np.zeros((1, 2)), np.ones(1), np.ones(1, int))
 
 
 def test_01_gradient_finite_difference_agreement():
@@ -220,7 +202,9 @@ def test_01_gradient_finite_difference_agreement():
             cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
             distill.append(bool(rng.random() < 0.5))
             stored.append(rng.normal(0.0, 0.8, size=9) if distill[-1] else np.zeros(9))
-        batch = (model.features(scenes), np.array(cells), spec, np.stack(stored), np.array(distill))
+        scenes = Scenes.concat(scenes)
+        x = scene_features(scenes, scene_frames(scenes))
+        batch = (x, np.array(cells), spec, np.stack(stored), np.array(distill))
 
         _, grad, _ = model.loss_and_grad(params, *batch)
         fd = np.empty_like(grad)
@@ -359,6 +343,13 @@ def _brute_endpoints(heatmap: Heatmap, w: int) -> tuple[tuple[float, float], ...
         )
         for r, c in chosen
     )
+
+
+class GroundTruth(NamedTuple):
+    """A truth endpoint and the target's speed, as the metric oracles read them."""
+
+    endpoint: tuple[float, float]
+    speed_v: float
 
 
 def test_05_metric_brute_force_oracles():
@@ -518,7 +509,7 @@ def test_07_imbalanced_stream_buffer_composition():
     assert [len(t) for t in trains] == [2000, 500]
     # The rare task arrives once the buffers are warm, which is where
     # diversity-driven retention can differ from uniform retention.
-    minority_ids = {id(s.scene) for s in trains[1]}
+    n_majority = len(trains[0])
 
     comp_shares = []
     combined_shares = []
@@ -526,21 +517,19 @@ def test_07_imbalanced_stream_buffer_composition():
         model_seed, stream_seed, train_seed = (
             int(v) for v in np.random.SeedSequence([7107, rep]).generate_state(3)
         )
-        stream, rows = _shuffled_stream(pairs, tables, stream_seed)
+        stream, rows, order = _shuffled_stream(pairs, tables, stream_seed)
+        # Stream row r holds train row order[r]; the minority's train rows
+        # come after the majority's.
+        minority = order >= n_majority
         model = HeatmapPredictor(
             PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(32, 32), grid=grid, seed=model_seed)
         )
         cfg = TrainConfig(lr=EXP_LR, buffer_total=200, seed=train_seed)
         result = train_stream(model, stream, rows, Strategy.DUAL_REPLAY, cfg)
-        comp_items = result.completion.contents()
-        sep_items = result.separation.contents()
-        comp_shares.append(
-            sum(id(t.scene) in minority_ids for t in comp_items) / len(comp_items)
-        )
-        combined = comp_items + sep_items
-        combined_shares.append(
-            sum(id(t.scene) in minority_ids for t in combined) / len(combined)
-        )
+        comp_rows = result.completion.rows
+        combined = comp_rows + result.separation.rows
+        comp_shares.append(float(minority[comp_rows].mean()))
+        combined_shares.append(float(minority[combined].mean()))
 
     mean_comp = float(np.mean(comp_shares))
     mean_combined = float(np.mean(combined_shares))
@@ -565,12 +554,12 @@ def test_08_agem_projection_constraint():
         TaskSpec(kind="turn", n_samples=1250, seed=302, noise_sigma=0.05, k_sv=0),
     )
     pairs = task_datasets(tasks)
-    stream = [s for train, _ in pairs for s in train]
+    stream = Scenes.concat([train for train, _ in pairs])
     model = HeatmapPredictor(
         PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(32, 32), grid=EXP_GRID, seed=5)
     )
     cfg = TrainConfig(lr=EXP_LR, buffer_total=200, seed=6)
-    result = train_stream(model, stream, encode(model, stream), Strategy.AGEM, cfg)
+    result = train_stream(model, stream, model.encode(stream), Strategy.AGEM, cfg)
     assert result.agem_dots, "no projected steps were recorded"
     worst = min(result.agem_dots)
     assert worst >= -1e-9, f"projected step with g'.g_ref = {worst:.3e}"
@@ -655,11 +644,11 @@ def test_10_determinism_and_task_label_audit(tmp_path):
         TaskSpec(kind="turn", n_samples=100, seed=9, noise_sigma=0.1, k_sv=0),
     )
     pairs = task_datasets(tasks)
-    stream = [s for train, _ in pairs for s in train]
+    stream = Scenes.concat([train for train, _ in pairs])
     model = HeatmapPredictor(
         PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(8,), grid=EXP_GRID, seed=4)
     )
-    table = encode(model, stream)
+    table = model.encode(stream)
     reads = {}
     for strategy in Strategy:
         result = train_stream(model, stream, table, strategy, TrainConfig(buffer_total=16, seed=2))

@@ -15,15 +15,17 @@ from contrail.checkpoint import load_checkpoint, save_checkpoint
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.predictor import AdamState
 
-from conftest import encode, make_sample, write_v1_checkpoint
+from conftest import make_scenes, write_v1_checkpoint
 
 
-def assert_triplets_equal(a, b):
-    assert len(a) == len(b)
-    for ta, tb in zip(a, b):
-        assert ta.scene == tb.scene
-        assert ta.truth == tb.truth
-        assert np.array_equal(ta.init_logits, tb.init_logits)
+def assert_contents_equal(a, b):
+    """Two buffers' ``contents()``: the stored rows' columns (task
+    labels aside, which no checkpoint stores) and the logits stacks."""
+    (scenes_a, logits_a), (scenes_b, logits_b) = a, b
+    assert len(scenes_a) == len(scenes_b)
+    for name in ("tv", "svs", "mask", "ends", "speeds"):
+        assert np.array_equal(getattr(scenes_a, name), getattr(scenes_b, name)), name
+    assert np.array_equal(logits_a, logits_b)
 
 
 class TestRoundTrip:
@@ -39,10 +41,9 @@ class TestRoundTrip:
     def test_full_training_state(self, tiny_model, tmp_path):
         rng = np.random.default_rng(400)
         grid = tiny_model.config.grid
-        stream = [make_sample(rng, grid, task_label=1) for _ in range(12)]
-        stream += [make_sample(rng, grid, task_label=2) for _ in range(12)]
+        stream = make_scenes(rng, 24, grid=grid, labels=[1] * 12 + [2] * 12)
         result = train_stream(
-            tiny_model, stream, encode(tiny_model, stream), Strategy.DUAL_REPLAY,
+            tiny_model, stream, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
             TrainConfig(buffer_total=8),
         )
 
@@ -69,12 +70,12 @@ class TestRoundTrip:
         assert sp.b_compare == result.separation.b_compare
         assert sp.stream_count == result.separation.stream_count
         assert sp.scores == result.separation.scores
-        assert_triplets_equal(sp.contents(), result.separation.contents())
+        assert_contents_equal(sp.contents(), result.separation.contents())
 
         assert cp is not None and result.completion is not None
         assert cp.capacity == result.completion.capacity
         assert cp.stream_count == result.completion.stream_count
-        assert_triplets_equal(cp.contents(), result.completion.contents())
+        assert_contents_equal(cp.contents(), result.completion.contents())
 
     def test_loaded_state_resumes_identically(self, tiny_model, tmp_path):
         # Saving mid-run and resuming must match an uninterrupted run.
@@ -83,11 +84,7 @@ class TestRoundTrip:
         from contrail.predictor import adam_step
 
         cfg = TrainConfig()
-        pairs = [
-            [(make_sample(rng, grid).scene, make_sample(rng, grid).truth) for _ in range(4)]
-            for _ in range(4)
-        ]
-        tables = [tiny_model.encode(*zip(*batch)) for batch in pairs]
+        tables = [tiny_model.encode(make_scenes(rng, 4, grid=grid)) for _ in range(4)]
 
         params = tiny_model.init_params()
         adam = AdamState.zeros(tiny_model.param_count)
@@ -129,9 +126,9 @@ class TestRoundTrip:
     def test_params_only_builds_no_state(self, tiny_model, tmp_path, monkeypatch):
         rng = np.random.default_rng(402)
         grid = tiny_model.config.grid
-        stream = [make_sample(rng, grid, task_label=1) for _ in range(16)]
+        stream = make_scenes(rng, 16, grid=grid)
         result = train_stream(
-            tiny_model, stream, encode(tiny_model, stream), Strategy.DUAL_REPLAY,
+            tiny_model, stream, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
             TrainConfig(buffer_total=8),
         )
         path = tmp_path / "ck.json"
@@ -166,10 +163,9 @@ def dual_result(tiny_model):
     """A trained ``dual`` run with both buffers full."""
     rng = np.random.default_rng(403)
     grid = tiny_model.config.grid
-    stream = [make_sample(rng, grid, task_label=1) for _ in range(12)]
-    stream += [make_sample(rng, grid, task_label=2) for _ in range(12)]
+    stream = make_scenes(rng, 24, grid=grid, labels=[1] * 12 + [2] * 12)
     return train_stream(
-        tiny_model, stream, encode(tiny_model, stream), Strategy.DUAL_REPLAY,
+        tiny_model, stream, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
         TrainConfig(buffer_total=8),
     )
 
@@ -206,7 +202,7 @@ def assert_same_state(a, b):
     assert adam_a.v.tobytes() == adam_b.v.tobytes()
     for buf_a, buf_b in ((sp_a, sp_b), (cp_a, cp_b)):
         assert (buf_a.capacity, buf_a.stream_count) == (buf_b.capacity, buf_b.stream_count)
-        assert_triplets_equal(buf_a.contents(), buf_b.contents())
+        assert_contents_equal(buf_a.contents(), buf_b.contents())
     assert sp_a.b_compare == sp_b.b_compare
     assert sp_a.scores == sp_b.scores
 
@@ -236,8 +232,8 @@ class TestFormat:
         v1 = load_checkpoint(tmp_path / "v1.json")
         assert_same_state(v1, load_checkpoint(tmp_path / "v2.json"))
         assert np.array_equal(v1[1], dual_result.final_params)
-        assert_triplets_equal(v1[3].contents(), dual_result.separation.contents())
-        assert_triplets_equal(v1[4].contents(), dual_result.completion.contents())
+        assert_contents_equal(v1[3].contents(), dual_result.separation.contents())
+        assert_contents_equal(v1[4].contents(), dual_result.completion.contents())
         assert v1[3].scores == dual_result.separation.scores
 
     def test_extreme_floats_round_trip_bit_exact(self, tiny_model, tmp_path):
@@ -323,6 +319,14 @@ BUFFER_FAULTS = {
     "t_c not ints": (
         _set("separation", "items", lambda items: {**items, "t_c": [float(t) for t in items["t_c"]]}),
         "separation.t_c",
+    ),
+    "t_c not the last observed step": (
+        _set("separation", "items", lambda items: {**items, "t_c": [t - 1 for t in items["t_c"]]}),
+        "separation.t_c holds a step other than t_obs - 1",
+    ),
+    "negative speed": (
+        _column("completion", "speed", lambda a: -a),
+        "completion.speed holds a negative speed",
     ),
     "non-finite logit": (
         _column("separation", "logits", lambda a: np.where(a == a.flat[3], np.inf, a)),

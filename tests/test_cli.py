@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from contrail import cli, core, predictor, scenarios
+from contrail import cli, predictor, scenarios
 from contrail.checkpoint import load_checkpoint, save_checkpoint
 from contrail.cli import (
     ConfigError,
@@ -31,7 +31,7 @@ from contrail.learner import Strategy, TrainConfig
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import generate_task, ingest_csv, preset_task, task_datasets
 
-from conftest import encode, write_v1_checkpoint
+from conftest import make_scenes, same_scenes, write_v1_checkpoint
 
 
 def base_config(**overrides):
@@ -191,7 +191,7 @@ class TestSummaries:
 
 class TestEvaluateTask:
     def test_wires_the_metric_components_together(self):
-        from contrail.core import GridSpec, scene_frame
+        from contrail.core import GridSpec, local_endpoints, scene_frames
         from contrail.metrics import extract_endpoints, fde, mr_task
 
         grid = GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0)
@@ -201,26 +201,28 @@ class TestEvaluateTask:
         params = model.init_params()
         samples = generate_task(preset_task("straight", 6, seed=9), label=1)
 
-        got_fde, got_mr = evaluate_task(model, params, encode(model, samples), w=3)
+        got_fde, got_mr = evaluate_task(model, params, model.encode(samples), w=3)
 
         fdes = []
         preds = []
         locals_ = []
-        for s in samples:
-            heatmap = model.forward(params, s.scene)
-            pred = extract_endpoints(heatmap.logits[None], grid, 3)
-            local = np.array([scene_frame(s.scene).to_local(s.truth.endpoint)])
+        for i in range(len(samples)):
+            one = samples.take(np.array([i]))
+            frames = scene_frames(one)
+            logits = model.forward_logits(params, predictor.scene_features(one, frames))
+            pred = extract_endpoints(logits.reshape(1, 8, 8), grid, 3)
+            local = local_endpoints(frames, one.ends)
             fdes.append(fde(pred, local)[0])
             preds.append(pred[0])
             locals_.append(local[0])
-        speeds = np.array([s.truth.speed_v for s in samples])
-        want_mr = mr_task(np.stack(preds), np.stack(locals_), speeds, np.array([1.0, 0.0]))
+        want_mr = mr_task(np.stack(preds), np.stack(locals_), samples.speeds, np.array([1.0, 0.0]))
         assert got_fde == pytest.approx(float(np.mean(fdes)), rel=1e-12)
         assert got_mr == pytest.approx(want_mr, rel=1e-12)
 
     def test_empty_task_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="empty task"):
-            evaluate_task(tiny_model, tiny_model.init_params(), encode(tiny_model, []))
+            empty = make_scenes(np.random.default_rng(0), 0)
+            evaluate_task(tiny_model, tiny_model.init_params(), tiny_model.encode(empty))
 
 
 class TestGenCommand:
@@ -270,7 +272,7 @@ class TestRunCell:
         config = ExperimentConfig(
             tasks=(preset_task("straight", 10, seed=1),),
             strategies=(Strategy.VANILLA,),
-            train=TrainConfig(lr=0.01, checkpoint_after_each_task=False, agem_ref_batch=7),
+            train=TrainConfig(lr=0.01, replay_batch=3, agem_ref_batch=7),
             grid=GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=1.0),
             seed=3,
         )
@@ -305,21 +307,21 @@ class TestRunCommand:
         # Counted in this process; a featurisation in a pool worker fails the run.
         main_pid = os.getpid()
         featurised = []
-        frames = []
-        real_features, real_frame = predictor.scene_features, core.scene_frame
+        framed = []
+        real_features, real_frames = predictor.scene_features, predictor.scene_frames
 
         def features(scenes, *rest):
             assert os.getpid() == main_pid, "a worker featurised"
-            featurised.append(list(scenes))
+            featurised.append(scenes)
             return real_features(scenes, *rest)
 
-        def frame(scene):
+        def frames_of(scenes):
             assert os.getpid() == main_pid, "a worker computed a frame"
-            frames.append(scene)
-            return real_frame(scene)
+            framed.append(scenes)
+            return real_frames(scenes)
 
         monkeypatch.setattr(predictor, "scene_features", features)
-        monkeypatch.setattr(core, "scene_frame", frame)
+        monkeypatch.setattr(predictor, "scene_frames", frames_of)
         tasks = [
             {"kind": "straight", "n_samples": 20},
             {"kind": "turn", "n_samples": 20},
@@ -327,15 +329,12 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.json", tasks=tasks, workers=workers)
         assert main(["run", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
         # Two strategies x two repetitions, yet each split is featurised
-        # once, one frame per sample.
-        splits = [
-            [s.scene for s in split]
-            for pair in task_datasets(load_config(cfg).tasks)
-            for split in pair
-        ]
+        # once, its frames computed in one pass.
+        splits = [split for pair in task_datasets(load_config(cfg).tasks) for split in pair]
         assert [len(split) for split in splits] == [16, 4, 16, 4]
-        assert featurised == splits
-        assert frames == [scene for split in splits for scene in split]
+        assert len(featurised) == len(splits)
+        assert all(same_scenes(a, b) for a, b in zip(featurised, splits))
+        assert [id(s) for s in framed] == [id(s) for s in featurised]
 
     def test_full_run_artifacts_and_summary_math(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", strategies=["vanilla", "dual", "joint"])
@@ -671,3 +670,26 @@ class TestExitCodes:
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
         assert not out.exists()
         assert "config error: train.buffer_total is 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hidden", [[], [0], [16, -2]])
+    def test_bad_hidden_dims_exit_one_before_any_output(self, tmp_path, capsys, hidden):
+        cfg = write_config(tmp_path / "cfg.json", hidden_dims=hidden)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert f"config error: hidden_dims is {hidden}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tasks",
+        [
+            [{"kind": "straight", "n_samples": 1}],
+            [{"kind": "turn", "n_samples": 20}, {"kind": "straight", "n_samples": 1}],
+        ],
+    )
+    def test_empty_train_half_exits_one_before_any_output(self, tmp_path, capsys, tasks):
+        cfg = write_config(tmp_path / "cfg.json", tasks=tasks)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
+        i = len(tasks) - 1
+        assert f"config error: tasks[{i}].n_samples is 1: its 80/20 train half is empty" in capsys.readouterr().err

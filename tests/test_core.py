@@ -10,22 +10,34 @@ import numpy as np
 import pytest
 
 from contrail.core import (
-    AgentState,
     GridSpec,
-    GroundTruth,
     Heatmap,
     ResultMatrix,
-    Sample,
-    Scene,
+    Scenes,
     atomic_write,
     cell_to_center,
     endpoint_to_cell,
-    scene_frame,
+    local_endpoints,
+    scene_frames,
     task_boundaries,
     task_label_reads,
 )
 
-from conftest import make_scene
+from conftest import make_scenes, same_scenes
+
+
+def scenes_of(tv, svs=None, mask=None, ends=None, speeds=None, labels=None) -> Scenes:
+    """A table around ``tv`` (n, t_obs, 4) whose other columns default to
+    no neighbors, endpoints at the origin, speed 1 and label 1."""
+    n, t_obs = tv.shape[:2]
+    return Scenes(
+        tv,
+        np.zeros((n, 0, t_obs, 4)) if svs is None else svs,
+        np.zeros((n, 0), bool) if mask is None else mask,
+        np.zeros((n, 2)) if ends is None else ends,
+        np.ones(n) if speeds is None else speeds,
+        np.ones(n, int) if labels is None else np.asarray(labels),
+    )
 
 
 class TestGridGeometry:
@@ -80,71 +92,89 @@ class TestGridGeometry:
             GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=0.0)
 
 
+def to_world(frame: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`local_endpoints` for one frame row."""
+    x0, y0, cos_h, sin_h = frame
+    px, py = point
+    return np.array([x0 + px * cos_h - py * sin_h, y0 + px * sin_h + py * cos_h])
+
+
 class TestFrame:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            scene = make_scene(rng)
-            frame = scene_frame(scene)
-            p = (float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50)))
-            q = frame.to_world(frame.to_local(p))
-            assert q[0] == pytest.approx(p[0], abs=1e-9)
-            assert q[1] == pytest.approx(p[1], abs=1e-9)
+        scenes = make_scenes(rng, 200)
+        frames = scene_frames(scenes)
+        points = rng.uniform(-50, 50, size=(200, 2))
+        local = local_endpoints(frames, points)
+        for frame, p, q in zip(frames, points, local):
+            assert to_world(frame, q) == pytest.approx(p, abs=1e-9)
 
     def test_tv_maps_to_origin_moving_plus_x(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            scene = make_scene(rng)
-            tv = scene.tv_history[-1]
-            frame = scene_frame(scene)
-            lx, ly = frame.to_local((tv.x, tv.y))
-            assert abs(lx) < 1e-12 and abs(ly) < 1e-12
-            vx, vy = frame.vector_to_local((tv.vx, tv.vy))
-            speed = math.hypot(tv.vx, tv.vy)
-            assert vx == pytest.approx(speed, abs=1e-9)
-            assert vy == pytest.approx(0.0, abs=1e-9)
+        scenes = make_scenes(np.random.default_rng(4), 100)
+        frames = scene_frames(scenes)
+        last = scenes.tv[:, -1]
+        origin = local_endpoints(frames, last[:, :2])
+        assert np.abs(origin).max() < 1e-12
+        # Velocities rotate without the translation.
+        velocity = local_endpoints(frames * [0, 0, 1, 1], last[:, 2:])
+        speed = np.hypot(last[:, 2], last[:, 3])
+        assert velocity[:, 0] == pytest.approx(speed, abs=1e-9)
+        assert velocity[:, 1] == pytest.approx(np.zeros(100), abs=1e-9)
 
     def test_stationary_target_keeps_world_axes(self):
-        hist = (AgentState(3.0, 4.0, 0.0, 0.0),)
-        scene = Scene(tv_history=hist, sv_histories=(), sv_mask=(), t_c=0)
-        frame = scene_frame(scene)
-        assert frame.to_local((4.0, 5.0)) == (1.0, 1.0)
+        scenes = scenes_of(np.array([[[3.0, 4.0, 0.0, 0.0]]]))
+        frames = scene_frames(scenes)
+        assert frames.tolist() == [[3.0, 4.0, 1.0, 0.0]]
+        assert local_endpoints(frames, np.array([[4.0, 5.0]])).tolist() == [[1.0, 1.0]]
 
 
 class TestSceneValidation:
     def test_neighbor_length_mismatch(self):
-        tv = (AgentState(0, 0, 1, 0), AgentState(1, 0, 1, 0))
-        with pytest.raises(ValueError):
-            Scene(tv_history=tv, sv_histories=((AgentState(0, 0, 0, 0),),), sv_mask=(True,), t_c=1)
+        tv = np.array([[[0, 0, 1, 0], [1, 0, 1, 0]]], dtype=float)
+        with pytest.raises(ValueError, match="svs"):
+            scenes_of(tv, svs=np.zeros((1, 1, 1, 4)), mask=np.ones((1, 1), bool))
 
     def test_mask_length_mismatch(self):
-        tv = (AgentState(0, 0, 1, 0),)
-        with pytest.raises(ValueError):
-            Scene(tv_history=tv, sv_histories=(), sv_mask=(True,), t_c=0)
+        tv = np.array([[[0, 0, 1, 0]]], dtype=float)
+        with pytest.raises(ValueError, match="svs"):
+            scenes_of(tv, mask=np.ones((1, 1), bool))
+        with pytest.raises(ValueError, match="mask"):
+            scenes_of(tv, mask=np.zeros((2, 0), bool))
+        with pytest.raises(ValueError, match="bools"):
+            scenes_of(tv, svs=np.zeros((1, 1, 1, 4)), mask=np.ones((1, 1)))
 
     def test_negative_speed_rejected(self):
-        with pytest.raises(ValueError):
-            GroundTruth(endpoint=(0.0, 0.0), speed_v=-1.0)
+        tv = np.zeros((2, 1, 4))
+        with pytest.raises(ValueError, match="non-negative"):
+            scenes_of(tv, speeds=np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="speeds"):
+            scenes_of(tv, speeds=np.ones(3))
 
 
 class TestSceneHash:
-    def test_equal_scenes_hash_equal(self):
-        a = make_scene(np.random.default_rng(5))
-        b = make_scene(np.random.default_rng(5))
-        assert a is not b and a == b
-        assert hash(a) == hash(b)
-        assert {a: "stored"}[b] == "stored"
-
     def test_hash_survives_pickle(self):
-        scene = make_scene(np.random.default_rng(6))
-        copy = pickle.loads(pickle.dumps(scene))
-        assert copy == scene and hash(copy) == hash(scene)
-        assert repr(copy) == repr(scene)
+        scenes = make_scenes(np.random.default_rng(6), 3, labels=[1, 2, 2])
+        copy = pickle.loads(pickle.dumps(scenes))
+        assert same_scenes(copy, scenes)
+        assert task_boundaries(copy) == [(1, 1), (2, 3)]
 
     def test_scene_stays_frozen(self):
-        scene = make_scene(np.random.default_rng(7))
+        scenes = make_scenes(np.random.default_rng(7))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            scene.t_c = 0  # type: ignore[misc]
+            scenes.tv = scenes.tv.copy()  # type: ignore[misc]
+
+
+class TestTable:
+    def test_take_and_concat_select_rows(self):
+        rng = np.random.default_rng(8)
+        a, b = make_scenes(rng, 3, labels=1), make_scenes(rng, 2, labels=2)
+        both = Scenes.concat([a, b])
+        assert len(both) == 5
+        assert task_boundaries(both) == [(1, 3), (2, 5)]
+        assert same_scenes(both.take(np.arange(3)), a)
+        picked = both.take(np.array([4, 0]))
+        assert np.array_equal(picked.tv, np.stack([b.tv[1], a.tv[0]]))
+        assert np.array_equal(picked.mask, np.stack([b.mask[1], a.mask[0]]))
 
 
 class TestHeatmap:
@@ -169,27 +199,21 @@ class TestHeatmap:
 
 class TestTaskLabelAudit:
     def test_reads_are_counted(self):
-        rng = np.random.default_rng(6)
-        scene = make_scene(rng)
-        sample = Sample(scene, GroundTruth((0.0, 0.0), 1.0), task_label=3)
+        scenes = make_scenes(np.random.default_rng(6), labels=3)
         before = task_label_reads()
-        _ = sample.task_label
-        _ = sample.task_label
+        assert scenes.task_label(0) == 3
+        _ = scenes.task_label(0)
         assert task_label_reads() - before == 2
 
     def test_boundaries_do_not_touch_the_audited_accessor(self):
-        rng = np.random.default_rng(7)
-        truth = GroundTruth((0.0, 0.0), 1.0)
-        stream = [Sample(make_scene(rng), truth, label) for label in (1, 1, 2, 2, 2, 3)]
+        stream = make_scenes(np.random.default_rng(7), 6, labels=[1, 1, 2, 2, 2, 3])
         before = task_label_reads()
         bounds = task_boundaries(stream)
         assert task_label_reads() == before
         assert bounds == [(1, 2), (2, 5), (3, 6)]
 
     def test_non_monotone_labels_rejected(self):
-        rng = np.random.default_rng(8)
-        truth = GroundTruth((0.0, 0.0), 1.0)
-        stream = [Sample(make_scene(rng), truth, label) for label in (1, 2, 1)]
+        stream = make_scenes(np.random.default_rng(8), 3, labels=[1, 2, 1])
         with pytest.raises(ValueError, match="non-decreasing"):
             task_boundaries(stream)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from contrail import core, learner, predictor
+from contrail import learner, predictor
 from contrail.learner import (
     TASK_FREE,
     Strategy,
@@ -25,11 +25,11 @@ from contrail.memory import (
 )
 from contrail.learner import _AgemMemory
 
-from conftest import encode, make_sample
+from conftest import make_scenes, same_scenes
 
 
 def make_stream(rng, grid, labels):
-    return [make_sample(rng, grid, task_label=label) for label in labels]
+    return make_scenes(rng, len(labels), grid=grid, labels=labels)
 
 
 class TestStrategyParsing:
@@ -112,7 +112,7 @@ class TestStepFunctions:
     batch = np.arange(4)
 
     def _table(self, rng, model, n):
-        return encode(model, make_stream(rng, model.config.grid, [1] * n))
+        return model.encode(make_stream(rng, model.config.grid, [1] * n))
 
     def _logits(self, rng, grid):
         return rng.normal(size=(grid.rows_h, grid.cols_w))
@@ -303,20 +303,21 @@ class TestTrainStream:
         return make_stream(np.random.default_rng(seed), grid, list(labels))
 
     def test_empty_stream_rejected(self, tiny_model):
+        empty = make_stream(np.random.default_rng(319), tiny_model.config.grid, [])
         with pytest.raises(ValueError, match="empty stream"):
-            train_stream(tiny_model, [], encode(tiny_model, []), Strategy.VANILLA, TrainConfig())
+            train_stream(tiny_model, empty, tiny_model.encode(empty), Strategy.VANILLA, TrainConfig())
 
     def test_unordered_stream_rejected(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(320, grid, labels=[1, 2, 1])
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         with pytest.raises(ValueError, match="non-decreasing"):
             train_stream(tiny_model, stream, table, Strategy.VANILLA, TrainConfig())
 
     def test_single_pass_visits(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(321, grid)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         for strategy in Strategy:
             cfg = TrainConfig(batch_size=5, buffer_total=8)
             result = train_stream(tiny_model, stream, table, strategy, cfg)
@@ -327,7 +328,7 @@ class TestTrainStream:
     def test_bit_reproducible(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(322, grid)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         cfg = TrainConfig(buffer_total=8, seed=13)
         for strategy in (Strategy.DUAL_REPLAY, Strategy.AGEM, Strategy.JOINT):
             a = train_stream(tiny_model, stream, table, strategy, cfg)
@@ -342,7 +343,7 @@ class TestTrainStream:
     def test_buffer_wiring_per_strategy(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(323, grid)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         cfg = TrainConfig(buffer_total=8)
 
         dual = train_stream(tiny_model, stream, table, Strategy.DUAL_REPLAY, cfg)
@@ -364,7 +365,7 @@ class TestTrainStream:
     def test_dual_needs_an_even_budget(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(324, grid)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         with pytest.raises(ValueError, match="even total"):
             train_stream(
                 tiny_model, stream, table, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=7)
@@ -373,7 +374,7 @@ class TestTrainStream:
     def test_dual_without_memory_matches_vanilla_bitwise(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(325, grid)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         vanilla = train_stream(
             tiny_model, stream, table, Strategy.VANILLA, TrainConfig(buffer_total=0)
         )
@@ -394,7 +395,7 @@ class TestTrainStream:
     def test_replay_changes_the_outcome(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(326, grid)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         vanilla = train_stream(tiny_model, stream, table, Strategy.VANILLA, TrainConfig())
         dual = train_stream(
             tiny_model, stream, table, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8)
@@ -404,23 +405,23 @@ class TestTrainStream:
     def test_joint_equals_vanilla_on_the_shuffled_stream(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(327, grid, labels=[1] * 20)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         cfg = TrainConfig(seed=5)
         joint = train_stream(tiny_model, stream, table, Strategy.JOINT, cfg)
         assert joint.checkpoints == []
 
         seeds = np.random.SeedSequence(cfg.seed).spawn(4)
         order = np.random.default_rng(seeds[2]).permutation(len(stream))
-        shuffled = [stream[int(i)] for i in order]
+        shuffled = stream.take(order)
         vanilla = train_stream(
-            tiny_model, shuffled, encode(tiny_model, shuffled), Strategy.VANILLA, cfg
+            tiny_model, shuffled, tiny_model.encode(shuffled), Strategy.VANILLA, cfg
         )
         assert np.array_equal(joint.final_params, vanilla.final_params)
 
     def test_task_free_strategies_read_no_labels(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(328, grid)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         for strategy in TASK_FREE:
             result = train_stream(
                 tiny_model, stream, table, strategy, TrainConfig(buffer_total=8)
@@ -436,26 +437,17 @@ class TestTrainStream:
     def test_checkpoints_follow_task_boundaries(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(329, grid, labels=[1] * 6 + [2] * 6)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         cfg = TrainConfig(batch_size=4)
         result = train_stream(tiny_model, stream, table, Strategy.VANILLA, cfg)
         assert [label for label, _ in result.checkpoints] == [1, 2]
         assert np.array_equal(result.checkpoints[1][1], result.final_params)
         assert not np.array_equal(result.checkpoints[0][1], result.final_params)
 
-        silent = train_stream(
-            tiny_model,
-            stream,
-            table,
-            Strategy.VANILLA,
-            TrainConfig(batch_size=4, checkpoint_after_each_task=False),
-        )
-        assert silent.checkpoints == []
-
     def test_agem_projections_stay_non_negative(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(330, grid, labels=[1] * 16 + [2] * 16 + [3] * 16)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         result = train_stream(
             tiny_model, stream, table, Strategy.AGEM, TrainConfig(buffer_total=12, batch_size=4)
         )
@@ -464,7 +456,7 @@ class TestTrainStream:
     def test_explicit_init_params_are_respected_and_unchanged(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(332, grid)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         init = np.zeros(tiny_model.param_count)
         before = init.copy()
         result = train_stream(
@@ -511,7 +503,7 @@ class TestExactScoring:
         stream = make_stream(
             np.random.default_rng(336), grid, [1] * 24 + [2] * 24 + [3] * 24
         )
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         cfg = TrainConfig(buffer_total=8, batch_size=4, b_compare=3, seed=3)
         fast = train_stream(tiny_model, stream, table, strategy, cfg)
 
@@ -528,19 +520,19 @@ class TestExactScoring:
                 assert got is None
                 continue
             assert got.rows == want.rows
-            got_items, want_items = got.contents(), want.contents()
-            assert len(got_items) == len(want_items) == len(want)
-            for a, b in zip(got_items, want_items):
-                assert a.scene == b.scene and a.truth == b.truth
-                assert np.array_equal(a.init_logits, b.init_logits)
+            (got_scenes, got_logits), (want_scenes, want_logits) = got.contents(), want.contents()
+            assert len(got_scenes) == len(want_scenes) == len(want)
+            assert same_scenes(got_scenes, want_scenes)
+            assert np.array_equal(got_logits, want_logits)
         np.testing.assert_allclose(
             fast.separation.scores, ref.separation.scores, rtol=0, atol=1e-12
         )
 
 
 class TestWorkIsOncePerSample:
-    """Encoding computes each sample's frame once and featurises the
-    whole set in one call; ``train_stream`` then only indexes rows."""
+    """Encoding computes every sample's frame in one call and
+    featurises the whole set in one call; ``train_stream`` then only
+    indexes rows."""
 
     @pytest.mark.parametrize(
         "strategy", [Strategy.DUAL_REPLAY, Strategy.GSS_STYLE, Strategy.AGEM]
@@ -549,44 +541,36 @@ class TestWorkIsOncePerSample:
         grid = tiny_model.config.grid
         stream = make_stream(np.random.default_rng(337), grid, [1] * 24 + [2] * 24 + [3] * 24)
         featurised: list = []
-        counts = {"scene_frame": 0, "target_cell": 0}
-
-        def counting(name, fn):
-            def wrapper(*args):
-                counts[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        real_features = predictor.scene_features
+        framed: list = []
+        real_features, real_frames = predictor.scene_features, predictor.scene_frames
 
         def features(scenes, frames):
             featurised.append(scenes)
             return real_features(scenes, frames)
 
-        monkeypatch.setattr(predictor, "scene_features", features)
-        monkeypatch.setattr(core, "scene_frame", counting("scene_frame", core.scene_frame))
-        target_cell = counting("target_cell", core.target_cell)
-        monkeypatch.setattr(core, "target_cell", target_cell)
-        monkeypatch.setattr(learner, "target_cell", target_cell, raising=False)
+        def frames_of(scenes):
+            framed.append(scenes)
+            return real_frames(scenes)
 
-        table = encode(tiny_model, stream)
-        assert len(featurised) == 1
-        assert [s.scene for s in stream] == list(featurised[0])
-        assert counts == {"scene_frame": len(stream), "target_cell": 0}
+        monkeypatch.setattr(predictor, "scene_features", features)
+        monkeypatch.setattr(predictor, "scene_frames", frames_of)
+
+        table = tiny_model.encode(stream)
+        assert len(featurised) == len(framed) == 1
+        assert featurised[0] is framed[0] is stream
 
         cfg = TrainConfig(buffer_total=8, batch_size=4, agem_ref_batch=8)
         result = train_stream(tiny_model, stream, table, strategy, cfg)
 
         assert result.n_steps == 18
-        assert len(featurised) == 1
-        assert counts == {"scene_frame": len(stream), "target_cell": 0}
+        assert len(featurised) == len(framed) == 1
 
     def test_rows_must_match_the_stream(self, tiny_model):
         stream = make_stream(np.random.default_rng(339), tiny_model.config.grid, [1] * 6)
         with pytest.raises(ValueError, match="5 table rows for a stream of 6"):
             train_stream(
-                tiny_model, stream, encode(tiny_model, stream[:5]), Strategy.VANILLA, TrainConfig()
+                tiny_model, stream, tiny_model.encode(stream.take(np.arange(5))), Strategy.VANILLA,
+                TrainConfig(),
             )
 
 
@@ -609,7 +593,7 @@ class TestOnePassPerStep:
     ):
         grid = tiny_model.config.grid
         stream = make_stream(np.random.default_rng(338), grid, [1] * 24 + [2] * 24 + [3] * 24)
-        table = encode(tiny_model, stream)
+        table = tiny_model.encode(stream)
         counts = {"_forward_cached": 0, "_backward": 0, "forward_logits": 0}
 
         def counting(name):

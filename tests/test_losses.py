@@ -1,8 +1,8 @@
-"""Loss kernels: cross-entropy, focal variant, distillation, totals.
+"""Loss kernels: cross-entropy, focal variant, distillation.
 
 The classification kernels are checked against closed forms and against
-finite differences in logit space; the replay and total losses against
-step-by-step recomputation through the public model API.
+finite differences in logit space; the heatmap entry point against the
+batch kernel.
 """
 
 from __future__ import annotations
@@ -12,17 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from contrail.core import target_cell
-from contrail.losses import (
-    LossSpec,
-    base_loss,
-    batch_loss_and_dlogits,
-    replay_loss,
-    total_loss,
-)
-from contrail.memory import MemoryTriplet
+from contrail.core import Heatmap, scene_frames
+from contrail.losses import LossSpec, base_loss, batch_loss_and_dlogits
+from contrail.predictor import scene_features
 
-from conftest import make_sample
+from conftest import make_scenes
 
 
 def fd_dlogits(logits_row, cell, spec, stored=None, eps=1e-6):
@@ -197,81 +191,15 @@ class TestDistillation:
             assert everything.tobytes() == all_rows.tobytes()
 
 
-class TestReplayLoss:
-    def _triplets(self, rng, model, n):
-        grid = model.config.grid
-        params = model.init_params()
-        out = []
-        for _ in range(n):
-            sample = make_sample(rng, grid)
-            logits = model.forward_logits(params, model.features([sample.scene]))[0]
-            shape = (grid.rows_h, grid.cols_w)
-            out.append(
-                MemoryTriplet(sample.scene, sample.truth, logits.reshape(shape) + 0.1)
-            )
-        return out
-
-    def test_empty_batch_is_zero(self, tiny_model):
-        params = tiny_model.init_params()
-        assert replay_loss(tiny_model, params, []) == 0.0
-
-    def test_matches_manual_mean(self, tiny_model):
-        rng = np.random.default_rng(41)
-        spec = LossSpec(alpha=1.0, beta=1.0)
-        params = tiny_model.init_params()
-        grid = tiny_model.config.grid
-        triplets = self._triplets(rng, tiny_model, 5)
-        value = replay_loss(tiny_model, params, triplets, spec)
-
-        per_sample = []
-        for t in triplets:
-            logits = tiny_model.forward_logits(params, tiny_model.features([t.scene]))
-            row, col = target_cell(t.scene, t.truth, grid)
-            stored = t.init_logits.reshape(1, -1)
-            losses, _ = batch_loss_and_dlogits(logits, [row * grid.cols_w + col], spec, stored)
-            per_sample.append(losses[0])
-        assert value == pytest.approx(float(np.mean(per_sample)), rel=1e-12)
-
-
 class TestTotalLoss:
-    def _current(self, rng, grid, n):
-        return [
-            (s.scene, s.truth) for s in (make_sample(rng, grid) for _ in range(n))
-        ]
-
-    def test_zero_weights_reduce_to_stream_loss(self, tiny_model):
-        rng = np.random.default_rng(51)
-        grid = tiny_model.config.grid
-        params = tiny_model.init_params()
-        current = self._current(rng, grid, 4)
-        triplets = TestReplayLoss()._triplets(rng, tiny_model, 3)
-
-        spec0 = LossSpec(alpha=0.0, beta=0.0)
-        with_buffers = total_loss(tiny_model, params, current, triplets, triplets, spec0)
-        without = total_loss(tiny_model, params, current, [], [], spec0)
-        assert with_buffers == pytest.approx(without, rel=1e-14)
-
-    def test_weighted_decomposition(self, tiny_model):
-        rng = np.random.default_rng(52)
-        grid = tiny_model.config.grid
-        params = tiny_model.init_params()
-        current = self._current(rng, grid, 4)
-        sp = TestReplayLoss()._triplets(rng, tiny_model, 3)
-        cp = TestReplayLoss()._triplets(rng, tiny_model, 2)
-
-        for alpha, beta in [(1.0, 1.0), (0.5, 2.0), (0.0, 3.0)]:
-            spec = LossSpec(alpha=alpha, beta=beta)
-            stream = total_loss(tiny_model, params, current, [], [], spec)
-            r_sp = replay_loss(tiny_model, params, sp, spec)
-            r_cp = replay_loss(tiny_model, params, cp, spec)
-            combined = total_loss(tiny_model, params, current, sp, cp, spec)
-            assert combined == pytest.approx(stream + alpha * r_sp + beta * r_cp, rel=1e-12)
+    """The loss of one whole heatmap."""
 
     def test_base_loss_heatmap_entry_point(self, tiny_model):
         rng = np.random.default_rng(53)
         params = tiny_model.init_params()
-        scene = make_sample(rng, tiny_model.config.grid).scene
-        heatmap = tiny_model.forward(params, scene)
+        scenes = make_scenes(rng, grid=tiny_model.config.grid)
+        logits = tiny_model.forward_logits(params, scene_features(scenes, scene_frames(scenes)))
+        heatmap = Heatmap(logits.reshape(4, 5), tiny_model.config.grid)
         value = base_loss(heatmap, (2, 3))
         flat = heatmap.logits.reshape(1, -1)
         losses, _ = batch_loss_and_dlogits(

@@ -10,14 +10,13 @@ import pytest
 from contrail.memory import (
     FIRST_SAMPLE_SCORE,
     CompletionBuffer,
-    MemoryTriplet,
     SeparationBuffer,
     _cosine_rows,
     draw_minibatch,
     separation_score,
 )
 
-from conftest import make_sample
+from conftest import make_scenes, same_scenes
 
 
 class TestCompletionBuffer:
@@ -32,23 +31,23 @@ class TestCompletionBuffer:
 
     def test_contents_are_built_from_the_samples_themselves(self, tiny_grid):
         rng = np.random.default_rng(101)
-        samples = [make_sample(rng, tiny_grid) for _ in range(3)]
+        source = make_scenes(rng, 3, grid=tiny_grid)
         logits = [rng.normal(size=(tiny_grid.rows_h, tiny_grid.cols_w)) for _ in range(3)]
-        buf = CompletionBuffer(capacity=2, samples=samples)
+        buf = CompletionBuffer(capacity=2, source=source)
         buf.observe(2, rng, logits[2])
         buf.observe(0, rng, logits[0])
-        items = buf.contents()
-        assert [t.scene for t in items] == [samples[2].scene, samples[0].scene]
-        assert items[0].scene is samples[2].scene and items[0].truth is samples[2].truth
-        assert np.array_equal(items[1].init_logits, logits[0])
+        scenes, stored = buf.contents()
+        assert same_scenes(scenes, source.take(np.array([2, 0])))
+        assert np.array_equal(stored, np.stack([logits[2], logits[0]]))
 
     def test_contents_returns_a_copy(self, tiny_grid):
         rng = np.random.default_rng(101)
-        buf = CompletionBuffer(capacity=2, samples=[make_sample(rng, tiny_grid)])
+        buf = CompletionBuffer(capacity=2, source=make_scenes(rng, grid=tiny_grid))
         buf.observe(0, rng, rng.normal(size=(tiny_grid.rows_h, tiny_grid.cols_w)))
-        snapshot = buf.contents()
-        snapshot.clear()
-        assert len(buf) == 1
+        scenes, stored = buf.contents()
+        scenes.tv[:] = 0.0
+        stored[:] = 0.0
+        assert buf.source.tv.any() and buf.logits[0].any()
 
     def test_never_exceeds_capacity(self):
         rng = np.random.default_rng(102)
@@ -283,11 +282,3 @@ class TestDrawMinibatch:
         expected = trials / 4
         sigma = math.sqrt(trials * 0.25 * 0.75)
         assert np.abs(counts - expected).max() < 4 * sigma
-
-
-class TestMemoryTriplet:
-    def test_rejects_flat_logits(self, tiny_grid):
-        rng = np.random.default_rng(135)
-        sample = make_sample(rng, tiny_grid)
-        with pytest.raises(ValueError, match="rows x cols"):
-            MemoryTriplet(sample.scene, sample.truth, np.zeros(20))

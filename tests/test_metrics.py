@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from contrail import metrics
-from contrail.core import GridSpec, GroundTruth, Heatmap, ResultMatrix
+from contrail.core import GridSpec, Heatmap, ResultMatrix
 from contrail.metrics import (
     EvalReport,
     averages,
@@ -33,6 +34,13 @@ def endpoints_of(heatmap: Heatmap, w: int):
 def fde_of(points, endpoint) -> float:
     """``fde`` of one sample's candidate ``points``."""
     return fde(np.array([points], dtype=float), np.array([endpoint], dtype=float))[0]
+
+
+class GroundTruth(NamedTuple):
+    """A truth endpoint and the target's speed, as one miss-rate case needs."""
+
+    endpoint: tuple[float, float]
+    speed_v: float
 
 
 def mr_of(cases) -> float:

@@ -8,20 +8,19 @@ measured against the gradient's own scale.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from contrail.core import (
-    AgentState,
     GridSpec,
-    Sample,
+    Heatmap,
+    Scenes,
     endpoint_cells,
+    endpoint_to_cell,
     local_endpoints,
-    scene_frame,
     scene_frames,
-    target_cell,
 )
 from contrail.losses import LossSpec
 from contrail.memory import _cosine_rows
@@ -36,7 +35,7 @@ from contrail.predictor import (
 
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, write_task_csv
 
-from conftest import make_sample, make_scene
+from conftest import make_scenes
 
 
 def finite_difference_grad(model, params, batch, spec, eps=1e-3):
@@ -64,13 +63,14 @@ def random_batch(rng, model, n, with_distill=False, span=20.0, weighted=False):
     grid = model.config.grid
     scenes, cells, stored, distill = [], [], [], []
     for _ in range(n):
-        scenes.append(make_scene(rng, model.config.t_obs, model.config.k_sv, span=span))
+        scenes.append(make_scenes(rng, 1, model.config.t_obs, model.config.k_sv, span=span))
         row = int(rng.integers(0, grid.rows_h))
         cells.append(row * grid.cols_w + int(rng.integers(0, grid.cols_w)))
         distill.append(bool(with_distill and rng.random() < 0.7))
         stored.append(rng.normal(size=grid.n_cells) if distill[-1] else np.zeros(grid.n_cells))
     weights = rng.uniform(0.0, 2.0, size=n) if weighted else None
-    return model.features(scenes), np.array(cells), np.stack(stored), np.array(distill), weights
+    x = features_of(Scenes.concat(scenes))
+    return x, np.array(cells), np.stack(stored), np.array(distill), weights
 
 
 def loss_and_grad(model, params, batch, spec):
@@ -82,20 +82,23 @@ def rows_of(batch, rows):
     return tuple(None if part is None else part[rows] for part in batch)
 
 
+def heatmap(model, params, scenes) -> Heatmap:
+    logits = model.forward_logits(params, features_of(scenes))[0]
+    grid = model.config.grid
+    return Heatmap(logits.reshape(grid.rows_h, grid.cols_w), grid)
+
+
 class TestForward:
     def test_zero_params_give_uniform_heatmap(self, tiny_model):
-        rng = np.random.default_rng(0)
-        scene = make_scene(rng)
-        hm = tiny_model.forward(np.zeros(tiny_model.param_count), scene)
-        probs = hm.probabilities()
+        scenes = make_scenes(np.random.default_rng(0))
+        probs = heatmap(tiny_model, np.zeros(tiny_model.param_count), scenes).probabilities()
         assert np.allclose(probs, 1.0 / probs.size, atol=1e-12)
 
     def test_forward_is_deterministic(self, tiny_model):
-        rng = np.random.default_rng(1)
-        scene = make_scene(rng)
+        scenes = make_scenes(np.random.default_rng(1))
         params = tiny_model.init_params()
-        a = tiny_model.forward(params, scene).logits
-        b = tiny_model.forward(params, scene).logits
+        a = heatmap(tiny_model, params, scenes).logits
+        b = heatmap(tiny_model, params, scenes).logits
         np.testing.assert_array_equal(a, b)
 
     def test_init_is_seeded(self, tiny_grid):
@@ -108,33 +111,26 @@ class TestForward:
 
     def test_scene_shape_mismatch_rejected(self, tiny_model):
         rng = np.random.default_rng(2)
-        wrong = make_scene(rng, t_obs=3, k_sv=1)
-        with pytest.raises(ValueError, match="does not match config"):
-            tiny_model.forward(tiny_model.init_params(), wrong)
+        for wrong in (make_scenes(rng, t_obs=3, k_sv=1), make_scenes(rng, t_obs=2, k_sv=2)):
+            with pytest.raises(ValueError, match="does not match config"):
+                tiny_model.encode(wrong)
 
     def test_overflowing_params_name_the_layer(self, tiny_model):
-        rng = np.random.default_rng(3)
-        scene = make_scene(rng)
+        scenes = make_scenes(np.random.default_rng(3))
         params = np.full(tiny_model.param_count, 1e308)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             ArithmeticError, match="layer"
         ):
-            tiny_model.forward(params, scene)
+            heatmap(tiny_model, params, scenes)
 
     def test_masked_neighbors_are_ignored(self):
-        rng = np.random.default_rng(4)
-        base = make_scene(rng, t_obs=2, k_sv=2)
-        masked = type(base)(
-            tv_history=base.tv_history,
-            sv_histories=(
-                base.sv_histories[0],
-                tuple(type(s)(9.0, 9.0, 9.0, 9.0) for s in base.sv_histories[1]),
-            ),
-            sv_mask=(base.sv_mask[0], False),
-            t_c=base.t_c,
-        )
-        feats = features_of([masked])[0]
-        per_track = len(base.tv_history) * 4
+        base = make_scenes(np.random.default_rng(4), t_obs=2, k_sv=2)
+        svs = base.svs.copy()
+        svs[0, 1] = 9.0
+        mask = np.array([[base.mask[0, 0], False]])
+        masked = Scenes(base.tv, svs, mask, base.ends, base.speeds, np.ones(1, int))
+        feats = features_of(masked)[0]
+        per_track = base.tv.shape[1] * 4
         assert np.all(feats[2 * per_track :] == 0.0)
 
 
@@ -284,85 +280,94 @@ class TestConfigValidation:
             PredictorConfig(t_obs=2, k_sv=-1, hidden_dims=(4,), grid=tiny_grid)
 
 
-def features_of(scenes) -> np.ndarray:
+def features_of(scenes: Scenes) -> np.ndarray:
     return scene_features(scenes, scene_frames(scenes))
 
 
-def per_scene_features(scene) -> np.ndarray:
-    """Reference: the scene-at-a-time featuriser the batched one replaced."""
-    frame = scene_frame(scene)
-    t_obs = len(scene.tv_history)
-    out = np.zeros((1 + len(scene.sv_histories), t_obs, 4), dtype=np.float64)
-    for t, st in enumerate(scene.tv_history):
-        out[0, t, 0:2] = frame.to_local((st.x, st.y))
-        out[0, t, 2:4] = frame.vector_to_local((st.vx, st.vy))
-    for k, track in enumerate(scene.sv_histories):
-        if not scene.sv_mask[k]:
-            continue
-        for t, st in enumerate(track):
-            out[k + 1, t, 0:2] = frame.to_local((st.x, st.y))
-            out[k + 1, t, 2:4] = frame.vector_to_local((st.vx, st.vy))
-    return out.reshape(-1)
+def frame_of(x, y, vx, vy) -> tuple[float, float, float, float]:
+    """Reference frame of one target state, in Python floats."""
+    speed = math.hypot(vx, vy)
+    if speed < 1e-9:
+        return x, y, 1.0, 0.0
+    return x, y, vx / speed, vy / speed
+
+
+def to_local(frame, px, py) -> tuple[float, float]:
+    x0, y0, cos_h, sin_h = frame
+    dx, dy = px - x0, py - y0
+    return dx * cos_h + dy * sin_h, -dx * sin_h + dy * cos_h
+
+
+def rotate(frame, vx, vy) -> tuple[float, float]:
+    return to_local((0.0, 0.0, *frame[2:]), vx, vy)
+
+
+def per_scene_features(tv, svs, mask) -> list[float]:
+    """Reference: one scene at a time, one state at a time, in Python
+    floats; ``tv``, ``svs`` and ``mask`` are one row's nested lists."""
+    frame = frame_of(*tv[-1])
+    out = []
+    for k, track in enumerate([tv, *svs]):
+        for x, y, vx, vy in track:
+            if k and not mask[k - 1]:
+                out += [0.0] * 4
+            else:
+                out += [*to_local(frame, x, y), *rotate(frame, vx, vy)]
+    return out
 
 
 class TestBatchedMatchesPerScene:
     """``HeatmapPredictor.encode`` (``scene_features``,
     ``local_endpoints`` and ``endpoint_cells`` over one ``scene_frames``
-    pass) against the per-scene featuriser and the ``target_cell`` loop,
-    bit for bit."""
+    pass) against a scene-at-a-time featuriser and target-cell loop in
+    Python floats, bit for bit."""
 
     grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
 
-    def assert_bit_equal(self, samples):
-        scenes = [s.scene for s in samples]
-        truths = [s.truth for s in samples]
+    def assert_bit_equal(self, scenes):
         model = HeatmapPredictor(
             PredictorConfig(
-                t_obs=len(scenes[0].tv_history),
-                k_sv=len(scenes[0].sv_histories),
+                t_obs=scenes.tv.shape[1],
+                k_sv=scenes.mask.shape[1],
                 hidden_dims=(4,),
                 grid=self.grid,
             )
         )
-        table = model.encode(scenes, truths)
-        want_x = np.stack([per_scene_features(sc) for sc in scenes])
+        table = model.encode(scenes)
+        rows = list(zip(scenes.tv.tolist(), scenes.svs.tolist(), scenes.mask.tolist()))
+        want_x = np.array([per_scene_features(*row) for row in rows])
         assert table.x.tobytes() == want_x.tobytes()
         assert features_of(scenes).tobytes() == want_x.tobytes()
-        cells = [target_cell(sc, tr, self.grid) for sc, tr in zip(scenes, truths)]
-        want_cells = np.array([r * self.grid.cols_w + c for r, c in cells])
-        assert np.array_equal(table.cells, want_cells)
         want_local = np.array(
-            [scene_frame(sc).to_local(tr.endpoint) for sc, tr in zip(scenes, truths)]
+            [to_local(frame_of(*tv[-1]), *end) for (tv, _, _), end in zip(rows, scenes.ends.tolist())]
         )
         assert table.ends.tobytes() == want_local.tobytes()
-        frames = scene_frames(scenes)
-        local = local_endpoints(frames, [t.endpoint for t in truths])
+        cells = [endpoint_to_cell(tuple(p), self.grid) for p in want_local.tolist()]
+        want_cells = np.array([r * self.grid.cols_w + c for r, c in cells])
+        assert np.array_equal(table.cells, want_cells)
+        local = local_endpoints(scene_frames(scenes), scenes.ends)
         assert local.tobytes() == want_local.tobytes()
         assert np.array_equal(endpoint_cells(local, self.grid), want_cells)
-        assert table.speeds.tolist() == [t.speed_v for t in truths]
+        assert table.speeds.tolist() == scenes.speeds.tolist()
 
     @pytest.mark.parametrize("kind", ["straight", "arc", "turn"])
     def test_every_family(self, kind):
-        samples = generate_task(TaskSpec(kind=kind, n_samples=60, seed=61, noise_sigma=0.3))
-        self.assert_bit_equal(samples)
+        self.assert_bit_equal(generate_task(TaskSpec(kind=kind, n_samples=60, seed=61, noise_sigma=0.3)))
 
     def test_no_neighbor_slots(self):
-        samples = generate_task(TaskSpec(kind="arc", n_samples=20, seed=62, k_sv=0))
-        self.assert_bit_equal(samples)
-        assert features_of([s.scene for s in samples]).shape == (20, 10 * 4)
+        scenes = generate_task(TaskSpec(kind="arc", n_samples=20, seed=62, k_sv=0))
+        self.assert_bit_equal(scenes)
+        assert features_of(scenes).shape == (20, 10 * 4)
 
     def test_stationary_target_keeps_world_orientation(self):
         rng = np.random.default_rng(63)
-        samples = []
-        for _ in range(5):
-            s = make_sample(rng, self.grid, k_sv=2)
-            tv = s.scene.tv_history
-            still = tv[:-1] + (AgentState(tv[-1].x, tv[-1].y, 0.0, 0.0),)
-            scene = dataclasses.replace(s.scene, tv_history=still)
-            assert scene_frame(scene).cos_h == 1.0 and scene_frame(scene).sin_h == 0.0
-            samples.append(Sample(scene, s.truth, 1))
-        samples.append(make_sample(rng, self.grid, k_sv=2))
-        self.assert_bit_equal(samples)
+        moving = make_scenes(rng, 6, k_sv=2, grid=self.grid)
+        tv = moving.tv.copy()
+        tv[:5, -1, 2:] = 0.0
+        scenes = Scenes(tv, moving.svs, moving.mask, moving.ends, moving.speeds, np.ones(6, int))
+        frames = scene_frames(scenes)
+        assert frames[:5, 2:].tolist() == [[1.0, 0.0]] * 5
+        self.assert_bit_equal(scenes)
 
     def test_masked_slots_from_a_sparse_track_table(self, tmp_path):
         # Written with one neighbor, ingested with three slots: two are
@@ -370,14 +375,14 @@ class TestBatchedMatchesPerScene:
         spec = TaskSpec(kind="turn", n_samples=12, seed=64, noise_sigma=0.2, k_sv=1)
         path = tmp_path / "sparse.csv"
         write_task_csv(spec, 1, path)
-        samples = ingest_csv(path, t_obs=spec.t_obs, t_pred=spec.t_pred, k_sv=3)
-        assert len(samples) == 12
-        assert all(s.scene.sv_mask == (True, False, False) for s in samples)
-        self.assert_bit_equal(samples)
+        scenes = ingest_csv(path, t_obs=spec.t_obs, t_pred=spec.t_pred, k_sv=3)
+        assert len(scenes) == 12
+        assert scenes.mask.tolist() == [[True, False, False]] * 12
+        self.assert_bit_equal(scenes)
         per_track = spec.t_obs * 4
-        assert not features_of([s.scene for s in samples])[:, 2 * per_track :].any()
+        assert not features_of(scenes)[:, 2 * per_track :].any()
 
     def test_scenes_of_mixed_geometry_rejected(self):
         rng = np.random.default_rng(65)
-        with pytest.raises(ValueError, match="share t_obs and k_sv"):
-            features_of([make_scene(rng, k_sv=1), make_scene(rng, k_sv=2)])
+        with pytest.raises(ValueError):
+            Scenes.concat([make_scenes(rng, k_sv=1), make_scenes(rng, k_sv=2)])

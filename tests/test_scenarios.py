@@ -8,6 +8,7 @@ down to float precision.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from contrail import scenarios
-from contrail.core import AgentState, GroundTruth, Sample, Scene, scene_frame, task_boundaries
+from contrail.core import Scenes, local_endpoints, scene_frames, task_boundaries
 from contrail.scenarios import (
     CSV_HEADER,
     TaskSpec,
@@ -27,9 +28,12 @@ from contrail.scenarios import (
     write_task_csv,
 )
 
+from conftest import same_scenes
 
-def local_endpoint(sample):
-    return scene_frame(sample.scene).to_local(sample.truth.endpoint)
+
+def local_endpoints_of(scenes: Scenes) -> np.ndarray:
+    """Each truth endpoint in its scene's target-centric frame, (n, 2)."""
+    return local_endpoints(scene_frames(scenes), scenes.ends)
 
 
 class TestStraight:
@@ -37,23 +41,22 @@ class TestStraight:
         spec = TaskSpec(
             kind="straight", n_samples=6, seed=3, speed_range=(10.0, 10.0)
         )
-        for sample in generate_task(spec):
-            lon, lat = local_endpoint(sample)
+        scenes = generate_task(spec)
+        for lon, lat in local_endpoints_of(scenes):
             # 30 steps of 0.1 s at 10 m/s.
             assert lon == pytest.approx(30.0, abs=1e-9)
             assert lat == pytest.approx(0.0, abs=1e-9)
-            assert sample.truth.speed_v == 10.0
+        assert scenes.speeds.tolist() == [10.0] * 6
 
     def test_velocities_and_spacing_are_exact(self):
         spec = TaskSpec(
             kind="straight", n_samples=3, seed=4, speed_range=(10.0, 10.0)
         )
-        for sample in generate_task(spec):
-            hist = sample.scene.tv_history
-            for st in hist:
-                assert math.hypot(st.vx, st.vy) == pytest.approx(10.0, rel=1e-12)
+        for hist in generate_task(spec).tv.tolist():
+            for x, y, vx, vy in hist:
+                assert math.hypot(vx, vy) == pytest.approx(10.0, rel=1e-12)
             for a, b in zip(hist, hist[1:]):
-                step = math.hypot(b.x - a.x, b.y - a.y)
+                step = math.hypot(b[0] - a[0], b[1] - a[1])
                 assert step == pytest.approx(1.0, abs=1e-9)
 
 
@@ -69,8 +72,7 @@ class TestArc:
         omega = 8.0 * 0.05
         r = 8.0 / omega
         phase = omega * 30 * 0.1
-        for sample in generate_task(spec):
-            lon, lat = local_endpoint(sample)
+        for lon, lat in local_endpoints_of(generate_task(spec)):
             assert lon == pytest.approx(r * math.sin(phase), abs=1e-6)
             assert lat == pytest.approx(r * (1.0 - math.cos(phase)), abs=1e-6)
             assert lat > 0  # positive curvature curves left
@@ -88,13 +90,12 @@ class TestTurn:
         omega = -1.6 / (30 * 0.1)
         r = 6.0 / omega
         phase = -1.6
-        for sample in generate_task(spec):
-            hist = sample.scene.tv_history
-            ax, ay = hist[1].x - hist[0].x, hist[1].y - hist[0].y
-            for st in hist[2:]:
-                cross = ax * (st.y - hist[0].y) - ay * (st.x - hist[0].x)
+        scenes = generate_task(spec)
+        for hist, (lon, lat) in zip(scenes.tv.tolist(), local_endpoints_of(scenes)):
+            ax, ay = hist[1][0] - hist[0][0], hist[1][1] - hist[0][1]
+            for x, y, _, _ in hist[2:]:
+                cross = ax * (y - hist[0][1]) - ay * (x - hist[0][0])
                 assert abs(cross) < 1e-9
-            lon, lat = local_endpoint(sample)
             assert lon == pytest.approx(r * math.sin(phase), abs=1e-6)
             assert lat == pytest.approx(r * (1.0 - math.cos(phase)), abs=1e-6)
             assert lat < 0
@@ -103,16 +104,31 @@ class TestTurn:
 class TestGeneration:
     def test_same_seed_same_samples(self):
         spec = preset_task("arc", 5, seed=11)
-        a = generate_task(spec)
-        b = generate_task(spec)
-        for sa, sb in zip(a, b):
-            assert sa.scene == sb.scene
-            assert sa.truth == sb.truth
+        assert same_scenes(generate_task(spec), generate_task(spec))
 
     def test_different_seeds_differ(self):
         a = generate_task(preset_task("arc", 5, seed=11))
         b = generate_task(preset_task("arc", 5, seed=12))
-        assert a[0].truth.endpoint != b[0].truth.endpoint
+        assert a.ends[0].tolist() != b.ends[0].tolist()
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("straight", "5816e486721657198487783b947c2cf4888bae622b132f13f96098eed9936440"),
+            ("arc", "51e2322f2401f8341f847038573516e95b049bedaab4526f650c5131ec438076"),
+            ("turn", "124f7a3ec3a7e0f9f8d446ce9ff38e6c52dfe69ca67354bd0157c3807debdc21"),
+        ],
+    )
+    def test_generated_bytes_are_pinned(self, kind, digest):
+        """SHA-256 of the tv, svs, ends and speeds float64 bytes, pinned
+        from the generator as it was when every sample was an object:
+        the rng call order and the arithmetic stay exactly as they were."""
+        scenes = generate_task(TaskSpec(kind=kind, n_samples=5, seed=11, noise_sigma=0.1, k_sv=2), label=1)
+        h = hashlib.sha256()
+        for column in (scenes.tv, scenes.svs, scenes.ends, scenes.speeds):
+            h.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+        assert scenes.mask.all() and task_boundaries(scenes) == [(1, 5)]
 
     def test_noise_moves_positions_but_not_speeds(self):
         spec = TaskSpec(
@@ -122,28 +138,24 @@ class TestGeneration:
             noise_sigma=0.5,
             speed_range=(10.0, 10.0),
         )
-        for sample in generate_task(spec):
-            hist = sample.scene.tv_history
-            for st in hist:
-                assert math.hypot(st.vx, st.vy) == pytest.approx(10.0, rel=1e-12)
+        for hist in generate_task(spec).tv.tolist():
+            for _, _, vx, vy in hist:
+                assert math.hypot(vx, vy) == pytest.approx(10.0, rel=1e-12)
             # Collinearity breaks once positions are perturbed.
-            ax, ay = hist[1].x - hist[0].x, hist[1].y - hist[0].y
+            ax, ay = hist[1][0] - hist[0][0], hist[1][1] - hist[0][1]
             residual = max(
-                abs(ax * (st.y - hist[0].y) - ay * (st.x - hist[0].x))
-                for st in hist[2:]
+                abs(ax * (y - hist[0][1]) - ay * (x - hist[0][0]))
+                for x, y, _, _ in hist[2:]
             )
             assert residual > 1e-6
 
     def test_neighbors_sorted_by_distance_at_decision_step(self):
         spec = preset_task("straight", 5, seed=8)
-        for sample in generate_task(spec):
-            tv = sample.scene.tv_history[-1]
-            dists = [
-                math.hypot(tr[-1].x - tv.x, tr[-1].y - tv.y)
-                for tr in sample.scene.sv_histories
-            ]
+        scenes = generate_task(spec)
+        for tv, svs in zip(scenes.tv.tolist(), scenes.svs.tolist()):
+            dists = [math.hypot(tr[-1][0] - tv[-1][0], tr[-1][1] - tv[-1][1]) for tr in svs]
             assert dists == sorted(dists)
-            assert all(sample.scene.sv_mask)
+        assert scenes.mask.all()
 
     def test_task_and_stream_validation(self):
         with pytest.raises(ValueError, match="kind"):
@@ -177,10 +189,9 @@ class TestSplitsAndStream:
         )
 
     def _stream(self, datasets, seed):
-        """The samples of ``build_stream``'s row order."""
+        """The rows of ``build_stream``'s order, as a cell takes them."""
         trains = [train for train, _ in datasets]
-        samples = [s for train in trains for s in train]
-        return [samples[i] for i in build_stream(trains, seed)]
+        return Scenes.concat(trains).take(build_stream(trains, seed))
 
     def test_eighty_twenty_index_split(self):
         datasets = self._datasets()
@@ -188,22 +199,22 @@ class TestSplitsAndStream:
         assert [len(te) for _, te in datasets] == [2, 2]
         full = generate_task(preset_task("straight", 10, seed=1), label=1)
         train, test = datasets[0]
-        assert [s.truth for s in train + test] == [s.truth for s in full]
+        assert same_scenes(Scenes.concat([train, test]), full)
 
     def test_holdout_ignores_stream_seed(self):
         datasets = self._datasets()
-        holdouts = [[s.truth for s in te] for _, te in datasets]
-        held_out = {id(s) for _, te in datasets for s in te}
+        holdouts = [te.ends.copy() for _, te in datasets]
+        held_out = {tuple(end) for h in holdouts for end in h.tolist()}
         for seed in (0, 99):
             stream = self._stream(datasets, seed)
-            assert held_out.isdisjoint(id(s) for s in stream)
-            assert [[s.truth for s in te] for _, te in datasets] == holdouts
+            assert held_out.isdisjoint(tuple(end) for end in stream.ends.tolist())
+            assert all(np.array_equal(te.ends, h) for (_, te), h in zip(datasets, holdouts))
 
     def test_stream_is_made_of_the_train_samples_themselves(self):
         datasets = self._datasets()
         stream = self._stream(datasets, 0)
-        assert sorted(map(id, stream[:8])) == sorted(map(id, datasets[0][0]))
-        assert sorted(map(id, stream[8:])) == sorted(map(id, datasets[1][0]))
+        order = build_stream([train for train, _ in datasets], 0)
+        assert same_scenes(stream.take(np.argsort(order)), Scenes.concat([tr for tr, _ in datasets]))
 
     def test_stream_is_a_row_order_over_the_train_halves(self):
         datasets = self._datasets()
@@ -220,28 +231,25 @@ class TestSplitsAndStream:
 
     def test_shuffle_permutes_within_a_task(self):
         datasets = self._datasets()
-        ordered = [s for train, _ in datasets for s in train]
+        ordered = Scenes.concat([train for train, _ in datasets])
         shuffled = self._stream(datasets, 0)
-        assert {id(s) for s in shuffled} == {id(s) for s in ordered} or [
-            s.truth for s in sorted(shuffled[:8], key=lambda s: s.truth.endpoint)
-        ] == [s.truth for s in sorted(ordered[:8], key=lambda s: s.truth.endpoint)]
-        assert [s.truth for s in shuffled] != [s.truth for s in ordered]
-        again = self._stream(datasets, 0)
-        assert [s.truth for s in again] == [s.truth for s in shuffled]
+        assert sorted(shuffled.ends[:8].tolist()) == sorted(ordered.ends[:8].tolist())
+        assert not np.array_equal(shuffled.ends, ordered.ends)
+        assert same_scenes(self._stream(datasets, 0), shuffled)
 
     def test_stream_seed_changes_the_order(self):
         datasets = self._datasets()
         a = self._stream(datasets, 0)
         b = self._stream(datasets, 1)
-        assert [s.truth for s in a] != [s.truth for s in b]
+        assert not np.array_equal(a.ends, b.ends)
 
 
 class TestFamilySeparation:
     def test_endpoint_clusters_are_well_separated(self):
         straight = generate_task(preset_task("straight", 40, seed=21))
         turn = generate_task(preset_task("turn", 40, seed=22))
-        lat_s = np.array([local_endpoint(s)[1] for s in straight])
-        lat_t = np.array([local_endpoint(s)[1] for s in turn])
+        lat_s = local_endpoints_of(straight)[:, 1]
+        lat_t = local_endpoints_of(turn)[:, 1]
         gap = abs(lat_s.mean() - lat_t.mean())
         assert gap > 3.0 * (lat_s.std() + lat_t.std())
 
@@ -251,16 +259,13 @@ class TestCsvRoundTrip:
         spec = preset_task("arc", 3, seed=31, k_sv=2)
         path = tmp_path / "task.csv"
         written = write_task_csv(spec, label=7, path=path)
+        assert same_scenes(written, generate_task(spec, label=7))
         ingested = ingest_csv(path, t_obs=10, t_pred=30, k_sv=2)
         assert len(ingested) == len(written) == 3
-        for w, g in zip(written, ingested):
-            assert g.scene.tv_history == w.scene.tv_history
-            assert g.scene.sv_histories == w.scene.sv_histories
-            assert g.scene.sv_mask == w.scene.sv_mask
-            assert g.truth.endpoint == w.truth.endpoint
-            assert g.truth.speed_v == pytest.approx(w.truth.speed_v, rel=1e-12)
+        for name in ("tv", "svs", "mask", "ends"):
+            assert np.array_equal(getattr(ingested, name), getattr(written, name))
+        assert ingested.speeds == pytest.approx(written.speeds, rel=1e-12)
         assert task_boundaries(ingested) == [(7, 3)]
-
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = preset_task("turn", 3, seed=32)
         a = tmp_path / "a.csv"
@@ -289,30 +294,30 @@ class TestIngestion:
         samples = ingest_csv(path, t_obs=3, t_pred=2, k_sv=2)
         assert len(samples) == 2
 
-        first, second = samples
-        assert [st.x for st in first.scene.tv_history] == [0.0, 1.0, 2.0]
-        assert first.truth.endpoint == (4.0, 0.0)
-        assert first.truth.speed_v == 10.0
+        assert samples.tv[0, :, 0].tolist() == [0.0, 1.0, 2.0]
+        assert samples.ends[0].tolist() == [4.0, 0.0]
+        assert samples.speeds[0] == 10.0
         # The bike covers the first observation window only.
-        assert first.scene.sv_mask == (True, False)
-        assert first.scene.sv_histories[0][0].x == 100.5
-        assert first.scene.sv_histories[1][0].x == 0.0
+        assert samples.mask[0].tolist() == [True, False]
+        assert samples.svs[0, 0, 0, 0] == 100.5
+        assert samples.svs[0, 1].tolist() == [[0.0] * 4] * 3
 
-        assert [st.x for st in second.scene.tv_history] == [1.0, 2.0, 3.0]
-        assert second.truth.endpoint == (5.0, 0.0)
-        assert second.scene.sv_mask == (False, False)
+        assert samples.tv[1, :, 0].tolist() == [1.0, 2.0, 3.0]
+        assert samples.ends[1].tolist() == [5.0, 0.0]
+        assert samples.mask[1].tolist() == [False, False]
         assert task_boundaries(samples) == [(3, 2)]
 
     def test_short_tracks_yield_nothing(self, tmp_path):
         rows = [["car", f, float(f), 0.0, 1.0, 0.0, "tv", 1] for f in range(4)]
         path = tmp_path / "short.csv"
         path.write_text(csv_text(rows))
-        assert ingest_csv(path, t_obs=3, t_pred=2) == []
+        scenes = ingest_csv(path, t_obs=3, t_pred=2)
+        assert len(scenes) == 0 and scenes.tv.shape == (0, 3, 4) and scenes.svs.shape == (0, 4, 3, 4)
 
     def test_header_only_file_yields_nothing(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(CSV_HEADER) + "\n")
-        assert ingest_csv(path) == []
+        assert len(ingest_csv(path)) == 0
 
     def test_gaps_split_windows_and_warn(self, tmp_path, caplog):
         rows = [["car", f, float(f), 0.0, 1.0, 0.0, "tv", 1] for f in range(5)]
@@ -388,11 +393,10 @@ def quadratic_ingest(path, t_obs=10, t_pred=30, k_sv=4):
     """The plain quadratic neighbor search, kept as the reference
     ``ingest_csv`` must equal: every window rescans every other track
     and re-segments it, taking its first segment that covers the whole
-    observation window."""
+    observation window.  Each window becomes a one-row table."""
     tracks, _ = scenarios._parse_rows(Path(path))
     samples = []
     window = t_obs + t_pred
-    zero = AgentState(0.0, 0.0, 0.0, 0.0)
     for tv_id, track in tracks.items():
         if track.role != "tv":
             continue
@@ -413,23 +417,25 @@ def quadratic_ingest(path, t_obs=10, t_pred=30, k_sv=4):
                             candidates.append((d, other_id, rows))
                             break
                 candidates.sort(key=lambda c: (c[0], c[1]))
-                slots = [
-                    tuple(AgentState(r[1], r[2], r[3], r[4]) for r in c[2]) for c in candidates[:k_sv]
-                ]
+                slots = [[r[1:5] for r in c[2]] for c in candidates[:k_sv]]
                 n_real = len(slots)
-                slots += [tuple(zero for _ in range(t_obs))] * (k_sv - n_real)
-                scene = Scene(
-                    tv_history=tuple(AgentState(r[1], r[2], r[3], r[4]) for r in obs),
-                    sv_histories=tuple(slots),
-                    sv_mask=tuple(k < n_real for k in range(k_sv)),
-                    t_c=t_obs - 1,
+                slots += [[(0.0,) * 4] * t_obs] * (k_sv - n_real)
+                samples.append(
+                    Scenes(
+                        np.array([[r[1:5] for r in obs]]),
+                        np.array(slots, dtype=float).reshape(1, k_sv, t_obs, 4),
+                        np.array([[k < n_real for k in range(k_sv)]]).reshape(1, k_sv),
+                        np.array([end_row[1:3]]),
+                        np.array([math.hypot(t_c_row[3], t_c_row[4])]),
+                        np.array([t_c_row[5]]),
+                    )
                 )
-                truth = GroundTruth(
-                    endpoint=(end_row[1], end_row[2]),
-                    speed_v=math.hypot(t_c_row[3], t_c_row[4]),
-                )
-                samples.append(Sample(scene, truth, task_label=t_c_row[5]))
-    return samples
+    if not samples:
+        return Scenes(
+            np.zeros((0, t_obs, 4)), np.zeros((0, k_sv, t_obs, 4)), np.zeros((0, k_sv), bool),
+            np.zeros((0, 2)), np.zeros(0), np.zeros(0, int),
+        )
+    return Scenes.concat(samples)
 
 
 def track_rows(track_id, role, frames, x0, y0, vx=1.0, vy=0.0, label=1):
@@ -444,8 +450,8 @@ class TestNeighborLookupMatchesQuadraticScan:
         path = tmp_path / "table.csv"
         path.write_text(csv_text(rows))
         got = ingest_csv(path, **kw)
-        assert got == quadratic_ingest(path, **kw)
-        assert got
+        assert same_scenes(got, quadratic_ingest(path, **kw))
+        assert len(got)
         return got
 
     def test_concurrent_overlapping_tracks(self, tmp_path):
@@ -456,8 +462,8 @@ class TestNeighborLookupMatchesQuadraticScan:
         rows += track_rows("e", "tv", range(3, 15), 2.0, -4.0, vy=0.25)
         samples = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=3)
         assert len(samples) == 8 + 8
-        assert any(not all(s.scene.sv_mask) for s in samples)
-        assert any(all(s.scene.sv_mask) for s in samples)
+        assert not samples.mask.all(axis=1).all()
+        assert samples.mask.all(axis=1).any()
 
     def test_neighbor_split_by_a_gap_counts_only_where_a_segment_covers(self, tmp_path):
         rows = track_rows("car", "tv", range(0, 10), 0.0, 0.0)
@@ -465,31 +471,32 @@ class TestNeighborLookupMatchesQuadraticScan:
         samples = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=1)
         # Window s observes frames s..s+2: the first segment covers s = 0,
         # no segment covers s = 1..3, the second covers s >= 4.
-        assert [s.scene.sv_mask for s in samples] == [(True,), (False,), (False,), (False,), (True,), (True,)]
-        assert samples[4].scene.sv_histories[0][0].x == 4.0
+        assert samples.mask[:, 0].tolist() == [True, False, False, False, True, True]
+        assert samples.svs[4, 0, 0, 0] == 4.0
 
     def test_equal_distances_break_on_track_id(self, tmp_path):
         rows = track_rows("car", "tv", range(0, 5), 0.0, 0.0)
         rows += track_rows("zeta", "sv", range(0, 5), 0.0, 2.0)
         rows += track_rows("alpha", "sv", range(0, 5), 0.0, -2.0)
-        (sample,) = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
-        assert [h[0].y for h in sample.scene.sv_histories] == [-2.0, 2.0]
+        sample = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
+        assert len(sample) == 1
+        assert sample.svs[0, :, 0, 1].tolist() == [-2.0, 2.0]
 
     def test_more_candidates_than_slots(self, tmp_path):
         rows = track_rows("car", "tv", range(0, 6), 0.0, 0.0)
         for k, y in enumerate((5.0, -1.0, 4.0, -3.0, 2.0)):
             rows += track_rows(f"sv{k}", "sv", range(0, 6), 0.0, y)
         samples = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
-        for sample in samples:
-            assert [h[0].y for h in sample.scene.sv_histories] == [-1.0, 2.0]
+        for svs in samples.svs:
+            assert svs[:, 0, 1].tolist() == [-1.0, 2.0]
 
     def test_two_targets_are_each_others_neighbors(self, tmp_path):
         rows = track_rows("p", "tv", range(0, 6), 0.0, 0.0)
         rows += track_rows("q", "tv", range(0, 6), 0.0, 3.0)
         samples = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
-        assert [s.scene.tv_history[0].y for s in samples] == [0.0, 0.0, 3.0, 3.0]
-        assert [s.scene.sv_histories[0][0].y for s in samples] == [3.0, 3.0, 0.0, 0.0]
-        assert all(s.scene.sv_mask == (True, False) for s in samples)
+        assert samples.tv[:, 0, 1].tolist() == [0.0, 0.0, 3.0, 3.0]
+        assert samples.svs[:, 0, 0, 1].tolist() == [3.0, 3.0, 0.0, 0.0]
+        assert samples.mask.tolist() == [[True, False]] * 4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_tables_with_gaps_and_ties(self, tmp_path, seed):
@@ -505,7 +512,7 @@ class TestNeighborLookupMatchesQuadraticScan:
         rng.shuffle(rows)
         path = tmp_path / "random.csv"
         path.write_text(csv_text(rows))
-        assert ingest_csv(path, t_obs=3, t_pred=2, k_sv=3) == quadratic_ingest(path, t_obs=3, t_pred=2, k_sv=3)
+        assert same_scenes(ingest_csv(path, t_obs=3, t_pred=2, k_sv=3), quadratic_ingest(path, t_obs=3, t_pred=2, k_sv=3))
 
 
 class TestIngestionWorkIsLinear:
