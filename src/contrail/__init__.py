@@ -1,8 +1,8 @@
 """contrail: task-free continual learning for streaming trajectory prediction."""
 
-from .core import GridSpec, Heatmap, ResultMatrix, Scenes, cell_to_center, endpoint_to_cell
+from .core import GridSpec, ResultMatrix, Scenes
 from .learner import Strategy, TrainConfig, TrainResult, agem_project, train_stream
-from .losses import LossSpec, base_loss
+from .losses import LossSpec
 from .memory import CompletionBuffer, SeparationBuffer, draw_minibatch, separation_score
 from .metrics import (
     EvalReport,
@@ -23,7 +23,6 @@ __all__ = [
     "CompletionBuffer",
     "EvalReport",
     "GridSpec",
-    "Heatmap",
     "HeatmapPredictor",
     "LossSpec",
     "PredictorConfig",
@@ -37,12 +36,9 @@ __all__ = [
     "adam_step",
     "agem_project",
     "averages",
-    "base_loss",
     "build_stream",
     "bwt",
-    "cell_to_center",
     "draw_minibatch",
-    "endpoint_to_cell",
     "extract_endpoints",
     "fde",
     "generate_task",

@@ -12,9 +12,6 @@ columns of its stored rows packed as they are: ``tv`` (n, t_obs, 4),
 (always ``t_obs - 1``) lists.  The architecture header lets a loader
 rebuild the predictor without outside context, and the optional buffer
 dump makes a checkpoint a full run-resumption unit.
-
-``contrail-checkpoint-v1`` files, which wrote every float as a JSON
-number and every buffer slot as one nested dict, still load.
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ from .predictor import AdamState, HeatmapPredictor, PredictorConfig
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
 FORMAT = "contrail-checkpoint-v2"
-V1_FORMAT = "contrail-checkpoint-v1"
 
 
 def _pack(array: np.ndarray) -> dict:
@@ -98,22 +94,16 @@ def save_checkpoint(
         json.dump(payload, fh)
 
 
-def _floats(value: dict | list, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Decode one float field, a v2 packed block or a v1 JSON list, to a
-    finite float64 array of ``shape``.  A v1 list holding no floats
-    takes ``shape`` if that holds none either."""
-    if isinstance(value, dict):
-        if value["dtype"] != "<f8":
-            raise ValueError(f"{what} has dtype {value['dtype']!r}, not '<f8'")
-        raw = base64.b64decode(value["data"], validate=True)
-        stored = tuple(value["shape"])
-        if len(raw) != 8 * math.prod(stored):
-            raise ValueError(f"{what} holds {len(raw)} bytes, which do not fit shape {list(stored)}")
-        array = np.frombuffer(raw, dtype="<f8").reshape(stored).astype(np.float64)
-    else:
-        array = np.array(value, dtype=np.float64)
-        if array.size == 0 == math.prod(shape):
-            array = array.reshape(shape)
+def _floats(value: dict, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Decode one packed float block to a finite float64 array of
+    ``shape``."""
+    if value["dtype"] != "<f8":
+        raise ValueError(f"{what} has dtype {value['dtype']!r}, not '<f8'")
+    raw = base64.b64decode(value["data"], validate=True)
+    stored = tuple(value["shape"])
+    if len(raw) != 8 * math.prod(stored):
+        raise ValueError(f"{what} holds {len(raw)} bytes, which do not fit shape {list(stored)}")
+    array = np.frombuffer(raw, dtype="<f8").reshape(stored).astype(np.float64)
     if array.shape != shape:
         raise ValueError(f"{what} has shape {array.shape}, the header's geometry needs {shape}")
     if not np.isfinite(array).all():
@@ -121,26 +111,10 @@ def _floats(value: dict | list, shape: tuple[int, ...], what: str) -> np.ndarray
     return array
 
 
-def _v1_columns(items: list[dict]) -> dict:
-    """A v1 buffer's per-slot dicts regrouped as v2 columns of lists."""
-    return {
-        "tv": [t["scene"]["tv"] for t in items],
-        "svs": [t["scene"]["svs"] for t in items],
-        "mask": [t["scene"]["mask"] for t in items],
-        "t_c": [t["scene"]["t_c"] for t in items],
-        "endpoint": [t["truth"]["endpoint"] for t in items],
-        "speed": [t["truth"]["speed_v"] for t in items],
-        "logits": [t["init_logits"] for t in items],
-    }
-
-
 def _slots(block: dict, config: PredictorConfig, what: str) -> dict:
-    """A buffer's slots, rebuilt from its stored columns (or v1 items):
-    the columns become one source table whose row ``s`` slot ``s``
-    holds."""
+    """A buffer's slots, rebuilt from its stored columns: the columns
+    become one source table whose row ``s`` slot ``s`` holds."""
     items = block["items"]
-    if isinstance(items, list):
-        items = _v1_columns(items)
     t_obs, k_sv, grid = config.t_obs, config.k_sv, config.grid
     mask, t_c = items["mask"], items["t_c"]
     n = len(t_c)
@@ -174,7 +148,8 @@ def _decode(data: dict, params_only: bool) -> tuple:
         hidden_dims=tuple(c["hidden_dims"]),
         grid=GridSpec(g["rows_h"], g["cols_w"], tuple(g["origin"]), g["cell_size"]),
         seed=c["seed"],
-        **{k: c[k] for k in ("t_pred", "dt") if k in c},
+        t_pred=c["t_pred"],
+        dt=c["dt"],
     )
     params = _floats(data["params"], (HeatmapPredictor(config).param_count,), "params")
     if params_only:
@@ -227,14 +202,13 @@ def load_checkpoint(
     SeparationBuffer | None,
     CompletionBuffer | None,
 ]:
-    """Inverse of ``save_checkpoint``; reads v2 and v1 files.  A file
-    written before the header carried the trained horizon gets
-    ``PredictorConfig``'s defaults (t_pred 30, dt 0.1).  A loaded
-    buffer's slots index one table of the rows read from the file,
-    whose task labels, never stored, read 0.  With
+    """Inverse of ``save_checkpoint``; only ``contrail-checkpoint-v2``
+    files load.  A loaded buffer's slots index one table of the rows
+    read from the file, whose task labels, never stored, read 0.  With
     ``params_only`` (all that evaluation needs) only the header and
     parameters are decoded; the optimizer state and buffers come back
-    as None, unbuilt.  A file that is not JSON, a missing key, and any
+    as None, unbuilt.  A file of another format, a file that is not
+    JSON, a missing key (``t_pred`` and ``dt`` included), and any
     array that is non-finite, undecodable or does not fit the header's
     geometry (the parameters, the Adam moments, every buffer column and
     the separation scores), a stored ``t_c`` other than ``t_obs - 1``
@@ -244,8 +218,8 @@ def load_checkpoint(
         data = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"{path}: not a JSON document: {exc}") from None
-    if not isinstance(data, dict) or data.get("format") not in (FORMAT, V1_FORMAT):
-        raise ValueError(f"{path} is not a {FORMAT} (or {V1_FORMAT}) file")
+    if not isinstance(data, dict) or data.get("format") != FORMAT:
+        raise ValueError(f"{path} is not a {FORMAT} file")
     try:
         return _decode(data, params_only)
     except KeyError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -113,10 +114,20 @@ def _take(data: dict, allowed: dict[str, object], where: str) -> dict:
     return out
 
 
+def _finite(literal: str) -> float:
+    """A JSON number literal as a float; ``NaN``, ``Infinity`` and
+    literals beyond the float range such as ``1e400`` are refused."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {literal}")
+    return value
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Build an ExperimentConfig from JSON, rejecting unknown keys."""
+    """Build an ExperimentConfig from JSON, rejecting unknown keys and
+    non-finite numbers."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -221,7 +232,10 @@ def parse_config(text: str) -> ExperimentConfig:
             agem_ref_batch=int(tr["agem_ref_batch"]),
         )
 
-        strategies = tuple(Strategy.parse(s) for s in top["strategies"])
+        names = top["strategies"]
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise ConfigError(f"strategies is {json.dumps(names)}: it must be a list of strategy names")
+        strategies = tuple(Strategy.parse(s) for s in names)
         return ExperimentConfig(
             tasks=tuple(tasks),
             strategies=strategies,
@@ -236,7 +250,7 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from None
 
 

@@ -18,6 +18,7 @@ Every artifact file is written through :func:`atomic_write`.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -28,13 +29,10 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
-    "Heatmap",
     "ResultMatrix",
     "Scenes",
     "atomic_write",
-    "cell_to_center",
     "endpoint_cells",
-    "endpoint_to_cell",
     "local_endpoints",
     "scene_frames",
     "softmax",
@@ -151,36 +149,14 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.rows_h <= 0 or self.cols_w <= 0:
             raise ValueError("grid must have positive dimensions")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not (0 < self.cell_size < math.inf):
+            raise ValueError(f"cell_size is {self.cell_size}: it must be positive and finite")
+        if len(self.origin) != 2 or not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in self.origin):
+            raise ValueError(f"origin is {list(self.origin)}: it must be two finite numbers (x, y)")
 
     @property
     def n_cells(self) -> int:
         return self.rows_h * self.cols_w
-
-
-def endpoint_to_cell(point: tuple[float, float], grid: GridSpec) -> tuple[int, int]:
-    """Cell whose center is nearest to ``point``.
-
-    In-grid points map to their containing cell; points beyond the grid
-    clamp to the nearest border cell.
-    """
-    x, y = point
-    col = math.floor((x - grid.origin[0]) / grid.cell_size)
-    row = math.floor((y - grid.origin[1]) / grid.cell_size)
-    col = min(max(col, 0), grid.cols_w - 1)
-    row = min(max(row, 0), grid.rows_h - 1)
-    return row, col
-
-
-def cell_to_center(cell: tuple[int, int], grid: GridSpec) -> tuple[float, float]:
-    """Metric center of a grid cell; raises on out-of-range indices."""
-    row, col = cell
-    if not (0 <= row < grid.rows_h and 0 <= col < grid.cols_w):
-        raise ValueError(f"cell {cell} outside {grid.rows_h}x{grid.cols_w} grid")
-    x = grid.origin[0] + (col + 0.5) * grid.cell_size
-    y = grid.origin[1] + (row + 0.5) * grid.cell_size
-    return x, y
 
 
 def scene_frames(scenes: Scenes) -> np.ndarray:
@@ -210,9 +186,13 @@ def local_endpoints(frames: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def endpoint_cells(points: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """:func:`endpoint_to_cell` of every row of ``points`` ``(n, 2)`` as
-    flat cell indices ``row * cols_w + col``, shape ``(n,)``.  Applied to
-    :func:`local_endpoints` this is each sample's training target."""
+    """The grid cell of every row of ``points`` ``(n, 2)`` as flat cell
+    indices ``row * cols_w + col``, shape ``(n,)``: the floor of the
+    offset from ``origin`` in cells, clamped to the border cell, so an
+    in-grid point maps to its containing cell (the one whose center is
+    nearest) and a point beyond the grid to the nearest border cell.
+    Applied to :func:`local_endpoints` this is each sample's training
+    target."""
     if not np.all(np.isfinite(points)):
         raise ValueError("non-finite endpoint cannot be snapped to the grid")
     col = np.clip(np.floor((points[:, 0] - grid.origin[0]) / grid.cell_size), 0, grid.cols_w - 1)
@@ -227,28 +207,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     flat = logits.reshape(len(logits), -1)
     e = np.exp(flat - flat.max(axis=1, keepdims=True))
     return (e / e.sum(axis=1, keepdims=True)).reshape(logits.shape)
-
-
-@dataclass
-class Heatmap:
-    """Unnormalised endpoint scores over a grid.  ``logits`` has shape
-    ``(rows_h, cols_w)``; ``probabilities`` is the softmax view."""
-
-    logits: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self) -> None:
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if self.logits.shape != (self.grid.rows_h, self.grid.cols_w):
-            raise ValueError(
-                f"logits shape {self.logits.shape} does not match grid "
-                f"({self.grid.rows_h}, {self.grid.cols_w})"
-            )
-        if not np.all(np.isfinite(self.logits)):
-            raise ValueError("heatmap logits must be finite")
-
-    def probabilities(self) -> np.ndarray:
-        return softmax(self.logits[None])[0]
 
 
 class ResultMatrix:

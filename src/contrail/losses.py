@@ -8,7 +8,7 @@ draws from the two memory buffers in one call.
 
 All kernels operate on flat logit vectors and flat target-cell indices
 (``row * cols_w + col``) so the predictor's backward pass can reuse
-them; ``base_loss`` is the heatmap-level entry point.
+them.
 """
 
 from __future__ import annotations
@@ -18,14 +18,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .core import Heatmap
-
 if TYPE_CHECKING:  # pragma: no cover
     from .memory import CompletionBuffer, SeparationBuffer
 
 __all__ = [
     "LossSpec",
-    "base_loss",
     "batch_loss_and_dlogits",
     "replay_targets",
 ]
@@ -123,14 +120,6 @@ def batch_loss_and_dlogits(
         dlogits[on] += 2.0 * diff / n_cells
 
     return losses, dlogits
-
-
-def base_loss(heatmap: Heatmap, cell: tuple[int, int], spec: LossSpec | None = None) -> float:
-    """Classification loss of a heatmap against the true endpoint cell."""
-    spec = spec or LossSpec()
-    flat = heatmap.logits.reshape(1, -1)
-    losses, _ = batch_loss_and_dlogits(flat, [cell[0] * heatmap.grid.cols_w + cell[1]], spec)
-    return float(losses[0])
 
 
 def replay_targets(

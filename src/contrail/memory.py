@@ -180,15 +180,6 @@ class SeparationBuffer(_Slots):
         return self.observe(row, q_new, rng, logits)
 
 
-def _cosine_rows(grad: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Cosine of ``grad`` against each row; zero-norm vectors give 0."""
-    g_norm = float(np.linalg.norm(grad))
-    norms = np.linalg.norm(others, axis=1)
-    denom = g_norm * norms
-    dots = others @ grad
-    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
-
-
 def separation_score(
     cosines: np.ndarray,
     buffer: SeparationBuffer,
@@ -199,10 +190,10 @@ def separation_score(
 
     ``cosines[s]`` is the offered gradient's cosine against the
     gradient of stored slot ``s`` (one entry per slot, slot order); only
-    the drawn slots are read.  Callers holding explicit gradient vectors
-    get it from ``_cosine_rows``; the trainer reads it off a factored
-    Gram product.  A zero-norm gradient on either side counts as cosine
-    0, so scores land in [0, 2].
+    the drawn slots are read.  The trainer reads it off a factored Gram
+    product (:meth:`~contrail.predictor.FactoredGrads.cosines`).  A
+    zero-norm gradient on either side counts as cosine 0, so scores
+    land in [0, 2].
     """
     if not buffer.rows:
         raise ValueError("cannot score against an empty buffer")

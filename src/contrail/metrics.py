@@ -195,28 +195,6 @@ class EvalReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        data = json.loads(text)
-        fde_m = ResultMatrix(data["n_tasks"])
-        for i, j, v in data["fde_matrix"]:
-            fde_m.set(i, j, v)
-        mr_m = ResultMatrix(data["n_tasks"])
-        for i, j, v in data["mr_matrix"]:
-            mr_m.set(i, j, v)
-        return cls(
-            strategy=data["strategy"],
-            seed=data["seed"],
-            per_task_fde=list(data["per_task_fde"]),
-            per_task_mr=list(data["per_task_mr"]),
-            fde_avg=data["fde_avg"],
-            mr_avg=data["mr_avg"],
-            fde_bwt=data["fde_bwt"],
-            mr_bwt=data["mr_bwt"],
-            fde_matrix=fde_m,
-            mr_matrix=mr_m,
-        )
-
 
 def write_matrix_csv(matrix: ResultMatrix, path: Path) -> None:
     """Flat CSV of a result matrix: after_task, tested_task, value."""

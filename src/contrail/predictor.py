@@ -298,9 +298,6 @@ class FactoredGrads:
     matrices without any P-length vector (Goodfellow, arXiv:1510.01799):
 
         <g_i, g_j> = sum_l (delta_i . delta_j) (h_i . h_j + 1)
-
-    ``dense``/indexing rebuild rows in the flat parameter layout; they
-    exist for tests and are never needed for scoring.
     """
 
     deltas: tuple[np.ndarray, ...]
@@ -308,24 +305,6 @@ class FactoredGrads:
 
     def __len__(self) -> int:
         return self.deltas[0].shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the dense gradient matrix these factors stand for."""
-        width = sum(d.shape[1] * (h.shape[1] + 1) for d, h in zip(self.deltas, self.inputs))
-        return len(self), width
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.dense()[i]
-
-    def dense(self) -> np.ndarray:
-        """The dense gradient matrix, shape ``(n, P)``."""
-        pieces = []
-        for d, h in zip(self.deltas, self.inputs):
-            outer = np.einsum("no,ni->noi", d, h)
-            pieces.append(outer.reshape(d.shape[0], d.shape[1] * h.shape[1]))
-            pieces.append(d)
-        return np.concatenate(pieces, axis=1)
 
     def inner(self, rows: Sequence[int] | np.ndarray) -> np.ndarray:
         """Gradient inner products of ``rows`` against every sample,

@@ -34,7 +34,6 @@ __all__ = [
     "check_episode_geometry",
     "generate_task",
     "ingest_csv",
-    "preset_task",
     "task_datasets",
     "write_task_csv",
 ]
@@ -85,11 +84,6 @@ class TaskSpec:
             raise ValueError("invalid episode geometry")
         if self.k_sv < 0:
             raise ValueError("k_sv must be non-negative")
-
-
-def preset_task(kind: str, n_samples: int, seed: int = 0, noise_sigma: float = 0.15, **overrides) -> TaskSpec:
-    """Family presets whose endpoint clusters are well separated."""
-    return TaskSpec(kind=kind, n_samples=n_samples, seed=seed, noise_sigma=noise_sigma, **overrides)
 
 
 def _pose_on(

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .core import GridSpec, Heatmap, Scenes, scene_frames
-from .learner import Strategy, TrainConfig, train_stream
+from .core import GridSpec, Scenes, scene_frames, softmax
+from .learner import Strategy, TrainConfig
 from .losses import LossSpec
 from .memory import CompletionBuffer, SeparationBuffer
 from .metrics import extract_endpoints, fde, mr_threshold
@@ -129,9 +129,10 @@ def check_replacement_frequency(trials: int = 30000) -> bool:
     return True
 
 
-def _brute_force_endpoints(heatmap: Heatmap, w: int) -> list[tuple[float, float]]:
-    """Independent re-derivation of extract_endpoints by enumeration."""
-    probs = heatmap.probabilities()
+def _brute_force_endpoints(logits: np.ndarray, grid: GridSpec, w: int) -> list[tuple[float, float]]:
+    """Independent re-derivation of extract_endpoints by enumeration,
+    for one ``(rows_h, cols_w)`` heatmap."""
+    probs = softmax(logits[None])[0]
     h_dim, w_dim = probs.shape
     peaks = []
     for r in range(h_dim):
@@ -158,7 +159,6 @@ def _brute_force_endpoints(heatmap: Heatmap, w: int) -> list[tuple[float, float]
         ]
         rest.sort(key=lambda rc: (-probs[rc[0], rc[1]], rc[0], rc[1]))
         chosen += rest[: w - len(chosen)]
-    grid = heatmap.grid
     return [
         (
             grid.origin[0] + (c + 0.5) * grid.cell_size,
@@ -180,7 +180,7 @@ def check_metric_oracles(cases: int = 200) -> bool:
     for w, stack in by_w.items():
         got = extract_endpoints(np.stack(stack), grid, w)
         for logits, endpoints in zip(stack, got):
-            if [tuple(p) for p in endpoints.tolist()] != _brute_force_endpoints(Heatmap(logits, grid), w):
+            if [tuple(p) for p in endpoints.tolist()] != _brute_force_endpoints(logits, grid, w):
                 return False
     branch_ok = (
         mr_threshold(0.5) == 1.0

@@ -1,17 +1,18 @@
-"""Shared fixtures: a tiny model, a random scene factory and a v1
-checkpoint writer."""
+"""Shared fixtures: a tiny model, a random scene factory and the plain
+reference implementations (oracles) that tests compare the array code
+against."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from typing import Sequence
 
 import numpy as np
 import pytest
 
-from contrail.core import GridSpec, Scenes
-from contrail.predictor import HeatmapPredictor, PredictorConfig
+from contrail.core import GridSpec, Scenes, softmax
+from contrail.predictor import FactoredGrads, HeatmapPredictor, PredictorConfig
 
 
 def make_scenes(
@@ -62,45 +63,61 @@ def tiny_model(tiny_grid: GridSpec) -> HeatmapPredictor:
     )
 
 
-def write_v1_checkpoint(path, config, params, adam=None, separation=None, completion=None):
-    """Write a ``contrail-checkpoint-v1`` file, the layout of files saved
-    before v2: every float a JSON number, one nested dict per buffer
-    slot."""
+def endpoint_to_cell(point: tuple[float, float], grid: GridSpec) -> tuple[int, int]:
+    """Scalar reference for one row of ``endpoint_cells``: the floor of
+    the offset in cells, clamped to the border cell, as (row, col)."""
+    x, y = point
+    col = math.floor((x - grid.origin[0]) / grid.cell_size)
+    row = math.floor((y - grid.origin[1]) / grid.cell_size)
+    return min(max(row, 0), grid.rows_h - 1), min(max(col, 0), grid.cols_w - 1)
 
-    def items(buffer):
-        scenes, logits = buffer.contents()
-        return [
-            {
-                "scene": {"tv": tv, "svs": svs, "mask": mask, "t_c": config.t_obs - 1},
-                "truth": {"endpoint": end, "speed_v": speed},
-                "init_logits": lg,
-            }
-            for tv, svs, mask, end, speed, lg in zip(
-                scenes.tv.tolist(), scenes.svs.tolist(), scenes.mask.tolist(),
-                scenes.ends.tolist(), scenes.speeds.tolist(), logits.tolist(),
-            )
-        ]
 
-    payload = {
-        "format": "contrail-checkpoint-v1",
-        "config": dataclasses.asdict(config),
-        "params": params.tolist(),
-        "adam": None if adam is None else {"m": adam.m.tolist(), "v": adam.v.tolist(), "t": adam.t},
-        "separation": None
-        if separation is None
-        else {
-            "capacity": separation.capacity,
-            "b_compare": separation.b_compare,
-            "stream_count": separation.stream_count,
-            "scores": list(separation.scores),
-            "items": items(separation),
-        },
-        "completion": None
-        if completion is None
-        else {
-            "capacity": completion.capacity,
-            "stream_count": completion.stream_count,
-            "items": items(completion),
-        },
-    }
-    path.write_text(json.dumps(payload))
+def brute_force_endpoints(logits: np.ndarray, grid: GridSpec, w: int) -> tuple[tuple[float, float], ...]:
+    """Plain-loop endpoint extraction for one ``(rows_h, cols_w)``
+    heatmap: strict 3x3 local maxima of the probabilities first, the
+    highest remaining cells after, ties by (row, col); as cell centers."""
+    probs = softmax(logits[None])[0]
+    peaks = []
+    rest = []
+    for r in range(grid.rows_h):
+        for c in range(grid.cols_w):
+            is_peak = True
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    if (dr, dc) == (0, 0):
+                        continue
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < grid.rows_h and 0 <= cc < grid.cols_w:
+                        if probs[rr, cc] >= probs[r, c]:
+                            is_peak = False
+            (peaks if is_peak else rest).append((r, c))
+    key = lambda rc: (-probs[rc[0], rc[1]], rc[0], rc[1])
+    chosen = sorted(peaks, key=key)[:w]
+    if len(chosen) < w:
+        chosen.extend(sorted(rest, key=key)[: w - len(chosen)])
+    return tuple(
+        (
+            grid.origin[0] + (c + 0.5) * grid.cell_size,
+            grid.origin[1] + (r + 0.5) * grid.cell_size,
+        )
+        for r, c in chosen
+    )
+
+
+def dense(grads: FactoredGrads) -> np.ndarray:
+    """The per-sample gradient rows ``(n, P)`` in the flat parameter
+    layout: per layer the weight outer product, then the bias."""
+    pieces = []
+    for d, h in zip(grads.deltas, grads.inputs):
+        pieces.append(np.einsum("no,ni->noi", d, h).reshape(d.shape[0], d.shape[1] * h.shape[1]))
+        pieces.append(d)
+    return np.concatenate(pieces, axis=1)
+
+
+def cosine_rows(grad: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Cosine of ``grad`` against each row of ``others``; zero-norm
+    vectors give 0."""
+    g_norm = float(np.linalg.norm(grad))
+    denom = g_norm * np.linalg.norm(others, axis=1)
+    dots = others @ grad
+    return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)

@@ -28,10 +28,10 @@ import pytest
 from scipy import stats
 
 from contrail.cli import ExperimentConfig, encode_tasks, evaluate_task, run_experiment
-from contrail.core import GridSpec, Heatmap, ResultMatrix, Scenes, scene_frames
+from contrail.core import GridSpec, ResultMatrix, Scenes, scene_frames
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.losses import LossSpec
-from contrail.memory import CompletionBuffer, SeparationBuffer, _cosine_rows
+from contrail.memory import CompletionBuffer, SeparationBuffer
 from contrail.metrics import (
     EvalReport,
     bwt,
@@ -43,6 +43,8 @@ from contrail.metrics import (
 )
 from contrail.predictor import HeatmapPredictor, PredictorConfig, SampleTable, scene_features
 from contrail.scenarios import TaskSpec, task_datasets
+
+from conftest import brute_force_endpoints, cosine_rows
 
 # ---------------------------------------------------------------------------
 # The shared three-task stream experiment behind checks 6 and 9.
@@ -296,7 +298,7 @@ def test_04_separation_buffer_diversity():
         comp = CompletionBuffer(capacity=capacity)
         for i in range(n):
             comp.observe(i, rng)
-            sep.offer(i, _cosine_rows(grads[i], grads[sep.rows]), rng)
+            sep.offer(i, cosine_rows(grads[i], grads[sep.rows]), rng)
         sep_shares.append(np.mean([labels[i] for i in sep.rows]))
         comp_shares.append(np.mean([labels[i] for i in comp.rows]))
 
@@ -310,38 +312,6 @@ def test_04_separation_buffer_diversity():
     print(
         f"acceptance 04 separation diversity: PASS "
         f"(minority share {mean_sep:.3f} vs {mean_comp:.3f}, p={result.pvalue:.2e}, {elapsed:.1f}s)"
-    )
-
-
-def _brute_endpoints(heatmap: Heatmap, w: int) -> tuple[tuple[float, float], ...]:
-    """Plain-loop endpoint extraction: strict 3x3 local maxima first,
-    highest remaining cells after, ties by (row, col)."""
-    grid = heatmap.grid
-    probs = heatmap.probabilities()
-    peaks = []
-    rest = []
-    for r in range(grid.rows_h):
-        for c in range(grid.cols_w):
-            is_peak = True
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if (dr, dc) == (0, 0):
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < grid.rows_h and 0 <= cc < grid.cols_w:
-                        if probs[rr, cc] >= probs[r, c]:
-                            is_peak = False
-            (peaks if is_peak else rest).append((r, c))
-    key = lambda rc: (-probs[rc[0], rc[1]], rc[0], rc[1])
-    chosen = sorted(peaks, key=key)[:w]
-    if len(chosen) < w:
-        chosen.extend(sorted(rest, key=key)[: w - len(chosen)])
-    return tuple(
-        (
-            grid.origin[0] + (c + 0.5) * grid.cell_size,
-            grid.origin[1] + (r + 0.5) * grid.cell_size,
-        )
-        for r, c in chosen
     )
 
 
@@ -426,7 +396,7 @@ def test_05_metric_brute_force_oracles():
     for (grid, w), stack in stacks.items():
         got = extract_endpoints(np.stack(stack), grid, w)
         for logits, endpoints in zip(stack, got):
-            want = _brute_endpoints(Heatmap(logits, grid), w)
+            want = brute_force_endpoints(logits, grid, w)
             assert tuple(tuple(p) for p in endpoints.tolist()) == want
 
     for case in range(1000):

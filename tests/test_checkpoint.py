@@ -15,7 +15,7 @@ from contrail.checkpoint import load_checkpoint, save_checkpoint
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.predictor import AdamState
 
-from conftest import make_scenes, write_v1_checkpoint
+from conftest import make_scenes
 
 
 def assert_contents_equal(a, b):
@@ -113,15 +113,14 @@ class TestRoundTrip:
         assert (header["t_pred"], header["dt"]) == (20, 0.2)
         assert load_checkpoint(path)[0] == config
 
-    def test_header_without_horizon_gets_the_defaults(self, tiny_model, tmp_path):
+    def test_header_without_horizon_is_named(self, tiny_model, tmp_path):
         path = tmp_path / "old.json"
         save_checkpoint(path, tiny_model.config, tiny_model.init_params())
         data = json.loads(path.read_text())
         del data["config"]["t_pred"], data["config"]["dt"]
         path.write_text(json.dumps(data))
-        config, params, adam, sp, cp = load_checkpoint(path)
-        assert (config.t_pred, config.dt) == (30, 0.1)
-        assert config == tiny_model.config
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint lacks the key 't_pred'")):
+            load_checkpoint(path, params_only=True)
 
     def test_params_only_builds_no_state(self, tiny_model, tmp_path, monkeypatch):
         rng = np.random.default_rng(402)
@@ -170,8 +169,8 @@ def dual_result(tiny_model):
     )
 
 
-def save_full(path, model, result, write=save_checkpoint):
-    write(
+def save_full(path, model, result):
+    save_checkpoint(
         path,
         model.config,
         result.final_params,
@@ -182,7 +181,7 @@ def save_full(path, model, result, write=save_checkpoint):
 
 
 def unpack(block):
-    """A v2 float block as an array."""
+    """A packed float block as an array."""
     raw = base64.b64decode(block["data"])
     return np.frombuffer(raw, dtype="<f8").reshape(block["shape"]).copy()
 
@@ -190,21 +189,6 @@ def unpack(block):
 def pack(array):
     array = np.ascontiguousarray(array, dtype="<f8")
     return {"dtype": "<f8", "shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode()}
-
-
-def assert_same_state(a, b):
-    config_a, params_a, adam_a, sp_a, cp_a = a
-    config_b, params_b, adam_b, sp_b, cp_b = b
-    assert config_a == config_b
-    assert params_a.tobytes() == params_b.tobytes()
-    assert adam_a.t == adam_b.t
-    assert adam_a.m.tobytes() == adam_b.m.tobytes()
-    assert adam_a.v.tobytes() == adam_b.v.tobytes()
-    for buf_a, buf_b in ((sp_a, sp_b), (cp_a, cp_b)):
-        assert (buf_a.capacity, buf_a.stream_count) == (buf_b.capacity, buf_b.stream_count)
-        assert_contents_equal(buf_a.contents(), buf_b.contents())
-    assert sp_a.b_compare == sp_b.b_compare
-    assert sp_a.scores == sp_b.scores
 
 
 class TestFormat:
@@ -226,15 +210,14 @@ class TestFormat:
         assert unpack(items["logits"]).shape == (n, g.rows_h, g.cols_w)
         assert len(items["mask"]) == len(items["t_c"]) == n
 
-    def test_v1_document_loads_to_the_same_state(self, tiny_model, dual_result, tmp_path):
-        save_full(tmp_path / "v2.json", tiny_model, dual_result)
-        save_full(tmp_path / "v1.json", tiny_model, dual_result, write=write_v1_checkpoint)
-        v1 = load_checkpoint(tmp_path / "v1.json")
-        assert_same_state(v1, load_checkpoint(tmp_path / "v2.json"))
-        assert np.array_equal(v1[1], dual_result.final_params)
-        assert_contents_equal(v1[3].contents(), dual_result.separation.contents())
-        assert_contents_equal(v1[4].contents(), dual_result.completion.contents())
-        assert v1[3].scores == dual_result.separation.scores
+    def test_v1_document_is_rejected_by_name(self, tiny_model, tmp_path):
+        path = tmp_path / "v1.json"
+        config = dataclasses.asdict(tiny_model.config)
+        params = tiny_model.init_params().tolist()
+        path.write_text(json.dumps({"format": "contrail-checkpoint-v1", "config": config, "params": params}))
+        for params_only in (False, True):
+            with pytest.raises(ValueError, match="^" + re.escape(f"{path} is not a contrail-checkpoint-v2 file")):
+                load_checkpoint(path, params_only=params_only)
 
     def test_extreme_floats_round_trip_bit_exact(self, tiny_model, tmp_path):
         params = tiny_model.init_params()
@@ -265,13 +248,13 @@ class TestFormat:
 
 
 def _adam_nan_v(adam, n):
-    adam["v"] = [float("nan")] * 3 if isinstance(adam["v"], list) else pack(np.full(3, np.nan))
+    adam["v"] = pack(np.full(3, np.nan))
 
 
 def _adam_nan_m(adam, n):
-    m = np.array(adam["m"]) if isinstance(adam["m"], list) else unpack(adam["m"])
+    m = unpack(adam["m"])
     m[5] = np.inf
-    adam["m"] = m.tolist() if isinstance(adam["m"], list) else pack(m)
+    adam["m"] = pack(m)
 
 
 ADAM_FAULTS = {
@@ -348,11 +331,11 @@ BUFFER_FAULTS = {
 class TestFullLoadChecks:
     """Every part of a full load is checked; each fault names the file."""
 
-    @pytest.mark.parametrize("layout", ["v1", "v2"])
+    @pytest.mark.parametrize("layout", ["v2"])
     @pytest.mark.parametrize("fault", ADAM_FAULTS)
     def test_bad_adam_state_is_named(self, tiny_model, dual_result, tmp_path, layout, fault):
         path = tmp_path / "ck.json"
-        save_full(path, tiny_model, dual_result, write=write_v1_checkpoint if layout == "v1" else save_checkpoint)
+        save_full(path, tiny_model, dual_result)
         data = json.loads(path.read_text())
         edit, message = ADAM_FAULTS[fault]
         edit(data["adam"], tiny_model.param_count)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from contrail import cli, predictor, scenarios
-from contrail.checkpoint import load_checkpoint, save_checkpoint
+from contrail.checkpoint import save_checkpoint
 from contrail.cli import (
     ConfigError,
     ExperimentConfig,
@@ -29,9 +29,9 @@ from contrail.cli import (
 from contrail.core import GridSpec
 from contrail.learner import Strategy, TrainConfig
 from contrail.predictor import HeatmapPredictor, PredictorConfig
-from contrail.scenarios import generate_task, ingest_csv, preset_task, task_datasets
+from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets
 
-from conftest import make_scenes, same_scenes, write_v1_checkpoint
+from conftest import make_scenes, same_scenes
 
 
 def base_config(**overrides):
@@ -140,6 +140,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid config value"):
             parse_config(json.dumps(base_config(train={"lr": -1.0})))
 
+    def test_finite_numbers_parse_to_the_same_floats(self):
+        text = json.dumps(base_config(train={"buffer_total": 8, "lr": 0.1 + 0.2, "alpha": 5e-324}))
+        cfg = parse_config(text)
+        assert (cfg.train.lr, cfg.train.loss.alpha, cfg.grid.origin) == (0.1 + 0.2, 5e-324, (-5.0, -20.0))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
@@ -199,7 +204,7 @@ class TestEvaluateTask:
             PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(8,), grid=grid, seed=1)
         )
         params = model.init_params()
-        samples = generate_task(preset_task("straight", 6, seed=9), label=1)
+        samples = generate_task(TaskSpec("straight", 6, seed=9, noise_sigma=0.15), label=1)
 
         got_fde, got_mr = evaluate_task(model, params, model.encode(samples), w=3)
 
@@ -270,7 +275,7 @@ class TestRunCell:
 
         monkeypatch.setattr(cli, "train_stream", capture)
         config = ExperimentConfig(
-            tasks=(preset_task("straight", 10, seed=1),),
+            tasks=(TaskSpec("straight", 10, seed=1, noise_sigma=0.15),),
             strategies=(Strategy.VANILLA,),
             train=TrainConfig(lr=0.01, replay_batch=3, agem_ref_batch=7),
             grid=GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=1.0),
@@ -530,22 +535,6 @@ class TestEvalCommand:
         assert main(argv) == 0, capsys.readouterr().err
         assert json.loads(capsys.readouterr().out)["n_samples"] == 20
 
-    @pytest.mark.parametrize("fault", ["missing header key", "params one short", "nan param"])
-    def test_malformed_checkpoint_is_named(self, tiny_model, tmp_path, capsys, fault):
-        path = tmp_path / "ck.json"
-        write_v1_checkpoint(path, tiny_model.config, tiny_model.init_params())
-        data = json.loads(path.read_text())
-        if fault == "missing header key":
-            del data["config"]["k_sv"]
-        elif fault == "params one short":
-            data["params"] = data["params"][:-1]
-        else:
-            data["params"][3] = math.nan
-        path.write_text(json.dumps(data))
-        code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert f"error: ValueError: {path}: " in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "fault",
         [
@@ -555,6 +544,7 @@ class TestEvalCommand:
             "not JSON",
             "bad base64",
             "bytes do not fit shape",
+            "nan cell_size",
         ],
     )
     def test_malformed_v2_checkpoint_is_named(self, tiny_model, tmp_path, capsys, fault):
@@ -574,30 +564,12 @@ class TestEvalCommand:
             block["data"] = "!" + block["data"][1:]
         elif fault == "bytes do not fit shape":
             block["data"] = base64.b64encode(params.tobytes()[:-4]).decode()
+        elif fault == "nan cell_size":
+            data["config"]["grid"]["cell_size"] = math.nan
         path.write_text("{broken" if fault == "not JSON" else json.dumps(data))
         code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "x.csv")])
         assert code == 2
         assert f"error: ValueError: {path}: " in capsys.readouterr().err
-
-    def test_v1_checkpoint_evaluates_the_same(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            strategies=["dual"],
-            repetitions=1,
-            tasks=[{"kind": "straight", "n_samples": 20}],
-        )
-        out = tmp_path / "out"
-        assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
-        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
-        v2 = out / "runs" / "dual" / "rep_00" / "checkpoint.json"
-        v1 = tmp_path / "v1.json"
-        write_v1_checkpoint(v1, *load_checkpoint(v2))
-        data = str(out / "data" / "task_01.csv")
-        capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(v2), "--data", data]) == 0
-        from_v2 = capsys.readouterr().out
-        assert main(["eval", "--checkpoint", str(v1), "--data", data]) == 0
-        assert capsys.readouterr().out == from_v2
 
     def test_endpoint_count_outside_the_grid_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tasks=[{"kind": "straight", "n_samples": 5}])
@@ -693,3 +665,54 @@ class TestExitCodes:
         assert not out.exists()
         i = len(tasks) - 1
         assert f"config error: tasks[{i}].n_samples is 1: its 80/20 train half is empty" in capsys.readouterr().err
+
+    GRID = {"rows_h": 8, "cols_w": 8, "origin": [-5.0, -20.0], "cell_size": 5.0}
+    NON_FINITE = "config holds the non-finite number "
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"strategies": [1]}, "strategies is [1]: it must be a list of strategy names"),
+            ({"strategies": ["dual", None]}, 'strategies is ["dual", null]'),
+            ({"grid": {**GRID, "origin": [-5]}}, "invalid config value: origin is [-5.0]: it must be two finite numbers"),
+            ({"train": {"buffer_total": 8, "lr": 10**400}}, "invalid config value: int too large to convert to float"),
+            ({"tasks": [{"kind": "straight", "n_samples": 20, "noise_sigma": "NAN"}]}, NON_FINITE + "NaN"),
+            ({"train": {"buffer_total": 8, "lr": "NAN"}}, NON_FINITE + "NaN"),
+            ({"grid": {**GRID, "cell_size": "NAN"}}, NON_FINITE + "NaN"),
+            ({"grid": {**GRID, "origin": ["NAN", -20.0]}}, NON_FINITE + "NaN"),
+            ({"tasks": [{"kind": "straight", "n_samples": 20, "speed_range": ["NAN", 3]}]}, NON_FINITE + "NaN"),
+            ({"train": {"buffer_total": 8, "alpha": "INF"}}, NON_FINITE + "Infinity"),
+            ({"train": {"buffer_total": 8, "beta": "-INF"}}, NON_FINITE + "-Infinity"),
+            ({"train": {"buffer_total": 8, "lr": "HUGE"}}, NON_FINITE + "1e400"),
+            ({"grid": {**GRID, "cell_size": "-HUGE"}}, NON_FINITE + "-1e400"),
+        ],
+        ids=[
+            "int strategy",
+            "null strategy",
+            "short origin",
+            "huge integer",
+            "NaN noise_sigma",
+            "NaN lr",
+            "NaN cell_size",
+            "NaN origin",
+            "NaN speed_range",
+            "Infinity alpha",
+            "-Infinity beta",
+            "1e400 lr",
+            "-1e400 cell_size",
+        ],
+    )
+    def test_bad_value_exits_one_before_any_output(self, tmp_path, capsys, overrides, message):
+        """Python's JSON reader takes NaN, Infinity and out-of-range
+        literals, which the quoted placeholders stand for here."""
+        text = json.dumps(base_config(**overrides))
+        for placeholder, literal in (
+            ('"NAN"', "NaN"), ('"-INF"', "-Infinity"), ('"INF"', "Infinity"), ('"-HUGE"', "-1e400"), ('"HUGE"', "1e400")
+        ):
+            text = text.replace(placeholder, literal)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert f"config error: {message}" in capsys.readouterr().err

@@ -11,14 +11,13 @@ import pytest
 
 from contrail.core import (
     GridSpec,
-    Heatmap,
     ResultMatrix,
     Scenes,
     atomic_write,
-    cell_to_center,
-    endpoint_to_cell,
+    endpoint_cells,
     local_endpoints,
     scene_frames,
+    softmax,
     task_boundaries,
     task_label_reads,
 )
@@ -40,56 +39,75 @@ def scenes_of(tv, svs=None, mask=None, ends=None, speeds=None, labels=None) -> S
     )
 
 
+def cell_centers(grid: GridSpec) -> np.ndarray:
+    """Metric center of every cell, ``(n_cells, 2)`` in flat cell order."""
+    rows, cols = np.divmod(np.arange(grid.n_cells), grid.cols_w)
+    return np.stack(
+        [grid.origin[0] + (cols + 0.5) * grid.cell_size, grid.origin[1] + (rows + 0.5) * grid.cell_size],
+        axis=1,
+    )
+
+
 class TestGridGeometry:
     def test_cell_center_of_origin_cell(self):
         grid = GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=2.0)
-        assert cell_to_center((0, 0), grid) == (1.0, 1.0)
+        assert cell_centers(grid)[0].tolist() == [1.0, 1.0]
+        assert endpoint_cells(np.array([[1.0, 1.0]]), grid).tolist() == [0]
 
     def test_round_trip_from_cell_centers(self):
-        """center -> cell -> center is the identity on every cell."""
+        """center -> cell is the identity on every cell."""
         grid = GridSpec(rows_h=7, cols_w=5, origin=(-3.5, 2.0), cell_size=1.25)
-        for r in range(grid.rows_h):
-            for c in range(grid.cols_w):
-                center = cell_to_center((r, c), grid)
-                assert endpoint_to_cell(center, grid) == (r, c)
+        assert endpoint_cells(cell_centers(grid), grid).tolist() == list(range(grid.n_cells))
 
     def test_random_points_hit_nearest_center(self):
         """The mapped cell achieves the minimum distance to the point
         among all cell centers (brute-force nearest-center oracle)."""
         rng = np.random.default_rng(42)
         grid = GridSpec(rows_h=6, cols_w=9, origin=(-4.0, -7.0), cell_size=0.8)
-        centers = [
-            (r, c, *cell_to_center((r, c), grid))
-            for r in range(grid.rows_h)
-            for c in range(grid.cols_w)
-        ]
-        for _ in range(1000):
-            p = (float(rng.uniform(-15, 15)), float(rng.uniform(-15, 15)))
-            r, c = endpoint_to_cell(p, grid)
-            got = cell_to_center((r, c), grid)
-            d_got = math.hypot(got[0] - p[0], got[1] - p[1])
-            d_best = min(math.hypot(cx - p[0], cy - p[1]) for _, _, cx, cy in centers)
+        centers = cell_centers(grid)
+        points = rng.uniform(-15, 15, size=(1000, 2))
+        got = centers[endpoint_cells(points, grid)]
+        for p, (gx, gy) in zip(points.tolist(), got.tolist()):
+            d_got = math.hypot(gx - p[0], gy - p[1])
+            d_best = min(math.hypot(cx - p[0], cy - p[1]) for cx, cy in centers.tolist())
             assert d_got == pytest.approx(d_best, abs=1e-12)
 
     def test_far_point_clamps_to_border(self):
+        """Beyond each border, and each corner, a point snaps to the
+        nearest border cell."""
         grid = GridSpec(rows_h=4, cols_w=6, origin=(0.0, 0.0), cell_size=1.0)
-        row, col = endpoint_to_cell((1000.0, 2.5), grid)
-        assert col == grid.cols_w - 1
-        assert row == 2
-        assert endpoint_to_cell((-1000.0, -1000.0), grid) == (0, 0)
+        far = 1000.0
+        cases = {
+            (far, 2.5): (2, 5),
+            (-far, 2.5): (2, 0),
+            (3.5, far): (3, 3),
+            (3.5, -far): (0, 3),
+            (far, far): (3, 5),
+            (-far, -far): (0, 0),
+            (far, -far): (0, 5),
+            (-far, far): (3, 0),
+            (6.0, 4.0): (3, 5),
+        }
+        cells = endpoint_cells(np.array(list(cases)), grid)
+        assert [divmod(int(c), grid.cols_w) for c in cells] == list(cases.values())
 
-    def test_cell_to_center_rejects_out_of_range(self):
+    def test_non_finite_point_rejected(self):
         grid = GridSpec(rows_h=4, cols_w=6, origin=(0.0, 0.0), cell_size=1.0)
-        with pytest.raises(ValueError):
-            cell_to_center((4, 0), grid)
-        with pytest.raises(ValueError):
-            cell_to_center((0, -1), grid)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite endpoint"):
+                endpoint_cells(np.array([[0.5, bad]]), grid)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(rows_h=0, cols_w=4, origin=(0.0, 0.0), cell_size=1.0)
         with pytest.raises(ValueError):
             GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=0.0)
+        for cell_size in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="cell_size is .*: it must be positive and finite"):
+                GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=cell_size)
+        for origin in ((-5.0,), (0.0, 0.0, 1.0), ("a", "b"), (math.nan, 0.0), (0.0, -math.inf)):
+            with pytest.raises(ValueError, match="origin is .*: it must be two finite numbers"):
+                GridSpec(rows_h=4, cols_w=4, origin=origin, cell_size=1.0)
 
 
 def to_world(frame: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -179,22 +197,13 @@ class TestTable:
 
 class TestHeatmap:
     def test_probabilities_sum_to_one(self):
+        """``softmax`` normalises each heatmap of a stack on its own."""
         rng = np.random.default_rng(5)
-        grid = GridSpec(rows_h=8, cols_w=8, origin=(0.0, 0.0), cell_size=1.0)
-        for _ in range(50):
-            hm = Heatmap(rng.normal(scale=5.0, size=(8, 8)), grid)
-            assert hm.probabilities().sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_non_finite(self):
-        grid = GridSpec(rows_h=2, cols_w=2, origin=(0.0, 0.0), cell_size=1.0)
-        bad = np.array([[0.0, np.inf], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            Heatmap(bad, grid)
-
-    def test_rejects_shape_mismatch(self):
-        grid = GridSpec(rows_h=2, cols_w=3, origin=(0.0, 0.0), cell_size=1.0)
-        with pytest.raises(ValueError):
-            Heatmap(np.zeros((3, 2)), grid)
+        logits = rng.normal(scale=5.0, size=(50, 8, 8))
+        probs = softmax(logits)
+        assert probs.shape == logits.shape
+        np.testing.assert_allclose(probs.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(softmax(logits[7:8])[0], probs[7])
 
 
 class TestTaskLabelAudit:

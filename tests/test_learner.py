@@ -20,12 +20,11 @@ from contrail.losses import LossSpec, replay_targets
 from contrail.memory import (
     CompletionBuffer,
     SeparationBuffer,
-    _cosine_rows,
     draw_minibatch,
 )
 from contrail.learner import _AgemMemory
 
-from conftest import make_scenes, same_scenes
+from conftest import cosine_rows, dense, make_scenes, same_scenes
 
 
 def make_stream(rng, grid, labels):
@@ -469,23 +468,23 @@ class TestTrainStream:
 def _dense_offer_batch(late_admissions):
     """Reference for ``learner._offer_batch``: scores every offer from
     dense per-sample gradient rows of the batch sample and of every
-    row stored at that moment, through ``_cosine_rows``.  Records the
+    row stored at that moment, through ``cosine_rows``.  Records the
     batch positions of admissions into a full buffer."""
 
     def offer_batch(model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng):
         grid = model.config.grid
 
-        def dense(rows):
+        def dense_rows(rows):
             rows = np.asarray(rows, dtype=np.intp)
-            return model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss).dense()
+            return dense(model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss))
 
-        new = dense(batch)
+        new = dense_rows(batch)
         for k, row in enumerate(batch.tolist()):
             logits = snapshot[k].reshape(grid.rows_h, grid.cols_w)
             if sp_buffer is not None:
-                stored = dense(sp_buffer.rows)
+                stored = dense_rows(sp_buffer.rows)
                 full = len(sp_buffer) == sp_buffer.capacity
-                if sp_buffer.offer(row, _cosine_rows(new[k], stored), rng, logits) and full:
+                if sp_buffer.offer(row, cosine_rows(new[k], stored), rng, logits) and full:
                     late_admissions.append((k, len(batch)))
             if cp_buffer is not None:
                 cp_buffer.observe(row, rng, logits)

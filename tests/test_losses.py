@@ -1,8 +1,7 @@
 """Loss kernels: cross-entropy, focal variant, distillation.
 
 The classification kernels are checked against closed forms and against
-finite differences in logit space; the heatmap entry point against the
-batch kernel.
+finite differences in logit space.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from contrail.core import Heatmap, scene_frames
-from contrail.losses import LossSpec, base_loss, batch_loss_and_dlogits
-from contrail.predictor import scene_features
-
-from conftest import make_scenes
+from contrail.losses import LossSpec, batch_loss_and_dlogits
 
 
 def fd_dlogits(logits_row, cell, spec, stored=None, eps=1e-6):
@@ -189,23 +184,6 @@ class TestDistillation:
             everything, _ = batch_loss_and_dlogits(logits, cells, spec, stored)
             all_rows, _ = batch_loss_and_dlogits(logits, cells, spec, stored, np.ones(7, bool))
             assert everything.tobytes() == all_rows.tobytes()
-
-
-class TestTotalLoss:
-    """The loss of one whole heatmap."""
-
-    def test_base_loss_heatmap_entry_point(self, tiny_model):
-        rng = np.random.default_rng(53)
-        params = tiny_model.init_params()
-        scenes = make_scenes(rng, grid=tiny_model.config.grid)
-        logits = tiny_model.forward_logits(params, scene_features(scenes, scene_frames(scenes)))
-        heatmap = Heatmap(logits.reshape(4, 5), tiny_model.config.grid)
-        value = base_loss(heatmap, (2, 3))
-        flat = heatmap.logits.reshape(1, -1)
-        losses, _ = batch_loss_and_dlogits(
-            flat, [2 * tiny_model.config.grid.cols_w + 3], LossSpec()
-        )
-        assert value == pytest.approx(losses[0], rel=1e-14)
 
 
 class TestValidation:

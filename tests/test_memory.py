@@ -11,12 +11,11 @@ from contrail.memory import (
     FIRST_SAMPLE_SCORE,
     CompletionBuffer,
     SeparationBuffer,
-    _cosine_rows,
     draw_minibatch,
     separation_score,
 )
 
-from conftest import make_scenes, same_scenes
+from conftest import cosine_rows, make_scenes, same_scenes
 
 
 class TestCompletionBuffer:
@@ -88,7 +87,7 @@ class TestSeparationScore:
         buf = SeparationBuffer(capacity=4)
         buf.observe(0, 0.5, rng)
         stored = np.asarray([stored_grad], dtype=float)
-        return buf, (lambda g: _cosine_rows(np.asarray(g, dtype=float), stored))
+        return buf, (lambda g: cosine_rows(np.asarray(g, dtype=float), stored))
 
     def test_aligned_opposite_orthogonal(self):
         rng = np.random.default_rng(110)
@@ -113,7 +112,7 @@ class TestSeparationScore:
             grads.append(rng.normal(size=30))
         stored = np.stack(grads)
         for _ in range(200):
-            q = separation_score(_cosine_rows(rng.normal(size=30), stored), buf, rng)
+            q = separation_score(cosine_rows(rng.normal(size=30), stored), buf, rng)
             assert 0.0 <= q <= 2.0
 
     def test_batch_and_single_paths_agree(self):
@@ -123,7 +122,7 @@ class TestSeparationScore:
         for row in range(8):
             buf.observe(row, 1.0, rng)
             grads.append(rng.normal(size=12))
-        cos = _cosine_rows(rng.normal(size=12), np.stack(grads))
+        cos = cosine_rows(rng.normal(size=12), np.stack(grads))
         # Single path: the max over the drawn slots, one at a time.  The
         # batch path gets inf on every slot it should not read.
         draws = np.random.default_rng(7).integers(0, 8, size=5)
@@ -233,9 +232,9 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(129)
         buf = SeparationBuffer(capacity=3)
         g = np.array([1.0, 0.0])
-        buf.offer(0, _cosine_rows(g, np.zeros((0, 2))), rng)
+        buf.offer(0, cosine_rows(g, np.zeros((0, 2))), rng)
         logits = np.ones((2, 2))
-        stored = buf.offer(1, _cosine_rows(g, np.stack([g])), rng, logits)
+        stored = buf.offer(1, cosine_rows(g, np.stack([g])), rng, logits)
         assert stored is True
         assert buf.scores[1] == pytest.approx(2.0)
         assert buf.rows == [0, 1] and buf.logits[1] is logits

@@ -15,15 +15,13 @@ import pytest
 
 from contrail.core import (
     GridSpec,
-    Heatmap,
     Scenes,
     endpoint_cells,
-    endpoint_to_cell,
     local_endpoints,
     scene_frames,
+    softmax,
 )
 from contrail.losses import LossSpec
-from contrail.memory import _cosine_rows
 from contrail.predictor import (
     AdamState,
     FactoredGrads,
@@ -35,7 +33,7 @@ from contrail.predictor import (
 
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, write_task_csv
 
-from conftest import make_scenes
+from conftest import cosine_rows, dense, endpoint_to_cell, make_scenes
 
 
 def finite_difference_grad(model, params, batch, spec, eps=1e-3):
@@ -82,23 +80,24 @@ def rows_of(batch, rows):
     return tuple(None if part is None else part[rows] for part in batch)
 
 
-def heatmap(model, params, scenes) -> Heatmap:
+def heatmap(model, params, scenes) -> np.ndarray:
+    """The ``(rows_h, cols_w)`` logits of a one-row table."""
     logits = model.forward_logits(params, features_of(scenes))[0]
     grid = model.config.grid
-    return Heatmap(logits.reshape(grid.rows_h, grid.cols_w), grid)
+    return logits.reshape(grid.rows_h, grid.cols_w)
 
 
 class TestForward:
     def test_zero_params_give_uniform_heatmap(self, tiny_model):
         scenes = make_scenes(np.random.default_rng(0))
-        probs = heatmap(tiny_model, np.zeros(tiny_model.param_count), scenes).probabilities()
+        probs = softmax(heatmap(tiny_model, np.zeros(tiny_model.param_count), scenes)[None])[0]
         assert np.allclose(probs, 1.0 / probs.size, atol=1e-12)
 
     def test_forward_is_deterministic(self, tiny_model):
         scenes = make_scenes(np.random.default_rng(1))
         params = tiny_model.init_params()
-        a = heatmap(tiny_model, params, scenes).logits
-        b = heatmap(tiny_model, params, scenes).logits
+        a = heatmap(tiny_model, params, scenes)
+        b = heatmap(tiny_model, params, scenes)
         np.testing.assert_array_equal(a, b)
 
     def test_init_is_seeded(self, tiny_grid):
@@ -182,7 +181,7 @@ class TestGradient:
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
         batch = random_batch(rng, tiny_model, 5, with_distill=True)
         x, cells, stored, distill, _ = batch
-        per = tiny_model.per_sample_grads(params, x, cells, spec, stored, distill)
+        per = dense(tiny_model.per_sample_grads(params, x, cells, spec, stored, distill))
         assert per.shape == (5, tiny_model.param_count)
         for k in range(5):
             _, g, _ = loss_and_grad(tiny_model, params, rows_of(batch, [k]), spec)
@@ -196,15 +195,15 @@ class TestGradient:
         x, cells, stored, distill, _ = batch
         assert distill.any()
         grads = tiny_model.per_sample_grads(params, x, cells, spec, stored, distill)
-        dense = grads.dense()
+        rows_p = dense(grads)
         rows = [0, 3, 6]
         np.testing.assert_allclose(
-            grads.inner(rows), dense[rows] @ dense.T, rtol=1e-12, atol=1e-12
+            grads.inner(rows), rows_p[rows] @ rows_p.T, rtol=1e-12, atol=1e-12
         )
         np.testing.assert_allclose(
-            grads.sq_norms(), np.einsum("np,np->n", dense, dense), rtol=1e-12
+            grads.sq_norms(), np.einsum("np,np->n", rows_p, rows_p), rtol=1e-12
         )
-        reference = np.stack([_cosine_rows(dense[r], dense) for r in rows])
+        reference = np.stack([cosine_rows(rows_p[r], rows_p) for r in rows])
         np.testing.assert_allclose(grads.cosines(rows), reference, rtol=0, atol=1e-12)
 
     def test_zero_gradient_row_has_cosine_zero(self, tiny_model):
@@ -216,7 +215,7 @@ class TestGradient:
             tuple(np.vstack([np.zeros_like(d[:1]), d[1:]]) for d in grads.deltas),
             grads.inputs,
         )
-        assert not zeroed.dense()[0].any()
+        assert not dense(zeroed)[0].any()
         cos = zeroed.cosines(range(len(zeroed)))
         assert np.all(cos[0] == 0.0) and np.all(cos[:, 0] == 0.0)
         assert np.all(cos[1:, 1:] != 0.0)

@@ -23,7 +23,6 @@ from contrail.scenarios import (
     build_stream,
     generate_task,
     ingest_csv,
-    preset_task,
     task_datasets,
     write_task_csv,
 )
@@ -103,12 +102,12 @@ class TestTurn:
 
 class TestGeneration:
     def test_same_seed_same_samples(self):
-        spec = preset_task("arc", 5, seed=11)
+        spec = TaskSpec("arc", 5, seed=11, noise_sigma=0.15)
         assert same_scenes(generate_task(spec), generate_task(spec))
 
     def test_different_seeds_differ(self):
-        a = generate_task(preset_task("arc", 5, seed=11))
-        b = generate_task(preset_task("arc", 5, seed=12))
+        a = generate_task(TaskSpec("arc", 5, seed=11, noise_sigma=0.15))
+        b = generate_task(TaskSpec("arc", 5, seed=12, noise_sigma=0.15))
         assert a.ends[0].tolist() != b.ends[0].tolist()
 
     @pytest.mark.parametrize(
@@ -150,7 +149,7 @@ class TestGeneration:
             assert residual > 1e-6
 
     def test_neighbors_sorted_by_distance_at_decision_step(self):
-        spec = preset_task("straight", 5, seed=8)
+        spec = TaskSpec("straight", 5, seed=8, noise_sigma=0.15)
         scenes = generate_task(spec)
         for tv, svs in zip(scenes.tv.tolist(), scenes.svs.tolist()):
             dists = [math.hypot(tr[-1][0] - tv[-1][0], tr[-1][1] - tv[-1][1]) for tr in svs]
@@ -183,8 +182,8 @@ class TestSplitsAndStream:
     def _datasets(self):
         return task_datasets(
             (
-                preset_task("straight", 10, seed=1),
-                preset_task("turn", 10, seed=2),
+                TaskSpec("straight", 10, seed=1, noise_sigma=0.15),
+                TaskSpec("turn", 10, seed=2, noise_sigma=0.15),
             )
         )
 
@@ -197,7 +196,7 @@ class TestSplitsAndStream:
         datasets = self._datasets()
         assert [len(tr) for tr, _ in datasets] == [8, 8]
         assert [len(te) for _, te in datasets] == [2, 2]
-        full = generate_task(preset_task("straight", 10, seed=1), label=1)
+        full = generate_task(TaskSpec("straight", 10, seed=1, noise_sigma=0.15), label=1)
         train, test = datasets[0]
         assert same_scenes(Scenes.concat([train, test]), full)
 
@@ -246,8 +245,8 @@ class TestSplitsAndStream:
 
 class TestFamilySeparation:
     def test_endpoint_clusters_are_well_separated(self):
-        straight = generate_task(preset_task("straight", 40, seed=21))
-        turn = generate_task(preset_task("turn", 40, seed=22))
+        straight = generate_task(TaskSpec("straight", 40, seed=21, noise_sigma=0.15))
+        turn = generate_task(TaskSpec("turn", 40, seed=22, noise_sigma=0.15))
         lat_s = local_endpoints_of(straight)[:, 1]
         lat_t = local_endpoints_of(turn)[:, 1]
         gap = abs(lat_s.mean() - lat_t.mean())
@@ -256,7 +255,7 @@ class TestFamilySeparation:
 
 class TestCsvRoundTrip:
     def test_written_task_reingests_exactly(self, tmp_path):
-        spec = preset_task("arc", 3, seed=31, k_sv=2)
+        spec = TaskSpec("arc", 3, seed=31, noise_sigma=0.15, k_sv=2)
         path = tmp_path / "task.csv"
         written = write_task_csv(spec, label=7, path=path)
         assert same_scenes(written, generate_task(spec, label=7))
@@ -267,7 +266,7 @@ class TestCsvRoundTrip:
         assert ingested.speeds == pytest.approx(written.speeds, rel=1e-12)
         assert task_boundaries(ingested) == [(7, 3)]
     def test_rerun_is_byte_identical(self, tmp_path):
-        spec = preset_task("turn", 3, seed=32)
+        spec = TaskSpec("turn", 3, seed=32, noise_sigma=0.15)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         write_task_csv(spec, label=1, path=a)
