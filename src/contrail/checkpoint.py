@@ -78,7 +78,7 @@ def save_checkpoint(
             "capacity": separation.capacity,
             "b_compare": separation.b_compare,
             "stream_count": separation.stream_count,
-            "scores": list(separation.scores),
+            "scores": separation.scores.tolist(),
             "items": _columns(separation, config),
         },
         "completion": None
@@ -111,15 +111,34 @@ def _floats(value: dict, shape: tuple[int, ...], what: str) -> np.ndarray:
     return array
 
 
-def _slots(block: dict, config: PredictorConfig, what: str) -> dict:
-    """A buffer's slots, rebuilt from its stored columns: the columns
-    become one source table whose row ``s`` slot ``s`` holds."""
+def _count(block: dict, key: str, what: str, least: int) -> int:
+    """``block[key]``, which must be an int (not a bool) of at least
+    ``least``."""
+    value = block[key]
+    if type(value) is not int or value < least:
+        raise ValueError(f"{what}.{key} is {value!r}, not an int >= {least}")
+    return value
+
+
+def _slots(
+    cls: type, block: dict, config: PredictorConfig, what: str, *columns, **fields
+) -> SeparationBuffer | CompletionBuffer:
+    """A buffer rebuilt from its header and stored columns: the columns
+    become one source table whose row ``s`` slot ``s`` holds, with any
+    further per-slot ``columns`` (the separation scores).  Both buffers
+    append while below capacity, so one that has seen ``stream_count``
+    samples holds ``min(capacity, stream_count)`` slots."""
     items = block["items"]
     t_obs, k_sv, grid = config.t_obs, config.k_sv, config.grid
+    capacity = _count(block, "capacity", what, 1)
+    stream_count = _count(block, "stream_count", what, 0)
     mask, t_c = items["mask"], items["t_c"]
     n = len(t_c)
-    if n > block["capacity"]:
-        raise ValueError(f"{what} holds {n} slots, more than its capacity {block['capacity']}")
+    if n > capacity:
+        raise ValueError(f"{what} holds {n} slots, more than its capacity {capacity}")
+    filled = min(capacity, stream_count)
+    if n != filled:
+        raise ValueError(f"{what} holds {n} slots, not min(capacity, stream_count) = {filled}")
     if not all(type(t) is int for t in t_c):
         raise ValueError(f"{what}.t_c holds a value that is not an int")
     if any(t != t_obs - 1 for t in t_c):
@@ -137,7 +156,11 @@ def _slots(block: dict, config: PredictorConfig, what: str) -> dict:
     logits = _floats(items["logits"], (n, grid.rows_h, grid.cols_w), f"{what}.logits")
     mask = np.array(mask, dtype=bool).reshape(n, k_sv)
     source = Scenes(tv, svs, mask, endpoint, speed, np.zeros(n, dtype=np.int64))
-    return {"source": source, "rows": list(range(n)), "logits": list(logits)}
+    buffer = cls(
+        capacity=capacity, source=source, n_cells=grid.n_cells, stream_count=stream_count, **fields
+    )
+    buffer.fill(np.arange(n), logits.reshape(n, grid.n_cells), *columns)
+    return buffer
 
 
 def _decode(data: dict, params_only: bool) -> tuple:
@@ -157,38 +180,24 @@ def _decode(data: dict, params_only: bool) -> tuple:
     adam = None
     if data["adam"] is not None:
         a = data["adam"]
-        if type(a["t"]) is not int or a["t"] < 0:
-            raise ValueError(f"adam.t is {a['t']!r}, not a non-negative int")
         adam = AdamState(
             m=_floats(a["m"], params.shape, "adam.m"),
             v=_floats(a["v"], params.shape, "adam.v"),
-            t=a["t"],
+            t=_count(a, "t", "adam", 0),
         )
     separation = None
     if data["separation"] is not None:
         s = data["separation"]
-        slots = _slots(s, config, "separation")
-        scores = [float(q) for q in s["scores"]]
-        if len(scores) != len(slots["rows"]) or not all(map(math.isfinite, scores)):
+        scores, n = s["scores"], len(s["items"]["t_c"])
+        if len(scores) != n or not all(type(q) in (int, float) and math.isfinite(q) for q in scores):
             raise ValueError(
-                f"separation.scores needs one finite score per slot ({len(slots['rows'])}), "
-                f"not {len(scores)} values"
+                f"separation.scores needs one finite number per slot ({n}), not {len(scores)} values"
             )
-        separation = SeparationBuffer(
-            capacity=s["capacity"],
-            b_compare=s["b_compare"],
-            scores=scores,
-            stream_count=s["stream_count"],
-            **slots,
-        )
+        b_compare = _count(s, "b_compare", "separation", 1)
+        separation = _slots(SeparationBuffer, s, config, "separation", scores, b_compare=b_compare)
     completion = None
     if data["completion"] is not None:
-        s = data["completion"]
-        completion = CompletionBuffer(
-            capacity=s["capacity"],
-            stream_count=s["stream_count"],
-            **_slots(s, config, "completion"),
-        )
+        completion = _slots(CompletionBuffer, data["completion"], config, "completion")
     return config, params, adam, separation, completion
 
 
@@ -211,8 +220,11 @@ def load_checkpoint(
     JSON, a missing key (``t_pred`` and ``dt`` included), and any
     array that is non-finite, undecodable or does not fit the header's
     geometry (the parameters, the Adam moments, every buffer column and
-    the separation scores), a stored ``t_c`` other than ``t_obs - 1``
-    and a negative stored speed raise a ValueError that starts with
+    the separation scores), a separation score that is not a JSON
+    number, a stored ``t_c`` other than ``t_obs - 1``, a negative stored
+    speed, a ``capacity``, ``b_compare`` or ``stream_count`` that is not
+    an int (at least 1, 1 and 0), and a stored slot count other than
+    ``min(capacity, stream_count)`` raise a ValueError that starts with
     ``path``."""
     try:
         data = json.loads(Path(path).read_text())

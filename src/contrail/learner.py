@@ -218,9 +218,10 @@ class _AgemMemory:
     with the task count.
     """
 
-    def __init__(self, total: int, rng: np.random.Generator):
+    def __init__(self, total: int, rng: np.random.Generator, source: Scenes):
         self.total = total
         self.rng = rng
+        self.source = source
         self.reservoirs: dict[int, CompletionBuffer] = {}
 
     def observe(self, label: int, row: int) -> None:
@@ -233,21 +234,19 @@ class _AgemMemory:
                     keep = self.rng.choice(len(buf), size=quota, replace=False)
                     buf.retain(sorted(int(i) for i in keep))
                 buf.capacity = quota
-            self.reservoirs[label] = CompletionBuffer(capacity=quota)
+            self.reservoirs[label] = CompletionBuffer(capacity=quota, source=self.source)
         self.reservoirs[label].observe(row, self.rng)
 
     def reference_rows(self, exclude_label: int, n: int) -> np.ndarray:
         """``n`` stream rows drawn uniformly from every other task's
         reservoir; none when those are empty."""
-        pool = [
-            row
-            for label, buf in self.reservoirs.items()
-            if label != exclude_label
-            for row in buf.rows
-        ]
-        if not pool:
-            return np.zeros(0, dtype=np.intp)
-        return np.asarray(pool, dtype=np.intp)[self.rng.integers(0, len(pool), size=n)]
+        pool = np.concatenate(
+            [np.zeros(0, dtype=np.intp)]
+            + [buf.rows for label, buf in self.reservoirs.items() if label != exclude_label]
+        )
+        if not len(pool):
+            return pool
+        return pool[self.rng.integers(0, len(pool), size=n)]
 
 
 def check_buffer_split(strategies: Sequence[Strategy], buffer_total: int) -> None:
@@ -259,22 +258,23 @@ def check_buffer_split(strategies: Sequence[Strategy], buffer_total: int) -> Non
 
 
 def _make_buffers(
-    strategy: Strategy, cfg: TrainConfig, stream: Scenes
+    strategy: Strategy, cfg: TrainConfig, stream: Scenes, n_cells: int
 ) -> tuple[SeparationBuffer | None, CompletionBuffer | None]:
     total = cfg.buffer_total
     if total == 0:
         return None, None
     check_buffer_split((strategy,), total)
+    slots = {"source": stream, "n_cells": n_cells}
     if strategy is Strategy.DUAL_REPLAY:
         half = total // 2
         return (
-            SeparationBuffer(capacity=half, b_compare=cfg.b_compare, source=stream),
-            CompletionBuffer(capacity=half, source=stream),
+            SeparationBuffer(capacity=half, b_compare=cfg.b_compare, **slots),
+            CompletionBuffer(capacity=half, **slots),
         )
     if strategy is Strategy.DER_STYLE:
-        return None, CompletionBuffer(capacity=total, source=stream)
+        return None, CompletionBuffer(capacity=total, **slots)
     if strategy is Strategy.GSS_STYLE:
-        return SeparationBuffer(capacity=total, b_compare=cfg.b_compare, source=stream), None
+        return SeparationBuffer(capacity=total, b_compare=cfg.b_compare, **slots), None
     return None, None
 
 
@@ -317,9 +317,9 @@ def train_stream(
         table = table.take(order)
         boundaries = []
 
-    sp_buffer, cp_buffer = _make_buffers(strategy, cfg, stream)
+    sp_buffer, cp_buffer = _make_buffers(strategy, cfg, stream, model.config.grid.n_cells)
     agem_memory = (
-        _AgemMemory(cfg.buffer_total, rng_agem) if strategy is Strategy.AGEM else None
+        _AgemMemory(cfg.buffer_total, rng_agem, stream) if strategy is Strategy.AGEM else None
     )
 
     params = model.init_params() if init_params is None else init_params.copy()
@@ -361,11 +361,7 @@ def train_stream(
         n_steps += 1
 
         if sp_buffer is not None or cp_buffer is not None:
-            # A copy, so buffer slots do not keep the whole step's logits alive.
-            snapshot = logits[: len(batch)].copy()
-            _offer_batch(
-                model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng_buffers
-            )
+            _offer_batch(model, params, table, batch, logits, sp_buffer, cp_buffer, cfg, rng_buffers)
         elif agem_memory is not None:
             for row in range(start, end):
                 agem_memory.observe(stream.task_label(row), row)
@@ -392,39 +388,34 @@ def _offer_batch(
     params: np.ndarray,
     table: SampleTable,
     batch: np.ndarray,
-    snapshot: np.ndarray,
+    logits: np.ndarray,
     sp_buffer: SeparationBuffer | None,
     cp_buffer: CompletionBuffer | None,
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Feed one trained batch (rows of ``table``) to the stores, each row
-    with its pre-update logits from ``snapshot``.
+    """Feed one trained batch (consecutive rows of ``table``) to the
+    stores, sample ``k`` with its pre-update logits ``logits[k]``.
 
     Separation scores are base-loss gradient cosines at the current
     (post-step) parameters.  One factored pass covers the separation
     buffer's rows held at batch start (pass row ``s`` for slot ``s``)
-    followed by the batch (pass row ``n0 + k`` for sample ``k``); a slot
-    filled or replaced mid-batch points at its batch row from then on,
-    which is the same gradient a fresh pass over the new row would give.
+    followed by the batch (pass row ``n0 + k`` for sample ``k``).  A
+    slot that holds a batch row was filled or replaced mid-batch and
+    reads that row's pass row, the same gradient a fresh pass over it
+    would give; every other slot still holds its row from batch start.
     """
-    grid = model.config.grid
-    cosines = np.zeros((0, 0))
-    slot_rows: list[int] = []
     if sp_buffer is not None:
         n0 = len(sp_buffer)
-        rows = np.concatenate([np.asarray(sp_buffer.rows, dtype=np.intp), batch])
+        rows = np.concatenate([sp_buffer.rows, batch])
         grads = model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss)
         cosines = grads.cosines(np.arange(n0, n0 + len(batch)))
-        slot_rows = list(range(n0))
 
+    start = int(batch[0])
     for k, row in enumerate(batch.tolist()):
-        logits = snapshot[k].reshape(grid.rows_h, grid.cols_w)
         if sp_buffer is not None:
-            if sp_buffer.offer(row, cosines[k, slot_rows], rng, logits):
-                if len(sp_buffer) > len(slot_rows):
-                    slot_rows.append(n0 + k)
-                else:
-                    slot_rows[sp_buffer.rows.index(row)] = n0 + k
+            held = sp_buffer.rows
+            cols = np.where(held >= start, held - start + n0, np.arange(len(held)))
+            sp_buffer.offer(row, cosines[k, cols], rng, logits[k])
         if cp_buffer is not None:
-            cp_buffer.observe(row, rng, logits)
+            cp_buffer.observe(row, rng, logits[k])

@@ -128,6 +128,4 @@ def replay_targets(
     """Replay supervision for drawn buffer slots: the stream rows they
     hold and the logits they were stored with (one flat row per draw),
     the distillation anchor."""
-    rows = np.array([buffer.rows[s] for s in slots], dtype=np.intp)
-    stored = np.stack([buffer.logits[s] for s in slots]).reshape(len(rows), -1)
-    return rows, stored
+    return buffer.rows[slots], buffer.logits[slots]

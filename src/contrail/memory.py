@@ -13,15 +13,15 @@ cosines against the stored slots (the trainer computes them from
 factored per-sample gradients, see ``HeatmapPredictor.per_sample_grads``).
 
 Neither buffer ever sees a task label.  A slot holds a row index into
-the buffer's source table (the trainer's stream) and the logits the
-model produced when that sample was first trained on; the separation
-buffer adds the slot's score.  ``contents()`` gives the source table's
-rows of every slot and the stack of their logits.
+the buffer's source table (the trainer's stream) and the flat logits
+the model produced when that sample was first trained on; the
+separation buffer adds the slot's score.  Slots live in arrays, so a
+replay draw is one index into ``rows`` and one into ``logits``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,50 +36,55 @@ __all__ = [
 ]
 
 FIRST_SAMPLE_SCORE = 0.1
+NO_LOGITS = np.zeros(0)
 
 
 @dataclass(eq=False)
 class _Slots:
-    """Fixed-capacity slots shared by both buffers.
+    """Fixed-capacity slots shared by both buffers, held in arrays.
 
     ``rows[s]`` is the row of ``source`` that slot ``s`` holds and
-    ``logits[s]`` the logits it was stored with, or None when none were
-    given.
+    ``logits[s]`` the ``n_cells`` logits it was stored with (zero-width
+    by default): the filled part of a ``(k,)`` and a ``(k, n_cells)``
+    array.  A slot holds a distinct source row, so ``k`` is
+    ``min(capacity, len(source))`` (``capacity`` without a source).
+    Both buffers append while below capacity, so the filled slots are
+    the first ``min(capacity, stream_count)``; capacity only shrinks.
     """
 
     capacity: int
     source: Scenes | None = None
-    rows: list[int] = field(default_factory=list)
-    logits: list[np.ndarray | None] = field(default_factory=list)
+    n_cells: int = 0
     stream_count: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be positive")
+        k = self.capacity if self.source is None else min(self.capacity, len(self.source))
+        self._rows = np.zeros(k, dtype=np.intp)
+        self._logits = np.zeros((k, self.n_cells))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return min(self.capacity, self.stream_count)
 
-    def _put(self, slot: int, row: int, logits: np.ndarray | None) -> None:
-        if slot == len(self.rows):
-            self.rows.append(row)
-            self.logits.append(logits)
-        else:
-            self.rows[slot] = row
-            self.logits[slot] = logits
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: len(self)]
 
-    def retain(self, slots: Sequence[int]) -> None:
-        """Keep only ``slots``, in the given order."""
-        self.rows = [self.rows[s] for s in slots]
-        self.logits = [self.logits[s] for s in slots]
+    @property
+    def logits(self) -> np.ndarray:
+        return self._logits[: len(self)]
+
+    def fill(self, rows: np.ndarray, logits: np.ndarray) -> None:
+        """Make slot ``s`` hold ``rows[s]`` with ``logits[s]`` for each
+        of the ``len(self)`` filled slots."""
+        self._rows[: len(self)] = rows
+        self._logits[: len(self)] = logits
 
     def contents(self) -> tuple[Scenes, np.ndarray]:
-        """The stored samples, the source's rows in slot order, and the
-        stack of the logits they were stored with."""
-        return (
-            self.source.take(np.asarray(self.rows, dtype=np.intp)),
-            np.array(self.logits),
-        )
+        """The stored samples, the source's rows in slot order, and a
+        copy of the logits they were stored with."""
+        return self.source.take(self.rows), self.logits.copy()
 
 
 @dataclass(eq=False)
@@ -90,16 +95,23 @@ class CompletionBuffer(_Slots):
     ``capacity / n``.
     """
 
-    def observe(self, row: int, rng: np.random.Generator, logits: np.ndarray | None = None) -> None:
+    def observe(self, row: int, rng: np.random.Generator, logits: np.ndarray = NO_LOGITS) -> None:
         """Reservoir step: append while below capacity, then replace a
         uniformly drawn slot only when the draw lands inside the buffer."""
+        slot = len(self)
         self.stream_count += 1
-        if len(self.rows) < self.capacity:
-            self._put(len(self.rows), row, logits)
-            return
-        slot = int(rng.integers(0, self.stream_count))
-        if slot < self.capacity:
-            self._put(slot, row, logits)
+        if slot >= self.capacity:
+            slot = int(rng.integers(0, self.stream_count))
+            if slot >= self.capacity:
+                return
+        self._rows[slot], self._logits[slot] = row, logits
+
+    def retain(self, slots: Sequence[int]) -> None:
+        """Keep only ``slots``, in the given order, and shrink the
+        capacity to their number."""
+        rows, logits = self.rows[slots], self.logits[slots]
+        self.capacity = len(slots)
+        self.fill(rows, logits)
 
 
 @dataclass(eq=False)
@@ -109,23 +121,32 @@ class SeparationBuffer(_Slots):
     Each stored item carries a similarity score ``q`` in [0, 2]: the
     maximum gradient cosine against items already stored at the time of
     scoring, shifted by +1.  Low q means the item pulled the parameters
-    in a direction the buffer had not seen.
+    in a direction the buffer had not seen.  ``scores[s]`` is slot
+    ``s``'s score.
     """
 
     b_compare: int = 10
-    scores: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.b_compare < 1:
             raise ValueError("b_compare must be positive")
+        self._scores = np.zeros(len(self._rows))
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self._scores[: len(self)]
+
+    def fill(self, rows: np.ndarray, logits: np.ndarray, scores: np.ndarray) -> None:
+        super().fill(rows, logits)
+        self._scores[: len(self)] = scores
 
     def observe(
         self,
         row: int,
         q_new: float,
         rng: np.random.Generator,
-        logits: np.ndarray | None = None,
+        logits: np.ndarray = NO_LOGITS,
     ) -> bool:
         """Offer an already-scored row; returns True if it was stored.
 
@@ -135,37 +156,32 @@ class SeparationBuffer(_Slots):
         proportional to its score and swapped out with probability
         q_cand / (q_cand + q_new), inheriting the newcomer's score.
         """
+        slot = len(self)
         self.stream_count += 1
-        if len(self.rows) < self.capacity:
-            self._put(len(self.rows), row, logits)
-            self.scores.append(float(q_new))
-            return True
-        if q_new >= 1.0:
-            return False
-        q = np.asarray(self.scores)
-        total = q.sum()
-        if total > 0.0:
-            probs = q / total
-            cand = int(rng.choice(len(self.rows), p=probs))
-        else:
-            cand = int(rng.integers(0, len(self.rows)))
-        q_cand = self.scores[cand]
-        denom = q_cand + q_new
-        # Both scores zero: the candidate is exactly as (un)redundant as
-        # the newcomer, treat like the q_cand == q_new tie.
-        p_replace = q_cand / denom if denom > 0.0 else 0.5
-        if rng.random() < p_replace:
-            self._put(cand, row, logits)
-            self.scores[cand] = float(q_new)
-            return True
-        return False
+        if slot >= self.capacity:
+            if q_new >= 1.0:
+                return False
+            q = self.scores
+            total = q.sum()
+            if total > 0.0:
+                slot = int(rng.choice(len(q), p=q / total))
+            else:
+                slot = int(rng.integers(0, len(q)))
+            denom = q[slot] + q_new
+            # Both scores zero: the candidate is exactly as (un)redundant as
+            # the newcomer, treat like the q_cand == q_new tie.
+            p_replace = q[slot] / denom if denom > 0.0 else 0.5
+            if rng.random() >= p_replace:
+                return False
+        self._rows[slot], self._logits[slot], self._scores[slot] = row, logits, q_new
+        return True
 
     def offer(
         self,
         row: int,
         cosines: np.ndarray,
         rng: np.random.Generator,
-        logits: np.ndarray | None = None,
+        logits: np.ndarray = NO_LOGITS,
     ) -> bool:
         """Score-then-observe convenience covering the first-sample rule.
 
@@ -195,9 +211,9 @@ def separation_score(
     zero-norm gradient on either side counts as cosine 0, so scores
     land in [0, 2].
     """
-    if not buffer.rows:
+    n = len(buffer)
+    if not n:
         raise ValueError("cannot score against an empty buffer")
-    n = len(buffer.rows)
     cosines = np.asarray(cosines, dtype=np.float64)
     if cosines.shape != (n,):
         raise ValueError(
@@ -216,6 +232,6 @@ def draw_minibatch(
     ``n == 0`` gives no slots and consumes no randomness."""
     if n < 0:
         raise ValueError("minibatch size must be non-negative")
-    if not buffer.rows or n == 0:
+    if not len(buffer) or n == 0:
         return np.zeros(0, dtype=np.intp)
-    return rng.integers(0, len(buffer.rows), size=n)
+    return rng.integers(0, len(buffer), size=n)

@@ -260,8 +260,6 @@ class HeatmapPredictor:
         x: np.ndarray,
         cells: np.ndarray,
         loss_spec: LossSpec,
-        stored: np.ndarray | None = None,
-        distill: np.ndarray | None = None,
     ) -> "FactoredGrads":
         """One full-parameter loss gradient per sample, in factored form.
 
@@ -271,7 +269,8 @@ class HeatmapPredictor:
         forward/backward yields every per-sample gradient without ever
         building the ``(n, P)`` matrix; see :class:`FactoredGrads` for
         the inner products, norms, cosines and (on demand) dense rows.
-        The arguments are those of :meth:`loss_and_grad` but ``weights``.
+        The loss is the base loss of :meth:`loss_and_grad`, without
+        distillation.
         """
         n_layers = len(self._shapes)
         if len(x) == 0:
@@ -280,7 +279,7 @@ class HeatmapPredictor:
                 tuple(np.zeros((0, i)) for _, i in self._shapes),
             )
         logits, acts = self._forward_cached(params, x)
-        _, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec, stored, distill)
+        _, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec)
         layers = self._layers(params)
         deltas = [dlogits]
         for li in range(n_layers - 1, 0, -1):

@@ -269,7 +269,7 @@ def write_task_csv(spec: TaskSpec, label: int, path: Path) -> Scenes:
     return scenes
 
 
-_Row = tuple[int, float, float, float, float, int]  # frame, x, y, vx, vy, label
+_Row = tuple[int, float, float, float, float, int, int]  # frame, x, y, vx, vy, label, line
 
 
 @dataclass
@@ -310,35 +310,21 @@ def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
             track = tracks.setdefault(track_id, _Track(role=role))
             if track.role != role:
                 raise ValueError(f"{path}:{lineno}: track {track_id} changes role")
-            track.rows.append((frame, x, y, vx, vy, label))
+            track.rows.append((frame, x, y, vx, vy, label, lineno))
 
     gaps = 0
     for track_id, track in tracks.items():
+        # Stable: a repeated frame sorts after its first line.
         track.rows.sort(key=lambda r: r[0])
-        frames = [r[0] for r in track.rows]
-        if len(set(frames)) != len(frames):
-            raise _duplicate_frame_error(path, track_id)
-        gaps += sum(1 for a, b in zip(frames, frames[1:]) if b - a > 1)
+        repeats = [b for a, b in zip(track.rows, track.rows[1:]) if a[0] == b[0]]
+        if repeats:
+            first = min(repeats, key=lambda r: r[6])
+            raise ValueError(
+                f"{path}:{first[6]}: duplicate frames within track {track_id}: "
+                f"frame {first[0]} appears again"
+            )
+        gaps += sum(1 for a, b in zip(track.rows, track.rows[1:]) if b[0] - a[0] > 1)
     return tracks, gaps
-
-
-def _duplicate_frame_error(path: Path, track_id: str) -> ValueError:
-    """Name the line of the first repeated frame of ``track_id``.  Only
-    the error path reads the file a second time; it already parsed."""
-    seen: set[int] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if row and row[0] == track_id:
-                frame = int(row[1])
-                if frame in seen:
-                    return ValueError(
-                        f"{path}:{lineno}: duplicate frames within track {track_id}: "
-                        f"frame {frame} appears again"
-                    )
-                seen.add(frame)
-    return ValueError(f"{path}: duplicate frames within track {track_id}")
 
 
 def _segments(track: _Track) -> list[list[_Row]]:

@@ -97,8 +97,7 @@ def check_reservoir(runs: int = 4000, n: int = 40, k: int = 5) -> bool:
         buf = CompletionBuffer(capacity=k)
         for i in range(n):
             buf.observe(i, rng)
-        for row in buf.rows:
-            counts[row] += 1
+        counts[buf.rows] += 1
     p = k / n
     sigma = math.sqrt(p * (1 - p) / runs)
     if np.any(np.abs(counts / runs - p) > 3 * sigma):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from contrail.core import GridSpec, Scenes, softmax
+from contrail.memory import FIRST_SAMPLE_SCORE
 from contrail.predictor import FactoredGrads, HeatmapPredictor, PredictorConfig
 
 
@@ -121,3 +122,93 @@ def cosine_rows(grad: np.ndarray, others: np.ndarray) -> np.ndarray:
     denom = g_norm * np.linalg.norm(others, axis=1)
     dots = others @ grad
     return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+
+
+class RefCompletionBuffer:
+    """List-backed reference for ``memory.CompletionBuffer``: slots as a
+    Python list of rows and a list of logit arrays, appended below
+    capacity and replaced in place above it."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.rows: list[int] = []
+        self.logits: list[np.ndarray] = []
+        self.stream_count = 0
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _put(self, slot: int, row: int, logits: np.ndarray) -> None:
+        if slot == len(self.rows):
+            self.rows.append(row)
+            self.logits.append(logits)
+        else:
+            self.rows[slot] = row
+            self.logits[slot] = logits
+
+    def observe(self, row: int, rng: np.random.Generator, logits: np.ndarray) -> None:
+        self.stream_count += 1
+        if len(self.rows) < self.capacity:
+            self._put(len(self.rows), row, logits)
+            return
+        slot = int(rng.integers(0, self.stream_count))
+        if slot < self.capacity:
+            self._put(slot, row, logits)
+
+    def retain(self, slots: Sequence[int]) -> None:
+        self.rows = [self.rows[s] for s in slots]
+        self.logits = [self.logits[s] for s in slots]
+
+
+class RefSeparationBuffer(RefCompletionBuffer):
+    """List-backed reference for ``memory.SeparationBuffer``."""
+
+    def __init__(self, capacity: int, b_compare: int = 10):
+        super().__init__(capacity)
+        self.b_compare = b_compare
+        self.scores: list[float] = []
+
+    def observe(self, row: int, q_new: float, rng: np.random.Generator, logits: np.ndarray) -> bool:
+        self.stream_count += 1
+        if len(self.rows) < self.capacity:
+            self._put(len(self.rows), row, logits)
+            self.scores.append(float(q_new))
+            return True
+        if q_new >= 1.0:
+            return False
+        q = np.asarray(self.scores)
+        total = q.sum()
+        if total > 0.0:
+            cand = int(rng.choice(len(self.rows), p=q / total))
+        else:
+            cand = int(rng.integers(0, len(self.rows)))
+        q_cand = self.scores[cand]
+        denom = q_cand + q_new
+        p_replace = q_cand / denom if denom > 0.0 else 0.5
+        if rng.random() < p_replace:
+            self._put(cand, row, logits)
+            self.scores[cand] = float(q_new)
+            return True
+        return False
+
+    def offer(self, row: int, cosines: np.ndarray, rng: np.random.Generator, logits: np.ndarray) -> bool:
+        if self.stream_count == 0:
+            q_new = FIRST_SAMPLE_SCORE
+        else:
+            draws = rng.integers(0, len(self.rows), size=min(self.b_compare, len(self.rows)))
+            q_new = float(np.asarray(cosines, dtype=np.float64)[draws].max() + 1.0)
+        return self.observe(row, q_new, rng, logits)
+
+
+def ref_draw_minibatch(buffer: RefCompletionBuffer, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference for ``memory.draw_minibatch``."""
+    if not buffer.rows or n == 0:
+        return np.zeros(0, dtype=np.intp)
+    return rng.integers(0, len(buffer.rows), size=n)
+
+
+def ref_replay_targets(buffer: RefCompletionBuffer, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``losses.replay_targets``: one slot at a time."""
+    rows = np.array([buffer.rows[s] for s in slots], dtype=np.intp)
+    stored = np.stack([buffer.logits[s] for s in slots]).reshape(len(rows), -1)
+    return rows, stored

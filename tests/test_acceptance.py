@@ -497,7 +497,7 @@ def test_07_imbalanced_stream_buffer_composition():
         cfg = TrainConfig(lr=EXP_LR, buffer_total=200, seed=train_seed)
         result = train_stream(model, stream, rows, Strategy.DUAL_REPLAY, cfg)
         comp_rows = result.completion.rows
-        combined = comp_rows + result.separation.rows
+        combined = np.concatenate([comp_rows, result.separation.rows])
         comp_shares.append(float(minority[comp_rows].mean()))
         combined_shares.append(float(minority[combined].mean()))
 

@@ -69,7 +69,7 @@ class TestRoundTrip:
         assert sp.capacity == result.separation.capacity
         assert sp.b_compare == result.separation.b_compare
         assert sp.stream_count == result.separation.stream_count
-        assert sp.scores == result.separation.scores
+        assert np.array_equal(sp.scores, result.separation.scores)
         assert_contents_equal(sp.contents(), result.separation.contents())
 
         assert cp is not None and result.completion is not None
@@ -325,6 +325,47 @@ BUFFER_FAULTS = {
         _set("completion", "capacity", lambda c: c - 1),
         "more than its capacity",
     ),
+    "score a string": (
+        _set("separation", "scores", lambda q: [str(q[0])] + q[1:]),
+        "separation.scores needs one finite number per slot",
+    ),
+    "stream_count negative": (
+        _set("separation", "stream_count", lambda c: -3),
+        "separation.stream_count is -3, not an int >= 0",
+    ),
+    "stream_count a string": (
+        _set("separation", "stream_count", lambda c: "x"),
+        "separation.stream_count is 'x'",
+    ),
+    "stream_count a float": (
+        _set("separation", "stream_count", lambda c: 1.5),
+        "separation.stream_count is 1.5",
+    ),
+    "stream_count a bool": (
+        _set("completion", "stream_count", lambda c: True),
+        "completion.stream_count is True",
+    ),
+    "stream_count below the stored slots": (
+        _set("separation", "stream_count", lambda c: 2),
+        "separation holds 4 slots, not min(capacity, stream_count) = 2",
+    ),
+    "capacity a float": (
+        _set("completion", "capacity", lambda c: 1500.5),
+        "completion.capacity is 1500.5, not an int >= 1",
+    ),
+    "capacity zero": (
+        _set("completion", "capacity", lambda c: 0),
+        "completion.capacity is 0, not an int >= 1",
+    ),
+    # Past the stored slots: a header never sizes an allocation.
+    "capacity 10**12": (
+        _set("completion", "capacity", lambda c: 10**12),
+        "completion holds 4 slots, not min(capacity, stream_count) = 24",
+    ),
+    "b_compare a float": (
+        _set("separation", "b_compare", lambda b: 2.5),
+        "separation.b_compare is 2.5, not an int >= 1",
+    ),
 }
 
 
@@ -344,6 +385,17 @@ class TestFullLoadChecks:
             load_checkpoint(path)
         # Evaluation reads only the header and parameters.
         assert load_checkpoint(path, params_only=True)[2:] == (None, None, None)
+
+    def test_huge_capacity_allocates_only_stored_slots(self, tiny_model, dual_result, tmp_path):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result)
+        data = json.loads(path.read_text())
+        n = len(dual_result.separation)
+        data["separation"].update(capacity=10**12, stream_count=n)
+        path.write_text(json.dumps(data))
+        sp = load_checkpoint(path)[3]
+        assert sp.capacity == 10**12 and len(sp) == n
+        assert len(sp._rows) == len(sp._logits) == len(sp._scores) == n
 
     @pytest.mark.parametrize("fault", BUFFER_FAULTS)
     def test_bad_buffer_is_named(self, tiny_model, dual_result, tmp_path, fault):

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,17 @@ def write_config(path, **overrides):
 
 
 class TestParseConfig:
+    def test_readme_quickstart_config_parses(self):
+        """The config under the README's quickstart heading is the
+        heredoc of its first shell block; it stays a valid experiment
+        over all six strategies."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("Write a config and run a small experiment", 1)[1]
+        config = section.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+        cfg = parse_config(config)
+        assert set(cfg.strategies) == set(Strategy)
+        assert len(cfg.strategies) == 6
+
     def test_minimal_config_gets_defaults(self):
         cfg = parse_config(
             json.dumps(

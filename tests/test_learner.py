@@ -114,7 +114,7 @@ class TestStepFunctions:
         return model.encode(make_stream(rng, model.config.grid, [1] * n))
 
     def _logits(self, rng, grid):
-        return rng.normal(size=(grid.rows_h, grid.cols_w))
+        return rng.normal(size=grid.n_cells)
 
     def test_empty_buffers_match_vanilla(self, tiny_model):
         rng = np.random.default_rng(310)
@@ -141,8 +141,8 @@ class TestStepFunctions:
         grid = tiny_model.config.grid
         params = tiny_model.init_params()
         table = self._table(rng, tiny_model, 8)
-        sp = SeparationBuffer(capacity=4)
-        cp = CompletionBuffer(capacity=4)
+        sp = SeparationBuffer(capacity=4, n_cells=grid.n_cells)
+        cp = CompletionBuffer(capacity=4, n_cells=grid.n_cells)
         for row in range(4, 8):
             logits = self._logits(rng, grid)
             sp.observe(row, 0.5, rng, logits)
@@ -165,8 +165,8 @@ class TestStepFunctions:
         grid = tiny_model.config.grid
         params = tiny_model.init_params()
         table = self._table(rng, tiny_model, 8)
-        sp = SeparationBuffer(capacity=4)
-        cp = CompletionBuffer(capacity=4)
+        sp = SeparationBuffer(capacity=4, n_cells=grid.n_cells)
+        cp = CompletionBuffer(capacity=4, n_cells=grid.n_cells)
         for row in range(4, 8):
             logits = self._logits(rng, grid)
             sp.observe(row, 0.5, rng, logits)
@@ -186,7 +186,7 @@ class TestStepFunctions:
         grid = tiny_model.config.grid
         params = tiny_model.init_params()
         table = self._table(rng, tiny_model, 8)
-        cp = CompletionBuffer(capacity=4)
+        cp = CompletionBuffer(capacity=4, n_cells=grid.n_cells)
         for row in range(4, 8):
             cp.observe(row, rng, self._logits(rng, grid))
         cfg = TrainConfig(loss=LossSpec(alpha=1.0, beta=2.0))
@@ -197,8 +197,8 @@ class TestStepFunctions:
         )
         slots = draw_minibatch(cp, cfg.replay_n, np.random.default_rng(9))
         rows, stored = replay_targets(cp, slots)
-        assert np.array_equal(rows, np.asarray(cp.rows)[slots])
-        assert np.array_equal(stored, np.stack([cp.logits[s].reshape(-1) for s in slots]))
+        assert np.array_equal(rows, [cp.rows[s] for s in slots])
+        assert np.array_equal(stored, np.stack([cp.logits[s] for s in slots]))
         base_l, base_g, _ = tiny_model.loss_and_grad(params, table.x[b], table.cells[b], cfg.loss)
         rep_l, rep_g, _ = tiny_model.loss_and_grad(
             params, table.x[rows], table.cells[rows], cfg.loss, stored
@@ -207,8 +207,8 @@ class TestStepFunctions:
         assert np.allclose(grad, base_g + 2.0 * rep_g, atol=1e-15)
 
     def _full_buffers(self, rng, grid, rows):
-        sp = SeparationBuffer(capacity=len(rows))
-        cp = CompletionBuffer(capacity=len(rows))
+        sp = SeparationBuffer(capacity=len(rows), n_cells=grid.n_cells)
+        cp = CompletionBuffer(capacity=len(rows), n_cells=grid.n_cells)
         for row in rows:
             sp.observe(row, 0.5, rng, self._logits(rng, grid))
             cp.observe(row, rng, self._logits(rng, grid))
@@ -276,7 +276,7 @@ class TestStepFunctions:
             tiny_model, params, table, self.batch, sp, cfg, np.random.default_rng(4)
         )
         slots = draw_minibatch(sp, 3, np.random.default_rng(4))
-        mixed = np.concatenate([self.batch, np.asarray(sp.rows)[slots]])
+        mixed = np.concatenate([self.batch, sp.rows[slots]])
         want_l, want_g, _ = tiny_model.loss_and_grad(
             params, table.x[mixed], table.cells[mixed], cfg.loss
         )
@@ -472,15 +472,12 @@ def _dense_offer_batch(late_admissions):
     batch positions of admissions into a full buffer."""
 
     def offer_batch(model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng):
-        grid = model.config.grid
-
         def dense_rows(rows):
-            rows = np.asarray(rows, dtype=np.intp)
             return dense(model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss))
 
         new = dense_rows(batch)
         for k, row in enumerate(batch.tolist()):
-            logits = snapshot[k].reshape(grid.rows_h, grid.cols_w)
+            logits = snapshot[k]
             if sp_buffer is not None:
                 stored = dense_rows(sp_buffer.rows)
                 full = len(sp_buffer) == sp_buffer.capacity
@@ -518,7 +515,7 @@ class TestExactScoring:
             if want is None:
                 assert got is None
                 continue
-            assert got.rows == want.rows
+            assert np.array_equal(got.rows, want.rows)
             (got_scenes, got_logits), (want_scenes, want_logits) = got.contents(), want.contents()
             assert len(got_scenes) == len(want_scenes) == len(want)
             assert same_scenes(got_scenes, want_scenes)
@@ -618,10 +615,35 @@ class TestOnePassPerStep:
         }
 
 
+class TestBufferAllocation:
+    """A buffer's slot arrays follow the stream, not the budget: a
+    slot holds a distinct stream row."""
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.DUAL_REPLAY, Strategy.DER_STYLE, Strategy.GSS_STYLE, Strategy.AGEM]
+    )
+    def test_huge_budget_allocates_only_stream_rows(self, tiny_model, monkeypatch, strategy):
+        made = []
+        for name in ("CompletionBuffer", "SeparationBuffer"):
+
+            def make(*args, _cls=getattr(learner, name), **kwargs):
+                made.append(_cls(*args, **kwargs))
+                return made[-1]
+
+            monkeypatch.setattr(learner, name, make)
+        stream = make_stream(np.random.default_rng(343), tiny_model.config.grid, [1] * 12 + [2] * 12)
+        cfg = TrainConfig(buffer_total=2 * 10**6, batch_size=4)
+        train_stream(tiny_model, stream, tiny_model.encode(stream), strategy, cfg)
+        assert made
+        for buf in made:
+            assert buf.capacity >= 10**6
+            assert len(buf._rows) <= len(stream) and len(buf._logits) <= len(stream)
+
+
 class TestAgemMemory:
     def test_quotas_rebalance_as_tasks_arrive(self):
         rng = np.random.default_rng(340)
-        mem = _AgemMemory(total=6, rng=rng)
+        mem = _AgemMemory(total=6, rng=rng, source=make_scenes(np.random.default_rng(0), 21))
         for row in range(10):
             mem.observe(1, row)
         assert len(mem.reservoirs[1]) == 6
@@ -640,7 +662,7 @@ class TestAgemMemory:
 
     def test_reference_pool_excludes_the_current_task(self):
         rng = np.random.default_rng(341)
-        mem = _AgemMemory(total=8, rng=rng)
+        mem = _AgemMemory(total=8, rng=rng, source=make_scenes(np.random.default_rng(0), 8))
         for row in range(4):
             mem.observe(1, row)
         assert len(mem.reference_rows(exclude_label=1, n=5)) == 0
@@ -652,7 +674,7 @@ class TestAgemMemory:
 
     def test_zero_budget_stores_nothing(self):
         rng = np.random.default_rng(342)
-        mem = _AgemMemory(total=0, rng=rng)
+        mem = _AgemMemory(total=0, rng=rng, source=make_scenes(np.random.default_rng(0), 1))
         mem.observe(1, 0)
         assert mem.reservoirs == {}
         assert len(mem.reference_rows(exclude_label=2, n=3)) == 0

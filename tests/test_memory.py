@@ -15,7 +15,17 @@ from contrail.memory import (
     separation_score,
 )
 
-from conftest import cosine_rows, make_scenes, same_scenes
+from contrail.losses import replay_targets
+
+from conftest import (
+    RefCompletionBuffer,
+    RefSeparationBuffer,
+    cosine_rows,
+    make_scenes,
+    ref_draw_minibatch,
+    ref_replay_targets,
+    same_scenes,
+)
 
 
 class TestCompletionBuffer:
@@ -25,24 +35,24 @@ class TestCompletionBuffer:
         for row in (7, 3, 11):
             buf.observe(row, rng)
         assert len(buf) == 3
-        assert buf.rows == [7, 3, 11]
+        assert buf.rows.tolist() == [7, 3, 11]
         assert buf.stream_count == 3
 
     def test_contents_are_built_from_the_samples_themselves(self, tiny_grid):
         rng = np.random.default_rng(101)
         source = make_scenes(rng, 3, grid=tiny_grid)
-        logits = [rng.normal(size=(tiny_grid.rows_h, tiny_grid.cols_w)) for _ in range(3)]
-        buf = CompletionBuffer(capacity=2, source=source)
+        logits = rng.normal(size=(3, tiny_grid.n_cells))
+        buf = CompletionBuffer(capacity=2, source=source, n_cells=tiny_grid.n_cells)
         buf.observe(2, rng, logits[2])
         buf.observe(0, rng, logits[0])
         scenes, stored = buf.contents()
         assert same_scenes(scenes, source.take(np.array([2, 0])))
-        assert np.array_equal(stored, np.stack([logits[2], logits[0]]))
+        assert np.array_equal(stored, logits[[2, 0]])
 
     def test_contents_returns_a_copy(self, tiny_grid):
         rng = np.random.default_rng(101)
-        buf = CompletionBuffer(capacity=2, source=make_scenes(rng, grid=tiny_grid))
-        buf.observe(0, rng, rng.normal(size=(tiny_grid.rows_h, tiny_grid.cols_w)))
+        buf = CompletionBuffer(capacity=2, source=make_scenes(rng, grid=tiny_grid), n_cells=tiny_grid.n_cells)
+        buf.observe(0, rng, rng.normal(size=tiny_grid.n_cells))
         scenes, stored = buf.contents()
         scenes.tv[:] = 0.0
         stored[:] = 0.0
@@ -50,15 +60,15 @@ class TestCompletionBuffer:
 
     def test_never_exceeds_capacity(self):
         rng = np.random.default_rng(102)
-        buf = CompletionBuffer(capacity=4)
+        buf = CompletionBuffer(capacity=4, n_cells=4)
         for row in range(50):
-            buf.observe(row, rng, np.full((2, 2), float(row)))
+            buf.observe(row, rng, np.full(4, float(row)))
             assert len(buf) <= 4
             assert len(buf.logits) == len(buf)
         assert len(buf) == 4
         assert buf.stream_count == 50
         # Each slot keeps the logits it was stored with.
-        assert all(lg[0, 0] == row for row, lg in zip(buf.rows, buf.logits))
+        assert all(lg[0] == row for row, lg in zip(buf.rows, buf.logits))
 
     def test_retention_is_uniform(self):
         # Every stream item should survive with probability k/n.
@@ -140,28 +150,28 @@ class TestSeparationScore:
 
 
 class TestSeparationBuffer:
-    def _full_buffer(self, rng, scores):
-        buf = SeparationBuffer(capacity=len(scores))
+    def _full_buffer(self, rng, scores, n_cells=0):
+        buf = SeparationBuffer(capacity=len(scores), n_cells=n_cells)
         for row, q in enumerate(scores):
-            buf.observe(row, float(q), rng)
+            buf.observe(row, float(q), rng, np.zeros(n_cells))
         return buf
 
     def test_appends_below_capacity(self):
         rng = np.random.default_rng(120)
-        buf = SeparationBuffer(capacity=3)
-        logits = np.ones((2, 2))
+        buf = SeparationBuffer(capacity=3, n_cells=4)
+        logits = np.ones(4)
         assert buf.observe(5, 0.7, rng, logits) is True
-        assert buf.rows == [5]
-        assert buf.logits[0] is logits
-        assert buf.scores == [0.7]
+        assert buf.rows.tolist() == [5]
+        assert np.array_equal(buf.logits, [logits])
+        assert buf.scores.tolist() == [0.7]
 
     def test_similar_newcomer_discarded_at_capacity(self):
         rng = np.random.default_rng(121)
         buf = self._full_buffer(rng, [0.2, 0.4])
-        before = list(buf.rows)
+        before = buf.rows.tolist()
         assert buf.observe(9, 1.0, rng) is False
         assert buf.observe(9, 1.7, rng) is False
-        assert buf.rows == before
+        assert buf.rows.tolist() == before
         assert buf.stream_count == 4
 
     def test_zero_score_newcomer_always_stored(self):
@@ -173,12 +183,12 @@ class TestSeparationBuffer:
 
     def test_replacement_inherits_new_score(self):
         rng = np.random.default_rng(123)
-        buf = self._full_buffer(rng, [0.9])
-        logits = np.zeros((2, 2))
+        buf = self._full_buffer(rng, [0.9], n_cells=4)
+        logits = np.ones(4)
         assert buf.observe(9, 0.25, rng, logits) is True
-        assert buf.rows == [9]
-        assert buf.logits == [logits]
-        assert buf.scores == [0.25]
+        assert buf.rows.tolist() == [9]
+        assert np.array_equal(buf.logits, [logits])
+        assert buf.scores.tolist() == [0.25]
 
     def test_equal_scores_replace_half_the_time(self):
         rng = np.random.default_rng(124)
@@ -202,7 +212,7 @@ class TestSeparationBuffer:
         for newcomer in range(3, 6003):
             if buf.observe(newcomer, 0.0, rng):
                 replaced += 1
-                slot_counts[buf.rows.index(newcomer)] += 1
+                slot_counts[buf.rows.tolist().index(newcomer)] += 1
         assert replaced > 2500
         expected = replaced / 3
         sigma = math.sqrt(replaced * (1 / 3) * (2 / 3))
@@ -216,7 +226,7 @@ class TestSeparationBuffer:
         for _ in range(2000):
             buf = self._full_buffer(rng, [1.8, 0.05])
             if buf.observe(2, 0.3, rng):
-                evictions[buf.rows.index(2)] += 1
+                evictions[buf.rows.tolist().index(2)] += 1
         assert evictions[0] > 10 * evictions[1]
 
     def test_offer_first_sample_rule(self):
@@ -226,18 +236,18 @@ class TestSeparationBuffer:
         # No stored slot exists, so no cosine can be read.
         stored = buf.offer(0, np.ones(0), rng)
         assert stored is True
-        assert buf.scores == [FIRST_SAMPLE_SCORE]
+        assert buf.scores.tolist() == [FIRST_SAMPLE_SCORE]
 
     def test_offer_scores_later_samples(self):
         rng = np.random.default_rng(129)
-        buf = SeparationBuffer(capacity=3)
+        buf = SeparationBuffer(capacity=3, n_cells=4)
         g = np.array([1.0, 0.0])
-        buf.offer(0, cosine_rows(g, np.zeros((0, 2))), rng)
-        logits = np.ones((2, 2))
+        buf.offer(0, cosine_rows(g, np.zeros((0, 2))), rng, np.zeros(4))
+        logits = np.ones(4)
         stored = buf.offer(1, cosine_rows(g, np.stack([g])), rng, logits)
         assert stored is True
         assert buf.scores[1] == pytest.approx(2.0)
-        assert buf.rows == [0, 1] and buf.logits[1] is logits
+        assert buf.rows.tolist() == [0, 1] and np.array_equal(buf.logits[1], logits)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -281,3 +291,64 @@ class TestDrawMinibatch:
         expected = trials / 4
         sigma = math.sqrt(trials * 0.25 * 0.75)
         assert np.abs(counts - expected).max() < 4 * sigma
+
+
+class TestAgainstListReference:
+    """The array slots make the decisions of the list-backed reference
+    in ``conftest``: random operation sequences leave equal slots and
+    the generators in the same state."""
+
+    N_CELLS = 3
+
+    def _assert_same(self, got, want):
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.logits, np.array(want.logits).reshape(len(want), self.N_CELLS))
+        assert got.stream_count == want.stream_count
+        if isinstance(want, RefSeparationBuffer):
+            assert got.scores.tolist() == want.scores
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_operations_match(self, seed):
+        ops = np.random.default_rng([150, seed])
+        n_rows = 60
+        source = make_scenes(np.random.default_rng(seed), n_rows)
+        capacity = int(ops.integers(1, 8))
+        b_compare = int(ops.integers(1, 4))
+        comp = CompletionBuffer(capacity=capacity, source=source, n_cells=self.N_CELLS)
+        sep = SeparationBuffer(capacity=capacity, source=source, n_cells=self.N_CELLS, b_compare=b_compare)
+        ref_comp, ref_sep = RefCompletionBuffer(capacity), RefSeparationBuffer(capacity, b_compare)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        # Each source row is offered once, to one buffer.
+        for row in ops.permutation(n_rows).tolist():
+            logits = ops.normal(size=self.N_CELLS)
+            op = ops.integers(0, 5)
+            if op == 0:
+                comp.observe(row, rng, logits)
+                ref_comp.observe(row, ref_rng, logits)
+            elif op == 1:
+                cosines = ops.uniform(-1.0, 1.0, size=len(sep))
+                assert bool(sep.offer(row, cosines, rng, logits)) == ref_sep.offer(
+                    row, cosines, ref_rng, logits
+                )
+            elif op == 2:
+                # Exact zeros reach the all-zero-scores branch.
+                q = float(ops.choice([0.0, ops.uniform(0.0, 2.0)]))
+                assert sep.observe(row, q, rng, logits) == ref_sep.observe(row, q, ref_rng, logits)
+            elif op == 3 and len(comp) > 1:
+                keep = sorted(ops.choice(len(comp), size=len(comp) - 1, replace=False).tolist())
+                comp.retain(keep)
+                ref_comp.retain(keep)
+                comp.capacity = ref_comp.capacity = len(keep)
+            else:
+                for buffer, ref in ((comp, ref_comp), (sep, ref_sep)):
+                    n = int(ops.integers(0, 5))
+                    slots = draw_minibatch(buffer, n, rng)
+                    assert np.array_equal(slots, ref_draw_minibatch(ref, n, ref_rng))
+                    if len(slots):
+                        got, want = replay_targets(buffer, slots), ref_replay_targets(ref, slots)
+                        assert np.array_equal(got[0], want[0])
+                        assert np.array_equal(got[1], want[1])
+            self._assert_same(comp, ref_comp)
+            self._assert_same(sep, ref_sep)
+        assert rng.random() == ref_rng.random()

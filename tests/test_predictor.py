@@ -179,9 +179,9 @@ class TestGradient:
         rng = np.random.default_rng(6)
         spec = LossSpec()
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
-        batch = random_batch(rng, tiny_model, 5, with_distill=True)
-        x, cells, stored, distill, _ = batch
-        per = dense(tiny_model.per_sample_grads(params, x, cells, spec, stored, distill))
+        batch = random_batch(rng, tiny_model, 5)
+        x, cells, _, _, _ = batch
+        per = dense(tiny_model.per_sample_grads(params, x, cells, spec))
         assert per.shape == (5, tiny_model.param_count)
         for k in range(5):
             _, g, _ = loss_and_grad(tiny_model, params, rows_of(batch, [k]), spec)
@@ -191,10 +191,8 @@ class TestGradient:
         rng = np.random.default_rng(9)
         spec = LossSpec()
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
-        batch = random_batch(rng, tiny_model, 7, with_distill=True)
-        x, cells, stored, distill, _ = batch
-        assert distill.any()
-        grads = tiny_model.per_sample_grads(params, x, cells, spec, stored, distill)
+        x, cells, _, _, _ = random_batch(rng, tiny_model, 7)
+        grads = tiny_model.per_sample_grads(params, x, cells, spec)
         rows_p = dense(grads)
         rows = [0, 3, 6]
         np.testing.assert_allclose(
@@ -209,8 +207,8 @@ class TestGradient:
     def test_zero_gradient_row_has_cosine_zero(self, tiny_model):
         rng = np.random.default_rng(10)
         params = rng.normal(0.0, 0.5, size=tiny_model.param_count)
-        x, cells, stored, distill, _ = random_batch(rng, tiny_model, 4, with_distill=True)
-        grads = tiny_model.per_sample_grads(params, x, cells, LossSpec(), stored, distill)
+        x, cells, _, _, _ = random_batch(rng, tiny_model, 4)
+        grads = tiny_model.per_sample_grads(params, x, cells, LossSpec())
         zeroed = FactoredGrads(
             tuple(np.vstack([np.zeros_like(d[:1]), d[1:]]) for d in grads.deltas),
             grads.inputs,

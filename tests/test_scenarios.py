@@ -375,6 +375,18 @@ class TestIngestion:
         with pytest.raises(ValueError, match=r"dup\.csv:6: duplicate frames within track bike: frame 0"):
             ingest_csv(path)
 
+    def test_malformed_row_wins_over_a_duplicate_frame(self, tmp_path):
+        # Rows are checked as they are read; frames once all are read.
+        rows = [
+            ["car", 0, 0.0, 0.0, 1.0, 0.0, "tv", 1],
+            ["car", 0, 1.0, 0.0, 1.0, 0.0, "tv", 1],
+            ["car", "one", 2.0, 0.0, 1.0, 0.0, "tv", 1],
+        ]
+        path = tmp_path / "dup.csv"
+        path.write_text(csv_text(rows))
+        with pytest.raises(ValueError, match=r"dup\.csv:4: malformed row"):
+            ingest_csv(path)
+
 
 class TestNonFiniteRows:
     @pytest.mark.parametrize("value", ["nan", "inf"])
