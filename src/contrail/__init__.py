@@ -1,6 +1,6 @@
 """contrail: task-free continual learning for streaming trajectory prediction."""
 
-from .core import GridSpec, ResultMatrix, Scenes
+from .core import GridSpec, ResultMatrix, SampleTable, Scenes
 from .learner import Strategy, TrainConfig, TrainResult, agem_project, train_stream
 from .losses import LossSpec
 from .memory import CompletionBuffer, SeparationBuffer, draw_minibatch, separation_score
@@ -27,6 +27,7 @@ __all__ = [
     "LossSpec",
     "PredictorConfig",
     "ResultMatrix",
+    "SampleTable",
     "Scenes",
     "SeparationBuffer",
     "Strategy",

@@ -1,15 +1,15 @@
 """Checkpoint files: parameters, optimizer state, and buffer contents.
 
 One JSON document per checkpoint.  Every float array (the parameters,
-the Adam moments, the buffers' stored states, truths and logits) is a
+the Adam moments, the buffers' stored rows and logits) is a
 ``{"dtype": "<f8", "shape": [...], "data": ...}`` block whose data is
 the base64 of its little-endian float64 bytes, so a save/load cycle is
 bit-exact and two saves of the same state give the same bytes.  A
-buffer stores its slots as columns, the :class:`~contrail.core.Scenes`
-columns of its stored rows packed as they are: ``tv`` (n, t_obs, 4),
-``svs`` (n, k_sv, t_obs, 4), ``endpoint`` (n, 2), ``speed`` (n,) and
-``logits`` (n, rows_h, cols_w), plus plain JSON ``mask`` and ``t_c``
-(always ``t_obs - 1``) lists.  The architecture header lets a loader
+buffer stores its slots as columns, the :class:`~contrail.core.SampleTable`
+columns of its stored rows packed as they are: ``x`` (n, input_dim),
+``ends`` (n, 2), ``speeds`` (n,) and ``logits`` (n, rows_h, cols_w).
+The target cells are not stored: a load derives them from ``ends``
+and the grid, as encoding does.  The architecture header lets a loader
 rebuild the predictor without outside context, and the optional buffer
 dump makes a checkpoint a full run-resumption unit.
 """
@@ -24,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GridSpec, Scenes, atomic_write
+from .core import GridSpec, SampleTable, atomic_write, endpoint_cells
 from .memory import CompletionBuffer, SeparationBuffer
 from .predictor import AdamState, HeatmapPredictor, PredictorConfig
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
-FORMAT = "contrail-checkpoint-v2"
+FORMAT = "contrail-checkpoint-v3"
 
 
 def _pack(array: np.ndarray) -> dict:
@@ -42,18 +42,14 @@ def _pack(array: np.ndarray) -> dict:
     }
 
 
-def _columns(buffer: SeparationBuffer | CompletionBuffer, config: PredictorConfig) -> dict:
+def _columns(buffer: SeparationBuffer | CompletionBuffer, grid: GridSpec) -> dict:
     """A buffer's stored rows and logits as one column per field."""
-    scenes, logits = buffer.contents()
-    n, grid = len(scenes), config.grid
+    rows, logits = buffer.contents()
     return {
-        "tv": _pack(scenes.tv),
-        "svs": _pack(scenes.svs),
-        "mask": scenes.mask.tolist(),
-        "t_c": [config.t_obs - 1] * n,
-        "endpoint": _pack(scenes.ends),
-        "speed": _pack(scenes.speeds),
-        "logits": _pack(logits.reshape(n, grid.rows_h, grid.cols_w)),
+        "x": _pack(rows.x),
+        "ends": _pack(rows.ends),
+        "speeds": _pack(rows.speeds),
+        "logits": _pack(logits.reshape(len(rows), grid.rows_h, grid.cols_w)),
     }
 
 
@@ -79,14 +75,14 @@ def save_checkpoint(
             "b_compare": separation.b_compare,
             "stream_count": separation.stream_count,
             "scores": separation.scores.tolist(),
-            "items": _columns(separation, config),
+            "items": _columns(separation, config.grid),
         },
         "completion": None
         if completion is None
         else {
             "capacity": completion.capacity,
             "stream_count": completion.stream_count,
-            "items": _columns(completion, config),
+            "items": _columns(completion, config.grid),
         },
     }
     # Streamed into the file: the document is never held as one string.
@@ -121,41 +117,29 @@ def _count(block: dict, key: str, what: str, least: int) -> int:
 
 
 def _slots(
-    cls: type, block: dict, config: PredictorConfig, what: str, *columns, **fields
+    cls: type, block: dict, config: PredictorConfig, what: str, scores: list | None = None, **fields
 ) -> SeparationBuffer | CompletionBuffer:
     """A buffer rebuilt from its header and stored columns: the columns
-    become one source table whose row ``s`` slot ``s`` holds, with any
-    further per-slot ``columns`` (the separation scores).  Both buffers
-    append while below capacity, so one that has seen ``stream_count``
-    samples holds ``min(capacity, stream_count)`` slots."""
-    items = block["items"]
-    t_obs, k_sv, grid = config.t_obs, config.k_sv, config.grid
+    become one source table whose row ``s`` slot ``s`` holds, with the
+    separation ``scores`` if given.  Both buffers append while below
+    capacity, so one that has seen ``stream_count`` samples holds
+    ``min(capacity, stream_count)`` slots, and every column must hold
+    that many rows."""
     capacity = _count(block, "capacity", what, 1)
     stream_count = _count(block, "stream_count", what, 0)
-    mask, t_c = items["mask"], items["t_c"]
-    n = len(t_c)
-    if n > capacity:
-        raise ValueError(f"{what} holds {n} slots, more than its capacity {capacity}")
-    filled = min(capacity, stream_count)
-    if n != filled:
-        raise ValueError(f"{what} holds {n} slots, not min(capacity, stream_count) = {filled}")
-    if not all(type(t) is int for t in t_c):
-        raise ValueError(f"{what}.t_c holds a value that is not an int")
-    if any(t != t_obs - 1 for t in t_c):
-        raise ValueError(f"{what}.t_c holds a step other than t_obs - 1 = {t_obs - 1}")
-    if len(mask) != n or not all(
-        len(m) == k_sv and all(type(b) is bool for b in m) for m in mask
-    ):
-        raise ValueError(f"{what}.mask is not {n} rows of {k_sv} bools")
-    tv = _floats(items["tv"], (n, t_obs, 4), f"{what}.tv")
-    svs = _floats(items["svs"], (n, k_sv, t_obs, 4), f"{what}.svs")
-    endpoint = _floats(items["endpoint"], (n, 2), f"{what}.endpoint")
-    speed = _floats(items["speed"], (n,), f"{what}.speed")
-    if np.any(speed < 0):
-        raise ValueError(f"{what}.speed holds a negative speed")
+    n, items, grid = min(capacity, stream_count), block["items"], config.grid
+    x = _floats(items["x"], (n, config.input_dim), f"{what}.x")
+    ends = _floats(items["ends"], (n, 2), f"{what}.ends")
+    speeds = _floats(items["speeds"], (n,), f"{what}.speeds")
+    if np.any(speeds < 0):
+        raise ValueError(f"{what}.speeds holds a negative speed")
     logits = _floats(items["logits"], (n, grid.rows_h, grid.cols_w), f"{what}.logits")
-    mask = np.array(mask, dtype=bool).reshape(n, k_sv)
-    source = Scenes(tv, svs, mask, endpoint, speed, np.zeros(n, dtype=np.int64))
+    columns = []
+    if scores is not None:
+        if len(scores) != n or not all(type(q) in (int, float) and math.isfinite(q) for q in scores):
+            raise ValueError(f"{what}.scores needs one finite number per slot ({n}), not {len(scores)} values")
+        columns.append(scores)
+    source = SampleTable(x, endpoint_cells(ends, grid), ends, speeds, np.zeros(n, dtype=np.int64))
     buffer = cls(
         capacity=capacity, source=source, n_cells=grid.n_cells, stream_count=stream_count, **fields
     )
@@ -188,13 +172,8 @@ def _decode(data: dict, params_only: bool) -> tuple:
     separation = None
     if data["separation"] is not None:
         s = data["separation"]
-        scores, n = s["scores"], len(s["items"]["t_c"])
-        if len(scores) != n or not all(type(q) in (int, float) and math.isfinite(q) for q in scores):
-            raise ValueError(
-                f"separation.scores needs one finite number per slot ({n}), not {len(scores)} values"
-            )
         b_compare = _count(s, "b_compare", "separation", 1)
-        separation = _slots(SeparationBuffer, s, config, "separation", scores, b_compare=b_compare)
+        separation = _slots(SeparationBuffer, s, config, "separation", s["scores"], b_compare=b_compare)
     completion = None
     if data["completion"] is not None:
         completion = _slots(CompletionBuffer, data["completion"], config, "completion")
@@ -211,21 +190,22 @@ def load_checkpoint(
     SeparationBuffer | None,
     CompletionBuffer | None,
 ]:
-    """Inverse of ``save_checkpoint``; only ``contrail-checkpoint-v2``
-    files load.  A loaded buffer's slots index one table of the rows
-    read from the file, whose task labels, never stored, read 0.  With
-    ``params_only`` (all that evaluation needs) only the header and
-    parameters are decoded; the optimizer state and buffers come back
-    as None, unbuilt.  A file of another format, a file that is not
-    JSON, a missing key (``t_pred`` and ``dt`` included), and any
-    array that is non-finite, undecodable or does not fit the header's
-    geometry (the parameters, the Adam moments, every buffer column and
-    the separation scores), a separation score that is not a JSON
-    number, a stored ``t_c`` other than ``t_obs - 1``, a negative stored
-    speed, a ``capacity``, ``b_compare`` or ``stream_count`` that is not
-    an int (at least 1, 1 and 0), and a stored slot count other than
-    ``min(capacity, stream_count)`` raise a ValueError that starts with
-    ``path``."""
+    """Inverse of ``save_checkpoint``; only ``contrail-checkpoint-v3``
+    files load, and a v1 or v2 file is rejected by name.  A loaded
+    buffer's slots index one table of the rows read from the file,
+    whose target cells derive from the stored ``ends`` and whose task
+    labels, never stored, read 0.  With ``params_only`` (all that
+    evaluation needs) only the header and parameters are decoded; the
+    optimizer state and buffers come back as None, unbuilt.  A file of
+    another format, a file that is not JSON, a missing key (``t_pred``
+    and ``dt`` included), and any array that is non-finite,
+    undecodable or does not fit the header's geometry (the parameters,
+    the Adam moments, every buffer column, each holding
+    ``min(capacity, stream_count)`` rows, and the separation scores), a
+    separation score that is not a JSON number, a negative stored
+    speed, and a ``capacity``, ``b_compare`` or ``stream_count`` that is
+    not an int (at least 1, 1 and 0) raise a ValueError that starts
+    with ``path``."""
     try:
         data = json.loads(Path(path).read_text())
     except ValueError as exc:

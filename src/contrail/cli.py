@@ -19,6 +19,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -28,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import GridSpec, ResultMatrix, Scenes, atomic_write
+from .core import GridSpec, ResultMatrix, SampleTable, Scenes, atomic_write
 from .learner import Strategy, TrainConfig, check_buffer_split, train_stream
 from .losses import LossSpec
 from .metrics import (
@@ -40,7 +41,7 @@ from .metrics import (
     report_from_matrices,
     write_matrix_csv,
 )
-from .predictor import HeatmapPredictor, PredictorConfig, SampleTable
+from .predictor import HeatmapPredictor, PredictorConfig
 from .scenarios import (
     TaskSpec,
     build_stream,
@@ -123,9 +124,35 @@ def _finite(literal: str) -> float:
     return value
 
 
+_NUMBER = (int, float)
+
+
+def _typed(raw: dict, key: str, where: str, types: tuple[type, ...], what: str, listed: bool = False):
+    """``raw[key]`` if it is a JSON value of ``types`` (a list of them
+    with ``listed``): a bool is not an int, nor a string a number or a
+    list, so nothing is truncated or split.  Else a ConfigError names
+    ``where + key``."""
+    value = raw[key]
+    if not (isinstance(value, list) and all(type(v) in types for v in value) if listed else type(value) in types):
+        raise ConfigError(f"{where}{key} is {json.dumps(value)}: it must be {what}")
+    return value
+
+
+def _int(raw: dict, key: str, where: str = "") -> int:
+    return _typed(raw, key, where, (int,), "an integer")
+
+
+def _float(raw: dict, key: str, where: str = "") -> float:
+    return float(_typed(raw, key, where, _NUMBER, "a number"))
+
+
+def _floats(raw: dict, key: str, where: str = "") -> tuple[float, ...]:
+    return tuple(float(v) for v in _typed(raw, key, where, _NUMBER, "a list of numbers", listed=True))
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Build an ExperimentConfig from JSON, rejecting unknown keys and
-    non-finite numbers."""
+    """Build an ExperimentConfig from JSON, rejecting unknown keys,
+    non-finite numbers and values of the wrong JSON type."""
     try:
         data = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
@@ -161,10 +188,10 @@ def parse_config(text: str) -> ExperimentConfig:
             "grid",
         )
         grid = GridSpec(
-            rows_h=int(grid_raw["rows_h"]),
-            cols_w=int(grid_raw["cols_w"]),
-            origin=tuple(float(v) for v in grid_raw["origin"]),
-            cell_size=float(grid_raw["cell_size"]),
+            rows_h=_int(grid_raw, "rows_h", "grid."),
+            cols_w=_int(grid_raw, "cols_w", "grid."),
+            origin=_floats(grid_raw, "origin", "grid."),
+            cell_size=_float(grid_raw, "cell_size", "grid."),
         )
 
         tasks = []
@@ -186,19 +213,15 @@ def parse_config(text: str) -> ExperimentConfig:
                 },
                 f"tasks[{i}]",
             )
+            where = f"tasks[{i}]."
             kwargs = {
                 "kind": t["kind"],
-                "n_samples": int(t["n_samples"]),
-                "seed": int(t["seed"]),
-                "noise_sigma": float(t["noise_sigma"]),
-                "t_obs": int(t["t_obs"]),
-                "t_pred": int(t["t_pred"]),
-                "dt": float(t["dt"]),
-                "k_sv": int(t["k_sv"]),
+                **{k: _int(t, k, where) for k in ("n_samples", "seed", "t_obs", "t_pred", "k_sv")},
+                **{k: _float(t, k, where) for k in ("noise_sigma", "dt")},
             }
             for rng_key in ("speed_range", "curvature_range", "turn_angle_range"):
                 if t[rng_key] is not None:
-                    kwargs[rng_key] = tuple(float(v) for v in t[rng_key])
+                    kwargs[rng_key] = _floats(t, rng_key, where)
             tasks.append(TaskSpec(**kwargs))
 
         tr = _take(
@@ -218,18 +241,18 @@ def parse_config(text: str) -> ExperimentConfig:
             "train",
         )
         train = TrainConfig(
-            lr=float(tr["lr"]),
-            batch_size=int(tr["batch_size"]),
-            buffer_total=int(tr["buffer_total"]),
-            replay_batch=None if tr["replay_batch"] is None else int(tr["replay_batch"]),
+            lr=_float(tr, "lr", "train."),
+            batch_size=_int(tr, "batch_size", "train."),
+            buffer_total=_int(tr, "buffer_total", "train."),
+            replay_batch=None if tr["replay_batch"] is None else _int(tr, "replay_batch", "train."),
             loss=LossSpec(
                 base_kind=tr["base_kind"],
-                focal_gamma=float(tr["focal_gamma"]),
-                alpha=float(tr["alpha"]),
-                beta=float(tr["beta"]),
+                focal_gamma=_float(tr, "focal_gamma", "train."),
+                alpha=_float(tr, "alpha", "train."),
+                beta=_float(tr, "beta", "train."),
             ),
-            b_compare=int(tr["b_compare"]),
-            agem_ref_batch=int(tr["agem_ref_batch"]),
+            b_compare=_int(tr, "b_compare", "train."),
+            agem_ref_batch=_int(tr, "agem_ref_batch", "train."),
         )
 
         names = top["strategies"]
@@ -241,12 +264,12 @@ def parse_config(text: str) -> ExperimentConfig:
             strategies=strategies,
             train=train,
             grid=grid,
-            hidden_dims=tuple(int(h) for h in top["hidden_dims"]),
-            seed=int(top["seed"]),
-            repetitions=int(top["repetitions"]),
-            w_endpoints=int(top["w_endpoints"]),
-            workers=int(top["workers"]),
-            output_dir=str(top["output_dir"]),
+            hidden_dims=tuple(_typed(top, "hidden_dims", "", (int,), "a list of integers", listed=True)),
+            seed=_int(top, "seed"),
+            repetitions=_int(top, "repetitions"),
+            w_endpoints=_int(top, "w_endpoints"),
+            workers=_int(top, "workers"),
+            output_dir=_typed(top, "output_dir", "", (str,), "a string"),
         )
     except ConfigError:
         raise
@@ -319,23 +342,23 @@ def run_cell(
     strategy: Strategy,
     rep: int,
     out_dir: Path,
-    trains: Sequence[Scenes],
     tables: Sequence[tuple[SampleTable, SampleTable]],
 ) -> dict:
-    """Train and evaluate one (strategy, repetition) cell on the train
-    halves of the experiment's ``task_datasets`` and the ``encode_tasks``
-    rows of both halves; write its artifacts and return the headline
-    numbers.  The cell only reorders the training rows."""
-    model_seed, stream_seed, train_seed = _cell_seeds(config.seed, rep)
-    order = build_stream(trains, stream_seed)
+    """Train and evaluate one (strategy, repetition) cell on the
+    ``encode_tasks`` rows of the experiment's ``task_datasets``; write
+    its artifacts and return the headline numbers.  The cell only
+    reorders the training rows.
 
+    The matrix CSVs, the only files ``report`` reads, are written last,
+    so a cell interrupted while writing lacks one of them."""
+    model_seed, stream_seed, train_seed = _cell_seeds(config.seed, rep)
+    trains = [rows for rows, _ in tables]
     model = _model(config, model_seed)
     # The stream's rows are handed over, not kept: they are freed when
     # training returns.
     result = train_stream(
         model,
-        Scenes.concat(trains).take(order),
-        SampleTable.concat([rows for rows, _ in tables]).take(order),
+        SampleTable.concat(trains).take(build_stream(trains, stream_seed)),
         strategy,
         replace(config.train, seed=train_seed),
     )
@@ -355,10 +378,6 @@ def run_cell(
     report = report_from_matrices(strategy.value, rep, fde_m, mr_m)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(fde_m, out_dir / "matrix_fde.csv")
-    write_matrix_csv(mr_m, out_dir / "matrix_mr.csv")
-    with atomic_write(out_dir / "report.json") as fh:
-        fh.write(report.to_json())
     save_checkpoint(
         out_dir / "checkpoint.json",
         model.config,
@@ -367,6 +386,10 @@ def run_cell(
         separation=result.separation,
         completion=result.completion,
     )
+    with atomic_write(out_dir / "report.json") as fh:
+        fh.write(report.to_json())
+    write_matrix_csv(fde_m, out_dir / "matrix_fde.csv")
+    write_matrix_csv(mr_m, out_dir / "matrix_mr.csv")
     return _headline(report)
 
 
@@ -379,21 +402,18 @@ def _headline(report: EvalReport) -> dict:
     }
 
 
-# The train halves and table rows of the experiment a pool worker
-# serves: set once per worker process by the pool's initializer, so no
-# job carries them.
-_worker_data: tuple[Sequence, Sequence] = ((), ())
+# The table rows of the experiment a pool worker serves: set once per
+# worker process by the pool's initializer, so no job carries them.
+_worker_tables: Sequence[tuple[SampleTable, SampleTable]] = ()
 
 
-def _init_worker(
-    trains: Sequence[Scenes], tables: Sequence[tuple[SampleTable, SampleTable]]
-) -> None:
-    global _worker_data
-    _worker_data = (trains, tables)
+def _init_worker(tables: Sequence[tuple[SampleTable, SampleTable]]) -> None:
+    global _worker_tables
+    _worker_tables = tables
 
 
 def _run_cell_in_worker(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Path) -> dict:
-    return run_cell(config, strategy, rep, out_dir, *_worker_data)
+    return run_cell(config, strategy, rep, out_dir, _worker_tables)
 
 
 def _mean_std(values: list[float | None]) -> dict | None:
@@ -437,15 +457,6 @@ def format_summary(summary: dict, strategy_order: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _experiment_data(
-    config: ExperimentConfig,
-) -> tuple[list[Scenes], list[tuple[SampleTable, SampleTable]]]:
-    """The tasks' train halves and every split's rows.  The test samples
-    are dropped once encoded: cells score them from their rows."""
-    datasets = task_datasets(config.tasks)
-    return [train for train, _ in datasets], encode_tasks(_model(config, seed=0), datasets)
-
-
 def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> dict:
     """Run every (strategy, repetition) cell and write all artifacts.
 
@@ -470,10 +481,11 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
         for strategy, rep in jobs
     }
 
-    trains, tables = _experiment_data(config)
+    # The samples are dropped once encoded: cells train and score rows.
+    tables = encode_tasks(_model(config, seed=0), task_datasets(config.tasks))
     if config.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=(trains, tables)
+            max_workers=config.workers, initializer=_init_worker, initargs=(tables,)
         ) as pool:
             futures = [
                 pool.submit(_run_cell_in_worker, config, s, r, cell_dirs[(s, r)])
@@ -481,7 +493,7 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
             ]
             results = [f.result() for f in futures]
     else:
-        results = [run_cell(config, s, r, cell_dirs[(s, r)], trains, tables) for s, r in jobs]
+        results = [run_cell(config, s, r, cell_dirs[(s, r)], tables) for s, r in jobs]
 
     results.sort(key=lambda r: (r["strategy"], r["rep"]))
     summary = summarize(results)
@@ -516,7 +528,10 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
 
 
 def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
-    """Rebuild the summary purely from the emitted matrix CSVs."""
+    """Rebuild the summary purely from the emitted matrix CSVs.  Every
+    entry of a strategy directory must be a ``rep_NN`` cell directory
+    holding both CSVs; a missing CSV (a cell interrupted while writing
+    its artifacts) raises FileNotFoundError naming it."""
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
         raise FileNotFoundError(f"no runs directory under {out_root}")
@@ -527,9 +542,11 @@ def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
             continue
         order.append(strat_dir.name)
         for rep_dir in sorted(strat_dir.iterdir()):
+            if not (rep_dir.is_dir() and re.fullmatch(r"rep_\d{2,}", rep_dir.name)):
+                raise ValueError(f"{rep_dir} is not a rep_NN cell directory")
             fde_m = read_matrix_csv(rep_dir / "matrix_fde.csv")
             mr_m = read_matrix_csv(rep_dir / "matrix_mr.csv")
-            rep = int(rep_dir.name.split("_")[1])
+            rep = int(rep_dir.name[4:])
             results.append(_headline(report_from_matrices(strat_dir.name, rep, fde_m, mr_m)))
     return summarize(results), order
 

@@ -1,13 +1,14 @@
 """Shared domain types and grid geometry.
 
 Everything downstream (predictor, buffers, metrics, scenario generation)
-speaks in terms of these types.  A sample exists once, as a row of a
-:class:`Scenes` table: scenario generation and CSV ingestion write
-them, the predictor encodes them, the trainer, the buffers and the
-checkpoint select rows.  Coordinates are metric (meters, seconds);
-velocities are instantaneous.  A prediction target is a single endpoint
-``t_pred`` steps past the decision step ``t_c``, discretised onto a
-rectangular grid of square cells.
+speaks in terms of these types.  Scenario generation and CSV ingestion
+write samples as rows of a world-frame :class:`Scenes` table; the
+predictor encodes each into a row of a :class:`SampleTable`, the one
+representation of a sample from then on: the trainer, the buffers and
+the checkpoint select its rows.  Coordinates are metric (meters,
+seconds); velocities are instantaneous.  A prediction target is a
+single endpoint ``t_pred`` steps past the decision step ``t_c``,
+discretised onto a rectangular grid of square cells.
 
 Grid convention: cell ``(0, 0)`` has its corner at ``GridSpec.origin``,
 rows index the y axis and columns the x axis, both row-major.
@@ -30,6 +31,7 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "ResultMatrix",
+    "SampleTable",
     "Scenes",
     "atomic_write",
     "endpoint_cells",
@@ -41,9 +43,27 @@ __all__ = [
 ]
 
 
+class _Rows:
+    """Row selection shared by the sample tables: every field is one
+    column, row-aligned with the first."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def take(self, rows: np.ndarray):
+        """The table of ``rows``, in that order."""
+        return type(self)(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, tables: Sequence):
+        """The rows of ``tables``, one after the other."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)))
+
+
 @dataclass(frozen=True, eq=False)
-class Scenes:
-    """Samples in the world frame, one row per sample.
+class Scenes(_Rows):
+    """Samples in the world frame, one row per sample, as generation and
+    ingestion write them.
 
     ``tv`` (n, t_obs, 4) holds the target vehicle's observed states
     (x, y, vx, vy) ending at the decision step; ``svs`` (n, k_sv, t_obs,
@@ -51,12 +71,9 @@ class Scenes:
     entry is False for zero-filled padding that consumers must ignore.
     ``ends`` (n, 2) is the truth endpoint ``t_pred`` steps past the
     decision step and ``speeds`` (n,) the target's speed at the decision
-    step (the miss-rate gate reads it).
-
-    The task labels (n,) are evaluation metadata.  Reads through
-    :meth:`task_label` are counted so tests can audit that training-path
-    code never looks at them; evaluation-side bookkeeping that is
-    allowed to see labels goes through :func:`task_boundaries`.
+    step (the miss-rate gate reads it).  ``labels`` (n,) are the task
+    labels, which :meth:`~contrail.predictor.HeatmapPredictor.encode`
+    copies into the table it returns.
     """
 
     tv: np.ndarray
@@ -64,7 +81,7 @@ class Scenes:
     mask: np.ndarray
     ends: np.ndarray
     speeds: np.ndarray
-    _labels: np.ndarray = field(repr=False)
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
         n, t_obs = self.tv.shape[:2] if self.tv.ndim == 3 else (-1, -1)
@@ -77,15 +94,33 @@ class Scenes:
             ("svs", (n, k_sv, t_obs, 4)),
             ("ends", (n, 2)),
             ("speeds", (n,)),
-            ("_labels", (n,)),
+            ("labels", (n,)),
         ):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, the tv and mask need {shape}")
         if not np.all(self.speeds >= 0):
             raise ValueError("speeds must be non-negative")
 
-    def __len__(self) -> int:
-        return len(self.tv)
+
+@dataclass(frozen=True, eq=False)
+class SampleTable(_Rows):
+    """Samples as the model reads them, one row per sample: the network
+    input ``x``, the flat target cell ``cells`` (``row * cols_w + col``),
+    the truth endpoint in the scene's target-centric frame ``ends`` and
+    the target speed ``speeds``.  Training selects rows by index;
+    evaluation scores whole tables.
+
+    The task labels (n,) are evaluation metadata.  Reads through
+    :meth:`task_label` are counted so tests can audit that training-path
+    code never looks at them; evaluation-side bookkeeping that is
+    allowed to see labels goes through :func:`task_boundaries`.
+    """
+
+    x: np.ndarray
+    cells: np.ndarray
+    ends: np.ndarray
+    speeds: np.ndarray
+    _labels: np.ndarray = field(repr=False)
 
     def task_label(self, row: int) -> int:
         """The task label of ``row``; every call counts as one read."""
@@ -93,32 +128,23 @@ class Scenes:
         _LABEL_READS += 1
         return int(self._labels[row])
 
-    def take(self, rows: np.ndarray) -> "Scenes":
-        """The table of ``rows``, in that order."""
-        return Scenes(*(getattr(self, f.name)[rows] for f in fields(self)))
-
-    @classmethod
-    def concat(cls, tables: Sequence["Scenes"]) -> "Scenes":
-        """The rows of ``tables``, one after the other."""
-        return cls(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)))
-
 
 _LABEL_READS = 0
 
 
 def task_label_reads() -> int:
-    """Monotone counter of :meth:`Scenes.task_label` reads (audit hook)."""
+    """Monotone counter of :meth:`SampleTable.task_label` reads (audit hook)."""
     return _LABEL_READS
 
 
-def task_boundaries(scenes: Scenes) -> list[tuple[int, int]]:
+def task_boundaries(table: SampleTable) -> list[tuple[int, int]]:
     """Per-task extents of an ordered stream, as ``(label, end_index)``.
 
     ``end_index`` is exclusive.  This is evaluation-side bookkeeping (it
     bypasses the audited label accessor) used for checkpoint placement.
     Raises ValueError if labels are not monotonically non-decreasing.
     """
-    labels = scenes._labels.tolist()
+    labels = table._labels.tolist()
     if not labels:
         return []
     bounds: list[tuple[int, int]] = []

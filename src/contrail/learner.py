@@ -1,18 +1,17 @@
 """Streaming trainers: one-pass continual learning strategies.
 
 ``train_stream`` consumes an ordered stream of samples (rows of a
-:class:`~contrail.core.Scenes` table) in consecutive batches, takes one
-Adam step per batch, and (strategy permitting) feeds each trained
-sample to replay memory.  The fixed order per batch
-is: one forward and one backward pass over the batch and its replay
-rows give the strategy loss, its gradient and the batch's pre-update
-logits; Adam steps; then the batch is offered to the buffers carrying
-those logits.
+:class:`~contrail.core.SampleTable`, encoded once per experiment) in
+consecutive batches, takes one Adam step per batch, and (strategy
+permitting) feeds each trained sample to replay memory.  The fixed
+order per batch is: one forward and one backward pass over the batch
+and its replay rows give the strategy loss, its gradient and the
+batch's pre-update logits; Adam steps; then the batch is offered to
+the buffers carrying those logits.
 
-The trainer never featurises: it receives the stream's samples with
-their :class:`~contrail.predictor.SampleTable` rows, encoded once per
-experiment, and batches, buffer slots and replay draws are row indices
-into both.  The buffers' source table is the stream's samples.
+The trainer never featurises: batches, buffer slots and replay draws
+are row indices into the stream's table, which is also the buffers'
+source table.
 
 Task labels are evaluation metadata.  The four task-free strategies
 (vanilla, dual replay, DER-style, GSS-style) never read them on the
@@ -31,10 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import Scenes
+from .core import SampleTable
 from .losses import LossSpec, replay_targets
 from .memory import CompletionBuffer, SeparationBuffer, draw_minibatch
-from .predictor import AdamState, HeatmapPredictor, SampleTable, adam_step
+from .predictor import AdamState, HeatmapPredictor, adam_step
 
 __all__ = [
     "Strategy",
@@ -130,7 +129,6 @@ class TrainResult:
     checkpoints: list[tuple[int, np.ndarray]]
     separation: SeparationBuffer | None
     completion: CompletionBuffer | None
-    visits: np.ndarray
     label_reads: int
     agem_dots: list[float]
     n_steps: int
@@ -218,7 +216,7 @@ class _AgemMemory:
     with the task count.
     """
 
-    def __init__(self, total: int, rng: np.random.Generator, source: Scenes):
+    def __init__(self, total: int, rng: np.random.Generator, source: SampleTable):
         self.total = total
         self.rng = rng
         self.source = source
@@ -258,13 +256,13 @@ def check_buffer_split(strategies: Sequence[Strategy], buffer_total: int) -> Non
 
 
 def _make_buffers(
-    strategy: Strategy, cfg: TrainConfig, stream: Scenes, n_cells: int
+    strategy: Strategy, cfg: TrainConfig, table: SampleTable, n_cells: int
 ) -> tuple[SeparationBuffer | None, CompletionBuffer | None]:
     total = cfg.buffer_total
     if total == 0:
         return None, None
     check_buffer_split((strategy,), total)
-    slots = {"source": stream, "n_cells": n_cells}
+    slots = {"source": table, "n_cells": n_cells}
     if strategy is Strategy.DUAL_REPLAY:
         half = total // 2
         return (
@@ -280,7 +278,6 @@ def _make_buffers(
 
 def train_stream(
     model: HeatmapPredictor,
-    stream: Scenes,
     table: SampleTable,
     strategy: Strategy,
     cfg: TrainConfig,
@@ -289,18 +286,15 @@ def train_stream(
     """Train over the stream once and return params, checkpoints, and
     final buffer contents.
 
-    ``table`` holds the stream's samples encoded by ``model.encode``,
-    row ``i`` for row ``i`` of ``stream``.  The stream must be ordered
-    by task label (checkpoints are recorded right after the step that
-    consumes a task's last sample).  Given the same model config,
-    stream, table, strategy, and train config, the run is
-    bit-reproducible.
+    ``table`` holds the stream's samples encoded by ``model.encode``, in
+    stream order.  The stream must be ordered by task label
+    (checkpoints are recorded right after the step that consumes a
+    task's last sample).  Given the same model config, table, strategy,
+    and train config, the run is bit-reproducible.
     """
-    if not len(stream):
+    if not len(table):
         raise ValueError("cannot train on an empty stream")
-    if len(table) != len(stream):
-        raise ValueError(f"{len(table)} table rows for a stream of {len(stream)} samples")
-    boundaries = core.task_boundaries(stream)  # also validates ordering
+    boundaries = core.task_boundaries(table)  # also validates ordering
 
     reads_before = core.task_label_reads()
     spec = cfg.loss
@@ -312,26 +306,23 @@ def train_stream(
     rng_agem = np.random.default_rng(seeds[3])
 
     if strategy is Strategy.JOINT:
-        order = rng_joint.permutation(len(stream))
-        stream = stream.take(order)
-        table = table.take(order)
+        table = table.take(rng_joint.permutation(len(table)))
         boundaries = []
 
-    sp_buffer, cp_buffer = _make_buffers(strategy, cfg, stream, model.config.grid.n_cells)
+    sp_buffer, cp_buffer = _make_buffers(strategy, cfg, table, model.config.grid.n_cells)
     agem_memory = (
-        _AgemMemory(cfg.buffer_total, rng_agem, stream) if strategy is Strategy.AGEM else None
+        _AgemMemory(cfg.buffer_total, rng_agem, table) if strategy is Strategy.AGEM else None
     )
 
     params = model.init_params() if init_params is None else init_params.copy()
     adam = AdamState.zeros(model.param_count)
-    visits = np.zeros(len(stream), dtype=np.int64)
     checkpoints: list[tuple[int, np.ndarray]] = []
     agem_dots: list[float] = []
     pending = list(boundaries)
     n_steps = 0
 
-    for start in range(0, len(stream), cfg.batch_size):
-        end = min(start + cfg.batch_size, len(stream))
+    for start in range(0, len(table), cfg.batch_size):
+        end = min(start + cfg.batch_size, len(table))
         batch = np.arange(start, end)
 
         # The step's forward pass runs at the pre-update parameters: its
@@ -348,7 +339,7 @@ def train_stream(
             _, grad, logits = model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
         if agem_memory is not None:
             refs = agem_memory.reference_rows(
-                exclude_label=stream.task_label(end - 1), n=cfg.agem_ref_batch
+                exclude_label=table.task_label(end - 1), n=cfg.agem_ref_batch
             )
             if len(refs):
                 _, g_ref, _ = model.loss_and_grad(params, table.x[refs], table.cells[refs], spec)
@@ -357,14 +348,13 @@ def train_stream(
                     agem_dots.append(float(grad @ g_ref))
 
         params, adam = adam_step(params, grad, adam, cfg.lr)
-        visits[start:end] += 1
         n_steps += 1
 
         if sp_buffer is not None or cp_buffer is not None:
             _offer_batch(model, params, table, batch, logits, sp_buffer, cp_buffer, cfg, rng_buffers)
         elif agem_memory is not None:
             for row in range(start, end):
-                agem_memory.observe(stream.task_label(row), row)
+                agem_memory.observe(table.task_label(row), row)
 
         while pending and pending[0][1] <= end:
             label, _ = pending.pop(0)
@@ -376,7 +366,6 @@ def train_stream(
         checkpoints=checkpoints,
         separation=sp_buffer,
         completion=cp_buffer,
-        visits=visits,
         label_reads=core.task_label_reads() - reads_before,
         agem_dots=agem_dots,
         n_steps=n_steps,

@@ -13,10 +13,11 @@ cosines against the stored slots (the trainer computes them from
 factored per-sample gradients, see ``HeatmapPredictor.per_sample_grads``).
 
 Neither buffer ever sees a task label.  A slot holds a row index into
-the buffer's source table (the trainer's stream) and the flat logits
-the model produced when that sample was first trained on; the
-separation buffer adds the slot's score.  Slots live in arrays, so a
-replay draw is one index into ``rows`` and one into ``logits``.
+the buffer's source :class:`~contrail.core.SampleTable` (the trainer's
+stream) and the flat logits the model produced when that sample was
+first trained on; the separation buffer adds the slot's score.  Slots
+live in arrays, so a replay draw is one index into ``rows`` and one
+into ``logits``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Scenes
+from .core import SampleTable
 
 __all__ = [
     "CompletionBuffer",
@@ -53,7 +54,7 @@ class _Slots:
     """
 
     capacity: int
-    source: Scenes | None = None
+    source: SampleTable | None = None
     n_cells: int = 0
     stream_count: int = 0
 
@@ -81,7 +82,7 @@ class _Slots:
         self._rows[: len(self)] = rows
         self._logits[: len(self)] = logits
 
-    def contents(self) -> tuple[Scenes, np.ndarray]:
+    def contents(self) -> tuple[SampleTable, np.ndarray]:
         """The stored samples, the source's rows in slot order, and a
         copy of the logits they were stored with."""
         return self.source.take(self.rows), self.logits.copy()

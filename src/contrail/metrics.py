@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -206,15 +207,31 @@ def write_matrix_csv(matrix: ResultMatrix, path: Path) -> None:
 
 
 def read_matrix_csv(path: Path) -> ResultMatrix:
+    """Inverse of :func:`write_matrix_csv`; the task count is the
+    largest ``after_task``.  A row that is not three fields, an index
+    that is not an integer, a non-finite value and an ``(after,
+    tested)`` entry that is out of range or repeated raise a ValueError
+    naming ``path:line``."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["after_task", "tested_task", "value"]:
         raise ValueError(f"{path} is not a result-matrix CSV")
-    entries = [(int(i), int(j), float(v)) for i, j, v in rows[1:]]
-    n_tasks = max(i for i, _, _ in entries) if entries else 1
-    matrix = ResultMatrix(n_tasks)
-    for i, j, v in entries:
-        matrix.set(i, j, v)
+    entries: dict[tuple[int, int], tuple[int, float]] = {}
+    try:
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != 3:
+                raise ValueError(f"{len(row)} fields, not 3")
+            i, j, v = int(row[0]), int(row[1]), float(row[2])
+            if not math.isfinite(v):
+                raise ValueError(f"value {row[2]} is not finite")
+            if (i, j) in entries:
+                raise ValueError(f"R[{i}, {j}] is repeated")
+            entries[(i, j)] = (line, v)
+        matrix = ResultMatrix(max([1] + [i for i, _ in entries]))
+        for (i, j), (line, v) in entries.items():
+            matrix.set(i, j, v)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from None
     return matrix
 
 

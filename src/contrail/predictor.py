@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GridSpec, Scenes, endpoint_cells, local_endpoints, scene_frames
+from .core import GridSpec, SampleTable, Scenes, endpoint_cells, local_endpoints, scene_frames
 from .losses import LossSpec, batch_loss_and_dlogits
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "FactoredGrads",
     "HeatmapPredictor",
     "PredictorConfig",
-    "SampleTable",
     "adam_step",
     "scene_features",
 ]
@@ -99,37 +98,6 @@ def scene_features(scenes: Scenes, frames: np.ndarray) -> np.ndarray:
     return out.reshape(n, (1 + k_sv) * t_obs * 4)
 
 
-@dataclass(frozen=True, eq=False)
-class SampleTable:
-    """Samples as arrays, one row per sample: the network input ``x``,
-    the flat target cell ``cells`` (``row * cols_w + col``), the truth
-    endpoint in the scene's target-centric frame ``ends`` and the target
-    speed ``speeds``.  Training selects rows by index; evaluation scores
-    whole tables."""
-
-    x: np.ndarray
-    cells: np.ndarray
-    ends: np.ndarray
-    speeds: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def take(self, rows: np.ndarray) -> "SampleTable":
-        """The table of ``rows``, in that order."""
-        return SampleTable(self.x[rows], self.cells[rows], self.ends[rows], self.speeds[rows])
-
-    @classmethod
-    def concat(cls, tables: Sequence["SampleTable"]) -> "SampleTable":
-        """The rows of ``tables``, one after the other."""
-        return cls(
-            np.concatenate([t.x for t in tables]),
-            np.concatenate([t.cells for t in tables]),
-            np.concatenate([t.ends for t in tables]),
-            np.concatenate([t.speeds for t in tables]),
-        )
-
-
 class HeatmapPredictor:
     """MLP over scene features producing per-cell endpoint logits."""
 
@@ -165,9 +133,9 @@ class HeatmapPredictor:
         return layers
 
     def encode(self, scenes: Scenes) -> SampleTable:
-        """Every row of ``scenes`` as one table row.  Each scene's frame
-        is computed once; its features, local endpoint and target cell
-        all derive from it."""
+        """Every row of ``scenes`` as one table row, its task label
+        copied across.  Each scene's frame is computed once; its
+        features, local endpoint and target cell all derive from it."""
         t_obs, k_sv = scenes.tv.shape[1], scenes.mask.shape[1]
         if (t_obs, k_sv) != (self.config.t_obs, self.config.k_sv):
             raise ValueError(
@@ -181,6 +149,7 @@ class HeatmapPredictor:
             endpoint_cells(ends, self.config.grid),
             ends,
             scenes.speeds,
+            scenes.labels,
         )
 
     def _forward_cached(

@@ -22,7 +22,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, Sized
 
 import numpy as np
 
@@ -233,9 +233,10 @@ def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[Scenes, Scenes]]:
     return out
 
 
-def build_stream(trains: Sequence[Scenes], seed: int) -> np.ndarray:
+def build_stream(trains: Sequence[Sized], seed: int) -> np.ndarray:
     """Training stream as a row order over the train halves ``trains``
-    of ``task_datasets``, concatenated in task order: each task's rows
+    of ``task_datasets`` (as samples or as their encoded rows: only the
+    lengths are read), concatenated in task order: each task's rows
     stay together and are shuffled by ``seed`` (vary it between
     repetitions)."""
     orders = []

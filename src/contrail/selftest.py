@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .core import GridSpec, Scenes, scene_frames, softmax
+from .core import GridSpec, Scenes, softmax
 from .learner import Strategy, TrainConfig
 from .losses import LossSpec
 from .memory import CompletionBuffer, SeparationBuffer
 from .metrics import extract_endpoints, fde, mr_threshold
-from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step, scene_features
+from .predictor import AdamState, HeatmapPredictor, PredictorConfig, adam_step
 from .scenarios import TaskSpec, ingest_csv, write_task_csv
 
 __all__ = ["run_selftest"]
@@ -43,11 +43,6 @@ def _random_scene(
     tracks = rng.uniform(-span, span, size=(1 + k_sv, t_obs, 4))
     mask = rng.random(k_sv) < 0.8
     return Scenes(tracks[None, 0], tracks[None, 1:], mask[None], np.zeros((1, 2)), np.ones(1), np.zeros(1, int))
-
-
-def _features(scenes: list[Scenes]) -> np.ndarray:
-    table = Scenes.concat(scenes)
-    return scene_features(table, scene_frames(table))
 
 
 def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
@@ -69,7 +64,7 @@ def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
             cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
             distill.append(bool(rng.random() < 0.5))
             stored.append(rng.normal(size=9) if distill[-1] else np.zeros(9))
-        x, distill = _features(scenes), np.array(distill)
+        x, distill = model.encode(Scenes.concat(scenes)).x, np.array(distill)
         # Random non-negative row weights, as the fused replay step uses.
         batch = (x, np.array(cells), spec, np.stack(stored), distill, rng.uniform(0.0, 2.0, size=3))
         _, grad, _ = model.loss_and_grad(params, *batch)
@@ -203,7 +198,7 @@ def check_adam_descends(steps: int = 60) -> bool:
     for _ in range(6):
         scenes.append(_random_scene(rng, 3, 1))
         cells.append(int(rng.integers(0, 4)) * 4 + int(rng.integers(0, 4)))
-    batch = (_features(scenes), np.array(cells), LossSpec())
+    batch = (model.encode(Scenes.concat(scenes)).x, np.array(cells), LossSpec())
     params = model.init_params()
     adam = AdamState.zeros(model.param_count)
     first, _, _ = model.loss_and_grad(params, *batch)

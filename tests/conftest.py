@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from contrail.core import GridSpec, Scenes, softmax
+from contrail.core import GridSpec, SampleTable, Scenes, softmax
 from contrail.memory import FIRST_SAMPLE_SCORE
 from contrail.predictor import FactoredGrads, HeatmapPredictor, PredictorConfig
 
@@ -45,10 +45,24 @@ def make_scenes(
     return Scenes(tv, svs, mask, ends, speeds, np.broadcast_to(np.asarray(labels), (n,)).copy())
 
 
-def same_scenes(a: Scenes, b: Scenes) -> bool:
-    """Every column of ``a`` and ``b``, the labels included, is equal."""
-    return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(Scenes)
+def make_table(
+    rng: np.random.Generator,
+    n: int = 1,
+    grid: GridSpec | None = None,
+    labels: int | Sequence[int] = 1,
+) -> SampleTable:
+    """``n`` random samples of :func:`make_scenes` (its default
+    geometry), encoded onto ``grid`` (by default the tiny grid)."""
+    grid = grid or GridSpec(rows_h=4, cols_w=5, origin=(-10.0, -8.0), cell_size=4.0)
+    model = HeatmapPredictor(PredictorConfig(t_obs=2, k_sv=1, hidden_dims=(1,), grid=grid))
+    return model.encode(make_scenes(rng, n, grid=grid, labels=labels))
+
+
+def same_rows(a, b) -> bool:
+    """``a`` and ``b`` are tables of one type (``Scenes`` or
+    ``SampleTable``) whose every column, the labels included, is equal."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
     )
 
 

@@ -28,7 +28,7 @@ import pytest
 from scipy import stats
 
 from contrail.cli import ExperimentConfig, encode_tasks, evaluate_task, run_experiment
-from contrail.core import GridSpec, ResultMatrix, Scenes, scene_frames
+from contrail.core import GridSpec, ResultMatrix, SampleTable, Scenes, scene_frames
 from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.losses import LossSpec
 from contrail.memory import CompletionBuffer, SeparationBuffer
@@ -41,7 +41,7 @@ from contrail.metrics import (
     mr_threshold,
     report_from_matrices,
 )
-from contrail.predictor import HeatmapPredictor, PredictorConfig, SampleTable, scene_features
+from contrail.predictor import HeatmapPredictor, PredictorConfig, scene_features
 from contrail.scenarios import TaskSpec, task_datasets
 
 from conftest import brute_force_endpoints, cosine_rows
@@ -90,7 +90,7 @@ EXP_TASKS = (
     ),
 )
 
-_DATASETS: dict[float, tuple[list, list]] = {}
+_DATASETS: dict[float, list] = {}
 _CELLS: dict[tuple[str, int, int, float], EvalReport] = {}
 
 
@@ -100,31 +100,29 @@ def _experiment_model(seed: int = 0) -> HeatmapPredictor:
     )
 
 
-def _experiment_datasets(noise: float = 0.05) -> tuple[list, list]:
-    """The three tasks at one noise level and their rows, encoded once
-    through the encoder ``run_experiment`` uses."""
+def _experiment_datasets(noise: float = 0.05) -> list:
+    """The rows of the three tasks' splits at one noise level, encoded
+    once through the encoder ``run_experiment`` uses."""
     if noise not in _DATASETS:
         tasks = tuple(
             dataclasses.replace(t, noise_sigma=noise) for t in EXP_TASKS
         )
-        pairs = task_datasets(tasks)
-        _DATASETS[noise] = (pairs, encode_tasks(_experiment_model(), pairs))
+        _DATASETS[noise] = encode_tasks(_experiment_model(), task_datasets(tasks))
     return _DATASETS[noise]
 
 
-def _shuffled_stream(pairs, tables, stream_seed: int) -> tuple[Scenes, SampleTable, np.ndarray]:
-    """The train halves in task order, each shuffled by
-    ``[stream_seed, label]``, as samples and as rows, and that order
-    over the concatenated train halves."""
+def _shuffled_stream(tables, stream_seed: int) -> tuple[SampleTable, np.ndarray]:
+    """The train rows in task order, each task shuffled by
+    ``[stream_seed, label]``, and that order over the concatenated
+    train rows."""
     orders = []
     start = 0
-    for label, (train, _) in enumerate(pairs, start=1):
+    for label, (train, _) in enumerate(tables, start=1):
         order = np.random.default_rng([stream_seed, label]).permutation(len(train))
         orders.append(start + order)
         start += len(train)
     order = np.concatenate(orders)
-    stream = Scenes.concat([train for train, _ in pairs]).take(order)
-    return stream, SampleTable.concat([rows for rows, _ in tables]).take(order), order
+    return SampleTable.concat([rows for rows, _ in tables]).take(order), order
 
 
 def _experiment_cell(
@@ -135,16 +133,16 @@ def _experiment_cell(
     key = (strategy.value, buffer_total, rep, noise)
     if key in _CELLS:
         return _CELLS[key]
-    pairs, tables = _experiment_datasets(noise)
+    tables = _experiment_datasets(noise)
     tests = [rows for _, rows in tables]
     model_seed, stream_seed, train_seed = (
         int(v) for v in np.random.SeedSequence([EXP_SEED, rep]).generate_state(3)
     )
-    stream, rows, _ = _shuffled_stream(pairs, tables, stream_seed)
+    rows, _ = _shuffled_stream(tables, stream_seed)
     model = _experiment_model(model_seed)
     assert model.param_count <= 50_000
     cfg = TrainConfig(lr=EXP_LR, buffer_total=buffer_total, seed=train_seed)
-    result = train_stream(model, stream, rows, strategy, cfg)
+    result = train_stream(model, rows, strategy, cfg)
 
     n = len(EXP_TASKS)
     fde_m = ResultMatrix(n)
@@ -473,9 +471,8 @@ def test_07_imbalanced_stream_buffer_composition():
         TaskSpec(kind="turn", n_samples=2500, seed=202, noise_sigma=0.05, k_sv=0),
         TaskSpec(kind="straight", n_samples=625, seed=201, noise_sigma=0.05, k_sv=0),
     )
-    pairs = task_datasets(tasks)
-    tables = encode_tasks(_experiment_model(), pairs)
-    trains = [train for train, _ in pairs]
+    tables = encode_tasks(_experiment_model(), task_datasets(tasks))
+    trains = [train for train, _ in tables]
     assert [len(t) for t in trains] == [2000, 500]
     # The rare task arrives once the buffers are warm, which is where
     # diversity-driven retention can differ from uniform retention.
@@ -487,7 +484,7 @@ def test_07_imbalanced_stream_buffer_composition():
         model_seed, stream_seed, train_seed = (
             int(v) for v in np.random.SeedSequence([7107, rep]).generate_state(3)
         )
-        stream, rows, order = _shuffled_stream(pairs, tables, stream_seed)
+        rows, order = _shuffled_stream(tables, stream_seed)
         # Stream row r holds train row order[r]; the minority's train rows
         # come after the majority's.
         minority = order >= n_majority
@@ -495,7 +492,7 @@ def test_07_imbalanced_stream_buffer_composition():
             PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(32, 32), grid=grid, seed=model_seed)
         )
         cfg = TrainConfig(lr=EXP_LR, buffer_total=200, seed=train_seed)
-        result = train_stream(model, stream, rows, Strategy.DUAL_REPLAY, cfg)
+        result = train_stream(model, rows, Strategy.DUAL_REPLAY, cfg)
         comp_rows = result.completion.rows
         combined = np.concatenate([comp_rows, result.separation.rows])
         comp_shares.append(float(minority[comp_rows].mean()))
@@ -529,7 +526,7 @@ def test_08_agem_projection_constraint():
         PredictorConfig(t_obs=10, k_sv=0, hidden_dims=(32, 32), grid=EXP_GRID, seed=5)
     )
     cfg = TrainConfig(lr=EXP_LR, buffer_total=200, seed=6)
-    result = train_stream(model, stream, model.encode(stream), Strategy.AGEM, cfg)
+    result = train_stream(model, model.encode(stream), Strategy.AGEM, cfg)
     assert result.agem_dots, "no projected steps were recorded"
     worst = min(result.agem_dots)
     assert worst >= -1e-9, f"projected step with g'.g_ref = {worst:.3e}"
@@ -621,7 +618,7 @@ def test_10_determinism_and_task_label_audit(tmp_path):
     table = model.encode(stream)
     reads = {}
     for strategy in Strategy:
-        result = train_stream(model, stream, table, strategy, TrainConfig(buffer_total=16, seed=2))
+        result = train_stream(model, table, strategy, TrainConfig(buffer_total=16, seed=2))
         reads[strategy] = result.label_reads
     for strategy in (Strategy.VANILLA, Strategy.DUAL_REPLAY, Strategy.DER_STYLE, Strategy.GSS_STYLE):
         assert reads[strategy] == 0, f"{strategy.value} read {reads[strategy]} task labels"

@@ -20,12 +20,14 @@ from conftest import make_scenes
 
 def assert_contents_equal(a, b):
     """Two buffers' ``contents()``: the stored rows' columns (task
-    labels aside, which no checkpoint stores) and the logits stacks."""
-    (scenes_a, logits_a), (scenes_b, logits_b) = a, b
-    assert len(scenes_a) == len(scenes_b)
-    for name in ("tv", "svs", "mask", "ends", "speeds"):
-        assert np.array_equal(getattr(scenes_a, name), getattr(scenes_b, name)), name
-    assert np.array_equal(logits_a, logits_b)
+    labels aside, which no checkpoint stores) and the logits stacks,
+    bit for bit."""
+    (rows_a, logits_a), (rows_b, logits_b) = a, b
+    assert len(rows_a) == len(rows_b)
+    for name in ("x", "cells", "ends", "speeds"):
+        column_a, column_b = getattr(rows_a, name), getattr(rows_b, name)
+        assert column_a.dtype == column_b.dtype and column_a.tobytes() == column_b.tobytes(), name
+    assert logits_a.tobytes() == logits_b.tobytes()
 
 
 class TestRoundTrip:
@@ -43,7 +45,7 @@ class TestRoundTrip:
         grid = tiny_model.config.grid
         stream = make_scenes(rng, 24, grid=grid, labels=[1] * 12 + [2] * 12)
         result = train_stream(
-            tiny_model, stream, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
+            tiny_model, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
             TrainConfig(buffer_total=8),
         )
 
@@ -76,6 +78,8 @@ class TestRoundTrip:
         assert cp.capacity == result.completion.capacity
         assert cp.stream_count == result.completion.stream_count
         assert_contents_equal(cp.contents(), result.completion.contents())
+        # The labels are not stored: a loaded table's read 0.
+        assert sp.source.task_label(0) == cp.source.task_label(0) == 0
 
     def test_loaded_state_resumes_identically(self, tiny_model, tmp_path):
         # Saving mid-run and resuming must match an uninterrupted run.
@@ -127,7 +131,7 @@ class TestRoundTrip:
         grid = tiny_model.config.grid
         stream = make_scenes(rng, 16, grid=grid)
         result = train_stream(
-            tiny_model, stream, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
+            tiny_model, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
             TrainConfig(buffer_total=8),
         )
         path = tmp_path / "ck.json"
@@ -164,7 +168,7 @@ def dual_result(tiny_model):
     grid = tiny_model.config.grid
     stream = make_scenes(rng, 24, grid=grid, labels=[1] * 12 + [2] * 12)
     return train_stream(
-        tiny_model, stream, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
+        tiny_model, tiny_model.encode(stream), Strategy.DUAL_REPLAY,
         TrainConfig(buffer_total=8),
     )
 
@@ -196,28 +200,33 @@ class TestFormat:
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
         data = json.loads(path.read_text())
-        assert data["format"] == "contrail-checkpoint-v2"
+        assert data["format"] == "contrail-checkpoint-v3"
         assert data["params"]["dtype"] == "<f8"
         assert data["params"]["shape"] == [tiny_model.param_count]
         assert np.array_equal(unpack(data["params"]), dual_result.final_params)
         items = data["separation"]["items"]
-        n = len(dual_result.separation)
+        rows, _ = dual_result.separation.contents()
         g = tiny_model.config.grid
-        assert unpack(items["tv"]).shape == (n, 2, 4)
-        assert unpack(items["svs"]).shape == (n, 1, 2, 4)
-        assert unpack(items["endpoint"]).shape == (n, 2)
-        assert unpack(items["speed"]).shape == (n,)
-        assert unpack(items["logits"]).shape == (n, g.rows_h, g.cols_w)
-        assert len(items["mask"]) == len(items["t_c"]) == n
+        assert sorted(items) == ["ends", "logits", "speeds", "x"]
+        assert np.array_equal(unpack(items["x"]), rows.x)
+        assert unpack(items["x"]).shape == (len(rows), tiny_model.config.input_dim)
+        assert np.array_equal(unpack(items["ends"]), rows.ends)
+        assert np.array_equal(unpack(items["speeds"]), rows.speeds)
+        assert unpack(items["logits"]).shape == (len(rows), g.rows_h, g.cols_w)
 
-    def test_v1_document_is_rejected_by_name(self, tiny_model, tmp_path):
+    def test_v1_document_is_rejected_by_name(self, tiny_model, dual_result, tmp_path):
         path = tmp_path / "v1.json"
         config = dataclasses.asdict(tiny_model.config)
         params = tiny_model.init_params().tolist()
         path.write_text(json.dumps({"format": "contrail-checkpoint-v1", "config": config, "params": params}))
-        for params_only in (False, True):
-            with pytest.raises(ValueError, match="^" + re.escape(f"{path} is not a contrail-checkpoint-v2 file")):
-                load_checkpoint(path, params_only=params_only)
+        # A v2 document: the same header and blocks as v3, buffers as scene columns.
+        v2 = tmp_path / "v2.json"
+        save_full(v2, tiny_model, dual_result)
+        v2.write_text(v2.read_text().replace("contrail-checkpoint-v3", "contrail-checkpoint-v2"))
+        for old in (path, v2):
+            for params_only in (False, True):
+                with pytest.raises(ValueError, match="^" + re.escape(f"{old} is not a contrail-checkpoint-v3 file")):
+                    load_checkpoint(old, params_only=params_only)
 
     def test_extreme_floats_round_trip_bit_exact(self, tiny_model, tmp_path):
         params = tiny_model.init_params()
@@ -281,49 +290,60 @@ def _set(name, key, edit):
     return fault
 
 
-def _mask_row_too_long(data):
-    data["completion"]["items"]["mask"][0].append(True)
-
-
 BUFFER_FAULTS = {
     "column one slot short": (
-        _column("completion", "speed", lambda a: a[:-1]),
-        "completion.speed has shape",
+        _column("completion", "speeds", lambda a: a[:-1]),
+        "completion.speeds has shape (3,), the header's geometry needs (4,)",
     ),
     "column off the geometry": (
-        _column("separation", "tv", lambda a: a[:, :-1]),
-        "separation.tv has shape",
+        _column("separation", "ends", lambda a: a[:, :1]),
+        "separation.ends has shape",
+    ),
+    "x off the input width": (
+        _column("separation", "x", lambda a: a[:, :-1]),
+        "separation.x has shape (4, 15), the header's geometry needs (4, 16)",
+    ),
+    "x one row short": (
+        _column("completion", "x", lambda a: a[:-1]),
+        "completion.x has shape (3, 16), the header's geometry needs (4, 16)",
+    ),
+    "logits one row short": (
+        _column("separation", "logits", lambda a: a[:-1]),
+        "separation.logits has shape (3, 4, 5), the header's geometry needs (4, 4, 5)",
     ),
     "logits off the grid": (
         _column("completion", "logits", lambda a: a[:, :, :-1]),
         "completion.logits has shape",
     ),
-    "mask row too long": (_mask_row_too_long, "completion.mask is not"),
-    "t_c not ints": (
-        _set("separation", "items", lambda items: {**items, "t_c": [float(t) for t in items["t_c"]]}),
-        "separation.t_c",
-    ),
-    "t_c not the last observed step": (
-        _set("separation", "items", lambda items: {**items, "t_c": [t - 1 for t in items["t_c"]]}),
-        "separation.t_c holds a step other than t_obs - 1",
-    ),
     "negative speed": (
-        _column("completion", "speed", lambda a: -a),
-        "completion.speed holds a negative speed",
+        _column("completion", "speeds", lambda a: -a),
+        "completion.speeds holds a negative speed",
+    ),
+    "non-finite x": (
+        _column("completion", "x", lambda a: np.where(a == a.flat[2], -np.inf, a)),
+        "completion.x holds non-finite values",
+    ),
+    "non-finite speed": (
+        _column("separation", "speeds", lambda a: np.where(a == a.flat[1], np.nan, a)),
+        "separation.speeds holds non-finite values",
     ),
     "non-finite logit": (
         _column("separation", "logits", lambda a: np.where(a == a.flat[3], np.inf, a)),
         "separation.logits holds non-finite values",
     ),
     "non-finite endpoint": (
-        _column("completion", "endpoint", lambda a: np.where(a == a.flat[0], np.nan, a)),
-        "completion.endpoint holds non-finite values",
+        _column("completion", "ends", lambda a: np.where(a == a.flat[0], np.nan, a)),
+        "completion.ends holds non-finite values",
+    ),
+    "column missing": (
+        _set("completion", "items", lambda items: {k: v for k, v in items.items() if k != "ends"}),
+        "lacks the key 'ends'",
     ),
     "scores one short": (_set("separation", "scores", lambda q: q[:-1]), "separation.scores"),
     "score non-finite": (_set("separation", "scores", lambda q: [float("nan")] + q[1:]), "separation.scores"),
     "more slots than capacity": (
         _set("completion", "capacity", lambda c: c - 1),
-        "more than its capacity",
+        "completion.x has shape (4, 16), the header's geometry needs (3, 16)",
     ),
     "score a string": (
         _set("separation", "scores", lambda q: [str(q[0])] + q[1:]),
@@ -347,7 +367,7 @@ BUFFER_FAULTS = {
     ),
     "stream_count below the stored slots": (
         _set("separation", "stream_count", lambda c: 2),
-        "separation holds 4 slots, not min(capacity, stream_count) = 2",
+        "separation.x has shape (4, 16), the header's geometry needs (2, 16)",
     ),
     "capacity a float": (
         _set("completion", "capacity", lambda c: 1500.5),
@@ -360,7 +380,7 @@ BUFFER_FAULTS = {
     # Past the stored slots: a header never sizes an allocation.
     "capacity 10**12": (
         _set("completion", "capacity", lambda c: 10**12),
-        "completion holds 4 slots, not min(capacity, stream_count) = 24",
+        "completion.x has shape (4, 16), the header's geometry needs (24, 16)",
     ),
     "b_compare a float": (
         _set("separation", "b_compare", lambda b: 2.5),

@@ -32,7 +32,7 @@ from contrail.learner import Strategy, TrainConfig
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets
 
-from conftest import make_scenes, same_scenes
+from conftest import make_scenes, same_rows
 
 
 def base_config(**overrides):
@@ -145,6 +145,45 @@ class TestParseConfig:
             parse_config(json.dumps({"grid": base_config()["grid"]}))
         with pytest.raises(ConfigError, match="must define 'grid'"):
             parse_config(json.dumps({"tasks": base_config()["tasks"]}))
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("hidden_dims",), "6464", 'hidden_dims is "6464": it must be a list of integers'),
+            (("hidden_dims",), [64.5, 64], "hidden_dims is [64.5, 64]: it must be a list of integers"),
+            (("grid", "origin"), "12", 'grid.origin is "12": it must be a list of numbers'),
+            (("tasks", 0, "speed_range"), "35", 'tasks[0].speed_range is "35": it must be a list of numbers'),
+            (("tasks", 1, "curvature_range"), [True, 0.1], "tasks[1].curvature_range is [true, 0.1]"),
+            (("tasks", 1, "turn_angle_range"), {"lo": 1}, "tasks[1].turn_angle_range is {"),
+            (("tasks", 0, "n_samples"), 10.9, "tasks[0].n_samples is 10.9: it must be an integer"),
+            (("tasks", 1, "seed"), "4", 'tasks[1].seed is "4": it must be an integer'),
+            (("tasks", 0, "t_obs"), 10.0, "tasks[0].t_obs is 10.0: it must be an integer"),
+            (("tasks", 0, "k_sv"), False, "tasks[0].k_sv is false: it must be an integer"),
+            (("seed",), 1.5, "seed is 1.5: it must be an integer"),
+            (("repetitions",), True, "repetitions is true: it must be an integer"),
+            (("w_endpoints",), 4.0, "w_endpoints is 4.0: it must be an integer"),
+            (("workers",), "2", 'workers is "2": it must be an integer'),
+            (("grid", "rows_h"), 8.5, "grid.rows_h is 8.5: it must be an integer"),
+            (("train", "batch_size"), 8.0, "train.batch_size is 8.0: it must be an integer"),
+            (("train", "buffer_total"), True, "train.buffer_total is true: it must be an integer"),
+            (("train", "replay_batch"), 2.5, "train.replay_batch is 2.5: it must be an integer"),
+            (("train", "lr"), "0.01", 'train.lr is "0.01": it must be a number'),
+            (("output_dir",), 5, "output_dir is 5: it must be a string"),
+        ],
+    )
+    def test_wrong_json_type_is_named(self, tmp_path, capsys, path, value, message):
+        """A value of the wrong JSON type is neither split nor truncated:
+        the run exits 1 naming the key and writes nothing."""
+        config = base_config(output_dir=str(tmp_path / "out"))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_bad_values_become_config_errors(self):
         with pytest.raises(ConfigError, match="invalid config value"):
@@ -281,7 +320,7 @@ class TestRunCell:
 
         seen = []
 
-        def capture(model, stream, table, strategy, train_cfg):
+        def capture(model, table, strategy, train_cfg):
             seen.append(train_cfg)
             raise Stop
 
@@ -293,9 +332,9 @@ class TestRunCell:
             grid=GridSpec(rows_h=4, cols_w=4, origin=(0.0, 0.0), cell_size=1.0),
             seed=3,
         )
-        trains, tables = cli._experiment_data(config)
+        tables = cli.encode_tasks(cli._model(config, seed=0), task_datasets(config.tasks))
         with pytest.raises(Stop):
-            run_cell(config, Strategy.VANILLA, 1, tmp_path / "cell", trains, tables)
+            run_cell(config, Strategy.VANILLA, 1, tmp_path / "cell", tables)
         assert seen == [dataclasses.replace(config.train, seed=_cell_seeds(3, 1)[2])]
 
 
@@ -350,7 +389,7 @@ class TestRunCommand:
         splits = [split for pair in task_datasets(load_config(cfg).tasks) for split in pair]
         assert [len(split) for split in splits] == [16, 4, 16, 4]
         assert len(featurised) == len(splits)
-        assert all(same_scenes(a, b) for a, b in zip(featurised, splits))
+        assert all(same_rows(a, b) for a, b in zip(featurised, splits))
         assert [id(s) for s in framed] == [id(s) for s in featurised]
 
     def test_full_run_artifacts_and_summary_math(self, tmp_path, capsys):
@@ -474,6 +513,71 @@ class TestReportCommand:
     def test_missing_run_dir_is_a_runtime_error(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path / "void")]) == 2
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda rows: rows.__setitem__(1, "1,1"), "matrix_fde.csv:2: 2 fields, not 3"),
+            (lambda rows: rows.__setitem__(1, "1.5,1,0.25"), "matrix_fde.csv:2: invalid literal for int()"),
+            (lambda rows: rows.__setitem__(1, "1,2,0.25"), "matrix_fde.csv:2: tested_task 2 must be in 1..after_task (1)"),
+            (lambda rows: rows.__setitem__(1, "0,1,0.25"), "matrix_fde.csv:2: after_task 0 out of range 1..2"),
+            (lambda rows: rows.append("2,2,0.25"), "matrix_fde.csv:5: R[2, 2] is repeated"),
+            (lambda rows: rows.__setitem__(1, "1,1,nan"), "matrix_fde.csv:2: value nan is not finite"),
+            (lambda rows: rows.__setitem__(3, "2,2,-inf"), "matrix_fde.csv:4: value -inf is not finite"),
+        ],
+        ids=["two fields", "float index", "tested after the task", "after_task 0", "repeated entry", "nan", "-inf"],
+    )
+    def test_malformed_matrix_is_named_by_line(self, tmp_path, capsys, edit, message):
+        out = self._run(tmp_path)
+        matrix = out / "runs" / "vanilla" / "rep_00" / "matrix_fde.csv"
+        rows = matrix.read_text().splitlines()
+        edit(rows)
+        matrix.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{matrix.parent}/{message}" in captured.err
+
+    @pytest.mark.parametrize("name,is_dir", [("notes.txt", False), ("rep_x", True), ("rep_1", True)])
+    def test_stray_entry_in_a_strategy_dir_is_named(self, tmp_path, capsys, name, is_dir):
+        out = self._run(tmp_path)
+        stray = out / "runs" / "vanilla" / name
+        stray.mkdir() if is_dir else stray.write_text("x")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        assert f"{stray} is not a rep_NN cell directory" in capsys.readouterr().err
+
+    def test_cell_interrupted_while_saving_is_refused(self, tmp_path, capsys, monkeypatch):
+        """A run killed inside the second cell's checkpoint save leaves
+        that cell without its matrices, and ``report`` names the one it
+        misses instead of summarising the cells that did finish."""
+        saves = []
+
+        def save_then_die(path, *args, **kwargs):
+            saves.append(path)
+            if len(saves) == 2:
+                raise KeyboardInterrupt("killed")
+            save_checkpoint(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_then_die)
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            strategies=["vanilla", "dual"],
+            repetitions=1,
+            tasks=[{"kind": "straight", "n_samples": 20}, {"kind": "turn", "n_samples": 20}],
+        )
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(cfg), "--output", str(out)])
+        cell = out / "runs" / "dual" / "rep_00"
+        assert saves[1] == cell / "checkpoint.json"
+        assert list(cell.iterdir()) == []
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(cell / "matrix_fde.csv") in captured.err
+
 
 class TestEvalCommand:
     def test_checkpoint_against_generated_csv(self, tmp_path, capsys):
@@ -533,7 +637,7 @@ class TestEvalCommand:
         assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
         checkpoint = out / "runs" / "dual" / "rep_00" / "checkpoint.json"
-        assert json.loads(checkpoint.read_text())["separation"]["items"]["t_c"]
+        assert json.loads(checkpoint.read_text())["separation"]["stream_count"]
 
         def refuse(*args, **kwargs):
             raise AssertionError("eval built optimizer or buffer state")

@@ -12,6 +12,7 @@ import pytest
 from contrail.core import (
     GridSpec,
     ResultMatrix,
+    SampleTable,
     Scenes,
     atomic_write,
     endpoint_cells,
@@ -22,7 +23,7 @@ from contrail.core import (
     task_label_reads,
 )
 
-from conftest import make_scenes, same_scenes
+from conftest import make_scenes, make_table, same_rows
 
 
 def scenes_of(tv, svs=None, mask=None, ends=None, speeds=None, labels=None) -> Scenes:
@@ -173,8 +174,8 @@ class TestSceneHash:
     def test_hash_survives_pickle(self):
         scenes = make_scenes(np.random.default_rng(6), 3, labels=[1, 2, 2])
         copy = pickle.loads(pickle.dumps(scenes))
-        assert same_scenes(copy, scenes)
-        assert task_boundaries(copy) == [(1, 1), (2, 3)]
+        assert same_rows(copy, scenes)
+        assert copy.labels.tolist() == [1, 2, 2]
 
     def test_scene_stays_frozen(self):
         scenes = make_scenes(np.random.default_rng(7))
@@ -188,11 +189,22 @@ class TestTable:
         a, b = make_scenes(rng, 3, labels=1), make_scenes(rng, 2, labels=2)
         both = Scenes.concat([a, b])
         assert len(both) == 5
-        assert task_boundaries(both) == [(1, 3), (2, 5)]
-        assert same_scenes(both.take(np.arange(3)), a)
+        assert both.labels.tolist() == [1, 1, 1, 2, 2]
+        assert same_rows(both.take(np.arange(3)), a)
         picked = both.take(np.array([4, 0]))
         assert np.array_equal(picked.tv, np.stack([b.tv[1], a.tv[0]]))
         assert np.array_equal(picked.mask, np.stack([b.mask[1], a.mask[0]]))
+
+    def test_sample_tables_select_rows_with_their_labels(self):
+        rng = np.random.default_rng(9)
+        a, b = make_table(rng, 3, labels=1), make_table(rng, 2, labels=2)
+        both = SampleTable.concat([a, b])
+        assert len(both) == 5
+        assert task_boundaries(both) == [(1, 3), (2, 5)]
+        assert same_rows(both.take(np.arange(3)), a)
+        picked = both.take(np.array([4, 0]))
+        assert np.array_equal(picked.x, np.stack([b.x[1], a.x[0]]))
+        assert [picked.task_label(0), picked.task_label(1)] == [2, 1]
 
 
 class TestHeatmap:
@@ -208,21 +220,21 @@ class TestHeatmap:
 
 class TestTaskLabelAudit:
     def test_reads_are_counted(self):
-        scenes = make_scenes(np.random.default_rng(6), labels=3)
+        table = make_table(np.random.default_rng(6), labels=3)
         before = task_label_reads()
-        assert scenes.task_label(0) == 3
-        _ = scenes.task_label(0)
+        assert table.task_label(0) == 3
+        _ = table.task_label(0)
         assert task_label_reads() - before == 2
 
     def test_boundaries_do_not_touch_the_audited_accessor(self):
-        stream = make_scenes(np.random.default_rng(7), 6, labels=[1, 1, 2, 2, 2, 3])
+        stream = make_table(np.random.default_rng(7), 6, labels=[1, 1, 2, 2, 2, 3])
         before = task_label_reads()
         bounds = task_boundaries(stream)
         assert task_label_reads() == before
         assert bounds == [(1, 2), (2, 5), (3, 6)]
 
     def test_non_monotone_labels_rejected(self):
-        stream = make_scenes(np.random.default_rng(8), 3, labels=[1, 2, 1])
+        stream = make_table(np.random.default_rng(8), 3, labels=[1, 2, 1])
         with pytest.raises(ValueError, match="non-decreasing"):
             task_boundaries(stream)
 

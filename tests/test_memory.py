@@ -21,10 +21,10 @@ from conftest import (
     RefCompletionBuffer,
     RefSeparationBuffer,
     cosine_rows,
-    make_scenes,
+    make_table,
     ref_draw_minibatch,
     ref_replay_targets,
-    same_scenes,
+    same_rows,
 )
 
 
@@ -40,23 +40,23 @@ class TestCompletionBuffer:
 
     def test_contents_are_built_from_the_samples_themselves(self, tiny_grid):
         rng = np.random.default_rng(101)
-        source = make_scenes(rng, 3, grid=tiny_grid)
+        source = make_table(rng, 3, grid=tiny_grid)
         logits = rng.normal(size=(3, tiny_grid.n_cells))
         buf = CompletionBuffer(capacity=2, source=source, n_cells=tiny_grid.n_cells)
         buf.observe(2, rng, logits[2])
         buf.observe(0, rng, logits[0])
-        scenes, stored = buf.contents()
-        assert same_scenes(scenes, source.take(np.array([2, 0])))
+        rows, stored = buf.contents()
+        assert same_rows(rows, source.take(np.array([2, 0])))
         assert np.array_equal(stored, logits[[2, 0]])
 
     def test_contents_returns_a_copy(self, tiny_grid):
         rng = np.random.default_rng(101)
-        buf = CompletionBuffer(capacity=2, source=make_scenes(rng, grid=tiny_grid), n_cells=tiny_grid.n_cells)
+        buf = CompletionBuffer(capacity=2, source=make_table(rng, grid=tiny_grid), n_cells=tiny_grid.n_cells)
         buf.observe(0, rng, rng.normal(size=tiny_grid.n_cells))
-        scenes, stored = buf.contents()
-        scenes.tv[:] = 0.0
+        rows, stored = buf.contents()
+        rows.x[:] = 0.0
         stored[:] = 0.0
-        assert buf.source.tv.any() and buf.logits[0].any()
+        assert buf.source.x.any() and buf.logits[0].any()
 
     def test_never_exceeds_capacity(self):
         rng = np.random.default_rng(102)
@@ -311,7 +311,7 @@ class TestAgainstListReference:
     def test_random_operations_match(self, seed):
         ops = np.random.default_rng([150, seed])
         n_rows = 60
-        source = make_scenes(np.random.default_rng(seed), n_rows)
+        source = make_table(np.random.default_rng(seed), n_rows)
         capacity = int(ops.integers(1, 8))
         b_compare = int(ops.integers(1, 4))
         comp = CompletionBuffer(capacity=capacity, source=source, n_cells=self.N_CELLS)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from contrail import scenarios
-from contrail.core import Scenes, local_endpoints, scene_frames, task_boundaries
+from contrail.core import Scenes, local_endpoints, scene_frames
 from contrail.scenarios import (
     CSV_HEADER,
     TaskSpec,
@@ -27,7 +27,7 @@ from contrail.scenarios import (
     write_task_csv,
 )
 
-from conftest import same_scenes
+from conftest import same_rows
 
 
 def local_endpoints_of(scenes: Scenes) -> np.ndarray:
@@ -103,7 +103,7 @@ class TestTurn:
 class TestGeneration:
     def test_same_seed_same_samples(self):
         spec = TaskSpec("arc", 5, seed=11, noise_sigma=0.15)
-        assert same_scenes(generate_task(spec), generate_task(spec))
+        assert same_rows(generate_task(spec), generate_task(spec))
 
     def test_different_seeds_differ(self):
         a = generate_task(TaskSpec("arc", 5, seed=11, noise_sigma=0.15))
@@ -127,7 +127,7 @@ class TestGeneration:
         for column in (scenes.tv, scenes.svs, scenes.ends, scenes.speeds):
             h.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
-        assert scenes.mask.all() and task_boundaries(scenes) == [(1, 5)]
+        assert scenes.mask.all() and scenes.labels.tolist() == [1] * 5
 
     def test_noise_moves_positions_but_not_speeds(self):
         spec = TaskSpec(
@@ -198,7 +198,7 @@ class TestSplitsAndStream:
         assert [len(te) for _, te in datasets] == [2, 2]
         full = generate_task(TaskSpec("straight", 10, seed=1, noise_sigma=0.15), label=1)
         train, test = datasets[0]
-        assert same_scenes(Scenes.concat([train, test]), full)
+        assert same_rows(Scenes.concat([train, test]), full)
 
     def test_holdout_ignores_stream_seed(self):
         datasets = self._datasets()
@@ -213,7 +213,7 @@ class TestSplitsAndStream:
         datasets = self._datasets()
         stream = self._stream(datasets, 0)
         order = build_stream([train for train, _ in datasets], 0)
-        assert same_scenes(stream.take(np.argsort(order)), Scenes.concat([tr for tr, _ in datasets]))
+        assert same_rows(stream.take(np.argsort(order)), Scenes.concat([tr for tr, _ in datasets]))
 
     def test_stream_is_a_row_order_over_the_train_halves(self):
         datasets = self._datasets()
@@ -226,7 +226,7 @@ class TestSplitsAndStream:
     def test_stream_keeps_task_order_and_labels(self):
         stream = self._stream(self._datasets(), 0)
         assert len(stream) == 16
-        assert task_boundaries(stream) == [(1, 8), (2, 16)]
+        assert stream.labels.tolist() == [1] * 8 + [2] * 8
 
     def test_shuffle_permutes_within_a_task(self):
         datasets = self._datasets()
@@ -234,7 +234,7 @@ class TestSplitsAndStream:
         shuffled = self._stream(datasets, 0)
         assert sorted(shuffled.ends[:8].tolist()) == sorted(ordered.ends[:8].tolist())
         assert not np.array_equal(shuffled.ends, ordered.ends)
-        assert same_scenes(self._stream(datasets, 0), shuffled)
+        assert same_rows(self._stream(datasets, 0), shuffled)
 
     def test_stream_seed_changes_the_order(self):
         datasets = self._datasets()
@@ -258,13 +258,13 @@ class TestCsvRoundTrip:
         spec = TaskSpec("arc", 3, seed=31, noise_sigma=0.15, k_sv=2)
         path = tmp_path / "task.csv"
         written = write_task_csv(spec, label=7, path=path)
-        assert same_scenes(written, generate_task(spec, label=7))
+        assert same_rows(written, generate_task(spec, label=7))
         ingested = ingest_csv(path, t_obs=10, t_pred=30, k_sv=2)
         assert len(ingested) == len(written) == 3
         for name in ("tv", "svs", "mask", "ends"):
             assert np.array_equal(getattr(ingested, name), getattr(written, name))
         assert ingested.speeds == pytest.approx(written.speeds, rel=1e-12)
-        assert task_boundaries(ingested) == [(7, 3)]
+        assert ingested.labels.tolist() == [7] * 3
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = TaskSpec("turn", 3, seed=32, noise_sigma=0.15)
         a = tmp_path / "a.csv"
@@ -304,7 +304,7 @@ class TestIngestion:
         assert samples.tv[1, :, 0].tolist() == [1.0, 2.0, 3.0]
         assert samples.ends[1].tolist() == [5.0, 0.0]
         assert samples.mask[1].tolist() == [False, False]
-        assert task_boundaries(samples) == [(3, 2)]
+        assert samples.labels.tolist() == [3, 3]
 
     def test_short_tracks_yield_nothing(self, tmp_path):
         rows = [["car", f, float(f), 0.0, 1.0, 0.0, "tv", 1] for f in range(4)]
@@ -461,7 +461,7 @@ class TestNeighborLookupMatchesQuadraticScan:
         path = tmp_path / "table.csv"
         path.write_text(csv_text(rows))
         got = ingest_csv(path, **kw)
-        assert same_scenes(got, quadratic_ingest(path, **kw))
+        assert same_rows(got, quadratic_ingest(path, **kw))
         assert len(got)
         return got
 
@@ -523,7 +523,7 @@ class TestNeighborLookupMatchesQuadraticScan:
         rng.shuffle(rows)
         path = tmp_path / "random.csv"
         path.write_text(csv_text(rows))
-        assert same_scenes(ingest_csv(path, t_obs=3, t_pred=2, k_sv=3), quadratic_ingest(path, t_obs=3, t_pred=2, k_sv=3))
+        assert same_rows(ingest_csv(path, t_obs=3, t_pred=2, k_sv=3), quadratic_ingest(path, t_obs=3, t_pred=2, k_sv=3))
 
 
 class TestIngestionWorkIsLinear:
