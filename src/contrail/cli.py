@@ -30,7 +30,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .core import GridSpec, ResultMatrix, SampleTable, Scenes, atomic_write
-from .learner import Strategy, TrainConfig, check_buffer_split, train_stream
+from .learner import Strategy, TrainConfig, TrainResult, check_buffer_split, train_stream
 from .losses import LossSpec
 from .metrics import (
     EvalReport,
@@ -51,7 +51,7 @@ from .scenarios import (
     write_task_csv,
 )
 
-__all__ = ["ExperimentConfig", "encode_tasks", "main", "run_experiment"]
+__all__ = ["ExperimentConfig", "encode_tasks", "main", "run_experiment", "score_cell"]
 
 
 class ConfigError(ValueError):
@@ -106,7 +106,9 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
 
-def _take(data: dict, allowed: dict[str, object], where: str) -> dict:
+def _take(data: object, allowed: dict[str, object], where: str) -> dict:
+    if type(data) is not dict:
+        raise ConfigError(f"{where} is {json.dumps(data)}: it must be a JSON object")
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -157,8 +159,6 @@ def parse_config(text: str) -> ExperimentConfig:
         data = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
 
     top = _take(
         data,
@@ -195,7 +195,7 @@ def parse_config(text: str) -> ExperimentConfig:
         )
 
         tasks = []
-        for i, t in enumerate(top["tasks"]):
+        for i, t in enumerate(_typed(top, "tasks", "", (list,), "a list of task objects")):
             t = _take(
                 t,
                 {
@@ -337,17 +337,43 @@ def _model(config: ExperimentConfig, seed: int) -> HeatmapPredictor:
     )
 
 
+def score_cell(
+    model: HeatmapPredictor,
+    result: TrainResult,
+    tests: Sequence[SampleTable],
+    strategy: Strategy,
+    rep: int,
+    w: int,
+) -> EvalReport:
+    """The report of one trained cell: each task-boundary checkpoint of
+    ``result`` is scored on its task and every earlier one of ``tests``.
+    When no checkpoint closes the last task (``joint``), the final
+    parameters are scored as the last row."""
+    n = len(tests)
+    fde_m = ResultMatrix(n)
+    mr_m = ResultMatrix(n)
+    evaluated = list(result.checkpoints)
+    if not evaluated or evaluated[-1][0] != n:
+        evaluated.append((n, result.final_params))
+    for label, params in evaluated:
+        for j in range(1, label + 1):
+            fde_j, mr_j = evaluate_task(model, params, tests[j - 1], w)
+            fde_m.set(label, j, fde_j)
+            mr_m.set(label, j, mr_j)
+    return report_from_matrices(strategy.value, rep, fde_m, mr_m)
+
+
 def run_cell(
     config: ExperimentConfig,
     strategy: Strategy,
     rep: int,
     out_dir: Path,
     tables: Sequence[tuple[SampleTable, SampleTable]],
-) -> dict:
-    """Train and evaluate one (strategy, repetition) cell on the
+) -> EvalReport:
+    """Train and score one (strategy, repetition) cell on the
     ``encode_tasks`` rows of the experiment's ``task_datasets``; write
-    its artifacts and return the headline numbers.  The cell only
-    reorders the training rows.
+    its artifacts and return its report.  The cell only reorders the
+    training rows.
 
     The matrix CSVs, the only files ``report`` reads, are written last,
     so a cell interrupted while writing lacks one of them."""
@@ -362,20 +388,7 @@ def run_cell(
         strategy,
         replace(config.train, seed=train_seed),
     )
-
-    n = len(config.tasks)
-    fde_m = ResultMatrix(n)
-    mr_m = ResultMatrix(n)
-    evaluated = list(result.checkpoints)
-    if not evaluated or evaluated[-1][0] != n:
-        evaluated.append((n, result.final_params))
-    for label, params in evaluated:
-        for j in range(1, label + 1):
-            fde_j, mr_j = evaluate_task(model, params, tables[j - 1][1], config.w_endpoints)
-            fde_m.set(label, j, fde_j)
-            mr_m.set(label, j, mr_j)
-
-    report = report_from_matrices(strategy.value, rep, fde_m, mr_m)
+    report = score_cell(model, result, [rows for _, rows in tables], strategy, rep, config.w_endpoints)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
@@ -388,18 +401,9 @@ def run_cell(
     )
     with atomic_write(out_dir / "report.json") as fh:
         fh.write(report.to_json())
-    write_matrix_csv(fde_m, out_dir / "matrix_fde.csv")
-    write_matrix_csv(mr_m, out_dir / "matrix_mr.csv")
-    return _headline(report)
-
-
-def _headline(report: EvalReport) -> dict:
-    """A cell's headline numbers; ``report.seed`` is the repetition."""
-    return {
-        "strategy": report.strategy,
-        "rep": report.seed,
-        **{m: getattr(report, m) for m in ("fde_avg", "mr_avg", "fde_bwt", "mr_bwt")},
-    }
+    write_matrix_csv(report.fde_matrix, out_dir / "matrix_fde.csv")
+    write_matrix_csv(report.mr_matrix, out_dir / "matrix_mr.csv")
+    return report
 
 
 # The table rows of the experiment a pool worker serves: set once per
@@ -412,7 +416,7 @@ def _init_worker(tables: Sequence[tuple[SampleTable, SampleTable]]) -> None:
     _worker_tables = tables
 
 
-def _run_cell_in_worker(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Path) -> dict:
+def _run_cell_in_worker(config: ExperimentConfig, strategy: Strategy, rep: int, out_dir: Path) -> EvalReport:
     return run_cell(config, strategy, rep, out_dir, _worker_tables)
 
 
@@ -425,19 +429,19 @@ def _mean_std(values: list[float | None]) -> dict | None:
     return {"mean": mean, "std": std, "values": vals}
 
 
-def summarize(cell_results: list[dict]) -> dict:
-    """Fold per-cell headline numbers into per-strategy mean +- std."""
-    by_strategy: dict[str, list[dict]] = {}
-    for res in cell_results:
-        by_strategy.setdefault(res["strategy"], []).append(res)
-    summary = {}
-    for strategy, cells in by_strategy.items():
-        cells = sorted(cells, key=lambda c: c["rep"])
-        summary[strategy] = {
-            metric: _mean_std([c[metric] for c in cells])
-            for metric in ("fde_avg", "fde_bwt", "mr_avg", "mr_bwt")
-        }
-    return summary
+_METRICS = ("fde_avg", "fde_bwt", "mr_avg", "mr_bwt")  # summary columns, in table order
+
+
+def summarize(reports: Sequence[EvalReport]) -> dict:
+    """Fold cell reports into per-strategy mean +- std, each strategy's
+    values in repetition (``report.seed``) order."""
+    by_strategy: dict[str, list[EvalReport]] = {}
+    for report in sorted(reports, key=lambda r: r.seed):
+        by_strategy.setdefault(report.strategy, []).append(report)
+    return {
+        strategy: {metric: _mean_std([getattr(c, metric) for c in cells]) for metric in _METRICS}
+        for strategy, cells in by_strategy.items()
+    }
 
 
 def format_summary(summary: dict, strategy_order: Sequence[str]) -> str:
@@ -448,7 +452,7 @@ def format_summary(summary: dict, strategy_order: Sequence[str]) -> str:
         if stats is None:
             continue
         row = [name]
-        for metric in ("fde_avg", "fde_bwt", "mr_avg", "mr_bwt"):
+        for metric in _METRICS:
             s = stats[metric]
             row.append("N/A" if s is None else f"{s['mean']:.3f} +- {s['std']:.3f}")
         rows.append(row)
@@ -463,7 +467,7 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
     The tasks are generated and encoded into table rows once and
     shared by every cell; each pool worker receives them once, when it
     starts.  Cells are otherwise independent; with ``workers > 1`` they
-    run in a process pool.
+    run in a process pool of at most one process per cell.
     Identical configs produce identical artifacts apart from the
     manifest's wall-clock entry.
     """
@@ -471,32 +475,27 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
     out_root = Path(out_root if out_root is not None else config.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    jobs = [
-        (strategy, rep)
+    cells = {
+        (strategy, rep): out_root / "runs" / strategy.value / f"rep_{rep:02d}"
         for strategy in config.strategies
         for rep in range(config.repetitions)
-    ]
-    cell_dirs = {
-        (strategy, rep): out_root / "runs" / strategy.value / f"rep_{rep:02d}"
-        for strategy, rep in jobs
     }
 
     # The samples are dropped once encoded: cells train and score rows.
     tables = encode_tasks(_model(config, seed=0), task_datasets(config.tasks))
-    if config.workers > 1:
+    workers = min(config.workers, len(cells))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=(tables,)
+            max_workers=workers, initializer=_init_worker, initargs=(tables,)
         ) as pool:
             futures = [
-                pool.submit(_run_cell_in_worker, config, s, r, cell_dirs[(s, r)])
-                for s, r in jobs
+                pool.submit(_run_cell_in_worker, config, s, r, out_dir) for (s, r), out_dir in cells.items()
             ]
-            results = [f.result() for f in futures]
+            reports = [f.result() for f in futures]
     else:
-        results = [run_cell(config, s, r, cell_dirs[(s, r)], tables) for s, r in jobs]
+        reports = [run_cell(config, s, r, out_dir, tables) for (s, r), out_dir in cells.items()]
 
-    results.sort(key=lambda r: (r["strategy"], r["rep"]))
-    summary = summarize(results)
+    summary = summarize(reports)
     order = [s.value for s in config.strategies]
     with atomic_write(out_root / "summary.json") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=True))
@@ -517,8 +516,7 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
             for t in config.tasks
         ],
         "cells": {
-            f"{s.value}/rep_{r:02d}": str(cell_dirs[(s, r)].relative_to(out_root))
-            for s, r in jobs
+            f"{s.value}/rep_{r:02d}": str(out_dir.relative_to(out_root)) for (s, r), out_dir in cells.items()
         },
         "wall_clock_seconds": time.time() - started,
     }
@@ -535,7 +533,7 @@ def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
         raise FileNotFoundError(f"no runs directory under {out_root}")
-    results = []
+    reports = []
     order = []
     for strat_dir in sorted(runs_dir.iterdir()):
         if not strat_dir.is_dir():
@@ -547,8 +545,8 @@ def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
             fde_m = read_matrix_csv(rep_dir / "matrix_fde.csv")
             mr_m = read_matrix_csv(rep_dir / "matrix_mr.csv")
             rep = int(rep_dir.name[4:])
-            results.append(_headline(report_from_matrices(strat_dir.name, rep, fde_m, mr_m)))
-    return summarize(results), order
+            reports.append(report_from_matrices(strat_dir.name, rep, fde_m, mr_m))
+    return summarize(reports), order
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,6 @@ def train_stream(
     table: SampleTable,
     strategy: Strategy,
     cfg: TrainConfig,
-    init_params: np.ndarray | None = None,
 ) -> TrainResult:
     """Train over the stream once and return params, checkpoints, and
     final buffer contents.
@@ -314,7 +313,7 @@ def train_stream(
         _AgemMemory(cfg.buffer_total, rng_agem, table) if strategy is Strategy.AGEM else None
     )
 
-    params = model.init_params() if init_params is None else init_params.copy()
+    params = model.init_params()
     adam = AdamState.zeros(model.param_count)
     checkpoints: list[tuple[int, np.ndarray]] = []
     agem_dots: list[float] = []

@@ -250,16 +250,18 @@ def build_stream(trains: Sequence[Sized], seed: int) -> np.ndarray:
 def write_task_csv(spec: TaskSpec, label: int, path: Path) -> Scenes:
     """Write one task as a track table and return its samples.
 
-    Episodes get disjoint frame ranges so re-ingestion recovers exactly
-    one sample per episode with the same neighbor assignment.
+    Episodes start ``max(100, t_obs + t_pred)`` frames apart, so their
+    frame ranges are disjoint and re-ingestion recovers exactly one
+    sample per episode with the same neighbor assignment.
     """
     scenes, tracks = _generate(spec, label)
+    stride = max(100, spec.t_obs + spec.t_pred)
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         # Python floats, whose repr is the shortest round-tripping form.
         for idx, (tv_track, sv_tracks) in enumerate(zip(tracks.tolist(), scenes.svs.tolist())):
-            base = idx * 100
+            base = idx * stride
             tv_id = f"e{idx:05d}_tv"
             for f, (x, y, vx, vy) in enumerate(tv_track):
                 writer.writerow([tv_id, base + f, repr(x), repr(y), repr(vx), repr(vy), "tv", label])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -27,8 +28,9 @@ from contrail.cli import (
     run_experiment,
     summarize,
 )
-from contrail.core import GridSpec
+from contrail.core import GridSpec, ResultMatrix, SampleTable
 from contrail.learner import Strategy, TrainConfig
+from contrail.metrics import report_from_matrices
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets
 
@@ -169,6 +171,16 @@ class TestParseConfig:
             (("train", "replay_batch"), 2.5, "train.replay_batch is 2.5: it must be an integer"),
             (("train", "lr"), "0.01", 'train.lr is "0.01": it must be a number'),
             (("output_dir",), 5, "output_dir is 5: it must be a string"),
+            (("tasks",), "ab", 'tasks is "ab": it must be a list of task objects'),
+            (
+                ("tasks",),
+                {"kind": "straight", "n_samples": 40},
+                'tasks is {"kind": "straight", "n_samples": 40}: it must be a list of task objects',
+            ),
+            (("tasks",), [5], "tasks[0] is 5: it must be a JSON object"),
+            (("train",), [1], "train is [1]: it must be a JSON object"),
+            (("train",), None, "train is null: it must be a JSON object"),
+            (("grid",), "x", 'grid is "x": it must be a JSON object'),
         ],
     )
     def test_wrong_json_type_is_named(self, tmp_path, capsys, path, value, message):
@@ -220,17 +232,27 @@ class TestCellSeeds:
         assert len(set(a)) == 3
 
 
+def cell_report(strategy, rep, fde, mr, rows=(2,)):
+    """The report of a two-task cell whose matrices hold ``fde`` and
+    ``mr`` in every entry of the rows ``rows``; the default, the last
+    row alone, is how ``joint`` is scored."""
+    fde_m, mr_m = ResultMatrix(2), ResultMatrix(2)
+    for i in rows:
+        for j in range(1, i + 1):
+            fde_m.set(i, j, fde)
+            mr_m.set(i, j, mr)
+    return report_from_matrices(strategy, rep, fde_m, mr_m)
+
+
 class TestSummaries:
     def test_mean_std_and_missing_bwt(self):
-        cells = [
-            {"strategy": "joint", "rep": 0, "fde_avg": 1.0, "mr_avg": 2.0, "fde_bwt": None, "mr_bwt": None},
-            {"strategy": "joint", "rep": 1, "fde_avg": 3.0, "mr_avg": 4.0, "fde_bwt": None, "mr_bwt": None},
-        ]
-        summary = summarize(cells)
+        # Out of repetition order: the values come back in it.
+        summary = summarize([cell_report("joint", 1, 3.0, 4.0), cell_report("joint", 0, 1.0, 2.0)])
         stats = summary["joint"]["fde_avg"]
         assert stats["mean"] == pytest.approx(2.0)
         assert stats["std"] == pytest.approx(math.sqrt(2.0))
         assert stats["values"] == [1.0, 3.0]
+        assert summary["joint"]["mr_avg"]["values"] == [2.0, 4.0]
         assert summary["joint"]["fde_bwt"] is None
 
         text = format_summary(summary, ["joint"])
@@ -238,11 +260,9 @@ class TestSummaries:
         assert "2.000 +- 1.414" in text
 
     def test_single_value_has_zero_std(self):
-        cells = [
-            {"strategy": "vanilla", "rep": 0, "fde_avg": 5.0, "mr_avg": 1.0, "fde_bwt": 0.5, "mr_bwt": 2.0}
-        ]
-        summary = summarize(cells)
+        summary = summarize([cell_report("vanilla", 0, 5.0, 1.0, rows=(1, 2))])
         assert summary["vanilla"]["fde_avg"]["std"] == 0.0
+        assert summary["vanilla"]["fde_bwt"] == {"mean": 0.0, "std": 0.0, "values": [0.0]}
 
 
 class TestEvaluateTask:
@@ -338,7 +358,58 @@ class TestRunCell:
         assert seen == [dataclasses.replace(config.train, seed=_cell_seeds(3, 1)[2])]
 
 
+class TestScoreCell:
+    @pytest.mark.parametrize("strategy,rows", [(Strategy.VANILLA, (1, 2, 3)), (Strategy.JOINT, (3,))])
+    def test_each_checkpoint_is_scored_on_its_task_and_every_earlier_one(self, monkeypatch, strategy, rows):
+        config = ExperimentConfig(
+            tasks=tuple(
+                TaskSpec(kind, 10, seed=i, noise_sigma=0.15, k_sv=0)
+                for i, kind in enumerate(("straight", "arc", "turn"), start=1)
+            ),
+            strategies=(strategy,),
+            train=TrainConfig(buffer_total=8),
+            grid=GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0),
+            hidden_dims=(8,),
+        )
+        model = cli._model(config, seed=0)
+        tables = cli.encode_tasks(model, task_datasets(config.tasks))
+        result = cli.train_stream(model, SampleTable.concat([train for train, _ in tables]), strategy, config.train)
+        tests = [test for _, test in tables]
+        scored = []
+        evaluate = cli.evaluate_task
+
+        def counting(model, params, table, w):
+            scored.append(table)
+            return evaluate(model, params, table, w)
+
+        monkeypatch.setattr(cli, "evaluate_task", counting)
+        report = cli.score_cell(model, result, tests, strategy, 4, 2)
+        # Checkpointed strategies fill the lower triangle; joint has no
+        # checkpoint and fills only the last row.  One pass per entry.
+        cells = [(i, j) for i in rows for j in range(1, i + 1)]
+        assert [(i, j) for i, j, _ in report.fde_matrix.entries()] == cells
+        assert [(i, j) for i, j, _ in report.mr_matrix.entries()] == cells
+        assert [id(table) for table in scored] == [id(tests[j - 1]) for _, j in cells]
+        assert (report.strategy, report.seed) == (strategy.value, 4)
+
+
 class TestRunCommand:
+    @pytest.mark.parametrize("strategies,sizes", [(["vanilla", "dual"], [2]), (["vanilla"], [])])
+    def test_pool_is_no_larger_than_the_cell_count(self, tmp_path, monkeypatch, strategies, sizes):
+        seen = []
+
+        def one_thread(max_workers, **kwargs):  # records the size, starts no process
+            seen.append(max_workers)
+            return concurrent.futures.ThreadPoolExecutor(1, **kwargs)
+
+        monkeypatch.setattr(cli, "_worker_tables", ())
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", one_thread)
+        config = parse_config(json.dumps(base_config(strategies=strategies, repetitions=1, workers=64)))
+        run_experiment(config, tmp_path)
+        # One cell runs in this process; two take a pool of two.
+        assert seen == sizes
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == sorted(strategies)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tasks_are_generated_once_per_run(self, tmp_path, monkeypatch, workers):
         labels = []

@@ -449,18 +449,6 @@ class TestTrainStream:
         )
         assert all(d >= -1e-9 for d in result.agem_dots)
 
-    def test_explicit_init_params_are_respected_and_unchanged(self, tiny_model):
-        grid = tiny_model.config.grid
-        stream = self._stream(332, grid)
-        table = tiny_model.encode(stream)
-        init = np.zeros(tiny_model.param_count)
-        before = init.copy()
-        result = train_stream(
-            tiny_model, table, Strategy.VANILLA, TrainConfig(), init_params=init
-        )
-        assert np.array_equal(init, before)
-        assert not np.array_equal(result.final_params, init)
-
 
 def _dense_offer_batch(late_admissions):
     """Reference for ``learner._offer_batch``: scores every offer from

@@ -254,17 +254,26 @@ class TestFamilySeparation:
 
 
 class TestCsvRoundTrip:
-    def test_written_task_reingests_exactly(self, tmp_path):
-        spec = TaskSpec("arc", 3, seed=31, noise_sigma=0.15, k_sv=2)
+    @staticmethod
+    def assert_round_trip(tmp_path, spec):
         path = tmp_path / "task.csv"
         written = write_task_csv(spec, label=7, path=path)
         assert same_rows(written, generate_task(spec, label=7))
-        ingested = ingest_csv(path, t_obs=10, t_pred=30, k_sv=2)
-        assert len(ingested) == len(written) == 3
+        ingested = ingest_csv(path, t_obs=spec.t_obs, t_pred=spec.t_pred, k_sv=spec.k_sv)
+        assert len(ingested) == len(written) == spec.n_samples
         for name in ("tv", "svs", "mask", "ends"):
             assert np.array_equal(getattr(ingested, name), getattr(written, name))
         assert ingested.speeds == pytest.approx(written.speeds, rel=1e-12)
-        assert ingested.labels.tolist() == [7] * 3
+        assert ingested.labels.tolist() == [7] * spec.n_samples
+
+    def test_written_task_reingests_exactly(self, tmp_path):
+        self.assert_round_trip(tmp_path, TaskSpec("arc", 3, seed=31, noise_sigma=0.15, k_sv=2))
+
+    def test_long_horizon_task_reingests_exactly(self, tmp_path):
+        # A 110-frame window: episodes 100 frames apart would leave each
+        # target track alive in the next episode's observation window.
+        self.assert_round_trip(tmp_path, TaskSpec("arc", 50, seed=3, noise_sigma=0.15, k_sv=1, t_pred=100))
+
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = TaskSpec("turn", 3, seed=32, noise_sigma=0.15)
         a = tmp_path / "a.csv"
