@@ -467,22 +467,28 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
     The tasks are generated and encoded into table rows once and
     shared by every cell; each pool worker receives them once, when it
     starts.  Cells are otherwise independent; with ``workers > 1`` they
-    run in a process pool of at most one process per cell.
+    run in a process pool of at most one process per cell.  A task
+    whose drawn tracks are not finite is a ConfigError, raised before
+    ``out_root`` is created.
     Identical configs produce identical artifacts apart from the
     manifest's wall-clock entry.
     """
     started = time.time()
     out_root = Path(out_root if out_root is not None else config.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-
     cells = {
         (strategy, rep): out_root / "runs" / strategy.value / f"rep_{rep:02d}"
         for strategy in config.strategies
         for rep in range(config.repetitions)
     }
 
+    try:
+        datasets = task_datasets(config.tasks)
+    except ValueError as exc:  # a task whose tracks are not finite
+        raise ConfigError(str(exc)) from None
     # The samples are dropped once encoded: cells train and score rows.
-    tables = encode_tasks(_model(config, seed=0), task_datasets(config.tasks))
+    tables = encode_tasks(_model(config, seed=0), datasets)
+    del datasets
+    out_root.mkdir(parents=True, exist_ok=True)
     workers = min(config.workers, len(cells))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
@@ -560,7 +566,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     files = []
     for i, task in enumerate(config.tasks):
         path = out_root / f"task_{i + 1:02d}.csv"
-        n = len(write_task_csv(task, i + 1, path))
+        try:
+            n = len(write_task_csv(task, i + 1, path))
+        except ValueError as exc:  # tracks that are not finite; nothing is written
+            raise ConfigError(f"tasks[{i}]: {exc}") from None
         files.append(
             {
                 "file": path.name,

@@ -12,7 +12,11 @@ the arrays of a :class:`~contrail.core.Scenes` table as it is drawn.
 
 The CSV side round-trips generated data through a plain track table
 (one row per agent per frame) and can ingest externally recorded files
-with the same schema into one table per file.
+with the same schema into one table per file.  The writer draws each
+track's noise in one call and formats each episode as one block of
+lines, byte for byte what a ``csv.writer`` row per frame with ``repr``
+floats gives; a task whose drawn tracks are not finite is refused
+before any file is written.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence, Sized
 
@@ -122,17 +127,21 @@ def _episode_track(
 ) -> list[list[float]]:
     """States (x, y, vx, vy) for one agent at dt steps: t_obs history
     ending at the anchor time plus n_future prediction steps, with
-    position noise."""
+    position noise.  The whole track's noise is one draw, the same
+    sequence as one x then one y draw per step; without noise nothing
+    is drawn."""
+    n = spec.t_obs + n_future
+    noise = rng.normal(0.0, spec.noise_sigma, size=(n, 2)).tolist() if spec.noise_sigma > 0 else None
     states = []
-    for i in range(spec.t_obs + n_future):
+    for i in range(n):
         t = (i - (spec.t_obs - 1)) * spec.dt
         if t <= 0:
             x, y, h = _pose_on(anchor, heading, speed, omega_obs, t)
         else:
             x, y, h = _pose_on(anchor, heading, speed, omega_pred, t)
-        if spec.noise_sigma > 0:
-            x += rng.normal(0.0, spec.noise_sigma)
-            y += rng.normal(0.0, spec.noise_sigma)
+        if noise:
+            x += noise[i][0]
+            y += noise[i][1]
         states.append([x, y, speed * math.cos(h), speed * math.sin(h)])
     return states
 
@@ -140,53 +149,64 @@ def _episode_track(
 def _generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
     """A task's samples and the target vehicles' whole tracks (n,
     t_obs + t_pred, 4), which CSV export writes in full.  Each episode
-    is written into the arrays as it is drawn."""
+    is written into the arrays as it is drawn; a spec whose tracks
+    are not all finite is a ValueError naming its kind and seed."""
     rng = np.random.default_rng(spec.seed)
     n, t_obs, k_sv = spec.n_samples, spec.t_obs, spec.k_sv
     tracks = np.empty((n, t_obs + spec.t_pred, 4))
     svs = np.empty((n, k_sv, t_obs, 4))
     speeds = np.empty(n)
     horizon = spec.t_pred * spec.dt
-    for i in range(n):
-        anchor = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
-        heading = rng.uniform(0.0, 2.0 * math.pi)
-        speed = rng.uniform(*spec.speed_range)
-        if spec.kind == "straight":
-            omega_obs = omega_pred = 0.0
-        elif spec.kind == "arc":
-            kappa = rng.uniform(*spec.curvature_range)
-            omega_obs = omega_pred = speed * kappa
-        else:  # turn: straight approach, the heading change is all ahead
-            omega_obs = 0.0
-            angle = rng.uniform(*spec.turn_angle_range)
-            omega_pred = angle / horizon
-        tv_track = _episode_track(
-            spec, anchor, heading, speed, omega_obs, omega_pred, spec.t_pred, rng
-        )
-
-        sv_tracks = []
-        for _ in range(k_sv):
-            lon = rng.uniform(-15.0, 15.0)
-            lat = rng.uniform(-6.0, 6.0)
-            sv_anchor = (
-                anchor[0] + lon * math.cos(heading) - lat * math.sin(heading),
-                anchor[1] + lon * math.sin(heading) + lat * math.cos(heading),
+    try:
+        for i in range(n):
+            anchor = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            speed = rng.uniform(*spec.speed_range)
+            if spec.kind == "straight":
+                omega_obs = omega_pred = 0.0
+            elif spec.kind == "arc":
+                kappa = rng.uniform(*spec.curvature_range)
+                omega_obs = omega_pred = speed * kappa
+            else:  # turn: straight approach, the heading change is all ahead
+                omega_obs = 0.0
+                angle = rng.uniform(*spec.turn_angle_range)
+                omega_pred = angle / horizon
+            tv_track = _episode_track(
+                spec, anchor, heading, speed, omega_obs, omega_pred, spec.t_pred, rng
             )
-            sv_speed = max(0.5, speed + rng.uniform(-1.0, 1.0))
-            sv_tracks.append(
-                _episode_track(
-                    spec, sv_anchor, heading, sv_speed, omega_obs, omega_obs, 0, rng
+
+            sv_tracks = []
+            for _ in range(k_sv):
+                lon = rng.uniform(-15.0, 15.0)
+                lat = rng.uniform(-6.0, 6.0)
+                sv_anchor = (
+                    anchor[0] + lon * math.cos(heading) - lat * math.sin(heading),
+                    anchor[1] + lon * math.sin(heading) + lat * math.cos(heading),
                 )
-            )
-        # Neighbor slots ordered by distance at the decision step, matching
-        # how ingestion ranks candidate neighbors.
-        tv_x, tv_y = tv_track[t_obs - 1][:2]
-        sv_tracks.sort(key=lambda tr: math.hypot(tr[-1][0] - tv_x, tr[-1][1] - tv_y))
+                sv_speed = max(0.5, speed + rng.uniform(-1.0, 1.0))
+                sv_tracks.append(
+                    _episode_track(
+                        spec, sv_anchor, heading, sv_speed, omega_obs, omega_obs, 0, rng
+                    )
+                )
+            # Neighbor slots ordered by distance at the decision step, matching
+            # how ingestion ranks candidate neighbors.
+            tv_x, tv_y = tv_track[t_obs - 1][:2]
+            sv_tracks.sort(key=lambda tr: math.hypot(tr[-1][0] - tv_x, tr[-1][1] - tv_y))
 
-        tracks[i] = tv_track
-        if k_sv:
-            svs[i] = sv_tracks
-        speeds[i] = speed
+            tracks[i] = tv_track
+            if k_sv:
+                svs[i] = sv_tracks
+            speeds[i] = speed
+    except (ValueError, OverflowError):  # math.sin of an infinite heading; a range too wide to draw from
+        finite = False
+    else:
+        finite = np.isfinite(tracks).all() and np.isfinite(svs).all()
+    if not finite:
+        raise ValueError(
+            f"kind {spec.kind}, seed {spec.seed} draws non-finite tracks: "
+            f"its noise_sigma, dt or a range is out of scale"
+        )
     scenes = Scenes(
         tracks[:, :t_obs].copy(),
         svs,
@@ -226,7 +246,10 @@ def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[Scenes, Scenes]]:
     check_episode_geometry(tasks)
     out = []
     for i, task in enumerate(tasks):
-        scenes = generate_task(task, label=i + 1)
+        try:
+            scenes = generate_task(task, label=i + 1)
+        except ValueError as exc:
+            raise ValueError(f"tasks[{i}]: {exc}") from None
         n_train = (4 * len(scenes)) // 5
         rows = np.arange(len(scenes))
         out.append((scenes.take(rows[:n_train]), scenes.take(rows[n_train:])))
@@ -257,18 +280,22 @@ def write_task_csv(spec: TaskSpec, label: int, path: Path) -> Scenes:
     scenes, tracks = _generate(spec, label)
     stride = max(100, spec.t_obs + spec.t_pred)
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        # Python floats, whose repr is the shortest round-tripping form.
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        # The csv writer's lines, one block per episode: no field needs
+        # quoting, and floats are Python floats, whose repr is the
+        # shortest round-tripping form.
         for idx, (tv_track, sv_tracks) in enumerate(zip(tracks.tolist(), scenes.svs.tolist())):
             base = idx * stride
-            tv_id = f"e{idx:05d}_tv"
-            for f, (x, y, vx, vy) in enumerate(tv_track):
-                writer.writerow([tv_id, base + f, repr(x), repr(y), repr(vx), repr(vy), "tv", label])
+            lines = [
+                f"e{idx:05d}_tv,{base + f},{x!r},{y!r},{vx!r},{vy!r},tv,{label}\r\n"
+                for f, (x, y, vx, vy) in enumerate(tv_track)
+            ]
             for k, track in enumerate(sv_tracks):
-                sv_id = f"e{idx:05d}_sv{k}"
-                for f, (x, y, vx, vy) in enumerate(track):
-                    writer.writerow([sv_id, base + f, repr(x), repr(y), repr(vx), repr(vy), "sv", label])
+                lines.extend(
+                    f"e{idx:05d}_sv{k},{base + f},{x!r},{y!r},{vx!r},{vy!r},sv,{label}\r\n"
+                    for f, (x, y, vx, vy) in enumerate(track)
+                )
+            fh.write("".join(lines))
     return scenes
 
 
@@ -310,15 +337,17 @@ def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
                 raise ValueError(f"{path}:{lineno}: non-finite x, y, vx or vy")
             if role not in ("tv", "sv"):
                 raise ValueError(f"{path}:{lineno}: agent_role must be 'tv' or 'sv'")
-            track = tracks.setdefault(track_id, _Track(role=role))
-            if track.role != role:
+            track = tracks.get(track_id)
+            if track is None:
+                track = tracks[track_id] = _Track(role=role)
+            elif track.role != role:
                 raise ValueError(f"{path}:{lineno}: track {track_id} changes role")
             track.rows.append((frame, x, y, vx, vy, label, lineno))
 
     gaps = 0
     for track_id, track in tracks.items():
         # Stable: a repeated frame sorts after its first line.
-        track.rows.sort(key=lambda r: r[0])
+        track.rows.sort(key=itemgetter(0))
         repeats = [b for a, b in zip(track.rows, track.rows[1:]) if a[0] == b[0]]
         if repeats:
             first = min(repeats, key=lambda r: r[6])

@@ -4,8 +4,10 @@ against."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from contrail.core import GridSpec, SampleTable, Scenes, softmax
 from contrail.memory import FIRST_SAMPLE_SCORE
 from contrail.predictor import FactoredGrads, HeatmapPredictor, PredictorConfig
+from contrail.scenarios import CSV_HEADER, TaskSpec, _generate, _pose_on
 
 
 def make_scenes(
@@ -226,3 +229,46 @@ def ref_replay_targets(buffer: RefCompletionBuffer, slots: np.ndarray) -> tuple[
     rows = np.array([buffer.rows[s] for s in slots], dtype=np.intp)
     stored = np.stack([buffer.logits[s] for s in slots]).reshape(len(rows), -1)
     return rows, stored
+
+
+def ref_episode_track(
+    spec: TaskSpec,
+    anchor: tuple[float, float],
+    heading: float,
+    speed: float,
+    omega_obs: float,
+    omega_pred: float,
+    n_future: int,
+    rng: np.random.Generator,
+) -> list[list[float]]:
+    """Reference for ``scenarios._episode_track``: one scalar noise draw
+    for x, then one for y, at each step."""
+    states = []
+    for i in range(spec.t_obs + n_future):
+        t = (i - (spec.t_obs - 1)) * spec.dt
+        x, y, h = _pose_on(anchor, heading, speed, omega_obs if t <= 0 else omega_pred, t)
+        if spec.noise_sigma > 0:
+            x += rng.normal(0.0, spec.noise_sigma)
+            y += rng.normal(0.0, spec.noise_sigma)
+        states.append([x, y, speed * math.cos(h), speed * math.sin(h)])
+    return states
+
+
+def ref_write_task_csv(spec: TaskSpec, label: int, path: Path) -> None:
+    """Reference for ``scenarios.write_task_csv``: a ``csv.writer`` row
+    per agent per frame, floats as ``repr``.  It generates through
+    ``scenarios._generate``, which draws with ``scenarios._episode_track``
+    (patch in :func:`ref_episode_track` for the whole old path)."""
+    scenes, tracks = _generate(spec, label)
+    stride = max(100, spec.t_obs + spec.t_pred)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for idx, (tv_track, sv_tracks) in enumerate(zip(tracks.tolist(), scenes.svs.tolist())):
+            agents = [(f"e{idx:05d}_tv", "tv", tv_track)]
+            agents += [(f"e{idx:05d}_sv{k}", "sv", track) for k, track in enumerate(sv_tracks)]
+            for track_id, role, track in agents:
+                for f, (x, y, vx, vy) in enumerate(track):
+                    writer.writerow(
+                        [track_id, idx * stride + f, repr(x), repr(y), repr(vx), repr(vy), role, label]
+                    )

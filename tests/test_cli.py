@@ -332,6 +332,22 @@ class TestGenCommand:
         samples = ingest_csv(out / "data" / "task_01.csv")
         assert len(samples) == 6
 
+    @pytest.mark.parametrize(
+        "bad, shared",
+        [({"noise_sigma": 1e308}, {}), ({"speed_range": [1.0, 1e308]}, {}), ({"dt": 1e306}, {"dt": 1e306})],
+        ids=["noise_sigma", "speed_range", "dt"],
+    )
+    def test_non_finite_tracks_are_a_config_error_and_never_written(self, tmp_path, capsys, bad, shared):
+        """An arc stays on its circle where a straight track overflows:
+        the first task's file is written, the second task is refused."""
+        tasks = [{"kind": "arc", "n_samples": 5, "seed": 4, **shared}, {"kind": "straight", "n_samples": 5, "seed": 9, **bad}]
+        cfg = write_config(tmp_path / "cfg.json", tasks=tasks)
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "config error: tasks[1]: kind straight, seed 9 draws non-finite tracks" in capsys.readouterr().err
+        assert sorted(p.name for p in (out / "data").iterdir()) == ["task_01.csv"]
+        assert len(ingest_csv(out / "data" / "task_01.csv")) == 5  # ingestion refuses non-finite values
+
 
 class TestRunCell:
     def test_every_train_setting_but_the_seed_reaches_training(self, tmp_path, monkeypatch):
@@ -852,6 +868,20 @@ class TestExitCodes:
         assert not out.exists()
         i = len(tasks) - 1
         assert f"config error: tasks[{i}].n_samples is 1: its 80/20 train half is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"noise_sigma": 1e308}, {"speed_range": [1.0, 1e308]}, {"dt": 1e307}],
+        ids=["noise_sigma", "speed_range", "dt"],
+    )
+    def test_non_finite_tracks_exit_one_before_any_output(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path / "cfg.json", tasks=[{"kind": "straight", "n_samples": 20, "seed": 1, **bad}])
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error: tasks[0]: kind straight, seed 1 draws non-finite tracks" in err
+        assert "Warning" not in err
 
     GRID = {"rows_h": 8, "cols_w": 8, "origin": [-5.0, -20.0], "cell_size": 5.0}
     NON_FINITE = "config holds the non-finite number "

@@ -27,7 +27,7 @@ from contrail.scenarios import (
     write_task_csv,
 )
 
-from conftest import same_rows
+from conftest import ref_episode_track, ref_write_task_csv, same_rows
 
 
 def local_endpoints_of(scenes: Scenes) -> np.ndarray:
@@ -281,6 +281,81 @@ class TestCsvRoundTrip:
         write_task_csv(spec, label=1, path=a)
         write_task_csv(spec, label=1, path=b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# (spec, label, SHA-256 of its file), pinned from the writer that drew
+# one scalar noise value per coordinate and wrote a csv.writer row per
+# agent per frame.
+CSV_DIGESTS = [
+    (
+        TaskSpec("straight", 6, seed=11, noise_sigma=0.15),
+        1,
+        "2de84845e77ea6beb285f88c9c56ab761fb1bcbaae82177fe3ebb60c119df114",
+    ),
+    (
+        TaskSpec("arc", 6, seed=12, noise_sigma=0.15),
+        2,
+        "0f493cd77685131e31ae38bb20b404aa8fc65e491e41fab466f7a6baec2dcc89",
+    ),
+    (
+        TaskSpec("turn", 6, seed=13, noise_sigma=0.15),
+        3,
+        "08ccee0b32d5593341a0ab5b09d3b01e69d72fa86ae66a88edec6d94621fe401",
+    ),
+    (
+        TaskSpec("arc", 4, seed=14, noise_sigma=0.0, k_sv=0, t_pred=100),
+        4,
+        "844bc0fae6b837d043447180e56beb8c2167613d21d528acfcb355bc267e0529",
+    ),
+]
+CSV_IDS = ["straight", "arc", "turn", "noiseless long horizon"]
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("spec, label, digest", CSV_DIGESTS, ids=CSV_IDS)
+    def test_written_bytes_are_pinned(self, tmp_path, spec, label, digest):
+        path = tmp_path / "task.csv"
+        write_task_csv(spec, label, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("spec, label, digest", CSV_DIGESTS, ids=CSV_IDS)
+    def test_reference_draws_and_rows_give_the_same_bytes(self, tmp_path, monkeypatch, spec, label, digest):
+        written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
+        write_task_csv(spec, label, written)
+        monkeypatch.setattr(scenarios, "_episode_track", ref_episode_track)
+        ref_write_task_csv(spec, label, reference)
+        assert written.read_bytes() == reference.read_bytes()
+
+
+class TestNonFiniteTracks:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"noise_sigma": 1e308},
+            {"speed_range": (1.0, 1e308)},
+            {"dt": 1e307},
+            {"kind": "arc", "speed_range": (1.0, 1e200), "curvature_range": (0.04, 1e200)},
+            {"kind": "turn", "dt": 5e-324},
+            {"kind": "arc", "curvature_range": (-1e308, 1e308)},
+        ],
+        ids=["noise_sigma", "speed_range", "dt", "infinite arc heading", "infinite turn rate", "range too wide to draw"],
+    )
+    def test_are_refused_by_kind_and_seed_and_never_written(self, tmp_path, overrides):
+        spec = TaskSpec(**{"kind": "straight", "n_samples": 20, "seed": 5, **overrides})
+        message = f"kind {spec.kind}, seed 5 draws non-finite tracks"
+        with pytest.raises(ValueError, match=message):
+            generate_task(spec)
+        with pytest.raises(ValueError, match=message):
+            write_task_csv(spec, 1, tmp_path / "task.csv")
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match=rf"^tasks\[0\]: {message}"):
+            task_datasets((spec,))
+
+    def test_task_datasets_names_the_task(self):
+        good = TaskSpec("straight", 5, seed=1)
+        bad = TaskSpec("arc", 5, seed=9, noise_sigma=1e308)
+        with pytest.raises(ValueError, match=r"^tasks\[1\]: kind arc, seed 9 draws non-finite tracks"):
+            task_datasets((good, bad))
 
 
 def csv_text(rows):
