@@ -48,7 +48,7 @@ from .scenarios import (
     check_episode_geometry,
     ingest_csv,
     task_datasets,
-    write_task_csv,
+    write_task_csvs,
 )
 
 __all__ = ["ExperimentConfig", "encode_tasks", "main", "run_experiment", "score_cell"]
@@ -468,7 +468,8 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
     shared by every cell; each pool worker receives them once, when it
     starts.  Cells are otherwise independent; with ``workers > 1`` they
     run in a process pool of at most one process per cell.  A task
-    whose drawn tracks are not finite is a ConfigError, raised before
+    whose drawn tracks are refused (not finite, or beyond
+    ``scenarios.TRACK_LIMIT``) is a ConfigError, raised before
     ``out_root`` is created.
     Identical configs produce identical artifacts apart from the
     manifest's wall-clock entry.
@@ -483,7 +484,7 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
 
     try:
         datasets = task_datasets(config.tasks)
-    except ValueError as exc:  # a task whose tracks are not finite
+    except ValueError as exc:  # a task whose tracks are refused
         raise ConfigError(str(exc)) from None
     # The samples are dropped once encoded: cells train and score rows.
     tables = encode_tasks(_model(config, seed=0), datasets)
@@ -562,24 +563,22 @@ def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
 def cmd_gen(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     out_root = Path(args.output or config.output_dir) / "data"
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        written = write_task_csvs(config.tasks, out_root)
+    except ValueError as exc:  # a task's tracks are refused; nothing is written
+        raise ConfigError(str(exc)) from None
     files = []
-    for i, task in enumerate(config.tasks):
-        path = out_root / f"task_{i + 1:02d}.csv"
-        try:
-            n = len(write_task_csv(task, i + 1, path))
-        except ValueError as exc:  # tracks that are not finite; nothing is written
-            raise ConfigError(f"tasks[{i}]: {exc}") from None
+    for i, (task, (path, scenes)) in enumerate(zip(config.tasks, written)):
         files.append(
             {
                 "file": path.name,
                 "kind": task.kind,
                 "label": i + 1,
-                "n_samples": n,
+                "n_samples": len(scenes),
                 "seed": task.seed,
             }
         )
-        print(f"gen: wrote {path} ({n} samples)")
+        print(f"gen: wrote {path} ({len(scenes)} samples)")
     manifest = {"schema": "track table", "tasks": files}
     with atomic_write(out_root / "gen_manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))

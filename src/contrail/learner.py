@@ -155,14 +155,15 @@ def dual_replay_step(
     """
     spec = cfg.loss
     n_b = len(batch)
-    rows, weights = [batch], [np.full(n_b, 1.0 / n_b)]
+    rows, weights = [batch], [1.0 / n_b]
+    # The batch rows are not distilled, so their stored rows are never read.
     stored = [np.zeros((n_b, model.config.grid.n_cells))]
     for weight, buffer in ((spec.alpha, sp_buffer), (spec.beta, cp_buffer)):
         if weight == 0.0 or buffer is None or len(buffer) == 0 or cfg.replay_n == 0:
             continue
         drawn, logits = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
         rows.append(drawn)
-        weights.append(np.full(len(drawn), weight / len(drawn)))
+        weights.append(weight / len(drawn))
         stored.append(logits)
     if len(rows) == 1:
         return model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
@@ -170,7 +171,7 @@ def dual_replay_step(
     distill = np.arange(len(mixed)) >= n_b
     return model.loss_and_grad(
         params, table.x[mixed], table.cells[mixed], spec, np.concatenate(stored), distill,
-        np.concatenate(weights),
+        np.repeat(weights, [len(r) for r in rows]),
     )
 
 
@@ -335,7 +336,7 @@ def train_stream(
                 model, params, table, batch, sp_buffer, cfg, rng_replay
             )
         else:
-            _, grad, logits = model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
+            _, grad, logits = model.loss_and_grad(params, table.x[start:end], table.cells[start:end], spec)
         if agem_memory is not None:
             refs = agem_memory.reference_rows(
                 exclude_label=table.task_label(end - 1), n=cfg.agem_ref_batch

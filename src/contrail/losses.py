@@ -56,7 +56,8 @@ class LossSpec:
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def batch_loss_and_dlogits(
@@ -79,20 +80,20 @@ def batch_loss_and_dlogits(
     idx = np.asarray(cells, dtype=np.intp)
     if idx.shape != (n,):
         raise ValueError("batch size mismatch between logits and targets")
-    if np.any(idx < 0) or np.any(idx >= n_cells):
+    if (idx < 0).any() or (idx >= n_cells).any():
         raise ValueError("target cell outside the grid")
 
     lsm = _log_softmax(logits)
+    # A fresh array that becomes dlogits in place.  It stays exp(lsm):
+    # exp(shifted) / sum would round differently.
     softmax = np.exp(lsm)
     rows = np.arange(n)
     lsm_t = lsm[rows, idx]
 
-    onehot = np.zeros_like(logits)
-    onehot[rows, idx] = 1.0
-
     if spec.base_kind == "cross_entropy":
         losses = -lsm_t
-        dlogits = softmax - onehot
+        dlogits = softmax
+        dlogits[rows, idx] -= 1.0  # softmax - onehot
     else:
         gamma = spec.focal_gamma
         p_t = np.exp(lsm_t)
@@ -103,7 +104,10 @@ def batch_loss_and_dlogits(
         safe = np.where(one_m > 0.0, one_m, 1.0)
         lead = np.where(one_m > 0.0, gamma * safe ** (gamma - 1.0) * p_t * lsm_t, 0.0)
         coeff = lead - one_m**gamma
-        dlogits = (onehot - softmax) * coeff[:, None]
+        # (onehot - softmax) * coeff; 0 - s, not -s, keeps a zero's sign.
+        dlogits = np.subtract(0.0, softmax, out=softmax)
+        dlogits[rows, idx] += 1.0
+        dlogits *= coeff[:, None]
 
     if stored is not None:
         stored = np.asarray(stored, dtype=np.float64)

@@ -105,7 +105,14 @@ class HeatmapPredictor:
         self.config = config
         dims = config.layer_dims
         self._shapes = [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
-        self.param_count = sum(o * i + o for o, i in self._shapes)
+        # Per layer, the flat slices of its weights and of its bias.
+        self._slices = []
+        pos = 0
+        for out_dim, in_dim in self._shapes:
+            w_end = pos + out_dim * in_dim
+            self._slices.append((slice(pos, w_end), slice(w_end, w_end + out_dim)))
+            pos = w_end + out_dim
+        self.param_count = pos
 
     def init_params(self) -> np.ndarray:
         """Seeded uniform init in +-1/sqrt(fan_in) per layer."""
@@ -122,15 +129,10 @@ class HeatmapPredictor:
             raise ValueError(
                 f"expected {self.param_count} parameters, got {params.shape}"
             )
-        layers = []
-        pos = 0
-        for out_dim, in_dim in self._shapes:
-            w = params[pos : pos + out_dim * in_dim].reshape(out_dim, in_dim)
-            pos += out_dim * in_dim
-            b = params[pos : pos + out_dim]
-            pos += out_dim
-            layers.append((w, b))
-        return layers
+        return [
+            (params[ws].reshape(shape), params[bs])
+            for shape, (ws, bs) in zip(self._shapes, self._slices)
+        ]
 
     def encode(self, scenes: Scenes) -> SampleTable:
         """Every row of ``scenes`` as one table row, its task label
@@ -160,10 +162,12 @@ class HeatmapPredictor:
         acts = [x]
         h = x
         for li, (w, b) in enumerate(layers):
-            z = h @ w.T + b
-            if not np.all(np.isfinite(z)):
+            h = h @ w.T
+            h += b
+            if not np.isfinite(h).all():
                 raise ArithmeticError(f"layer {li} produced non-finite activations")
-            h = np.tanh(z) if li < len(layers) - 1 else z
+            if li < len(layers) - 1:
+                np.tanh(h, out=h)
             acts.append(h)
         return acts[-1], acts
 
@@ -179,19 +183,19 @@ class HeatmapPredictor:
         dlogits: np.ndarray,
     ) -> np.ndarray:
         """Reverse sweep: gradient of ``sum_i loss_i`` given per-sample
-        logit gradients (scale ``dlogits`` beforehand for means)."""
+        logit gradients (scale ``dlogits`` beforehand for means).  Each
+        layer's weight and bias gradients are written straight into
+        their slices of one flat vector, in the parameter layout."""
         layers = self._layers(params)
-        grads: list[np.ndarray | None] = [None] * len(layers)
+        grad = np.empty(self.param_count)
         delta = dlogits
         for li in range(len(layers) - 1, -1, -1):
-            w, _ = layers[li]
-            h_prev = acts[li]
-            dw = delta.T @ h_prev
-            db = delta.sum(axis=0)
-            grads[li] = np.concatenate([dw.reshape(-1), db])
+            ws, bs = self._slices[li]
+            np.matmul(delta.T, acts[li], out=grad[ws].reshape(self._shapes[li]))
+            np.sum(delta, axis=0, out=grad[bs])
             if li > 0:
-                delta = (delta @ w) * (1.0 - acts[li] ** 2)
-        return np.concatenate(grads)  # type: ignore[arg-type]
+                delta = _back_through(delta, layers[li][0], acts[li])
+        return grad
 
     def loss_and_grad(
         self,
@@ -218,9 +222,11 @@ class HeatmapPredictor:
         logits, acts = self._forward_cached(params, x)
         losses, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec, stored, distill)
         if weights is None:
-            loss, dlogits = float(losses.mean()), dlogits / n
+            loss = float(losses.mean())
+            dlogits /= n
         else:
-            loss, dlogits = float(losses @ weights), dlogits * weights[:, None]
+            loss = float(losses @ weights)
+            dlogits *= weights[:, None]
         return loss, self._backward(params, acts, dlogits), logits
 
     def per_sample_grads(
@@ -252,8 +258,18 @@ class HeatmapPredictor:
         layers = self._layers(params)
         deltas = [dlogits]
         for li in range(n_layers - 1, 0, -1):
-            deltas.append((deltas[-1] @ layers[li][0]) * (1.0 - acts[li] ** 2))
+            deltas.append(_back_through(deltas[-1], layers[li][0], acts[li]))
         return FactoredGrads(tuple(reversed(deltas)), tuple(acts[:n_layers]))
+
+
+def _back_through(delta: np.ndarray, w: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """The delta one layer down: ``(delta @ w) * (1 - act**2)`` through
+    the tanh whose output is ``act``; ``act`` is untouched."""
+    out = delta @ w
+    slope = np.square(act)
+    np.subtract(1.0, slope, out=slope)
+    out *= slope
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,15 +339,31 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """One Adam update; returns fresh arrays, inputs are untouched."""
+    """One Adam update (Kingma & Ba, ICLR 2015).
+
+    Returns fresh parameters and a fresh state; the inputs are
+    untouched.  Besides the returned ``m``, ``v`` and parameters it
+    allocates one scratch vector: every other operation writes in
+    place, in the order of the textbook formula, so the result is bit
+    for bit ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
+    """
     if params.shape != grad.shape:
         raise ValueError("params and grad shapes differ")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient passed to adam_step")
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * grad**2
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
+    scratch = np.multiply(grad, 1.0 - beta1)
+    m = np.multiply(state.m, beta1)
+    m += scratch
+    np.square(grad, out=scratch)
+    scratch *= 1.0 - beta2
+    v = np.multiply(state.v, beta2)
+    v += scratch
+    new_params = np.divide(v, 1.0 - beta2**t)  # v_hat
+    np.sqrt(new_params, out=new_params)
+    new_params += eps
+    np.divide(m, 1.0 - beta1**t, out=scratch)  # m_hat
+    scratch *= lr
+    np.divide(scratch, new_params, out=scratch)
+    np.subtract(params, scratch, out=new_params)
     return new_params, AdamState(m=m, v=v, t=t)

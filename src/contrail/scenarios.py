@@ -15,8 +15,8 @@ The CSV side round-trips generated data through a plain track table
 with the same schema into one table per file.  The writer draws each
 track's noise in one call and formats each episode as one block of
 lines, byte for byte what a ``csv.writer`` row per frame with ``repr``
-floats gives; a task whose drawn tracks are not finite is refused
-before any file is written.
+floats gives.  A task whose drawn tracks are not finite, or exceed
+``TRACK_LIMIT`` in magnitude, is refused before any file is written.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "ingest_csv",
     "task_datasets",
     "write_task_csv",
+    "write_task_csvs",
 ]
 
 logger = logging.getLogger(__name__)
@@ -48,6 +49,12 @@ logger = logging.getLogger(__name__)
 KINDS = ("straight", "arc", "turn")
 
 CSV_HEADER = ["track_id", "frame", "x", "y", "vx", "vy", "agent_role", "task_label"]
+
+# Largest magnitude of a generated position (m) or velocity (m/s).  The
+# README tasks stay within about 100 m and 10 m/s; at 1e6 every square
+# and sum downstream (features, distances, FDE) is still far from
+# overflowing.
+TRACK_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -149,8 +156,9 @@ def _episode_track(
 def _generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
     """A task's samples and the target vehicles' whole tracks (n,
     t_obs + t_pred, 4), which CSV export writes in full.  Each episode
-    is written into the arrays as it is drawn; a spec whose tracks
-    are not all finite is a ValueError naming its kind and seed."""
+    is written into the arrays as it is drawn; a spec with a track
+    value that is not finite or exceeds ``TRACK_LIMIT`` in magnitude is a
+    ValueError naming its kind and seed."""
     rng = np.random.default_rng(spec.seed)
     n, t_obs, k_sv = spec.n_samples, spec.t_obs, spec.k_sv
     tracks = np.empty((n, t_obs + spec.t_pred, 4))
@@ -199,13 +207,13 @@ def _generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
                 svs[i] = sv_tracks
             speeds[i] = speed
     except (ValueError, OverflowError):  # math.sin of an infinite heading; a range too wide to draw from
-        finite = False
-    else:
-        finite = np.isfinite(tracks).all() and np.isfinite(svs).all()
-    if not finite:
+        in_range = False
+    else:  # false for NaN and infinities too
+        in_range = (np.abs(tracks) <= TRACK_LIMIT).all() and (np.abs(svs) <= TRACK_LIMIT).all()
+    if not in_range:
         raise ValueError(
-            f"kind {spec.kind}, seed {spec.seed} draws non-finite tracks: "
-            f"its noise_sigma, dt or a range is out of scale"
+            f"kind {spec.kind}, seed {spec.seed} draws non-finite tracks or values beyond "
+            f"{TRACK_LIMIT:g} m or m/s: its noise_sigma, dt or a range is out of scale"
         )
     scenes = Scenes(
         tracks[:, :t_obs].copy(),
@@ -270,14 +278,19 @@ def build_stream(trains: Sequence[Sized], seed: int) -> np.ndarray:
     return np.concatenate(orders)
 
 
-def write_task_csv(spec: TaskSpec, label: int, path: Path) -> Scenes:
+def write_task_csv(
+    spec: TaskSpec, label: int, path: Path, drawn: tuple[Scenes, np.ndarray] | None = None
+) -> Scenes:
     """Write one task as a track table and return its samples.
 
     Episodes start ``max(100, t_obs + t_pred)`` frames apart, so their
     frame ranges are disjoint and re-ingestion recovers exactly one
-    sample per episode with the same neighbor assignment.
+    sample per episode with the same neighbor assignment.  ``drawn`` is
+    the task's samples and whole target tracks when the caller has
+    drawn them already (:func:`write_task_csvs`); by default the task
+    is drawn here.
     """
-    scenes, tracks = _generate(spec, label)
+    scenes, tracks = drawn if drawn is not None else _generate(spec, label)
     stride = max(100, spec.t_obs + spec.t_pred)
     with atomic_write(path) as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
@@ -297,6 +310,25 @@ def write_task_csv(spec: TaskSpec, label: int, path: Path) -> Scenes:
                 )
             fh.write("".join(lines))
     return scenes
+
+
+def write_task_csvs(tasks: Sequence[TaskSpec], out_dir: Path) -> list[tuple[Path, Scenes]]:
+    """Write ``tasks[i]`` as ``out_dir/task_{i+1:02d}.csv`` with label
+    ``i + 1``; returns each file with its samples.  All or nothing:
+    every task is drawn before ``out_dir`` is created, so a refused
+    task (a ValueError naming ``tasks[i]``) leaves no file behind."""
+    drawn = []
+    for i, task in enumerate(tasks):
+        try:
+            drawn.append(_generate(task, i + 1))
+        except ValueError as exc:
+            raise ValueError(f"tasks[{i}]: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for i, (task, task_draw) in enumerate(zip(tasks, drawn)):
+        path = out_dir / f"task_{i + 1:02d}.csv"
+        written.append((path, write_task_csv(task, i + 1, path, task_draw)))
+    return written
 
 
 _Row = tuple[int, float, float, float, float, int, int]  # frame, x, y, vx, vy, label, line

@@ -13,9 +13,10 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from contrail.core import GridSpec, SampleTable, Scenes, softmax
+from contrail.core import GridSpec, SampleTable, Scenes
+from contrail.losses import LossSpec
 from contrail.memory import FIRST_SAMPLE_SCORE
-from contrail.predictor import FactoredGrads, HeatmapPredictor, PredictorConfig
+from contrail.predictor import AdamState, FactoredGrads, HeatmapPredictor, PredictorConfig
 from contrail.scenarios import CSV_HEADER, TaskSpec, _generate, _pose_on
 
 
@@ -90,36 +91,10 @@ def endpoint_to_cell(point: tuple[float, float], grid: GridSpec) -> tuple[int, i
     return min(max(row, 0), grid.rows_h - 1), min(max(col, 0), grid.cols_w - 1)
 
 
-def brute_force_endpoints(logits: np.ndarray, grid: GridSpec, w: int) -> tuple[tuple[float, float], ...]:
-    """Plain-loop endpoint extraction for one ``(rows_h, cols_w)``
-    heatmap: strict 3x3 local maxima of the probabilities first, the
-    highest remaining cells after, ties by (row, col); as cell centers."""
-    probs = softmax(logits[None])[0]
-    peaks = []
-    rest = []
-    for r in range(grid.rows_h):
-        for c in range(grid.cols_w):
-            is_peak = True
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    if (dr, dc) == (0, 0):
-                        continue
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < grid.rows_h and 0 <= cc < grid.cols_w:
-                        if probs[rr, cc] >= probs[r, c]:
-                            is_peak = False
-            (peaks if is_peak else rest).append((r, c))
-    key = lambda rc: (-probs[rc[0], rc[1]], rc[0], rc[1])
-    chosen = sorted(peaks, key=key)[:w]
-    if len(chosen) < w:
-        chosen.extend(sorted(rest, key=key)[: w - len(chosen)])
-    return tuple(
-        (
-            grid.origin[0] + (c + 0.5) * grid.cell_size,
-            grid.origin[1] + (r + 0.5) * grid.cell_size,
-        )
-        for r, c in chosen
-    )
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """``a`` and ``b`` hold the same float64 values bit for bit, signed
+    zeros and NaN payloads included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def dense(grads: FactoredGrads) -> np.ndarray:
@@ -130,6 +105,120 @@ def dense(grads: FactoredGrads) -> np.ndarray:
         pieces.append(np.einsum("no,ni->noi", d, h).reshape(d.shape[0], d.shape[1] * h.shape[1]))
         pieces.append(d)
     return np.concatenate(pieces, axis=1)
+
+
+def ref_adam_step(
+    params: np.ndarray,
+    grad: np.ndarray,
+    state: AdamState,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> tuple[np.ndarray, AdamState]:
+    """Reference for ``predictor.adam_step``: the textbook formula, one
+    fresh array per operation."""
+    t = state.t + 1
+    m = beta1 * state.m + (1.0 - beta1) * grad
+    v = beta2 * state.v + (1.0 - beta2) * grad**2
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m=m, v=v, t=t)
+
+
+def ref_batch_loss_and_dlogits(
+    logits: np.ndarray,
+    cells: np.ndarray,
+    spec: LossSpec,
+    stored: np.ndarray | None = None,
+    distill: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for ``losses.batch_loss_and_dlogits`` over a dense
+    one-hot target array."""
+    n, n_cells = logits.shape
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lsm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    softmax = np.exp(lsm)
+    rows = np.arange(n)
+    lsm_t = lsm[rows, cells]
+    onehot = np.zeros_like(logits)
+    onehot[rows, cells] = 1.0
+    if spec.base_kind == "cross_entropy":
+        losses = -lsm_t
+        dlogits = softmax - onehot
+    else:
+        gamma = spec.focal_gamma
+        p_t = np.exp(lsm_t)
+        one_m = 1.0 - p_t
+        losses = -(one_m**gamma) * lsm_t
+        safe = np.where(one_m > 0.0, one_m, 1.0)
+        lead = np.where(one_m > 0.0, gamma * safe ** (gamma - 1.0) * p_t * lsm_t, 0.0)
+        dlogits = (onehot - softmax) * (lead - one_m**gamma)[:, None]
+    if stored is not None:
+        on = slice(None) if distill is None else distill
+        diff = logits[on] - stored[on]
+        losses[on] += np.einsum("ij,ij->i", diff, diff) / n_cells
+        dlogits[on] += 2.0 * diff / n_cells
+    return losses, dlogits
+
+
+def _ref_forward(model: HeatmapPredictor, params: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """Every activation of the MLP, input first, from the layout of
+    ``model._shapes`` (per layer: row-major weights, then bias)."""
+    acts, pos = [x], 0
+    for li, (out_dim, in_dim) in enumerate(model._shapes):
+        w = params[pos : pos + out_dim * in_dim].reshape(out_dim, in_dim)
+        b = params[pos + out_dim * in_dim : pos + out_dim * (in_dim + 1)]
+        pos += out_dim * (in_dim + 1)
+        z = acts[-1] @ w.T + b
+        acts.append(np.tanh(z) if li < len(model._shapes) - 1 else z)
+    return acts
+
+
+def _ref_deltas(
+    model: HeatmapPredictor, params: np.ndarray, acts: list[np.ndarray], dlogits: np.ndarray
+) -> list[np.ndarray]:
+    """Back-propagated deltas per layer, first layer first."""
+    offsets = np.cumsum([0] + [o * (i + 1) for o, i in model._shapes])
+    deltas = [dlogits]
+    for li in range(len(model._shapes) - 1, 0, -1):
+        out_dim, in_dim = model._shapes[li]
+        w = params[offsets[li] : offsets[li] + out_dim * in_dim].reshape(out_dim, in_dim)
+        deltas.append((deltas[-1] @ w) * (1.0 - acts[li] ** 2))
+    return deltas[::-1]
+
+
+def ref_loss_and_grad(
+    model: HeatmapPredictor,
+    params: np.ndarray,
+    x: np.ndarray,
+    cells: np.ndarray,
+    spec: LossSpec,
+    stored: np.ndarray | None = None,
+    distill: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Reference for ``HeatmapPredictor.loss_and_grad``: the one-hot
+    loss, and a backward that concatenates each layer's weight and bias
+    gradients and then the layers."""
+    acts = _ref_forward(model, params, x)
+    losses, dlogits = ref_batch_loss_and_dlogits(acts[-1], cells, spec, stored, distill)
+    if weights is None:
+        loss, dlogits = float(losses.mean()), dlogits / len(x)
+    else:
+        loss, dlogits = float(losses @ weights), dlogits * weights[:, None]
+    deltas = _ref_deltas(model, params, acts, dlogits)
+    grads = [np.concatenate([(d.T @ h).reshape(-1), d.sum(axis=0)]) for d, h in zip(deltas, acts)]
+    return loss, np.concatenate(grads), acts[-1]
+
+
+def ref_per_sample_grads(
+    model: HeatmapPredictor, params: np.ndarray, x: np.ndarray, cells: np.ndarray, spec: LossSpec
+) -> FactoredGrads:
+    """Reference for ``HeatmapPredictor.per_sample_grads``."""
+    acts = _ref_forward(model, params, x)
+    _, dlogits = ref_batch_loss_and_dlogits(acts[-1], cells, spec)
+    return FactoredGrads(tuple(_ref_deltas(model, params, acts, dlogits)), tuple(acts[:-1]))
 
 
 def cosine_rows(grad: np.ndarray, others: np.ndarray) -> np.ndarray:

@@ -42,8 +42,9 @@ from contrail.metrics import (
 )
 from contrail.predictor import HeatmapPredictor, PredictorConfig, scene_features
 from contrail.scenarios import TaskSpec, task_datasets
+from contrail.selftest import _brute_force_endpoints
 
-from conftest import brute_force_endpoints, cosine_rows
+from conftest import cosine_rows
 
 # ---------------------------------------------------------------------------
 # The shared three-task stream experiment behind checks 6 and 9.
@@ -378,8 +379,8 @@ def test_05_metric_brute_force_oracles():
     for (grid, w), stack in stacks.items():
         got = extract_endpoints(np.stack(stack), grid, w)
         for logits, endpoints in zip(stack, got):
-            want = brute_force_endpoints(logits, grid, w)
-            assert tuple(tuple(p) for p in endpoints.tolist()) == want
+            want = _brute_force_endpoints(logits, grid, w)
+            assert [tuple(p) for p in endpoints.tolist()] == want
 
     for case in range(1000):
         rng = np.random.default_rng(np.random.SeedSequence([7008, case]))

@@ -339,14 +339,28 @@ class TestGenCommand:
     )
     def test_non_finite_tracks_are_a_config_error_and_never_written(self, tmp_path, capsys, bad, shared):
         """An arc stays on its circle where a straight track overflows:
-        the first task's file is written, the second task is refused."""
+        the first task draws finite tracks, the second is refused, and
+        gen writes nothing, not even the first task's file."""
         tasks = [{"kind": "arc", "n_samples": 5, "seed": 4, **shared}, {"kind": "straight", "n_samples": 5, "seed": 9, **bad}]
         cfg = write_config(tmp_path / "cfg.json", tasks=tasks)
         out = tmp_path / "out"
         assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 1
         assert "config error: tasks[1]: kind straight, seed 9 draws non-finite tracks" in capsys.readouterr().err
-        assert sorted(p.name for p in (out / "data").iterdir()) == ["task_01.csv"]
-        assert len(ingest_csv(out / "data" / "task_01.csv")) == 5  # ingestion refuses non-finite values
+        assert not out.exists()
+
+    def test_each_task_is_drawn_once(self, tmp_path, monkeypatch):
+        labels = []
+        draw = scenarios._generate
+
+        def counting(spec, label):
+            labels.append(label)
+            return draw(spec, label)
+
+        monkeypatch.setattr(scenarios, "_generate", counting)
+        cfg = write_config(tmp_path / "cfg.json", tasks=[{"kind": "arc", "n_samples": 5}, {"kind": "turn", "n_samples": 4}])
+        assert main(["gen", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+        assert labels == [1, 2]
+        assert [len(ingest_csv(tmp_path / "out" / "data" / f"task_0{i}.csv")) for i in (1, 2)] == [5, 4]
 
 
 class TestRunCell:
@@ -871,8 +885,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"noise_sigma": 1e308}, {"speed_range": [1.0, 1e308]}, {"dt": 1e307}],
-        ids=["noise_sigma", "speed_range", "dt"],
+        [
+            {"noise_sigma": 1e308},
+            {"speed_range": [1.0, 1e308]},
+            {"dt": 1e307},
+            {"speed_range": [1.0, 5e307]},
+            {"noise_sigma": 1e306},
+            {"dt": 1e305},
+        ],
+        ids=[
+            "noise_sigma", "speed_range", "dt",
+            "finite speed_range beyond the bound", "finite noise_sigma beyond the bound", "finite dt beyond the bound",
+        ],
     )
     def test_non_finite_tracks_exit_one_before_any_output(self, tmp_path, capsys, bad):
         cfg = write_config(tmp_path / "cfg.json", tasks=[{"kind": "straight", "n_samples": 20, "seed": 1, **bad}])

@@ -13,6 +13,8 @@ import pytest
 
 from contrail.losses import LossSpec, batch_loss_and_dlogits
 
+from conftest import ref_batch_loss_and_dlogits, same_bits
+
 
 def fd_dlogits(logits_row, cell, spec, stored=None, eps=1e-6):
     """Central finite difference of the per-sample loss in logit space."""
@@ -184,6 +186,31 @@ class TestDistillation:
             everything, _ = batch_loss_and_dlogits(logits, cells, spec, stored)
             all_rows, _ = batch_loss_and_dlogits(logits, cells, spec, stored, np.ones(7, bool))
             assert everything.tobytes() == all_rows.tobytes()
+
+
+class TestMatchesOneHotReference:
+    """Bit for bit against the dense one-hot reference of conftest, the
+    arguments left as they were."""
+
+    @pytest.mark.parametrize("base_kind, gamma", [("cross_entropy", 2.0), ("focal", 0.0), ("focal", 1.0), ("focal", 2.5)])
+    @pytest.mark.parametrize("distilled", ["none", "all", "mask"])
+    def test_random_batches(self, base_kind, gamma, distilled):
+        rng = np.random.default_rng(34)
+        spec = LossSpec(base_kind=base_kind, focal_gamma=gamma)
+        for n, n_cells, scale in ((1, 4, 1.0), (6, 12, 3.0), (9, 20, 400.0)):
+            # Scale 400 underflows most softmax entries to exactly 0, and
+            # drives some target probabilities to exactly 1.
+            logits = rng.normal(0.0, scale, size=(n, n_cells))
+            cells = rng.integers(0, n_cells, size=n)
+            cells[0] = np.argmax(logits[0])
+            stored = None if distilled == "none" else rng.normal(size=(n, n_cells))
+            distill = rng.random(n) < 0.5 if distilled == "mask" else None
+            before = [None if a is None else a.copy() for a in (logits, cells, stored, distill)]
+            losses, dlogits = batch_loss_and_dlogits(logits, cells, spec, stored, distill)
+            want_l, want_d = ref_batch_loss_and_dlogits(logits, cells, spec, stored, distill)
+            assert same_bits(losses, want_l) and same_bits(dlogits, want_d)
+            after = (logits, cells, stored, distill)
+            assert all(b is None or same_bits(a, b) for a, b in zip(after, before))
 
 
 class TestValidation:

@@ -22,8 +22,8 @@ from contrail.metrics import (
     report_from_matrices,
     write_matrix_csv,
 )
+from contrail.selftest import _brute_force_endpoints
 
-from conftest import brute_force_endpoints
 
 
 def endpoints_of(logits: np.ndarray, grid: GridSpec, w: int):
@@ -96,7 +96,7 @@ class TestExtractEndpoints:
             grid = tiny_grid if trial % 2 else grid65
             logits = rng.normal(size=(grid.rows_h, grid.cols_w))
             w = int(rng.integers(1, grid.n_cells + 1))
-            assert endpoints_of(logits, grid, w) == brute_force_endpoints(logits, grid, w)
+            assert endpoints_of(logits, grid, w) == tuple(_brute_force_endpoints(logits, grid, w))
 
     def test_matches_brute_force_with_ties(self, tiny_grid):
         # Integer-valued logits force duplicated probabilities, so both
@@ -105,7 +105,7 @@ class TestExtractEndpoints:
         for _ in range(100):
             logits = rng.integers(0, 3, size=(tiny_grid.rows_h, tiny_grid.cols_w)).astype(float)
             w = int(rng.integers(1, tiny_grid.n_cells + 1))
-            assert endpoints_of(logits, tiny_grid, w) == brute_force_endpoints(logits, tiny_grid, w)
+            assert endpoints_of(logits, tiny_grid, w) == tuple(_brute_force_endpoints(logits, tiny_grid, w))
 
     def test_dominant_cell_comes_first(self, tiny_grid):
         logits = np.zeros((4, 5))
@@ -152,8 +152,8 @@ class TestBatchedScoring:
         got = extract_endpoints(logits, grid, w)
         assert got.shape == (len(logits), w, 2)
         for row, endpoints in zip(logits, got):
-            want = brute_force_endpoints(row, grid, w)
-            assert tuple(tuple(p) for p in endpoints.tolist()) == want
+            want = _brute_force_endpoints(row, grid, w)
+            assert [tuple(p) for p in endpoints.tolist()] == want
 
     def test_stacks_with_ties_flat_heatmaps_and_plateaus(self, tiny_grid):
         rng = np.random.default_rng(240)

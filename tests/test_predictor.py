@@ -33,7 +33,16 @@ from contrail.predictor import (
 
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, write_task_csv
 
-from conftest import cosine_rows, dense, endpoint_to_cell, make_scenes
+from conftest import (
+    cosine_rows,
+    dense,
+    endpoint_to_cell,
+    make_scenes,
+    ref_adam_step,
+    ref_loss_and_grad,
+    ref_per_sample_grads,
+    same_bits,
+)
 
 
 def finite_difference_grad(model, params, batch, spec, eps=1e-3):
@@ -263,6 +272,68 @@ class TestAdam:
         np.testing.assert_array_equal(params, np.ones(4))
         np.testing.assert_array_equal(state.m, np.zeros(4))
         assert state.t == 0
+
+
+class TestMatchesReferenceKernels:
+    """The in-place kernels against the plain references of conftest,
+    bit for bit, leaving every argument as it was."""
+
+    @pytest.fixture
+    def deep_model(self, tiny_grid):
+        return HeatmapPredictor(PredictorConfig(t_obs=2, k_sv=1, hidden_dims=(7, 5), grid=tiny_grid, seed=3))
+
+    def test_adam_over_50_chained_steps(self):
+        rng = np.random.default_rng(70)
+        for kwargs in ({"lr": 1e-3}, {"lr": 0.05, "beta1": 0.5, "beta2": 0.9, "eps": 1e-6}):
+            params = rng.normal(size=300)
+            state = ref_state = AdamState.zeros(300)
+            ref_params = params
+            for _ in range(50):
+                grad = rng.normal(0.0, rng.uniform(1e-4, 10.0), size=300)
+                grad[rng.random(300) < 0.1] = 0.0
+                before = [a.copy() for a in (params, grad, state.m, state.v)]
+                params_out, state_out = adam_step(params, grad, state, **kwargs)
+                assert all(same_bits(a, b) for a, b in zip((params, grad, state.m, state.v), before))
+                ref_params, ref_state = ref_adam_step(ref_params, grad, ref_state, **kwargs)
+                assert same_bits(params_out, ref_params)
+                assert same_bits(state_out.m, ref_state.m) and same_bits(state_out.v, ref_state.v)
+                assert state_out.t == ref_state.t
+                params, state = params_out, state_out
+
+    @pytest.mark.parametrize("base_kind", ["cross_entropy", "focal"])
+    @pytest.mark.parametrize("distilled", ["none", "all", "mask"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["mean", "weights"])
+    def test_loss_and_grad(self, deep_model, base_kind, distilled, weighted):
+        rng = np.random.default_rng(71)
+        spec = LossSpec(base_kind=base_kind, focal_gamma=1.5)
+        for n in (1, 3, 9):
+            params = rng.normal(0.0, 0.5, size=deep_model.param_count)
+            x, cells, stored, distill, weights = random_batch(rng, deep_model, n, with_distill=True, weighted=weighted)
+            stored = None if distilled == "none" else stored
+            distill = distill if distilled == "mask" else None
+            args = (x, cells, spec, stored, distill, weights)
+            before = [None if a is None else a.copy() for a in (params, x, cells, stored, distill, weights)]
+            loss, grad, logits = deep_model.loss_and_grad(params, *args)
+            ref_loss, ref_grad, ref_logits = ref_loss_and_grad(deep_model, params, *args)
+            assert loss == ref_loss
+            assert same_bits(grad, ref_grad) and same_bits(logits, ref_logits)
+            after = (params, x, cells, stored, distill, weights)
+            assert all(b is None or same_bits(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("base_kind", ["cross_entropy", "focal"])
+    def test_per_sample_grads(self, deep_model, base_kind):
+        rng = np.random.default_rng(72)
+        spec = LossSpec(base_kind=base_kind, focal_gamma=2.5)
+        for n in (1, 4, 11):
+            params = rng.normal(0.0, 0.5, size=deep_model.param_count)
+            x, cells, _, _, _ = random_batch(rng, deep_model, n)
+            before = [a.copy() for a in (params, x, cells)]
+            got = deep_model.per_sample_grads(params, x, cells, spec)
+            want = ref_per_sample_grads(deep_model, params, x, cells, spec)
+            assert len(got.deltas) == len(want.deltas) == 3
+            assert all(same_bits(a, b) for a, b in zip(got.deltas, want.deltas))
+            assert all(same_bits(a, b) for a, b in zip(got.inputs, want.inputs))
+            assert all(same_bits(a, b) for a, b in zip((params, x, cells), before))
 
 
 class TestConfigValidation:

@@ -337,8 +337,14 @@ class TestNonFiniteTracks:
             {"kind": "arc", "speed_range": (1.0, 1e200), "curvature_range": (0.04, 1e200)},
             {"kind": "turn", "dt": 5e-324},
             {"kind": "arc", "curvature_range": (-1e308, 1e308)},
+            {"speed_range": (1.0, 5e307)},
+            {"noise_sigma": 1e306},
+            {"dt": 1e305},
         ],
-        ids=["noise_sigma", "speed_range", "dt", "infinite arc heading", "infinite turn rate", "range too wide to draw"],
+        ids=[
+            "noise_sigma", "speed_range", "dt", "infinite arc heading", "infinite turn rate", "range too wide to draw",
+            "finite speed_range beyond the bound", "finite noise_sigma beyond the bound", "finite dt beyond the bound",
+        ],
     )
     def test_are_refused_by_kind_and_seed_and_never_written(self, tmp_path, overrides):
         spec = TaskSpec(**{"kind": "straight", "n_samples": 20, "seed": 5, **overrides})
@@ -350,6 +356,19 @@ class TestNonFiniteTracks:
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError, match=rf"^tasks\[0\]: {message}"):
             task_datasets((spec,))
+
+    def test_speed_at_the_bound_is_kept(self):
+        # Within 0.1 s of the anchor the positions stay near 1e5 m, so
+        # the velocity components decide: at most 1e6 m/s at speed 1e6,
+        # at least 2e6 / sqrt(2) m/s at speed 2e6.  No neighbors, whose
+        # speeds are jittered.
+        def at(speed):
+            return TaskSpec("straight", 20, seed=2, speed_range=(speed, speed), t_obs=2, t_pred=1, k_sv=0)
+
+        assert scenarios.TRACK_LIMIT == 1e6
+        assert np.abs(generate_task(at(1e6)).tv[..., 2:]).max() <= 1e6
+        with pytest.raises(ValueError, match="values beyond 1e\\+06 m or m/s"):
+            generate_task(at(2e6))
 
     def test_task_datasets_names_the_task(self):
         good = TaskSpec("straight", 5, seed=1)
