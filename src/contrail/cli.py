@@ -610,7 +610,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not len(scenes):
         raise ValueError(f"{args.data} produced no samples")
     mean_fde, mr = evaluate_task(model, params, model.encode(scenes), args.w)
-    print(json.dumps({"n_samples": len(scenes), "fde": mean_fde, "mr": mr}, indent=2))
+    # A non-finite score is an error (exit 2), never invalid JSON.
+    result = {"n_samples": len(scenes), "fde": mean_fde, "mr": mr}
+    print(json.dumps(result, indent=2, allow_nan=False))
     return 0
 
 

@@ -143,6 +143,7 @@ def dual_replay_step(
     cp_buffer: CompletionBuffer | None,
     cfg: TrainConfig,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, gradient and logits of the current batch (rows of ``table``)
     plus weighted replay from both buffers (base loss + logit distillation
@@ -151,7 +152,7 @@ def dual_replay_step(
 
     A missing or empty buffer, a zero replay weight, or replay_batch 0
     drops that term without drawing; with no term left this is exactly
-    a vanilla step.
+    a vanilla step.  The gradient is written into ``out`` when given.
     """
     spec = cfg.loss
     n_b = len(batch)
@@ -166,12 +167,12 @@ def dual_replay_step(
         weights.append(weight / len(drawn))
         stored.append(logits)
     if len(rows) == 1:
-        return model.loss_and_grad(params, table.x[batch], table.cells[batch], spec)
+        return model.loss_and_grad(params, table.x[batch], table.cells[batch], spec, out=out)
     mixed = np.concatenate(rows)
     distill = np.arange(len(mixed)) >= n_b
     return model.loss_and_grad(
         params, table.x[mixed], table.cells[mixed], spec, np.concatenate(stored), distill,
-        np.repeat(weights, [len(r) for r in rows]),
+        np.repeat(weights, [len(r) for r in rows]), out=out,
     )
 
 
@@ -183,30 +184,43 @@ def gss_style_step(
     buffer: SeparationBuffer | None,
     cfg: TrainConfig,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Base loss, gradient and logits over the current batch
     concatenated with a buffer draw; no distillation.  The mean runs
     over the mixed batch, so the sub-batches weigh in proportion to
-    their sizes."""
+    their sizes.  The gradient is written into ``out`` when given."""
     mixed = np.asarray(batch, dtype=np.intp)
     if buffer is not None and len(buffer) > 0 and cfg.replay_n > 0:
         rows, _ = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
         mixed = np.concatenate([mixed, rows])
-    return model.loss_and_grad(params, table.x[mixed], table.cells[mixed], cfg.loss)
+    return model.loss_and_grad(params, table.x[mixed], table.cells[mixed], cfg.loss, out=out)
 
 
-def agem_project(grad: np.ndarray, ref_grad: np.ndarray) -> tuple[np.ndarray, bool]:
+def agem_project(
+    grad: np.ndarray, ref_grad: np.ndarray, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, bool]:
     """Project a gradient to not increase the reference loss: when the
     dot product is negative, remove the component along the reference
     gradient.  Returns the (possibly unchanged) gradient and whether a
-    projection happened."""
+    projection happened.
+
+    Without ``scratch`` a projection is a fresh array and ``grad`` is
+    left as it was.  With ``scratch`` (a vector of ``grad``'s shape)
+    ``grad`` is projected in place, through ``scratch``, and returned.
+    Both compute ``grad - (dot / denom) * ref_grad`` in that order.
+    """
     dot = float(grad @ ref_grad)
     if dot >= 0.0:
         return grad, False
     denom = float(ref_grad @ ref_grad)
     if denom == 0.0:
         return grad, False
-    return grad - (dot / denom) * ref_grad, True
+    if scratch is None:
+        grad, scratch = grad.copy(), np.empty_like(grad)
+    np.multiply(ref_grad, dot / denom, out=scratch)
+    grad -= scratch
+    return grad, True
 
 
 class _AgemMemory:
@@ -314,8 +328,12 @@ def train_stream(
         _AgemMemory(cfg.buffer_total, rng_agem, table) if strategy is Strategy.AGEM else None
     )
 
+    # The step's parameter-length arrays, made once and updated in place.
     params = model.init_params()
     adam = AdamState.zeros(model.param_count)
+    grad = np.empty(model.param_count)
+    if agem_memory is not None:
+        g_ref, agem_scratch = np.empty(model.param_count), np.empty(model.param_count)
     checkpoints: list[tuple[int, np.ndarray]] = []
     agem_dots: list[float] = []
     pending = list(boundaries)
@@ -328,26 +346,28 @@ def train_stream(
         # The step's forward pass runs at the pre-update parameters: its
         # first len(batch) logit rows are the batch's snapshot.
         if strategy in (Strategy.DUAL_REPLAY, Strategy.DER_STYLE):
-            _, grad, logits = dual_replay_step(
-                model, params, table, batch, sp_buffer, cp_buffer, cfg, rng_replay
+            _, _, logits = dual_replay_step(
+                model, params, table, batch, sp_buffer, cp_buffer, cfg, rng_replay, grad
             )
         elif strategy is Strategy.GSS_STYLE:
-            _, grad, logits = gss_style_step(
-                model, params, table, batch, sp_buffer, cfg, rng_replay
+            _, _, logits = gss_style_step(
+                model, params, table, batch, sp_buffer, cfg, rng_replay, grad
             )
         else:
-            _, grad, logits = model.loss_and_grad(params, table.x[start:end], table.cells[start:end], spec)
+            _, _, logits = model.loss_and_grad(
+                params, table.x[start:end], table.cells[start:end], spec, out=grad
+            )
         if agem_memory is not None:
             refs = agem_memory.reference_rows(
                 exclude_label=table.task_label(end - 1), n=cfg.agem_ref_batch
             )
             if len(refs):
-                _, g_ref, _ = model.loss_and_grad(params, table.x[refs], table.cells[refs], spec)
-                grad, projected = agem_project(grad, g_ref)
+                model.loss_and_grad(params, table.x[refs], table.cells[refs], spec, out=g_ref)
+                _, projected = agem_project(grad, g_ref, agem_scratch)
                 if projected:
                     agem_dots.append(float(grad @ g_ref))
 
-        params, adam = adam_step(params, grad, adam, cfg.lr)
+        adam_step(params, grad, adam, cfg.lr, in_place=True)
         n_steps += 1
 
         if sp_buffer is not None or cp_buffer is not None:
@@ -360,6 +380,7 @@ def train_stream(
             label, _ = pending.pop(0)
             checkpoints.append((label, params.copy()))
 
+    adam.scratch = None  # dead after the last step; freed before evaluation runs
     return TrainResult(
         final_params=params,
         adam_state=adam,

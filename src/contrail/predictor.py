@@ -16,7 +16,7 @@ compared through Gram products instead of P-length rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -181,21 +181,27 @@ class HeatmapPredictor:
         params: np.ndarray,
         acts: list[np.ndarray],
         dlogits: np.ndarray,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Reverse sweep: gradient of ``sum_i loss_i`` given per-sample
         logit gradients (scale ``dlogits`` beforehand for means).  Each
         layer's weight and bias gradients are written straight into
-        their slices of one flat vector, in the parameter layout."""
+        their slices of one flat vector, in the parameter layout: ``out``
+        when given (a contiguous float64 vector of ``param_count``),
+        else a fresh one."""
         layers = self._layers(params)
-        grad = np.empty(self.param_count)
+        if out is None:
+            out = np.empty(self.param_count)
+        elif out.shape != (self.param_count,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous float64 vector of {self.param_count}")
         delta = dlogits
         for li in range(len(layers) - 1, -1, -1):
             ws, bs = self._slices[li]
-            np.matmul(delta.T, acts[li], out=grad[ws].reshape(self._shapes[li]))
-            np.sum(delta, axis=0, out=grad[bs])
+            np.matmul(delta.T, acts[li], out=out[ws].reshape(self._shapes[li]))
+            np.sum(delta, axis=0, out=out[bs])
             if li > 0:
                 delta = _back_through(delta, layers[li][0], acts[li])
-        return grad
+        return out
 
     def loss_and_grad(
         self,
@@ -206,6 +212,7 @@ class HeatmapPredictor:
         stored: np.ndarray | None = None,
         distill: np.ndarray | None = None,
         weights: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """Mean loss over the batch, its full parameter gradient and the logits.
 
@@ -214,7 +221,8 @@ class HeatmapPredictor:
         distillation term on the rows ``distill`` selects, every row
         when ``distill`` is None; see :func:`batch_loss_and_dlogits`.
         ``weights`` (one non-negative weight per row) replaces the batch
-        mean with ``losses @ weights``.
+        mean with ``losses @ weights``.  The gradient is written into
+        ``out`` when given, and ``out`` is returned.
         """
         n = len(x)
         if n == 0:
@@ -227,7 +235,7 @@ class HeatmapPredictor:
         else:
             loss = float(losses @ weights)
             dlogits *= weights[:, None]
-        return loss, self._backward(params, acts, dlogits), logits
+        return loss, self._backward(params, acts, dlogits, out), logits
 
     def per_sample_grads(
         self,
@@ -319,11 +327,14 @@ class FactoredGrads:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment accumulators and the step counter, plus the
+    two parameter-length scratch vectors of :func:`adam_step`, made on
+    its first step and reused after."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, n_params: int) -> "AdamState":
@@ -338,32 +349,44 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
+    *,
+    in_place: bool = False,
 ) -> tuple[np.ndarray, AdamState]:
     """One Adam update (Kingma & Ba, ICLR 2015).
 
-    Returns fresh parameters and a fresh state; the inputs are
-    untouched.  Besides the returned ``m``, ``v`` and parameters it
-    allocates one scratch vector: every other operation writes in
-    place, in the order of the textbook formula, so the result is bit
-    for bit ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
+    By default it returns fresh parameters and a fresh state and leaves
+    the inputs untouched.  With ``in_place`` it updates ``params``,
+    ``state.m`` and ``state.v`` where they are and returns ``params``
+    and ``state`` themselves; past its first step it then allocates
+    nothing parameter-length.  Both run the same kernel: every
+    operation writes in place, in the order of the textbook formula,
+    so the result is bit for bit
+    ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
     """
     if params.shape != grad.shape:
         raise ValueError("params and grad shapes differ")
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient passed to adam_step")
-    t = state.t + 1
-    scratch = np.multiply(grad, 1.0 - beta1)
-    m = np.multiply(state.m, beta1)
-    m += scratch
-    np.square(grad, out=scratch)
-    scratch *= 1.0 - beta2
-    v = np.multiply(state.v, beta2)
-    v += scratch
-    new_params = np.divide(v, 1.0 - beta2**t)  # v_hat
-    np.sqrt(new_params, out=new_params)
-    new_params += eps
-    np.divide(m, 1.0 - beta1**t, out=scratch)  # m_hat
-    scratch *= lr
-    np.divide(scratch, new_params, out=scratch)
-    np.subtract(params, scratch, out=new_params)
-    return new_params, AdamState(m=m, v=v, t=t)
+    if not in_place:
+        params = params.copy()
+        state = AdamState(m=state.m.copy(), v=state.v.copy(), t=state.t)
+    if state.scratch is None:
+        state.scratch = (np.empty_like(params), np.empty_like(params))
+    m, v = state.m, state.v
+    step, denom = state.scratch
+    state.t += 1
+    np.multiply(grad, 1.0 - beta1, out=step)
+    m *= beta1
+    m += step
+    np.square(grad, out=step)
+    step *= 1.0 - beta2
+    v *= beta2
+    v += step
+    np.divide(v, 1.0 - beta2**state.t, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, 1.0 - beta1**state.t, out=step)  # m_hat
+    step *= lr
+    np.divide(step, denom, out=step)
+    params -= step
+    return params, state

@@ -15,8 +15,10 @@ The CSV side round-trips generated data through a plain track table
 with the same schema into one table per file.  The writer draws each
 track's noise in one call and formats each episode as one block of
 lines, byte for byte what a ``csv.writer`` row per frame with ``repr``
-floats gives.  A task whose drawn tracks are not finite, or exceed
-``TRACK_LIMIT`` in magnitude, is refused before any file is written.
+floats gives.  Positions and velocities must be finite and at most
+``TRACK_LIMIT`` in magnitude on both sides: a task whose drawn tracks
+break the bound is refused before any file is written, and so is a CSV
+row, with an error naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ KINDS = ("straight", "arc", "turn")
 
 CSV_HEADER = ["track_id", "frame", "x", "y", "vx", "vy", "agent_role", "task_label"]
 
-# Largest magnitude of a generated position (m) or velocity (m/s).  The
-# README tasks stay within about 100 m and 10 m/s; at 1e6 every square
-# and sum downstream (features, distances, FDE) is still far from
-# overflowing.
+# Largest magnitude of a generated or ingested position (m) or velocity
+# (m/s).  The README tasks stay within about 100 m and 10 m/s; at 1e6
+# every square and sum downstream (features, distances, FDE) is still
+# far from overflowing.
 TRACK_LIMIT = 1e6
 
 
@@ -363,10 +365,15 @@ def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
                 label = int(row[7])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+            # False for NaN and infinities too.
             if not (
-                math.isfinite(x) and math.isfinite(y) and math.isfinite(vx) and math.isfinite(vy)
+                abs(x) <= TRACK_LIMIT and abs(y) <= TRACK_LIMIT
+                and abs(vx) <= TRACK_LIMIT and abs(vy) <= TRACK_LIMIT
             ):
-                raise ValueError(f"{path}:{lineno}: non-finite x, y, vx or vy")
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite x, y, vx or vy, or one beyond "
+                    f"{TRACK_LIMIT:g} m or m/s in magnitude"
+                )
             if role not in ("tv", "sv"):
                 raise ValueError(f"{path}:{lineno}: agent_role must be 'tv' or 'sv'")
             track = tracks.get(track_id)

@@ -1,12 +1,13 @@
 """Fast invariant suite behind ``contrail selftest``.
 
-Seven independent checks that catch the classic silent breakages:
+Eight independent checks that catch the classic silent breakages:
 analytic gradients against finite differences, reservoir uniformity,
 the score-proportional replacement frequency, endpoint extraction
 against a brute-force re-implementation, an optimizer descent probe,
-a CSV write/ingest round trip, and a seeded tiny experiment whose
-result matrix must hash to a pinned golden value.  Everything is
-seeded and runs in a few seconds.
+the in-place optimizer step against the pure one, a CSV write/ingest
+round trip, and a seeded tiny experiment whose result matrix must hash
+to a pinned golden value.  Everything is seeded and runs in a few
+seconds.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def check_metric_oracles(cases: int = 200) -> bool:
     return branch_ok and fde_ok
 
 
-def check_adam_descends(steps: int = 60) -> bool:
+def _adam_probe() -> tuple[HeatmapPredictor, tuple]:
+    """A small model and one fixed batch of six random scenes."""
     rng = np.random.default_rng(19)
     grid = GridSpec(rows_h=4, cols_w=4, origin=(-8.0, -8.0), cell_size=4.0)
     model = HeatmapPredictor(
@@ -198,15 +200,39 @@ def check_adam_descends(steps: int = 60) -> bool:
     for _ in range(6):
         scenes.append(_random_scene(rng, 3, 1))
         cells.append(int(rng.integers(0, 4)) * 4 + int(rng.integers(0, 4)))
-    batch = (model.encode(Scenes.concat(scenes)).x, np.array(cells), LossSpec())
+    return model, (model.encode(Scenes.concat(scenes)).x, np.array(cells), LossSpec())
+
+
+def check_adam_descends(steps: int = 60) -> bool:
+    """The trainer's in-place step (gradient buffer, in-place Adam)
+    lowers the loss of a fixed batch."""
+    model, batch = _adam_probe()
     params = model.init_params()
     adam = AdamState.zeros(model.param_count)
+    grad = np.empty(model.param_count)
     first, _, _ = model.loss_and_grad(params, *batch)
     for _ in range(steps):
-        _, grad, _ = model.loss_and_grad(params, *batch)
-        params, adam = adam_step(params, grad, adam, lr=1e-2)
+        model.loss_and_grad(params, *batch, out=grad)
+        adam_step(params, grad, adam, lr=1e-2, in_place=True)
     last, _, _ = model.loss_and_grad(params, *batch)
     return last < first
+
+
+def check_adam_in_place(steps: int = 60) -> bool:
+    """The in-place Adam step equals the pure one bit for bit along a
+    chain of steps, moments and step count included."""
+    model, batch = _adam_probe()
+    params = model.init_params()
+    pure, pure_adam = params.copy(), AdamState.zeros(model.param_count)
+    adam = AdamState.zeros(model.param_count)
+    for _ in range(steps):
+        _, grad, _ = model.loss_and_grad(params, *batch)
+        pure, pure_adam = adam_step(pure, grad, pure_adam, lr=1e-2)
+        adam_step(params, grad, adam, lr=1e-2, in_place=True)
+        pairs = ((params, pure), (adam.m, pure_adam.m), (adam.v, pure_adam.v))
+        if adam.t != pure_adam.t or any(a.tobytes() != b.tobytes() for a, b in pairs):
+            return False
+    return True
 
 
 def check_csv_round_trip() -> bool:
@@ -269,6 +295,7 @@ CHECKS = [
     ("replacement frequency", check_replacement_frequency),
     ("metric oracles", check_metric_oracles),
     ("adam descends", check_adam_descends),
+    ("adam in place", check_adam_in_place),
     ("csv round trip", check_csv_round_trip),
     ("golden tiny experiment", check_golden),
 ]

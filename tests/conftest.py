@@ -361,3 +361,14 @@ def ref_write_task_csv(spec: TaskSpec, label: int, path: Path) -> None:
                     writer.writerow(
                         [track_id, idx * stride + f, repr(x), repr(y), repr(vx), repr(vy), role, label]
                     )
+
+
+def scale_positions(path: Path, factor: float) -> None:
+    """Multiply the x and y columns of a track table in place, floats
+    written as ``repr``."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[2], row[3] = repr(float(row[2]) * factor), repr(float(row[3]) * factor)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)

@@ -34,7 +34,7 @@ from contrail.metrics import report_from_matrices
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets
 
-from conftest import make_scenes, same_rows
+from conftest import make_scenes, same_rows, scale_positions
 
 
 def base_config(**overrides):
@@ -805,6 +805,44 @@ class TestEvalCommand:
             assert f"config error: --w {w} must be in 1..64" in captured.err
         assert main(argv + ["--w", "64"]) == 0
         assert json.loads(capsys.readouterr().out)["n_samples"] == 5
+
+    def test_table_beyond_the_track_bound_exits_two_naming_its_line(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            strategies=["vanilla"],
+            repetitions=1,
+            tasks=[{"kind": "straight", "n_samples": 20}],
+        )
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
+        assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
+        data = out / "data" / "task_01.csv"
+        scale_positions(data, 1e305)
+        capsys.readouterr()
+        checkpoint = out / "runs" / "vanilla" / "rep_00" / "checkpoint.json"
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: ValueError: {data}:2: non-finite x, y, vx or vy, or one beyond 1e+06" in captured.err
+
+    @pytest.mark.parametrize("score", [math.inf, math.nan])
+    def test_non_finite_score_is_an_error_not_invalid_json(self, tmp_path, capsys, monkeypatch, score):
+        cfg = write_config(tmp_path / "cfg.json", tasks=[{"kind": "straight", "n_samples": 5}])
+        out = tmp_path / "out"
+        assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
+        grid = GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0)
+        model = HeatmapPredictor(PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(4,), grid=grid))
+        checkpoint = tmp_path / "ck.json"
+        save_checkpoint(checkpoint, model.config, model.init_params())
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(out / "data" / "task_01.csv")]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 5
+        monkeypatch.setattr(cli, "evaluate_task", lambda *args: (score, 50.0))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: ValueError: Out of range float values are not JSON compliant" in captured.err
 
     def test_missing_checkpoint_is_a_runtime_error(self, tmp_path, capsys):
         code = main(

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contrail import learner, predictor
+from contrail.core import GridSpec, Scenes
 from contrail.learner import (
     TASK_FREE,
     Strategy,
@@ -25,8 +27,10 @@ from contrail.memory import (
     draw_minibatch,
 )
 from contrail.learner import _AgemMemory
+from contrail.predictor import AdamState, HeatmapPredictor, PredictorConfig
+from contrail.scenarios import KINDS, TaskSpec, generate_task
 
-from conftest import cosine_rows, dense, make_scenes, make_table, same_rows
+from conftest import cosine_rows, dense, make_scenes, make_table, same_bits, same_rows
 
 
 def make_stream(rng, grid, labels):
@@ -104,6 +108,25 @@ class TestAgemProject:
         out, projected = agem_project(g, ref)
         assert projected is True
         assert np.allclose(out, [1.0, 0.0], atol=1e-15)
+
+
+    def test_in_place_matches_the_pure_projection(self):
+        rng = np.random.default_rng(301)
+        scratch = np.empty(500)
+        projections = 0
+        for _ in range(100):
+            g, ref = rng.normal(size=500), rng.normal(size=500)
+            before = (g.copy(), ref.copy())
+            want, want_projected = agem_project(g, ref)
+            assert same_bits(g, before[0])
+            if want_projected:  # the textbook expression, one fresh array per operation
+                assert same_bits(want, g - (float(g @ ref) / float(ref @ ref)) * ref)
+            buf = g.copy()
+            got, projected = agem_project(buf, ref, scratch)
+            assert got is buf and projected is want_projected
+            assert same_bits(got, want) and same_bits(ref, before[1])
+            projections += projected
+        assert projections > 20
 
 
 class TestStepFunctions:
@@ -655,3 +678,83 @@ class TestAgemMemory:
         mem.observe(1, 0)
         assert mem.reservoirs == {}
         assert len(mem.reference_rows(exclude_label=2, n=3)) == 0
+
+
+class TestStepAllocations:
+    """Past the first step no gradient, Adam or A-GEM call of the
+    trainer allocates a parameter-length array.
+
+    tracemalloc sees numpy's buffers.  On the README model (P = 33,664,
+    one P-length float64 array is 269,312 B) each call's peak above the
+    memory held when it starts must stay below P x 8 bytes.  Its row
+    temporaries (n x 256 cells each) count too and grow with the rows,
+    so the draws are kept small: batch 8, replay 2, reference batch 8.
+    """
+
+    @pytest.fixture(scope="class")
+    def readme(self):
+        grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
+        model = HeatmapPredictor(
+            PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(64, 64), grid=grid, seed=7)
+        )
+        tasks = [TaskSpec(kind=kind, n_samples=24, seed=i, noise_sigma=0.1) for i, kind in enumerate(KINDS, 1)]
+        return model, model.encode(Scenes.concat([generate_task(t, i) for i, t in enumerate(tasks, 1)]))
+
+    @staticmethod
+    def measured(peaks, name, fn):
+        """``fn``, recording in ``peaks[name]`` each call's traced peak
+        above the memory held when the call starts."""
+
+        def call(*args, **kwargs):
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            peaks.setdefault(name, []).append(tracemalloc.get_traced_memory()[1] - held)
+            return result
+
+        return call
+
+    @pytest.fixture
+    def traced(self):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        yield
+        if started:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_no_parameter_length_array_after_the_first_step(self, readme, monkeypatch, traced, strategy):
+        model, table = readme
+        limit = model.param_count * 8
+        peaks: dict[str, list[int]] = {}
+        monkeypatch.setattr(learner, "adam_step", self.measured(peaks, "adam_step", learner.adam_step))
+        monkeypatch.setattr(learner, "agem_project", self.measured(peaks, "agem_project", learner.agem_project))
+        monkeypatch.setattr(
+            HeatmapPredictor, "loss_and_grad",
+            self.measured(peaks, "loss_and_grad", HeatmapPredictor.loss_and_grad),
+        )
+        cfg = TrainConfig(buffer_total=20, replay_batch=2, agem_ref_batch=8)
+        result = train_stream(model, table, strategy, cfg)
+        assert len(peaks["adam_step"]) == result.n_steps == 9
+        assert (strategy is Strategy.AGEM) == ("agem_project" in peaks)
+        over = {name: max(p[1:]) for name, p in peaks.items() if max(p[1:]) >= limit}
+        assert over == {}, f"peaks of at least {limit} B"
+
+    def test_the_allocating_calls_reach_the_bound(self, readme, traced):
+        """The guard's control: the pure Adam step and a gradient without
+        a buffer each allocate a parameter-length array, and their peaks
+        reach P x 8."""
+        model, table = readme
+        peaks: dict[str, list[int]] = {}
+        params = model.init_params()
+        adam, grad = AdamState.zeros(model.param_count), np.empty(model.param_count)
+        x, cells = table.x[:8], table.cells[:8]
+        for _ in range(2):
+            self.measured(peaks, "out", model.loss_and_grad)(params, x, cells, LossSpec(), out=grad)
+            self.measured(peaks, "in_place", learner.adam_step)(params, grad, adam, 1e-3, in_place=True)
+            self.measured(peaks, "fresh", model.loss_and_grad)(params, x, cells, LossSpec())
+            self.measured(peaks, "pure", learner.adam_step)(params, grad, adam, 1e-3)
+        limit = model.param_count * 8
+        assert peaks["out"][1] < limit <= peaks["fresh"][1]
+        assert peaks["in_place"][1] < limit <= peaks["pure"][1]

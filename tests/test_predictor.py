@@ -300,6 +300,53 @@ class TestMatchesReferenceKernels:
                 assert state_out.t == ref_state.t
                 params, state = params_out, state_out
 
+    def test_adam_in_place_over_50_chained_steps(self):
+        """The trainer's step updates the arrays it is given, to the
+        reference's bits, and returns them."""
+        rng = np.random.default_rng(73)
+        for kwargs in ({"lr": 1e-3}, {"lr": 0.05, "beta1": 0.5, "beta2": 0.9, "eps": 1e-6}):
+            params = rng.normal(size=300)
+            state, ref_state = AdamState.zeros(300), AdamState.zeros(300)
+            ref_params = params.copy()
+            arrays = (params, state.m, state.v)
+            for _ in range(50):
+                grad = rng.normal(0.0, rng.uniform(1e-4, 10.0), size=300)
+                grad[rng.random(300) < 0.1] = 0.0
+                grad_before = grad.copy()
+                params_out, state_out = adam_step(params, grad, state, in_place=True, **kwargs)
+                ref_params, ref_state = ref_adam_step(ref_params, grad, ref_state, **kwargs)
+                assert params_out is params and state_out is state
+                assert all(a is b for a, b in zip((params, state.m, state.v), arrays))
+                assert same_bits(grad, grad_before)
+                assert same_bits(params, ref_params)
+                assert same_bits(state.m, ref_state.m) and same_bits(state.v, ref_state.v)
+                assert state.t == ref_state.t
+
+    def test_loss_and_grad_into_a_buffer(self, deep_model):
+        rng = np.random.default_rng(74)
+        buf = np.full(deep_model.param_count, np.nan)
+        for base_kind in ("cross_entropy", "focal"):
+            spec = LossSpec(base_kind=base_kind, focal_gamma=1.5)
+            for n in (1, 5):
+                params = rng.normal(0.0, 0.5, size=deep_model.param_count)
+                args = random_batch(rng, deep_model, n, with_distill=True, weighted=True)
+                loss, grad, logits = deep_model.loss_and_grad(params, *args[:2], spec, *args[2:])
+                got = deep_model.loss_and_grad(params, *args[:2], spec, *args[2:], out=buf)
+                assert got[1] is buf
+                assert got[0] == loss and same_bits(buf, grad) and same_bits(got[2], logits)
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [lambda p: np.empty(p - 1), lambda p: np.empty(p, dtype=np.float32), lambda p: np.empty(2 * p)[::2]],
+        ids=["short", "float32", "strided"],
+    )
+    def test_loss_and_grad_refuses_a_buffer_it_cannot_fill(self, deep_model, make_out):
+        x, cells, _, _, _ = random_batch(np.random.default_rng(75), deep_model, 2)
+        params = deep_model.init_params()
+        out = make_out(deep_model.param_count)
+        with pytest.raises(ValueError, match="out must be a contiguous float64 vector of 279"):
+            deep_model.loss_and_grad(params, x, cells, LossSpec(), out=out)
+
     @pytest.mark.parametrize("base_kind", ["cross_entropy", "focal"])
     @pytest.mark.parametrize("distilled", ["none", "all", "mask"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["mean", "weights"])

@@ -27,7 +27,7 @@ from contrail.scenarios import (
     write_task_csv,
 )
 
-from conftest import ref_episode_track, ref_write_task_csv, same_rows
+from conftest import ref_episode_track, ref_write_task_csv, same_rows, scale_positions
 
 
 def local_endpoints_of(scenes: Scenes) -> np.ndarray:
@@ -500,6 +500,32 @@ class TestNonFiniteRows:
         path = tmp_path / "nonfinite.csv"
         path.write_text(csv_text(rows))
         with pytest.raises(ValueError, match=r"nonfinite\.csv:4: non-finite"):
+            ingest_csv(path, t_obs=3, t_pred=2)
+
+
+class TestOutOfRangeRows:
+    """Ingestion holds positions and velocities to the bound generation
+    uses, ``TRACK_LIMIT``."""
+
+    def test_a_scaled_generated_table_is_refused_at_its_first_row(self, tmp_path):
+        path = tmp_path / "big.csv"
+        write_task_csv(TaskSpec(kind="straight", n_samples=3, seed=1, noise_sigma=0.1), 1, path)
+        ingest_csv(path)
+        scale_positions(path, 1e305)
+        with pytest.raises(ValueError, match=r"big\.csv:2: non-finite x, y, vx or vy, or one beyond 1e\+06 m"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("column", [2, 3, 4, 5])
+    def test_the_limit_is_kept_and_the_next_float_refused(self, tmp_path, column):
+        limit = scenarios.TRACK_LIMIT
+        rows = [["car", f, float(f), 0.0, 10.0, 0.0, "tv", 1] for f in range(6)]
+        rows[1][column], rows[2][column] = limit, -limit
+        path = tmp_path / "edge.csv"
+        path.write_text(csv_text(rows))
+        assert len(ingest_csv(path, t_obs=3, t_pred=2)) == 2
+        rows[4][column] = repr(-math.nextafter(limit, math.inf))
+        path.write_text(csv_text(rows))
+        with pytest.raises(ValueError, match=r"edge\.csv:6: non-finite x, y, vx or vy, or one beyond"):
             ingest_csv(path, t_obs=3, t_pred=2)
 
 
