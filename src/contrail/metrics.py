@@ -36,6 +36,22 @@ __all__ = [
 LATERAL_GATE_M = 1.0
 
 
+def _strict_peaks(probs: np.ndarray) -> np.ndarray:
+    """Flat ``(n, rows_h * cols_w)`` mask of the cells of each heatmap
+    in ``probs`` that exceed all their 3x3 neighbors (clipped at the
+    borders)."""
+    n, rows_h, cols_w = probs.shape
+    padded = np.full((n, rows_h + 2, cols_w + 2), -np.inf)
+    padded[:, 1:-1, 1:-1] = probs
+    neighbors = np.full_like(probs, -np.inf)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if (dr, dc) != (0, 0):
+                shifted = padded[:, 1 + dr : 1 + dr + rows_h, 1 + dc : 1 + dc + cols_w]
+                np.maximum(neighbors, shifted, out=neighbors)
+    return (probs > neighbors).reshape(n, -1)
+
+
 def extract_endpoints(logits: np.ndarray, grid: GridSpec, w: int = 6) -> np.ndarray:
     """Top-W endpoint candidates of each heatmap in a stack.
 
@@ -44,8 +60,13 @@ def extract_endpoints(logits: np.ndarray, grid: GridSpec, w: int = 6) -> np.ndar
     Candidates are the strict local maxima of the probability surface
     over 3x3 neighborhoods (clipped at the borders), in descending
     probability; if fewer than W exist, the highest remaining cells fill
-    the tail.  Ties break lexicographically by (row, col): both sorts
-    are stable and the flat cell index runs in (row, col) order.
+    the tail.  Ties break lexicographically by (row, col), the order of
+    the flat cell index.  Each cell gets one order-preserving uint64 key
+    (the non-peak flag in bit 63, then the probability's bits inverted:
+    probabilities are at least +0.0, so their bits order as they do);
+    one partition per row finds the W-th key, the cells below it and
+    the lowest-index cells equal to it are taken, and only those W keys
+    are sorted, stably.
     """
     if not (1 <= w <= grid.n_cells):
         raise ValueError(f"w must be in 1..{grid.n_cells}")
@@ -57,21 +78,15 @@ def extract_endpoints(logits: np.ndarray, grid: GridSpec, w: int = 6) -> np.ndar
     if not np.all(np.isfinite(logits)):
         raise ValueError("heatmap logits must be finite")
     probs = softmax(logits)
-    padded = np.full((n, grid.rows_h + 2, grid.cols_w + 2), -np.inf)
-    padded[:, 1:-1, 1:-1] = probs
-    neighbors = np.full_like(probs, -np.inf)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if (dr, dc) != (0, 0):
-                shifted = padded[:, 1 + dr : 1 + dr + grid.rows_h, 1 + dc : 1 + dc + grid.cols_w]
-                np.maximum(neighbors, shifted, out=neighbors)
-    is_peak = (probs > neighbors).reshape(n, -1)
-
-    by_prob = np.argsort(-probs.reshape(n, -1), axis=1, kind="stable")
-    peaks_first = np.argsort(
-        ~np.take_along_axis(is_peak, by_prob, axis=1), axis=1, kind="stable"
-    )
-    cells = np.take_along_axis(by_prob, peaks_first[:, :w], axis=1)
+    keys = np.where(_strict_peaks(probs), np.uint64(0x7FFF_FFFF_FFFF_FFFF), np.uint64(0xFFFF_FFFF_FFFF_FFFF))
+    keys -= probs.reshape(n, -1).view(np.uint64)
+    kth = np.partition(keys, w - 1, axis=1)[:, [w - 1]]  # a copy: the partition is freed
+    below = keys < kth
+    at = keys == kth
+    at &= np.cumsum(at, axis=1) <= w - np.count_nonzero(below, axis=1)[:, None]
+    cells = np.nonzero(below | at)[1].reshape(n, w)  # ascending within each row
+    by_key = np.argsort(np.take_along_axis(keys, cells, axis=1), axis=1, kind="stable")
+    cells = np.take_along_axis(cells, by_key, axis=1)
     row, col = np.divmod(cells, grid.cols_w)
     x = grid.origin[0] + (col + 0.5) * grid.cell_size
     y = grid.origin[1] + (row + 0.5) * grid.cell_size

@@ -7,8 +7,10 @@ change unfolding over the prediction horizon ("turn", to the right by
 default).  Episodes place the vehicle anywhere in the world with any
 heading, so only the target-centric geometry carries task identity.
 Tracks are exact closed-form rollouts plus optional Gaussian position
-noise; velocities stay exact.  Each episode is written straight into
-the arrays of a :class:`~contrail.core.Scenes` table as it is drawn.
+noise; velocities stay exact.  A task's episodes are drawn one after
+the other and their draws stored in arrays; one array rollout per
+agent role then writes every track of the task into the arrays of a
+:class:`~contrail.core.Scenes` table.
 
 The CSV side round-trips generated data through a plain track table
 (one row per agent per frame) and can ingest externally recorded files
@@ -100,123 +102,173 @@ class TaskSpec:
             raise ValueError("k_sv must be non-negative")
 
 
-def _pose_on(
-    anchor: tuple[float, float],
-    heading: float,
-    speed: float,
-    omega: float,
-    t: float,
-) -> tuple[float, float, float]:
-    """Closed-form pose (x, y, heading) at time t for motion that is at
-    ``anchor``/``heading`` at t = 0 with constant speed and heading rate."""
-    if abs(omega) < 1e-12:
-        return (
-            anchor[0] + speed * t * math.cos(heading),
-            anchor[1] + speed * t * math.sin(heading),
-            heading,
-        )
-    h = heading + omega * t
-    r = speed / omega
-    return (
-        anchor[0] + r * (math.sin(h) - math.sin(heading)),
-        anchor[1] + r * (math.cos(heading) - math.cos(h)),
-        h,
+def _roll_out(
+    out: np.ndarray,
+    noisy: bool,
+    x0: np.ndarray,
+    y0: np.ndarray,
+    heading: np.ndarray,
+    speed: np.ndarray,
+    omega: np.ndarray,
+    t: np.ndarray,
+) -> None:
+    """Write the states (x, y, vx, vy) of agents ``(m,)`` at times ``t``
+    into ``out`` ``(m, len(t), 4)``, in closed form for motion that is
+    at ``(x0, y0)`` with ``heading`` at t = 0, with constant speed and
+    heading rate ``omega``.  With ``noisy``, the x and y columns of
+    ``out`` hold each step's position noise on entry and the pose is
+    added to it.  Agents with ``abs(omega) < 1e-12`` drive straight.
+    Each branch is computed on its own agents only, one coordinate at a
+    time in one scratch array, and each element goes through the same
+    IEEE operations as the scalar formula."""
+    straight = np.abs(omega) < 1e-12
+    for curved, mask in ((False, straight), (True, ~straight)):
+        if not mask.any():
+            continue
+        rows = slice(None) if mask.all() else np.flatnonzero(mask)
+        dst = out if isinstance(rows, slice) else out[rows]
+        hd, v, w = heading[rows, None], speed[rows, None], omega[rows, None]
+        pose = np.empty(dst.shape[:2])
+        for col, anchor in ((0, x0[rows, None]), (1, y0[rows, None])):
+            if curved:  # h = heading + omega * t, r = speed / omega
+                np.multiply(w, t, out=pose)
+                np.add(hd, pose, out=pose)
+                if col == 0:
+                    np.sin(pose, out=pose)
+                    np.multiply(v, pose, out=dst[..., 3])
+                    np.subtract(pose, np.sin(hd), out=pose)
+                else:
+                    np.cos(pose, out=pose)
+                    np.multiply(v, pose, out=dst[..., 2])
+                    np.subtract(np.cos(hd), pose, out=pose)
+                np.multiply(v / w, pose, out=pose)
+            else:
+                trig = (np.cos if col == 0 else np.sin)(hd)
+                dst[..., 2 + col] = v * trig
+                np.multiply(v, t, out=pose)
+                np.multiply(pose, trig, out=pose)
+            np.add(anchor, pose, out=pose)
+            if noisy:  # noise + pose, bit for bit pose + noise
+                np.add(dst[..., col], pose, out=dst[..., col])
+            else:
+                dst[..., col] = pose
+        if dst is not out:
+            out[rows] = dst
+
+
+def _within_limit(a: np.ndarray) -> bool:
+    """Every value of ``a`` is at most ``TRACK_LIMIT`` in magnitude;
+    false for NaN and infinities too."""
+    return a.size == 0 or bool(a.min() >= -TRACK_LIMIT and a.max() <= TRACK_LIMIT)
+
+
+def _slot_order(sv_xy: np.ndarray, tv_xy: np.ndarray) -> np.ndarray:
+    """Each episode's neighbors ``(n, k_sv)`` in ascending distance of
+    their positions ``sv_xy`` ``(n, k_sv, 2)`` from the target's
+    ``tv_xy`` ``(n, 2)``, by ``math.hypot`` and stable on ties."""
+    n, k_sv = sv_xy.shape[:2]
+    dx = (sv_xy[..., 0] - tv_xy[:, 0, None]).ravel().tolist()
+    dy = (sv_xy[..., 1] - tv_xy[:, 1, None]).ravel().tolist()
+    dist = np.fromiter(map(math.hypot, dx, dy), dtype=np.float64, count=n * k_sv)
+    return np.argsort(dist.reshape(n, k_sv), axis=1, kind="stable")
+
+
+def _draw(spec: TaskSpec, tracks: np.ndarray, svs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A task's random draws, episode by episode in a fixed order:
+    anchor x and y, heading, speed, curvature or turn angle, the
+    target's position noise, then per neighbor its longitudinal and
+    lateral offsets, speed jitter and position noise.  Noise goes
+    straight into the x and y columns of ``tracks`` and ``svs``; the
+    rest is returned as ``(x0, y0, heading, speed, bend)`` per episode
+    and ``(lon, lat, jitter)`` per neighbor."""
+    rng = np.random.default_rng(spec.seed)
+    n, k_sv = spec.n_samples, spec.k_sv
+    x0, y0, heading, speeds, bend = (np.empty(n) for _ in range(5))
+    lon, lat, jitter = (np.empty((n, k_sv)) for _ in range(3))
+    bend_range = {"arc": spec.curvature_range, "turn": spec.turn_angle_range}.get(spec.kind)
+    uniform, normal, sigma = rng.uniform, rng.normal, spec.noise_sigma
+    noisy, steps = sigma > 0, tracks.shape[1]
+    for i in range(n):
+        x0[i] = uniform(-50.0, 50.0)
+        y0[i] = uniform(-50.0, 50.0)
+        heading[i] = uniform(0.0, 2.0 * math.pi)
+        speeds[i] = uniform(*spec.speed_range)
+        if bend_range:
+            bend[i] = uniform(*bend_range)
+        if noisy:
+            tracks[i, :, :2] = normal(0.0, sigma, size=(steps, 2))
+        for k in range(k_sv):
+            lon[i, k] = uniform(-15.0, 15.0)
+            lat[i, k] = uniform(-6.0, 6.0)
+            jitter[i, k] = uniform(-1.0, 1.0)
+            if noisy:
+                svs[i, k, :, :2] = normal(0.0, sigma, size=(spec.t_obs, 2))
+    return x0, y0, heading, speeds, bend, lon, lat, jitter
+
+
+def _out_of_scale(spec: TaskSpec) -> ValueError:
+    return ValueError(
+        f"kind {spec.kind}, seed {spec.seed} draws non-finite tracks or values beyond "
+        f"{TRACK_LIMIT:g} m or m/s: its noise_sigma, dt or a range is out of scale"
     )
 
 
-def _episode_track(
-    spec: TaskSpec,
-    anchor: tuple[float, float],
-    heading: float,
-    speed: float,
-    omega_obs: float,
-    omega_pred: float,
-    n_future: int,
-    rng: np.random.Generator,
-) -> list[list[float]]:
-    """States (x, y, vx, vy) for one agent at dt steps: t_obs history
-    ending at the anchor time plus n_future prediction steps, with
-    position noise.  The whole track's noise is one draw, the same
-    sequence as one x then one y draw per step; without noise nothing
-    is drawn."""
-    n = spec.t_obs + n_future
-    noise = rng.normal(0.0, spec.noise_sigma, size=(n, 2)).tolist() if spec.noise_sigma > 0 else None
-    states = []
-    for i in range(n):
-        t = (i - (spec.t_obs - 1)) * spec.dt
-        if t <= 0:
-            x, y, h = _pose_on(anchor, heading, speed, omega_obs, t)
-        else:
-            x, y, h = _pose_on(anchor, heading, speed, omega_pred, t)
-        if noise:
-            x += noise[i][0]
-            y += noise[i][1]
-        states.append([x, y, speed * math.cos(h), speed * math.sin(h)])
-    return states
-
-
+@np.errstate(all="ignore")  # non-finite tracks are refused by the bound check
 def _generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
     """A task's samples and the target vehicles' whole tracks (n,
-    t_obs + t_pred, 4), which CSV export writes in full.  Each episode
-    is written into the arrays as it is drawn; a spec with a track
-    value that is not finite or exceeds ``TRACK_LIMIT`` in magnitude is a
-    ValueError naming its kind and seed."""
-    rng = np.random.default_rng(spec.seed)
+    t_obs + t_pred, 4), which CSV export writes in full.
+
+    The draws (:func:`_draw`) are only stored.  Then one closed-form
+    rollout over every (episode, step) writes the targets: the history
+    turns at the heading rate ``omega_obs``, the future at
+    ``omega_pred``.  Neighbors keep ``omega_obs`` throughout and take
+    their slots by distance from the target at the decision step:
+    their positions there come first, their draws move to their slots,
+    and one rollout over every (episode, neighbor, step) writes them.
+    With a finite dt the history is exactly the steps with t <= 0; with
+    a non-finite one every track is non-finite either way.  A spec with
+    a track value that is not finite or exceeds ``TRACK_LIMIT`` in
+    magnitude is a ValueError naming its kind and seed."""
     n, t_obs, k_sv = spec.n_samples, spec.t_obs, spec.k_sv
+    noisy = spec.noise_sigma > 0
     tracks = np.empty((n, t_obs + spec.t_pred, 4))
     svs = np.empty((n, k_sv, t_obs, 4))
-    speeds = np.empty(n)
-    horizon = spec.t_pred * spec.dt
     try:
-        for i in range(n):
-            anchor = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
-            heading = rng.uniform(0.0, 2.0 * math.pi)
-            speed = rng.uniform(*spec.speed_range)
-            if spec.kind == "straight":
-                omega_obs = omega_pred = 0.0
-            elif spec.kind == "arc":
-                kappa = rng.uniform(*spec.curvature_range)
-                omega_obs = omega_pred = speed * kappa
-            else:  # turn: straight approach, the heading change is all ahead
-                omega_obs = 0.0
-                angle = rng.uniform(*spec.turn_angle_range)
-                omega_pred = angle / horizon
-            tv_track = _episode_track(
-                spec, anchor, heading, speed, omega_obs, omega_pred, spec.t_pred, rng
-            )
+        x0, y0, heading, speeds, bend, lon, lat, jitter = _draw(spec, tracks, svs)
+    except (ValueError, OverflowError):  # a range too wide to draw from
+        raise _out_of_scale(spec) from None
 
-            sv_tracks = []
-            for _ in range(k_sv):
-                lon = rng.uniform(-15.0, 15.0)
-                lat = rng.uniform(-6.0, 6.0)
-                sv_anchor = (
-                    anchor[0] + lon * math.cos(heading) - lat * math.sin(heading),
-                    anchor[1] + lon * math.sin(heading) + lat * math.cos(heading),
-                )
-                sv_speed = max(0.5, speed + rng.uniform(-1.0, 1.0))
-                sv_tracks.append(
-                    _episode_track(
-                        spec, sv_anchor, heading, sv_speed, omega_obs, omega_obs, 0, rng
-                    )
-                )
-            # Neighbor slots ordered by distance at the decision step, matching
-            # how ingestion ranks candidate neighbors.
-            tv_x, tv_y = tv_track[t_obs - 1][:2]
-            sv_tracks.sort(key=lambda tr: math.hypot(tr[-1][0] - tv_x, tr[-1][1] - tv_y))
+    t = (np.arange(t_obs + spec.t_pred) - (t_obs - 1)) * spec.dt
+    if spec.kind == "straight":
+        omega_obs = omega_pred = np.zeros(n)
+    elif spec.kind == "arc":
+        omega_obs = omega_pred = speeds * bend
+    else:  # turn: straight approach, the heading change is all ahead
+        omega_obs, omega_pred = np.zeros(n), bend / (spec.t_pred * spec.dt)
+    _roll_out(tracks[:, :t_obs], noisy, x0, y0, heading, speeds, omega_obs, t[:t_obs])
+    _roll_out(tracks[:, t_obs:], noisy, x0, y0, heading, speeds, omega_pred, t[t_obs:])
 
-            tracks[i] = tv_track
-            if k_sv:
-                svs[i] = sv_tracks
-            speeds[i] = speed
-    except (ValueError, OverflowError):  # math.sin of an infinite heading; a range too wide to draw from
-        in_range = False
-    else:  # false for NaN and infinities too
-        in_range = (np.abs(tracks) <= TRACK_LIMIT).all() and (np.abs(svs) <= TRACK_LIMIT).all()
-    if not in_range:
-        raise ValueError(
-            f"kind {spec.kind}, seed {spec.seed} draws non-finite tracks or values beyond "
-            f"{TRACK_LIMIT:g} m or m/s: its noise_sigma, dt or a range is out of scale"
-        )
+    if k_sv:
+        cos_h, sin_h = np.cos(heading)[:, None], np.sin(heading)[:, None]
+        sv_x0 = x0[:, None] + lon * cos_h - lat * sin_h
+        sv_y0 = y0[:, None] + lon * sin_h + lat * cos_h
+        sv_speed = np.maximum(speeds[:, None] + jitter, 0.5)
+        sv_heading, sv_omega = np.repeat(heading, k_sv), np.repeat(omega_obs, k_sv)
+        last = np.empty((n * k_sv, 1, 4))
+        if noisy:
+            last[:, 0, :2] = svs[:, :, -1, :2].reshape(-1, 2)
+        decision = t[t_obs - 1 : t_obs]
+        _roll_out(last, noisy, sv_x0.ravel(), sv_y0.ravel(), sv_heading, sv_speed.ravel(), sv_omega, decision)
+        slots = _slot_order(last[:, 0, :2].reshape(n, k_sv, 2), tracks[:, t_obs - 1, :2])
+        rows = np.arange(n)[:, None]
+        if noisy:
+            svs[..., :2] = svs[rows, slots, :, :2]
+        sv_x0, sv_y0, sv_speed = (a[rows, slots].ravel() for a in (sv_x0, sv_y0, sv_speed))
+        svs_flat = svs.reshape(n * k_sv, t_obs, 4)
+        _roll_out(svs_flat, noisy, sv_x0, sv_y0, sv_heading, sv_speed, sv_omega, t[:t_obs])
+
+    if not (_within_limit(tracks) and _within_limit(svs)):
+        raise _out_of_scale(spec)
     scenes = Scenes(
         tracks[:, :t_obs].copy(),
         svs,

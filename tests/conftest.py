@@ -17,7 +17,7 @@ from contrail.core import GridSpec, SampleTable, Scenes
 from contrail.losses import LossSpec
 from contrail.memory import FIRST_SAMPLE_SCORE
 from contrail.predictor import AdamState, FactoredGrads, HeatmapPredictor, PredictorConfig
-from contrail.scenarios import CSV_HEADER, TaskSpec, _generate, _pose_on
+from contrail.scenarios import CSV_HEADER, TRACK_LIMIT, TaskSpec
 
 
 def make_scenes(
@@ -320,6 +320,26 @@ def ref_replay_targets(buffer: RefCompletionBuffer, slots: np.ndarray) -> tuple[
     return rows, stored
 
 
+def ref_pose_on(
+    anchor: tuple[float, float], heading: float, speed: float, omega: float, t: float
+) -> tuple[float, float, float]:
+    """Closed-form pose (x, y, heading) at time t for motion that is at
+    ``anchor``/``heading`` at t = 0 with constant speed and heading rate."""
+    if abs(omega) < 1e-12:
+        return (
+            anchor[0] + speed * t * math.cos(heading),
+            anchor[1] + speed * t * math.sin(heading),
+            heading,
+        )
+    h = heading + omega * t
+    r = speed / omega
+    return (
+        anchor[0] + r * (math.sin(h) - math.sin(heading)),
+        anchor[1] + r * (math.cos(heading) - math.cos(h)),
+        h,
+    )
+
+
 def ref_episode_track(
     spec: TaskSpec,
     anchor: tuple[float, float],
@@ -330,12 +350,14 @@ def ref_episode_track(
     n_future: int,
     rng: np.random.Generator,
 ) -> list[list[float]]:
-    """Reference for ``scenarios._episode_track``: one scalar noise draw
-    for x, then one for y, at each step."""
+    """States (x, y, vx, vy) of one agent at dt steps: t_obs history
+    ending at the anchor time plus n_future prediction steps, one step
+    at a time, with one scalar noise draw for x, then one for y, at
+    each step."""
     states = []
     for i in range(spec.t_obs + n_future):
         t = (i - (spec.t_obs - 1)) * spec.dt
-        x, y, h = _pose_on(anchor, heading, speed, omega_obs if t <= 0 else omega_pred, t)
+        x, y, h = ref_pose_on(anchor, heading, speed, omega_obs if t <= 0 else omega_pred, t)
         if spec.noise_sigma > 0:
             x += rng.normal(0.0, spec.noise_sigma)
             y += rng.normal(0.0, spec.noise_sigma)
@@ -343,12 +365,72 @@ def ref_episode_track(
     return states
 
 
+def ref_generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
+    """Reference for ``scenarios._generate``: the scalar path, one
+    episode, one agent and one step at a time, drawing in the same
+    order and refusing the same specs with the same message."""
+    rng = np.random.default_rng(spec.seed)
+    n, t_obs, k_sv = spec.n_samples, spec.t_obs, spec.k_sv
+    tracks, svs, speeds = [], [], []
+    horizon = spec.t_pred * spec.dt
+    try:
+        for _ in range(n):
+            anchor = (rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            speed = rng.uniform(*spec.speed_range)
+            if spec.kind == "straight":
+                omega_obs = omega_pred = 0.0
+            elif spec.kind == "arc":
+                omega_obs = omega_pred = speed * rng.uniform(*spec.curvature_range)
+            else:
+                omega_obs, omega_pred = 0.0, rng.uniform(*spec.turn_angle_range) / horizon
+            tv_track = ref_episode_track(
+                spec, anchor, heading, speed, omega_obs, omega_pred, spec.t_pred, rng
+            )
+            sv_tracks = []
+            for _ in range(k_sv):
+                lon = rng.uniform(-15.0, 15.0)
+                lat = rng.uniform(-6.0, 6.0)
+                sv_anchor = (
+                    anchor[0] + lon * math.cos(heading) - lat * math.sin(heading),
+                    anchor[1] + lon * math.sin(heading) + lat * math.cos(heading),
+                )
+                sv_speed = max(0.5, speed + rng.uniform(-1.0, 1.0))
+                sv_tracks.append(
+                    ref_episode_track(spec, sv_anchor, heading, sv_speed, omega_obs, omega_obs, 0, rng)
+                )
+            tv_x, tv_y = tv_track[t_obs - 1][:2]
+            sv_tracks.sort(key=lambda tr: math.hypot(tr[-1][0] - tv_x, tr[-1][1] - tv_y))
+            tracks.append(tv_track)
+            svs.append(sv_tracks)
+            speeds.append(speed)
+    except (ValueError, OverflowError):  # math.sin of an infinite heading; a range too wide to draw from
+        in_range = False
+    else:
+        in_range = all(
+            abs(v) <= TRACK_LIMIT for agents in (tracks, svs) for v in np.ravel(agents).tolist()
+        )
+    if not in_range:
+        raise ValueError(
+            f"kind {spec.kind}, seed {spec.seed} draws non-finite tracks or values beyond "
+            f"{TRACK_LIMIT:g} m or m/s: its noise_sigma, dt or a range is out of scale"
+        )
+    whole = np.array(tracks, dtype=np.float64).reshape(n, t_obs + spec.t_pred, 4)
+    scenes = Scenes(
+        whole[:, :t_obs].copy(),
+        np.array(svs, dtype=np.float64).reshape(n, k_sv, t_obs, 4),
+        np.ones((n, k_sv), dtype=bool),
+        whole[:, -1, :2].copy(),
+        np.array(speeds, dtype=np.float64),
+        np.full(n, label),
+    )
+    return scenes, whole
+
+
 def ref_write_task_csv(spec: TaskSpec, label: int, path: Path) -> None:
     """Reference for ``scenarios.write_task_csv``: a ``csv.writer`` row
-    per agent per frame, floats as ``repr``.  It generates through
-    ``scenarios._generate``, which draws with ``scenarios._episode_track``
-    (patch in :func:`ref_episode_track` for the whole old path)."""
-    scenes, tracks = _generate(spec, label)
+    per agent per frame, floats as ``repr``, from :func:`ref_generate`."""
+    scenes, tracks = ref_generate(spec, label)
     stride = max(100, spec.t_obs + spec.t_pred)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

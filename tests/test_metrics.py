@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -107,6 +108,34 @@ class TestExtractEndpoints:
             w = int(rng.integers(1, tiny_grid.n_cells + 1))
             assert endpoints_of(logits, tiny_grid, w) == tuple(_brute_force_endpoints(logits, tiny_grid, w))
 
+    @pytest.mark.parametrize(
+        "rows_h, cols_w, ws",
+        [(16, 16, (1, 2, 6, 17, 200, 256)), (3, 7, (1, 2, 6, 17, 21))],
+        ids=["16x16", "3x7"],
+    )
+    def test_matches_brute_force_on_tie_heavy_stacks(self, rows_h, cols_w, ws):
+        # Ties at the W-th key: flat and quantized heatmaps, and logits
+        # of +-1e300, whose softmax is a few equal maxima and exact
+        # zeros elsewhere.
+        rng = np.random.default_rng(203)
+        grid = GridSpec(rows_h=rows_h, cols_w=cols_w, origin=(-5.0, -20.0), cell_size=2.5)
+        shape = (6, rows_h, cols_w)
+        stack = np.concatenate(
+            [
+                np.zeros((1, rows_h, cols_w)),
+                np.full((1, rows_h, cols_w), 7.0),
+                rng.integers(0, 2, size=shape).astype(float),
+                np.round(rng.normal(size=shape) * 2.0) / 2.0,
+                rng.choice([-1e300, 1e300], size=shape),
+                rng.choice([-1e300, 0.0, 1e300], p=[0.6, 0.3, 0.1], size=shape),
+                rng.normal(size=shape),
+            ]
+        )
+        for w in ws:
+            got = extract_endpoints(stack, grid, w)
+            for logits, endpoints in zip(stack, got):
+                assert [tuple(p) for p in endpoints.tolist()] == _brute_force_endpoints(logits, grid, w)
+
     def test_dominant_cell_comes_first(self, tiny_grid):
         logits = np.zeros((4, 5))
         logits[2, 3] = 10.0
@@ -181,6 +210,22 @@ class TestBatchedScoring:
         whole = extract_endpoints(stack, tiny_grid, 5)
         for k in range(len(stack)):
             assert np.array_equal(extract_endpoints(stack[k : k + 1], tiny_grid, 5)[0], whole[k])
+
+    def test_peak_memory_is_no_higher_than_two_full_sorts(self):
+        # tracemalloc peak of the two-argsort extraction on this stack
+        # (a 400-sample test table on the README grid, numpy 2.4): 5.6
+        # times the probability array.
+        two_sorts_peak = 4_553_252
+        grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
+        logits = np.random.default_rng(243).normal(size=(400, 16, 16)) * 3.0
+        extract_endpoints(logits, grid, 6)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            extract_endpoints(logits, grid, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= two_sorts_peak
 
     def test_logits_are_checked(self, tiny_grid):
         bad = np.zeros((2, 4, 5))

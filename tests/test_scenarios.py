@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ from contrail.scenarios import (
     write_task_csv,
 )
 
-from conftest import ref_episode_track, ref_write_task_csv, same_rows, scale_positions
+from conftest import ref_generate, ref_write_task_csv, same_bits, same_rows, scale_positions
 
 
 def local_endpoints_of(scenes: Scenes) -> np.ndarray:
@@ -319,33 +322,33 @@ class TestCsvBytes:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("spec, label, digest", CSV_DIGESTS, ids=CSV_IDS)
-    def test_reference_draws_and_rows_give_the_same_bytes(self, tmp_path, monkeypatch, spec, label, digest):
+    def test_reference_draws_and_rows_give_the_same_bytes(self, tmp_path, spec, label, digest):
         written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
         write_task_csv(spec, label, written)
-        monkeypatch.setattr(scenarios, "_episode_track", ref_episode_track)
         ref_write_task_csv(spec, label, reference)
         assert written.read_bytes() == reference.read_bytes()
 
 
+# Specs whose tracks overflow or leave the bound, by how they get there.
+OUT_OF_SCALE = [
+    {"noise_sigma": 1e308},
+    {"speed_range": (1.0, 1e308)},
+    {"dt": 1e307},
+    {"kind": "arc", "speed_range": (1.0, 1e200), "curvature_range": (0.04, 1e200)},
+    {"kind": "turn", "dt": 5e-324},
+    {"kind": "arc", "curvature_range": (-1e308, 1e308)},
+    {"speed_range": (1.0, 5e307)},
+    {"noise_sigma": 1e306},
+    {"dt": 1e305},
+]
+OUT_OF_SCALE_IDS = [
+    "noise_sigma", "speed_range", "dt", "infinite arc heading", "infinite turn rate", "range too wide to draw",
+    "finite speed_range beyond the bound", "finite noise_sigma beyond the bound", "finite dt beyond the bound",
+]
+
+
 class TestNonFiniteTracks:
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"noise_sigma": 1e308},
-            {"speed_range": (1.0, 1e308)},
-            {"dt": 1e307},
-            {"kind": "arc", "speed_range": (1.0, 1e200), "curvature_range": (0.04, 1e200)},
-            {"kind": "turn", "dt": 5e-324},
-            {"kind": "arc", "curvature_range": (-1e308, 1e308)},
-            {"speed_range": (1.0, 5e307)},
-            {"noise_sigma": 1e306},
-            {"dt": 1e305},
-        ],
-        ids=[
-            "noise_sigma", "speed_range", "dt", "infinite arc heading", "infinite turn rate", "range too wide to draw",
-            "finite speed_range beyond the bound", "finite noise_sigma beyond the bound", "finite dt beyond the bound",
-        ],
-    )
+    @pytest.mark.parametrize("overrides", OUT_OF_SCALE, ids=OUT_OF_SCALE_IDS)
     def test_are_refused_by_kind_and_seed_and_never_written(self, tmp_path, overrides):
         spec = TaskSpec(**{"kind": "straight", "n_samples": 20, "seed": 5, **overrides})
         message = f"kind {spec.kind}, seed 5 draws non-finite tracks"
@@ -375,6 +378,71 @@ class TestNonFiniteTracks:
         bad = TaskSpec("arc", 5, seed=9, noise_sigma=1e308)
         with pytest.raises(ValueError, match=r"^tasks\[1\]: kind arc, seed 9 draws non-finite tracks"):
             task_datasets((good, bad))
+
+
+def assert_same_draw(spec: TaskSpec) -> None:
+    """``_generate`` and the scalar oracle give the same arrays, bit for
+    bit, or refuse the spec with the same message."""
+    try:
+        want = ref_generate(spec, 3)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            scenarios._generate(spec, 3)
+        return
+    got = scenarios._generate(spec, 3)
+    assert same_rows(got[0], want[0]) and same_bits(got[1], want[1]), spec
+    for column in ("tv", "svs", "ends", "speeds"):
+        assert same_bits(getattr(got[0], column), getattr(want[0], column)), (spec, column)
+
+
+class TestGenerationMatchesScalarOracle:
+    """The array rollout against ``conftest.ref_generate``, which draws
+    and rolls out one episode, agent and step at a time."""
+
+    @pytest.mark.parametrize("kind", ["straight", "arc", "turn"])
+    @pytest.mark.parametrize("t_obs, t_pred", [(2, 1), (10, 30), (5, 100)])
+    def test_every_noise_level_and_neighbor_count(self, kind, t_obs, t_pred):
+        for noise_sigma, k_sv in itertools.product((0.0, 0.15, 3.0), (0, 1, 4)):
+            assert_same_draw(
+                TaskSpec(kind, 7, seed=21, noise_sigma=noise_sigma, k_sv=k_sv, t_obs=t_obs, t_pred=t_pred)
+            )
+
+    @pytest.mark.parametrize(
+        "bend",
+        [(0.0, 0.0), (1e-13, 1e-13), (-1e-13, -1e-13), (1e-13, 3e-13), (-5e-12, 5e-12)],
+        ids=["zero", "+1e-13", "-1e-13", "either side of the straight cut", "mixed signs"],
+    )
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.15])
+    def test_heading_rates_at_the_straight_cut(self, bend, noise_sigma):
+        # A heading rate below 1e-12 in magnitude drives straight; the
+        # mixed ranges put episodes of one task on both sides of it.
+        for k_sv in (0, 4):
+            assert_same_draw(TaskSpec("arc", 30, seed=22, noise_sigma=noise_sigma, k_sv=k_sv, curvature_range=bend))
+            assert_same_draw(TaskSpec("turn", 30, seed=23, noise_sigma=noise_sigma, k_sv=k_sv, turn_angle_range=bend))
+
+    @pytest.mark.parametrize("overrides", OUT_OF_SCALE, ids=OUT_OF_SCALE_IDS)
+    def test_out_of_scale_specs_are_refused_alike(self, overrides):
+        for kind in ("straight", "arc", "turn"):
+            assert_same_draw(TaskSpec(**{"kind": kind, "n_samples": 20, "seed": 5, **overrides}))
+
+
+class TestGenerationMemory:
+    # tracemalloc peak of the scalar per-step generator on this spec
+    # (numpy 2.4, Python 3.11): the arrays returned, 1,166,400 B, plus
+    # the bound check's full-size temporary.
+    SCALAR_PEAK = 1_623_480
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
+    def test_peak_is_no_higher_than_the_scalar_path(self, noise_sigma):
+        spec = TaskSpec("turn", 400, seed=3, noise_sigma=noise_sigma)
+        scenarios._generate(spec, 1)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            scenarios._generate(spec, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.SCALAR_PEAK
 
 
 def csv_text(rows):
