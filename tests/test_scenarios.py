@@ -428,8 +428,8 @@ class TestGenerationMatchesScalarOracle:
 
 class TestGenerationMemory:
     # tracemalloc peak of the scalar per-step generator on this spec
-    # (numpy 2.4, Python 3.11): the arrays returned, 1,166,400 B, plus
-    # the bound check's full-size temporary.
+    # (numpy 2.4, Python 3.11), reached at its bound check: the target
+    # and neighbor tracks (1,024,000 B) beside a full-size abs() copy.
     SCALAR_PEAK = 1_623_480
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.1])
