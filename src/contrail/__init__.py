@@ -1,12 +1,11 @@
 """contrail: task-free continual learning for streaming trajectory prediction."""
 
-from .core import GridSpec, ResultMatrix, SampleTable, Scenes
+from .core import GridSpec, SampleTable, Scenes
 from .learner import Strategy, TrainConfig, TrainResult, agem_project, train_stream
 from .losses import LossSpec
 from .memory import CompletionBuffer, SeparationBuffer, draw_minibatch, separation_score
 from .metrics import (
     EvalReport,
-    averages,
     bwt,
     extract_endpoints,
     fde,
@@ -26,7 +25,6 @@ __all__ = [
     "HeatmapPredictor",
     "LossSpec",
     "PredictorConfig",
-    "ResultMatrix",
     "SampleTable",
     "Scenes",
     "SeparationBuffer",
@@ -36,7 +34,6 @@ __all__ = [
     "TrainResult",
     "adam_step",
     "agem_project",
-    "averages",
     "build_stream",
     "bwt",
     "draw_minibatch",

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import GridSpec, ResultMatrix, SampleTable, Scenes, atomic_write
+from .core import GridSpec, SampleTable, Scenes, atomic_write
 from .learner import Strategy, TrainConfig, TrainResult, check_buffer_split, train_stream
 from .losses import LossSpec
 from .metrics import (
@@ -38,7 +38,6 @@ from .metrics import (
     fde,
     mr_task,
     read_matrix_csv,
-    report_from_matrices,
     write_matrix_csv,
 )
 from .predictor import HeatmapPredictor, PredictorConfig
@@ -350,17 +349,14 @@ def score_cell(
     When no checkpoint closes the last task (``joint``), the final
     parameters are scored as the last row."""
     n = len(tests)
-    fde_m = ResultMatrix(n)
-    mr_m = ResultMatrix(n)
+    fde_m, mr_m = np.full((n, n), np.nan), np.full((n, n), np.nan)
     evaluated = list(result.checkpoints)
     if not evaluated or evaluated[-1][0] != n:
         evaluated.append((n, result.final_params))
     for label, params in evaluated:
         for j in range(1, label + 1):
-            fde_j, mr_j = evaluate_task(model, params, tests[j - 1], w)
-            fde_m.set(label, j, fde_j)
-            mr_m.set(label, j, mr_j)
-    return report_from_matrices(strategy.value, rep, fde_m, mr_m)
+            fde_m[label - 1, j - 1], mr_m[label - 1, j - 1] = evaluate_task(model, params, tests[j - 1], w)
+    return EvalReport(strategy.value, rep, fde_m, mr_m)
 
 
 def run_cell(
@@ -534,25 +530,31 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
 
 def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
     """Rebuild the summary purely from the emitted matrix CSVs.  Every
-    entry of a strategy directory must be a ``rep_NN`` cell directory
-    holding both CSVs; a missing CSV (a cell interrupted while writing
-    its artifacts) raises FileNotFoundError naming it."""
+    entry of ``runs`` must be a directory named for a strategy, every
+    entry of a strategy directory a ``rep_NN`` cell directory holding
+    both CSVs; a missing CSV (a cell interrupted while writing its
+    artifacts) raises FileNotFoundError naming it, and a pair of
+    matrices that disagree on the entries they record a ValueError
+    naming the cell."""
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
         raise FileNotFoundError(f"no runs directory under {out_root}")
+    strategies = [s.value for s in Strategy]
     reports = []
     order = []
     for strat_dir in sorted(runs_dir.iterdir()):
-        if not strat_dir.is_dir():
-            continue
+        if not (strat_dir.is_dir() and strat_dir.name in strategies):
+            raise ValueError(f"{strat_dir} is not a strategy directory (one of {', '.join(strategies)})")
         order.append(strat_dir.name)
         for rep_dir in sorted(strat_dir.iterdir()):
             if not (rep_dir.is_dir() and re.fullmatch(r"rep_\d{2,}", rep_dir.name)):
                 raise ValueError(f"{rep_dir} is not a rep_NN cell directory")
             fde_m = read_matrix_csv(rep_dir / "matrix_fde.csv")
             mr_m = read_matrix_csv(rep_dir / "matrix_mr.csv")
-            rep = int(rep_dir.name[4:])
-            reports.append(report_from_matrices(strat_dir.name, rep, fde_m, mr_m))
+            try:
+                reports.append(EvalReport(strat_dir.name, int(rep_dir.name[4:]), fde_m, mr_m))
+            except ValueError as exc:
+                raise ValueError(f"{rep_dir}: {exc}") from None
     return summarize(reports), order
 
 

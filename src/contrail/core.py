@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
-    "ResultMatrix",
     "SampleTable",
     "Scenes",
     "atomic_write",
@@ -233,51 +232,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     flat = logits.reshape(len(logits), -1)
     e = np.exp(flat - flat.max(axis=1, keepdims=True))
     return (e / e.sum(axis=1, keepdims=True)).reshape(logits.shape)
-
-
-class ResultMatrix:
-    """Lower-triangular task-incremental results: ``R[i, j]`` is the
-    metric on task ``j`` measured after finishing training task ``i``
-    (1-indexed, ``j <= i``)."""
-
-    def __init__(self, n_tasks: int):
-        if n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1")
-        self.n_tasks = n_tasks
-        self._values: dict[tuple[int, int], float] = {}
-
-    def set(self, after_task: int, tested_task: int, value: float) -> None:
-        self._check_indices(after_task, tested_task)
-        self._values[(after_task, tested_task)] = float(value)
-
-    def get(self, after_task: int, tested_task: int) -> float:
-        self._check_indices(after_task, tested_task)
-        key = (after_task, tested_task)
-        if key not in self._values:
-            raise KeyError(f"R[{after_task}, {tested_task}] was never recorded")
-        return self._values[key]
-
-    def has(self, after_task: int, tested_task: int) -> bool:
-        return (after_task, tested_task) in self._values
-
-    def final_row(self) -> list[float]:
-        return [self.get(self.n_tasks, j) for j in range(1, self.n_tasks + 1)]
-
-    def entries(self) -> list[tuple[int, int, float]]:
-        return [(i, j, v) for (i, j), v in sorted(self._values.items())]
-
-    def _check_indices(self, after_task: int, tested_task: int) -> None:
-        if not (1 <= after_task <= self.n_tasks):
-            raise ValueError(f"after_task {after_task} out of range 1..{self.n_tasks}")
-        if not (1 <= tested_task <= after_task):
-            raise ValueError(
-                f"tested_task {tested_task} must be in 1..after_task ({after_task})"
-            )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResultMatrix):
-            return NotImplemented
-        return self.n_tasks == other.n_tasks and self._values == other._values
 
 
 @contextmanager

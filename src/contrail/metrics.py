@@ -7,7 +7,7 @@ longitudinal gate and a fixed 1 m lateral gate in the target vehicle's
 heading frame.  All three work on whole stacks of samples as arrays; a
 single heatmap is a stack of one.  Backward transfer summarises how
 much performance on earlier tasks degraded after later training,
-straight off the result matrix.
+straight off a result matrix, an ``(n, n)`` array per metric.
 """
 
 from __future__ import annotations
@@ -15,20 +15,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .core import GridSpec, ResultMatrix, atomic_write, softmax
+from .core import GridSpec, atomic_write, softmax
 
 __all__ = [
     "EvalReport",
-    "averages",
     "bwt",
     "extract_endpoints",
     "fde",
+    "matrix_entries",
     "mr_task",
     "mr_threshold",
 ]
@@ -153,47 +153,94 @@ def mr_task(
     return 100.0 * misses / dx.size
 
 
-def bwt(matrix: ResultMatrix, c: int) -> float:
+def bwt(matrix: np.ndarray, c: int) -> float:
     """Backward transfer after task c: mean over earlier tasks of the
-    metric now minus the metric right after that task was learned.
-    Positive values mean forgetting for error-style metrics."""
+    metric now minus the metric right after that task was learned,
+    summed in task order.  Positive values mean forgetting for
+    error-style metrics; an unrecorded entry makes it NaN."""
+    n = len(matrix)
     if c < 2:
         raise ValueError("bwt needs at least two learned tasks")
-    if c > matrix.n_tasks:
-        raise ValueError(f"c={c} exceeds n_tasks={matrix.n_tasks}")
+    if c > n:
+        raise ValueError(f"c={c} exceeds n_tasks={n}")
+    now, learned = matrix[c - 1].tolist(), matrix.diagonal().tolist()
     total = 0.0
-    for i in range(1, c):
-        total += matrix.get(c, i) - matrix.get(i, i)
+    for i in range(c - 1):
+        total += now[i] - learned[i]
     return total / (c - 1)
 
 
-def averages(per_task: Sequence[float]) -> float:
-    """Arithmetic mean of per-task metric values."""
-    if len(per_task) == 0:
-        raise ValueError("averages needs at least one value")
-    return float(np.mean(per_task))
+def matrix_entries(matrix: np.ndarray) -> Iterator[tuple[int, int, float]]:
+    """The recorded entries of a result matrix as 1-indexed
+    ``(after_task, tested_task, value)`` triples, in row-major order."""
+    for i, row in enumerate(matrix.tolist(), start=1):
+        for j, v in enumerate(row, start=1):
+            if not math.isnan(v):
+                yield i, j, v
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalReport:
     """Full evaluation of one training run.
 
-    Per-task values are measured with the final parameters; the two
-    matrices hold every (after_task, tested_task) measurement.  BWT
-    fields are None for single-task runs and for strategies evaluated
-    only at the end (no per-task checkpoints).
+    A result matrix is an ``(n, n)`` float64 array: ``R[i - 1, j - 1]``
+    is the metric on task ``j`` after training task ``i``, NaN where
+    nothing was recorded.  Both matrices record the same entries: the
+    whole lower triangle, or only the last row for a strategy scored
+    only at the end (no per-task checkpoints).  Per-task values are the
+    last row, measured with the final parameters; BWT is None for
+    single-task runs and for last-row-only matrices.
     """
 
     strategy: str
     seed: int
-    per_task_fde: list[float]
-    per_task_mr: list[float]
-    fde_avg: float
-    mr_avg: float
-    fde_bwt: float | None
-    mr_bwt: float | None
-    fde_matrix: ResultMatrix
-    mr_matrix: ResultMatrix
+    fde_matrix: np.ndarray
+    mr_matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        pair = (("fde", self.fde_matrix), ("mr", self.mr_matrix))
+        n = len(self.fde_matrix)
+        if n < 1 or any(m.dtype != np.float64 or m.shape != (n, n) for _, m in pair):
+            raise ValueError(
+                "the fde and mr matrices must both be float64 (n, n) with n >= 1, not "
+                + " and ".join(f"{m.dtype} {m.shape}" for _, m in pair)
+            )
+        recorded = np.tri(n, dtype=bool)
+        if all(np.isnan(m[:-1]).all() for _, m in pair):
+            recorded[:-1] = False
+        for name, m in pair:  # NaN where an entry belongs, or a value where none does
+            wrong = np.argwhere(np.isnan(m) == recorded)
+            if len(wrong):
+                i, j = (wrong[0] + 1).tolist()
+                what = "was never recorded" if recorded[i - 1, j - 1] else "lies above the diagonal"
+                raise ValueError(f"R[{i}, {j}] of the {name} matrix {what}")
+
+    @property
+    def per_task_fde(self) -> list[float]:
+        return self.fde_matrix[-1].tolist()
+
+    @property
+    def per_task_mr(self) -> list[float]:
+        return self.mr_matrix[-1].tolist()
+
+    @property
+    def fde_avg(self) -> float:
+        return float(np.mean(self.fde_matrix[-1]))
+
+    @property
+    def mr_avg(self) -> float:
+        return float(np.mean(self.mr_matrix[-1]))
+
+    @property
+    def fde_bwt(self) -> float | None:
+        return bwt(self.fde_matrix, len(self.fde_matrix)) if self._has_checkpoints() else None
+
+    @property
+    def mr_bwt(self) -> float | None:
+        return bwt(self.mr_matrix, len(self.mr_matrix)) if self._has_checkpoints() else None
+
+    def _has_checkpoints(self) -> bool:
+        return len(self.fde_matrix) >= 2 and not math.isnan(self.fde_matrix[0, 0])
 
     def to_json(self) -> str:
         payload = {
@@ -205,25 +252,27 @@ class EvalReport:
             "mr_avg": self.mr_avg,
             "fde_bwt": self.fde_bwt,
             "mr_bwt": self.mr_bwt,
-            "n_tasks": self.fde_matrix.n_tasks,
-            "fde_matrix": self.fde_matrix.entries(),
-            "mr_matrix": self.mr_matrix.entries(),
+            "n_tasks": len(self.fde_matrix),
+            "fde_matrix": list(matrix_entries(self.fde_matrix)),
+            "mr_matrix": list(matrix_entries(self.mr_matrix)),
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def write_matrix_csv(matrix: ResultMatrix, path: Path) -> None:
-    """Flat CSV of a result matrix: after_task, tested_task, value."""
+def write_matrix_csv(matrix: np.ndarray, path: Path) -> None:
+    """Flat CSV of a result matrix's recorded entries: after_task,
+    tested_task, value."""
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["after_task", "tested_task", "value"])
-        for i, j, v in matrix.entries():
+        for i, j, v in matrix_entries(matrix):
             writer.writerow([i, j, repr(v)])
 
 
-def read_matrix_csv(path: Path) -> ResultMatrix:
+def read_matrix_csv(path: Path) -> np.ndarray:
     """Inverse of :func:`write_matrix_csv`; the task count is the
-    largest ``after_task``.  A row that is not three fields, an index
+    largest ``after_task``, but at most the number of entries (a whole
+    last row has that many).  A row that is not three fields, an index
     that is not an integer, a non-finite value and an ``(after,
     tested)`` entry that is out of range or repeated raise a ValueError
     naming ``path:line``."""
@@ -242,35 +291,14 @@ def read_matrix_csv(path: Path) -> ResultMatrix:
             if (i, j) in entries:
                 raise ValueError(f"R[{i}, {j}] is repeated")
             entries[(i, j)] = (line, v)
-        matrix = ResultMatrix(max([1] + [i for i, _ in entries]))
+        n = min(max([1] + [i for i, _ in entries]), max(1, len(entries)))
+        matrix = np.full((n, n), np.nan)
         for (i, j), (line, v) in entries.items():
-            matrix.set(i, j, v)
+            if not 1 <= i <= n:
+                raise ValueError(f"after_task {i} out of range 1..{n}")
+            if not 1 <= j <= i:
+                raise ValueError(f"tested_task {j} must be in 1..after_task ({i})")
+            matrix[i - 1, j - 1] = v
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None
     return matrix
-
-
-def report_from_matrices(
-    strategy: str, seed: int, fde_matrix: ResultMatrix, mr_matrix: ResultMatrix
-) -> EvalReport:
-    """Assemble the report numbers from the two matrices alone."""
-    if fde_matrix.n_tasks != mr_matrix.n_tasks:
-        raise ValueError("matrices disagree on the task count")
-    n = fde_matrix.n_tasks
-    per_fde = fde_matrix.final_row()
-    per_mr = mr_matrix.final_row()
-    has_checkpoints = all(fde_matrix.has(i, i) for i in range(1, n + 1))
-    fde_bwt = bwt(fde_matrix, n) if n >= 2 and has_checkpoints else None
-    mr_bwt = bwt(mr_matrix, n) if n >= 2 and has_checkpoints else None
-    return EvalReport(
-        strategy=strategy,
-        seed=seed,
-        per_task_fde=per_fde,
-        per_task_mr=per_mr,
-        fde_avg=averages(per_fde),
-        mr_avg=averages(per_mr),
-        fde_bwt=fde_bwt,
-        mr_bwt=mr_bwt,
-        fde_matrix=fde_matrix,
-        mr_matrix=mr_matrix,
-    )

@@ -252,7 +252,7 @@ def check_csv_round_trip() -> bool:
 def _tiny_matrix_values() -> list[float]:
     """Deterministic tiny two-task experiment; returns matrix entries."""
     from .cli import ExperimentConfig, run_experiment  # local import to avoid a cycle
-    from .metrics import read_matrix_csv
+    from .metrics import matrix_entries, read_matrix_csv
 
     grid = GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0)
     tasks = (
@@ -273,8 +273,7 @@ def _tiny_matrix_values() -> list[float]:
         cell = Path(tmp) / "runs" / Strategy.DUAL_REPLAY.value / "rep_00"
         fde_m = read_matrix_csv(cell / "matrix_fde.csv")
         mr_m = read_matrix_csv(cell / "matrix_mr.csv")
-    values = [v for _, _, v in fde_m.entries()] + [v for _, _, v in mr_m.entries()]
-    return values
+    return [v for m in (fde_m, mr_m) for _, _, v in matrix_entries(m)]
 
 
 def _golden_digest() -> str:

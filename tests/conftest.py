@@ -91,6 +91,15 @@ def endpoint_to_cell(point: tuple[float, float], grid: GridSpec) -> tuple[int, i
     return min(max(row, 0), grid.rows_h - 1), min(max(col, 0), grid.cols_w - 1)
 
 
+def result_matrix(rows) -> np.ndarray:
+    """An ``(n, n)`` result matrix whose row ``i`` records ``rows[i]``
+    from the first column on; an empty row records nothing."""
+    m = np.full((len(rows), len(rows)), np.nan)
+    for i, row in enumerate(rows):
+        m[i, : len(row)] = row
+    return m
+
+
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """``a`` and ``b`` hold the same float64 values bit for bit, signed
     zeros and NaN payloads included."""

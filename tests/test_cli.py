@@ -28,13 +28,13 @@ from contrail.cli import (
     run_experiment,
     summarize,
 )
-from contrail.core import GridSpec, ResultMatrix, SampleTable
+from contrail.core import GridSpec, SampleTable
 from contrail.learner import Strategy, TrainConfig
-from contrail.metrics import report_from_matrices
+from contrail.metrics import EvalReport, matrix_entries
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets
 
-from conftest import make_scenes, same_rows, scale_positions
+from conftest import make_scenes, result_matrix, same_rows, scale_positions
 
 
 def base_config(**overrides):
@@ -236,12 +236,8 @@ def cell_report(strategy, rep, fde, mr, rows=(2,)):
     """The report of a two-task cell whose matrices hold ``fde`` and
     ``mr`` in every entry of the rows ``rows``; the default, the last
     row alone, is how ``joint`` is scored."""
-    fde_m, mr_m = ResultMatrix(2), ResultMatrix(2)
-    for i in rows:
-        for j in range(1, i + 1):
-            fde_m.set(i, j, fde)
-            mr_m.set(i, j, mr)
-    return report_from_matrices(strategy, rep, fde_m, mr_m)
+    fde_m, mr_m = (result_matrix([[v] * i if i in rows else [] for i in (1, 2)]) for v in (fde, mr))
+    return EvalReport(strategy, rep, fde_m, mr_m)
 
 
 class TestSummaries:
@@ -417,8 +413,8 @@ class TestScoreCell:
         # Checkpointed strategies fill the lower triangle; joint has no
         # checkpoint and fills only the last row.  One pass per entry.
         cells = [(i, j) for i in rows for j in range(1, i + 1)]
-        assert [(i, j) for i, j, _ in report.fde_matrix.entries()] == cells
-        assert [(i, j) for i, j, _ in report.mr_matrix.entries()] == cells
+        assert [(i, j) for i, j, _ in matrix_entries(report.fde_matrix)] == cells
+        assert [(i, j) for i, j, _ in matrix_entries(report.mr_matrix)] == cells
         assert [id(table) for table in scored] == [id(tests[j - 1]) for _, j in cells]
         assert (report.strategy, report.seed) == (strategy.value, 4)
 
@@ -639,14 +635,47 @@ class TestReportCommand:
         assert captured.out == ""
         assert f"{matrix.parent}/{message}" in captured.err
 
-    @pytest.mark.parametrize("name,is_dir", [("notes.txt", False), ("rep_x", True), ("rep_1", True)])
-    def test_stray_entry_in_a_strategy_dir_is_named(self, tmp_path, capsys, name, is_dir):
+    @pytest.mark.parametrize(
+        "name,is_dir,named,message",
+        [
+            ("vanilla/notes.txt", False, "vanilla/notes.txt", "is not a rep_NN cell directory"),
+            ("vanilla/rep_x", True, "vanilla/rep_x", "is not a rep_NN cell directory"),
+            ("vanilla/rep_1", True, "vanilla/rep_1", "is not a rep_NN cell directory"),
+            ("notes.txt", False, "notes.txt", "is not a strategy directory"),
+            ("foo/rep_00", True, "foo", "is not a strategy directory"),
+        ],
+        ids=["file in a strategy dir", "rep_x", "rep_1", "file in runs", "unknown strategy"],
+    )
+    def test_stray_entry_in_runs_is_named(self, tmp_path, capsys, name, is_dir, named, message):
         out = self._run(tmp_path)
-        stray = out / "runs" / "vanilla" / name
-        stray.mkdir() if is_dir else stray.write_text("x")
+        stray = out / "runs" / name
+        stray.mkdir(parents=True) if is_dir else stray.write_text("x")
         capsys.readouterr()
         assert main(["report", "--run-dir", str(out)]) == 2
-        assert f"{stray} is not a rep_NN cell directory" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{out / 'runs' / named} {message}" in captured.err
+
+    @pytest.mark.parametrize(
+        "csv,drop,message",
+        [
+            ("matrix_fde.csv", ["2,1,"], "R[2, 1] of the fde matrix was never recorded"),
+            ("matrix_mr.csv", ["2,1,", "2,2,"], "the fde and mr matrices must both be float64 (n, n) with n >= 1, "
+             "not float64 (2, 2) and float64 (1, 1)"),
+            ("matrix_fde.csv", ["1,1,"], "R[1, 1] of the fde matrix was never recorded"),
+        ],
+        ids=["last row short", "last row dropped from one matrix", "checkpoint entry dropped from one matrix"],
+    )
+    def test_inconsistent_matrix_pair_is_named_by_cell(self, tmp_path, capsys, csv, drop, message):
+        out = self._run(tmp_path)
+        cell = out / "runs" / "vanilla" / "rep_00"
+        rows = (cell / csv).read_text().splitlines()
+        (cell / csv).write_text("\n".join(r for r in rows if not r.startswith(tuple(drop))) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: ValueError: {cell}: {message}\n" == captured.err
 
     def test_cell_interrupted_while_saving_is_refused(self, tmp_path, capsys, monkeypatch):
         """A run killed inside the second cell's checkpoint save leaves

@@ -11,7 +11,6 @@ import pytest
 
 from contrail.core import (
     GridSpec,
-    ResultMatrix,
     SampleTable,
     Scenes,
     atomic_write,
@@ -237,30 +236,6 @@ class TestTaskLabelAudit:
         stream = make_table(np.random.default_rng(8), 3, labels=[1, 2, 1])
         with pytest.raises(ValueError, match="non-decreasing"):
             task_boundaries(stream)
-
-
-class TestResultMatrix:
-    def test_set_get(self):
-        m = ResultMatrix(3)
-        m.set(2, 1, 4.5)
-        assert m.get(2, 1) == 4.5
-
-    def test_upper_triangle_write_rejected(self):
-        m = ResultMatrix(3)
-        with pytest.raises(ValueError):
-            m.set(1, 2, 0.0)
-
-    def test_unrecorded_read_raises(self):
-        m = ResultMatrix(3)
-        with pytest.raises(KeyError):
-            m.get(2, 1)
-
-    def test_final_row(self):
-        m = ResultMatrix(2)
-        m.set(1, 1, 1.0)
-        m.set(2, 1, 3.0)
-        m.set(2, 2, 2.0)
-        assert m.final_row() == [3.0, 2.0]
 
 
 class TestAtomicWrite:

@@ -11,19 +11,21 @@ import numpy as np
 import pytest
 
 from contrail import metrics
-from contrail.core import GridSpec, ResultMatrix
+from contrail.core import GridSpec
 from contrail.metrics import (
-    averages,
+    EvalReport,
     bwt,
     extract_endpoints,
     fde,
+    matrix_entries,
     mr_task,
     mr_threshold,
     read_matrix_csv,
-    report_from_matrices,
     write_matrix_csv,
 )
 from contrail.selftest import _brute_force_endpoints
+
+from conftest import result_matrix
 
 
 
@@ -374,14 +376,7 @@ class TestMrTask:
 
 class TestBwt:
     def _matrix(self):
-        m = ResultMatrix(3)
-        m.set(1, 1, 1.0)
-        m.set(2, 1, 2.0)
-        m.set(2, 2, 1.0)
-        m.set(3, 1, 3.0)
-        m.set(3, 2, 2.0)
-        m.set(3, 3, 5.0)
-        return m
+        return result_matrix([[1.0], [2.0, 1.0], [3.0, 2.0, 5.0]])
 
     def test_hand_case(self):
         m = self._matrix()
@@ -389,11 +384,14 @@ class TestBwt:
         assert bwt(m, 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_no_forgetting_gives_zero(self):
-        m = ResultMatrix(2)
-        m.set(1, 1, 4.0)
-        m.set(2, 1, 4.0)
-        m.set(2, 2, 9.0)
-        assert bwt(m, 2) == 0.0
+        assert bwt(result_matrix([[4.0], [4.0, 9.0]]), 2) == 0.0
+
+    def test_sums_in_task_order(self):
+        # In task order 1.0 is lost against 1e16; an exact (fsum) or a
+        # reversed sum of the same terms keeps it.
+        m = result_matrix([[0.0], [0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1e16, -1e16, 0.0]])
+        assert bwt(m, 4) == 0.0
+        assert math.fsum([1.0, 1e16, -1e16]) == 1.0
 
     def test_validation(self):
         m = self._matrix()
@@ -402,45 +400,28 @@ class TestBwt:
         with pytest.raises(ValueError, match="exceeds"):
             bwt(m, 4)
 
-    def test_missing_entry_propagates(self):
-        m = ResultMatrix(2)
-        m.set(1, 1, 1.0)
-        m.set(2, 2, 1.0)
-        with pytest.raises(KeyError):
-            bwt(m, 2)
+    def test_missing_entry_gives_nan(self):
+        assert math.isnan(bwt(result_matrix([[1.0], [math.nan, 1.0]]), 2))
 
 
-class TestAverages:
-    def test_mean(self):
-        assert averages([1.0, 2.0, 6.0]) == pytest.approx(3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one value"):
-            averages([])
+class TestMatrixEntries:
+    def test_recorded_entries_in_row_major_order(self):
+        entries = list(matrix_entries(result_matrix([[], [2.5, 0.1 + 0.2]])))
+        assert entries == [(2, 1, 2.5), (2, 2, 0.30000000000000004)]
+        assert all(type(i) is int and type(j) is int and type(v) is float for i, j, v in entries)
 
 
 class TestReportsAndCsv:
     def _matrices(self):
-        fde = ResultMatrix(2)
-        fde.set(1, 1, 1.5)
-        fde.set(2, 1, 2.5)
-        fde.set(2, 2, 1.25)
-        mr = ResultMatrix(2)
-        mr.set(1, 1, 10.0)
-        mr.set(2, 1, 30.0)
-        mr.set(2, 2, 20.0)
-        return fde, mr
+        return result_matrix([[1.5], [2.5, 1.25]]), result_matrix([[10.0], [30.0, 20.0]])
 
     def test_matrix_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(230)
-        m = ResultMatrix(3)
-        for i in range(1, 4):
-            for j in range(1, i + 1):
-                m.set(i, j, float(rng.normal()))
+        m = result_matrix([rng.normal(size=i).tolist() for i in range(1, 4)])
         path = tmp_path / "matrix.csv"
         write_matrix_csv(m, path)
         back = read_matrix_csv(path)
-        assert back.entries() == m.entries()
+        assert back.tobytes() == m.tobytes()
 
     def test_interrupted_matrix_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
         fde, mr = self._matrices()
@@ -461,7 +442,7 @@ class TestReportsAndCsv:
         monkeypatch.setattr(metrics.csv, "writer", FailingWriter)
         with pytest.raises(OSError, match="disk full"):
             write_matrix_csv(mr, path)
-        assert read_matrix_csv(path) == fde
+        assert np.array_equal(read_matrix_csv(path), fde, equal_nan=True)
         assert list(tmp_path.iterdir()) == [path]
 
     def test_matrix_csv_rejects_foreign_files(self, tmp_path):
@@ -470,9 +451,17 @@ class TestReportsAndCsv:
         with pytest.raises(ValueError, match="result-matrix"):
             read_matrix_csv(path)
 
+    def test_task_count_is_bounded_by_the_entries(self, tmp_path):
+        # One row cannot claim a task count it has no entries for: the
+        # array would be sized by it.
+        path = tmp_path / "matrix.csv"
+        path.write_text("after_task,tested_task,value\n1,1,0.5\n100000000,1,0.5\n")
+        with pytest.raises(ValueError, match=r"matrix.csv:3: after_task 100000000 out of range 1..2"):
+            read_matrix_csv(path)
+
     def test_report_from_full_matrices(self):
         fde, mr = self._matrices()
-        report = report_from_matrices("dual", 7, fde, mr)
+        report = EvalReport("dual", 7, fde, mr)
         assert report.per_task_fde == [2.5, 1.25]
         assert report.per_task_mr == [30.0, 20.0]
         assert report.fde_avg == pytest.approx(1.875)
@@ -481,28 +470,33 @@ class TestReportsAndCsv:
         assert report.mr_bwt == pytest.approx(20.0)
 
     def test_report_without_checkpoints_has_no_bwt(self):
-        fde = ResultMatrix(2)
-        fde.set(2, 1, 2.0)
-        fde.set(2, 2, 3.0)
-        mr = ResultMatrix(2)
-        mr.set(2, 1, 5.0)
-        mr.set(2, 2, 5.0)
-        report = report_from_matrices("joint", 0, fde, mr)
+        report = EvalReport("joint", 0, result_matrix([[], [2.0, 3.0]]), result_matrix([[], [5.0, 5.0]]))
         assert report.fde_bwt is None
         assert report.mr_bwt is None
         assert report.fde_avg == pytest.approx(2.5)
 
     def test_single_task_has_no_bwt(self):
-        fde = ResultMatrix(1)
-        fde.set(1, 1, 2.0)
-        mr = ResultMatrix(1)
-        mr.set(1, 1, 4.0)
-        report = report_from_matrices("vanilla", 1, fde, mr)
+        report = EvalReport("vanilla", 1, result_matrix([[2.0]]), result_matrix([[4.0]]))
         assert report.fde_bwt is None
+
+    @pytest.mark.parametrize(
+        "fde_rows,mr_rows,message",
+        [
+            ([[1.0], [2.0]], [[1.0], [2.0, 3.0]], r"R\[2, 2\] of the fde matrix was never recorded"),
+            ([[], [2.0, 3.0]], [[1.0], [2.0, 3.0]], r"R\[1, 1\] of the fde matrix was never recorded"),
+            ([[1.0, 9.0], [2.0, 3.0]], [[1.0], [2.0, 3.0]], r"R\[1, 2\] of the fde matrix lies above the diagonal"),
+            ([[1.0], [2.0, 3.0]], [[1.0]], r"float64 \(2, 2\) and float64 \(1, 1\)"),
+            ([], [], r"n >= 1"),
+        ],
+        ids=["last row short", "checkpoint row in one matrix only", "upper triangle", "task counts", "empty"],
+    )
+    def test_inconsistent_matrices_are_refused(self, fde_rows, mr_rows, message):
+        with pytest.raises(ValueError, match=message):
+            EvalReport("dual", 0, result_matrix(fde_rows), result_matrix(mr_rows))
 
     def test_json_round_trip(self):
         fde, mr = self._matrices()
-        report = report_from_matrices("dual", 7, fde, mr)
+        report = EvalReport("dual", 7, fde, mr)
         back = json.loads(report.to_json())
         assert back["strategy"] == report.strategy
         assert back["seed"] == report.seed
@@ -512,6 +506,6 @@ class TestReportsAndCsv:
         assert back["mr_avg"] == report.mr_avg
         assert back["fde_bwt"] == report.fde_bwt
         assert back["mr_bwt"] == report.mr_bwt
-        assert back["n_tasks"] == fde.n_tasks
-        assert [tuple(e) for e in back["fde_matrix"]] == fde.entries()
-        assert [tuple(e) for e in back["mr_matrix"]] == mr.entries()
+        assert back["n_tasks"] == 2
+        assert [tuple(e) for e in back["fde_matrix"]] == list(matrix_entries(fde))
+        assert [tuple(e) for e in back["mr_matrix"]] == list(matrix_entries(mr))
