@@ -34,6 +34,11 @@ FORMAT = "contrail-checkpoint-v3"
 
 
 def _pack(array: np.ndarray) -> dict:
+    """``array`` as a packed float block.  ``save_checkpoint`` hands it
+    to ``json.dump`` as ``default``, so a block is packed only when the
+    encoder reaches its array, and one is alive at a time."""
+    if not isinstance(array, np.ndarray):
+        raise TypeError(f"Object of type {type(array).__name__} is not JSON serializable")
     data = np.ascontiguousarray(array, dtype="<f8")
     return {
         "dtype": "<f8",
@@ -46,10 +51,10 @@ def _columns(buffer: SeparationBuffer | CompletionBuffer, grid: GridSpec) -> dic
     """A buffer's stored rows and logits as one column per field."""
     rows, logits = buffer.contents()
     return {
-        "x": _pack(rows.x),
-        "ends": _pack(rows.ends),
-        "speeds": _pack(rows.speeds),
-        "logits": _pack(logits.reshape(len(rows), grid.rows_h, grid.cols_w)),
+        "x": rows.x,
+        "ends": rows.ends,
+        "speeds": rows.speeds,
+        "logits": logits.reshape(len(rows), grid.rows_h, grid.cols_w),
     }
 
 
@@ -64,10 +69,8 @@ def save_checkpoint(
     payload: dict = {
         "format": FORMAT,
         "config": dataclasses.asdict(config),
-        "params": _pack(params),
-        "adam": None
-        if adam is None
-        else {"m": _pack(adam.m), "v": _pack(adam.v), "t": adam.t},
+        "params": params,
+        "adam": None if adam is None else {"m": adam.m, "v": adam.v, "t": adam.t},
         "separation": None
         if separation is None
         else {
@@ -85,9 +88,10 @@ def save_checkpoint(
             "items": _columns(completion, config.grid),
         },
     }
-    # Streamed into the file: the document is never held as one string.
+    # Streamed into the file: the document is never held as one string,
+    # and each array is packed only when the encoder reaches it.
     with atomic_write(path) as fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh, default=_pack)
 
 
 def _floats(value: dict, shape: tuple[int, ...], what: str) -> np.ndarray:

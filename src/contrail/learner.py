@@ -414,18 +414,20 @@ def _offer_batch(
     slot that holds a batch row was filled or replaced mid-batch and
     reads that row's pass row, the same gradient a fresh pass over it
     would give; every other slot still holds its row from batch start.
+    ``cols[s]`` is slot ``s``'s pass row, updated from the slot each
+    offer returns.
     """
     if sp_buffer is not None:
         n0 = len(sp_buffer)
         rows = np.concatenate([sp_buffer.rows, batch])
         grads = model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss)
         cosines = grads.cosines(np.arange(n0, n0 + len(batch)))
+        cols = np.arange(len(rows))
 
-    start = int(batch[0])
     for k, row in enumerate(batch.tolist()):
         if sp_buffer is not None:
-            held = sp_buffer.rows
-            cols = np.where(held >= start, held - start + n0, np.arange(len(held)))
-            sp_buffer.offer(row, cosines[k, cols], rng, logits[k])
+            slot = sp_buffer.offer(row, cosines[k, cols[: len(sp_buffer)]], rng, logits[k])
+            if slot is not None:
+                cols[slot] = n0 + k
         if cp_buffer is not None:
             cp_buffer.observe(row, rng, logits[k])

@@ -96,16 +96,18 @@ class CompletionBuffer(_Slots):
     ``capacity / n``.
     """
 
-    def observe(self, row: int, rng: np.random.Generator, logits: np.ndarray = NO_LOGITS) -> None:
+    def observe(self, row: int, rng: np.random.Generator, logits: np.ndarray = NO_LOGITS) -> int | None:
         """Reservoir step: append while below capacity, then replace a
-        uniformly drawn slot only when the draw lands inside the buffer."""
+        uniformly drawn slot only when the draw lands inside the buffer.
+        Returns the slot written, or None."""
         slot = len(self)
         self.stream_count += 1
         if slot >= self.capacity:
             slot = int(rng.integers(0, self.stream_count))
             if slot >= self.capacity:
-                return
+                return None
         self._rows[slot], self._logits[slot] = row, logits
+        return slot
 
     def retain(self, slots: Sequence[int]) -> None:
         """Keep only ``slots``, in the given order, and shrink the
@@ -148,8 +150,9 @@ class SeparationBuffer(_Slots):
         q_new: float,
         rng: np.random.Generator,
         logits: np.ndarray = NO_LOGITS,
-    ) -> bool:
-        """Offer an already-scored row; returns True if it was stored.
+    ) -> int | None:
+        """Offer an already-scored row; returns the slot it was stored
+        in, or None.
 
         Below capacity the row is always appended.  At capacity a row
         similar to the buffer (q_new >= 1) is discarded outright;
@@ -161,7 +164,7 @@ class SeparationBuffer(_Slots):
         self.stream_count += 1
         if slot >= self.capacity:
             if q_new >= 1.0:
-                return False
+                return None
             q = self.scores
             total = q.sum()
             if total > 0.0:
@@ -173,9 +176,9 @@ class SeparationBuffer(_Slots):
             # the newcomer, treat like the q_cand == q_new tie.
             p_replace = q[slot] / denom if denom > 0.0 else 0.5
             if rng.random() >= p_replace:
-                return False
+                return None
         self._rows[slot], self._logits[slot], self._scores[slot] = row, logits, q_new
-        return True
+        return slot
 
     def offer(
         self,
@@ -183,8 +186,9 @@ class SeparationBuffer(_Slots):
         cosines: np.ndarray,
         rng: np.random.Generator,
         logits: np.ndarray = NO_LOGITS,
-    ) -> bool:
-        """Score-then-observe convenience covering the first-sample rule.
+    ) -> int | None:
+        """Score-then-observe convenience covering the first-sample rule;
+        returns what :meth:`observe` does.
 
         ``cosines`` is the row's gradient cosine against each stored
         slot, as :func:`separation_score` takes it; the stream's first

@@ -14,13 +14,15 @@ agent role then writes every track of the task into the arrays of a
 
 The CSV side round-trips generated data through a plain track table
 (one row per agent per frame) and can ingest externally recorded files
-with the same schema into one table per file.  The writer draws each
-track's noise in one call and formats each episode as one block of
-lines, byte for byte what a ``csv.writer`` row per frame with ``repr``
-floats gives.  Positions and velocities must be finite and at most
-``TRACK_LIMIT`` in magnitude on both sides: a task whose drawn tracks
-break the bound is refused before any file is written, and so is a CSV
-row, with an error naming ``path:line``.
+with the same schema into one table per file.  The writer formats each
+episode as one block of lines, byte for byte what a ``csv.writer`` row
+per frame with ``repr`` floats gives, so only one episode is ever held
+as Python values.  The reader parses ``CHUNK_ROWS`` rows at a time into
+numpy columns and cuts windows from them with array operations.
+Positions and velocities must be finite and at most ``TRACK_LIMIT`` in
+magnitude on both sides: a task whose drawn tracks break the bound is
+refused before any file is written, and so is a CSV row, with an error
+naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence, Sized
 
@@ -162,14 +164,17 @@ def _within_limit(a: np.ndarray) -> bool:
     return a.size == 0 or bool(a.min() >= -TRACK_LIMIT and a.max() <= TRACK_LIMIT)
 
 
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each pair of ``dx`` and ``dy``."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=len(dx))
+
+
 def _slot_order(sv_xy: np.ndarray, tv_xy: np.ndarray) -> np.ndarray:
     """Each episode's neighbors ``(n, k_sv)`` in ascending distance of
     their positions ``sv_xy`` ``(n, k_sv, 2)`` from the target's
     ``tv_xy`` ``(n, 2)``, by ``math.hypot`` and stable on ties."""
     n, k_sv = sv_xy.shape[:2]
-    dx = (sv_xy[..., 0] - tv_xy[:, 0, None]).ravel().tolist()
-    dy = (sv_xy[..., 1] - tv_xy[:, 1, None]).ravel().tolist()
-    dist = np.fromiter(map(math.hypot, dx, dy), dtype=np.float64, count=n * k_sv)
+    dist = _hypot((sv_xy[..., 0] - tv_xy[:, 0, None]).ravel(), (sv_xy[..., 1] - tv_xy[:, 1, None]).ravel())
     return np.argsort(dist.reshape(n, k_sv), axis=1, kind="stable")
 
 
@@ -342,7 +347,9 @@ def write_task_csv(
     sample per episode with the same neighbor assignment.  ``drawn`` is
     the task's samples and whole target tracks when the caller has
     drawn them already (:func:`write_task_csvs`); by default the task
-    is drawn here.
+    is drawn here.  Each episode becomes Python floats only while its
+    own lines are built and written, so memory beyond the task's arrays
+    stays at one episode's lines.
     """
     scenes, tracks = drawn if drawn is not None else _generate(spec, label)
     stride = max(100, spec.t_obs + spec.t_pred)
@@ -351,7 +358,8 @@ def write_task_csv(
         # The csv writer's lines, one block per episode: no field needs
         # quoting, and floats are Python floats, whose repr is the
         # shortest round-tripping form.
-        for idx, (tv_track, sv_tracks) in enumerate(zip(tracks.tolist(), scenes.svs.tolist())):
+        for idx in range(len(tracks)):
+            tv_track, sv_tracks = tracks[idx].tolist(), scenes.svs[idx].tolist()
             base = idx * stride
             lines = [
                 f"e{idx:05d}_tv,{base + f},{x!r},{y!r},{vx!r},{vy!r},tv,{label}\r\n"
@@ -385,92 +393,151 @@ def write_task_csvs(tasks: Sequence[TaskSpec], out_dir: Path) -> list[tuple[Path
     return written
 
 
-_Row = tuple[int, float, float, float, float, int, int]  # frame, x, y, vx, vy, label, line
+# Rows of a track table read at a time, and windows filled at a time:
+# only one chunk of rows is ever held as Python objects.
+CHUNK_ROWS = 1024
+
+# Largest magnitude of a frame or task label, so that every frame
+# difference fits in int64.
+INT_LIMIT = 2**62
 
 
-@dataclass
-class _Track:
-    role: str
-    rows: list[_Row] = field(default_factory=list)
+def _check_rows(path: Path, rows: list[list[str]], lineno: int, roles: dict[str, str]) -> None:
+    """Check ``rows``, read from ``lineno`` on, one at a time in the
+    order a row's checks run; the first bad row raises a ValueError
+    naming ``path:line``.  ``roles`` maps each track already read to
+    its role."""
+    for lineno, row in enumerate(rows, start=lineno):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
+        try:
+            track_id = row[0]
+            frame = int(row[1])
+            x, y, vx, vy = float(row[2]), float(row[3]), float(row[4]), float(row[5])
+            role = row[6]
+            label = int(row[7])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+        # False for NaN and infinities too.
+        if not (
+            abs(x) <= TRACK_LIMIT and abs(y) <= TRACK_LIMIT
+            and abs(vx) <= TRACK_LIMIT and abs(vy) <= TRACK_LIMIT
+        ):
+            raise ValueError(
+                f"{path}:{lineno}: non-finite x, y, vx or vy, or one beyond "
+                f"{TRACK_LIMIT:g} m or m/s in magnitude"
+            )
+        if role not in ("tv", "sv"):
+            raise ValueError(f"{path}:{lineno}: agent_role must be 'tv' or 'sv'")
+        if roles.setdefault(track_id, role) != role:
+            raise ValueError(f"{path}:{lineno}: track {track_id} changes role")
+        if not (abs(frame) <= INT_LIMIT and abs(label) <= INT_LIMIT):
+            raise ValueError(f"{path}:{lineno}: frame or task_label beyond 2**62 in magnitude")
 
 
-def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
-    tracks: dict[str, _Track] = {}
+def _chunk_columns(
+    rows: list[list[str]], lineno: int, ids: dict[str, int], roles: dict[str, str]
+) -> tuple[np.ndarray, ...] | None:
+    """One chunk of rows, read from ``lineno`` on, as columns: track
+    codes, frames, states ``(n, 4)`` (x, y, vx, vy), labels and line
+    numbers, blank rows left out.  Tracks new to ``ids`` get the next
+    codes, by first appearance, and their first row's role in
+    ``roles``.  None when a row breaks one of :func:`_check_rows`'
+    rules; the values are parsed by the same ``int`` and ``float``."""
+    lines = np.arange(lineno, lineno + len(rows))
+    widths = set(map(len, rows))
+    if widths != {len(CSV_HEADER)}:
+        if not widths <= {0, len(CSV_HEADER)}:
+            return None
+        lines = lines[np.fromiter(map(bool, rows), bool, len(rows))]
+        rows = list(filter(None, rows))
+    n = len(rows)
+    track, frame, x, y, vx, vy, role, label = zip(*rows) if n else ((),) * len(CSV_HEADER)
+    try:
+        frames = np.fromiter(map(int, frame), np.int64, n)
+        states = np.fromiter(map(float, chain.from_iterable(zip(x, y, vx, vy))), np.float64, 4 * n)
+        labels = np.fromiter(map(int, label), np.int64, n)
+    except (ValueError, OverflowError):  # OverflowError: beyond int64
+        return None
+    if not (_within_limit(states) and set(role) <= {"tv", "sv"}):
+        return None
+    first_role = dict(zip(reversed(track), reversed(role)))
+    for track_id in dict.fromkeys(track):
+        if track_id not in ids:
+            ids[track_id], roles[track_id] = len(ids), first_role[track_id]
+    if tuple(map(roles.__getitem__, track)) != role:
+        return None
+    for ints in (frames, labels):
+        if n and not (ints.min() >= -INT_LIMIT and ints.max() <= INT_LIMIT):
+            return None
+    codes = np.fromiter(map(ids.__getitem__, track), np.intp, n)
+    return codes, frames, states.reshape(n, 4), labels, lines
+
+
+def _read_columns(path: Path) -> tuple[list[np.ndarray], dict[str, int], dict[str, str]]:
+    """The rows of the table at ``path`` as the columns of
+    :func:`_chunk_columns`, in file order, with each track's code and
+    role.  The table is read ``CHUNK_ROWS`` rows at a time; a chunk that
+    fails a column check is checked again row by row, so the first bad
+    row as read raises, with the message :func:`_check_rows` gives it."""
+    ids: dict[str, int] = {}
+    roles: dict[str, str] = {}
+    parts = [[column] for column in _chunk_columns([], 2, ids, roles)]  # typed, empty
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return {}, 0
-        if header != CSV_HEADER:
+        header = next(reader, None)
+        if header is not None and header != CSV_HEADER:
             raise ValueError(f"{path}: expected header {CSV_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
-            try:
-                track_id = row[0]
-                frame = int(row[1])
-                x, y, vx, vy = float(row[2]), float(row[3]), float(row[4]), float(row[5])
-                role = row[6]
-                label = int(row[7])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-            # False for NaN and infinities too.
-            if not (
-                abs(x) <= TRACK_LIMIT and abs(y) <= TRACK_LIMIT
-                and abs(vx) <= TRACK_LIMIT and abs(vy) <= TRACK_LIMIT
-            ):
-                raise ValueError(
-                    f"{path}:{lineno}: non-finite x, y, vx or vy, or one beyond "
-                    f"{TRACK_LIMIT:g} m or m/s in magnitude"
-                )
-            if role not in ("tv", "sv"):
-                raise ValueError(f"{path}:{lineno}: agent_role must be 'tv' or 'sv'")
-            track = tracks.get(track_id)
-            if track is None:
-                track = tracks[track_id] = _Track(role=role)
-            elif track.role != role:
-                raise ValueError(f"{path}:{lineno}: track {track_id} changes role")
-            track.rows.append((frame, x, y, vx, vy, label, lineno))
-
-    gaps = 0
-    for track_id, track in tracks.items():
-        # Stable: a repeated frame sorts after its first line.
-        track.rows.sort(key=itemgetter(0))
-        repeats = [b for a, b in zip(track.rows, track.rows[1:]) if a[0] == b[0]]
-        if repeats:
-            first = min(repeats, key=lambda r: r[6])
-            raise ValueError(
-                f"{path}:{first[6]}: duplicate frames within track {track_id}: "
-                f"frame {first[0]} appears again"
-            )
-        gaps += sum(1 for a, b in zip(track.rows, track.rows[1:]) if b[0] - a[0] > 1)
-    return tracks, gaps
+        lineno = 2
+        while rows := list(islice(reader, CHUNK_ROWS)):
+            columns = _chunk_columns(rows, lineno, ids, roles)
+            if columns is None:
+                # ``roles`` may hold this chunk's new tracks already, at
+                # the role of their first row: the row checks agree.
+                _check_rows(path, rows, lineno, roles)
+                raise AssertionError(f"{path}:{lineno}: a chunk failed a column check but no row check")
+            for part, column in zip(parts, columns):
+                part.append(column)
+            lineno += len(rows)
+    # Each column's chunks are dropped as soon as they are joined.
+    return [np.concatenate(parts.pop(0)) for _ in range(len(parts))], ids, roles
 
 
-def _segments(track: _Track) -> list[list[_Row]]:
-    segs: list[list[_Row]] = []
-    for row in track.rows:
-        if segs and row[0] == segs[-1][-1][0] + 1:
-            segs[-1].append(row)
-        else:
-            segs.append([row])
-    return segs
+def _group(
+    path: Path, codes: np.ndarray, frames: np.ndarray, lines: np.ndarray, names: list[str]
+) -> tuple[np.ndarray, ...]:
+    """One stable sort of the rows by (track, frame): the file rows in
+    that order, their track codes and frames, and for each the end of
+    its segment (its track's run of consecutive frames), as positions in
+    that order.  A frame repeated within a track raises a ValueError at
+    the first such track by appearance and its smallest line; frame
+    gaps are counted and logged."""
+    order = np.lexsort((frames, codes))  # stable: a repeated frame sorts after its first line
+    codes, frames = codes[order], frames[order]
+    same_track = codes[1:] == codes[:-1]
+    step = np.diff(frames)
+    repeats = np.flatnonzero(same_track & (step == 0)) + 1
+    if len(repeats):
+        repeats = repeats[codes[repeats] == codes[repeats].min()]
+        first = repeats[np.argmin(lines[order[repeats]])]
+        raise ValueError(
+            f"{path}:{lines[order[first]]}: duplicate frames within track {names[codes[first]]}: "
+            f"frame {frames[first]} appears again"
+        )
+    gaps = np.count_nonzero(same_track & (step > 1))
+    if gaps:
+        logger.warning("%s: %d frame gap(s); windows do not span them", path, gaps)
+    bounds = np.append(np.flatnonzero(~same_track | (step != 1)) + 1, len(codes))
+    return order, codes, frames, np.repeat(bounds, np.diff(bounds, prepend=0))
 
 
-def _index_by_frame(segments: dict[str, list[list[_Row]]]) -> dict[int, list[tuple[str, list[_Row]]]]:
-    """Map each frame to the ``(track_id, segment)`` pairs alive at it,
-    in track order.  A track's frames are unique, so at most one of its
-    segments is alive at any frame."""
-    alive: dict[int, list[tuple[str, list[_Row]]]] = {}
-    for track_id, segs in segments.items():
-        for seg in segs:
-            entry = (track_id, seg)
-            for row in seg:
-                alive.setdefault(row[0], []).append(entry)
-    return alive
+def _alive_at(index_frames: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per window, the range ``[lo, hi)`` of the frame-sorted neighbor
+    index ``index_frames`` at its first frame ``first``: one row for
+    each track alive there at most."""
+    return np.searchsorted(index_frames, first, "left"), np.searchsorted(index_frames, first, "right")
 
 
 def ingest_csv(
@@ -487,65 +554,59 @@ def ingest_csv(
     those whose segment alive at the window's first frame covers the
     whole observation window; missing slots are zero-filled and masked
     out.  Windows never span frame gaps (gaps are counted and logged).
-    Each track is segmented once and candidates are looked up by frame,
-    so the cost is linear in rows while the number of tracks alive at
-    one frame stays bounded.  The windows' rows are collected as lists
-    and become the table's arrays once per file.
+
+    The table is read ``CHUNK_ROWS`` rows at a time, each chunk parsed
+    into numpy columns, so no more than one chunk of rows is ever held
+    as Python objects.  A bad row raises a ValueError naming
+    ``path:line``: the first bad row as read, checked in a fixed order
+    (field count, parsing, the ``TRACK_LIMIT`` bound, the role, a role
+    change, frames and labels beyond ``INT_LIMIT``).  A frame repeated
+    within a track is named once every row is read.  One stable sort by
+    (track, frame) gives the segments, and a frame-sorted index of the
+    rows that can open a neighbor's observation gives each window only
+    the tracks alive at its first frame, so the cost is linear in rows
+    while that number stays bounded.  Windows fill the table's
+    preallocated arrays ``CHUNK_ROWS`` at a time.  Memory is the
+    columns (64 bytes a row) and a few index arrays beside the table.
     """
     path = Path(path)
-    tracks, gaps = _parse_rows(path)
-    if gaps:
-        logger.warning("%s: %d frame gap(s); windows do not span them", path, gaps)
+    (codes, frames, states, labels, lines), ids, roles = _read_columns(path)
+    names = list(ids)
+    order, codes, frames, seg_end = _group(path, codes, frames, lines, names)
+    at = np.arange(len(order))
+    is_tv = np.fromiter((roles[name] == "tv" for name in names), bool, len(names))
+    starts = np.flatnonzero((at + t_obs + t_pred <= seg_end) & is_tv[codes])
+    index = np.flatnonzero(at + t_obs <= seg_end)  # rows that open t_obs frames of their track
+    index = index[np.argsort(frames[index], kind="stable")]
+    index_frames = frames[index]
+    id_rank = np.empty(len(names), np.intp)
+    id_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
 
-    segments = {track_id: _segments(track) for track_id, track in tracks.items()}
-    alive = _index_by_frame(segments)
+    n, steps = len(starts), np.arange(t_obs)
+    tv, svs = np.empty((n, t_obs, 4)), np.zeros((n, k_sv, t_obs, 4))
+    mask, ends = np.zeros((n, k_sv), dtype=bool), np.empty((n, 2))
+    speeds, window_labels = np.empty(n), np.empty(n, dtype=np.int64)
+    for c in range(0, n, CHUNK_ROWS):
+        first = starts[c : c + CHUNK_ROWS]
+        out = slice(c, c + len(first))
+        now = order[first + t_obs - 1]  # each window's decision row
+        tv[out] = states[order[first[:, None] + steps]]
+        ends[out] = states[order[first + t_obs + t_pred - 1], :2]
+        speeds[out] = _hypot(states[now, 2], states[now, 3])
+        window_labels[out] = labels[now]
 
-    tv: list[tuple[float, ...]] = []
-    svs: list[tuple[float, ...]] = []
-    mask: list[bool] = []
-    ends: list[tuple[float, float]] = []
-    speeds: list[float] = []
-    labels: list[int] = []
-    window = t_obs + t_pred
-    padding = [(0.0, 0.0, 0.0, 0.0)] * t_obs
-    for tv_id, track in tracks.items():
-        if track.role != "tv":
-            continue
-        for seg in segments[tv_id]:
-            if len(seg) < window:
-                continue
-            for s in range(len(seg) - window + 1):
-                obs = seg[s : s + t_obs]
-                t_c_row = obs[-1]
-                end_row = seg[s + window - 1]
-                first, last = obs[0][0], t_c_row[0]
-
-                candidates = []
-                for other_id, oseg in alive[first]:
-                    if other_id == tv_id or oseg[-1][0] < last:
-                        continue
-                    off = first - oseg[0][0]
-                    rows = oseg[off : off + t_obs]
-                    d = math.hypot(rows[-1][1] - t_c_row[1], rows[-1][2] - t_c_row[2])
-                    candidates.append((d, other_id, rows))
-                candidates.sort(key=lambda c: (c[0], c[1]))
-
-                tv.extend(r[1:5] for r in obs)
-                for k in range(k_sv):
-                    if k < len(candidates):
-                        svs.extend(r[1:5] for r in candidates[k][2])
-                    else:
-                        svs.extend(padding)
-                    mask.append(k < len(candidates))
-                ends.append(end_row[1:3])
-                speeds.append(math.hypot(t_c_row[3], t_c_row[4]))
-                labels.append(t_c_row[5])
-    n = len(labels)
-    return Scenes(
-        np.array(tv, dtype=np.float64).reshape(n, t_obs, 4),
-        np.array(svs, dtype=np.float64).reshape(n, k_sv, t_obs, 4),
-        np.array(mask, dtype=bool).reshape(n, k_sv),
-        np.array(ends, dtype=np.float64).reshape(n, 2),
-        np.array(speeds, dtype=np.float64),
-        np.array(labels, dtype=np.int64),
-    )
+        lo, hi = _alive_at(index_frames, frames[first])
+        win = np.repeat(np.arange(len(first)), hi - lo)
+        cand = index[lo[win] + np.arange(len(win)) - (np.cumsum(hi - lo) - (hi - lo))[win]]
+        other = codes[cand] != codes[first[win]]
+        win, cand = win[other], cand[other]
+        last = order[cand + t_obs - 1]
+        dist = _hypot(states[last, 0] - states[now[win], 0], states[last, 1] - states[now[win], 1])
+        by = np.lexsort((id_rank[codes[cand]], dist, win))
+        win, cand = win[by], cand[by]
+        slot = np.arange(len(win)) - np.searchsorted(win, win)
+        kept = slot < k_sv
+        win, slot, cand = win[kept] + c, slot[kept], cand[kept]
+        svs[win, slot] = states[order[cand[:, None] + steps]]
+        mask[win, slot] = True
+    return Scenes(tv, svs, mask, ends, speeds, window_labels)

@@ -111,7 +111,7 @@ def check_replacement_frequency(trials: int = 30000) -> bool:
         buf = SeparationBuffer(capacity=4)
         for i in range(4):
             buf.observe(i, 0.5, rng)
-        if buf.observe(99, 0.5, rng):
+        if buf.observe(99, 0.5, rng) is not None:
             replaced += 1
     if abs(replaced / trials - 0.5) > 0.01:
         return False
@@ -119,7 +119,7 @@ def check_replacement_frequency(trials: int = 30000) -> bool:
         buf = SeparationBuffer(capacity=4)
         for i in range(4):
             buf.observe(i, 0.5, rng)
-        if not buf.observe(99, 0.0, rng):
+        if buf.observe(99, 0.0, rng) is None:
             return False
     return True
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -463,3 +465,80 @@ def scale_positions(path: Path, factor: float) -> None:
         row[2], row[3] = repr(float(row[2]) * factor), repr(float(row[3]) * factor)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+
+
+# The row-tuple CSV reader that ``scenarios.ingest_csv`` replaced, kept
+# verbatim as the reference its columns, segments and messages must equal.
+_Row = tuple[int, float, float, float, float, int, int]  # frame, x, y, vx, vy, label, line
+
+
+@dataclass
+class _Track:
+    role: str
+    rows: list[_Row] = field(default_factory=list)
+
+
+def _parse_rows(path: Path) -> tuple[dict[str, _Track], int]:
+    tracks: dict[str, _Track] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return {}, 0
+        if header != CSV_HEADER:
+            raise ValueError(f"{path}: expected header {CSV_HEADER}, got {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
+            try:
+                track_id = row[0]
+                frame = int(row[1])
+                x, y, vx, vy = float(row[2]), float(row[3]), float(row[4]), float(row[5])
+                role = row[6]
+                label = int(row[7])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
+            # False for NaN and infinities too.
+            if not (
+                abs(x) <= TRACK_LIMIT and abs(y) <= TRACK_LIMIT
+                and abs(vx) <= TRACK_LIMIT and abs(vy) <= TRACK_LIMIT
+            ):
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite x, y, vx or vy, or one beyond "
+                    f"{TRACK_LIMIT:g} m or m/s in magnitude"
+                )
+            if role not in ("tv", "sv"):
+                raise ValueError(f"{path}:{lineno}: agent_role must be 'tv' or 'sv'")
+            track = tracks.get(track_id)
+            if track is None:
+                track = tracks[track_id] = _Track(role=role)
+            elif track.role != role:
+                raise ValueError(f"{path}:{lineno}: track {track_id} changes role")
+            track.rows.append((frame, x, y, vx, vy, label, lineno))
+
+    gaps = 0
+    for track_id, track in tracks.items():
+        # Stable: a repeated frame sorts after its first line.
+        track.rows.sort(key=itemgetter(0))
+        repeats = [b for a, b in zip(track.rows, track.rows[1:]) if a[0] == b[0]]
+        if repeats:
+            first = min(repeats, key=lambda r: r[6])
+            raise ValueError(
+                f"{path}:{first[6]}: duplicate frames within track {track_id}: "
+                f"frame {first[0]} appears again"
+            )
+        gaps += sum(1 for a, b in zip(track.rows, track.rows[1:]) if b[0] - a[0] > 1)
+    return tracks, gaps
+
+
+def _segments(track: _Track) -> list[list[_Row]]:
+    segs: list[list[_Row]] = []
+    for row in track.rows:
+        if segs and row[0] == segs[-1][-1][0] + 1:
+            segs[-1].append(row)
+        else:
+            segs.append([row])
+    return segs

@@ -247,14 +247,14 @@ def test_03_replacement_rate():
     trials = 100_000
     buf = SeparationBuffer(capacity=1)
     buf.observe(0, 0.5, rng)
-    replaced = sum(buf.observe(i, 0.5, rng) for i in range(trials))
+    replaced = sum(buf.observe(i, 0.5, rng) is not None for i in range(trials))
     rate = replaced / trials
     assert abs(rate - 0.5) <= 0.005, f"equal-score replacement rate {rate:.4f}"
 
     always = 0
     for i in range(10_000):
         buf.scores[0] = 0.5
-        always += buf.observe(i, 0.0, rng)
+        always += buf.observe(i, 0.0, rng) is not None
     assert always == 10_000, "zero-score newcomer failed to replace"
     elapsed = time.time() - started
     assert elapsed < 10.0

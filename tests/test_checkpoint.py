@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import io
 import json
 import re
 
@@ -244,6 +245,48 @@ class TestFormat:
         save_full(tmp_path / "a.json", tiny_model, dual_result)
         save_full(tmp_path / "b.json", tiny_model, dual_result)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("parts", ["params", "adam", "both buffers", "separation only"])
+    def test_lazy_packing_writes_the_eagerly_packed_bytes(self, tiny_model, dual_result, tmp_path, parts):
+        # The document as the writer made it when every array was packed
+        # into the payload before one json.dump.
+        result, g = dual_result, tiny_model.config.grid
+        adam = None if parts == "params" else result.adam_state
+        separation = result.separation if "buffer" in parts or "separation" in parts else None
+        completion = result.completion if parts == "both buffers" else None
+
+        def columns(buffer):
+            rows, logits = buffer.contents()
+            stacked = logits.reshape(len(rows), g.rows_h, g.cols_w)
+            return {"x": pack(rows.x), "ends": pack(rows.ends), "speeds": pack(rows.speeds), "logits": pack(stacked)}
+
+        eager = {
+            "format": "contrail-checkpoint-v3",
+            "config": dataclasses.asdict(tiny_model.config),
+            "params": pack(result.final_params),
+            "adam": None if adam is None else {"m": pack(adam.m), "v": pack(adam.v), "t": adam.t},
+            "separation": None if separation is None else {
+                "capacity": separation.capacity,
+                "b_compare": separation.b_compare,
+                "stream_count": separation.stream_count,
+                "scores": separation.scores.tolist(),
+                "items": columns(separation),
+            },
+            "completion": None if completion is None else {
+                "capacity": completion.capacity,
+                "stream_count": completion.stream_count,
+                "items": columns(completion),
+            },
+        }
+        text = io.StringIO()
+        json.dump(eager, text)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, tiny_model.config, result.final_params, adam, separation, completion)
+        assert path.read_text() == text.getvalue()
+
+    def test_only_arrays_are_packed(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps({"t": np.int64(3)}, default=checkpoint._pack)
 
     def test_failed_save_leaves_no_file(self, tiny_model, tmp_path, monkeypatch):
         def boom(payload, fh, **kwargs):

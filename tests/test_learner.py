@@ -489,7 +489,7 @@ def _dense_offer_batch(late_admissions):
             if sp_buffer is not None:
                 stored = dense_rows(sp_buffer.rows)
                 full = len(sp_buffer) == sp_buffer.capacity
-                if sp_buffer.offer(row, cosine_rows(new[k], stored), rng, logits) and full:
+                if sp_buffer.offer(row, cosine_rows(new[k], stored), rng, logits) is not None and full:
                     late_admissions.append((k, len(batch)))
             if cp_buffer is not None:
                 cp_buffer.observe(row, rng, logits)

@@ -32,8 +32,7 @@ class TestCompletionBuffer:
     def test_fills_in_order_below_capacity(self):
         rng = np.random.default_rng(100)
         buf = CompletionBuffer(capacity=5)
-        for row in (7, 3, 11):
-            buf.observe(row, rng)
+        assert [buf.observe(row, rng) for row in (7, 3, 11)] == [0, 1, 2]
         assert len(buf) == 3
         assert buf.rows.tolist() == [7, 3, 11]
         assert buf.stream_count == 3
@@ -160,7 +159,8 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(120)
         buf = SeparationBuffer(capacity=3, n_cells=4)
         logits = np.ones(4)
-        assert buf.observe(5, 0.7, rng, logits) is True
+        slot = buf.observe(5, 0.7, rng, logits)
+        assert slot == 0
         assert buf.rows.tolist() == [5]
         assert np.array_equal(buf.logits, [logits])
         assert buf.scores.tolist() == [0.7]
@@ -169,8 +169,8 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(121)
         buf = self._full_buffer(rng, [0.2, 0.4])
         before = buf.rows.tolist()
-        assert buf.observe(9, 1.0, rng) is False
-        assert buf.observe(9, 1.7, rng) is False
+        assert buf.observe(9, 1.0, rng) is None
+        assert buf.observe(9, 1.7, rng) is None
         assert buf.rows.tolist() == before
         assert buf.stream_count == 4
 
@@ -178,14 +178,15 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(122)
         for _ in range(300):
             buf = self._full_buffer(rng, [0.7])
-            stored = buf.observe(9, 0.0, rng)
-            assert stored is True
+            slot = buf.observe(9, 0.0, rng)
+            assert slot is not None and buf.rows[slot] == 9
 
     def test_replacement_inherits_new_score(self):
         rng = np.random.default_rng(123)
         buf = self._full_buffer(rng, [0.9], n_cells=4)
         logits = np.ones(4)
-        assert buf.observe(9, 0.25, rng, logits) is True
+        slot = buf.observe(9, 0.25, rng, logits)
+        assert slot == 0
         assert buf.rows.tolist() == [9]
         assert np.array_equal(buf.logits, [logits])
         assert buf.scores.tolist() == [0.25]
@@ -194,14 +195,14 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(124)
         buf = self._full_buffer(rng, [0.5])
         trials = 20000
-        stored = sum(buf.observe(1 + i, 0.5, rng) for i in range(trials))
+        stored = sum(buf.observe(1 + i, 0.5, rng) is not None for i in range(trials))
         assert abs(stored / trials - 0.5) < 0.015
 
     def test_zero_zero_tie_replaces_half_the_time(self):
         rng = np.random.default_rng(125)
         buf = self._full_buffer(rng, [0.0])
         trials = 20000
-        stored = sum(buf.observe(1 + i, 0.0, rng) for i in range(trials))
+        stored = sum(buf.observe(1 + i, 0.0, rng) is not None for i in range(trials))
         assert abs(stored / trials - 0.5) < 0.015
 
     def test_all_zero_scores_pick_candidates_uniformly(self):
@@ -210,9 +211,11 @@ class TestSeparationBuffer:
         slot_counts = np.zeros(3)
         replaced = 0
         for newcomer in range(3, 6003):
-            if buf.observe(newcomer, 0.0, rng):
+            slot = buf.observe(newcomer, 0.0, rng)
+            if slot is not None:
+                assert buf.rows[slot] == newcomer
                 replaced += 1
-                slot_counts[buf.rows.tolist().index(newcomer)] += 1
+                slot_counts[slot] += 1
         assert replaced > 2500
         expected = replaced / 3
         sigma = math.sqrt(replaced * (1 / 3) * (2 / 3))
@@ -225,8 +228,10 @@ class TestSeparationBuffer:
         evictions = np.zeros(2)
         for _ in range(2000):
             buf = self._full_buffer(rng, [1.8, 0.05])
-            if buf.observe(2, 0.3, rng):
-                evictions[buf.rows.tolist().index(2)] += 1
+            slot = buf.observe(2, 0.3, rng)
+            if slot is not None:
+                assert buf.rows[slot] == 2
+                evictions[slot] += 1
         assert evictions[0] > 10 * evictions[1]
 
     def test_offer_first_sample_rule(self):
@@ -234,8 +239,8 @@ class TestSeparationBuffer:
         buf = SeparationBuffer(capacity=3)
 
         # No stored slot exists, so no cosine can be read.
-        stored = buf.offer(0, np.ones(0), rng)
-        assert stored is True
+        slot = buf.offer(0, np.ones(0), rng)
+        assert slot == 0
         assert buf.scores.tolist() == [FIRST_SAMPLE_SCORE]
 
     def test_offer_scores_later_samples(self):
@@ -244,8 +249,8 @@ class TestSeparationBuffer:
         g = np.array([1.0, 0.0])
         buf.offer(0, cosine_rows(g, np.zeros((0, 2))), rng, np.zeros(4))
         logits = np.ones(4)
-        stored = buf.offer(1, cosine_rows(g, np.stack([g])), rng, logits)
-        assert stored is True
+        slot = buf.offer(1, cosine_rows(g, np.stack([g])), rng, logits)
+        assert slot == 1
         assert buf.scores[1] == pytest.approx(2.0)
         assert buf.rows.tolist() == [0, 1] and np.array_equal(buf.logits[1], logits)
 
@@ -324,17 +329,21 @@ class TestAgainstListReference:
             logits = ops.normal(size=self.N_CELLS)
             op = ops.integers(0, 5)
             if op == 0:
-                comp.observe(row, rng, logits)
+                slot = comp.observe(row, rng, logits)
                 ref_comp.observe(row, ref_rng, logits)
+                assert slot is None or comp.rows[slot] == row
+                assert (slot is not None) == (row in comp.rows)
             elif op == 1:
                 cosines = ops.uniform(-1.0, 1.0, size=len(sep))
-                assert bool(sep.offer(row, cosines, rng, logits)) == ref_sep.offer(
-                    row, cosines, ref_rng, logits
-                )
+                slot = sep.offer(row, cosines, rng, logits)
+                assert (slot is not None) == ref_sep.offer(row, cosines, ref_rng, logits)
+                assert slot is None or sep.rows[slot] == row
             elif op == 2:
                 # Exact zeros reach the all-zero-scores branch.
                 q = float(ops.choice([0.0, ops.uniform(0.0, 2.0)]))
-                assert sep.observe(row, q, rng, logits) == ref_sep.observe(row, q, ref_rng, logits)
+                slot = sep.observe(row, q, rng, logits)
+                assert (slot is not None) == ref_sep.observe(row, q, ref_rng, logits)
+                assert slot is None or sep.rows[slot] == row
             elif op == 3 and len(comp) > 1:
                 keep = sorted(ops.choice(len(comp), size=len(comp) - 1, replace=False).tolist())
                 comp.retain(keep)

@@ -30,7 +30,7 @@ from contrail.scenarios import (
     write_task_csv,
 )
 
-from conftest import ref_generate, ref_write_task_csv, same_bits, same_rows, scale_positions
+from conftest import _parse_rows, _segments, ref_generate, ref_write_task_csv, same_bits, same_rows, scale_positions
 
 
 def local_endpoints_of(scenes: Scenes) -> np.ndarray:
@@ -445,6 +445,35 @@ class TestGenerationMemory:
         assert peak <= self.SCALAR_PEAK
 
 
+class TestCsvMemory:
+    """tracemalloc peaks on a 400-episode turn table (32,000 rows, 3.1 MB;
+    numpy 2.4, Python 3.11).  Measured: ``ingest_csv`` 4,851,622 B
+    (the row-tuple reader it replaced: 14.3 MB), of which reading the
+    columns is 3.5 MB (64 B a row, one chunk of rows and the joining of
+    the chunks); ``write_task_csv`` 66,013 B (one episode's lines; it
+    was 6.3 MB when the whole task became Python lists at once)."""
+
+    INGEST_PEAK = 5_600_000
+    WRITE_PEAK = 80_000
+
+    @staticmethod
+    def peak(call) -> int:
+        call()  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peaks_are_pinned(self, tmp_path):
+        spec = TaskSpec("turn", 400, seed=3, noise_sigma=0.1)
+        drawn = scenarios._generate(spec, 1)
+        path = tmp_path / "turn.csv"
+        assert self.peak(lambda: write_task_csv(spec, 1, path, drawn)) <= self.WRITE_PEAK
+        assert self.peak(lambda: ingest_csv(path)) <= self.INGEST_PEAK
+
+
 def csv_text(rows):
     lines = [",".join(CSV_HEADER)]
     lines += [",".join(str(v) for v in row) for row in rows]
@@ -546,6 +575,20 @@ class TestIngestion:
         with pytest.raises(ValueError, match=r"dup\.csv:6: duplicate frames within track bike: frame 0"):
             ingest_csv(path)
 
+    def test_duplicates_are_named_by_first_track_then_smallest_line(self, tmp_path):
+        rows = [
+            ["car", 0, 0.0, 0.0, 1.0, 0.0, "tv", 1],
+            ["car", 1, 1.0, 0.0, 1.0, 0.0, "tv", 1],
+            ["bike", 0, 5.0, 0.0, 1.0, 0.0, "sv", 1],
+            ["bike", 0, 5.0, 0.0, 1.0, 0.0, "sv", 1],
+            ["car", 1, 1.0, 0.0, 1.0, 0.0, "tv", 1],
+            ["car", 0, 0.0, 0.0, 1.0, 0.0, "tv", 1],
+        ]
+        path = tmp_path / "dup.csv"
+        path.write_text(csv_text(rows))
+        # car's repeats are frame 1 at line 6 and frame 0 at line 7.
+        assert assert_same_error(path) == f"{path}:6: duplicate frames within track car: frame 1 appears again"
+
     def test_malformed_row_wins_over_a_duplicate_frame(self, tmp_path):
         # Rows are checked as they are read; frames once all are read.
         rows = [
@@ -569,6 +612,160 @@ class TestNonFiniteRows:
         path.write_text(csv_text(rows))
         with pytest.raises(ValueError, match=r"nonfinite\.csv:4: non-finite"):
             ingest_csv(path, t_obs=3, t_pred=2)
+
+
+def read_table(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def write_table(path, table):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(table)
+
+
+def reference_error(path) -> str:
+    """The message the row-tuple reader gives ``path``; it must refuse it."""
+    with pytest.raises(ValueError) as caught:
+        _parse_rows(path)
+    return str(caught.value)
+
+
+def assert_same_error(path) -> str:
+    """``ingest_csv`` refuses ``path`` with the reference reader's
+    message, ``path:line`` included; returns it."""
+    message = reference_error(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ingest_csv(path)
+    return message
+
+
+def break_row(table, i, kind):
+    """Put an error of ``kind`` at data row ``i`` of ``table`` (a
+    header and then rows, as read): the row's only fault.  A role change
+    moves the row to an earlier track of the other role; a duplicate
+    frame moves it to the previous row's track and frame."""
+    row, before = table[1 + i], table[1 : 1 + i]
+    if kind == "field count":
+        del row[-1]
+    elif kind == "bad int":
+        row[1] = "1.5"
+    elif kind == "bad float":
+        row[2] = "oops"
+    elif kind == "non-finite":
+        row[4] = "nan"
+    elif kind == "beyond TRACK_LIMIT":
+        row[3] = "-2e6"
+    elif kind == "bad role":
+        row[6] = "ghost"
+    elif kind == "role change":
+        row[0] = next(r[0] for r in before if r[6] != row[6])
+    elif kind == "duplicate frame":
+        row[0], row[1], row[6] = before[-1][0], before[-1][1], before[-1][6]
+
+
+ERROR_KINDS = [
+    "field count", "bad int", "bad float", "non-finite", "beyond TRACK_LIMIT", "bad role", "role change",
+    "duplicate frame",
+]
+
+
+@pytest.fixture(scope="module")
+def chunked_table(tmp_path_factory):
+    """A generated table of three chunks and more (60 rows an episode)."""
+    path = tmp_path_factory.mktemp("chunks") / "table.csv"
+    write_task_csv(TaskSpec("straight", 2 * scenarios.CHUNK_ROWS // 60 + 2, seed=41, k_sv=2), 1, path)
+    return read_table(path)
+
+
+class TestErrorsAtChunkEdges:
+    """Each error kind where a chunk starts and ends: ``ingest_csv``
+    reads ``CHUNK_ROWS`` rows at a time and names the row the reference
+    reader names."""
+
+    @pytest.mark.parametrize("edge", ["first row of a chunk", "last row of a chunk", "row after it"])
+    @pytest.mark.parametrize("kind", ERROR_KINDS)
+    def test_error_names_the_row(self, tmp_path, chunked_table, kind, edge):
+        chunk = scenarios.CHUNK_ROWS
+        i = {"first row of a chunk": chunk, "last row of a chunk": 2 * chunk - 1, "row after it": 2 * chunk}[edge]
+        table = [row[:] for row in chunked_table]
+        break_row(table, i, kind)
+        path = tmp_path / "broken.csv"
+        write_table(path, table)
+        assert assert_same_error(path).startswith(f"{path}:{i + 2}: ")
+
+    def test_the_first_bad_row_wins_across_chunks(self, tmp_path, chunked_table):
+        chunk = scenarios.CHUNK_ROWS
+        table = [row[:] for row in chunked_table]
+        break_row(table, 2 * chunk + 5, "bad float")
+        break_row(table, chunk - 1, "role change")
+        break_row(table, 3, "duplicate frame")  # named only once every row is read
+        path = tmp_path / "broken.csv"
+        write_table(path, table)
+        assert assert_same_error(path).startswith(f"{path}:{chunk + 1}: track ")
+
+    def test_blank_rows_count_as_lines(self, tmp_path, chunked_table):
+        chunk = scenarios.CHUNK_ROWS
+        table = [row[:] for row in chunked_table]
+        break_row(table, chunk + 2, "non-finite")
+        for at in (chunk + 1, chunk, 5):
+            table.insert(1 + at, [])
+        path = tmp_path / "blank.csv"
+        write_table(path, table)
+        assert assert_same_error(path).startswith(f"{path}:{chunk + 7}: non-finite")
+        # Without the error the blank rows are skipped.
+        table[1 + chunk + 5][4] = "0.0"
+        write_table(path, table)
+        assert same_rows(ingest_csv(path), quadratic_ingest(path))
+
+
+# Single-cell faults by column; "{dup}" takes another frame of the
+# row's own track, "{flip}" the other role.
+CELL_FAULTS = {
+    1: ["", "1.5", "x", "{dup}"],
+    2: ["", "nan", "-inf", "1e400", "2e6", "x"],
+    3: ["nan", "-1000000.0000000002", "1 5"],
+    4: ["inf", "1e7", ""],
+    5: ["NaN", "-1e6x", "1e309"],
+    6: ["", "TV", "ghost", "{flip}"],
+    7: ["", "2.0", "x"],
+}
+
+
+class TestCellMutations:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_a_broken_cell_gives_the_reference_message(self, tmp_path, chunked_table, seed):
+        rng = np.random.default_rng([2020, seed])
+        table = [row[:] for row in chunked_table]
+        i = int(rng.integers(1, len(table)))
+        row = table[i]
+        if rng.random() < 0.1:
+            del row[int(rng.integers(0, len(row)))]
+        else:
+            column = int(rng.choice(list(CELL_FAULTS)))
+            value = str(rng.choice(CELL_FAULTS[column]))
+            if value == "{dup}":
+                value = table[i - 1][1] if table[i - 1][0] == row[0] else table[i + 1][1]
+            elif value == "{flip}":
+                value = "sv" if row[6] == "tv" else "tv"
+            row[column] = value
+        path = tmp_path / "mutated.csv"
+        write_table(path, table)
+        assert_same_error(path)
+
+
+class TestFramesAndLabelsInRange:
+    @pytest.mark.parametrize("column, value", [(1, 2**62 + 1), (1, -(2**63)), (7, 2**64), (7, -(2**62) - 1)])
+    def test_beyond_int_limit_is_refused(self, tmp_path, column, value):
+        rows = [["car", f, float(f), 0.0, 10.0, 0.0, "tv", 1] for f in range(6)]
+        rows[3][column] = value
+        path = tmp_path / "ints.csv"
+        path.write_text(csv_text(rows))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:5: frame or task_label beyond 2\*\*62"):
+            ingest_csv(path, t_obs=3, t_pred=2)
+        rows[3][column] = 2**62 if column == 7 else 3
+        path.write_text(csv_text(rows))
+        assert len(ingest_csv(path, t_obs=3, t_pred=2)) == 2
 
 
 class TestOutOfRangeRows:
@@ -602,13 +799,13 @@ def quadratic_ingest(path, t_obs=10, t_pred=30, k_sv=4):
     ``ingest_csv`` must equal: every window rescans every other track
     and re-segments it, taking its first segment that covers the whole
     observation window.  Each window becomes a one-row table."""
-    tracks, _ = scenarios._parse_rows(Path(path))
+    tracks, _ = _parse_rows(Path(path))
     samples = []
     window = t_obs + t_pred
     for tv_id, track in tracks.items():
         if track.role != "tv":
             continue
-        for seg in scenarios._segments(track):
+        for seg in _segments(track):
             for s in range(len(seg) - window + 1):
                 obs = seg[s : s + t_obs]
                 t_c_row = obs[-1]
@@ -617,7 +814,7 @@ def quadratic_ingest(path, t_obs=10, t_pred=30, k_sv=4):
                 for other_id, other in tracks.items():
                     if other_id == tv_id:
                         continue
-                    for oseg in scenarios._segments(other):
+                    for oseg in _segments(other):
                         if oseg[0][0] <= obs[0][0] and oseg[-1][0] >= t_c_row[0]:
                             off = obs[0][0] - oseg[0][0]
                             rows = oseg[off : off + t_obs]
@@ -632,7 +829,7 @@ def quadratic_ingest(path, t_obs=10, t_pred=30, k_sv=4):
                     Scenes(
                         np.array([[r[1:5] for r in obs]]),
                         np.array(slots, dtype=float).reshape(1, k_sv, t_obs, 4),
-                        np.array([[k < n_real for k in range(k_sv)]]).reshape(1, k_sv),
+                        np.array([[k < n_real for k in range(k_sv)]], dtype=bool).reshape(1, k_sv),
                         np.array([end_row[1:3]]),
                         np.array([math.hypot(t_c_row[3], t_c_row[4])]),
                         np.array([t_c_row[5]]),
@@ -706,6 +903,23 @@ class TestNeighborLookupMatchesQuadraticScan:
         assert samples.svs[:, 0, 0, 1].tolist() == [3.0, 3.0, 0.0, 0.0]
         assert samples.mask.tolist() == [[True, False]] * 4
 
+    def test_distances_and_speeds_are_math_hypot(self, tmp_path):
+        # numpy's hypot rounds this pair one unit in the last place away
+        # from math.hypot.  A neighbor at numpy's distance on an axis
+        # ties with the diagonal one under numpy, so only math.hypot
+        # orders them by distance rather than by track id.
+        dx, dy = 14.551449643883394, -8.398681060594747
+        exact, rounded = math.hypot(dx, dy), float(np.hypot(dx, dy))
+        assert exact != rounded
+        diag, axis = ("b", "a") if exact < rounded else ("a", "b")
+        rows = [["car", f, 0.0, 0.0, dx, dy, "tv", 1] for f in range(5)]
+        rows += [[diag, f, dx, dy, 0.0, 0.0, "sv", 1] for f in range(5)]
+        rows += [[axis, f, rounded, 0.0, 0.0, 0.0, "sv", 1] for f in range(5)]
+        sample = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
+        assert sample.speeds.tolist() == [exact]
+        nearest = [dx, dy] if exact < rounded else [rounded, 0.0]
+        assert sample.svs[0, 0, -1, :2].tolist() == nearest
+
     @pytest.mark.parametrize("seed", range(5))
     def test_random_tables_with_gaps_and_ties(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
@@ -724,46 +938,41 @@ class TestNeighborLookupMatchesQuadraticScan:
 
 
 class TestIngestionWorkIsLinear:
-    def test_each_track_segmented_once_and_windows_check_only_live_tracks(self, tmp_path, monkeypatch):
+    def test_every_row_grouped_once_and_windows_check_only_live_tracks(self, tmp_path, monkeypatch):
         path = tmp_path / "big.csv"
         written = write_task_csv(TaskSpec(kind="straight", n_samples=2000, seed=8, k_sv=2), 1, path)
 
-        segmented = []
-        segments = scenarios._segments
+        grouped = []  # the file rows each grouping call ordered, and its track names
+        group = scenarios._group
 
-        def counting_segments(track):
-            segmented.append(id(track))
-            return segments(track)
+        def counting_group(path, codes, frames, lines, names):
+            out = group(path, codes, frames, lines, names)
+            grouped.append((out[0], list(names)))
+            return out
 
-        checks = []  # (first frame, candidates looked at) per lookup
+        checks = []  # (first frame, candidates looked at) per window
+        alive_at = scenarios._alive_at
 
-        class CountingList(list):
-            def __init__(self, frame, items):
-                super().__init__(items)
-                self.frame = frame
+        def counting_alive_at(index_frames, first):
+            lo, hi = alive_at(index_frames, first)
+            checks.extend(zip(first.tolist(), (hi - lo).tolist()))
+            return lo, hi
 
-            def __iter__(self):
-                checks.append([self.frame, 0])
-                for item in super().__iter__():
-                    checks[-1][1] += 1
-                    yield item
-
-        index_by_frame = scenarios._index_by_frame
-
-        def counting_index(segs):
-            return {f: CountingList(f, entries) for f, entries in index_by_frame(segs).items()}
-
-        monkeypatch.setattr(scenarios, "_segments", counting_segments)
-        monkeypatch.setattr(scenarios, "_index_by_frame", counting_index)
+        monkeypatch.setattr(scenarios, "_group", counting_group)
+        monkeypatch.setattr(scenarios, "_alive_at", counting_alive_at)
         samples = ingest_csv(path, t_obs=10, t_pred=30, k_sv=2)
         assert len(samples) == len(written) == 2000
 
         alive: dict[int, set[str]] = {}
         with open(path, newline="") as fh:
-            for row in list(csv.reader(fh))[1:]:
-                alive.setdefault(int(row[1]), set()).add(row[0])
+            table = list(csv.reader(fh))[1:]
+        for row in table:
+            alive.setdefault(int(row[1]), set()).add(row[0])
         n_tracks = len(set().union(*alive.values()))
-        assert len(segmented) == len(set(segmented)) == n_tracks == 2000 * 3
+        assert len(grouped) == 1
+        order, names = grouped[0]
+        assert np.array_equal(np.sort(order), np.arange(len(table)))
+        assert len(names) == len(set(names)) == n_tracks == 2000 * 3
         assert len(checks) == len(samples)
         for frame, looked_at in checks:
             assert looked_at <= len(alive[frame])
