@@ -34,6 +34,7 @@ __all__ = [
     "Scenes",
     "atomic_write",
     "endpoint_cells",
+    "hypot_rows",
     "local_endpoints",
     "scene_frames",
     "softmax",
@@ -184,16 +185,21 @@ class GridSpec:
         return self.rows_h * self.cols_w
 
 
+def hypot_rows(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each pair of ``dx`` and ``dy``, whose last bit
+    ``np.hypot`` does not always match."""
+    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=len(dx))
+
+
 def scene_frames(scenes: Scenes) -> np.ndarray:
     """Every row's target-centric frame at the decision step as one
     ``(n, 4)`` array of (origin x, origin y, cos, sin): origin at the
     target vehicle's position, +x along its velocity.  A (near)
     stationary target keeps the world orientation.  The speed is
-    ``math.hypot`` row by row, whose last bit ``np.hypot`` does not
-    always match."""
+    :func:`hypot_rows` of the velocity."""
     last = scenes.tv[:, -1]
     vx, vy = last[:, 2], last[:, 3]
-    speed = np.fromiter(map(math.hypot, vx.tolist(), vy.tolist()), np.float64, len(last))
+    speed = hypot_rows(vx, vy)
     still = speed < 1e-9
     speed[still] = 1.0
     cos_h = np.where(still, 1.0, vx / speed)

@@ -197,30 +197,24 @@ def gss_style_step(
     return model.loss_and_grad(params, table.x[mixed], table.cells[mixed], cfg.loss, out=out)
 
 
-def agem_project(
-    grad: np.ndarray, ref_grad: np.ndarray, scratch: np.ndarray | None = None
-) -> tuple[np.ndarray, bool]:
-    """Project a gradient to not increase the reference loss: when the
-    dot product is negative, remove the component along the reference
-    gradient.  Returns the (possibly unchanged) gradient and whether a
-    projection happened.
-
-    Without ``scratch`` a projection is a fresh array and ``grad`` is
-    left as it was.  With ``scratch`` (a vector of ``grad``'s shape)
-    ``grad`` is projected in place, through ``scratch``, and returned.
-    Both compute ``grad - (dot / denom) * ref_grad`` in that order.
+def agem_project(grad: np.ndarray, ref_grad: np.ndarray, scratch: np.ndarray) -> bool:
+    """Project ``grad`` in place so that it does not increase the
+    reference loss: when its dot product with ``ref_grad`` is negative,
+    remove the component along the reference gradient, as
+    ``grad - (dot / denom) * ref_grad`` through ``scratch`` (a vector of
+    ``grad``'s shape).  Returns whether a projection happened.  The dots
+    are summed by ``einsum``, whose order does not depend on the BLAS
+    thread count.
     """
-    dot = float(grad @ ref_grad)
+    dot = float(np.einsum("i,i->", grad, ref_grad))
     if dot >= 0.0:
-        return grad, False
-    denom = float(ref_grad @ ref_grad)
+        return False
+    denom = float(np.einsum("i,i->", ref_grad, ref_grad))
     if denom == 0.0:
-        return grad, False
-    if scratch is None:
-        grad, scratch = grad.copy(), np.empty_like(grad)
+        return False
     np.multiply(ref_grad, dot / denom, out=scratch)
     grad -= scratch
-    return grad, True
+    return True
 
 
 class _AgemMemory:
@@ -363,11 +357,10 @@ def train_stream(
             )
             if len(refs):
                 model.loss_and_grad(params, table.x[refs], table.cells[refs], spec, out=g_ref)
-                _, projected = agem_project(grad, g_ref, agem_scratch)
-                if projected:
-                    agem_dots.append(float(grad @ g_ref))
+                if agem_project(grad, g_ref, agem_scratch):
+                    agem_dots.append(float(np.einsum("i,i->", grad, g_ref)))
 
-        adam_step(params, grad, adam, cfg.lr, in_place=True)
+        adam_step(params, grad, adam, cfg.lr)
         n_steps += 1
 
         if sp_buffer is not None or cp_buffer is not None:

@@ -251,7 +251,7 @@ class HeatmapPredictor:
         its back-propagated delta and the layer input, so one batched
         forward/backward yields every per-sample gradient without ever
         building the ``(n, P)`` matrix; see :class:`FactoredGrads` for
-        the inner products, norms, cosines and (on demand) dense rows.
+        the inner products, norms and cosines.
         The loss is the base loss of :meth:`loss_and_grad`, without
         distillation.
         """
@@ -349,27 +349,17 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    *,
-    in_place: bool = False,
-) -> tuple[np.ndarray, AdamState]:
-    """One Adam update (Kingma & Ba, ICLR 2015).
-
-    By default it returns fresh parameters and a fresh state and leaves
-    the inputs untouched.  With ``in_place`` it updates ``params``,
-    ``state.m`` and ``state.v`` where they are and returns ``params``
-    and ``state`` themselves; past its first step it then allocates
-    nothing parameter-length.  Both run the same kernel: every
-    operation writes in place, in the order of the textbook formula,
-    so the result is bit for bit
-    ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
+) -> None:
+    """One Adam update (Kingma & Ba, ICLR 2015) of ``params``,
+    ``state.m`` and ``state.v`` where they are; past its first step it
+    allocates nothing parameter-length.  Every operation writes in
+    place, in the order of the textbook formula, so the result is bit
+    for bit ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
     """
     if params.shape != grad.shape:
         raise ValueError("params and grad shapes differ")
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient passed to adam_step")
-    if not in_place:
-        params = params.copy()
-        state = AdamState(m=state.m.copy(), v=state.v.copy(), t=state.t)
     if state.scratch is None:
         state.scratch = (np.empty_like(params), np.empty_like(params))
     m, v = state.m, state.v
@@ -389,4 +379,3 @@ def adam_step(
     step *= lr
     np.divide(step, denom, out=step)
     params -= step
-    return params, state

@@ -37,7 +37,7 @@ from typing import Sequence, Sized
 
 import numpy as np
 
-from .core import Scenes, atomic_write
+from .core import Scenes, atomic_write, hypot_rows
 
 __all__ = [
     "TaskSpec",
@@ -164,17 +164,12 @@ def _within_limit(a: np.ndarray) -> bool:
     return a.size == 0 or bool(a.min() >= -TRACK_LIMIT and a.max() <= TRACK_LIMIT)
 
 
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``math.hypot`` of each pair of ``dx`` and ``dy``."""
-    return np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), dtype=np.float64, count=len(dx))
-
-
 def _slot_order(sv_xy: np.ndarray, tv_xy: np.ndarray) -> np.ndarray:
     """Each episode's neighbors ``(n, k_sv)`` in ascending distance of
     their positions ``sv_xy`` ``(n, k_sv, 2)`` from the target's
     ``tv_xy`` ``(n, 2)``, by ``math.hypot`` and stable on ties."""
     n, k_sv = sv_xy.shape[:2]
-    dist = _hypot((sv_xy[..., 0] - tv_xy[:, 0, None]).ravel(), (sv_xy[..., 1] - tv_xy[:, 1, None]).ravel())
+    dist = hypot_rows((sv_xy[..., 0] - tv_xy[:, 0, None]).ravel(), (sv_xy[..., 1] - tv_xy[:, 1, None]).ravel())
     return np.argsort(dist.reshape(n, k_sv), axis=1, kind="stable")
 
 
@@ -592,7 +587,7 @@ def ingest_csv(
         now = order[first + t_obs - 1]  # each window's decision row
         tv[out] = states[order[first[:, None] + steps]]
         ends[out] = states[order[first + t_obs + t_pred - 1], :2]
-        speeds[out] = _hypot(states[now, 2], states[now, 3])
+        speeds[out] = hypot_rows(states[now, 2], states[now, 3])
         window_labels[out] = labels[now]
 
         lo, hi = _alive_at(index_frames, frames[first])
@@ -601,7 +596,7 @@ def ingest_csv(
         other = codes[cand] != codes[first[win]]
         win, cand = win[other], cand[other]
         last = order[cand + t_obs - 1]
-        dist = _hypot(states[last, 0] - states[now[win], 0], states[last, 1] - states[now[win], 1])
+        dist = hypot_rows(states[last, 0] - states[now[win], 0], states[last, 1] - states[now[win], 1])
         by = np.lexsort((id_rank[codes[cand]], dist, win))
         win, cand = win[by], cand[by]
         slot = np.arange(len(win)) - np.searchsorted(win, win)

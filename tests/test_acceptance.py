@@ -42,9 +42,9 @@ from contrail.metrics import (
 )
 from contrail.predictor import HeatmapPredictor, PredictorConfig, scene_features
 from contrail.scenarios import TaskSpec, task_datasets
-from contrail.selftest import _brute_force_endpoints
+from contrail.selftest import _brute_force_endpoints, _central_differences, _relative_gap
 
-from conftest import cosine_rows
+from conftest import cosine_rows, make_scenes
 
 # ---------------------------------------------------------------------------
 # The shared three-task stream experiment behind checks 6 and 9.
@@ -147,14 +147,6 @@ def _experiment_cell(
     return _CELLS[key]
 
 
-def _small_scene(rng: np.random.Generator, t_obs: int, k_sv: int) -> Scenes:
-    """Random scene with order-one coordinates, where central finite
-    differences at eps=1e-3 stay far below the gradient tolerance."""
-    tracks = rng.uniform(-2.0, 2.0, size=(1 + k_sv, t_obs, 4))
-    mask = rng.random(k_sv) < 0.8
-    return Scenes(tracks[None, 0], tracks[None, 1:], mask[None], np.zeros((1, 2)), np.ones(1), np.ones(1, int))
-
-
 def test_01_gradient_finite_difference_agreement():
     """Analytic gradients match central finite differences (eps=1e-3)
     to a relative error below 1e-4 on 100 random tiny-net cases."""
@@ -183,7 +175,9 @@ def test_01_gradient_finite_difference_agreement():
         )
         scenes, cells, stored, distill = [], [], [], []
         for _ in range(int(rng.integers(1, 4))):
-            scenes.append(_small_scene(rng, t_obs, k_sv))
+            # Order-one coordinates keep the finite differences at
+            # eps=1e-3 far below the gradient tolerance.
+            scenes.append(make_scenes(rng, 1, t_obs, k_sv, span=2.0))
             cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
             distill.append(bool(rng.random() < 0.5))
             stored.append(rng.normal(0.0, 0.8, size=9) if distill[-1] else np.zeros(9))
@@ -192,17 +186,8 @@ def test_01_gradient_finite_difference_agreement():
         batch = (x, np.array(cells), spec, np.stack(stored), np.array(distill))
 
         _, grad, _ = model.loss_and_grad(params, *batch)
-        fd = np.empty_like(grad)
-        for i in range(model.param_count):
-            p_hi = params.copy()
-            p_hi[i] += eps
-            p_lo = params.copy()
-            p_lo[i] -= eps
-            hi, _, _ = model.loss_and_grad(p_hi, *batch)
-            lo, _, _ = model.loss_and_grad(p_lo, *batch)
-            fd[i] = (hi - lo) / (2 * eps)
-        scale = max(np.abs(grad).max(), np.abs(fd).max(), 1e-12)
-        rel = float(np.abs(grad - fd).max() / scale)
+        fd = _central_differences(lambda p: model.loss_and_grad(p, *batch)[0], params, eps)
+        rel = _relative_gap(grad, fd)
         worst = max(worst, rel)
         assert rel < 1e-4, f"case {case}: relative gradient error {rel:.3e}"
     elapsed = time.time() - started

@@ -33,6 +33,7 @@ from contrail.learner import Strategy, TrainConfig
 from contrail.metrics import EvalReport, matrix_entries
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets
+from contrail.selftest import _golden_digest
 
 from conftest import make_scenes, result_matrix, same_rows, scale_positions
 
@@ -888,6 +889,19 @@ class TestSelftestCommand:
         assert "FAIL" not in out
         assert out.count(" ok") >= 7
         assert "csv round trip" in out
+
+    def test_every_strategy_trains_to_its_pinned_matrices(self):
+        """The selftest's tiny experiment, digested as its golden check
+        does, for each of the six strategies: a change that moves any
+        strategy's training bits beyond the sixth decimal fails here."""
+        assert {s.value: _golden_digest(s) for s in Strategy} == {
+            "vanilla": "2b9900eb88822f7a0e72ccfca52ffe486c7af914721f5dbe9bd7a5ba8f81d3a0",
+            "dual": "0da4227e520ae1edadbda18023bba3715e12de651531b98fa8ce668d532fa836",
+            "der": "5b0b5b24d0995a0e41bc9df33c8ecef46d8026c4c06cdaec32f86e0e1b01f78e",
+            "gss": "47dc665c0d94e588e169d60771947f8167944b5366ef1c4a94e70757505c152b",
+            "agem": "fb739400f5a60a0e6a00b81ac0452d8d4342ca08425190b15618fa1f46396b55",
+            "joint": "aceb8eef4e69e479a3a3eae26b97e43d64d07aa71060582d298beec9e15131d4",
+        }
 
 
 class TestExitCodes:

@@ -13,21 +13,16 @@ import pytest
 
 from contrail.losses import LossSpec, batch_loss_and_dlogits
 
+from contrail.selftest import _central_differences
+
 from conftest import ref_batch_loss_and_dlogits, same_bits
 
 
 def fd_dlogits(logits_row, cell, spec, stored=None, eps=1e-6):
     """Central finite difference of the per-sample loss in logit space."""
-    grad = np.zeros_like(logits_row)
-    for j in range(logits_row.size):
-        hi = logits_row.copy()
-        lo = logits_row.copy()
-        hi[j] += eps
-        lo[j] -= eps
-        l_hi, _ = batch_loss_and_dlogits(hi[None, :], [cell], spec, stored)
-        l_lo, _ = batch_loss_and_dlogits(lo[None, :], [cell], spec, stored)
-        grad[j] = (l_hi[0] - l_lo[0]) / (2 * eps)
-    return grad
+    return _central_differences(
+        lambda row: batch_loss_and_dlogits(row[None, :], [cell], spec, stored)[0][0], logits_row, eps
+    )
 
 
 class TestCrossEntropy:

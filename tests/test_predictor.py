@@ -32,6 +32,7 @@ from contrail.predictor import (
 )
 
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, write_task_csv
+from contrail.selftest import _central_differences, _relative_gap
 
 from conftest import (
     cosine_rows,
@@ -43,24 +44,6 @@ from conftest import (
     ref_per_sample_grads,
     same_bits,
 )
-
-
-def finite_difference_grad(model, params, batch, spec, eps=1e-3):
-    fd = np.empty_like(params)
-    for i in range(params.size):
-        hi = params.copy()
-        hi[i] += eps
-        lo = params.copy()
-        lo[i] -= eps
-        l_hi, _, _ = loss_and_grad(model, hi, batch, spec)
-        l_lo, _, _ = loss_and_grad(model, lo, batch, spec)
-        fd[i] = (l_hi - l_lo) / (2 * eps)
-    return fd
-
-
-def relative_gap(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return float(np.abs(a - b).max() / scale)
 
 
 def random_batch(rng, model, n, with_distill=False, span=20.0, weighted=False):
@@ -161,8 +144,8 @@ class TestGradient:
                 weighted=bool(case % 2),
             )
             _, grad, _ = loss_and_grad(tiny_model, params, batch, spec)
-            fd = finite_difference_grad(tiny_model, params, batch, spec)
-            assert relative_gap(grad, fd) < 1e-4
+            fd = _central_differences(lambda p: loss_and_grad(tiny_model, p, batch, spec)[0], params, 1e-3)
+            assert _relative_gap(grad, fd) < 1e-4
 
     def test_duplicated_batch_leaves_mean_unchanged(self, tiny_model):
         rng = np.random.default_rng(5)
@@ -239,9 +222,8 @@ class TestGradient:
 class TestAdam:
     def test_zero_grad_from_fresh_state_is_identity(self):
         params = np.array([1.0, -2.0, 3.0])
-        state = AdamState.zeros(3)
-        new, state = adam_step(params, np.zeros(3), state, lr=0.1)
-        np.testing.assert_array_equal(new, params)
+        adam_step(params, np.zeros(3), AdamState.zeros(3), lr=0.1)
+        np.testing.assert_array_equal(params, [1.0, -2.0, 3.0])
 
     def test_first_step_closed_form(self):
         """Step 1 must equal -lr * g / (|g| + eps) elementwise."""
@@ -249,60 +231,34 @@ class TestAdam:
         g = rng.normal(size=20)
         params = rng.normal(size=20)
         lr = 1e-3
-        new, state = adam_step(params, g, AdamState.zeros(20), lr=lr)
         expected = params - lr * g / (np.sqrt(g**2) + 1e-8)
-        np.testing.assert_allclose(new, expected, rtol=1e-12)
+        state = AdamState.zeros(20)
+        assert adam_step(params, g, state, lr=lr) is None
+        np.testing.assert_allclose(params, expected, rtol=1e-12)
         assert state.t == 1
 
     def test_first_step_direction_is_minus_sign(self):
         g = np.array([3.0, -0.5, 1e-4])
         params = np.zeros(3)
-        new, _ = adam_step(params, g, AdamState.zeros(3), lr=1e-3)
-        np.testing.assert_allclose(new, -1e-3 * np.sign(g), rtol=1e-3)
+        adam_step(params, g, AdamState.zeros(3), lr=1e-3)
+        np.testing.assert_allclose(params, -1e-3 * np.sign(g), rtol=1e-3)
 
     def test_non_finite_grad_rejected(self):
         with pytest.raises(ValueError):
             adam_step(np.zeros(2), np.array([1.0, np.nan]), AdamState.zeros(2), lr=0.1)
 
-    def test_inputs_not_mutated(self):
-        params = np.ones(4)
-        grad = np.full(4, 0.5)
-        state = AdamState.zeros(4)
-        adam_step(params, grad, state, lr=0.1)
-        np.testing.assert_array_equal(params, np.ones(4))
-        np.testing.assert_array_equal(state.m, np.zeros(4))
-        assert state.t == 0
-
 
 class TestMatchesReferenceKernels:
     """The in-place kernels against the plain references of conftest,
-    bit for bit, leaving every argument as it was."""
+    bit for bit, leaving every input they do not update as it was."""
 
     @pytest.fixture
     def deep_model(self, tiny_grid):
         return HeatmapPredictor(PredictorConfig(t_obs=2, k_sv=1, hidden_dims=(7, 5), grid=tiny_grid, seed=3))
 
-    def test_adam_over_50_chained_steps(self):
-        rng = np.random.default_rng(70)
-        for kwargs in ({"lr": 1e-3}, {"lr": 0.05, "beta1": 0.5, "beta2": 0.9, "eps": 1e-6}):
-            params = rng.normal(size=300)
-            state = ref_state = AdamState.zeros(300)
-            ref_params = params
-            for _ in range(50):
-                grad = rng.normal(0.0, rng.uniform(1e-4, 10.0), size=300)
-                grad[rng.random(300) < 0.1] = 0.0
-                before = [a.copy() for a in (params, grad, state.m, state.v)]
-                params_out, state_out = adam_step(params, grad, state, **kwargs)
-                assert all(same_bits(a, b) for a, b in zip((params, grad, state.m, state.v), before))
-                ref_params, ref_state = ref_adam_step(ref_params, grad, ref_state, **kwargs)
-                assert same_bits(params_out, ref_params)
-                assert same_bits(state_out.m, ref_state.m) and same_bits(state_out.v, ref_state.v)
-                assert state_out.t == ref_state.t
-                params, state = params_out, state_out
-
     def test_adam_in_place_over_50_chained_steps(self):
-        """The trainer's step updates the arrays it is given, to the
-        reference's bits, and returns them."""
+        """The step updates the arrays it is given to the reference's
+        bits and leaves the gradient as it was."""
         rng = np.random.default_rng(73)
         for kwargs in ({"lr": 1e-3}, {"lr": 0.05, "beta1": 0.5, "beta2": 0.9, "eps": 1e-6}):
             params = rng.normal(size=300)
@@ -313,9 +269,8 @@ class TestMatchesReferenceKernels:
                 grad = rng.normal(0.0, rng.uniform(1e-4, 10.0), size=300)
                 grad[rng.random(300) < 0.1] = 0.0
                 grad_before = grad.copy()
-                params_out, state_out = adam_step(params, grad, state, in_place=True, **kwargs)
+                adam_step(params, grad, state, **kwargs)
                 ref_params, ref_state = ref_adam_step(ref_params, grad, ref_state, **kwargs)
-                assert params_out is params and state_out is state
                 assert all(a is b for a, b in zip((params, state.m, state.v), arrays))
                 assert same_bits(grad, grad_before)
                 assert same_bits(params, ref_params)
