@@ -12,6 +12,13 @@ The target cells are not stored: a load derives them from ``ends``
 and the grid, as encoding does.  The architecture header lets a loader
 rebuild the predictor without outside context, and the optional buffer
 dump makes a checkpoint a full run-resumption unit.
+
+A save streams the document into the file with the bytes ``json.dump``
+would write: the header, keys and scalars go through ``json.dumps``,
+and each block's base64 is written a chunk of ``CHUNK_FLOATS`` floats
+at a time (whole 3-byte groups, so the chunks join into one base64
+string).  No array's whole base64 string is ever built, and a
+buffer's columns are gathered only when the writer reaches them.
 """
 
 from __future__ import annotations
@@ -20,7 +27,9 @@ import base64
 import dataclasses
 import json
 import math
+from functools import partial
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -33,18 +42,38 @@ __all__ = ["load_checkpoint", "save_checkpoint"]
 FORMAT = "contrail-checkpoint-v3"
 
 
-def _pack(array: np.ndarray) -> dict:
-    """``array`` as a packed float block.  ``save_checkpoint`` hands it
-    to ``json.dump`` as ``default``, so a block is packed only when the
-    encoder reaches its array, and one is alive at a time."""
-    if not isinstance(array, np.ndarray):
-        raise TypeError(f"Object of type {type(array).__name__} is not JSON serializable")
+# 73,728 bytes, a multiple of 3: about 96 KB of base64 per write.
+CHUNK_FLOATS = 9_216
+
+
+def _write_block(fh: TextIO, array: np.ndarray) -> None:
+    """Write ``array`` as a packed float block, its base64 in chunks.
+    The base64 alphabet and ``=`` need no JSON escaping, so each chunk
+    is written as it is encoded."""
     data = np.ascontiguousarray(array, dtype="<f8")
-    return {
-        "dtype": "<f8",
-        "shape": list(data.shape),
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
+    fh.write(f'{{"dtype": "<f8", "shape": {json.dumps(list(data.shape))}, "data": "')
+    flat = data.reshape(-1)
+    for start in range(0, flat.size, CHUNK_FLOATS):
+        fh.write(base64.b64encode(flat[start : start + CHUNK_FLOATS]).decode("ascii"))
+    fh.write('"}')
+
+
+def _write(fh: TextIO, value) -> None:
+    """Write ``value`` as ``json.dump(value, fh)`` would, with each float
+    array as a packed block.  A callable stands for the value it
+    returns, so what it gathers is alive only while it is written."""
+    if callable(value):
+        value = value()
+    if isinstance(value, np.ndarray):
+        _write_block(fh, value)
+    elif isinstance(value, dict):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            _write(fh, item)
+        fh.write("}")
+    else:
+        fh.write(json.dumps(value))
 
 
 def _columns(buffer: SeparationBuffer | CompletionBuffer, grid: GridSpec) -> dict:
@@ -78,20 +107,21 @@ def save_checkpoint(
             "b_compare": separation.b_compare,
             "stream_count": separation.stream_count,
             "scores": separation.scores.tolist(),
-            "items": _columns(separation, config.grid),
+            "items": partial(_columns, separation, config.grid),
         },
         "completion": None
         if completion is None
         else {
             "capacity": completion.capacity,
             "stream_count": completion.stream_count,
-            "items": _columns(completion, config.grid),
+            "items": partial(_columns, completion, config.grid),
         },
     }
-    # Streamed into the file: the document is never held as one string,
-    # and each array is packed only when the encoder reaches it.
+    # Streamed into the file: neither the document nor any block's base64
+    # is held as one string, and a buffer's columns are gathered only
+    # when the writer reaches them.
     with atomic_write(path) as fh:
-        json.dump(payload, fh, default=_pack)
+        _write(fh, payload)
 
 
 def _floats(value: dict, shape: tuple[int, ...], what: str) -> np.ndarray:

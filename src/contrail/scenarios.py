@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence, Sized
+from typing import Callable, Sequence, Sized
 
 import numpy as np
 
@@ -173,6 +173,22 @@ def _slot_order(sv_xy: np.ndarray, tv_xy: np.ndarray) -> np.ndarray:
     return np.argsort(dist.reshape(n, k_sv), axis=1, kind="stable")
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> Callable[[], float]:
+    """A draw of ``rng.uniform(lo, hi)``, bit for bit and from the same
+    stream: numpy computes ``lo + (hi - lo) * rng.random()`` too, but
+    checks its bounds on every call.  They are checked here once, with
+    numpy's errors: an OverflowError when ``hi - lo`` is not finite, a
+    ValueError when it is negative."""
+    lo, hi = float(lo), float(hi)
+    width = hi - lo
+    if not math.isfinite(width):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if width < 0:
+        raise ValueError("high - low < 0")
+    random = rng.random
+    return lambda: lo + width * random()
+
+
 def _draw(spec: TaskSpec, tracks: np.ndarray, svs: np.ndarray) -> tuple[np.ndarray, ...]:
     """A task's random draws, episode by episode in a fixed order:
     anchor x and y, heading, speed, curvature or turn angle, the
@@ -186,21 +202,26 @@ def _draw(spec: TaskSpec, tracks: np.ndarray, svs: np.ndarray) -> tuple[np.ndarr
     x0, y0, heading, speeds, bend = (np.empty(n) for _ in range(5))
     lon, lat, jitter = (np.empty((n, k_sv)) for _ in range(3))
     bend_range = {"arc": spec.curvature_range, "turn": spec.turn_angle_range}.get(spec.kind)
-    uniform, normal, sigma = rng.uniform, rng.normal, spec.noise_sigma
+    draw_xy, draw_heading = _uniform(rng, -50.0, 50.0), _uniform(rng, 0.0, 2.0 * math.pi)
+    draw_speed = _uniform(rng, *spec.speed_range)
+    draw_bend = _uniform(rng, *bend_range) if bend_range else None
+    draw_lon, draw_lat = _uniform(rng, -15.0, 15.0), _uniform(rng, -6.0, 6.0)
+    draw_jitter = _uniform(rng, -1.0, 1.0)
+    normal, sigma = rng.normal, spec.noise_sigma
     noisy, steps = sigma > 0, tracks.shape[1]
     for i in range(n):
-        x0[i] = uniform(-50.0, 50.0)
-        y0[i] = uniform(-50.0, 50.0)
-        heading[i] = uniform(0.0, 2.0 * math.pi)
-        speeds[i] = uniform(*spec.speed_range)
-        if bend_range:
-            bend[i] = uniform(*bend_range)
+        x0[i] = draw_xy()
+        y0[i] = draw_xy()
+        heading[i] = draw_heading()
+        speeds[i] = draw_speed()
+        if draw_bend:
+            bend[i] = draw_bend()
         if noisy:
             tracks[i, :, :2] = normal(0.0, sigma, size=(steps, 2))
         for k in range(k_sv):
-            lon[i, k] = uniform(-15.0, 15.0)
-            lat[i, k] = uniform(-6.0, 6.0)
-            jitter[i, k] = uniform(-1.0, 1.0)
+            lon[i, k] = draw_lon()
+            lat[i, k] = draw_lat()
+            jitter[i, k] = draw_jitter()
             if noisy:
                 svs[i, k, :, :2] = normal(0.0, sigma, size=(spec.t_obs, 2))
     return x0, y0, heading, speeds, bend, lon, lat, jitter

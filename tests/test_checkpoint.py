@@ -7,14 +7,19 @@ import dataclasses
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contrail import checkpoint
+from contrail.checkpoint import CHUNK_FLOATS as CHUNK
 from contrail.checkpoint import load_checkpoint, save_checkpoint
+from contrail.core import GridSpec
 from contrail.learner import Strategy, TrainConfig, train_stream
-from contrail.predictor import AdamState
+from contrail.memory import CompletionBuffer, SeparationBuffer
+from contrail.predictor import AdamState, HeatmapPredictor, PredictorConfig
+from contrail.scenarios import TaskSpec, generate_task
 
 from conftest import make_scenes
 
@@ -196,6 +201,64 @@ def pack(array):
     return {"dtype": "<f8", "shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode()}
 
 
+def eager_text(config, params, adam=None, separation=None, completion=None):
+    """The document as ``json.dump`` writes it when every array is
+    packed into the payload first: the oracle for the streaming
+    writer."""
+    g = config.grid
+
+    def columns(buffer):
+        rows, logits = buffer.contents()
+        stacked = logits.reshape(len(rows), g.rows_h, g.cols_w)
+        return {"x": pack(rows.x), "ends": pack(rows.ends), "speeds": pack(rows.speeds), "logits": pack(stacked)}
+
+    eager = {
+        "format": "contrail-checkpoint-v3",
+        "config": dataclasses.asdict(config),
+        "params": pack(params),
+        "adam": None if adam is None else {"m": pack(adam.m), "v": pack(adam.v), "t": adam.t},
+        "separation": None if separation is None else {
+            "capacity": separation.capacity,
+            "b_compare": separation.b_compare,
+            "stream_count": separation.stream_count,
+            "scores": separation.scores.tolist(),
+            "items": columns(separation),
+        },
+        "completion": None if completion is None else {
+            "capacity": completion.capacity,
+            "stream_count": completion.stream_count,
+            "items": columns(completion),
+        },
+    }
+    text = io.StringIO()
+    json.dump(eager, text)
+    return text.getvalue()
+
+
+def _random_blocks(n):
+    return lambda rng: (rng.standard_normal(n), rng.standard_normal(n), rng.random(n))
+
+
+_TOP = np.finfo(np.float64).max
+_EXTREMES = np.array([-0.0, 0.0, 5e-324, -2.2e-308, _TOP, -_TOP, 1.0])  # signed zero, subnormals, +-max
+
+# Parameters and Adam moments to save, each case drawn from one rng.
+BLOCKS = {
+    "0 B": _random_blocks(0),
+    "8 B": _random_blocks(1),
+    "chunk - 8 B": _random_blocks(CHUNK - 1),
+    "one chunk": _random_blocks(CHUNK),
+    "chunk + 8 B": _random_blocks(CHUNK + 1),
+    "several chunks": _random_blocks(3 * CHUNK + 5),
+    "transposed, strided, Fortran-order": lambda rng: (
+        rng.standard_normal((CHUNK // 7 + 3, 7)).T,  # two chunks
+        rng.standard_normal(3 * CHUNK)[::3],
+        np.asfortranarray(rng.random((4, 5))),
+    ),
+    "extreme floats": lambda rng: (_EXTREMES, _EXTREMES[::-1], np.abs(_EXTREMES)),
+}
+
+
 class TestFormat:
     def test_arrays_are_packed_and_buffers_are_columns(self, tiny_model, dual_result, tmp_path):
         path = tmp_path / "ck.json"
@@ -248,55 +311,95 @@ class TestFormat:
 
     @pytest.mark.parametrize("parts", ["params", "adam", "both buffers", "separation only"])
     def test_lazy_packing_writes_the_eagerly_packed_bytes(self, tiny_model, dual_result, tmp_path, parts):
-        # The document as the writer made it when every array was packed
-        # into the payload before one json.dump.
-        result, g = dual_result, tiny_model.config.grid
+        result = dual_result
         adam = None if parts == "params" else result.adam_state
         separation = result.separation if "buffer" in parts or "separation" in parts else None
         completion = result.completion if parts == "both buffers" else None
-
-        def columns(buffer):
-            rows, logits = buffer.contents()
-            stacked = logits.reshape(len(rows), g.rows_h, g.cols_w)
-            return {"x": pack(rows.x), "ends": pack(rows.ends), "speeds": pack(rows.speeds), "logits": pack(stacked)}
-
-        eager = {
-            "format": "contrail-checkpoint-v3",
-            "config": dataclasses.asdict(tiny_model.config),
-            "params": pack(result.final_params),
-            "adam": None if adam is None else {"m": pack(adam.m), "v": pack(adam.v), "t": adam.t},
-            "separation": None if separation is None else {
-                "capacity": separation.capacity,
-                "b_compare": separation.b_compare,
-                "stream_count": separation.stream_count,
-                "scores": separation.scores.tolist(),
-                "items": columns(separation),
-            },
-            "completion": None if completion is None else {
-                "capacity": completion.capacity,
-                "stream_count": completion.stream_count,
-                "items": columns(completion),
-            },
-        }
-        text = io.StringIO()
-        json.dump(eager, text)
         path = tmp_path / "ck.json"
         save_checkpoint(path, tiny_model.config, result.final_params, adam, separation, completion)
-        assert path.read_text() == text.getvalue()
+        assert path.read_text() == eager_text(tiny_model.config, result.final_params, adam, separation, completion)
 
-    def test_only_arrays_are_packed(self):
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            json.dumps({"t": np.int64(3)}, default=checkpoint._pack)
+    @pytest.mark.parametrize("case", BLOCKS)
+    def test_streamed_blocks_write_the_eagerly_packed_bytes(self, tiny_model, tmp_path, case):
+        params, m, v = BLOCKS[case](np.random.default_rng(7))
+        adam = AdamState(m=m, v=v, t=3)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, tiny_model.config, params, adam)
+        assert path.read_text() == eager_text(tiny_model.config, params, adam)
+
+    def test_empty_buffers_write_the_eagerly_packed_bytes(self, tiny_model, dual_result, tmp_path):
+        source, n_cells = dual_result.separation.source, tiny_model.config.grid.n_cells
+        separation = SeparationBuffer(capacity=4, source=source, n_cells=n_cells, b_compare=2)
+        completion = CompletionBuffer(capacity=4, source=source, n_cells=n_cells)
+        assert len(separation) == len(completion) == 0
+        params = dual_result.final_params
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, tiny_model.config, params, None, separation, completion)
+        assert path.read_text() == eager_text(tiny_model.config, params, None, separation, completion)
+        _, _, _, sp, cp = load_checkpoint(path)
+        assert len(sp) == len(cp) == 0 and sp.capacity == cp.capacity == 4
+
+    def test_only_arrays_are_packed(self, tiny_model, tmp_path):
+        params = tiny_model.init_params()
+        adam = AdamState(m=params.copy(), v=params.copy(), t=np.int64(3))
+        with pytest.raises(TypeError, match="^Object of type int64 is not JSON serializable$"):
+            save_checkpoint(tmp_path / "checkpoint.json", tiny_model.config, params, adam)
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_save_leaves_no_file(self, tiny_model, tmp_path, monkeypatch):
-        def boom(payload, fh, **kwargs):
-            fh.write('{"format": ')  # fail halfway through the document
-            raise RuntimeError("serialisation failed")
+        encode, calls = checkpoint.base64.b64encode, []
 
-        monkeypatch.setattr(checkpoint.json, "dump", boom)
+        def second_chunk_fails(data):
+            calls.append(len(data))
+            if len(calls) == 2:  # fail halfway through the parameters' block
+                raise RuntimeError("serialisation failed")
+            return encode(data)
+
+        monkeypatch.setattr(checkpoint.base64, "b64encode", second_chunk_fails)
         with pytest.raises(RuntimeError, match="serialisation failed"):
-            save_checkpoint(tmp_path / "checkpoint.json", tiny_model.config, tiny_model.init_params())
+            save_checkpoint(tmp_path / "checkpoint.json", tiny_model.config, np.ones(3 * CHUNK))
+        assert calls == [CHUNK, CHUNK]
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSaveMemory:
+    """tracemalloc peaks of one ``save_checkpoint`` at the README's
+    sizes (P = 33,664; 100-slot buffers on the 16 x 16 grid; numpy 2.4,
+    Python 3.11).  Measured: 206,072 B with the parameters and Adam
+    moments, about two chunks of base64 (the encoded bytes and their
+    str), where one parameter-length block's base64 is 359,088 B; and
+    580,474 B with both buffers, one buffer's gathered columns at a
+    time.  ``json.dump`` of blocks packed as it reached them peaked at
+    1,092,237 and 1,828,141 B."""
+
+    PEAKS = {"params and adam": 240_000, "both buffers": 650_000}
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
+        model = HeatmapPredictor(PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(64, 64), grid=grid, seed=7))
+        params = model.init_params()
+        adam = AdamState(m=params * 0.5, v=params * params, t=40)
+        table = model.encode(generate_task(TaskSpec("arc", 120, seed=2, noise_sigma=0.1), 1))
+        rng = np.random.default_rng(0)
+        separation = SeparationBuffer(capacity=100, source=table, n_cells=grid.n_cells, stream_count=300)
+        separation.fill(rng.permutation(120)[:100], rng.standard_normal((100, grid.n_cells)), rng.random(100))
+        completion = CompletionBuffer(capacity=100, source=table, n_cells=grid.n_cells, stream_count=300)
+        completion.fill(rng.permutation(120)[:100], rng.standard_normal((100, grid.n_cells)))
+        return model.config, params, adam, separation, completion
+
+    @pytest.mark.parametrize("parts", PEAKS)
+    def test_peak_is_pinned(self, state, tmp_path, parts):
+        args = state[:3] if parts == "params and adam" else state
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, *args)  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAKS[parts]
 
 
 def _adam_nan_v(adam, n):

@@ -395,6 +395,35 @@ def assert_same_draw(spec: TaskSpec) -> None:
         assert same_bits(getattr(got[0], column), getattr(want[0], column)), (spec, column)
 
 
+class TestUniformDraws:
+    """``scenarios._uniform`` against ``rng.uniform`` on a twin generator."""
+
+    # Every range _draw uses: the fixed ones and the TaskSpec defaults.
+    SPEC = TaskSpec("arc", 1)
+    RANGES = [
+        (-50.0, 50.0), (0.0, 2.0 * math.pi), SPEC.speed_range, SPEC.curvature_range, SPEC.turn_angle_range,
+        (-15.0, 15.0), (-6.0, 6.0), (-1.0, 1.0),
+    ]
+
+    def test_same_bits_and_stream_state(self):
+        ours, numpys = np.random.default_rng(2024), np.random.default_rng(2024)
+        draws = [scenarios._uniform(ours, lo, hi) for lo, hi in self.RANGES]
+        n = 200_000
+        got = np.array([draws[i % len(draws)]() for i in range(n)])
+        want = np.array([numpys.uniform(*self.RANGES[i % len(draws)]) for i in range(n)])
+        assert same_bits(got, want)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0), (1.0, 0.0), ("a", 1.0), (0, 2**1100)]
+    )
+    def test_bad_bounds_are_refused_as_numpy_refuses_them(self, lo, hi):
+        with pytest.raises((ValueError, OverflowError)) as numpys:
+            np.random.default_rng(0).uniform(lo, hi)
+        with pytest.raises(numpys.type, match=f"^{re.escape(str(numpys.value))}$"):
+            scenarios._uniform(np.random.default_rng(0), lo, hi)
+
+
 class TestGenerationMatchesScalarOracle:
     """The array rollout against ``conftest.ref_generate``, which draws
     and rolls out one episode, agent and step at a time."""
