@@ -33,7 +33,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import GridSpec, SampleTable, atomic_write, endpoint_cells
+from .core import GridSpec, SampleTable, atomic_write, endpoint_cells, from_json, json_object
 from .memory import CompletionBuffer, SeparationBuffer
 from .predictor import AdamState, HeatmapPredictor, PredictorConfig
 
@@ -181,17 +181,20 @@ def _slots(
     return buffer
 
 
+def _header(cls: type, data: object, where: str, **given):
+    """``cls`` read from the header object ``data`` by
+    ``core.from_json``; every field is required."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    header = json_object(data, names, where)
+    for name in names:
+        if name not in header:
+            raise KeyError(name)
+    return from_json(cls, header, f"{where}.", **given)
+
+
 def _decode(data: dict, params_only: bool) -> tuple:
-    c, g = data["config"], data["config"]["grid"]
-    config = PredictorConfig(
-        t_obs=c["t_obs"],
-        k_sv=c["k_sv"],
-        hidden_dims=tuple(c["hidden_dims"]),
-        grid=GridSpec(g["rows_h"], g["cols_w"], tuple(g["origin"]), g["cell_size"]),
-        seed=c["seed"],
-        t_pred=c["t_pred"],
-        dt=c["dt"],
-    )
+    grid = _header(GridSpec, data["config"]["grid"], "config.grid")
+    config = _header(PredictorConfig, data["config"], "config", grid=grid)
     params = _floats(data["params"], (HeatmapPredictor(config).param_count,), "params")
     if params_only:
         return config, params, None, None, None
@@ -232,7 +235,8 @@ def load_checkpoint(
     evaluation needs) only the header and parameters are decoded; the
     optimizer state and buffers come back as None, unbuilt.  A file of
     another format, a file that is not JSON, a missing key (``t_pred``
-    and ``dt`` included), and any array that is non-finite,
+    and ``dt`` included), a header field of the wrong JSON type (named
+    as in ``config.t_obs``), and any array that is non-finite,
     undecodable or does not fit the header's geometry (the parameters,
     the Adam moments, every buffer column, each holding
     ``min(capacity, stream_count)`` rows, and the separation scores), a
@@ -250,5 +254,5 @@ def load_checkpoint(
         return _decode(data, params_only)
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from None

@@ -22,14 +22,14 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import GridSpec, SampleTable, Scenes, atomic_write
+from .core import ConfigError, GridSpec, SampleTable, Scenes, atomic_write, from_json, json_object
 from .learner import Strategy, TrainConfig, TrainResult, check_buffer_split, train_stream
 from .losses import LossSpec
 from .metrics import (
@@ -53,10 +53,6 @@ from .scenarios import (
 __all__ = ["ExperimentConfig", "encode_tasks", "main", "run_experiment", "score_cell"]
 
 
-class ConfigError(ValueError):
-    """Raised for malformed or inconsistent configuration input."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a task stream, strategies to compare, and the
@@ -78,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError("at least one task is required")
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
+        if self.seed < 0:
+            raise ConfigError(f"seed is {self.seed}: it must be a non-negative integer")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if not 1 <= self.w_endpoints <= self.grid.n_cells:
@@ -105,17 +103,6 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
 
-def _take(data: object, allowed: dict[str, object], where: str) -> dict:
-    if type(data) is not dict:
-        raise ConfigError(f"{where} is {json.dumps(data)}: it must be a JSON object")
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
-    out = dict(allowed)
-    out.update(data)
-    return out
-
-
 def _finite(literal: str) -> float:
     """A JSON number literal as a float; ``NaN``, ``Infinity`` and
     literals beyond the float range such as ``1e400`` are refused."""
@@ -125,154 +112,55 @@ def _finite(literal: str) -> float:
     return value
 
 
-_NUMBER = (int, float)
-
-
-def _typed(raw: dict, key: str, where: str, types: tuple[type, ...], what: str, listed: bool = False):
-    """``raw[key]`` if it is a JSON value of ``types`` (a list of them
-    with ``listed``): a bool is not an int, nor a string a number or a
-    list, so nothing is truncated or split.  Else a ConfigError names
-    ``where + key``."""
-    value = raw[key]
-    if not (isinstance(value, list) and all(type(v) in types for v in value) if listed else type(value) in types):
-        raise ConfigError(f"{where}{key} is {json.dumps(value)}: it must be {what}")
-    return value
-
-
-def _int(raw: dict, key: str, where: str = "") -> int:
-    return _typed(raw, key, where, (int,), "an integer")
-
-
-def _float(raw: dict, key: str, where: str = "") -> float:
-    return float(_typed(raw, key, where, _NUMBER, "a number"))
-
-
-def _floats(raw: dict, key: str, where: str = "") -> tuple[float, ...]:
-    return tuple(float(v) for v in _typed(raw, key, where, _NUMBER, "a list of numbers", listed=True))
+def _names(*classes: type) -> set[str]:
+    return {f.name for cls in classes for f in fields(cls)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Build an ExperimentConfig from JSON, rejecting unknown keys,
-    non-finite numbers and values of the wrong JSON type."""
+    non-finite numbers and values of the wrong JSON type.  Each part is
+    read by ``core.from_json``, so a key left out keeps its dataclass's
+    default; only the config's own rules are written here."""
     try:
         data = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
 
-    top = _take(
-        data,
-        {
-            "tasks": None,
-            "strategies": ["vanilla"],
-            "train": {},
-            "grid": None,
-            "hidden_dims": [128, 128],
-            "seed": 0,
-            "repetitions": 1,
-            "w_endpoints": 6,
-            "workers": 1,
-            "output_dir": "out",
-        },
-        "config",
-    )
-    if top["tasks"] is None:
+    top = json_object(data, _names(ExperimentConfig), "config")
+    if top.get("tasks") is None:
         raise ConfigError("config must define 'tasks'")
-    if top["grid"] is None:
+    if top.get("grid") is None:
         raise ConfigError("config must define 'grid'")
 
     try:
-        grid_raw = _take(
-            top["grid"],
-            {"rows_h": None, "cols_w": None, "origin": None, "cell_size": None},
-            "grid",
-        )
-        grid = GridSpec(
-            rows_h=_int(grid_raw, "rows_h", "grid."),
-            cols_w=_int(grid_raw, "cols_w", "grid."),
-            origin=_floats(grid_raw, "origin", "grid."),
-            cell_size=_float(grid_raw, "cell_size", "grid."),
-        )
+        grid = from_json(GridSpec, json_object(top["grid"], _names(GridSpec), "grid"), "grid.")
 
         tasks = []
-        for i, t in enumerate(_typed(top, "tasks", "", (list,), "a list of task objects")):
-            t = _take(
-                t,
-                {
-                    "kind": None,
-                    "n_samples": None,
-                    "seed": i + 1,
-                    "noise_sigma": 0.15,
-                    "speed_range": None,
-                    "curvature_range": None,
-                    "turn_angle_range": None,
-                    "t_obs": 10,
-                    "t_pred": 30,
-                    "dt": 0.1,
-                    "k_sv": 4,
-                },
-                f"tasks[{i}]",
-            )
-            where = f"tasks[{i}]."
-            kwargs = {
-                "kind": t["kind"],
-                **{k: _int(t, k, where) for k in ("n_samples", "seed", "t_obs", "t_pred", "k_sv")},
-                **{k: _float(t, k, where) for k in ("noise_sigma", "dt")},
-            }
-            for rng_key in ("speed_range", "curvature_range", "turn_angle_range"):
-                if t[rng_key] is not None:
-                    kwargs[rng_key] = _floats(t, rng_key, where)
-            tasks.append(TaskSpec(**kwargs))
+        if type(top["tasks"]) is not list:
+            raise ConfigError(f"tasks is {json.dumps(top['tasks'])}: it must be a list of task objects")
+        for i, t in enumerate(top["tasks"]):
+            where = f"tasks[{i}]"
+            t = json_object(t, _names(TaskSpec), where)
+            try:
+                tasks.append(from_json(TaskSpec, {"seed": i + 1, "noise_sigma": 0.15, **t}, f"{where}."))
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"invalid config value: {where}: {exc}") from None
 
-        tr = _take(
-            top["train"],
-            {
-                "lr": 1e-3,
-                "batch_size": 8,
-                "buffer_total": 200,
-                "replay_batch": None,
-                "alpha": 1.0,
-                "beta": 1.0,
-                "base_kind": "cross_entropy",
-                "focal_gamma": 2.0,
-                "b_compare": 10,
-                "agem_ref_batch": 64,
-            },
-            "train",
-        )
-        train = TrainConfig(
-            lr=_float(tr, "lr", "train."),
-            batch_size=_int(tr, "batch_size", "train."),
-            buffer_total=_int(tr, "buffer_total", "train."),
-            replay_batch=None if tr["replay_batch"] is None else _int(tr, "replay_batch", "train."),
-            loss=LossSpec(
-                base_kind=tr["base_kind"],
-                focal_gamma=_float(tr, "focal_gamma", "train."),
-                alpha=_float(tr, "alpha", "train."),
-                beta=_float(tr, "beta", "train."),
-            ),
-            b_compare=_int(tr, "b_compare", "train."),
-            agem_ref_batch=_int(tr, "agem_ref_batch", "train."),
-        )
+        # ``train`` holds LossSpec's fields flat beside TrainConfig's; each
+        # cell draws its own training seed.
+        tr = json_object(top.get("train", {}), _names(LossSpec, TrainConfig) - {"seed", "loss"}, "train")
+        train = from_json(TrainConfig, tr, "train.", loss=from_json(LossSpec, tr, "train."))
 
-        names = top["strategies"]
+        names = top.get("strategies", ["vanilla"])
         if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
             raise ConfigError(f"strategies is {json.dumps(names)}: it must be a list of strategy names")
         strategies = tuple(Strategy.parse(s) for s in names)
-        return ExperimentConfig(
-            tasks=tuple(tasks),
-            strategies=strategies,
-            train=train,
-            grid=grid,
-            hidden_dims=tuple(_typed(top, "hidden_dims", "", (int,), "a list of integers", listed=True)),
-            seed=_int(top, "seed"),
-            repetitions=_int(top, "repetitions"),
-            w_endpoints=_int(top, "w_endpoints"),
-            workers=_int(top, "workers"),
-            output_dir=_typed(top, "output_dir", "", (str,), "a string"),
-        )
+        return from_json(ExperimentConfig, top, "", tasks=tuple(tasks), strategies=strategies, train=train, grid=grid)
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from None
 
 

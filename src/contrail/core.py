@@ -13,7 +13,9 @@ discretised onto a rectangular grid of square cells.
 Grid convention: cell ``(0, 0)`` has its corner at ``GridSpec.origin``,
 rows index the y axis and columns the x axis, both row-major.
 
-Every artifact file is written through :func:`atomic_write`.
+Every artifact file is written through :func:`atomic_write`, and
+every outside JSON object (a config's parts, a checkpoint's header)
+becomes a dataclass through :func:`json_object` and :func:`from_json`.
 """
 
 from __future__ import annotations
@@ -22,19 +24,22 @@ import math
 import numbers
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "GridSpec",
     "SampleTable",
     "Scenes",
     "atomic_write",
     "endpoint_cells",
+    "from_json",
     "hypot_rows",
+    "json_object",
     "local_endpoints",
     "scene_frames",
     "softmax",
@@ -183,6 +188,71 @@ class GridSpec:
     @property
     def n_cells(self) -> int:
         return self.rows_h * self.cols_w
+
+
+class ConfigError(ValueError):
+    """Raised for malformed or inconsistent configuration input."""
+
+
+def _dumps(value: object) -> str:
+    import json  # only an error message needs it
+
+    return json.dumps(value)
+
+
+def _one(*types: type) -> Callable[[object], bool]:
+    return lambda value: type(value) in types
+
+
+def _listed(*types: type) -> Callable[[object], bool]:
+    return lambda value: type(value) is list and all(type(v) in types for v in value)
+
+
+# What a field of each annotation reads from JSON: the test its value
+# must pass, what the error says it must be, and its Python value.  A
+# bool is not an int, nor a string a number or a list, so nothing is
+# truncated or split.
+JSON_FIELDS: dict[str, tuple[Callable[[object], bool], str, Callable]] = {
+    "int": (_one(int), "an integer", int),
+    "int | None": (_one(int, type(None)), "an integer", lambda value: value),
+    "float": (_one(int, float), "a number", float),
+    "str": (_one(str), "a string", str),
+    "tuple[float, float]": (_listed(int, float), "a list of numbers", lambda value: tuple(map(float, value))),
+    "tuple[int, ...]": (_listed(int), "a list of integers", tuple),
+}
+
+
+def json_object(data: object, keys: Iterable[str], where: str) -> dict:
+    """``data`` if it is a JSON object whose keys are all in ``keys``;
+    else a ConfigError names ``where``."""
+    if type(data) is not dict:
+        raise ConfigError(f"{where} is {_dumps(data)}: it must be a JSON object")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    return data
+
+
+def from_json(cls: type, obj: dict, prefix: str, **given):
+    """The dataclass ``cls`` built from the fields in ``given`` and from
+    the entries of the JSON object ``obj`` named for its other fields; a
+    field in neither keeps its default.  A field without a default that
+    neither holds, or a value of the wrong JSON type for its field's
+    annotation (see ``JSON_FIELDS``), is a ConfigError that names the
+    key after ``prefix``."""
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        if f.name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{prefix}{f.name} is required")
+            continue
+        check, what, convert = JSON_FIELDS[f.type]
+        if not check(obj[f.name]):
+            raise ConfigError(f"{prefix}{f.name} is {_dumps(obj[f.name])}: it must be {what}")
+        values[f.name] = convert(obj[f.name])
+    return cls(**values)
 
 
 def hypot_rows(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:

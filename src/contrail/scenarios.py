@@ -90,6 +90,8 @@ class TaskSpec:
             raise ValueError(f"kind must be one of {KINDS}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed is {self.seed}: it must be a non-negative integer")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         for name in ("speed_range", "curvature_range", "turn_angle_range"):

@@ -132,6 +132,33 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint lacks the key 't_pred'")):
             load_checkpoint(path, params_only=True)
 
+    @pytest.mark.parametrize(
+        "keys,value,message",
+        [
+            (("t_obs",), 3.0, "config.t_obs is 3.0: it must be an integer"),
+            (("t_pred",), 5.0, "config.t_pred is 5.0: it must be an integer"),
+            (("hidden_dims",), [4.0], "config.hidden_dims is [4.0]: it must be a list of integers"),
+            (("grid", "rows_h"), 3.0, "config.grid.rows_h is 3.0: it must be an integer"),
+            (("seed",), 1.5, "config.seed is 1.5: it must be an integer"),
+            (("seed",), None, "config.seed is null: it must be an integer"),
+            (("dt",), "0.1", 'config.dt is "0.1": it must be a number'),
+            (("extra",), 1, "unknown key(s) in config: ['extra']"),
+        ],
+    )
+    def test_header_field_of_the_wrong_type_is_named(self, tiny_model, tmp_path, keys, value, message):
+        """Each header field goes through the config reader: a value of
+        the wrong JSON type is refused, naming the file and the key."""
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, tiny_model.config, tiny_model.init_params())
+        data = json.loads(path.read_text())
+        header = data["config"]
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed checkpoint: {message}")):
+            load_checkpoint(path, params_only=True)
+
     def test_params_only_builds_no_state(self, tiny_model, tmp_path, monkeypatch):
         rng = np.random.default_rng(402)
         grid = tiny_model.config.grid

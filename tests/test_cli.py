@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from contrail.cli import (
     ConfigError,
     ExperimentConfig,
     _cell_seeds,
+    _names,
     evaluate_task,
     format_summary,
     load_config,
@@ -28,8 +30,9 @@ from contrail.cli import (
     run_experiment,
     summarize,
 )
-from contrail.core import GridSpec, SampleTable
+from contrail.core import JSON_FIELDS, GridSpec, SampleTable
 from contrail.learner import Strategy, TrainConfig
+from contrail.losses import LossSpec
 from contrail.metrics import EvalReport, matrix_entries
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets
@@ -94,6 +97,76 @@ class TestParseConfig:
         assert cfg.tasks[0].seed == 1
         assert cfg.tasks[0].speed_range == (5.5, 7.5)
         assert cfg.repetitions == 1
+
+    def test_dataclasses_own_the_defaults(self):
+        """A key left out takes its dataclass field's default; only the
+        config's own rules (``strategies``, each task's ``seed`` and
+        ``noise_sigma``) are supplied by the reader."""
+        kinds = [("straight", 10), ("turn", 12)]
+        cfg = parse_config(
+            json.dumps({"tasks": [{"kind": k, "n_samples": n} for k, n in kinds], "grid": base_config()["grid"]})
+        )
+        assert cfg.train == TrainConfig()
+        assert cfg.tasks == tuple(TaskSpec(k, n, seed=i + 1, noise_sigma=0.15) for i, (k, n) in enumerate(kinds))
+        rest = [f for f in dataclasses.fields(ExperimentConfig) if f.name not in ("tasks", "strategies", "train", "grid")]
+        assert rest and all(getattr(cfg, f.name) == f.default for f in rest)
+
+    @pytest.mark.parametrize(
+        "cls,built",
+        [
+            (ExperimentConfig, {"tasks", "strategies", "train", "grid"}),
+            (TaskSpec, set()),
+            (TrainConfig, {"loss"}),
+            (LossSpec, set()),
+            (GridSpec, set()),
+            (PredictorConfig, {"grid"}),
+        ],
+    )
+    def test_every_field_read_has_a_json_type(self, cls, built):
+        """Every field the reader reads from JSON (all but those its
+        caller builds) has its annotation in the type table, so a field
+        of an unsupported type fails here, not in a user's config."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert built <= names
+        assert [f.name for f in dataclasses.fields(cls) if f.name not in built and f.type not in JSON_FIELDS] == []
+
+    def test_readme_schema_names_the_keys_the_reader_accepts(self):
+        """The tables and the ``grid`` line of README's configuration
+        schema name exactly the keys each part of a config accepts."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration schema", 1)[1].split("\n## ", 1)[0]
+        tables, rows = [], None
+        for line in section.splitlines():
+            if line.startswith("|") and not line.startswith("|--"):
+                if rows is None:  # the header row opens a table
+                    rows = set()
+                    tables.append(rows)
+                else:
+                    rows.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+            elif not line.startswith("|"):
+                rows = None
+        grid_line = section.split("\n`grid`:", 1)[1].split("\n\n", 1)[0]
+        documented = dict(zip(("config", "task", "train"), tables), grid=set(re.findall(r"`(\w+)`", grid_line)))
+        assert len(tables) == 3
+        assert documented == {
+            "config": _names(ExperimentConfig),
+            "task": _names(TaskSpec),
+            "train": _names(LossSpec, TrainConfig) - {"seed", "loss"},
+            "grid": _names(GridSpec),
+        }
+        # Each documented key is read (``[[]]`` is of no key's type), and
+        # the fields ``train`` leaves out are refused.
+        for part, keys in documented.items():
+            for key in keys:
+                config = base_config()
+                parts = {"config": config, "task": config["tasks"][0], "train": config["train"], "grid": config["grid"]}
+                parts[part][key] = [[]]
+                with pytest.raises(ConfigError) as caught:
+                    parse_config(json.dumps(config))
+                assert "unknown key" not in str(caught.value), (part, key)
+        for key in ("seed", "loss"):
+            with pytest.raises(ConfigError, match=f"unknown key.*train.*{key}"):
+                parse_config(json.dumps(base_config(train={key: 1})))
 
     def test_full_config_parses(self):
         cfg = parse_config(
@@ -197,6 +270,23 @@ class TestParseConfig:
         assert main(["run", "--config", str(cfg)]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            (("tasks", 0, "kind"), "tasks[0].kind is required"),
+            (("tasks", 1, "n_samples"), "tasks[1].n_samples is required"),
+            (("grid", "cell_size"), "grid.cell_size is required"),
+        ],
+    )
+    def test_missing_required_key_is_named(self, path, message):
+        config = base_config()
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(json.dumps(config))
 
     def test_bad_values_become_config_errors(self):
         with pytest.raises(ConfigError, match="invalid config value"):
@@ -1007,6 +1097,11 @@ class TestExitCodes:
             ({"train": {"buffer_total": 8, "beta": "-INF"}}, NON_FINITE + "-Infinity"),
             ({"train": {"buffer_total": 8, "lr": "HUGE"}}, NON_FINITE + "1e400"),
             ({"grid": {**GRID, "cell_size": "-HUGE"}}, NON_FINITE + "-1e400"),
+            ({"seed": -1}, "seed is -1: it must be a non-negative integer"),
+            (
+                {"tasks": [{"kind": "straight", "n_samples": 20, "seed": -1}]},
+                "invalid config value: tasks[0]: seed is -1: it must be a non-negative integer",
+            ),
         ],
         ids=[
             "int strategy",
@@ -1022,6 +1117,8 @@ class TestExitCodes:
             "-Infinity beta",
             "1e400 lr",
             "-1e400 cell_size",
+            "negative seed",
+            "negative task seed",
         ],
     )
     def test_bad_value_exits_one_before_any_output(self, tmp_path, capsys, overrides, message):
