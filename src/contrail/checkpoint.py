@@ -1,17 +1,19 @@
 """Checkpoint files: parameters, optimizer state, and buffer contents.
 
 One JSON document per checkpoint.  Every float array (the parameters,
-the Adam moments, the buffers' stored rows and logits) is a
+the Adam moments, the buffers' stored rows, logits and scores) is a
 ``{"dtype": "<f8", "shape": [...], "data": ...}`` block whose data is
 the base64 of its little-endian float64 bytes, so a save/load cycle is
 bit-exact and two saves of the same state give the same bytes.  A
 buffer stores its slots as columns, the :class:`~contrail.core.SampleTable`
 columns of its stored rows packed as they are: ``x`` (n, input_dim),
-``ends`` (n, 2), ``speeds`` (n,) and ``logits`` (n, rows_h, cols_w).
+``ends`` (n, 2), ``speeds`` (n,) and ``logits`` (n, rows_h, cols_w),
+and for the separation buffer its ``scores`` (n,).
 The target cells are not stored: a load derives them from ``ends``
-and the grid, as encoding does.  The architecture header lets a loader
-rebuild the predictor without outside context, and the optional buffer
-dump makes a checkpoint a full run-resumption unit.
+and the grid, as encoding does.  The architecture header, with the
+trained ``t_pred``, lets a loader rebuild the predictor without outside
+context, and the optional buffer dump makes a checkpoint a full
+run-resumption unit.  v1, v2 and v3 files are refused by name.
 
 A save streams the document into the file with the bytes ``json.dump``
 would write: the header, keys and scalars go through ``json.dumps``,
@@ -39,7 +41,7 @@ from .predictor import AdamState, HeatmapPredictor, PredictorConfig
 
 __all__ = ["load_checkpoint", "save_checkpoint"]
 
-FORMAT = "contrail-checkpoint-v3"
+FORMAT = "contrail-checkpoint-v4"
 
 
 # 73,728 bytes, a multiple of 3: about 96 KB of base64 per write.
@@ -76,15 +78,29 @@ def _write(fh: TextIO, value) -> None:
         fh.write(json.dumps(value))
 
 
+# The keys of each optional part of the document, in the order they are
+# written; a part may be null.  ``items`` holds a buffer's columns and
+# every other key the attribute of that name.
+_PARTS = {
+    "adam": ("m", "v", "t"),
+    "separation": ("capacity", "b_compare", "stream_count", "items"),
+    "completion": ("capacity", "stream_count", "items"),
+}
+
+
 def _columns(buffer: SeparationBuffer | CompletionBuffer, grid: GridSpec) -> dict:
-    """A buffer's stored rows and logits as one column per field."""
+    """A buffer's stored rows and logits, and a separation buffer's
+    scores, as one column per field."""
     rows, logits = buffer.contents()
-    return {
+    columns = {
         "x": rows.x,
         "ends": rows.ends,
         "speeds": rows.speeds,
         "logits": logits.reshape(len(rows), grid.rows_h, grid.cols_w),
     }
+    if isinstance(buffer, SeparationBuffer):
+        columns["scores"] = buffer.scores
+    return columns
 
 
 def save_checkpoint(
@@ -95,45 +111,38 @@ def save_checkpoint(
     separation: SeparationBuffer | None = None,
     completion: CompletionBuffer | None = None,
 ) -> None:
-    payload: dict = {
-        "format": FORMAT,
-        "config": dataclasses.asdict(config),
-        "params": params,
-        "adam": None if adam is None else {"m": adam.m, "v": adam.v, "t": adam.t},
-        "separation": None
-        if separation is None
-        else {
-            "capacity": separation.capacity,
-            "b_compare": separation.b_compare,
-            "stream_count": separation.stream_count,
-            "scores": separation.scores.tolist(),
-            "items": partial(_columns, separation, config.grid),
-        },
-        "completion": None
-        if completion is None
-        else {
-            "capacity": completion.capacity,
-            "stream_count": completion.stream_count,
-            "items": partial(_columns, completion, config.grid),
-        },
-    }
+    payload: dict = {"format": FORMAT, "config": dataclasses.asdict(config), "params": params}
+    for (name, keys), state in zip(_PARTS.items(), (adam, separation, completion)):
+        # A buffer's columns are gathered only when the writer reaches them.
+        payload[name] = None if state is None else {
+            key: partial(_columns, state, config.grid) if key == "items" else getattr(state, key) for key in keys
+        }
     # Streamed into the file: neither the document nor any block's base64
-    # is held as one string, and a buffer's columns are gathered only
-    # when the writer reaches them.
+    # is held as one string.
     with atomic_write(path) as fh:
         _write(fh, payload)
 
 
-def _floats(value: dict, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Decode one packed float block to a finite float64 array of
-    ``shape``."""
-    if value["dtype"] != "<f8":
-        raise ValueError(f"{what} has dtype {value['dtype']!r}, not '<f8'")
-    raw = base64.b64decode(value["data"], validate=True)
-    stored = tuple(value["shape"])
-    if len(raw) != 8 * math.prod(stored):
-        raise ValueError(f"{what} holds {len(raw)} bytes, which do not fit shape {list(stored)}")
-    array = np.frombuffer(raw, dtype="<f8").reshape(stored).astype(np.float64)
+@dataclasses.dataclass(frozen=True)
+class _Block:  # a packed float block's fields, as ``_write_block`` writes them
+    dtype: str
+    shape: tuple[int, ...]
+    data: str
+
+
+def _floats(value: object, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Decode the packed float block ``value`` to a finite float64 array
+    of ``shape``."""
+    block = _header(_Block, value, what)
+    if block.dtype != "<f8":
+        raise ValueError(f"{what} has dtype {block.dtype!r}, not '<f8'")
+    try:
+        raw = base64.b64decode(block.data, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{what}.data is not base64: {exc}") from None
+    if len(raw) != 8 * math.prod(block.shape):
+        raise ValueError(f"{what} holds {len(raw)} bytes, which do not fit shape {list(block.shape)}")
+    array = np.frombuffer(raw, dtype="<f8").reshape(block.shape).astype(np.float64)
     if array.shape != shape:
         raise ValueError(f"{what} has shape {array.shape}, the header's geometry needs {shape}")
     if not np.isfinite(array).all():
@@ -151,69 +160,60 @@ def _count(block: dict, key: str, what: str, least: int) -> int:
 
 
 def _slots(
-    cls: type, block: dict, config: PredictorConfig, what: str, scores: list | None = None, **fields
+    cls: type, block: dict, config: PredictorConfig, what: str, **fields
 ) -> SeparationBuffer | CompletionBuffer:
     """A buffer rebuilt from its header and stored columns: the columns
     become one source table whose row ``s`` slot ``s`` holds, with the
-    separation ``scores`` if given.  Both buffers append while below
+    separation buffer's ``scores``.  Both buffers append while below
     capacity, so one that has seen ``stream_count`` samples holds
     ``min(capacity, stream_count)`` slots, and every column must hold
     that many rows."""
     capacity = _count(block, "capacity", what, 1)
     stream_count = _count(block, "stream_count", what, 0)
-    n, items, grid = min(capacity, stream_count), block["items"], config.grid
-    x = _floats(items["x"], (n, config.input_dim), f"{what}.x")
-    ends = _floats(items["ends"], (n, 2), f"{what}.ends")
-    speeds = _floats(items["speeds"], (n,), f"{what}.speeds")
+    n, grid = min(capacity, stream_count), config.grid
+    shapes = {"x": (n, config.input_dim), "ends": (n, 2), "speeds": (n,), "logits": (n, grid.rows_h, grid.cols_w)}
+    if cls is SeparationBuffer:
+        shapes["scores"] = (n,)
+    items = json_object(block["items"], shapes, f"{what}.items")
+    x, ends, speeds, logits, *scores = (_floats(items[k], shape, f"{what}.{k}") for k, shape in shapes.items())
     if np.any(speeds < 0):
         raise ValueError(f"{what}.speeds holds a negative speed")
-    logits = _floats(items["logits"], (n, grid.rows_h, grid.cols_w), f"{what}.logits")
-    columns = []
-    if scores is not None:
-        if len(scores) != n or not all(type(q) in (int, float) and math.isfinite(q) for q in scores):
-            raise ValueError(f"{what}.scores needs one finite number per slot ({n}), not {len(scores)} values")
-        columns.append(scores)
     source = SampleTable(x, endpoint_cells(ends, grid), ends, speeds, np.zeros(n, dtype=np.int64))
     buffer = cls(
         capacity=capacity, source=source, n_cells=grid.n_cells, stream_count=stream_count, **fields
     )
-    buffer.fill(np.arange(n), logits.reshape(n, grid.n_cells), *columns)
+    buffer.fill(np.arange(n), logits.reshape(n, grid.n_cells), *scores)
     return buffer
 
 
-def _header(cls: type, data: object, where: str, **given):
+def _header(cls: type, data: object, where: str):
     """``cls`` read from the header object ``data`` by
-    ``core.from_json``; every field is required."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    header = json_object(data, names, where)
-    for name in names:
-        if name not in header:
-            raise KeyError(name)
-    return from_json(cls, header, f"{where}.", **given)
+    ``core.from_json``, a field that is a ``GridSpec`` likewise; every
+    field is required."""
+    fields = dataclasses.fields(cls)
+    header = json_object(data, [f.name for f in fields], where)
+    for f in fields:
+        if f.name not in header:
+            raise KeyError(f.name)
+    grids = {f.name: _header(GridSpec, header[f.name], f"{where}.{f.name}") for f in fields if f.type == "GridSpec"}
+    return from_json(cls, header, f"{where}.", **grids)
 
 
 def _decode(data: dict, params_only: bool) -> tuple:
-    grid = _header(GridSpec, data["config"]["grid"], "config.grid")
-    config = _header(PredictorConfig, data["config"], "config", grid=grid)
+    config = _header(PredictorConfig, data["config"], "config")
     params = _floats(data["params"], (HeatmapPredictor(config).param_count,), "params")
     if params_only:
         return config, params, None, None, None
-    adam = None
-    if data["adam"] is not None:
-        a = data["adam"]
-        adam = AdamState(
-            m=_floats(a["m"], params.shape, "adam.m"),
-            v=_floats(a["v"], params.shape, "adam.v"),
-            t=_count(a, "t", "adam", 0),
-        )
-    separation = None
-    if data["separation"] is not None:
-        s = data["separation"]
-        b_compare = _count(s, "b_compare", "separation", 1)
-        separation = _slots(SeparationBuffer, s, config, "separation", s["scores"], b_compare=b_compare)
-    completion = None
-    if data["completion"] is not None:
-        completion = _slots(CompletionBuffer, data["completion"], config, "completion")
+    a, s, c = (None if data[k] is None else json_object(data[k], keys, k) for k, keys in _PARTS.items())
+    adam = None if a is None else AdamState(
+        m=_floats(a["m"], params.shape, "adam.m"),
+        v=_floats(a["v"], params.shape, "adam.v"),
+        t=_count(a, "t", "adam", 0),
+    )
+    separation = None if s is None else _slots(
+        SeparationBuffer, s, config, "separation", b_compare=_count(s, "b_compare", "separation", 1)
+    )
+    completion = None if c is None else _slots(CompletionBuffer, c, config, "completion")
     return config, params, adam, separation, completion
 
 
@@ -227,23 +227,24 @@ def load_checkpoint(
     SeparationBuffer | None,
     CompletionBuffer | None,
 ]:
-    """Inverse of ``save_checkpoint``; only ``contrail-checkpoint-v3``
-    files load, and a v1 or v2 file is rejected by name.  A loaded
+    """Inverse of ``save_checkpoint``; only ``contrail-checkpoint-v4``
+    files load, and a v1, v2 or v3 file is rejected by name.  A loaded
     buffer's slots index one table of the rows read from the file,
     whose target cells derive from the stored ``ends`` and whose task
     labels, never stored, read 0.  With ``params_only`` (all that
     evaluation needs) only the header and parameters are decoded; the
     optimizer state and buffers come back as None, unbuilt.  A file of
     another format, a file that is not JSON, a missing key (``t_pred``
-    and ``dt`` included), a header field of the wrong JSON type (named
-    as in ``config.t_obs``), and any array that is non-finite,
+    included), a header field of the wrong JSON type (named as in
+    ``config.t_obs``), a part that is not a JSON object or holds an
+    unknown key (named as in ``adam.m``; ``adam``, ``separation`` and
+    ``completion`` may be null), any array that is non-finite,
     undecodable or does not fit the header's geometry (the parameters,
-    the Adam moments, every buffer column, each holding
-    ``min(capacity, stream_count)`` rows, and the separation scores), a
-    separation score that is not a JSON number, a negative stored
-    speed, and a ``capacity``, ``b_compare`` or ``stream_count`` that is
-    not an int (at least 1, 1 and 0) raise a ValueError that starts
-    with ``path``."""
+    the Adam moments and every buffer column, each holding
+    ``min(capacity, stream_count)`` rows), a negative stored speed, and
+    a ``capacity``, ``b_compare`` or ``stream_count`` that is not an int
+    (at least 1, 1 and 0) raise a ValueError that starts with
+    ``path``."""
     try:
         data = json.loads(Path(path).read_text())
     except ValueError as exc:

@@ -219,7 +219,6 @@ def _model(config: ExperimentConfig, seed: int) -> HeatmapPredictor:
             grid=config.grid,
             seed=seed,
             t_pred=first.t_pred,
-            dt=first.dt,
         )
     )
 
@@ -486,11 +485,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config, params, _, _, _ = load_checkpoint(args.checkpoint, params_only=True)
-    if args.t_pred is not None and args.t_pred != config.t_pred:
-        raise ConfigError(
-            f"--t-pred {args.t_pred} differs from the horizon the checkpoint was "
-            f"trained for (t_pred {config.t_pred})"
-        )
     if not 1 <= args.w <= config.grid.n_cells:
         raise ConfigError(f"--w {args.w} must be in 1..{config.grid.n_cells}, the grid's cell count")
     model = HeatmapPredictor(config)
@@ -556,9 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a CSV dataset")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument(
-        "--t-pred", type=int, dest="t_pred", help="defaults to the checkpoint's trained horizon"
-    )
     p_eval.add_argument("--w", type=int, default=6)
     p_eval.set_defaults(fn=cmd_eval)
 

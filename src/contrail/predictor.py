@@ -39,9 +39,9 @@ class PredictorConfig:
     """Architecture and initialisation of the predictor.
 
     ``input_dim`` is fixed by the scene layout: ``(1 + k_sv)`` tracks of
-    ``t_obs`` steps with 4 channels each.  ``t_pred`` steps of ``dt``
-    seconds is the horizon the model is trained to predict; the network
-    does not read it, but evaluation must use the same horizon.
+    ``t_obs`` steps with 4 channels each.  ``t_pred`` steps is the
+    horizon the model is trained to predict; the network does not read
+    it, but evaluation must use the same horizon.
     """
 
     t_obs: int
@@ -50,7 +50,6 @@ class PredictorConfig:
     grid: GridSpec
     seed: int = 0
     t_pred: int = 30
-    dt: float = 0.1
 
     def __post_init__(self) -> None:
         if self.t_obs < 1:
@@ -61,8 +60,10 @@ class PredictorConfig:
             raise ValueError("at least one hidden layer is required")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden layer widths must be positive")
-        if self.t_pred < 1 or self.dt <= 0:
-            raise ValueError("t_pred must be >= 1 and dt positive")
+        if self.t_pred < 1:
+            raise ValueError("t_pred must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed is {self.seed}: it must be a non-negative integer")
 
     @property
     def input_dim(self) -> int:
@@ -256,11 +257,6 @@ class HeatmapPredictor:
         distillation.
         """
         n_layers = len(self._shapes)
-        if len(x) == 0:
-            return FactoredGrads(
-                tuple(np.zeros((0, o)) for o, _ in self._shapes),
-                tuple(np.zeros((0, i)) for _, i in self._shapes),
-            )
         logits, acts = self._forward_cached(params, x)
         _, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec)
         layers = self._layers(params)

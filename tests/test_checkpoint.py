@@ -116,18 +116,18 @@ class TestRoundTrip:
         assert np.array_equal(adam.v, adam2.v)
 
     def test_trained_horizon_round_trips(self, tiny_model, tmp_path):
-        config = dataclasses.replace(tiny_model.config, t_pred=20, dt=0.2)
+        config = dataclasses.replace(tiny_model.config, t_pred=20)
         path = tmp_path / "ck.json"
         save_checkpoint(path, config, tiny_model.init_params())
         header = json.loads(path.read_text())["config"]
-        assert (header["t_pred"], header["dt"]) == (20, 0.2)
+        assert header["t_pred"] == 20 and "dt" not in header
         assert load_checkpoint(path)[0] == config
 
     def test_header_without_horizon_is_named(self, tiny_model, tmp_path):
         path = tmp_path / "old.json"
         save_checkpoint(path, tiny_model.config, tiny_model.init_params())
         data = json.loads(path.read_text())
-        del data["config"]["t_pred"], data["config"]["dt"]
+        del data["config"]["t_pred"]
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint lacks the key 't_pred'")):
             load_checkpoint(path, params_only=True)
@@ -141,7 +141,8 @@ class TestRoundTrip:
             (("grid", "rows_h"), 3.0, "config.grid.rows_h is 3.0: it must be an integer"),
             (("seed",), 1.5, "config.seed is 1.5: it must be an integer"),
             (("seed",), None, "config.seed is null: it must be an integer"),
-            (("dt",), "0.1", 'config.dt is "0.1": it must be a number'),
+            (("seed",), -1, "seed is -1: it must be a non-negative integer"),
+            (("dt",), 0.1, "unknown key(s) in config: ['dt']"),
             (("extra",), 1, "unknown key(s) in config: ['extra']"),
         ],
     )
@@ -237,10 +238,13 @@ def eager_text(config, params, adam=None, separation=None, completion=None):
     def columns(buffer):
         rows, logits = buffer.contents()
         stacked = logits.reshape(len(rows), g.rows_h, g.cols_w)
-        return {"x": pack(rows.x), "ends": pack(rows.ends), "speeds": pack(rows.speeds), "logits": pack(stacked)}
+        items = {"x": pack(rows.x), "ends": pack(rows.ends), "speeds": pack(rows.speeds), "logits": pack(stacked)}
+        if isinstance(buffer, SeparationBuffer):
+            items["scores"] = pack(buffer.scores)
+        return items
 
     eager = {
-        "format": "contrail-checkpoint-v3",
+        "format": "contrail-checkpoint-v4",
         "config": dataclasses.asdict(config),
         "params": pack(params),
         "adam": None if adam is None else {"m": pack(adam.m), "v": pack(adam.v), "t": adam.t},
@@ -248,7 +252,6 @@ def eager_text(config, params, adam=None, separation=None, completion=None):
             "capacity": separation.capacity,
             "b_compare": separation.b_compare,
             "stream_count": separation.stream_count,
-            "scores": separation.scores.tolist(),
             "items": columns(separation),
         },
         "completion": None if completion is None else {
@@ -291,32 +294,36 @@ class TestFormat:
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
         data = json.loads(path.read_text())
-        assert data["format"] == "contrail-checkpoint-v3"
+        assert data["format"] == "contrail-checkpoint-v4"
         assert data["params"]["dtype"] == "<f8"
         assert data["params"]["shape"] == [tiny_model.param_count]
         assert np.array_equal(unpack(data["params"]), dual_result.final_params)
         items = data["separation"]["items"]
         rows, _ = dual_result.separation.contents()
         g = tiny_model.config.grid
-        assert sorted(items) == ["ends", "logits", "speeds", "x"]
+        assert sorted(items) == ["ends", "logits", "scores", "speeds", "x"]
         assert np.array_equal(unpack(items["x"]), rows.x)
         assert unpack(items["x"]).shape == (len(rows), tiny_model.config.input_dim)
         assert np.array_equal(unpack(items["ends"]), rows.ends)
         assert np.array_equal(unpack(items["speeds"]), rows.speeds)
         assert unpack(items["logits"]).shape == (len(rows), g.rows_h, g.cols_w)
+        assert np.array_equal(unpack(items["scores"]), dual_result.separation.scores)
+        assert sorted(data["completion"]["items"]) == ["ends", "logits", "speeds", "x"]
 
     def test_v1_document_is_rejected_by_name(self, tiny_model, dual_result, tmp_path):
         path = tmp_path / "v1.json"
         config = dataclasses.asdict(tiny_model.config)
         params = tiny_model.init_params().tolist()
         path.write_text(json.dumps({"format": "contrail-checkpoint-v1", "config": config, "params": params}))
-        # A v2 document: the same header and blocks as v3, buffers as scene columns.
-        v2 = tmp_path / "v2.json"
-        save_full(v2, tiny_model, dual_result)
-        v2.write_text(v2.read_text().replace("contrail-checkpoint-v3", "contrail-checkpoint-v2"))
-        for old in (path, v2):
+        # v2 and v3 documents: the same header and blocks as v4 under an
+        # older format string.
+        older = [tmp_path / "v2.json", tmp_path / "v3.json"]
+        for old, version in zip(older, ("v2", "v3")):
+            save_full(old, tiny_model, dual_result)
+            old.write_text(old.read_text().replace("contrail-checkpoint-v4", f"contrail-checkpoint-{version}"))
+        for old in (path, *older):
             for params_only in (False, True):
-                with pytest.raises(ValueError, match="^" + re.escape(f"{old} is not a contrail-checkpoint-v3 file")):
+                with pytest.raises(ValueError, match="^" + re.escape(f"{old} is not a contrail-checkpoint-v4 file")):
                     load_checkpoint(old, params_only=params_only)
 
     def test_extreme_floats_round_trip_bit_exact(self, tiny_model, tmp_path):
@@ -512,15 +519,21 @@ BUFFER_FAULTS = {
         _set("completion", "items", lambda items: {k: v for k, v in items.items() if k != "ends"}),
         "lacks the key 'ends'",
     ),
-    "scores one short": (_set("separation", "scores", lambda q: q[:-1]), "separation.scores"),
-    "score non-finite": (_set("separation", "scores", lambda q: [float("nan")] + q[1:]), "separation.scores"),
+    "scores one short": (
+        _column("separation", "scores", lambda q: q[:-1]),
+        "separation.scores has shape (3,), the header's geometry needs (4,)",
+    ),
+    "score non-finite": (
+        _column("separation", "scores", lambda q: np.where(q == q[0], np.nan, q)),
+        "separation.scores holds non-finite values",
+    ),
     "more slots than capacity": (
         _set("completion", "capacity", lambda c: c - 1),
         "completion.x has shape (4, 16), the header's geometry needs (3, 16)",
     ),
-    "score a string": (
-        _set("separation", "scores", lambda q: [str(q[0])] + q[1:]),
-        "separation.scores needs one finite number per slot",
+    "scores missing": (
+        _set("separation", "items", lambda items: {k: v for k, v in items.items() if k != "scores"}),
+        "lacks the key 'scores'",
     ),
     "stream_count negative": (
         _set("separation", "stream_count", lambda c: -3),
@@ -558,6 +571,22 @@ BUFFER_FAULTS = {
     "b_compare a float": (
         _set("separation", "b_compare", lambda b: 2.5),
         "separation.b_compare is 2.5, not an int >= 1",
+    ),
+    "block shape not a list": (
+        lambda data: data["completion"]["items"]["x"].update(shape="x"),
+        'completion.x.shape is "x": it must be a list of integers',
+    ),
+    "block data not base64": (
+        lambda data: data["separation"]["items"]["scores"].update(data="!!!!"),
+        "separation.scores.data is not base64",
+    ),
+    "block with an unknown key": (
+        lambda data: data["separation"]["items"]["ends"].update(extra=1),
+        "unknown key(s) in separation.ends: ['extra']",
+    ),
+    "scores in the completion buffer": (
+        lambda data: data["completion"]["items"].update(scores=data["separation"]["items"]["scores"]),
+        "unknown key(s) in completion.items: ['scores']",
     ),
 }
 
@@ -600,3 +629,83 @@ class TestFullLoadChecks:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             load_checkpoint(path)
+
+
+PARTS = [
+    ("config",), ("params",), ("adam",), ("adam", "m"), ("adam", "v"),
+    ("separation",), ("separation", "items"), ("completion",), ("completion", "items"),
+]
+# null is legal for the optional parts (TestRoundTrip::test_params_only).
+NOT_OBJECTS = [
+    (keys, value) for keys in PARTS for value in (3, "x", [1], None)
+    if not (value is None and keys in [("adam",), ("separation",), ("completion",)])
+]
+
+
+class TestPartsAreObjects:
+    @pytest.mark.parametrize(
+        "keys, value", NOT_OBJECTS, ids=[f"{'.'.join(k)}={json.dumps(v)}" for k, v in NOT_OBJECTS]
+    )
+    def test_a_part_that_is_not_an_object_is_named(self, tiny_model, dual_result, tmp_path, keys, value):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result)
+        data = json.loads(path.read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path.write_text(json.dumps(data))
+        message = f"{path}: malformed checkpoint: {'.'.join(keys)} is {json.dumps(value)}: it must be a JSON object"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            load_checkpoint(path)
+
+    def test_a_missing_part_is_named(self, tiny_model, dual_result, tmp_path):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result)
+        data = json.loads(path.read_text())
+        del data["adam"]["m"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: checkpoint lacks the key 'm'") + "$"):
+            load_checkpoint(path)
+
+
+# Each probe replaces one value of the document with one of these.
+PROBE_VALUES = [None, True, -1, 1.5, "x", [], {}, [1], 10**12]
+
+
+def json_paths(node, prefix=()):
+    """The path of every value inside the JSON ``node``, containers
+    and leaves, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+class TestDocumentMutations:
+    """Seeded probes over the whole document of a saved ``dual``
+    checkpoint, each replacing one value anywhere in it by one of
+    ``PROBE_VALUES``.  A load, full or ``params_only``, either succeeds
+    or raises a ValueError that starts with the path; no other exception
+    escapes, and no value of the wrong JSON type reaches the reader's
+    arithmetic (it is named before a TypeError could name it)."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_a_replaced_value_loads_or_is_named(self, tiny_model, dual_result, tmp_path, seed):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result)
+        data = json.loads(path.read_text())
+        rng = np.random.default_rng([2024, seed])
+        paths = list(json_paths(data))
+        *parents, key = paths[int(rng.integers(len(paths)))]
+        node = data
+        for k in parents:
+            node = node[k]
+        node[key] = PROBE_VALUES[int(rng.integers(len(PROBE_VALUES)))]
+        path.write_text(json.dumps(data))
+        for params_only in (False, True):
+            try:
+                load_checkpoint(path, params_only=params_only)
+            except ValueError as exc:
+                assert str(exc).startswith(str(path)), exc
+                assert not isinstance(exc.__context__, TypeError), exc

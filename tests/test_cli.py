@@ -840,12 +840,11 @@ class TestEvalCommand:
         # at the trained horizon.
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["n_samples"] == 20
-        assert main(argv + ["--t-pred", "20"]) == 0
-        capsys.readouterr()
-        assert main(argv + ["--t-pred", "30"]) == 1
+        # The horizon is not a flag: the file alone sets it.
+        assert main(argv + ["--t-pred", "20"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--t-pred 30" in captured.err and "t_pred 20" in captured.err
+        assert "unrecognized arguments: --t-pred 20" in captured.err
 
     def test_eval_builds_no_buffer_or_optimizer_state(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(
