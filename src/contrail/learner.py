@@ -148,17 +148,15 @@ def dual_replay_step(
     """Loss, gradient and logits of the current batch (rows of ``table``)
     plus weighted replay from both buffers (base loss + logit distillation
     on replayed samples), in one forward/backward pass over the batch and
-    both draws, whose rows weigh 1/n_b, alpha/n_r and beta/n_r.
+    both draws, whose rows weigh 1/n_b, alpha/n_r and beta/n_r.  The
+    draws come last, so the distilled rows are the pass's tail.
 
     A missing or empty buffer, a zero replay weight, or replay_batch 0
     drops that term without drawing; with no term left this is exactly
     a vanilla step.  The gradient is written into ``out`` when given.
     """
     spec = cfg.loss
-    n_b = len(batch)
-    rows, weights = [batch], [1.0 / n_b]
-    # The batch rows are not distilled, so their stored rows are never read.
-    stored = [np.zeros((n_b, model.config.grid.n_cells))]
+    rows, weights, stored = [batch], [1.0 / len(batch)], []
     for weight, buffer in ((spec.alpha, sp_buffer), (spec.beta, cp_buffer)):
         if weight == 0.0 or buffer is None or len(buffer) == 0 or cfg.replay_n == 0:
             continue
@@ -166,13 +164,12 @@ def dual_replay_step(
         rows.append(drawn)
         weights.append(weight / len(drawn))
         stored.append(logits)
-    if len(rows) == 1:
+    if not stored:
         return model.loss_and_grad(params, table.x[batch], table.cells[batch], spec, out=out)
     mixed = np.concatenate(rows)
-    distill = np.arange(len(mixed)) >= n_b
     return model.loss_and_grad(
-        params, table.x[mixed], table.cells[mixed], spec, np.concatenate(stored), distill,
-        np.repeat(weights, [len(r) for r in rows]), out=out,
+        params, table.x[mixed], table.cells[mixed], spec, stored=np.concatenate(stored),
+        weights=np.repeat(weights, [len(r) for r in rows]), out=out,
     )
 
 

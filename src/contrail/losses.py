@@ -4,7 +4,8 @@ Two ingredients: a per-cell classification loss against the true
 endpoint cell (cross-entropy or its focal variant), and a logit
 distillation penalty that anchors replayed samples to the logits they
 were stored with.  The trainer weighs the current batch and the replay
-draws from the two memory buffers in one call.
+draws from the two memory buffers in one call, the replayed rows last,
+so the distilled rows are always the batch's tail.
 
 All kernels operate on flat logit vectors and flat target-cell indices
 (``row * cols_w + col``) so the predictor's backward pass can reuse
@@ -64,17 +65,16 @@ def batch_loss_and_dlogits(
     logits: np.ndarray,
     cells: Sequence[int] | np.ndarray,
     spec: LossSpec,
+    *,
     stored: np.ndarray | None = None,
-    distill: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and their logit gradients for a batch.
 
     ``logits`` has shape ``(n, n_cells)`` and ``cells`` holds each
-    sample's flat target cell.  ``stored``, shape ``(n, n_cells)``, are
-    the logits to distill toward; the squared distance normalised by the
-    cell count is added on the rows the boolean mask ``distill``
-    selects, or on every row when it is None.  Returns ``(losses,
-    dlogits)`` with shapes ``(n,)`` and ``(n, n_cells)``.
+    sample's flat target cell.  ``stored``, shape ``(m, n_cells)`` with
+    ``m <= n``, are the logits the last ``m`` rows distill toward: the
+    squared distance normalised by the cell count is added on that tail.
+    Returns ``(losses, dlogits)`` with shapes ``(n,)`` and ``(n, n_cells)``.
     """
     n, n_cells = logits.shape
     idx = np.asarray(cells, dtype=np.intp)
@@ -113,15 +113,17 @@ def batch_loss_and_dlogits(
         stored = np.asarray(stored, dtype=np.float64)
         if stored.ndim != 2 or stored.shape[1] != n_cells:
             raise ValueError("stored logits do not match the grid size")
-        if stored.shape[0] != n:
-            raise ValueError("batch size mismatch between logits and stored logits")
-        on = slice(None) if distill is None else np.asarray(distill, dtype=bool)
-        diff = logits[on] - stored[on]
+        if stored.shape[0] > n:
+            raise ValueError("more stored logit rows than the batch holds")
+        tail = slice(n - stored.shape[0], n)
+        diff = logits[tail] - stored
         # The gradient term is elementwise, so bit-equal to a per-row
         # loop; the loss's row sums may round differently from a per-row
         # dot product, and training never reads the loss value.
-        losses[on] += np.einsum("ij,ij->i", diff, diff) / n_cells
-        dlogits[on] += 2.0 * diff / n_cells
+        losses[tail] += np.einsum("ij,ij->i", diff, diff) / n_cells
+        diff *= 2.0
+        diff /= n_cells
+        dlogits[tail] += diff
 
     return losses, dlogits
 

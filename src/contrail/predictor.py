@@ -17,7 +17,7 @@ compared through Gram products instead of P-length rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -177,6 +177,23 @@ class HeatmapPredictor:
         logits, _ = self._forward_cached(params, x)
         return logits
 
+    def _back_through(
+        self, params: np.ndarray, acts: list[np.ndarray], dlogits: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """The delta chain from the logit gradients down: ``(layer,
+        delta)`` for each layer, the top one's delta ``dlogits``, each
+        next one ``(delta @ w) * (1 - act**2)`` through the tanh whose
+        output is ``act``; the activations are untouched."""
+        layers = self._layers(params)
+        delta = dlogits
+        for li in range(len(layers) - 1, 0, -1):
+            yield li, delta
+            delta = delta @ layers[li][0]
+            slope = np.square(acts[li])
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope
+        yield 0, delta
+
     def _backward(
         self,
         params: np.ndarray,
@@ -190,18 +207,14 @@ class HeatmapPredictor:
         their slices of one flat vector, in the parameter layout: ``out``
         when given (a contiguous float64 vector of ``param_count``),
         else a fresh one."""
-        layers = self._layers(params)
         if out is None:
             out = np.empty(self.param_count)
         elif out.shape != (self.param_count,) or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise ValueError(f"out must be a contiguous float64 vector of {self.param_count}")
-        delta = dlogits
-        for li in range(len(layers) - 1, -1, -1):
+        for li, delta in self._back_through(params, acts, dlogits):
             ws, bs = self._slices[li]
             np.matmul(delta.T, acts[li], out=out[ws].reshape(self._shapes[li]))
             np.sum(delta, axis=0, out=out[bs])
-            if li > 0:
-                delta = _back_through(delta, layers[li][0], acts[li])
         return out
 
     def loss_and_grad(
@@ -210,26 +223,26 @@ class HeatmapPredictor:
         x: np.ndarray,
         cells: np.ndarray,
         loss_spec: LossSpec,
+        *,
         stored: np.ndarray | None = None,
-        distill: np.ndarray | None = None,
         weights: np.ndarray | None = None,
         out: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """Mean loss over the batch, its full parameter gradient and the logits.
 
         ``x`` holds one feature row per sample and ``cells`` its flat
-        target cell.  ``stored`` (one logit row per sample) adds the
-        distillation term on the rows ``distill`` selects, every row
-        when ``distill`` is None; see :func:`batch_loss_and_dlogits`.
-        ``weights`` (one non-negative weight per row) replaces the batch
-        mean with ``losses @ weights``.  The gradient is written into
-        ``out`` when given, and ``out`` is returned.
+        target cell.  ``stored`` (one logit row per distilled sample)
+        adds the distillation term on the last ``len(stored)`` rows; see
+        :func:`batch_loss_and_dlogits`.  ``weights`` (one non-negative
+        weight per row) replaces the batch mean with ``losses @ weights``.
+        The gradient is written into ``out`` when given, and ``out`` is
+        returned.
         """
         n = len(x)
         if n == 0:
             raise ValueError("loss_and_grad requires a non-empty batch")
         logits, acts = self._forward_cached(params, x)
-        losses, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec, stored, distill)
+        losses, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec, stored=stored)
         if weights is None:
             loss = float(losses.mean())
             dlogits /= n
@@ -256,24 +269,10 @@ class HeatmapPredictor:
         The loss is the base loss of :meth:`loss_and_grad`, without
         distillation.
         """
-        n_layers = len(self._shapes)
         logits, acts = self._forward_cached(params, x)
         _, dlogits = batch_loss_and_dlogits(logits, cells, loss_spec)
-        layers = self._layers(params)
-        deltas = [dlogits]
-        for li in range(n_layers - 1, 0, -1):
-            deltas.append(_back_through(deltas[-1], layers[li][0], acts[li]))
-        return FactoredGrads(tuple(reversed(deltas)), tuple(acts[:n_layers]))
-
-
-def _back_through(delta: np.ndarray, w: np.ndarray, act: np.ndarray) -> np.ndarray:
-    """The delta one layer down: ``(delta @ w) * (1 - act**2)`` through
-    the tanh whose output is ``act``; ``act`` is untouched."""
-    out = delta @ w
-    slope = np.square(act)
-    np.subtract(1.0, slope, out=slope)
-    out *= slope
-    return out
+        deltas = [delta for _, delta in self._back_through(params, acts, dlogits)]
+        return FactoredGrads(tuple(deltas[::-1]), tuple(acts[:-1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,19 +57,19 @@ def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
     for case in range(n_cases):
         params = rng.normal(0.0, 0.5, size=model.param_count)
         spec = LossSpec(base_kind="focal" if case % 2 else "cross_entropy", focal_gamma=2.0)
-        scenes, cells, stored, distill = [], [], [], []
+        scenes, cells = [], []
         for _ in range(3):
             # O(1) features keep the finite-difference truncation error
             # (quadratic in the activations) well under the tolerance.
             scenes.append(_random_scene(rng, 2, 1, span=2.0))
             cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
-            distill.append(bool(rng.random() < 0.5))
-            stored.append(rng.normal(size=9) if distill[-1] else np.zeros(9))
-        x, distill = model.encode(Scenes.concat(scenes)).x, np.array(distill)
-        # Random non-negative row weights, as the fused replay step uses.
-        batch = (x, np.array(cells), spec, np.stack(stored), distill, rng.uniform(0.0, 2.0, size=3))
-        _, grad, _ = model.loss_and_grad(params, *batch)
-        fd = _central_differences(lambda p: model.loss_and_grad(p, *batch)[0], params, eps)
+        x, cells = model.encode(Scenes.concat(scenes)).x, np.array(cells)
+        # A random distilled tail and random non-negative row weights,
+        # as the fused replay step uses.
+        stored = rng.normal(size=(int(rng.integers(0, 4)), 9))
+        kwargs = {"stored": stored, "weights": rng.uniform(0.0, 2.0, size=3)}
+        _, grad, _ = model.loss_and_grad(params, x, cells, spec, **kwargs)
+        fd = _central_differences(lambda p: model.loss_and_grad(p, x, cells, spec, **kwargs)[0], params, eps)
         if _relative_gap(grad, fd) >= tol:
             return False
     return True

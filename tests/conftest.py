@@ -173,6 +173,17 @@ def ref_batch_loss_and_dlogits(
     return losses, dlogits
 
 
+def tail_as_mask(n: int, stored: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A distilled tail as the references' per-row arguments: ``stored``
+    after zero rows up to ``n`` rows, and the mask of its last
+    ``len(stored)`` rows (both None for None)."""
+    if stored is None:
+        return None, None
+    full = np.zeros((n, stored.shape[1]))
+    full[n - len(stored) :] = stored
+    return full, np.arange(n) >= n - len(stored)
+
+
 def _ref_forward(model: HeatmapPredictor, params: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
     """Every activation of the MLP, input first, from the layout of
     ``model._shapes`` (per layer: row-major weights, then bias)."""

@@ -149,7 +149,9 @@ def _experiment_cell(
 
 def test_01_gradient_finite_difference_agreement():
     """Analytic gradients match central finite differences (eps=1e-3)
-    to a relative error below 1e-4 on 100 random tiny-net cases."""
+    to a relative error below 1e-4 on 100 random tiny-net cases: either
+    base loss, random row weights, a distilled tail of random length
+    and three net shapes."""
     started = time.time()
     eps = 1e-3
     worst = 0.0
@@ -173,20 +175,24 @@ def test_01_gradient_finite_difference_agreement():
             base_kind="focal" if case % 2 else "cross_entropy",
             focal_gamma=float(rng.uniform(0.5, 2.5)),
         )
-        scenes, cells, stored, distill = [], [], [], []
-        for _ in range(int(rng.integers(1, 4))):
+        n = int(rng.integers(1, 4))
+        scenes, cells = [], []
+        for _ in range(n):
             # Order-one coordinates keep the finite differences at
             # eps=1e-3 far below the gradient tolerance.
             scenes.append(make_scenes(rng, 1, t_obs, k_sv, span=2.0))
             cells.append(int(rng.integers(0, 3)) * 3 + int(rng.integers(0, 3)))
-            distill.append(bool(rng.random() < 0.5))
-            stored.append(rng.normal(0.0, 0.8, size=9) if distill[-1] else np.zeros(9))
         scenes = Scenes.concat(scenes)
-        x = scene_features(scenes, scene_frames(scenes))
-        batch = (x, np.array(cells), spec, np.stack(stored), np.array(distill))
+        x, cells = scene_features(scenes, scene_frames(scenes)), np.array(cells)
+        # A random distilled tail (0 to n rows) and random non-negative
+        # row weights, as the fused replay step uses.
+        kwargs = {
+            "stored": rng.normal(0.0, 0.8, size=(int(rng.integers(0, n + 1)), 9)),
+            "weights": rng.uniform(0.0, 2.0, size=n),
+        }
 
-        _, grad, _ = model.loss_and_grad(params, *batch)
-        fd = _central_differences(lambda p: model.loss_and_grad(p, *batch)[0], params, eps)
+        _, grad, _ = model.loss_and_grad(params, x, cells, spec, **kwargs)
+        fd = _central_differences(lambda p: model.loss_and_grad(p, x, cells, spec, **kwargs)[0], params, eps)
         rel = _relative_gap(grad, fd)
         worst = max(worst, rel)
         assert rel < 1e-4, f"case {case}: relative gradient error {rel:.3e}"

@@ -226,7 +226,7 @@ class TestStepFunctions:
         assert np.array_equal(stored, np.stack([cp.logits[s] for s in slots]))
         base_l, base_g, _ = tiny_model.loss_and_grad(params, table.x[b], table.cells[b], cfg.loss)
         rep_l, rep_g, _ = tiny_model.loss_and_grad(
-            params, table.x[rows], table.cells[rows], cfg.loss, stored
+            params, table.x[rows], table.cells[rows], cfg.loss, stored=stored
         )
         assert loss == pytest.approx(base_l + 2.0 * rep_l, rel=1e-12)
         assert np.allclose(grad, base_g + 2.0 * rep_g, atol=1e-15)
@@ -259,7 +259,7 @@ class TestStepFunctions:
         for weight, buffer in ((0.5, sp), (2.0, cp)):
             rows, stored = replay_targets(buffer, draw_minibatch(buffer, 3, draw_rng))
             r_l, r_g, _ = tiny_model.loss_and_grad(
-                params, table.x[rows], table.cells[rows], cfg.loss, stored
+                params, table.x[rows], table.cells[rows], cfg.loss, stored=stored
             )
             want_l += weight * r_l
             want_g = want_g + weight * r_g
@@ -687,8 +687,10 @@ class TestStepAllocations:
     tracemalloc sees numpy's buffers.  On the README model (P = 33,664,
     one P-length float64 array is 269,312 B) each call's peak above the
     memory held when it starts must stay below P x 8 bytes.  Its row
-    temporaries (n x 256 cells each) count too and grow with the rows,
-    so the draws are kept small: batch 8, replay 2, reference batch 8.
+    temporaries (n x 256 cells each) count too and grow with the rows.
+    The replay draws are the README's (batch 8, replay 8 per store, so
+    a 24-row fused ``dual`` pass); A-GEM's reference batch is kept at 8,
+    as its README batch of 64 rows still peaks above the bound.
     """
 
     @pytest.fixture(scope="class")
@@ -734,7 +736,7 @@ class TestStepAllocations:
             HeatmapPredictor, "loss_and_grad",
             self.measured(peaks, "loss_and_grad", HeatmapPredictor.loss_and_grad),
         )
-        cfg = TrainConfig(buffer_total=20, replay_batch=2, agem_ref_batch=8)
+        cfg = TrainConfig(buffer_total=20, replay_batch=8, agem_ref_batch=8)
         result = train_stream(model, table, strategy, cfg)
         assert len(peaks["adam_step"]) == result.n_steps == 9
         assert (strategy is Strategy.AGEM) == ("agem_project" in peaks)

@@ -15,13 +15,13 @@ from contrail.losses import LossSpec, batch_loss_and_dlogits
 
 from contrail.selftest import _central_differences
 
-from conftest import ref_batch_loss_and_dlogits, same_bits
+from conftest import ref_batch_loss_and_dlogits, same_bits, tail_as_mask
 
 
 def fd_dlogits(logits_row, cell, spec, stored=None, eps=1e-6):
     """Central finite difference of the per-sample loss in logit space."""
     return _central_differences(
-        lambda row: batch_loss_and_dlogits(row[None, :], [cell], spec, stored)[0][0], logits_row, eps
+        lambda row: batch_loss_and_dlogits(row[None, :], [cell], spec, stored=stored)[0][0], logits_row, eps
     )
 
 
@@ -127,7 +127,7 @@ class TestDistillation:
         spec = LossSpec()
         logits = np.array([[1.0, 0.0, 0.0, 0.0]])
         stored = np.array([[0.0, 0.0, 0.0, 1.0]])
-        losses, _ = batch_loss_and_dlogits(logits, [0], spec, stored)
+        losses, _ = batch_loss_and_dlogits(logits, [0], spec, stored=stored)
         ce = -1.0 + math.log(math.e + 3.0)
         assert losses[0] == pytest.approx(ce + 2.0 / 4.0, rel=1e-12)
 
@@ -137,7 +137,7 @@ class TestDistillation:
         logits = rng.normal(size=(1, 6))
         stored = rng.normal(size=(1, 6))
         _, d_plain = batch_loss_and_dlogits(logits, [2], spec)
-        _, d_store = batch_loss_and_dlogits(logits, [2], spec, stored)
+        _, d_store = batch_loss_and_dlogits(logits, [2], spec, stored=stored)
         expected = 2.0 * (logits[0] - stored[0]) / 6.0
         assert np.allclose(d_store[0] - d_plain[0], expected, atol=1e-12)
 
@@ -148,7 +148,7 @@ class TestDistillation:
             logits = rng.normal(size=8)
             cell = int(rng.integers(0, 8))
             stored = rng.normal(size=(1, 8))
-            _, dlogits = batch_loss_and_dlogits(logits[None, :], [cell], spec, stored)
+            _, dlogits = batch_loss_and_dlogits(logits[None, :], [cell], spec, stored=stored)
             fd = fd_dlogits(logits, cell, spec, stored)
             assert np.abs(dlogits[0] - fd).max() < 1e-6
 
@@ -156,40 +156,36 @@ class TestDistillation:
         spec = LossSpec()
         logits = np.array([[0.3, -0.2, 1.1, 0.0]])
         l_plain, _ = batch_loss_and_dlogits(logits, [1], spec)
-        l_anch, _ = batch_loss_and_dlogits(logits, [1], spec, logits.copy())
+        l_anch, _ = batch_loss_and_dlogits(logits, [1], spec, stored=logits.copy())
         assert l_plain[0] == pytest.approx(l_anch[0], rel=1e-14)
 
-    def test_mask_matches_a_per_row_loop(self):
-        # The masked array op against the per-row loop it replaced: the
-        # gradient bit for bit, the loss to rounding.
+    def test_tail_matches_a_per_row_loop(self):
+        # The tail's array op against a per-row loop: the gradient bit
+        # for bit, the loss to rounding.
         rng = np.random.default_rng(33)
         for base_kind in ("cross_entropy", "focal"):
             spec = LossSpec(base_kind=base_kind, focal_gamma=1.5)
             logits = rng.normal(size=(7, 12))
             cells = rng.integers(0, 12, size=7)
-            stored = rng.normal(size=(7, 12))
-            distill = rng.random(7) < 0.5
-            distill[:2] = (True, False)
-            losses, dlogits = batch_loss_and_dlogits(logits, cells, spec, stored, distill)
-            want_l, want_d = batch_loss_and_dlogits(logits, cells, spec)
-            for k in np.flatnonzero(distill):
-                diff = logits[k] - stored[k]
-                want_l[k] = want_l[k] + diff.dot(diff) / 12
-                want_d[k] += 2.0 * diff / 12
-            assert dlogits.tobytes() == want_d.tobytes()
-            np.testing.assert_allclose(losses, want_l, rtol=1e-14, atol=0)
-            everything, _ = batch_loss_and_dlogits(logits, cells, spec, stored)
-            all_rows, _ = batch_loss_and_dlogits(logits, cells, spec, stored, np.ones(7, bool))
-            assert everything.tobytes() == all_rows.tobytes()
+            for m in range(8):
+                stored = rng.normal(size=(m, 12))
+                losses, dlogits = batch_loss_and_dlogits(logits, cells, spec, stored=stored)
+                want_l, want_d = batch_loss_and_dlogits(logits, cells, spec)
+                for j, k in enumerate(range(7 - m, 7)):
+                    diff = logits[k] - stored[j]
+                    want_l[k] = want_l[k] + diff.dot(diff) / 12
+                    want_d[k] += 2.0 * diff / 12
+                assert dlogits.tobytes() == want_d.tobytes()
+                np.testing.assert_allclose(losses, want_l, rtol=1e-14, atol=0)
 
 
 class TestMatchesOneHotReference:
     """Bit for bit against the dense one-hot reference of conftest, the
-    arguments left as they were."""
+    arguments left as they were.  The reference distills the rows of a
+    mask; every tail length, 0 to the batch, is its mask's last rows."""
 
     @pytest.mark.parametrize("base_kind, gamma", [("cross_entropy", 2.0), ("focal", 0.0), ("focal", 1.0), ("focal", 2.5)])
-    @pytest.mark.parametrize("distilled", ["none", "all", "mask"])
-    def test_random_batches(self, base_kind, gamma, distilled):
+    def test_random_batches(self, base_kind, gamma):
         rng = np.random.default_rng(34)
         spec = LossSpec(base_kind=base_kind, focal_gamma=gamma)
         for n, n_cells, scale in ((1, 4, 1.0), (6, 12, 3.0), (9, 20, 400.0)):
@@ -198,14 +194,14 @@ class TestMatchesOneHotReference:
             logits = rng.normal(0.0, scale, size=(n, n_cells))
             cells = rng.integers(0, n_cells, size=n)
             cells[0] = np.argmax(logits[0])
-            stored = None if distilled == "none" else rng.normal(size=(n, n_cells))
-            distill = rng.random(n) < 0.5 if distilled == "mask" else None
-            before = [None if a is None else a.copy() for a in (logits, cells, stored, distill)]
-            losses, dlogits = batch_loss_and_dlogits(logits, cells, spec, stored, distill)
-            want_l, want_d = ref_batch_loss_and_dlogits(logits, cells, spec, stored, distill)
-            assert same_bits(losses, want_l) and same_bits(dlogits, want_d)
-            after = (logits, cells, stored, distill)
-            assert all(b is None or same_bits(a, b) for a, b in zip(after, before))
+            for m in (None, *range(n + 1)):
+                stored = None if m is None else rng.normal(size=(m, n_cells))
+                before = [None if a is None else a.copy() for a in (logits, cells, stored)]
+                losses, dlogits = batch_loss_and_dlogits(logits, cells, spec, stored=stored)
+                want_l, want_d = ref_batch_loss_and_dlogits(logits, cells, spec, *tail_as_mask(n, stored))
+                assert same_bits(losses, want_l) and same_bits(dlogits, want_d)
+                after = (logits, cells, stored)
+                assert all(b is None or same_bits(a, b) for a, b in zip(after, before))
 
 
 class TestValidation:
@@ -231,5 +227,15 @@ class TestValidation:
 
     def test_stored_logits_wrong_length(self):
         logits = np.zeros((1, 4))
-        with pytest.raises(ValueError, match="stored logits"):
-            batch_loss_and_dlogits(logits, [0], LossSpec(), np.zeros((1, 5)))
+        for stored in (np.zeros((1, 5)), np.zeros((1, 3)), np.zeros(4)):
+            with pytest.raises(ValueError, match="stored logits do not match the grid size"):
+                batch_loss_and_dlogits(logits, [0], LossSpec(), stored=stored)
+
+    def test_more_stored_rows_than_the_batch(self):
+        logits = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="more stored logit rows than the batch holds"):
+            batch_loss_and_dlogits(logits, [0, 1], LossSpec(), stored=np.zeros((3, 4)))
+
+    def test_stored_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            batch_loss_and_dlogits(np.zeros((1, 4)), [0], LossSpec(), np.zeros((1, 4)))
