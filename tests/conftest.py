@@ -184,6 +184,13 @@ def tail_as_mask(n: int, stored: np.ndarray | None) -> tuple[np.ndarray | None, 
     return full, np.arange(n) >= n - len(stored)
 
 
+def tail_lengths(distilled: str, n: int) -> tuple[int | None, ...]:
+    """The distilled tails of an ``n``-row batch that a test case checks:
+    ``"none"`` passes no stored logits, ``"all"`` distils every row and
+    ``"tail"`` each shorter tail, the empty one included."""
+    return {"none": (None,), "all": (n,), "tail": tuple(range(n))}[distilled]
+
+
 def _ref_forward(model: HeatmapPredictor, params: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
     """Every activation of the MLP, input first, from the layout of
     ``model._shapes`` (per layer: row-major weights, then bias)."""

@@ -15,7 +15,7 @@ from contrail.losses import LossSpec, batch_loss_and_dlogits
 
 from contrail.selftest import _central_differences
 
-from conftest import ref_batch_loss_and_dlogits, same_bits, tail_as_mask
+from conftest import ref_batch_loss_and_dlogits, same_bits, tail_as_mask, tail_lengths
 
 
 def fd_dlogits(logits_row, cell, spec, stored=None, eps=1e-6):
@@ -185,7 +185,8 @@ class TestMatchesOneHotReference:
     mask; every tail length, 0 to the batch, is its mask's last rows."""
 
     @pytest.mark.parametrize("base_kind, gamma", [("cross_entropy", 2.0), ("focal", 0.0), ("focal", 1.0), ("focal", 2.5)])
-    def test_random_batches(self, base_kind, gamma):
+    @pytest.mark.parametrize("distilled", ["none", "all", "tail"])
+    def test_random_batches(self, base_kind, gamma, distilled):
         rng = np.random.default_rng(34)
         spec = LossSpec(base_kind=base_kind, focal_gamma=gamma)
         for n, n_cells, scale in ((1, 4, 1.0), (6, 12, 3.0), (9, 20, 400.0)):
@@ -194,7 +195,7 @@ class TestMatchesOneHotReference:
             logits = rng.normal(0.0, scale, size=(n, n_cells))
             cells = rng.integers(0, n_cells, size=n)
             cells[0] = np.argmax(logits[0])
-            for m in (None, *range(n + 1)):
+            for m in tail_lengths(distilled, n):
                 stored = None if m is None else rng.normal(size=(m, n_cells))
                 before = [None if a is None else a.copy() for a in (logits, cells, stored)]
                 losses, dlogits = batch_loss_and_dlogits(logits, cells, spec, stored=stored)

@@ -42,6 +42,7 @@ from conftest import (
     ref_per_sample_grads,
     same_bits,
     tail_as_mask,
+    tail_lengths,
 )
 
 
@@ -281,8 +282,9 @@ class TestMatchesReferenceKernels:
             deep_model.loss_and_grad(params, x, cells, LossSpec(), out=out)
 
     @pytest.mark.parametrize("base_kind", ["cross_entropy", "focal"])
+    @pytest.mark.parametrize("distilled", ["none", "all", "tail"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["mean", "weights"])
-    def test_loss_and_grad(self, deep_model, base_kind, weighted):
+    def test_loss_and_grad(self, deep_model, base_kind, distilled, weighted):
         """Every distilled tail, none and 0 to the batch, against the
         reference's mask of the same rows."""
         rng = np.random.default_rng(71)
@@ -290,7 +292,7 @@ class TestMatchesReferenceKernels:
         for n in (1, 3, 9):
             params = rng.normal(0.0, 0.5, size=deep_model.param_count)
             x, cells, _, weights = random_batch(rng, deep_model, n, weighted=weighted)
-            for tail in (None, *range(n + 1)):
+            for tail in tail_lengths(distilled, n):
                 stored = None if tail is None else rng.normal(size=(tail, deep_model.config.grid.n_cells))
                 inputs = (params, x, cells, stored, weights)
                 before = [None if a is None else a.copy() for a in inputs]
