@@ -47,6 +47,7 @@ from .scenarios import (
     check_episode_geometry,
     ingest_csv,
     task_datasets,
+    train_count,
     write_task_csvs,
 )
 
@@ -91,7 +92,7 @@ class ExperimentConfig:
                 f"every width >= 1"
             )
         for i, task in enumerate(self.tasks):
-            if (4 * task.n_samples) // 5 == 0:
+            if train_count(task.n_samples) == 0:
                 raise ConfigError(
                     f"tasks[{i}].n_samples is {task.n_samples}: its 80/20 train half is empty; "
                     f"use at least 2"

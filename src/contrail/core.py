@@ -75,17 +75,16 @@ class Scenes(_Rows):
     4) one equally long track per neighbor slot, whose ``mask`` (n, k_sv)
     entry is False for zero-filled padding that consumers must ignore.
     ``ends`` (n, 2) is the truth endpoint ``t_pred`` steps past the
-    decision step and ``speeds`` (n,) the target's speed at the decision
-    step (the miss-rate gate reads it).  ``labels`` (n,) are the task
-    labels, which :meth:`~contrail.predictor.HeatmapPredictor.encode`
-    copies into the table it returns.
+    decision step.  ``labels`` (n,) are the task labels, which
+    :meth:`~contrail.predictor.HeatmapPredictor.encode` copies into the
+    table it returns; the target's speed there is derived, by
+    :func:`scene_frames`, from its velocity at the decision step.
     """
 
     tv: np.ndarray
     svs: np.ndarray
     mask: np.ndarray
     ends: np.ndarray
-    speeds: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
@@ -95,16 +94,9 @@ class Scenes(_Rows):
         k_sv = self.mask.shape[1] if self.mask.ndim == 2 else -1
         if self.mask.dtype != bool or self.mask.shape != (n, k_sv):
             raise ValueError(f"mask must be (n, k_sv) bools, not {self.mask.dtype} {self.mask.shape}")
-        for name, shape in (
-            ("svs", (n, k_sv, t_obs, 4)),
-            ("ends", (n, 2)),
-            ("speeds", (n,)),
-            ("labels", (n,)),
-        ):
+        for name, shape in (("svs", (n, k_sv, t_obs, 4)), ("ends", (n, 2)), ("labels", (n,))):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, the tv and mask need {shape}")
-        if not np.all(self.speeds >= 0):
-            raise ValueError("speeds must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,18 +255,18 @@ def hypot_rows(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def scene_frames(scenes: Scenes) -> np.ndarray:
     """Every row's target-centric frame at the decision step as one
-    ``(n, 4)`` array of (origin x, origin y, cos, sin): origin at the
-    target vehicle's position, +x along its velocity.  A (near)
-    stationary target keeps the world orientation.  The speed is
-    :func:`hypot_rows` of the velocity."""
+    ``(n, 5)`` array of (origin x, origin y, cos, sin, speed): origin at
+    the target vehicle's position, +x along its velocity, and the
+    target's speed, :func:`hypot_rows` of that velocity.  A (near)
+    stationary target keeps the world orientation."""
     last = scenes.tv[:, -1]
     vx, vy = last[:, 2], last[:, 3]
     speed = hypot_rows(vx, vy)
     still = speed < 1e-9
-    speed[still] = 1.0
-    cos_h = np.where(still, 1.0, vx / speed)
-    sin_h = np.where(still, 0.0, vy / speed)
-    return np.stack([last[:, 0], last[:, 1], cos_h, sin_h], axis=1)
+    divisor = np.where(still, 1.0, speed)
+    cos_h = np.where(still, 1.0, vx / divisor)
+    sin_h = np.where(still, 0.0, vy / divisor)
+    return np.stack([last[:, 0], last[:, 1], cos_h, sin_h, speed], axis=1)
 
 
 def local_endpoints(frames: np.ndarray, points: np.ndarray) -> np.ndarray:

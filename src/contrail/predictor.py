@@ -137,8 +137,8 @@ class HeatmapPredictor:
 
     def encode(self, scenes: Scenes) -> SampleTable:
         """Every row of ``scenes`` as one table row, its task label
-        copied across.  Each scene's frame is computed once; its
-        features, local endpoint and target cell all derive from it."""
+        copied across.  Each scene's frame is computed once; its features,
+        local endpoint, target cell and speed all derive from it."""
         t_obs, k_sv = scenes.tv.shape[1], scenes.mask.shape[1]
         if (t_obs, k_sv) != (self.config.t_obs, self.config.k_sv):
             raise ValueError(
@@ -151,7 +151,7 @@ class HeatmapPredictor:
             scene_features(scenes, frames),
             endpoint_cells(ends, self.config.grid),
             ends,
-            scenes.speeds,
+            frames[:, 4].copy(),
             scenes.labels,
         )
 

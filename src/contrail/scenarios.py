@@ -46,6 +46,7 @@ __all__ = [
     "generate_task",
     "ingest_csv",
     "task_datasets",
+    "train_count",
     "write_task_csv",
     "write_task_csvs",
 ]
@@ -297,7 +298,6 @@ def _generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
         svs,
         np.ones((n, k_sv), dtype=bool),
         tracks[:, -1, :2].copy(),
-        speeds,
         np.full(n, label),
     )
     return scenes, tracks
@@ -323,11 +323,16 @@ def check_episode_geometry(tasks: Sequence[TaskSpec]) -> None:
                 )
 
 
+def train_count(n_samples: int) -> int:
+    """The train half of ``n_samples`` under the fixed 80/20 split: four fifths, rounded down."""
+    return (4 * n_samples) // 5
+
+
 def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[Scenes, Scenes]]:
-    """Per-task (train, test) pairs under the fixed 80/20 index split:
-    the first four fifths of each task's samples train, the rest test.
-    Content comes only from each task's own seed, so one call serves
-    every repetition and strategy of an experiment."""
+    """Per-task (train, test) pairs under the fixed 80/20 index split
+    (:func:`train_count`): the first rows of each task train, the rest
+    test.  Content comes only from each task's own seed, so one call
+    serves every repetition and strategy of an experiment."""
     check_episode_geometry(tasks)
     out = []
     for i, task in enumerate(tasks):
@@ -335,7 +340,7 @@ def task_datasets(tasks: Sequence[TaskSpec]) -> list[tuple[Scenes, Scenes]]:
             scenes = generate_task(task, label=i + 1)
         except ValueError as exc:
             raise ValueError(f"tasks[{i}]: {exc}") from None
-        n_train = (4 * len(scenes)) // 5
+        n_train = train_count(len(scenes))
         rows = np.arange(len(scenes))
         out.append((scenes.take(rows[:n_train]), scenes.take(rows[n_train:])))
     return out
@@ -603,14 +608,13 @@ def ingest_csv(
     n, steps = len(starts), np.arange(t_obs)
     tv, svs = np.empty((n, t_obs, 4)), np.zeros((n, k_sv, t_obs, 4))
     mask, ends = np.zeros((n, k_sv), dtype=bool), np.empty((n, 2))
-    speeds, window_labels = np.empty(n), np.empty(n, dtype=np.int64)
+    window_labels = np.empty(n, dtype=np.int64)
     for c in range(0, n, CHUNK_ROWS):
         first = starts[c : c + CHUNK_ROWS]
         out = slice(c, c + len(first))
         now = order[first + t_obs - 1]  # each window's decision row
         tv[out] = states[order[first[:, None] + steps]]
         ends[out] = states[order[first + t_obs + t_pred - 1], :2]
-        speeds[out] = hypot_rows(states[now, 2], states[now, 3])
         window_labels[out] = labels[now]
 
         lo, hi = _alive_at(index_frames, frames[first])
@@ -627,4 +631,4 @@ def ingest_csv(
         win, slot, cand = win[kept] + c, slot[kept], cand[kept]
         svs[win, slot] = states[order[cand[:, None] + steps]]
         mask[win, slot] = True
-    return Scenes(tv, svs, mask, ends, speeds, window_labels)
+    return Scenes(tv, svs, mask, ends, window_labels)

@@ -15,6 +15,7 @@ import hashlib
 import math
 import tempfile
 from collections.abc import Callable
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ def _random_scene(
     with probability 0.8."""
     tracks = rng.uniform(-span, span, size=(1 + k_sv, t_obs, 4))
     mask = rng.random(k_sv) < 0.8
-    return Scenes(tracks[None, 0], tracks[None, 1:], mask[None], np.zeros((1, 2)), np.ones(1), np.zeros(1, int))
+    return Scenes(tracks[None, 0], tracks[None, 1:], mask[None], np.zeros((1, 2)), np.zeros(1, int))
 
 
 def check_gradients(n_cases: int = 10, tol: float = 1e-4) -> bool:
@@ -225,18 +226,16 @@ def check_adam_descends(steps: int = 60) -> bool:
     return last < first
 
 
-def check_csv_round_trip() -> bool:
-    """A written task ingests back to exactly the same states, masks
-    and endpoints."""
-    spec = TaskSpec(kind="arc", n_samples=4, seed=23, noise_sigma=0.1, k_sv=2)
+def check_csv_round_trip(
+    spec: TaskSpec = TaskSpec(kind="arc", n_samples=4, seed=23, noise_sigma=0.1, k_sv=2), label: int = 1
+) -> bool:
+    """``spec`` written as a track table with ``label`` ingests back to
+    exactly the samples written, in every field, the labels included."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "task.csv"
-        written = write_task_csv(spec, 1, path)
+        written = write_task_csv(spec, label, path)
         ingested = ingest_csv(path, t_obs=spec.t_obs, t_pred=spec.t_pred, k_sv=spec.k_sv)
-    return all(
-        np.array_equal(getattr(written, name), getattr(ingested, name))
-        for name in ("tv", "svs", "mask", "ends")
-    )
+    return all(np.array_equal(getattr(written, f.name), getattr(ingested, f.name)) for f in fields(Scenes))
 
 
 def _tiny_matrix_values(strategy: Strategy = Strategy.DUAL_REPLAY) -> list[float]:

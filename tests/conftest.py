@@ -33,11 +33,12 @@ def make_scenes(
 ) -> Scenes:
     """``n`` random scenes, drawn one after the other: uniform states in
     +-span and each neighbor slot kept with probability 0.8.  With a
-    ``grid`` each scene then draws an endpoint inside it and a speed in
-    [0.5, 12]; without one the endpoint is the origin and the speed 1.
+    ``grid`` each scene then draws an endpoint inside it and one unused
+    uniform value, which keeps the rng stream the tests' data comes
+    from; without one the endpoint is the origin.
     ``labels`` is one label for every row or one per row."""
     tv, svs, mask = np.empty((n, t_obs, 4)), np.empty((n, k_sv, t_obs, 4)), np.empty((n, k_sv), bool)
-    ends, speeds = np.zeros((n, 2)), np.ones(n)
+    ends = np.zeros((n, 2))
     for i in range(n):
         tracks = rng.uniform(-span, span, size=(1 + k_sv, t_obs, 4))
         tv[i], svs[i] = tracks[0], tracks[1:]
@@ -47,8 +48,8 @@ def make_scenes(
                 rng.uniform(grid.origin[0], grid.origin[0] + grid.cols_w * grid.cell_size),
                 rng.uniform(grid.origin[1], grid.origin[1] + grid.rows_h * grid.cell_size),
             )
-            speeds[i] = rng.uniform(0.5, 12.0)
-    return Scenes(tv, svs, mask, ends, speeds, np.broadcast_to(np.asarray(labels), (n,)).copy())
+            rng.uniform(0.5, 12.0)
+    return Scenes(tv, svs, mask, ends, np.broadcast_to(np.asarray(labels), (n,)).copy())
 
 
 def make_table(
@@ -400,7 +401,7 @@ def ref_generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
     order and refusing the same specs with the same message."""
     rng = np.random.default_rng(spec.seed)
     n, t_obs, k_sv = spec.n_samples, spec.t_obs, spec.k_sv
-    tracks, svs, speeds = [], [], []
+    tracks, svs = [], []
     horizon = spec.t_pred * spec.dt
     try:
         for _ in range(n):
@@ -432,7 +433,6 @@ def ref_generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
             sv_tracks.sort(key=lambda tr: math.hypot(tr[-1][0] - tv_x, tr[-1][1] - tv_y))
             tracks.append(tv_track)
             svs.append(sv_tracks)
-            speeds.append(speed)
     except (ValueError, OverflowError):  # math.sin of an infinite heading; a range too wide to draw from
         in_range = False
     else:
@@ -450,7 +450,6 @@ def ref_generate(spec: TaskSpec, label: int) -> tuple[Scenes, np.ndarray]:
         np.array(svs, dtype=np.float64).reshape(n, k_sv, t_obs, 4),
         np.ones((n, k_sv), dtype=bool),
         whole[:, -1, :2].copy(),
-        np.array(speeds, dtype=np.float64),
         np.full(n, label),
     )
     return scenes, whole

@@ -35,10 +35,10 @@ from contrail.learner import Strategy, TrainConfig
 from contrail.losses import LossSpec
 from contrail.metrics import EvalReport, matrix_entries
 from contrail.predictor import HeatmapPredictor, PredictorConfig
-from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets
+from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets, train_count, write_task_csvs
 from contrail.selftest import _golden_digest
 
-from conftest import make_scenes, result_matrix, same_rows, scale_positions
+from conftest import make_scenes, result_matrix, same_bits, same_rows, scale_positions
 
 
 def base_config(**overrides):
@@ -64,15 +64,19 @@ def write_config(path, **overrides):
     return path
 
 
+def readme_config() -> ExperimentConfig:
+    """The config under the README's quickstart heading: the heredoc of
+    its first shell block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Write a config and run a small experiment", 1)[1]
+    return parse_config(section.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0])
+
+
 class TestParseConfig:
     def test_readme_quickstart_config_parses(self):
-        """The config under the README's quickstart heading is the
-        heredoc of its first shell block; it stays a valid experiment
-        over all six strategies."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("Write a config and run a small experiment", 1)[1]
-        config = section.split("<<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
-        cfg = parse_config(config)
+        """The README's quickstart config stays a valid experiment over
+        all six strategies."""
+        cfg = readme_config()
         assert set(cfg.strategies) == set(Strategy)
         assert len(cfg.strategies) == 6
 
@@ -369,6 +373,7 @@ class TestEvaluateTask:
         fdes = []
         preds = []
         locals_ = []
+        speeds = []
         for i in range(len(samples)):
             one = samples.take(np.array([i]))
             frames = scene_frames(one)
@@ -378,7 +383,8 @@ class TestEvaluateTask:
             fdes.append(fde(pred, local)[0])
             preds.append(pred[0])
             locals_.append(local[0])
-        want_mr = mr_task(np.stack(preds), np.stack(locals_), samples.speeds, np.array([1.0, 0.0]))
+            speeds.append(frames[0, 4])
+        want_mr = mr_task(np.stack(preds), np.stack(locals_), np.array(speeds), np.array([1.0, 0.0]))
         assert got_fde == pytest.approx(float(np.mean(fdes)), rel=1e-12)
         assert got_mr == pytest.approx(want_mr, rel=1e-12)
 
@@ -418,6 +424,27 @@ class TestGenCommand:
         main(["gen", "--config", str(cfg), "--output", str(out)])
         samples = ingest_csv(out / "data" / "task_01.csv")
         assert len(samples) == 6
+
+    def test_readme_tasks_reingest_to_the_synthetic_table_rows(self, tmp_path):
+        """The README tasks written as CSV tables, ingested, split 80/20
+        and encoded on the README model give the rows ``encode_tasks``
+        gives ``task_datasets``, in every column and bit for bit, the
+        labels and speeds included: a run over gen's tables would train
+        and score on the synthetic run's rows."""
+        config = readme_config()
+        model = cli._model(config, config.seed)
+        first = config.tasks[0]
+        splits = []
+        for path, _ in write_task_csvs(config.tasks, tmp_path):
+            scenes = ingest_csv(path, t_obs=first.t_obs, t_pred=first.t_pred, k_sv=first.k_sv)
+            n_train, rows = train_count(len(scenes)), np.arange(len(scenes))
+            splits.append((scenes.take(rows[:n_train]), scenes.take(rows[n_train:])))
+        got = [table for pair in cli.encode_tasks(model, splits) for table in pair]
+        want = [table for pair in cli.encode_tasks(model, task_datasets(config.tasks)) for table in pair]
+        assert [len(table) for table in got] == [320, 80] * 3
+        for a, b in zip(got, want, strict=True):
+            for f in dataclasses.fields(SampleTable):
+                assert same_bits(getattr(a, f.name), getattr(b, f.name)), f.name
 
     @pytest.mark.parametrize(
         "bad, shared",

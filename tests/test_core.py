@@ -25,16 +25,15 @@ from contrail.core import (
 from conftest import make_scenes, make_table, same_rows
 
 
-def scenes_of(tv, svs=None, mask=None, ends=None, speeds=None, labels=None) -> Scenes:
+def scenes_of(tv, svs=None, mask=None, ends=None, labels=None) -> Scenes:
     """A table around ``tv`` (n, t_obs, 4) whose other columns default to
-    no neighbors, endpoints at the origin, speed 1 and label 1."""
+    no neighbors, endpoints at the origin and label 1."""
     n, t_obs = tv.shape[:2]
     return Scenes(
         tv,
         np.zeros((n, 0, t_obs, 4)) if svs is None else svs,
         np.zeros((n, 0), bool) if mask is None else mask,
         np.zeros((n, 2)) if ends is None else ends,
-        np.ones(n) if speeds is None else speeds,
         np.ones(n, int) if labels is None else np.asarray(labels),
     )
 
@@ -112,7 +111,7 @@ class TestGridGeometry:
 
 def to_world(frame: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Inverse of :func:`local_endpoints` for one frame row."""
-    x0, y0, cos_h, sin_h = frame
+    x0, y0, cos_h, sin_h, _ = frame
     px, py = point
     return np.array([x0 + px * cos_h - py * sin_h, y0 + px * sin_h + py * cos_h])
 
@@ -134,7 +133,7 @@ class TestFrame:
         origin = local_endpoints(frames, last[:, :2])
         assert np.abs(origin).max() < 1e-12
         # Velocities rotate without the translation.
-        velocity = local_endpoints(frames * [0, 0, 1, 1], last[:, 2:])
+        velocity = local_endpoints(frames * [0, 0, 1, 1, 0], last[:, 2:])
         speed = np.hypot(last[:, 2], last[:, 3])
         assert velocity[:, 0] == pytest.approx(speed, abs=1e-9)
         assert velocity[:, 1] == pytest.approx(np.zeros(100), abs=1e-9)
@@ -142,7 +141,7 @@ class TestFrame:
     def test_stationary_target_keeps_world_axes(self):
         scenes = scenes_of(np.array([[[3.0, 4.0, 0.0, 0.0]]]))
         frames = scene_frames(scenes)
-        assert frames.tolist() == [[3.0, 4.0, 1.0, 0.0]]
+        assert frames.tolist() == [[3.0, 4.0, 1.0, 0.0, 0.0]]
         assert local_endpoints(frames, np.array([[4.0, 5.0]])).tolist() == [[1.0, 1.0]]
 
 
@@ -160,13 +159,6 @@ class TestSceneValidation:
             scenes_of(tv, mask=np.zeros((2, 0), bool))
         with pytest.raises(ValueError, match="bools"):
             scenes_of(tv, svs=np.zeros((1, 1, 1, 4)), mask=np.ones((1, 1)))
-
-    def test_negative_speed_rejected(self):
-        tv = np.zeros((2, 1, 4))
-        with pytest.raises(ValueError, match="non-negative"):
-            scenes_of(tv, speeds=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError, match="speeds"):
-            scenes_of(tv, speeds=np.ones(3))
 
 
 class TestSceneHash:

@@ -118,7 +118,7 @@ class TestForward:
         svs = base.svs.copy()
         svs[0, 1] = 9.0
         mask = np.array([[base.mask[0, 0], False]])
-        masked = Scenes(base.tv, svs, mask, base.ends, base.speeds, np.ones(1, int))
+        masked = Scenes(base.tv, svs, mask, base.ends, np.ones(1, int))
         feats = features_of(masked)[0]
         per_track = base.tv.shape[1] * 4
         assert np.all(feats[2 * per_track :] == 0.0)
@@ -407,7 +407,8 @@ class TestBatchedMatchesPerScene:
         local = local_endpoints(scene_frames(scenes), scenes.ends)
         assert local.tobytes() == want_local.tobytes()
         assert np.array_equal(endpoint_cells(local, self.grid), want_cells)
-        assert table.speeds.tolist() == scenes.speeds.tolist()
+        # A still target's speed stays its raw hypot, not the 1.0 its frame divides by.
+        assert table.speeds.tolist() == [math.hypot(*tv[-1][2:]) for tv, _, _ in rows]
 
     @pytest.mark.parametrize("kind", ["straight", "arc", "turn"])
     def test_every_family(self, kind):
@@ -423,9 +424,9 @@ class TestBatchedMatchesPerScene:
         moving = make_scenes(rng, 6, k_sv=2, grid=self.grid)
         tv = moving.tv.copy()
         tv[:5, -1, 2:] = 0.0
-        scenes = Scenes(tv, moving.svs, moving.mask, moving.ends, moving.speeds, np.ones(6, int))
+        scenes = Scenes(tv, moving.svs, moving.mask, moving.ends, np.ones(6, int))
         frames = scene_frames(scenes)
-        assert frames[:5, 2:].tolist() == [[1.0, 0.0]] * 5
+        assert frames[:5, 2:].tolist() == [[1.0, 0.0, 0.0]] * 5
         self.assert_bit_equal(scenes)
 
     def test_masked_slots_from_a_sparse_track_table(self, tmp_path):

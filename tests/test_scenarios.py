@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from contrail import scenarios
-from contrail.core import Scenes, local_endpoints, scene_frames
+from contrail.core import GridSpec, Scenes, local_endpoints, scene_frames
+from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import (
     CSV_HEADER,
     TaskSpec,
@@ -29,6 +30,7 @@ from contrail.scenarios import (
     task_datasets,
     write_task_csv,
 )
+from contrail.selftest import check_csv_round_trip
 
 from conftest import _parse_rows, _segments, ref_generate, ref_write_task_csv, same_bits, same_rows, scale_positions
 
@@ -36,6 +38,13 @@ from conftest import _parse_rows, _segments, ref_generate, ref_write_task_csv, s
 def local_endpoints_of(scenes: Scenes) -> np.ndarray:
     """Each truth endpoint in its scene's target-centric frame, (n, 2)."""
     return local_endpoints(scene_frames(scenes), scenes.ends)
+
+
+def encoded_speeds(scenes: Scenes) -> list[float]:
+    """Each target's decision-step speed as encoding derives it."""
+    grid = GridSpec(rows_h=1, cols_w=1, origin=(0.0, 0.0), cell_size=1.0)
+    config = PredictorConfig(t_obs=scenes.tv.shape[1], k_sv=scenes.mask.shape[1], hidden_dims=(1,), grid=grid)
+    return HeatmapPredictor(config).encode(scenes).speeds.tolist()
 
 
 class TestStraight:
@@ -48,7 +57,7 @@ class TestStraight:
             # 30 steps of 0.1 s at 10 m/s.
             assert lon == pytest.approx(30.0, abs=1e-9)
             assert lat == pytest.approx(0.0, abs=1e-9)
-        assert scenes.speeds.tolist() == [10.0] * 6
+        assert encoded_speeds(scenes) == pytest.approx([10.0] * 6, rel=1e-12)
 
     def test_velocities_and_spacing_are_exact(self):
         spec = TaskSpec(
@@ -116,18 +125,18 @@ class TestGeneration:
     @pytest.mark.parametrize(
         "kind, digest",
         [
-            ("straight", "5816e486721657198487783b947c2cf4888bae622b132f13f96098eed9936440"),
-            ("arc", "51e2322f2401f8341f847038573516e95b049bedaab4526f650c5131ec438076"),
-            ("turn", "124f7a3ec3a7e0f9f8d446ce9ff38e6c52dfe69ca67354bd0157c3807debdc21"),
+            ("straight", "5b8faa7d3186765bc4b85ab8ee482a38602515d3c77a87fb61fdb9f8539e1e17"),
+            ("arc", "326eddc3ecf2918add98db9b6e95d75ffb47e83498d745add889632323933b41"),
+            ("turn", "6d051056afe152ec612ea601a9f8f44e98b2f562639526c992f8027c2e1932f1"),
         ],
     )
     def test_generated_bytes_are_pinned(self, kind, digest):
-        """SHA-256 of the tv, svs, ends and speeds float64 bytes, pinned
+        """SHA-256 of the tv, svs and ends float64 bytes, pinned
         from the generator as it was when every sample was an object:
         the rng call order and the arithmetic stay exactly as they were."""
         scenes = generate_task(TaskSpec(kind=kind, n_samples=5, seed=11, noise_sigma=0.1, k_sv=2), label=1)
         h = hashlib.sha256()
-        for column in (scenes.tv, scenes.svs, scenes.ends, scenes.speeds):
+        for column in (scenes.tv, scenes.svs, scenes.ends):
             h.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
         assert scenes.mask.all() and scenes.labels.tolist() == [1] * 5
@@ -257,25 +266,20 @@ class TestFamilySeparation:
 
 
 class TestCsvRoundTrip:
-    @staticmethod
-    def assert_round_trip(tmp_path, spec):
-        path = tmp_path / "task.csv"
-        written = write_task_csv(spec, label=7, path=path)
-        assert same_rows(written, generate_task(spec, label=7))
-        ingested = ingest_csv(path, t_obs=spec.t_obs, t_pred=spec.t_pred, k_sv=spec.k_sv)
-        assert len(ingested) == len(written) == spec.n_samples
-        for name in ("tv", "svs", "mask", "ends"):
-            assert np.array_equal(getattr(ingested, name), getattr(written, name))
-        assert ingested.speeds == pytest.approx(written.speeds, rel=1e-12)
-        assert ingested.labels.tolist() == [7] * spec.n_samples
+    """Through selftest's round-trip oracle: every field of the written
+    samples, the labels included, ingests back exactly."""
 
-    def test_written_task_reingests_exactly(self, tmp_path):
-        self.assert_round_trip(tmp_path, TaskSpec("arc", 3, seed=31, noise_sigma=0.15, k_sv=2))
+    def test_written_task_reingests_exactly(self):
+        assert check_csv_round_trip(TaskSpec("arc", 3, seed=31, noise_sigma=0.15, k_sv=2), label=7)
 
-    def test_long_horizon_task_reingests_exactly(self, tmp_path):
+    def test_long_horizon_task_reingests_exactly(self):
         # A 110-frame window: episodes 100 frames apart would leave each
         # target track alive in the next episode's observation window.
-        self.assert_round_trip(tmp_path, TaskSpec("arc", 50, seed=3, noise_sigma=0.15, k_sv=1, t_pred=100))
+        assert check_csv_round_trip(TaskSpec("arc", 50, seed=3, noise_sigma=0.15, k_sv=1, t_pred=100), label=7)
+
+    def test_writer_returns_the_generated_samples(self, tmp_path):
+        spec = TaskSpec("arc", 3, seed=31, noise_sigma=0.15, k_sv=2)
+        assert same_rows(write_task_csv(spec, label=7, path=tmp_path / "task.csv"), generate_task(spec, label=7))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = TaskSpec("turn", 3, seed=32, noise_sigma=0.15)
@@ -391,7 +395,7 @@ def assert_same_draw(spec: TaskSpec) -> None:
         return
     got = scenarios._generate(spec, 3)
     assert same_rows(got[0], want[0]) and same_bits(got[1], want[1]), spec
-    for column in ("tv", "svs", "ends", "speeds"):
+    for column in ("tv", "svs", "ends"):
         assert same_bits(getattr(got[0], column), getattr(want[0], column)), (spec, column)
 
 
@@ -524,7 +528,7 @@ class TestIngestion:
 
         assert samples.tv[0, :, 0].tolist() == [0.0, 1.0, 2.0]
         assert samples.ends[0].tolist() == [4.0, 0.0]
-        assert samples.speeds[0] == 10.0
+        assert encoded_speeds(samples)[0] == 10.0
         # The bike covers the first observation window only.
         assert samples.mask[0].tolist() == [True, False]
         assert samples.svs[0, 0, 0, 0] == 100.5
@@ -860,14 +864,13 @@ def quadratic_ingest(path, t_obs=10, t_pred=30, k_sv=4):
                         np.array(slots, dtype=float).reshape(1, k_sv, t_obs, 4),
                         np.array([[k < n_real for k in range(k_sv)]], dtype=bool).reshape(1, k_sv),
                         np.array([end_row[1:3]]),
-                        np.array([math.hypot(t_c_row[3], t_c_row[4])]),
                         np.array([t_c_row[5]]),
                     )
                 )
     if not samples:
         return Scenes(
             np.zeros((0, t_obs, 4)), np.zeros((0, k_sv, t_obs, 4)), np.zeros((0, k_sv), bool),
-            np.zeros((0, 2)), np.zeros(0), np.zeros(0, int),
+            np.zeros((0, 2)), np.zeros(0, int),
         )
     return Scenes.concat(samples)
 
@@ -945,7 +948,7 @@ class TestNeighborLookupMatchesQuadraticScan:
         rows += [[diag, f, dx, dy, 0.0, 0.0, "sv", 1] for f in range(5)]
         rows += [[axis, f, rounded, 0.0, 0.0, 0.0, "sv", 1] for f in range(5)]
         sample = self._ingest_both(tmp_path, rows, t_obs=3, t_pred=2, k_sv=2)
-        assert sample.speeds.tolist() == [exact]
+        assert encoded_speeds(sample) == [exact]
         nearest = [dx, dy] if exact < rounded else [rounded, 0.0]
         assert sample.svs[0, 0, -1, :2].tolist() == nearest
 
