@@ -35,7 +35,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .core import GridSpec, SampleTable, atomic_write, endpoint_cells, from_json, json_object
+from .core import GridSpec, SampleTable, atomic_write, endpoint_cells, from_json, json_object, open_text
 from .memory import CompletionBuffer, SeparationBuffer
 from .predictor import AdamState, HeatmapPredictor, PredictorConfig
 
@@ -245,10 +245,11 @@ def load_checkpoint(
     a ``capacity``, ``b_compare`` or ``stream_count`` that is not an int
     (at least 1, 1 and 0) raise a ValueError that starts with
     ``path``."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: not a JSON document: {exc}") from None
+    with open_text(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bytes that are not UTF-8 too
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ValueError(f"{path} is not a {FORMAT} file")
     try:

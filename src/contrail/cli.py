@@ -21,7 +21,6 @@ import json
 import math
 import re
 import sys
-import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -29,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .core import ConfigError, GridSpec, SampleTable, Scenes, atomic_write, from_json, json_object
+from .core import ConfigError, GridSpec, SampleTable, Scenes, atomic_write, from_json, json_object, open_text
 from .learner import Strategy, TrainConfig, TrainResult, check_buffer_split, train_stream
 from .losses import LossSpec
 from .metrics import (
@@ -169,7 +168,9 @@ def load_config(path: Path | str) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
+    with open_text(path, ConfigError) as fh:
+        text = fh.read()
+    return parse_config(text)
 
 
 def encode_tasks(
@@ -264,8 +265,8 @@ def run_cell(
     model_seed, stream_seed, train_seed = _cell_seeds(config.seed, rep)
     trains = [rows for rows, _ in tables]
     model = _model(config, model_seed)
-    # The stream's rows are handed over, not kept: they are freed when
-    # training returns.
+    # The stream's rows are handed over, not kept; the buffers of dual,
+    # der and gss hold the stream table until the checkpoint is written.
     result = train_stream(
         model,
         SampleTable.concat(trains).take(build_stream(trains, stream_seed)),
@@ -354,11 +355,9 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
     run in a process pool of at most one process per cell.  A task
     whose drawn tracks are refused (not finite, or beyond
     ``scenarios.TRACK_LIMIT``) is a ConfigError, raised before
-    ``out_root`` is created.
-    Identical configs produce identical artifacts apart from the
-    manifest's wall-clock entry.
+    ``out_root`` is created.  Identical configs produce byte-identical
+    artifacts: no timing is written.
     """
-    started = time.time()
     out_root = Path(out_root if out_root is not None else config.output_dir)
     cells = {
         (strategy, rep): out_root / "runs" / strategy.value / f"rep_{rep:02d}"
@@ -409,7 +408,6 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
         "cells": {
             f"{s.value}/rep_{r:02d}": str(out_dir.relative_to(out_root)) for (s, r), out_dir in cells.items()
         },
-        "wall_clock_seconds": time.time() - started,
     }
     with atomic_write(out_root / "manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
@@ -420,10 +418,10 @@ def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
     """Rebuild the summary purely from the emitted matrix CSVs.  Every
     entry of ``runs`` must be a directory named for a strategy, every
     entry of a strategy directory a ``rep_NN`` cell directory holding
-    both CSVs; a missing CSV (a cell interrupted while writing its
-    artifacts) raises FileNotFoundError naming it, and a pair of
-    matrices that disagree on the entries they record a ValueError
-    naming the cell."""
+    both CSVs; a CSV that is missing (a cell interrupted while writing
+    its artifacts) or cannot be read raises a ValueError that starts
+    with its path, and a pair of matrices that disagree on the entries
+    they record a ValueError naming the cell."""
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
         raise FileNotFoundError(f"no runs directory under {out_root}")
@@ -506,8 +504,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary, order = recompute_summary_from_csv(out_root)
     sys.stdout.write(format_summary(summary, order))
     if args.check:
-        stored_path = out_root / "summary.json"
-        stored = json.loads(stored_path.read_text())
+        with open_text(out_root / "summary.json") as fh:
+            stored = json.load(fh)
         recomputed = json.loads(json.dumps(summary))
         if stored != recomputed:
             raise RuntimeError(

@@ -13,13 +13,15 @@ discretised onto a rectangular grid of square cells.
 Grid convention: cell ``(0, 0)`` has its corner at ``GridSpec.origin``,
 rows index the y axis and columns the x axis, both row-major.
 
-Every artifact file is written through :func:`atomic_write`, and
-every outside JSON object (a config's parts, a checkpoint's header)
+Every artifact file is written through :func:`atomic_write`, every
+outside text file is read through :func:`open_text`, and every
+outside JSON object (a config's parts, a checkpoint's header)
 becomes a dataclass through :func:`json_object` and :func:`from_json`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import os
@@ -41,6 +43,7 @@ __all__ = [
     "hypot_rows",
     "json_object",
     "local_endpoints",
+    "open_text",
     "scene_frames",
     "softmax",
     "task_boundaries",
@@ -186,12 +189,6 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
 
 
-def _dumps(value: object) -> str:
-    import json  # only an error message needs it
-
-    return json.dumps(value)
-
-
 def _one(*types: type) -> Callable[[object], bool]:
     return lambda value: type(value) in types
 
@@ -218,7 +215,7 @@ def json_object(data: object, keys: Iterable[str], where: str) -> dict:
     """``data`` if it is a JSON object whose keys are all in ``keys``;
     else a ConfigError names ``where``."""
     if type(data) is not dict:
-        raise ConfigError(f"{where} is {_dumps(data)}: it must be a JSON object")
+        raise ConfigError(f"{where} is {json.dumps(data)}: it must be a JSON object")
     unknown = set(data) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -242,7 +239,7 @@ def from_json(cls: type, obj: dict, prefix: str, **given):
             continue
         check, what, convert = JSON_FIELDS[f.type]
         if not check(obj[f.name]):
-            raise ConfigError(f"{prefix}{f.name} is {_dumps(obj[f.name])}: it must be {what}")
+            raise ConfigError(f"{prefix}{f.name} is {json.dumps(obj[f.name])}: it must be {what}")
         values[f.name] = convert(obj[f.name])
     return cls(**values)
 
@@ -307,13 +304,29 @@ def atomic_write(path: Path | str) -> Iterator[TextIO]:
     """Open ``path`` for writing text so that it appears whole or not at
     all: the block writes a temp file in the same directory, which
     replaces ``path`` when the block ends and is removed if it raises.
-    Newlines are written as given."""
+    Newlines are written as given, in UTF-8."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def open_text(path: Path | str, error: type[ValueError] = ValueError) -> Iterator[TextIO]:
+    """Open the outside file ``path`` to read UTF-8 text, newlines as
+    given.  A path that cannot be opened, such as a directory, and bytes
+    that are not UTF-8 raise ``error`` with a message that starts with
+    ``path``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"{path}: cannot be read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+

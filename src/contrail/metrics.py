@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import GridSpec, atomic_write, softmax
+from .core import GridSpec, atomic_write, open_text, softmax
 
 __all__ = [
     "EvalReport",
@@ -276,7 +276,7 @@ def read_matrix_csv(path: Path) -> np.ndarray:
     that is not an integer, a non-finite value and an ``(after,
     tested)`` entry that is out of range or repeated raise a ValueError
     naming ``path:line``."""
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["after_task", "tested_task", "value"]:
         raise ValueError(f"{path} is not a result-matrix CSV")

@@ -37,7 +37,7 @@ from typing import Callable, Sequence, Sized
 
 import numpy as np
 
-from .core import Scenes, atomic_write, hypot_rows
+from .core import Scenes, atomic_write, hypot_rows, open_text
 
 __all__ = [
     "TaskSpec",
@@ -425,76 +425,57 @@ CHUNK_ROWS = 1024
 INT_LIMIT = 2**62
 
 
-def _check_rows(path: Path, rows: list[list[str]], lineno: int, roles: dict[str, str]) -> None:
-    """Check ``rows``, read from ``lineno`` on, one at a time in the
-    order a row's checks run; the first bad row raises a ValueError
-    naming ``path:line``.  ``roles`` maps each track already read to
-    its role."""
-    for lineno, row in enumerate(rows, start=lineno):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
-        try:
-            track_id = row[0]
-            frame = int(row[1])
-            x, y, vx, vy = float(row[2]), float(row[3]), float(row[4]), float(row[5])
-            role = row[6]
-            label = int(row[7])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from None
-        # False for NaN and infinities too.
-        if not (
-            abs(x) <= TRACK_LIMIT and abs(y) <= TRACK_LIMIT
-            and abs(vx) <= TRACK_LIMIT and abs(vy) <= TRACK_LIMIT
-        ):
-            raise ValueError(
-                f"{path}:{lineno}: non-finite x, y, vx or vy, or one beyond "
-                f"{TRACK_LIMIT:g} m or m/s in magnitude"
-            )
-        if role not in ("tv", "sv"):
-            raise ValueError(f"{path}:{lineno}: agent_role must be 'tv' or 'sv'")
-        if roles.setdefault(track_id, role) != role:
-            raise ValueError(f"{path}:{lineno}: track {track_id} changes role")
-        if not (abs(frame) <= INT_LIMIT and abs(label) <= INT_LIMIT):
-            raise ValueError(f"{path}:{lineno}: frame or task_label beyond 2**62 in magnitude")
+class _BrokenRule(Exception):
+    """A chunk of rows breaks the row rule its message states."""
+
+
+def _ints(column: tuple[str, ...], n: int) -> np.ndarray | None:
+    """``column`` parsed by ``int`` into int64, or None if a value is
+    beyond it: that rule comes last, after the row's later fields parse."""
+    try:
+        return np.fromiter(map(int, column), np.int64, n)
+    except OverflowError:
+        return None
 
 
 def _chunk_columns(
     rows: list[list[str]], lineno: int, ids: dict[str, int], roles: dict[str, str]
-) -> tuple[np.ndarray, ...] | None:
+) -> tuple[np.ndarray, ...]:
     """One chunk of rows, read from ``lineno`` on, as columns: track
     codes, frames, states ``(n, 4)`` (x, y, vx, vy), labels and line
     numbers, blank rows left out.  Tracks new to ``ids`` get the next
     codes, by first appearance, and their first row's role in
-    ``roles``.  None when a row breaks one of :func:`_check_rows`'
-    rules; the values are parsed by the same ``int`` and ``float``."""
+    ``roles``.  Each row rule of :func:`ingest_csv`, in its order, is
+    checked over the whole chunk; the first one broken raises
+    :class:`_BrokenRule`."""
     lines = np.arange(lineno, lineno + len(rows))
     widths = set(map(len, rows))
     if widths != {len(CSV_HEADER)}:
         if not widths <= {0, len(CSV_HEADER)}:
-            return None
+            raise _BrokenRule(f"expected {len(CSV_HEADER)} fields")
         lines = lines[np.fromiter(map(bool, rows), bool, len(rows))]
         rows = list(filter(None, rows))
     n = len(rows)
     track, frame, x, y, vx, vy, role, label = zip(*rows) if n else ((),) * len(CSV_HEADER)
     try:
-        frames = np.fromiter(map(int, frame), np.int64, n)
+        frames = _ints(frame, n)
         states = np.fromiter(map(float, chain.from_iterable(zip(x, y, vx, vy))), np.float64, 4 * n)
-        labels = np.fromiter(map(int, label), np.int64, n)
-    except (ValueError, OverflowError):  # OverflowError: beyond int64
-        return None
-    if not (_within_limit(states) and set(role) <= {"tv", "sv"}):
-        return None
+        labels = _ints(label, n)
+    except ValueError as exc:
+        raise _BrokenRule(f"malformed row: {exc}") from None
+    if not _within_limit(states):
+        raise _BrokenRule(f"non-finite x, y, vx or vy, or one beyond {TRACK_LIMIT:g} m or m/s in magnitude")
+    if not set(role) <= {"tv", "sv"}:
+        raise _BrokenRule("agent_role must be 'tv' or 'sv'")
     first_role = dict(zip(reversed(track), reversed(role)))
     for track_id in dict.fromkeys(track):
         if track_id not in ids:
             ids[track_id], roles[track_id] = len(ids), first_role[track_id]
-    if tuple(map(roles.__getitem__, track)) != role:
-        return None
+    if (known := tuple(map(roles.__getitem__, track))) != role:
+        raise _BrokenRule(f"track {next(t for t, r, k in zip(track, role, known) if r != k)} changes role")
     for ints in (frames, labels):
-        if n and not (ints.min() >= -INT_LIMIT and ints.max() <= INT_LIMIT):
-            return None
+        if ints is None or n and not (ints.min() >= -INT_LIMIT and ints.max() <= INT_LIMIT):
+            raise _BrokenRule("frame or task_label beyond 2**62 in magnitude")
     codes = np.fromiter(map(ids.__getitem__, track), np.intp, n)
     return codes, frames, states.reshape(n, 4), labels, lines
 
@@ -503,24 +484,30 @@ def _read_columns(path: Path) -> tuple[list[np.ndarray], dict[str, int], dict[st
     """The rows of the table at ``path`` as the columns of
     :func:`_chunk_columns`, in file order, with each track's code and
     role.  The table is read ``CHUNK_ROWS`` rows at a time; a chunk that
-    fails a column check is checked again row by row, so the first bad
-    row as read raises, with the message :func:`_check_rows` gives it."""
+    breaks a row rule is read again one row at a time, so the first bad
+    row as read raises a ValueError naming ``path:line``."""
     ids: dict[str, int] = {}
     roles: dict[str, str] = {}
     parts = [[column] for column in _chunk_columns([], 2, ids, roles)]  # typed, empty
-    with open(path, newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None and header != CSV_HEADER:
             raise ValueError(f"{path}: expected header {CSV_HEADER}, got {header}")
         lineno = 2
         while rows := list(islice(reader, CHUNK_ROWS)):
-            columns = _chunk_columns(rows, lineno, ids, roles)
-            if columns is None:
-                # ``roles`` may hold this chunk's new tracks already, at
-                # the role of their first row: the row checks agree.
-                _check_rows(path, rows, lineno, roles)
-                raise AssertionError(f"{path}:{lineno}: a chunk failed a column check but no row check")
+            try:
+                columns = _chunk_columns(rows, lineno, ids, roles)
+            except _BrokenRule:
+                # Each rule holds row by row, so some row breaks one.
+                # ``roles`` may hold the chunk's new tracks already, as
+                # single rows would set them.
+                for at, row in enumerate(rows, start=lineno):
+                    try:
+                        _chunk_columns([row], at, ids, roles)
+                    except _BrokenRule as exc:
+                        raise ValueError(f"{path}:{at}: {exc}") from None
+                raise
             for part, column in zip(parts, columns):
                 part.append(column)
             lineno += len(rows)

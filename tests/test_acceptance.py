@@ -17,7 +17,6 @@ seed, buffer, noise) cells are computed once and cached.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import time
 from pathlib import Path
@@ -569,15 +568,8 @@ def test_10_determinism_and_task_label_audit(tmp_path):
     for rel in files_a:
         bytes_a = (tmp_path / "a" / rel).read_bytes()
         bytes_b = (tmp_path / "b" / rel).read_bytes()
-        if rel.name == "manifest.json":
-            doc_a = json.loads(bytes_a)
-            doc_b = json.loads(bytes_b)
-            doc_a.pop("wall_clock_seconds")
-            doc_b.pop("wall_clock_seconds")
-            assert doc_a == doc_b
-        else:
-            assert bytes_a == bytes_b, f"{rel} differs between identical runs"
-            compared += 1
+        assert bytes_a == bytes_b, f"{rel} differs between identical runs"
+        compared += 1
     assert compared >= 4 * len(tuple(Strategy))
 
     tasks = (

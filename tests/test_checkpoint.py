@@ -194,6 +194,19 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="not a contrail-checkpoint"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "unreadable, message",
+        [("directory", "cannot be read: Is a directory"), ("not UTF-8", "not a JSON document: 'utf-8' codec")],
+    )
+    def test_unreadable_file_is_named(self, tmp_path, unreadable, message):
+        path = tmp_path / "checkpoint.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"format": "\xff"}')
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_checkpoint(path)
+
 
 @pytest.fixture
 def dual_result(tiny_model):

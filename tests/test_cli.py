@@ -307,6 +307,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize(
+        "unreadable, message", [("directory", "cannot be read: Is a directory"), ("not UTF-8", "not UTF-8 text: ")]
+    )
+    def test_unreadable_file_is_a_config_error_naming_it(self, tmp_path, capsys, unreadable, message):
+        path = tmp_path / "cfg.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(base_config(output_dir=str(tmp_path / "out"))).encode() + b"\xff")
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {path}: {message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,value", [("t_obs", 12), ("t_pred", 20), ("dt", 0.2), ("k_sv", 2)])
     def test_tasks_must_share_episode_geometry(self, field, value):
         tasks = [
@@ -645,10 +658,10 @@ class TestRunCommand:
 
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3
-        assert "wall_clock_seconds" in manifest
+        assert "wall_clock_seconds" not in manifest
         assert "N/A" in (out / "summary.txt").read_text()
 
-    def test_repeat_runs_are_identical_except_the_manifest_clock(self, tmp_path):
+    def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_config(
             tmp_path / "cfg.json",
             strategies=["dual"],
@@ -666,14 +679,7 @@ class TestRunCommand:
         files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
         assert files_a == files_b
         for rel in files_a:
-            if rel.name == "manifest.json":
-                ma = json.loads((a / rel).read_text())
-                mb = json.loads((b / rel).read_text())
-                ma.pop("wall_clock_seconds")
-                mb.pop("wall_clock_seconds")
-                assert ma == mb
-            else:
-                assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
     def test_worker_pool_matches_serial(self, tmp_path):
         tasks = [
@@ -724,6 +730,26 @@ class TestReportCommand:
         rows[1] = f"{head},{float(first) + 1.0!r}"
         matrix.write_text("\n".join(rows) + "\n")
         assert main(["report", "--run-dir", str(out), "--check"]) == 2
+
+    @pytest.mark.parametrize(
+        "name, unreadable, message",
+        [
+            ("runs/vanilla/rep_00/matrix_mr.csv", "not UTF-8", "not UTF-8 text: "),
+            ("runs/vanilla/rep_00/matrix_mr.csv", "directory", "cannot be read: Is a directory"),
+            ("summary.json", "not UTF-8", "not UTF-8 text: "),
+        ],
+    )
+    def test_unreadable_file_is_named(self, tmp_path, capsys, name, unreadable, message):
+        out = self._run(tmp_path)
+        path = out / name
+        if unreadable == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(path.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out), "--check"]) == 2
+        assert f"error: ValueError: {path}: {message}" in capsys.readouterr().err
 
     def test_missing_run_dir_is_a_runtime_error(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path / "void")]) == 2
@@ -970,6 +996,34 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: ValueError: {data}:2: non-finite x, y, vx or vy, or one beyond 1e+06" in captured.err
+
+    @pytest.mark.parametrize(
+        "name, unreadable, message",
+        [
+            ("checkpoint", "directory", "cannot be read: Is a directory"),
+            ("checkpoint", "not UTF-8", "not a JSON document: 'utf-8' codec"),
+            ("data", "directory", "cannot be read: Is a directory"),
+            ("data", "not UTF-8", "not UTF-8 text: "),
+        ],
+    )
+    def test_unreadable_file_exits_two_naming_it(self, tmp_path, capsys, name, unreadable, message):
+        cfg = write_config(tmp_path / "cfg.json", tasks=[{"kind": "straight", "n_samples": 5}])
+        assert main(["gen", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+        grid = GridSpec(rows_h=8, cols_w=8, origin=(-5.0, -20.0), cell_size=5.0)
+        model = HeatmapPredictor(PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(4,), grid=grid))
+        paths = {"checkpoint": tmp_path / "ck.json", "data": tmp_path / "out" / "data" / "task_01.csv"}
+        save_checkpoint(paths["checkpoint"], model.config, model.init_params())
+        path = paths[name]
+        if unreadable == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes(path.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["data"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: ValueError: {path}: {message}")
 
     @pytest.mark.parametrize("score", [math.inf, math.nan])
     def test_non_finite_score_is_an_error_not_invalid_json(self, tmp_path, capsys, monkeypatch, score):

@@ -587,6 +587,26 @@ class TestIngestion:
         with pytest.raises(ValueError, match="fields"):
             ingest_csv(path2)
 
+    @pytest.mark.parametrize("unreadable", ["directory", "not UTF-8"])
+    def test_unreadable_file_is_named(self, tmp_path, unreadable):
+        path = tmp_path / "table.csv"
+        if unreadable == "directory":
+            path.mkdir()
+            message = "cannot be read: Is a directory"
+        else:
+            rows = [["car", f, float(f), 0.0, 1.0, 0.0, "tv", 1] for f in range(2 * scenarios.CHUNK_ROWS)]
+            path.write_bytes(csv_text(rows).encode() + b"car,9999,0.0,0.0,1.0,0.0,tv,\xff\n")
+            message = "not UTF-8 text: "
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            ingest_csv(path)
+
+    def test_a_role_change_to_a_track_first_seen_in_the_same_chunk(self, tmp_path):
+        rows = track_rows("bike", "sv", range(3), 5.0, 0.0) + track_rows("car", "tv", range(3), 0.0, 0.0)
+        rows[4][0] = "bike"
+        path = tmp_path / "role.csv"
+        path.write_text(csv_text(rows))
+        assert assert_same_error(path) == f"{path}:6: track bike changes role"
+
     def test_duplicate_frames_rejected(self, tmp_path):
         rows = [
             ["car", 0, 0.0, 0.0, 1.0, 0.0, "tv", 1],
@@ -799,6 +819,13 @@ class TestFramesAndLabelsInRange:
         rows[3][column] = 2**62 if column == 7 else 3
         path.write_text(csv_text(rows))
         assert len(ingest_csv(path, t_obs=3, t_pred=2)) == 2
+
+    def test_a_frame_beyond_int64_does_not_hide_a_bad_float(self, tmp_path):
+        rows = [["car", f, float(f), 0.0, 10.0, 0.0, "tv", 1] for f in range(6)]
+        rows[3][1], rows[3][2] = 2**63, "oops"
+        path = tmp_path / "ints.csv"
+        path.write_text(csv_text(rows))
+        assert assert_same_error(path) == f"{path}:5: malformed row: could not convert string to float: 'oops'"
 
 
 class TestOutOfRangeRows:
