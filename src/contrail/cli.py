@@ -504,8 +504,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary, order = recompute_summary_from_csv(out_root)
     sys.stdout.write(format_summary(summary, order))
     if args.check:
-        with open_text(out_root / "summary.json") as fh:
-            stored = json.load(fh)
+        path = out_root / "summary.json"
+        with open_text(path) as fh:
+            try:
+                stored = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: not a JSON document: {exc}") from None
         recomputed = json.loads(json.dumps(summary))
         if stored != recomputed:
             raise RuntimeError(

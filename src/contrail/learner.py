@@ -88,8 +88,10 @@ class TrainConfig:
     evenly between its two buffers, every other strategy hands it to
     its single store.  ``replay_batch`` defaults to ``batch_size``.
     ``b_compare`` is the number of stored items each offered sample's
-    separation score is drawn against; scoring is always exact (every
-    cosine comes from the post-step per-sample gradients).
+    separation score is drawn against.  Those draws come from a stream
+    of their own, so a batch's draws are all made before one scoring
+    pass over the drawn slots and the batch; scoring is always exact
+    (every cosine comes from the post-step per-sample gradients).
     """
 
     lr: float = 1e-3
@@ -304,11 +306,12 @@ def train_stream(
     reads_before = core.task_label_reads()
     spec = cfg.loss
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(5)
     rng_replay = np.random.default_rng(seeds[0])
     rng_buffers = np.random.default_rng(seeds[1])
     rng_joint = np.random.default_rng(seeds[2])
     rng_agem = np.random.default_rng(seeds[3])
+    rng_compare = np.random.default_rng(seeds[4])
 
     if strategy is Strategy.JOINT:
         table = table.take(rng_joint.permutation(len(table)))
@@ -361,7 +364,9 @@ def train_stream(
         n_steps += 1
 
         if sp_buffer is not None or cp_buffer is not None:
-            _offer_batch(model, params, table, batch, logits, sp_buffer, cp_buffer, cfg, rng_buffers)
+            _offer_batch(
+                model, params, table, batch, logits, sp_buffer, cp_buffer, cfg, rng_buffers, rng_compare
+            )
         elif agem_memory is not None:
             for row in range(start, end):
                 agem_memory.observe(table.task_label(row), row)
@@ -393,31 +398,40 @@ def _offer_batch(
     cp_buffer: CompletionBuffer | None,
     cfg: TrainConfig,
     rng: np.random.Generator,
+    rng_compare: np.random.Generator,
 ) -> None:
     """Feed one trained batch (consecutive rows of ``table``) to the
     stores, sample ``k`` with its pre-update logits ``logits[k]``.
 
     Separation scores are base-loss gradient cosines at the current
-    (post-step) parameters.  One factored pass covers the separation
-    buffer's rows held at batch start (pass row ``s`` for slot ``s``)
-    followed by the batch (pass row ``n0 + k`` for sample ``k``).  A
-    slot that holds a batch row was filled or replaced mid-batch and
-    reads that row's pass row, the same gradient a fresh pass over it
-    would give; every other slot still holds its row from batch start.
-    ``cols[s]`` is slot ``s``'s pass row, updated from the slot each
-    offer returns.
+    (post-step) parameters.  Every offer's comparison slots are drawn
+    up front from ``rng_compare`` (``draws[k]`` for sample ``k``), so
+    one factored pass covers just the drawn slots held at batch start
+    (pass row ``i`` for slot ``held[i]``) followed by the batch (pass
+    row ``m + k`` for sample ``k``).  A slot that holds a batch row was
+    filled or replaced mid-batch and reads that row's pass row, the same
+    gradient a fresh pass over it would give; every other drawn slot
+    still holds its row from batch start.  ``cols[s]`` is the pass row
+    of a drawn or rewritten slot ``s``, updated from the slot each offer
+    returns.  The buffers' own decisions draw from ``rng``.
     """
     if sp_buffer is not None:
+        draws = [sp_buffer.draw_compare(rng_compare, k) for k in range(len(batch))]
         n0 = len(sp_buffer)
-        rows = np.concatenate([sp_buffer.rows, batch])
+        drawn = np.zeros(n0 + len(batch), dtype=bool)
+        drawn[np.concatenate(draws)] = True
+        held = np.flatnonzero(drawn[:n0])
+        m = len(held)
+        rows = np.concatenate([sp_buffer.rows[held], batch])
         grads = model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss)
-        cosines = grads.cosines(np.arange(n0, n0 + len(batch)))
-        cols = np.arange(len(rows))
+        cosines = grads.cosines(np.arange(m, m + len(batch)))
+        cols = np.zeros(len(drawn), dtype=np.intp)
+        cols[held] = np.arange(m)
 
     for k, row in enumerate(batch.tolist()):
         if sp_buffer is not None:
-            slot = sp_buffer.offer(row, cosines[k, cols[: len(sp_buffer)]], rng, logits[k])
+            slot = sp_buffer.offer(row, cosines[k, cols[draws[k]]], rng, logits[k])
             if slot is not None:
-                cols[slot] = n0 + k
+                cols[slot] = m + k
         if cp_buffer is not None:
             cp_buffer.observe(row, rng, logits[k])

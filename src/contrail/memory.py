@@ -8,9 +8,13 @@ cosine similarity between its loss gradient and the gradients of stored
 items, and prefers to keep items whose gradients point in directions
 the buffer does not already cover; redundant samples are rejected and
 similar stored items are the ones most likely to be evicted.  The
-buffer never holds gradients: callers hand it the offered sample's
-cosines against the stored slots (the trainer computes them from
-factored per-sample gradients, see ``HeatmapPredictor.per_sample_grads``).
+buffer never holds gradients.  It draws the slots each offer compares
+against (:meth:`SeparationBuffer.draw_compare`) from a generator of
+their own, so a trainer can draw a whole batch's comparison slots
+before one pass over those slots and the batch, and then hands it the
+offered sample's cosines against its drawn slots (the trainer computes
+them from factored per-sample gradients, see
+``HeatmapPredictor.per_sample_grads``).
 
 Neither buffer ever sees a task label.  A slot holds a row index into
 the buffer's source :class:`~contrail.core.SampleTable` (the trainer's
@@ -180,6 +184,19 @@ class SeparationBuffer(_Slots):
         self._rows[slot], self._logits[slot], self._scores[slot] = row, logits, q_new
         return slot
 
+    def draw_compare(self, rng: np.random.Generator, ahead: int = 0) -> np.ndarray:
+        """The slots an offer is scored against: ``min(b_compare, n)``
+        drawn uniformly with replacement from the ``n = min(capacity,
+        stream_count + ahead)`` slots filled at the turn of the offer
+        ``ahead`` places after the next one (0: the next offer), since
+        every offer counts and is stored while the buffer is below
+        capacity.  The stream's first offer draws none and consumes no
+        randomness."""
+        n = min(self.capacity, self.stream_count + ahead)
+        if not n:
+            return np.zeros(0, dtype=np.intp)
+        return rng.integers(0, n, size=min(self.b_compare, n))
+
     def offer(
         self,
         row: int,
@@ -190,42 +207,40 @@ class SeparationBuffer(_Slots):
         """Score-then-observe convenience covering the first-sample rule;
         returns what :meth:`observe` does.
 
-        ``cosines`` is the row's gradient cosine against each stored
-        slot, as :func:`separation_score` takes it; the stream's first
-        sample gets ``FIRST_SAMPLE_SCORE`` and does not read it.
+        ``cosines`` is the row's gradient cosine against each slot that
+        :meth:`draw_compare` drew for this offer, in draw order, as
+        :func:`separation_score` takes it; the stream's first sample
+        gets ``FIRST_SAMPLE_SCORE`` and does not read it.
         """
         if self.stream_count == 0:
             q_new = FIRST_SAMPLE_SCORE
         else:
-            q_new = separation_score(cosines, self, rng)
+            cosines = np.asarray(cosines, dtype=np.float64)
+            n = min(self.b_compare, len(self))
+            if cosines.shape != (n,):
+                raise ValueError(
+                    f"expected one cosine per drawn slot ({n}), got shape {cosines.shape}"
+                )
+            q_new = separation_score(cosines)
         return self.observe(row, q_new, rng, logits)
 
 
-def separation_score(
-    cosines: np.ndarray,
-    buffer: SeparationBuffer,
-    rng: np.random.Generator,
-) -> float:
-    """Similarity of a gradient to the buffer: max cosine + 1 over
-    ``b_compare`` stored items drawn uniformly with replacement.
+def separation_score(cosines: np.ndarray) -> float:
+    """Similarity of a gradient to the buffer: max cosine + 1 over the
+    stored slots drawn for it (:meth:`SeparationBuffer.draw_compare`).
 
-    ``cosines[s]`` is the offered gradient's cosine against the
-    gradient of stored slot ``s`` (one entry per slot, slot order); only
-    the drawn slots are read.  The trainer reads it off a factored Gram
-    product (:meth:`~contrail.predictor.FactoredGrads.cosines`).  A
-    zero-norm gradient on either side counts as cosine 0, so scores
-    land in [0, 2].
+    ``cosines[i]`` is the offered gradient's cosine against the gradient
+    of the ``i``-th drawn slot.  The trainer reads them off a factored
+    Gram product (:meth:`~contrail.predictor.FactoredGrads.cosines`),
+    where a zero-norm gradient on either side counts as cosine 0, so
+    scores land in [0, 2].
     """
-    n = len(buffer)
-    if not n:
-        raise ValueError("cannot score against an empty buffer")
     cosines = np.asarray(cosines, dtype=np.float64)
-    if cosines.shape != (n,):
-        raise ValueError(
-            f"expected one cosine per stored slot ({n}), got shape {cosines.shape}"
-        )
-    draws = rng.integers(0, n, size=min(buffer.b_compare, n))
-    return float(cosines[draws].max() + 1.0)
+    if cosines.ndim != 1:
+        raise ValueError(f"expected one cosine per drawn slot, got shape {cosines.shape}")
+    if not cosines.size:
+        raise ValueError("cannot score against an empty draw")
+    return float(cosines.max() + 1.0)
 
 
 def draw_minibatch(

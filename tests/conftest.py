@@ -327,12 +327,17 @@ class RefSeparationBuffer(RefCompletionBuffer):
             return True
         return False
 
+    def draw_compare(self, rng: np.random.Generator) -> np.ndarray:
+        """The next offer's comparison slots, drawn from the filled ones."""
+        n = len(self.rows)
+        return rng.integers(0, n, size=min(self.b_compare, n)) if n else np.zeros(0, dtype=np.intp)
+
     def offer(self, row: int, cosines: np.ndarray, rng: np.random.Generator, logits: np.ndarray) -> bool:
+        """Score against the cosines of the drawn slots, then observe."""
         if self.stream_count == 0:
             q_new = FIRST_SAMPLE_SCORE
         else:
-            draws = rng.integers(0, len(self.rows), size=min(self.b_compare, len(self.rows)))
-            q_new = float(np.asarray(cosines, dtype=np.float64)[draws].max() + 1.0)
+            q_new = max(float(c) for c in cosines) + 1.0
         return self.observe(row, q_new, rng, logits)
 
 

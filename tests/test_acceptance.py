@@ -271,7 +271,8 @@ def test_04_separation_buffer_diversity():
         comp = CompletionBuffer(capacity=capacity)
         for i in range(n):
             comp.observe(i, rng)
-            sep.offer(i, cosine_rows(grads[i], grads[sep.rows]), rng)
+            drawn = sep.rows[sep.draw_compare(rng)]
+            sep.offer(i, cosine_rows(grads[i], grads[drawn]), rng)
         sep_shares.append(np.mean([labels[i] for i in sep.rows]))
         comp_shares.append(np.mean([labels[i] for i in comp.rows]))
 

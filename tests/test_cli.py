@@ -737,6 +737,7 @@ class TestReportCommand:
             ("runs/vanilla/rep_00/matrix_mr.csv", "not UTF-8", "not UTF-8 text: "),
             ("runs/vanilla/rep_00/matrix_mr.csv", "directory", "cannot be read: Is a directory"),
             ("summary.json", "not UTF-8", "not UTF-8 text: "),
+            ("summary.json", "not JSON", "not a JSON document: Expecting value"),
         ],
     )
     def test_unreadable_file_is_named(self, tmp_path, capsys, name, unreadable, message):
@@ -745,6 +746,8 @@ class TestReportCommand:
         if unreadable == "directory":
             path.unlink()
             path.mkdir()
+        elif unreadable == "not JSON":
+            path.write_text('{"vanilla": ')
         else:
             path.write_bytes(path.read_bytes() + b"\xff")
         capsys.readouterr()
@@ -1066,9 +1069,9 @@ class TestSelftestCommand:
         strategy's training bits beyond the sixth decimal fails here."""
         assert {s.value: _golden_digest(s) for s in Strategy} == {
             "vanilla": "2b9900eb88822f7a0e72ccfca52ffe486c7af914721f5dbe9bd7a5ba8f81d3a0",
-            "dual": "0da4227e520ae1edadbda18023bba3715e12de651531b98fa8ce668d532fa836",
+            "dual": "8d39758c8453d85c4b180153e7982fe8a2810308a505be2cc0622c99021db4be",
             "der": "5b0b5b24d0995a0e41bc9df33c8ecef46d8026c4c06cdaec32f86e0e1b01f78e",
-            "gss": "47dc665c0d94e588e169d60771947f8167944b5366ef1c4a94e70757505c152b",
+            "gss": "ab2c926e80827ee3775b70e808b0d5590f506adf379b6c6e8cf530d6bc6611b6",
             "agem": "fb739400f5a60a0e6a00b81ac0452d8d4342ca08425190b15618fa1f46396b55",
             "joint": "aceb8eef4e69e479a3a3eae26b97e43d64d07aa71060582d298beec9e15131d4",
         }

@@ -474,12 +474,13 @@ class TestTrainStream:
 
 
 def _dense_offer_batch(late_admissions):
-    """Reference for ``learner._offer_batch``: scores every offer from
-    dense per-sample gradient rows of the batch sample and of every
-    row stored at that moment, through ``cosine_rows``.  Records the
-    batch positions of admissions into a full buffer."""
+    """Reference for ``learner._offer_batch``: each offer draws its
+    comparison slots at its own turn and is scored from dense
+    per-sample gradient rows of the batch sample and of the rows its
+    drawn slots hold at that moment, through ``cosine_rows``.  Records
+    the batch positions of admissions into a full buffer."""
 
-    def offer_batch(model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng):
+    def offer_batch(model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng, rng_compare):
         def dense_rows(rows):
             return dense(model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss))
 
@@ -487,7 +488,7 @@ def _dense_offer_batch(late_admissions):
         for k, row in enumerate(batch.tolist()):
             logits = snapshot[k]
             if sp_buffer is not None:
-                stored = dense_rows(sp_buffer.rows)
+                stored = dense_rows(sp_buffer.rows[sp_buffer.draw_compare(rng_compare)])
                 full = len(sp_buffer) == sp_buffer.capacity
                 if sp_buffer.offer(row, cosine_rows(new[k], stored), rng, logits) is not None and full:
                     late_admissions.append((k, len(batch)))
@@ -498,8 +499,9 @@ def _dense_offer_batch(late_admissions):
 
 
 class TestExactScoring:
-    """The trainer scores from one factored Gram pass per batch; that
-    must make the same buffer decisions as dense scoring per offer."""
+    """The trainer draws a batch's comparison slots up front and scores
+    from one factored Gram pass over them; that must make the same
+    buffer decisions as drawing and dense scoring per offer."""
 
     @pytest.mark.parametrize("strategy", [Strategy.DUAL_REPLAY, Strategy.GSS_STYLE])
     def test_gram_scoring_matches_dense_reference(self, tiny_model, monkeypatch, strategy):
@@ -531,6 +533,50 @@ class TestExactScoring:
         np.testing.assert_allclose(
             fast.separation.scores, ref.separation.scores, rtol=0, atol=1e-12
         )
+
+
+class TestScoringPassCoversTheDraws:
+    """Each step's scoring pass holds exactly the drawn slots held at
+    batch start, in slot order, then the batch; offer ``k`` draws
+    ``min(b_compare, n_k)`` slots below ``n_k = min(capacity,
+    stream_count + k)``."""
+
+    def test_pass_rows_are_the_held_draws_then_the_batch(self, tiny_model, monkeypatch):
+        grid = tiny_model.config.grid
+        table = tiny_model.encode(make_stream(np.random.default_rng(344), grid, [1] * 20 + [2] * 20))
+        cfg = TrainConfig(buffer_total=8, batch_size=4, b_compare=3, seed=4)
+        steps: list[tuple[np.ndarray, int, list[np.ndarray]]] = []
+        passes: list[np.ndarray] = []
+        real_draw = SeparationBuffer.draw_compare
+        real_grads = predictor.HeatmapPredictor.per_sample_grads
+
+        def draw(self, rng, ahead=0):
+            if ahead == 0:  # a new batch: the slots held at its start
+                steps.append((self.rows.copy(), self.stream_count, []))
+            steps[-1][2].append(real_draw(self, rng, ahead))
+            return steps[-1][2][-1]
+
+        def grads(self, params, x, cells, spec):
+            passes.append(x.copy())
+            return real_grads(self, params, x, cells, spec)
+
+        monkeypatch.setattr(SeparationBuffer, "draw_compare", draw)
+        monkeypatch.setattr(predictor.HeatmapPredictor, "per_sample_grads", grads)
+        result = train_stream(tiny_model, table, Strategy.GSS_STYLE, cfg)
+
+        assert len(steps) == len(passes) == result.n_steps == 10
+        assert [len(d) for d in steps[0][2]] == [0, 1, 2, 3]  # the first offer draws nothing
+        for step, ((held_rows, count, draws), x) in enumerate(zip(steps, passes)):
+            batch = np.arange(4 * step, 4 * step + 4)
+            assert count == 4 * step and len(draws) == len(batch)
+            for k, drawn in enumerate(draws):
+                n_k = min(cfg.buffer_total, count + k)
+                assert len(drawn) == min(cfg.b_compare, n_k)
+                assert ((0 <= drawn) & (drawn < n_k)).all()
+            held = sorted({int(s) for drawn in draws for s in drawn if s < len(held_rows)})
+            assert np.array_equal(x, table.x[np.concatenate([held_rows[held], batch])])
+        # Undrawn slots are left out of the pass.
+        assert any(len(x) < min(cfg.buffer_total, 4 * step) + 4 for step, x in enumerate(passes))
 
 
 class TestWorkIsOncePerSample:
@@ -789,3 +835,30 @@ def test_agem_params_do_not_depend_on_the_blas_thread_count():
         ).stdout
     assert len(out["1"]) == 33_664 * 8
     assert out["1"] == out["2"]
+
+
+# Separation training on a tiny stream; reports whether numpy.ma (which
+# np.unique and friends import, at a resident-memory cost) got loaded.
+_SEPARATION_RUN = """
+import sys
+from contrail.core import GridSpec, Scenes
+from contrail.learner import Strategy, TrainConfig, train_stream
+from contrail.predictor import HeatmapPredictor, PredictorConfig
+from contrail.scenarios import TaskSpec, generate_task
+grid = GridSpec(rows_h=4, cols_w=4, origin=(-5.0, -5.0), cell_size=2.5)
+model = HeatmapPredictor(PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(8,), grid=grid, seed=7))
+tasks = [TaskSpec(kind=kind, n_samples=24, seed=i) for i, kind in enumerate(("straight", "turn"), 1)]
+table = model.encode(Scenes.concat([generate_task(t, i) for i, t in enumerate(tasks, 1)]))
+for strategy in (Strategy.DUAL_REPLAY, Strategy.GSS_STYLE):
+    assert train_stream(model, table, strategy, TrainConfig(buffer_total=8, batch_size=4)).separation.stream_count
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_separation_training_does_not_import_numpy_ma():
+    src = str(Path(contrail.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _SEPARATION_RUN], env=env, capture_output=True, text=True, check=True, timeout=300
+    )
+    assert out.stdout.split() == ["False"]

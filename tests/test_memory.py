@@ -92,25 +92,21 @@ class TestCompletionBuffer:
 
 
 class TestSeparationScore:
-    def _single_item_buffer(self, rng, stored_grad):
-        buf = SeparationBuffer(capacity=4)
-        buf.observe(0, 0.5, rng)
+    def _cosines_against(self, stored_grad):
         stored = np.asarray([stored_grad], dtype=float)
-        return buf, (lambda g: cosine_rows(np.asarray(g, dtype=float), stored))
+        return lambda g: cosine_rows(np.asarray(g, dtype=float), stored)
 
     def test_aligned_opposite_orthogonal(self):
-        rng = np.random.default_rng(110)
-        buf, cos = self._single_item_buffer(rng, [1.0, 0.0])
-        assert separation_score(cos([2.0, 0.0]), buf, rng) == pytest.approx(2.0)
-        assert separation_score(cos([-3.0, 0.0]), buf, rng) == pytest.approx(0.0)
-        assert separation_score(cos([0.0, 5.0]), buf, rng) == pytest.approx(1.0)
+        cos = self._cosines_against([1.0, 0.0])
+        assert separation_score(cos([2.0, 0.0])) == pytest.approx(2.0)
+        assert separation_score(cos([-3.0, 0.0])) == pytest.approx(0.0)
+        assert separation_score(cos([0.0, 5.0])) == pytest.approx(1.0)
 
     def test_zero_norm_gradients_score_one(self):
-        rng = np.random.default_rng(111)
-        buf, cos = self._single_item_buffer(rng, [1.0, 0.0])
-        assert separation_score(cos(np.zeros(2)), buf, rng) == pytest.approx(1.0)
-        buf2, cos2 = self._single_item_buffer(rng, [0.0, 0.0])
-        assert separation_score(cos2([1.0, 1.0]), buf2, rng) == pytest.approx(1.0)
+        cos = self._cosines_against([1.0, 0.0])
+        assert separation_score(cos(np.zeros(2))) == pytest.approx(1.0)
+        cos2 = self._cosines_against([0.0, 0.0])
+        assert separation_score(cos2([1.0, 1.0])) == pytest.approx(1.0)
 
     def test_scores_stay_in_range(self):
         rng = np.random.default_rng(112)
@@ -121,10 +117,11 @@ class TestSeparationScore:
             grads.append(rng.normal(size=30))
         stored = np.stack(grads)
         for _ in range(200):
-            q = separation_score(cosine_rows(rng.normal(size=30), stored), buf, rng)
+            drawn = buf.draw_compare(rng)
+            q = separation_score(cosine_rows(rng.normal(size=30), stored[drawn]))
             assert 0.0 <= q <= 2.0
 
-    def test_batch_and_single_paths_agree(self):
+    def test_max_over_the_drawn_slots(self):
         rng = np.random.default_rng(113)
         buf = SeparationBuffer(capacity=8, b_compare=5)
         grads = []
@@ -132,20 +129,55 @@ class TestSeparationScore:
             buf.observe(row, 1.0, rng)
             grads.append(rng.normal(size=12))
         cos = cosine_rows(rng.normal(size=12), np.stack(grads))
-        # Single path: the max over the drawn slots, one at a time.  The
-        # batch path gets inf on every slot it should not read.
+        # The draw is uniform with replacement over the filled slots, and
+        # the score is the max over the drawn slots, one at a time.
         draws = np.random.default_rng(7).integers(0, 8, size=5)
         q_single = float(max(cos[int(d)] for d in draws) + 1.0)
-        masked = np.full(8, np.inf)
-        masked[draws] = cos[draws]
-        q_batch = separation_score(masked, buf, np.random.default_rng(7))
-        assert q_single == q_batch
+        drawn = buf.draw_compare(np.random.default_rng(7))
+        assert np.array_equal(drawn, draws)
+        assert separation_score(cos[drawn]) == q_single
 
-    def test_empty_buffer_rejected(self):
-        rng = np.random.default_rng(114)
-        buf = SeparationBuffer(capacity=4)
+    def test_empty_draw_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            separation_score(np.ones(0), buf, rng)
+            separation_score(np.ones(0))
+
+    @pytest.mark.parametrize("cosines", [np.ones((2, 2)), np.float64(0.5)])
+    def test_bad_shape_rejected(self, cosines):
+        with pytest.raises(ValueError, match="shape"):
+            separation_score(cosines)
+
+
+class TestDrawCompare:
+    def test_first_offer_draws_nothing(self):
+        rng = np.random.default_rng(115)
+        state = rng.bit_generator.state
+        assert SeparationBuffer(capacity=4).draw_compare(rng).size == 0
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("stream_count", [0, 1, 3, 6])
+    def test_offer_k_draws_from_the_slots_filled_at_its_turn(self, stream_count):
+        rng = np.random.default_rng(116)
+        buf = SeparationBuffer(capacity=5, b_compare=3)
+        for row in range(stream_count):
+            buf.observe(row, 0.5, rng)
+        for ahead in range(8):
+            n_k = min(buf.capacity, stream_count + ahead)
+            for _ in range(50):
+                drawn = buf.draw_compare(rng, ahead)
+                assert len(drawn) == min(buf.b_compare, n_k)
+                assert ((0 <= drawn) & (drawn < n_k)).all()
+
+    def test_draws_are_uniform(self):
+        rng = np.random.default_rng(117)
+        buf = SeparationBuffer(capacity=4, b_compare=2)
+        buf.observe(0, 0.5, rng)
+        # Two offers ahead, three slots are filled; the draw covers them all.
+        trials = 4000
+        counts = np.bincount(np.concatenate([buf.draw_compare(rng, 2) for _ in range(trials)]), minlength=4)
+        assert counts[3] == 0
+        expected = 2 * trials / 3
+        sigma = math.sqrt(2 * trials * (1 / 3) * (2 / 3))
+        assert np.abs(counts[:3] - expected).max() < 4 * sigma
 
 
 class TestSeparationBuffer:
@@ -238,7 +270,8 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(128)
         buf = SeparationBuffer(capacity=3)
 
-        # No stored slot exists, so no cosine can be read.
+        # No stored slot exists, so nothing is drawn and no cosine read.
+        assert buf.draw_compare(rng).size == 0
         slot = buf.offer(0, np.ones(0), rng)
         assert slot == 0
         assert buf.scores.tolist() == [FIRST_SAMPLE_SCORE]
@@ -249,10 +282,22 @@ class TestSeparationBuffer:
         g = np.array([1.0, 0.0])
         buf.offer(0, cosine_rows(g, np.zeros((0, 2))), rng, np.zeros(4))
         logits = np.ones(4)
-        slot = buf.offer(1, cosine_rows(g, np.stack([g])), rng, logits)
+        drawn = buf.draw_compare(rng)
+        assert drawn.tolist() == [0]
+        slot = buf.offer(1, cosine_rows(g, np.stack([g])[drawn]), rng, logits)
         assert slot == 1
         assert buf.scores[1] == pytest.approx(2.0)
         assert buf.rows.tolist() == [0, 1] and np.array_equal(buf.logits[1], logits)
+
+    @pytest.mark.parametrize("cosines", [np.ones(3), np.ones(1), np.ones((2, 1))])
+    def test_offer_needs_one_cosine_per_drawn_slot(self, cosines):
+        rng = np.random.default_rng(130)
+        buf = SeparationBuffer(capacity=4, b_compare=2)
+        for row in range(3):
+            buf.observe(row, 0.5, rng)
+        with pytest.raises(ValueError, match="one cosine per drawn slot"):
+            buf.offer(3, cosines, rng)
+        assert buf.stream_count == 3
 
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -335,8 +380,10 @@ class TestAgainstListReference:
                 assert (slot is not None) == (row in comp.rows)
             elif op == 1:
                 cosines = ops.uniform(-1.0, 1.0, size=len(sep))
-                slot = sep.offer(row, cosines, rng, logits)
-                assert (slot is not None) == ref_sep.offer(row, cosines, ref_rng, logits)
+                drawn = sep.draw_compare(rng)
+                assert np.array_equal(drawn, ref_sep.draw_compare(ref_rng))
+                slot = sep.offer(row, cosines[drawn], rng, logits)
+                assert (slot is not None) == ref_sep.offer(row, cosines[drawn], ref_rng, logits)
                 assert slot is None or sep.rows[slot] == row
             elif op == 2:
                 # Exact zeros reach the all-zero-scores branch.
