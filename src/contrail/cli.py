@@ -165,9 +165,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: Path | str) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     with open_text(path, ConfigError) as fh:
         text = fh.read()
     return parse_config(text)

@@ -153,16 +153,20 @@ def dual_replay_step(
     both draws, whose rows weigh 1/n_b, alpha/n_r and beta/n_r.  The
     draws come last, so the distilled rows are the pass's tail.
 
-    A missing or empty buffer, a zero replay weight, or replay_batch 0
-    drops that term without drawing; with no term left this is exactly
-    a vanilla step.  The gradient is written into ``out`` when given.
+    A missing buffer, a zero replay weight or an empty draw drops that
+    term; with no term left this is exactly the vanilla step that
+    vanilla, agem and joint take.  The gradient is written into ``out``
+    when given.
     """
     spec = cfg.loss
     rows, weights, stored = [batch], [1.0 / len(batch)], []
     for weight, buffer in ((spec.alpha, sp_buffer), (spec.beta, cp_buffer)):
-        if weight == 0.0 or buffer is None or len(buffer) == 0 or cfg.replay_n == 0:
+        if weight == 0.0 or buffer is None:
             continue
-        drawn, logits = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
+        slots = draw_minibatch(buffer, cfg.replay_n, rng)
+        if not len(slots):
+            continue
+        drawn, logits = replay_targets(buffer, slots)
         rows.append(drawn)
         weights.append(weight / len(drawn))
         stored.append(logits)
@@ -188,11 +192,13 @@ def gss_style_step(
     """Base loss, gradient and logits over the current batch
     concatenated with a buffer draw; no distillation.  The mean runs
     over the mixed batch, so the sub-batches weigh in proportion to
-    their sizes.  The gradient is written into ``out`` when given."""
+    their sizes; an empty draw leaves the batch alone.  The gradient is
+    written into ``out`` when given."""
     mixed = np.asarray(batch, dtype=np.intp)
-    if buffer is not None and len(buffer) > 0 and cfg.replay_n > 0:
-        rows, _ = replay_targets(buffer, draw_minibatch(buffer, cfg.replay_n, rng))
-        mixed = np.concatenate([mixed, rows])
+    if buffer is not None:
+        slots = draw_minibatch(buffer, cfg.replay_n, rng)
+        if len(slots):
+            mixed = np.concatenate([mixed, replay_targets(buffer, slots)[0]])
     return model.loss_and_grad(params, table.x[mixed], table.cells[mixed], cfg.loss, out=out)
 
 
@@ -266,22 +272,19 @@ def check_buffer_split(strategies: Sequence[Strategy], buffer_total: int) -> Non
 def _make_buffers(
     strategy: Strategy, cfg: TrainConfig, table: SampleTable, n_cells: int
 ) -> tuple[SeparationBuffer | None, CompletionBuffer | None]:
-    total = cfg.buffer_total
-    if total == 0:
-        return None, None
-    check_buffer_split((strategy,), total)
+    check_buffer_split((strategy,), cfg.buffer_total)
+    total, half = cfg.buffer_total, cfg.buffer_total // 2
+    # Each strategy's (separation, completion) capacities; 0 is no store.
+    sp_capacity, cp_capacity = {
+        Strategy.DUAL_REPLAY: (half, half),
+        Strategy.DER_STYLE: (0, total),
+        Strategy.GSS_STYLE: (total, 0),
+    }.get(strategy, (0, 0))
     slots = {"source": table, "n_cells": n_cells}
-    if strategy is Strategy.DUAL_REPLAY:
-        half = total // 2
-        return (
-            SeparationBuffer(capacity=half, b_compare=cfg.b_compare, **slots),
-            CompletionBuffer(capacity=half, **slots),
-        )
-    if strategy is Strategy.DER_STYLE:
-        return None, CompletionBuffer(capacity=total, **slots)
-    if strategy is Strategy.GSS_STYLE:
-        return SeparationBuffer(capacity=total, b_compare=cfg.b_compare, **slots), None
-    return None, None
+    return (
+        SeparationBuffer(capacity=sp_capacity, b_compare=cfg.b_compare, **slots) if sp_capacity else None,
+        CompletionBuffer(capacity=cp_capacity, **slots) if cp_capacity else None,
+    )
 
 
 def train_stream(
@@ -339,17 +342,13 @@ def train_stream(
 
         # The step's forward pass runs at the pre-update parameters: its
         # first len(batch) logit rows are the batch's snapshot.
-        if strategy in (Strategy.DUAL_REPLAY, Strategy.DER_STYLE):
-            _, _, logits = dual_replay_step(
-                model, params, table, batch, sp_buffer, cp_buffer, cfg, rng_replay, grad
-            )
-        elif strategy is Strategy.GSS_STYLE:
+        if strategy is Strategy.GSS_STYLE:
             _, _, logits = gss_style_step(
                 model, params, table, batch, sp_buffer, cfg, rng_replay, grad
             )
         else:
-            _, _, logits = model.loss_and_grad(
-                params, table.x[start:end], table.cells[start:end], spec, out=grad
+            _, _, logits = dual_replay_step(
+                model, params, table, batch, sp_buffer, cp_buffer, cfg, rng_replay, grad
             )
         if agem_memory is not None:
             refs = agem_memory.reference_rows(

@@ -14,7 +14,8 @@ their own, so a trainer can draw a whole batch's comparison slots
 before one pass over those slots and the batch, and then hands it the
 offered sample's cosines against its drawn slots (the trainer computes
 them from factored per-sample gradients, see
-``HeatmapPredictor.per_sample_grads``).
+``HeatmapPredictor.per_sample_grads``).  The stream's first offer is
+the empty draw, which scores ``FIRST_SAMPLE_SCORE``.
 
 Neither buffer ever sees a task label.  A slot holds a row index into
 the buffer's source :class:`~contrail.core.SampleTable` (the trainer's
@@ -191,7 +192,7 @@ class SeparationBuffer(_Slots):
         ``ahead`` places after the next one (0: the next offer), since
         every offer counts and is stored while the buffer is below
         capacity.  The stream's first offer draws none and consumes no
-        randomness."""
+        randomness; :func:`separation_score` scores that empty draw."""
         n = min(self.capacity, self.stream_count + ahead)
         if not n:
             return np.zeros(0, dtype=np.intp)
@@ -204,25 +205,21 @@ class SeparationBuffer(_Slots):
         rng: np.random.Generator,
         logits: np.ndarray = NO_LOGITS,
     ) -> int | None:
-        """Score-then-observe convenience covering the first-sample rule;
-        returns what :meth:`observe` does.
+        """Score-then-observe convenience; returns what :meth:`observe`
+        does.
 
         ``cosines`` is the row's gradient cosine against each slot that
         :meth:`draw_compare` drew for this offer, in draw order, as
-        :func:`separation_score` takes it; the stream's first sample
-        gets ``FIRST_SAMPLE_SCORE`` and does not read it.
+        :func:`separation_score` takes it: empty for the stream's first
+        offer.
         """
-        if self.stream_count == 0:
-            q_new = FIRST_SAMPLE_SCORE
-        else:
-            cosines = np.asarray(cosines, dtype=np.float64)
-            n = min(self.b_compare, len(self))
-            if cosines.shape != (n,):
-                raise ValueError(
-                    f"expected one cosine per drawn slot ({n}), got shape {cosines.shape}"
-                )
-            q_new = separation_score(cosines)
-        return self.observe(row, q_new, rng, logits)
+        cosines = np.asarray(cosines, dtype=np.float64)
+        n = min(self.b_compare, len(self))
+        if cosines.shape != (n,):
+            raise ValueError(
+                f"expected one cosine per drawn slot ({n}), got shape {cosines.shape}"
+            )
+        return self.observe(row, separation_score(cosines), rng, logits)
 
 
 def separation_score(cosines: np.ndarray) -> float:
@@ -233,13 +230,14 @@ def separation_score(cosines: np.ndarray) -> float:
     of the ``i``-th drawn slot.  The trainer reads them off a factored
     Gram product (:meth:`~contrail.predictor.FactoredGrads.cosines`),
     where a zero-norm gradient on either side counts as cosine 0, so
-    scores land in [0, 2].
+    scores land in [0, 2].  An empty draw, the stream's first offer,
+    scores ``FIRST_SAMPLE_SCORE``.
     """
     cosines = np.asarray(cosines, dtype=np.float64)
     if cosines.ndim != 1:
         raise ValueError(f"expected one cosine per drawn slot, got shape {cosines.shape}")
     if not cosines.size:
-        raise ValueError("cannot score against an empty draw")
+        return FIRST_SAMPLE_SCORE
     return float(cosines.max() + 1.0)
 
 

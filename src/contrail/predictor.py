@@ -320,6 +320,9 @@ class FactoredGrads:
         return np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators and the step counter, plus the
@@ -336,20 +339,13 @@ class AdamState:
         return cls(m=np.zeros(n_params), v=np.zeros(n_params), t=0)
 
 
-def adam_step(
-    params: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One Adam update (Kingma & Ba, ICLR 2015) of ``params``,
-    ``state.m`` and ``state.v`` where they are; past its first step it
-    allocates nothing parameter-length.  Every operation writes in
-    place, in the order of the textbook formula, so the result is bit
-    for bit ``params - lr * m_hat / (sqrt(v_hat) + eps)``.
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam update (Kingma & Ba, ICLR 2015, with their defaults
+    ``BETA1``, ``BETA2`` and ``EPS``) of ``params``, ``state.m`` and
+    ``state.v`` where they are; past its first step it allocates nothing
+    parameter-length.  Every operation writes in place, in the order of
+    the textbook formula, so the result is bit for bit
+    ``params - lr * m_hat / (sqrt(v_hat) + EPS)``.
     """
     if params.shape != grad.shape:
         raise ValueError("params and grad shapes differ")
@@ -360,17 +356,17 @@ def adam_step(
     m, v = state.m, state.v
     step, denom = state.scratch
     state.t += 1
-    np.multiply(grad, 1.0 - beta1, out=step)
-    m *= beta1
+    np.multiply(grad, 1.0 - BETA1, out=step)
+    m *= BETA1
     m += step
     np.square(grad, out=step)
-    step *= 1.0 - beta2
-    v *= beta2
+    step *= 1.0 - BETA2
+    v *= BETA2
     v += step
-    np.divide(v, 1.0 - beta2**state.t, out=denom)  # v_hat
+    np.divide(v, 1.0 - BETA2**state.t, out=denom)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += eps
-    np.divide(m, 1.0 - beta1**state.t, out=step)  # m_hat
+    denom += EPS
+    np.divide(m, 1.0 - BETA1**state.t, out=step)  # m_hat
     step *= lr
     np.divide(step, denom, out=step)
     params -= step

@@ -142,24 +142,35 @@ class TestStepFunctions:
         return rng.normal(size=grid.n_cells)
 
     def test_empty_buffers_match_vanilla(self, tiny_model):
+        """Empty buffers, or full ones with replay_batch 0, draw nothing:
+        both steps are then the vanilla step and never consume the
+        generator."""
         rng = np.random.default_rng(310)
+        grid = tiny_model.config.grid
         params = tiny_model.init_params()
-        table = self._table(rng, tiny_model, 4)
-        cfg = TrainConfig()
+        table = self._table(rng, tiny_model, 8)
+        b = self.batch
+        for filled, replay_batch in ((0, None), (4, 0)):
+            sp = SeparationBuffer(capacity=4, n_cells=grid.n_cells)
+            cp = CompletionBuffer(capacity=4, n_cells=grid.n_cells)
+            for row in range(4, 4 + filled):
+                logits = self._logits(rng, grid)
+                sp.observe(row, 0.5, rng, logits)
+                cp.observe(row, rng, logits)
+            cfg = TrainConfig(replay_batch=replay_batch)
 
-        base_loss, base_grad, _ = tiny_model.loss_and_grad(params, table.x, table.cells, cfg.loss)
-        loss, grad, _ = dual_replay_step(
-            tiny_model,
-            params,
-            table,
-            self.batch,
-            SeparationBuffer(capacity=4),
-            CompletionBuffer(capacity=4),
-            cfg,
-            np.random.default_rng(0),
-        )
-        assert loss == base_loss
-        assert np.array_equal(grad, base_grad)
+            base_loss, base_grad, _ = tiny_model.loss_and_grad(
+                params, table.x[b], table.cells[b], cfg.loss
+            )
+            for step in (
+                lambda r: dual_replay_step(tiny_model, params, table, b, sp, cp, cfg, r),
+                lambda r: gss_style_step(tiny_model, params, table, b, sp, cfg, r),
+            ):
+                step_rng = np.random.default_rng(77)
+                loss, grad, _ = step(step_rng)
+                assert loss == base_loss
+                assert np.array_equal(grad, base_grad)
+                assert step_rng.integers(1 << 20) == np.random.default_rng(77).integers(1 << 20)
 
     def test_zero_weights_match_vanilla_and_skip_the_rng(self, tiny_model):
         rng = np.random.default_rng(311)

@@ -137,9 +137,8 @@ class TestSeparationScore:
         assert np.array_equal(drawn, draws)
         assert separation_score(cos[drawn]) == q_single
 
-    def test_empty_draw_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            separation_score(np.ones(0))
+    def test_empty_draw_scores_the_first_sample(self):
+        assert separation_score(np.ones(0)) == FIRST_SAMPLE_SCORE
 
     @pytest.mark.parametrize("cosines", [np.ones((2, 2)), np.float64(0.5)])
     def test_bad_shape_rejected(self, cosines):
@@ -270,8 +269,11 @@ class TestSeparationBuffer:
         rng = np.random.default_rng(128)
         buf = SeparationBuffer(capacity=3)
 
-        # No stored slot exists, so nothing is drawn and no cosine read.
+        # No stored slot exists, so nothing is drawn and the offer takes
+        # no cosine.
         assert buf.draw_compare(rng).size == 0
+        with pytest.raises(ValueError, match=r"one cosine per drawn slot \(0\)"):
+            buf.offer(0, np.ones(1), rng)
         slot = buf.offer(0, np.ones(0), rng)
         assert slot == 0
         assert buf.scores.tolist() == [FIRST_SAMPLE_SCORE]
