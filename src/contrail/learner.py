@@ -155,8 +155,9 @@ def dual_replay_step(
 
     A missing buffer, a zero replay weight or an empty draw drops that
     term; with no term left this is exactly the vanilla step that
-    vanilla, agem and joint take.  The gradient is written into ``out``
-    when given.
+    vanilla, agem and joint take, over the batch's rows as a slice (a
+    batch is a run of consecutive rows).  The gradient is written into
+    ``out`` when given.
     """
     spec = cfg.loss
     rows, weights, stored = [batch], [1.0 / len(batch)], []
@@ -171,7 +172,8 @@ def dual_replay_step(
         weights.append(weight / len(drawn))
         stored.append(logits)
     if not stored:
-        return model.loss_and_grad(params, table.x[batch], table.cells[batch], spec, out=out)
+        view = slice(batch[0], batch[-1] + 1)
+        return model.loss_and_grad(params, table.x[view], table.cells[view], spec, out=out)
     mixed = np.concatenate(rows)
     return model.loss_and_grad(
         params, table.x[mixed], table.cells[mixed], spec, stored=np.concatenate(stored),
@@ -192,13 +194,14 @@ def gss_style_step(
     """Base loss, gradient and logits over the current batch
     concatenated with a buffer draw; no distillation.  The mean runs
     over the mixed batch, so the sub-batches weigh in proportion to
-    their sizes; an empty draw leaves the batch alone.  The gradient is
-    written into ``out`` when given."""
-    mixed = np.asarray(batch, dtype=np.intp)
+    their sizes; an empty draw leaves the batch alone, read as a slice
+    (a batch is a run of consecutive rows).  The gradient is written
+    into ``out`` when given."""
+    mixed = slice(batch[0], batch[-1] + 1)
     if buffer is not None:
         slots = draw_minibatch(buffer, cfg.replay_n, rng)
         if len(slots):
-            mixed = np.concatenate([mixed, replay_targets(buffer, slots)[0]])
+            mixed = np.concatenate([batch, replay_targets(buffer, slots)[0]])
     return model.loss_and_grad(params, table.x[mixed], table.cells[mixed], cfg.loss, out=out)
 
 
@@ -415,7 +418,7 @@ def _offer_batch(
     returns.  The buffers' own decisions draw from ``rng``.
     """
     if sp_buffer is not None:
-        draws = [sp_buffer.draw_compare(rng_compare, k) for k in range(len(batch))]
+        draws = sp_buffer.draw_compare_batch(rng_compare, len(batch))
         n0 = len(sp_buffer)
         drawn = np.zeros(n0 + len(batch), dtype=bool)
         drawn[np.concatenate(draws)] = True

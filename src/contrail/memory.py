@@ -27,6 +27,7 @@ into ``logits``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,6 +147,12 @@ class SeparationBuffer(_Slots):
         return self._scores[: len(self)]
 
     def fill(self, rows: np.ndarray, logits: np.ndarray, scores: np.ndarray) -> None:
+        """As :meth:`_Slots.fill`, with slot ``s`` scored ``scores[s]``;
+        a NaN, infinite or negative score is refused."""
+        scores = np.asarray(scores, dtype=np.float64)
+        bad = ~((scores >= 0.0) & (scores < math.inf))
+        if bad.any():
+            raise _bad_score(scores[bad][0])
         super().fill(rows, logits)
         self._scores[: len(self)] = scores
 
@@ -163,8 +170,13 @@ class SeparationBuffer(_Slots):
         similar to the buffer (q_new >= 1) is discarded outright;
         otherwise a stored candidate is drawn with probability
         proportional to its score and swapped out with probability
-        q_cand / (q_cand + q_new), inheriting the newcomer's score.
+        q_cand / (q_cand + q_new), inheriting the newcomer's score.  The
+        candidate is ``Generator.choice(len(q), p=q / q.sum())`` (the
+        same index and generator state) without that call's argument
+        checks, so a NaN, infinite or negative ``q_new`` is refused here.
         """
+        if not 0.0 <= q_new < math.inf:
+            raise _bad_score(q_new)
         slot = len(self)
         self.stream_count += 1
         if slot >= self.capacity:
@@ -173,7 +185,9 @@ class SeparationBuffer(_Slots):
             q = self.scores
             total = q.sum()
             if total > 0.0:
-                slot = int(rng.choice(len(q), p=q / total))
+                cdf = (q / total).cumsum()
+                cdf /= cdf[-1]
+                slot = int(cdf.searchsorted(rng.random(), side="right"))
             else:
                 slot = int(rng.integers(0, len(q)))
             denom = q[slot] + q_new
@@ -198,6 +212,19 @@ class SeparationBuffer(_Slots):
             return np.zeros(0, dtype=np.intp)
         return rng.integers(0, n, size=min(self.b_compare, n))
 
+    def draw_compare_batch(self, rng: np.random.Generator, offers: int) -> np.ndarray | list[np.ndarray]:
+        """``[draw_compare(rng, k) for k in range(offers)]``, the slots of
+        the next ``offers`` offers, bit for bit and generator state
+        included.  A full buffer draws them in one call, as an
+        ``(offers, min(b_compare, capacity))`` array: a bounded integer
+        draw below 2**32 takes one 32-bit word, and PCG64 keeps the spare
+        half of its 64-bit output in its state, so splitting the draws
+        into calls changes neither the values nor the state."""
+        n = self.capacity
+        if len(self) == n:
+            return rng.integers(0, n, size=(offers, min(self.b_compare, n)))
+        return [self.draw_compare(rng, k) for k in range(offers)]
+
     def offer(
         self,
         row: int,
@@ -220,6 +247,10 @@ class SeparationBuffer(_Slots):
                 f"expected one cosine per drawn slot ({n}), got shape {cosines.shape}"
             )
         return self.observe(row, separation_score(cosines), rng, logits)
+
+
+def _bad_score(q: float) -> ValueError:
+    return ValueError(f"separation score {float(q)!r} is not a finite non-negative number")
 
 
 def separation_score(cosines: np.ndarray) -> float:

@@ -16,6 +16,7 @@ compared through Gram products instead of P-length rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -343,9 +344,13 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
     """One Adam update (Kingma & Ba, ICLR 2015, with their defaults
     ``BETA1``, ``BETA2`` and ``EPS``) of ``params``, ``state.m`` and
     ``state.v`` where they are; past its first step it allocates nothing
-    parameter-length.  Every operation writes in place, in the order of
-    the textbook formula, so the result is bit for bit
-    ``params - lr * m_hat / (sqrt(v_hat) + EPS)``.
+    parameter-length.  The moments follow the textbook order, so ``m``
+    and ``v`` are bit for bit the textbook ones.  The bias corrections
+    are folded into two scalars, the faster order of the paper's
+    section 2: ``params - lr_t * m / (sqrt(v) + eps_t)`` with
+    ``lr_t = lr * sqrt(1 - BETA2**t) / (1 - BETA1**t)`` and
+    ``eps_t = EPS * sqrt(1 - BETA2**t)``, which equals the textbook
+    update up to rounding.
     """
     if params.shape != grad.shape:
         raise ValueError("params and grad shapes differ")
@@ -363,10 +368,9 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, lr: float)
     step *= 1.0 - BETA2
     v *= BETA2
     v += step
-    np.divide(v, 1.0 - BETA2**state.t, out=denom)  # v_hat
-    np.sqrt(denom, out=denom)
-    denom += EPS
-    np.divide(m, 1.0 - BETA1**state.t, out=step)  # m_hat
-    step *= lr
+    root = math.sqrt(1.0 - BETA2**state.t)
+    np.sqrt(v, out=denom)
+    denom += EPS * root
+    np.multiply(m, lr * root / (1.0 - BETA1**state.t), out=step)
     np.divide(step, denom, out=step)
     params -= step

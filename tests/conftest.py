@@ -128,8 +128,28 @@ def ref_adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
-    """Reference for ``predictor.adam_step``: the textbook formula, one
-    fresh array per operation."""
+    """Reference for ``predictor.adam_step``: Kingma & Ba's folded
+    order (ICLR 2015, section 2), the bias corrections taken into the
+    step size and epsilon, one fresh array per operation."""
+    t = state.t + 1
+    m = beta1 * state.m + (1.0 - beta1) * grad
+    v = beta2 * state.v + (1.0 - beta2) * grad**2
+    root = math.sqrt(1.0 - beta2**t)
+    lr_t = lr * root / (1.0 - beta1**t)
+    return params - lr_t * m / (np.sqrt(v) + eps * root), AdamState(m=m, v=v, t=t)
+
+
+def ref_adam_step_textbook(
+    params: np.ndarray,
+    grad: np.ndarray,
+    state: AdamState,
+    lr: float,
+    beta1: float = 0.9,
+    beta2: float = 0.999,
+    eps: float = 1e-8,
+) -> tuple[np.ndarray, AdamState]:
+    """The textbook Adam update through bias-corrected moments, which
+    the folded order equals up to rounding."""
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * grad
     v = beta2 * state.v + (1.0 - beta2) * grad**2

@@ -540,6 +540,10 @@ BUFFER_FAULTS = {
         _column("separation", "scores", lambda q: np.where(q == q[0], np.nan, q)),
         "separation.scores holds non-finite values",
     ),
+    "score negative": (
+        _column("separation", "scores", lambda q: np.where(q == q[0], -0.5, q)),
+        "separation score -0.5 is not a finite non-negative number",
+    ),
     "more slots than capacity": (
         _set("completion", "capacity", lambda c: c - 1),
         "completion.x has shape (4, 16), the header's geometry needs (3, 16)",

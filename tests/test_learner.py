@@ -558,20 +558,19 @@ class TestScoringPassCoversTheDraws:
         cfg = TrainConfig(buffer_total=8, batch_size=4, b_compare=3, seed=4)
         steps: list[tuple[np.ndarray, int, list[np.ndarray]]] = []
         passes: list[np.ndarray] = []
-        real_draw = SeparationBuffer.draw_compare
+        real_draw = SeparationBuffer.draw_compare_batch
         real_grads = predictor.HeatmapPredictor.per_sample_grads
 
-        def draw(self, rng, ahead=0):
-            if ahead == 0:  # a new batch: the slots held at its start
-                steps.append((self.rows.copy(), self.stream_count, []))
-            steps[-1][2].append(real_draw(self, rng, ahead))
-            return steps[-1][2][-1]
+        def draw(self, rng, offers):  # a batch's draws, from the slots held at its start
+            draws = real_draw(self, rng, offers)
+            steps.append((self.rows.copy(), self.stream_count, list(draws)))
+            return draws
 
         def grads(self, params, x, cells, spec):
             passes.append(x.copy())
             return real_grads(self, params, x, cells, spec)
 
-        monkeypatch.setattr(SeparationBuffer, "draw_compare", draw)
+        monkeypatch.setattr(SeparationBuffer, "draw_compare_batch", draw)
         monkeypatch.setattr(predictor.HeatmapPredictor, "per_sample_grads", grads)
         result = train_stream(tiny_model, table, Strategy.GSS_STYLE, cfg)
 
@@ -588,6 +587,29 @@ class TestScoringPassCoversTheDraws:
             assert np.array_equal(x, table.x[np.concatenate([held_rows[held], batch])])
         # Undrawn slots are left out of the pass.
         assert any(len(x) < min(cfg.buffer_total, 4 * step) + 4 for step, x in enumerate(passes))
+
+
+    @pytest.mark.parametrize("strategy", [Strategy.DUAL_REPLAY, Strategy.GSS_STYLE])
+    def test_one_draw_per_full_batch_trains_as_per_offer_draws(self, tiny_model, monkeypatch, strategy):
+        """A buffer full at batch start draws the batch's slots in one
+        call; drawing per offer instead leaves every bit of the run as
+        it was.  The capacity fills mid-batch and the last batch is
+        short."""
+        grid = tiny_model.config.grid
+        table = tiny_model.encode(make_stream(np.random.default_rng(345), grid, [1] * 23 + [2] * 22))
+        cfg = TrainConfig(buffer_total=10, batch_size=4, b_compare=3, seed=5)
+        batched = train_stream(tiny_model, table, strategy, cfg)
+
+        def per_offer(self, rng, offers):
+            return [self.draw_compare(rng, k) for k in range(offers)]
+
+        monkeypatch.setattr(SeparationBuffer, "draw_compare_batch", per_offer)
+        ref = train_stream(tiny_model, table, strategy, cfg)
+        assert same_bits(batched.final_params, ref.final_params)
+        for got, want in ((batched.separation, ref.separation), (batched.completion, ref.completion)):
+            if want is not None:
+                assert np.array_equal(got.rows, want.rows) and same_bits(got.logits, want.logits)
+        assert same_bits(batched.separation.scores, ref.separation.scores)
 
 
 class TestWorkIsOncePerSample:

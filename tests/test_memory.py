@@ -179,6 +179,49 @@ class TestDrawCompare:
         assert np.abs(counts[:3] - expected).max() < 4 * sigma
 
 
+    @pytest.mark.parametrize(
+        "capacity, b_compare, stream_count, offers",
+        [
+            (6, 3, 6, 8),  # full at batch start: one call
+            (6, 3, 40, 8),
+            (6, 10, 9, 8),  # b_compare above the capacity
+            (6, 3, 6, 3),  # a short last batch
+            (6, 3, 6, 1),
+            (1, 2, 5, 4),  # one slot: draws below 1 consume nothing
+            (6, 3, 2, 8),  # fills mid-batch: per-offer draws
+            (6, 3, 0, 8),  # the stream's first batch
+            (6, 3, 5, 3),
+        ],
+    )
+    def test_a_batch_draws_what_per_offer_calls_draw(self, capacity, b_compare, stream_count, offers):
+        """One call per full batch gives the slots and the generator
+        state of one ``draw_compare`` call per offer."""
+        buf = SeparationBuffer(capacity=capacity, b_compare=b_compare, stream_count=stream_count)
+        full = stream_count >= capacity
+        for seed in range(300):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = buf.draw_compare_batch(rng, offers)
+            want = [buf.draw_compare(ref, k) for k in range(offers)]
+            assert isinstance(draws, np.ndarray) == full
+            assert len(draws) == offers
+            assert all(np.array_equal(got, w) for got, w in zip(draws, want))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [5, 100, 3 * 10**9])
+    def test_bounded_draws_split_across_calls_alike(self, n):
+        """The fact that batch draws rest on: ``Generator.integers`` below
+        ``n`` gives the same values and state in one call as in one call
+        per row, also at n = 3e9, where 30% of 32-bit words are
+        rejected."""
+        for size in (1, 3, 10):
+            for seed in range(300):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                one = rng.integers(0, n, size=(7, size))
+                per_row = np.stack([ref.integers(0, n, size=size) for _ in range(7)])
+                assert np.array_equal(one, per_row)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestSeparationBuffer:
     def _full_buffer(self, rng, scores, n_cells=0):
         buf = SeparationBuffer(capacity=len(scores), n_cells=n_cells)
@@ -264,6 +307,51 @@ class TestSeparationBuffer:
                 assert buf.rows[slot] == 2
                 evictions[slot] += 1
         assert evictions[0] > 10 * evictions[1]
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            [0.3, 1.2, 0.05, 1.9, 0.7],
+            [0.0, 0.8, 0.0, 0.0, 1.5],  # zero scores are never candidates
+            [0.0, 0.0, 0.0, 0.0, 2.0],
+            [0.6] * 5,
+            [1.0] * 64,
+            [0.4],  # one slot
+        ],
+    )
+    def test_eviction_draw_is_generator_choice(self, scores):
+        """The candidate is ``Generator.choice(n, p=q / q.sum())``: same
+        index, same generator state.  A zero-score newcomer always
+        replaces a candidate of positive score, so the slot written is
+        the candidate drawn."""
+        q = np.array(scores)
+        buf = SeparationBuffer(capacity=len(q), stream_count=len(q))
+        for seed in range(200):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                buf.fill(buf.rows, buf.logits, q)
+                slot = buf.observe(7, 0.0, rng)
+                assert slot == ref.choice(len(q), p=q / q.sum())
+                ref.random()  # the replacement draw
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf, -0.5, -1e-300])
+    def test_bad_scores_refused(self, q):
+        rng = np.random.default_rng(131)
+        for filled in (1, 2):  # below capacity, then full
+            buf = SeparationBuffer(capacity=2)
+            for row in range(filled):
+                buf.observe(row, 0.5, rng)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match=f"separation score {q!r} is not a finite non-negative"):
+                buf.observe(5, q, rng)
+            assert buf.stream_count == filled and buf.rows.tolist() == list(range(filled))
+            assert rng.bit_generator.state == state
+            with pytest.raises(ValueError, match=f"separation score {q!r}"):
+                buf.fill(buf.rows, buf.logits, [0.5, q][-filled:])
+            assert buf.scores.tolist() == [0.5] * filled
+        with pytest.raises(ValueError, match="separation score nan"):
+            buf.offer(5, np.array([0.5, np.nan]), rng)
 
     def test_offer_first_sample_rule(self):
         rng = np.random.default_rng(128)

@@ -38,6 +38,7 @@ from conftest import (
     endpoint_to_cell,
     make_scenes,
     ref_adam_step,
+    ref_adam_step_textbook,
     ref_loss_and_grad,
     ref_per_sample_grads,
     same_bits,
@@ -254,6 +255,24 @@ class TestMatchesReferenceKernels:
                 assert same_bits(params, ref_params)
                 assert same_bits(state.m, ref_state.m) and same_bits(state.v, ref_state.v)
                 assert state.t == ref_state.t
+
+    def test_folded_adam_tracks_the_textbook_formula(self):
+        """The folded bias corrections move only the parameter update:
+        the moments stay the textbook ones bit for bit, and the
+        parameters within rounding over 50 chained steps."""
+        rng = np.random.default_rng(75)
+        for lr in (1e-3, 0.05):
+            params = rng.normal(size=300)
+            state, ref_state = AdamState.zeros(300), AdamState.zeros(300)
+            ref_params = params.copy()
+            for _ in range(50):
+                grad = rng.normal(0.0, rng.uniform(1e-4, 10.0), size=300)
+                grad[rng.random(300) < 0.1] = 0.0
+                adam_step(params, grad, state, lr)
+                ref_params, ref_state = ref_adam_step_textbook(ref_params, grad, ref_state, lr)
+                assert same_bits(state.m, ref_state.m) and same_bits(state.v, ref_state.v)
+            np.testing.assert_allclose(params, ref_params, rtol=1e-12, atol=0.0)
+            assert not same_bits(params, ref_params)  # the orders do differ in rounding
 
     def test_loss_and_grad_into_a_buffer(self, deep_model):
         rng = np.random.default_rng(74)
