@@ -228,9 +228,11 @@ def agem_project(grad: np.ndarray, ref_grad: np.ndarray, scratch: np.ndarray) ->
 class _AgemMemory:
     """Per-task reservoirs under one shared budget.
 
-    When a new task shows up every existing reservoir shrinks to the
-    new even quota (a random keep-subset), so the budget never grows
-    with the task count.
+    When the ``k``-th task shows up every existing reservoir shrinks to
+    the new even quota ``max(1, total // k)`` (a random keep-subset).
+    The quota never drops below one row, so a stream with more tasks
+    than ``total`` rows keeps one row per task, more than the budget:
+    a budget of 2 over three tasks stores 3 rows.
     """
 
     def __init__(self, total: int, rng: np.random.Generator, source: SampleTable):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from contrail.core import GridSpec, SampleTable, Scenes
+from contrail.learner import Strategy, TrainConfig
 from contrail.losses import LossSpec
 from contrail.memory import FIRST_SAMPLE_SCORE
 from contrail.predictor import AdamState, FactoredGrads, HeatmapPredictor, PredictorConfig
@@ -373,6 +374,127 @@ def ref_replay_targets(buffer: RefCompletionBuffer, slots: np.ndarray) -> tuple[
     rows = np.array([buffer.rows[s] for s in slots], dtype=np.intp)
     stored = np.stack([buffer.logits[s] for s in slots]).reshape(len(rows), -1)
     return rows, stored
+
+
+@dataclass
+class RefRun:
+    """What :func:`ref_train_stream` leaves behind.  ``table`` is the
+    stream it trained on (``joint``'s shuffle) and ``late_reads`` the
+    number of offers that drew a slot an earlier offer of their batch
+    had just replaced in a full separation buffer."""
+
+    final_params: np.ndarray
+    adam_state: AdamState
+    checkpoints: list[tuple[int, np.ndarray]]
+    separation: RefSeparationBuffer | None
+    completion: RefCompletionBuffer | None
+    agem_dots: list[float]
+    n_steps: int
+    table: SampleTable
+    late_reads: int
+
+
+def ref_train_stream(
+    model: HeatmapPredictor, table: SampleTable, strategy: Strategy, cfg: TrainConfig
+) -> RefRun:
+    """Reference for ``learner.train_stream``, one plain loop over the
+    batches built from this module's references.  Each step is one
+    weighted loss over the batch and its replay draws (``gss``: the mean
+    over the mixed batch), the distilled draws last; ``agem`` projects
+    against its other tasks' reservoirs; one Adam step; then each offer
+    in turn draws its comparison slots and is scored from dense
+    per-sample gradient rows at the post-step parameters.  It consumes
+    the trainer's five seed streams."""
+    rng_replay, rng_buffers, rng_joint, rng_agem, rng_compare = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(5)
+    )
+    n, spec = len(table), cfg.loss
+    if strategy is Strategy.JOINT:
+        table = table.take(rng_joint.permutation(n))
+        task_ends = []
+    else:
+        labels = table._labels.tolist()
+        task_ends = [(labels[i], i + 1) for i in range(n) if i == n - 1 or labels[i + 1] != labels[i]]
+    total, half = cfg.buffer_total, cfg.buffer_total // 2
+    sp_capacity, cp_capacity = {
+        Strategy.DUAL_REPLAY: (half, half),
+        Strategy.DER_STYLE: (0, total),
+        Strategy.GSS_STYLE: (total, 0),
+    }.get(strategy, (0, 0))
+    sp = RefSeparationBuffer(sp_capacity, cfg.b_compare) if sp_capacity else None
+    cp = RefCompletionBuffer(cp_capacity) if cp_capacity else None
+    reservoirs: dict[int, RefCompletionBuffer] = {}  # agem's, one per task label
+
+    params, adam = model.init_params(), AdamState.zeros(model.param_count)
+    checkpoints, agem_dots, n_steps, late_reads = [], [], 0, 0
+    for start in range(0, n, cfg.batch_size):
+        batch = list(range(start, min(start + cfg.batch_size, n)))
+        rows, weights, stored = list(batch), [1.0 / len(batch)] * len(batch), []
+        if strategy is Strategy.GSS_STYLE:
+            slots = ref_draw_minibatch(sp, cfg.replay_n, rng_replay) if sp is not None else []
+            if len(slots):
+                rows += ref_replay_targets(sp, slots)[0].tolist()
+        else:
+            for weight, buffer in ((spec.alpha, sp), (spec.beta, cp)):
+                if weight == 0.0 or buffer is None:
+                    continue
+                slots = ref_draw_minibatch(buffer, cfg.replay_n, rng_replay)
+                if len(slots):
+                    drawn, anchors = ref_replay_targets(buffer, slots)
+                    rows += drawn.tolist()
+                    weights += [weight / len(drawn)] * len(drawn)
+                    stored.append(anchors)
+        x, cells = table.x[rows], table.cells[rows]
+        if stored:
+            padded, distill = tail_as_mask(len(rows), np.concatenate(stored))
+            _, grad, logits = ref_loss_and_grad(
+                model, params, x, cells, spec, padded, distill, np.array(weights)
+            )
+        else:
+            _, grad, logits = ref_loss_and_grad(model, params, x, cells, spec)
+
+        if strategy is Strategy.AGEM:
+            label = int(table._labels[batch[-1]])
+            pool = [r for other, res in reservoirs.items() if other != label for r in res.rows]
+            if pool:
+                refs = [pool[i] for i in rng_agem.integers(0, len(pool), size=cfg.agem_ref_batch)]
+                _, g_ref, _ = ref_loss_and_grad(model, params, table.x[refs], table.cells[refs], spec)
+                dot = float(np.einsum("i,i->", grad, g_ref))
+                denom = float(np.einsum("i,i->", g_ref, g_ref))
+                if dot < 0.0 and denom != 0.0:
+                    grad = grad - (dot / denom) * g_ref
+                    agem_dots.append(float(np.einsum("i,i->", grad, g_ref)))
+
+        params, adam = ref_adam_step(params, grad, adam, cfg.lr)
+        n_steps += 1
+
+        replaced: set[int] = set()  # slots of a full separation buffer rewritten in this batch
+        for k, row in enumerate(batch):
+            if sp is not None:
+                slots = sp.draw_compare(rng_compare).tolist()
+                late_reads += any(s in replaced for s in slots)
+                mixed = [row] + [sp.rows[s] for s in slots]
+                g = dense(ref_per_sample_grads(model, params, table.x[mixed], table.cells[mixed], spec))
+                full = len(sp) == sp.capacity
+                if sp.offer(row, cosine_rows(g[0], g[1:]), rng_buffers, logits[k]) and full:
+                    replaced.add(sp.rows.index(row))
+            if cp is not None:
+                cp.observe(row, rng_buffers, logits[k])
+            if strategy is Strategy.AGEM and total > 0:
+                label = int(table._labels[row])
+                if label not in reservoirs:
+                    quota = max(1, total // (len(reservoirs) + 1))
+                    for res in reservoirs.values():
+                        if len(res) > quota:
+                            keep = rng_agem.choice(len(res), size=quota, replace=False)
+                            res.retain(sorted(int(i) for i in keep))
+                        res.capacity = quota
+                    reservoirs[label] = RefCompletionBuffer(quota)
+                reservoirs[label].observe(row, rng_agem, logits[k])
+
+        while task_ends and task_ends[0][1] <= batch[-1] + 1:
+            checkpoints.append((task_ends.pop(0)[0], params))
+    return RefRun(params, adam, checkpoints, sp, cp, agem_dots, n_steps, table, late_reads)
 
 
 def ref_pose_on(

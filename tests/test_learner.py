@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -19,10 +20,8 @@ from contrail.learner import (
     TASK_FREE,
     Strategy,
     TrainConfig,
-    TrainResult,
     agem_project,
     dual_replay_step,
-    gss_style_step,
     train_stream,
 )
 from contrail.losses import LossSpec, replay_targets
@@ -35,7 +34,7 @@ from contrail.learner import _AgemMemory
 from contrail.predictor import AdamState, HeatmapPredictor, PredictorConfig
 from contrail.scenarios import KINDS, TaskSpec, generate_task
 
-from conftest import cosine_rows, dense, make_scenes, make_table, same_bits, same_rows
+from conftest import make_scenes, make_table, ref_train_stream, same_bits
 
 
 def make_stream(rng, grid, labels):
@@ -141,82 +140,6 @@ class TestStepFunctions:
     def _logits(self, rng, grid):
         return rng.normal(size=grid.n_cells)
 
-    def test_empty_buffers_match_vanilla(self, tiny_model):
-        """Empty buffers, or full ones with replay_batch 0, draw nothing:
-        both steps are then the vanilla step and never consume the
-        generator."""
-        rng = np.random.default_rng(310)
-        grid = tiny_model.config.grid
-        params = tiny_model.init_params()
-        table = self._table(rng, tiny_model, 8)
-        b = self.batch
-        for filled, replay_batch in ((0, None), (4, 0)):
-            sp = SeparationBuffer(capacity=4, n_cells=grid.n_cells)
-            cp = CompletionBuffer(capacity=4, n_cells=grid.n_cells)
-            for row in range(4, 4 + filled):
-                logits = self._logits(rng, grid)
-                sp.observe(row, 0.5, rng, logits)
-                cp.observe(row, rng, logits)
-            cfg = TrainConfig(replay_batch=replay_batch)
-
-            base_loss, base_grad, _ = tiny_model.loss_and_grad(
-                params, table.x[b], table.cells[b], cfg.loss
-            )
-            for step in (
-                lambda r: dual_replay_step(tiny_model, params, table, b, sp, cp, cfg, r),
-                lambda r: gss_style_step(tiny_model, params, table, b, sp, cfg, r),
-            ):
-                step_rng = np.random.default_rng(77)
-                loss, grad, _ = step(step_rng)
-                assert loss == base_loss
-                assert np.array_equal(grad, base_grad)
-                assert step_rng.integers(1 << 20) == np.random.default_rng(77).integers(1 << 20)
-
-    def test_zero_weights_match_vanilla_and_skip_the_rng(self, tiny_model):
-        rng = np.random.default_rng(311)
-        grid = tiny_model.config.grid
-        params = tiny_model.init_params()
-        table = self._table(rng, tiny_model, 8)
-        sp = SeparationBuffer(capacity=4, n_cells=grid.n_cells)
-        cp = CompletionBuffer(capacity=4, n_cells=grid.n_cells)
-        for row in range(4, 8):
-            logits = self._logits(rng, grid)
-            sp.observe(row, 0.5, rng, logits)
-            cp.observe(row, rng, logits)
-        cfg = TrainConfig(loss=LossSpec(alpha=0.0, beta=0.0))
-
-        b = self.batch
-        base_loss, base_grad, _ = tiny_model.loss_and_grad(
-            params, table.x[b], table.cells[b], cfg.loss
-        )
-        step_rng = np.random.default_rng(77)
-        loss, grad, _ = dual_replay_step(tiny_model, params, table, b, sp, cp, cfg, step_rng)
-        assert loss == base_loss
-        assert np.array_equal(grad, base_grad)
-        # The generator was never consumed.
-        assert step_rng.integers(1 << 20) == np.random.default_rng(77).integers(1 << 20)
-
-    def test_alpha_zero_matches_reservoir_only_step(self, tiny_model):
-        rng = np.random.default_rng(312)
-        grid = tiny_model.config.grid
-        params = tiny_model.init_params()
-        table = self._table(rng, tiny_model, 8)
-        sp = SeparationBuffer(capacity=4, n_cells=grid.n_cells)
-        cp = CompletionBuffer(capacity=4, n_cells=grid.n_cells)
-        for row in range(4, 8):
-            logits = self._logits(rng, grid)
-            sp.observe(row, 0.5, rng, logits)
-            cp.observe(row, rng, logits)
-        cfg = TrainConfig(loss=LossSpec(alpha=0.0, beta=1.0))
-        with_sp = dual_replay_step(
-            tiny_model, params, table, self.batch, sp, cp, cfg, np.random.default_rng(5)
-        )
-        without_sp = dual_replay_step(
-            tiny_model, params, table, self.batch, None, cp, cfg, np.random.default_rng(5)
-        )
-        assert with_sp[0] == without_sp[0]
-        assert np.array_equal(with_sp[1], without_sp[1])
-
     def test_replay_terms_add_up(self, tiny_model):
         rng = np.random.default_rng(313)
         grid = tiny_model.config.grid
@@ -280,58 +203,6 @@ class TestStepFunctions:
         rows = np.concatenate(want_rows)
         assert np.array_equal(logits, tiny_model.forward_logits(params, table.x[rows]))
 
-    def test_step_logits_are_the_batch_snapshot(self, tiny_model):
-        rng = np.random.default_rng(317)
-        grid = tiny_model.config.grid
-        params = tiny_model.init_params()
-        table = self._table(rng, tiny_model, 13)
-        sp, cp = self._full_buffers(rng, grid, range(5, 13))
-        cfg = TrainConfig(batch_size=5, loss=LossSpec(alpha=0.5, beta=2.0))
-
-        b = np.arange(5)
-        snapshot = tiny_model.forward_logits(params, table.x[b])
-        _, _, dual = dual_replay_step(
-            tiny_model, params, table, b, sp, cp, cfg, np.random.default_rng(1)
-        )
-        _, _, gss = gss_style_step(tiny_model, params, table, b, sp, cfg, np.random.default_rng(1))
-        assert dual.shape == (5 + 2 * cfg.replay_n, grid.n_cells)
-        assert gss.shape == (5 + cfg.replay_n, grid.n_cells)
-        assert np.array_equal(dual[:5], snapshot)
-        assert np.array_equal(gss[:5], snapshot)
-
-    def test_gss_step_is_the_mixed_batch_mean(self, tiny_model):
-        rng = np.random.default_rng(314)
-        params = tiny_model.init_params()
-        table = self._table(rng, tiny_model, 10)
-        sp = SeparationBuffer(capacity=6)
-        for row in range(4, 10):
-            sp.observe(row, 0.5, rng)
-        cfg = TrainConfig(replay_batch=3)
-
-        loss, grad, _ = gss_style_step(
-            tiny_model, params, table, self.batch, sp, cfg, np.random.default_rng(4)
-        )
-        slots = draw_minibatch(sp, 3, np.random.default_rng(4))
-        mixed = np.concatenate([self.batch, sp.rows[slots]])
-        want_l, want_g, _ = tiny_model.loss_and_grad(
-            params, table.x[mixed], table.cells[mixed], cfg.loss
-        )
-        assert loss == want_l
-        assert np.array_equal(grad, want_g)
-
-    def test_gss_step_without_buffer_matches_vanilla(self, tiny_model):
-        rng = np.random.default_rng(315)
-        params = tiny_model.init_params()
-        table = self._table(rng, tiny_model, 4)
-        cfg = TrainConfig()
-
-        loss, grad, _ = gss_style_step(
-            tiny_model, params, table, self.batch, None, cfg, np.random.default_rng(0)
-        )
-        want_l, want_g, _ = tiny_model.loss_and_grad(params, table.x, table.cells, cfg.loss)
-        assert loss == want_l
-        assert np.array_equal(grad, want_g)
-
 
 class TestTrainStream:
     def _stream(self, seed, grid, labels=(1,) * 12 + (2,) * 12):
@@ -348,16 +219,6 @@ class TestTrainStream:
         table = tiny_model.encode(stream)
         with pytest.raises(ValueError, match="non-decreasing"):
             train_stream(tiny_model, table, Strategy.VANILLA, TrainConfig())
-
-    def test_single_pass_visits(self, tiny_model):
-        grid = tiny_model.config.grid
-        stream = self._stream(321, grid)
-        table = tiny_model.encode(stream)
-        for strategy in Strategy:
-            cfg = TrainConfig(batch_size=5, buffer_total=8)
-            result = train_stream(tiny_model, table, strategy, cfg)
-            assert result.n_steps == math.ceil(len(table) / cfg.batch_size) == 5
-            assert result.adam_state.t == result.n_steps
 
     def test_bit_reproducible(self, tiny_model):
         grid = tiny_model.config.grid
@@ -405,26 +266,6 @@ class TestTrainStream:
                 tiny_model, table, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=7)
             )
 
-    def test_dual_without_memory_matches_vanilla_bitwise(self, tiny_model):
-        grid = tiny_model.config.grid
-        stream = self._stream(325, grid)
-        table = tiny_model.encode(stream)
-        vanilla = train_stream(
-            tiny_model, table, Strategy.VANILLA, TrainConfig(buffer_total=0)
-        )
-        no_budget = train_stream(
-            tiny_model, table, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=0)
-        )
-        assert np.array_equal(vanilla.final_params, no_budget.final_params)
-
-        zero_weights = train_stream(
-            tiny_model,
-            table,
-            Strategy.DUAL_REPLAY,
-            TrainConfig(buffer_total=8, loss=LossSpec(alpha=0.0, beta=0.0)),
-        )
-        assert np.array_equal(vanilla.final_params, zero_weights.final_params)
-
     def test_replay_changes_the_outcome(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(326, grid)
@@ -434,45 +275,6 @@ class TestTrainStream:
             tiny_model, table, Strategy.DUAL_REPLAY, TrainConfig(buffer_total=8)
         )
         assert not np.array_equal(vanilla.final_params, dual.final_params)
-
-    def test_joint_equals_vanilla_on_the_shuffled_stream(self, tiny_model):
-        grid = tiny_model.config.grid
-        stream = self._stream(327, grid, labels=[1] * 20)
-        table = tiny_model.encode(stream)
-        cfg = TrainConfig(seed=5)
-        joint = train_stream(tiny_model, table, Strategy.JOINT, cfg)
-        assert joint.checkpoints == []
-
-        seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-        order = np.random.default_rng(seeds[2]).permutation(len(table))
-        vanilla = train_stream(tiny_model, table.take(order), Strategy.VANILLA, cfg)
-        assert np.array_equal(joint.final_params, vanilla.final_params)
-
-    def test_task_free_strategies_read_no_labels(self, tiny_model):
-        grid = tiny_model.config.grid
-        stream = self._stream(328, grid)
-        table = tiny_model.encode(stream)
-        for strategy in TASK_FREE:
-            result = train_stream(
-                tiny_model, table, strategy, TrainConfig(buffer_total=8)
-            )
-            assert result.label_reads == 0, strategy
-        joint = train_stream(tiny_model, table, Strategy.JOINT, TrainConfig())
-        assert joint.label_reads == 0
-        agem = train_stream(
-            tiny_model, table, Strategy.AGEM, TrainConfig(buffer_total=8)
-        )
-        assert agem.label_reads > 0
-
-    def test_checkpoints_follow_task_boundaries(self, tiny_model):
-        grid = tiny_model.config.grid
-        stream = self._stream(329, grid, labels=[1] * 6 + [2] * 6)
-        table = tiny_model.encode(stream)
-        cfg = TrainConfig(batch_size=4)
-        result = train_stream(tiny_model, table, Strategy.VANILLA, cfg)
-        assert [label for label, _ in result.checkpoints] == [1, 2]
-        assert np.array_equal(result.checkpoints[1][1], result.final_params)
-        assert not np.array_equal(result.checkpoints[0][1], result.final_params)
 
     def test_agem_projections_stay_non_negative(self, tiny_model):
         grid = tiny_model.config.grid
@@ -484,66 +286,88 @@ class TestTrainStream:
         assert all(d >= -1e-9 for d in result.agem_dots)
 
 
-def _dense_offer_batch(late_admissions):
-    """Reference for ``learner._offer_batch``: each offer draws its
-    comparison slots at its own turn and is scored from dense
-    per-sample gradient rows of the batch sample and of the rows its
-    drawn slots hold at that moment, through ``cosine_rows``.  Records
-    the batch positions of admissions into a full buffer."""
+# The reference sweep: a three-task stream and one seeded config per
+# case, each run by every strategy.
+REFERENCE_LABELS = [1] * 10 + [2] * 8 + [3] * 9
+REFERENCE_CASES = {
+    "batch-1": TrainConfig(batch_size=1, buffer_total=6, b_compare=1, seed=1),
+    "short-last-batch": TrainConfig(
+        batch_size=5, buffer_total=8, replay_batch=3, b_compare=3, seed=2
+    ),
+    "fills-mid-batch": TrainConfig(
+        batch_size=4, buffer_total=10, b_compare=12, seed=3, agem_ref_batch=5
+    ),
+    "replay-0": TrainConfig(batch_size=4, buffer_total=8, replay_batch=0, seed=4),
+    "alpha-0": TrainConfig(
+        batch_size=3, buffer_total=4, replay_batch=2, seed=5, loss=LossSpec(alpha=0.0)
+    ),
+    "beta-0": TrainConfig(
+        batch_size=3, buffer_total=4, replay_batch=2, seed=6, loss=LossSpec(beta=0.0)
+    ),
+    "alpha-beta-0": TrainConfig(
+        batch_size=4, buffer_total=8, seed=7, loss=LossSpec(alpha=0.0, beta=0.0)
+    ),
+    "focal": TrainConfig(
+        batch_size=4, buffer_total=6, b_compare=2, seed=8, loss=LossSpec(base_kind="focal")
+    ),
+    "budget-0": TrainConfig(batch_size=4, buffer_total=0, seed=9),
+    "budget-above-stream": TrainConfig(batch_size=6, buffer_total=64, b_compare=4, seed=10),
+    "budget-2": TrainConfig(batch_size=4, buffer_total=2, b_compare=3, seed=11),
+}
 
-    def offer_batch(model, params, table, batch, snapshot, sp_buffer, cp_buffer, cfg, rng, rng_compare):
-        def dense_rows(rows):
-            return dense(model.per_sample_grads(params, table.x[rows], table.cells[rows], cfg.loss))
 
-        new = dense_rows(batch)
-        for k, row in enumerate(batch.tolist()):
-            logits = snapshot[k]
-            if sp_buffer is not None:
-                stored = dense_rows(sp_buffer.rows[sp_buffer.draw_compare(rng_compare)])
-                full = len(sp_buffer) == sp_buffer.capacity
-                if sp_buffer.offer(row, cosine_rows(new[k], stored), rng, logits) is not None and full:
-                    late_admissions.append((k, len(batch)))
-            if cp_buffer is not None:
-                cp_buffer.observe(row, rng, logits)
+class TestReferenceTrainer:
+    """``train_stream`` against ``conftest.ref_train_stream``, a plain
+    loop that shares no code with it, on every case of the sweep: final
+    parameters, Adam state, checkpoints, buffer rows and logits and
+    ``agem_dots`` bit for bit; separation scores, which come from a Gram
+    product here and from dense cosines there, within 1e-12."""
 
-    return offer_batch
-
-
-class TestExactScoring:
-    """The trainer draws a batch's comparison slots up front and scores
-    from one factored Gram pass over them; that must make the same
-    buffer decisions as drawing and dense scoring per offer."""
-
-    @pytest.mark.parametrize("strategy", [Strategy.DUAL_REPLAY, Strategy.GSS_STYLE])
-    def test_gram_scoring_matches_dense_reference(self, tiny_model, monkeypatch, strategy):
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_train_stream_matches_the_reference(self, tiny_model, strategy):
         grid = tiny_model.config.grid
-        stream = make_stream(
-            np.random.default_rng(336), grid, [1] * 24 + [2] * 24 + [3] * 24
-        )
-        table = tiny_model.encode(stream)
-        cfg = TrainConfig(buffer_total=8, batch_size=4, b_compare=3, seed=3)
-        fast = train_stream(tiny_model, table, strategy, cfg)
+        table = tiny_model.encode(make_stream(np.random.default_rng(350), grid, REFERENCE_LABELS))
+        late_reads = projections = 0
+        for case, cfg in REFERENCE_CASES.items():
+            got = train_stream(tiny_model, table, strategy, cfg)
+            want = ref_train_stream(tiny_model, table, strategy, cfg)
+            steps = math.ceil(len(table) / cfg.batch_size)
+            assert got.n_steps == got.adam_state.t == want.n_steps == steps, case
+            assert got.label_reads == (steps + len(table) if strategy is Strategy.AGEM else 0), case
+            assert same_bits(got.final_params, want.final_params), case
+            assert same_bits(got.adam_state.m, want.adam_state.m), case
+            assert same_bits(got.adam_state.v, want.adam_state.v), case
+            assert [label for label, _ in got.checkpoints] == [label for label, _ in want.checkpoints], case
+            assert all(same_bits(a, b) for (_, a), (_, b) in zip(got.checkpoints, want.checkpoints)), case
+            assert got.agem_dots == want.agem_dots, case
+            for buf, ref in ((got.separation, want.separation), (got.completion, want.completion)):
+                assert (buf is None) == (ref is None), case
+                if ref is not None:
+                    assert (buf.capacity, buf.stream_count, buf.rows.tolist()) == (
+                        ref.capacity, ref.stream_count, ref.rows
+                    ), case
+                    assert all(same_bits(a, b) for a, b in zip(buf.logits, ref.logits)), case
+            if want.separation is not None:
+                np.testing.assert_allclose(
+                    got.separation.scores, want.separation.scores, rtol=0, atol=1e-12, err_msg=case
+                )
+            late_reads += want.late_reads
+            projections += len(want.agem_dots)
 
-        late: list[tuple[int, int]] = []
-        monkeypatch.setattr(learner, "_offer_batch", _dense_offer_batch(late))
-        ref = train_stream(tiny_model, table, strategy, cfg)
-
-        # Some admission into the full buffer was followed, within its
-        # batch, by an offer scored against the replaced slot.
-        assert any(k < n - 1 for k, n in late)
-        assert np.array_equal(fast.final_params, ref.final_params)
-        for got, want in ((fast.separation, ref.separation), (fast.completion, ref.completion)):
-            if want is None:
-                assert got is None
-                continue
-            assert np.array_equal(got.rows, want.rows)
-            (got_rows, got_logits), (want_rows, want_logits) = got.contents(), want.contents()
-            assert len(got_rows) == len(want_rows) == len(want)
-            assert same_rows(got_rows, want_rows)
-            assert np.array_equal(got_logits, want_logits)
-        np.testing.assert_allclose(
-            fast.separation.scores, ref.separation.scores, rtol=0, atol=1e-12
-        )
+            # Without a budget or replay weights dual is vanilla; joint is
+            # vanilla on its shuffled stream, read as a single task.
+            no_replay = cfg.buffer_total == 0 or cfg.loss.alpha == cfg.loss.beta == 0
+            if strategy is Strategy.DUAL_REPLAY and no_replay:
+                vanilla = train_stream(tiny_model, table, Strategy.VANILLA, cfg)
+                assert same_bits(got.final_params, vanilla.final_params), case
+            if strategy is Strategy.JOINT:
+                shuffled = dataclasses.replace(want.table, _labels=np.ones(len(table), dtype=int))
+                vanilla = train_stream(tiny_model, shuffled, Strategy.VANILLA, cfg)
+                assert same_bits(got.final_params, vanilla.final_params), case
+        # Some offer drew a slot that an earlier offer of its batch had
+        # replaced in a full buffer, and some A-GEM step was projected.
+        assert (late_reads > 0) is (strategy in (Strategy.DUAL_REPLAY, Strategy.GSS_STYLE))
+        assert (projections > 0) is (strategy is Strategy.AGEM)
 
 
 class TestScoringPassCoversTheDraws:
@@ -588,30 +412,6 @@ class TestScoringPassCoversTheDraws:
         # Undrawn slots are left out of the pass.
         assert any(len(x) < min(cfg.buffer_total, 4 * step) + 4 for step, x in enumerate(passes))
 
-
-    @pytest.mark.parametrize("strategy", [Strategy.DUAL_REPLAY, Strategy.GSS_STYLE])
-    def test_one_draw_per_full_batch_trains_as_per_offer_draws(self, tiny_model, monkeypatch, strategy):
-        """A buffer full at batch start draws the batch's slots in one
-        call; drawing per offer instead leaves every bit of the run as
-        it was.  The capacity fills mid-batch and the last batch is
-        short."""
-        grid = tiny_model.config.grid
-        table = tiny_model.encode(make_stream(np.random.default_rng(345), grid, [1] * 23 + [2] * 22))
-        cfg = TrainConfig(buffer_total=10, batch_size=4, b_compare=3, seed=5)
-        batched = train_stream(tiny_model, table, strategy, cfg)
-
-        def per_offer(self, rng, offers):
-            return [self.draw_compare(rng, k) for k in range(offers)]
-
-        monkeypatch.setattr(SeparationBuffer, "draw_compare_batch", per_offer)
-        ref = train_stream(tiny_model, table, strategy, cfg)
-        assert same_bits(batched.final_params, ref.final_params)
-        for got, want in ((batched.separation, ref.separation), (batched.completion, ref.completion)):
-            if want is not None:
-                assert np.array_equal(got.rows, want.rows) and same_bits(got.logits, want.logits)
-        assert same_bits(batched.separation.scores, ref.separation.scores)
-
-
 class TestWorkIsOncePerSample:
     """Encoding computes every sample's frame in one call and
     featurises the whole set in one call; ``train_stream`` then only
@@ -652,7 +452,8 @@ class TestWorkIsOncePerSample:
 class TestOnePassPerStep:
     """Each training step is one forward and one backward pass over the
     batch and its replay rows; the snapshot comes from that forward.
-    The separation buffer's scoring pass adds one forward per step."""
+    The separation buffer's scoring pass adds one forward and one
+    backward delta chain per step, which forms no parameter gradient."""
 
     @pytest.mark.parametrize(
         "strategy, forwards_per_step",
@@ -750,6 +551,14 @@ class TestAgemMemory:
         refs = mem.reference_rows(exclude_label=2, n=16)
         assert len(refs) == 16
         assert all(r in mem.reservoirs[1].rows for r in refs)
+
+    def test_more_tasks_than_budget_rows_keep_one_row_each(self):
+        """Each quota is at least one row, so the stored count passes
+        the budget once the tasks outnumber its rows."""
+        mem = _AgemMemory(total=2, rng=np.random.default_rng(345), source=make_table(np.random.default_rng(0), 9))
+        for row in range(9):
+            mem.observe(row // 3 + 1, row)
+        assert [(buf.capacity, len(buf)) for buf in mem.reservoirs.values()] == [(1, 1)] * 3
 
     def test_zero_budget_stores_nothing(self):
         rng = np.random.default_rng(342)
