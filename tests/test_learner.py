@@ -220,6 +220,16 @@ class TestTrainStream:
         with pytest.raises(ValueError, match="non-decreasing"):
             train_stream(tiny_model, table, Strategy.VANILLA, TrainConfig())
 
+    def test_single_pass_visits(self, tiny_model):
+        grid = tiny_model.config.grid
+        stream = self._stream(321, grid)
+        table = tiny_model.encode(stream)
+        for strategy in Strategy:
+            cfg = TrainConfig(batch_size=5, buffer_total=8)
+            result = train_stream(tiny_model, table, strategy, cfg)
+            assert result.n_steps == math.ceil(len(table) / cfg.batch_size) == 5
+            assert result.adam_state.t == result.n_steps
+
     def test_bit_reproducible(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(322, grid)
@@ -276,6 +286,32 @@ class TestTrainStream:
         )
         assert not np.array_equal(vanilla.final_params, dual.final_params)
 
+    def test_task_free_strategies_read_no_labels(self, tiny_model):
+        grid = tiny_model.config.grid
+        stream = self._stream(328, grid)
+        table = tiny_model.encode(stream)
+        for strategy in TASK_FREE:
+            result = train_stream(
+                tiny_model, table, strategy, TrainConfig(buffer_total=8)
+            )
+            assert result.label_reads == 0, strategy
+        joint = train_stream(tiny_model, table, Strategy.JOINT, TrainConfig())
+        assert joint.label_reads == 0
+        agem = train_stream(
+            tiny_model, table, Strategy.AGEM, TrainConfig(buffer_total=8)
+        )
+        assert agem.label_reads > 0
+
+    def test_checkpoints_follow_task_boundaries(self, tiny_model):
+        grid = tiny_model.config.grid
+        stream = self._stream(329, grid, labels=[1] * 6 + [2] * 6)
+        table = tiny_model.encode(stream)
+        cfg = TrainConfig(batch_size=4)
+        result = train_stream(tiny_model, table, Strategy.VANILLA, cfg)
+        assert [label for label, _ in result.checkpoints] == [1, 2]
+        assert np.array_equal(result.checkpoints[1][1], result.final_params)
+        assert not np.array_equal(result.checkpoints[0][1], result.final_params)
+
     def test_agem_projections_stay_non_negative(self, tiny_model):
         grid = tiny_model.config.grid
         stream = self._stream(330, grid, labels=[1] * 16 + [2] * 16 + [3] * 16)
@@ -318,54 +354,60 @@ REFERENCE_CASES = {
 
 class TestReferenceTrainer:
     """``train_stream`` against ``conftest.ref_train_stream``, a plain
-    loop that shares no code with it, on every case of the sweep: final
-    parameters, Adam state, checkpoints, buffer rows and logits and
-    ``agem_dots`` bit for bit; separation scores, which come from a Gram
-    product here and from dense cosines there, within 1e-12."""
+    loop that shares no code with it, on every case of the sweep and
+    every strategy: final parameters, Adam state, checkpoints, buffer
+    rows and logits and ``agem_dots`` bit for bit; separation scores,
+    which come from a Gram product here and from dense cosines there,
+    within 1e-12."""
+
+    @pytest.fixture
+    def table(self, tiny_model):
+        stream = make_stream(np.random.default_rng(350), tiny_model.config.grid, REFERENCE_LABELS)
+        return tiny_model.encode(stream)
 
     @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
-    def test_train_stream_matches_the_reference(self, tiny_model, strategy):
-        grid = tiny_model.config.grid
-        table = tiny_model.encode(make_stream(np.random.default_rng(350), grid, REFERENCE_LABELS))
-        late_reads = projections = 0
-        for case, cfg in REFERENCE_CASES.items():
-            got = train_stream(tiny_model, table, strategy, cfg)
-            want = ref_train_stream(tiny_model, table, strategy, cfg)
-            steps = math.ceil(len(table) / cfg.batch_size)
-            assert got.n_steps == got.adam_state.t == want.n_steps == steps, case
-            assert got.label_reads == (steps + len(table) if strategy is Strategy.AGEM else 0), case
-            assert same_bits(got.final_params, want.final_params), case
-            assert same_bits(got.adam_state.m, want.adam_state.m), case
-            assert same_bits(got.adam_state.v, want.adam_state.v), case
-            assert [label for label, _ in got.checkpoints] == [label for label, _ in want.checkpoints], case
-            assert all(same_bits(a, b) for (_, a), (_, b) in zip(got.checkpoints, want.checkpoints)), case
-            assert got.agem_dots == want.agem_dots, case
-            for buf, ref in ((got.separation, want.separation), (got.completion, want.completion)):
-                assert (buf is None) == (ref is None), case
-                if ref is not None:
-                    assert (buf.capacity, buf.stream_count, buf.rows.tolist()) == (
-                        ref.capacity, ref.stream_count, ref.rows
-                    ), case
-                    assert all(same_bits(a, b) for a, b in zip(buf.logits, ref.logits)), case
-            if want.separation is not None:
-                np.testing.assert_allclose(
-                    got.separation.scores, want.separation.scores, rtol=0, atol=1e-12, err_msg=case
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_train_stream_matches_the_reference(self, tiny_model, table, case, strategy):
+        cfg = REFERENCE_CASES[case]
+        got = train_stream(tiny_model, table, strategy, cfg)
+        want = ref_train_stream(tiny_model, table, strategy, cfg)
+        steps = math.ceil(len(table) / cfg.batch_size)
+        assert got.n_steps == got.adam_state.t == want.n_steps == steps
+        assert got.label_reads == (steps + len(table) if strategy is Strategy.AGEM else 0)
+        assert same_bits(got.final_params, want.final_params)
+        assert same_bits(got.adam_state.m, want.adam_state.m)
+        assert same_bits(got.adam_state.v, want.adam_state.v)
+        assert [label for label, _ in got.checkpoints] == [label for label, _ in want.checkpoints]
+        assert all(same_bits(a, b) for (_, a), (_, b) in zip(got.checkpoints, want.checkpoints))
+        assert got.agem_dots == want.agem_dots
+        for buf, ref in ((got.separation, want.separation), (got.completion, want.completion)):
+            assert (buf is None) == (ref is None)
+            if ref is not None:
+                assert (buf.capacity, buf.stream_count, buf.rows.tolist()) == (
+                    ref.capacity, ref.stream_count, ref.rows
                 )
-            late_reads += want.late_reads
-            projections += len(want.agem_dots)
+                assert all(same_bits(a, b) for a, b in zip(buf.logits, ref.logits))
+        if want.separation is not None:
+            np.testing.assert_allclose(got.separation.scores, want.separation.scores, rtol=0, atol=1e-12)
 
-            # Without a budget or replay weights dual is vanilla; joint is
-            # vanilla on its shuffled stream, read as a single task.
-            no_replay = cfg.buffer_total == 0 or cfg.loss.alpha == cfg.loss.beta == 0
-            if strategy is Strategy.DUAL_REPLAY and no_replay:
-                vanilla = train_stream(tiny_model, table, Strategy.VANILLA, cfg)
-                assert same_bits(got.final_params, vanilla.final_params), case
-            if strategy is Strategy.JOINT:
-                shuffled = dataclasses.replace(want.table, _labels=np.ones(len(table), dtype=int))
-                vanilla = train_stream(tiny_model, shuffled, Strategy.VANILLA, cfg)
-                assert same_bits(got.final_params, vanilla.final_params), case
+        # Without a budget or replay weights dual is vanilla; joint is
+        # vanilla on its shuffled stream, read as a single task.
+        no_replay = cfg.buffer_total == 0 or cfg.loss.alpha == cfg.loss.beta == 0
+        if strategy is Strategy.DUAL_REPLAY and no_replay:
+            vanilla = train_stream(tiny_model, table, Strategy.VANILLA, cfg)
+            assert same_bits(got.final_params, vanilla.final_params)
+        if strategy is Strategy.JOINT:
+            shuffled = dataclasses.replace(want.table, _labels=np.ones(len(table), dtype=int))
+            vanilla = train_stream(tiny_model, shuffled, Strategy.VANILLA, cfg)
+            assert same_bits(got.final_params, vanilla.final_params)
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_the_sweep_reaches_late_reads_and_projections(self, tiny_model, table, strategy):
         # Some offer drew a slot that an earlier offer of its batch had
         # replaced in a full buffer, and some A-GEM step was projected.
+        runs = [ref_train_stream(tiny_model, table, strategy, cfg) for cfg in REFERENCE_CASES.values()]
+        late_reads = sum(run.late_reads for run in runs)
+        projections = sum(len(run.agem_dots) for run in runs)
         assert (late_reads > 0) is (strategy in (Strategy.DUAL_REPLAY, Strategy.GSS_STYLE))
         assert (projections > 0) is (strategy is Strategy.AGEM)
 
