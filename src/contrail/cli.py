@@ -5,7 +5,7 @@ Subcommands:
 * ``gen``      write a config's synthetic tasks as CSV track tables
 * ``run``      train every (strategy, repetition) cell and emit metrics
 * ``eval``     score a saved checkpoint against a CSV dataset
-* ``report``   recompute the summary table from emitted matrix CSVs
+* ``report``   recompute a finished run's summary table from its matrix CSVs
 * ``selftest`` fast invariant suite (exit 3 on failure)
 
 Configuration is one JSON file (see ``example_config`` in README).
@@ -411,34 +411,75 @@ def run_experiment(config: ExperimentConfig, out_root: Path | None = None) -> di
     return summary
 
 
+def _read_json(path: Path) -> object:
+    """The JSON document in the outside file ``path``; a file that
+    cannot be read or parsed raises a ValueError that starts with
+    ``path``."""
+    with open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON document: {exc}") from None
+
+
+def _read_manifest(out_root: Path) -> tuple[int, list[str]]:
+    """The task count and the strategy order of the finished run under
+    ``out_root``, from the ``manifest.json`` that ``run_experiment``
+    writes last.  A run without one (interrupted, or not a run
+    directory) and a manifest without a non-empty ``tasks`` list and a
+    ``strategies`` list of distinct strings raise a ValueError that
+    starts with the manifest's path."""
+    path = out_root / "manifest.json"
+    if not path.exists():
+        raise ValueError(f"{path}: no such file: run writes it last, so this is not a finished run")
+    manifest = _read_json(path)
+    tasks = manifest.get("tasks") if isinstance(manifest, dict) else None
+    strategies = manifest.get("strategies") if isinstance(manifest, dict) else None
+    if not (isinstance(tasks, list) and tasks):
+        raise ValueError(f"{path}: 'tasks' is not a non-empty list")
+    if not (
+        isinstance(strategies, list)
+        and all(isinstance(s, str) for s in strategies)
+        and len(set(strategies)) == len(strategies)
+    ):
+        raise ValueError(f"{path}: 'strategies' is not a list of distinct strategy names")
+    return len(tasks), strategies
+
+
 def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
-    """Rebuild the summary purely from the emitted matrix CSVs.  Every
-    entry of ``runs`` must be a directory named for a strategy, every
-    entry of a strategy directory a ``rep_NN`` cell directory holding
-    both CSVs; a CSV that is missing (a cell interrupted while writing
-    its artifacts) or cannot be read raises a ValueError that starts
-    with its path, and a pair of matrices that disagree on the entries
-    they record a ValueError naming the cell."""
+    """Rebuild the summary purely from the emitted matrix CSVs of the
+    run that ``out_root``'s manifest describes (``_read_manifest``),
+    and return it with the manifest's strategy order.  Every entry of
+    ``runs`` must be a directory named for one of the manifest's
+    strategies, each of which must hold at least one ``rep_NN`` cell
+    directory and nothing else; each cell must hold both CSVs.  A CSV
+    that is missing or cannot be read raises a ValueError that starts
+    with its path; a matrix pair that does not record the manifest's
+    task count, or that disagrees on the entries it records, a
+    ValueError naming the cell."""
+    n_tasks, strategies = _read_manifest(out_root)
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
         raise FileNotFoundError(f"no runs directory under {out_root}")
-    strategies = [s.value for s in Strategy]
+    for entry in sorted(runs_dir.iterdir()):
+        if entry.name not in strategies:
+            raise ValueError(f"{entry} is not a strategy directory (one of {', '.join(strategies)})")
     reports = []
-    order = []
-    for strat_dir in sorted(runs_dir.iterdir()):
-        if not (strat_dir.is_dir() and strat_dir.name in strategies):
-            raise ValueError(f"{strat_dir} is not a strategy directory (one of {', '.join(strategies)})")
-        order.append(strat_dir.name)
-        for rep_dir in sorted(strat_dir.iterdir()):
+    for strategy in strategies:
+        strat_dir = runs_dir / strategy
+        rep_dirs = sorted(strat_dir.iterdir()) if strat_dir.is_dir() else []
+        if not rep_dirs:
+            raise ValueError(f"{strat_dir} holds no rep_NN cell directory")
+        for rep_dir in rep_dirs:
             if not (rep_dir.is_dir() and re.fullmatch(r"rep_\d{2,}", rep_dir.name)):
                 raise ValueError(f"{rep_dir} is not a rep_NN cell directory")
-            fde_m = read_matrix_csv(rep_dir / "matrix_fde.csv")
-            mr_m = read_matrix_csv(rep_dir / "matrix_mr.csv")
+            fde_m = read_matrix_csv(rep_dir / "matrix_fde.csv", n_tasks)
+            mr_m = read_matrix_csv(rep_dir / "matrix_mr.csv", n_tasks)
             try:
-                reports.append(EvalReport(strat_dir.name, int(rep_dir.name[4:]), fde_m, mr_m))
+                reports.append(EvalReport(strategy, int(rep_dir.name[4:]), fde_m, mr_m))
             except ValueError as exc:
                 raise ValueError(f"{rep_dir}: {exc}") from None
-    return summarize(reports), order
+    return summarize(reports), strategies
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +542,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     summary, order = recompute_summary_from_csv(out_root)
     sys.stdout.write(format_summary(summary, order))
     if args.check:
-        path = out_root / "summary.json"
-        with open_text(path) as fh:
-            try:
-                stored = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not a JSON document: {exc}") from None
+        stored = _read_json(out_root / "summary.json")
         recomputed = json.loads(json.dumps(summary))
         if stored != recomputed:
             raise RuntimeError(

@@ -269,18 +269,18 @@ def write_matrix_csv(matrix: np.ndarray, path: Path) -> None:
             writer.writerow([i, j, repr(v)])
 
 
-def read_matrix_csv(path: Path) -> np.ndarray:
-    """Inverse of :func:`write_matrix_csv`; the task count is the
-    largest ``after_task``, but at most the number of entries (a whole
-    last row has that many).  A row that is not three fields, an index
-    that is not an integer, a non-finite value and an ``(after,
-    tested)`` entry that is out of range or repeated raise a ValueError
-    naming ``path:line``."""
+def read_matrix_csv(path: Path, n_tasks: int) -> np.ndarray:
+    """Inverse of :func:`write_matrix_csv` for a run of ``n_tasks``
+    tasks, the count its manifest lists: the file cannot size the
+    matrix.  A row that is not three fields, an index that is not an
+    integer, a non-finite value and an ``(after, tested)`` entry that
+    is out of range or repeated raise a ValueError naming
+    ``path:line``."""
     with open_text(path) as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["after_task", "tested_task", "value"]:
         raise ValueError(f"{path} is not a result-matrix CSV")
-    entries: dict[tuple[int, int], tuple[int, float]] = {}
+    matrix = np.full((n_tasks, n_tasks), np.nan)
     try:
         for line, row in enumerate(rows[1:], start=2):
             if len(row) != 3:
@@ -288,16 +288,12 @@ def read_matrix_csv(path: Path) -> np.ndarray:
             i, j, v = int(row[0]), int(row[1]), float(row[2])
             if not math.isfinite(v):
                 raise ValueError(f"value {row[2]} is not finite")
-            if (i, j) in entries:
-                raise ValueError(f"R[{i}, {j}] is repeated")
-            entries[(i, j)] = (line, v)
-        n = min(max([1] + [i for i, _ in entries]), max(1, len(entries)))
-        matrix = np.full((n, n), np.nan)
-        for (i, j), (line, v) in entries.items():
-            if not 1 <= i <= n:
-                raise ValueError(f"after_task {i} out of range 1..{n}")
+            if not 1 <= i <= n_tasks:
+                raise ValueError(f"after_task {i} out of range 1..{n_tasks}")
             if not 1 <= j <= i:
                 raise ValueError(f"tested_task {j} must be in 1..after_task ({i})")
+            if not math.isnan(matrix[i - 1, j - 1]):
+                raise ValueError(f"R[{i}, {j}] is repeated")
             matrix[i - 1, j - 1] = v
     except ValueError as exc:
         raise ValueError(f"{path}:{line}: {exc}") from None

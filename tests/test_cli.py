@@ -9,11 +9,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contrail
 from contrail import cli, predictor, scenarios
 from contrail.checkpoint import save_checkpoint
 from contrail.cli import (
@@ -36,7 +40,7 @@ from contrail.losses import LossSpec
 from contrail.metrics import EvalReport, matrix_entries
 from contrail.predictor import HeatmapPredictor, PredictorConfig
 from contrail.scenarios import TaskSpec, generate_task, ingest_csv, task_datasets, train_count, write_task_csvs
-from contrail.selftest import GOLDEN_MATRIX_SHA256, _golden_digest
+from contrail.selftest import CHI2_999_DF39, GOLDEN_MATRIX_SHA256, _golden_digest
 
 from conftest import make_scenes, result_matrix, same_bits, same_rows, scale_positions
 
@@ -704,10 +708,10 @@ class TestRunCommand:
 
 
 class TestReportCommand:
-    def _run(self, tmp_path):
+    def _run(self, tmp_path, strategies=("vanilla",)):
         cfg = write_config(
             tmp_path / "cfg.json",
-            strategies=["vanilla"],
+            strategies=list(strategies),
             repetitions=1,
             tasks=[
                 {"kind": "straight", "n_samples": 20},
@@ -739,6 +743,8 @@ class TestReportCommand:
             ("runs/vanilla/rep_00/matrix_mr.csv", "directory", "cannot be read: Is a directory"),
             ("summary.json", "not UTF-8", "not UTF-8 text: "),
             ("summary.json", "not JSON", "not a JSON document: Expecting value"),
+            ("manifest.json", "not UTF-8", "not UTF-8 text: "),
+            ("manifest.json", "not JSON", "not a JSON document: Expecting value"),
         ],
     )
     def test_unreadable_file_is_named(self, tmp_path, capsys, name, unreadable, message):
@@ -805,20 +811,27 @@ class TestReportCommand:
         assert f"{out / 'runs' / named} {message}" in captured.err
 
     @pytest.mark.parametrize(
-        "csv,drop,message",
+        "csvs,drop,message",
         [
-            ("matrix_fde.csv", ["2,1,"], "R[2, 1] of the fde matrix was never recorded"),
-            ("matrix_mr.csv", ["2,1,", "2,2,"], "the fde and mr matrices must both be float64 (n, n) with n >= 1, "
-             "not float64 (2, 2) and float64 (1, 1)"),
-            ("matrix_fde.csv", ["1,1,"], "R[1, 1] of the fde matrix was never recorded"),
+            (["matrix_fde.csv"], ["2,1,"], "R[2, 1] of the fde matrix was never recorded"),
+            (["matrix_mr.csv"], ["2,1,", "2,2,"], "R[2, 1] of the mr matrix was never recorded"),
+            (["matrix_fde.csv"], ["1,1,"], "R[1, 1] of the fde matrix was never recorded"),
+            # A 1-task pair by itself; the manifest lists two tasks.
+            (["matrix_fde.csv", "matrix_mr.csv"], ["2,1,", "2,2,"], "R[2, 1] of the fde matrix was never recorded"),
         ],
-        ids=["last row short", "last row dropped from one matrix", "checkpoint entry dropped from one matrix"],
+        ids=[
+            "last row short",
+            "last row dropped from one matrix",
+            "checkpoint entry dropped from one matrix",
+            "both truncated to the first row",
+        ],
     )
-    def test_inconsistent_matrix_pair_is_named_by_cell(self, tmp_path, capsys, csv, drop, message):
+    def test_inconsistent_matrix_pair_is_named_by_cell(self, tmp_path, capsys, csvs, drop, message):
         out = self._run(tmp_path)
         cell = out / "runs" / "vanilla" / "rep_00"
-        rows = (cell / csv).read_text().splitlines()
-        (cell / csv).write_text("\n".join(r for r in rows if not r.startswith(tuple(drop))) + "\n")
+        for csv in csvs:
+            rows = (cell / csv).read_text().splitlines()
+            (cell / csv).write_text("\n".join(r for r in rows if not r.startswith(tuple(drop))) + "\n")
         capsys.readouterr()
         assert main(["report", "--run-dir", str(out)]) == 2
         captured = capsys.readouterr()
@@ -827,8 +840,9 @@ class TestReportCommand:
 
     def test_cell_interrupted_while_saving_is_refused(self, tmp_path, capsys, monkeypatch):
         """A run killed inside the second cell's checkpoint save leaves
-        that cell without its matrices, and ``report`` names the one it
-        misses instead of summarising the cells that did finish."""
+        that cell without its matrices and the run without its manifest,
+        and ``report`` names the manifest instead of summarising the
+        cells that did finish."""
         saves = []
 
         def save_then_die(path, *args, **kwargs):
@@ -854,7 +868,68 @@ class TestReportCommand:
         assert main(["report", "--run-dir", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert str(cell / "matrix_fde.csv") in captured.err
+        assert captured.err == (
+            f"error: ValueError: {out / 'manifest.json'}: no such file: "
+            "run writes it last, so this is not a finished run\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m.pop("tasks"), "'tasks' is not a non-empty list"),
+            (lambda m: m.__setitem__("tasks", []), "'tasks' is not a non-empty list"),
+            (lambda m: m.__setitem__("tasks", 2), "'tasks' is not a non-empty list"),
+            (lambda m: m.pop("strategies"), "'strategies' is not a list of distinct strategy names"),
+            (lambda m: m.__setitem__("strategies", ["vanilla", 1]), "'strategies' is not a list of distinct"),
+            (lambda m: m.__setitem__("strategies", ["vanilla", "vanilla"]), "'strategies' is not a list of distinct"),
+        ],
+        ids=["no tasks", "empty tasks", "tasks not a list", "no strategies", "non-string strategy", "repeated strategy"],
+    )
+    def test_malformed_manifest_is_named(self, tmp_path, capsys, edit, message):
+        out = self._run(tmp_path)
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        assert f"error: ValueError: {path}: {message}" in capsys.readouterr().err
+
+    def test_manifest_strategy_without_cells_is_named(self, tmp_path, capsys):
+        out = self._run(tmp_path)
+        path = out / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "strategies": ["vanilla", "dual"]}))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        assert f"error: ValueError: {out / 'runs' / 'dual'} holds no rep_NN cell directory" in capsys.readouterr().err
+
+    # tracemalloc peak of the refused report below on its 41 KB CSV:
+    # 815,845 B, mostly the file's rows as lists (numpy 2.4, Python 3.11);
+    # a 3,000-task matrix would take 72 MB.
+    OVERSIZED_PEAK = 1_000_000
+
+    def test_oversized_last_row_is_refused_in_bounded_memory(self, tmp_path, capsys):
+        out = self._run(tmp_path)
+        matrix = out / "runs" / "vanilla" / "rep_00" / "matrix_fde.csv"
+        matrix.write_text("after_task,tested_task,value\n" + "".join(f"3000,{j},0.5\n" for j in range(1, 3001)))
+        argv = ["report", "--run-dir", str(out)]
+        assert main(argv) == 2  # first-call caches stay out of the count
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.OVERSIZED_PEAK
+        assert f"{matrix}:2: after_task 3000 out of range 1..2" in capsys.readouterr().err
+
+    def test_rows_follow_the_manifest_order(self, tmp_path, capsys):
+        out = self._run(tmp_path, strategies=("vanilla", "dual"))
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == (out / "summary.txt").read_text()
+        assert [line.split()[0] for line in printed.splitlines()[1:]] == ["vanilla", "dual"]
 
 
 class TestEvalCommand:
@@ -1057,12 +1132,28 @@ class TestEvalCommand:
 
 
 class TestSelftestCommand:
-    def test_all_checks_pass(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count(" ok") >= 7
-        assert "csv round trip" in out
+    def test_all_checks_pass_without_scipy(self):
+        """The runtime needs numpy alone: with scipy blocked from
+        import, all seven checks pass."""
+        run = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from contrail.cli import main\n"
+            "sys.exit(main(['selftest']))\n"
+        )
+        src = str(Path(contrail.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 7
+        assert all(line.startswith("selftest: ") and line.endswith(" ok") for line in lines)
+        assert "csv round trip" in done.stdout
+
+    def test_pinned_chi_square_cut_off(self):
+        from scipy import stats
+
+        assert CHI2_999_DF39 == pytest.approx(float(stats.chi2.ppf(0.999, 39)), rel=1e-12, abs=0)
 
     def test_every_strategy_trains_to_its_pinned_matrices(self):
         """The selftest's tiny experiment, digested as its golden check

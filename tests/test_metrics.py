@@ -420,7 +420,7 @@ class TestReportsAndCsv:
         m = result_matrix([rng.normal(size=i).tolist() for i in range(1, 4)])
         path = tmp_path / "matrix.csv"
         write_matrix_csv(m, path)
-        back = read_matrix_csv(path)
+        back = read_matrix_csv(path, 3)
         assert back.tobytes() == m.tobytes()
 
     def test_interrupted_matrix_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
@@ -442,22 +442,24 @@ class TestReportsAndCsv:
         monkeypatch.setattr(metrics.csv, "writer", FailingWriter)
         with pytest.raises(OSError, match="disk full"):
             write_matrix_csv(mr, path)
-        assert np.array_equal(read_matrix_csv(path), fde, equal_nan=True)
+        assert np.array_equal(read_matrix_csv(path, 2), fde, equal_nan=True)
         assert list(tmp_path.iterdir()) == [path]
 
     def test_matrix_csv_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="result-matrix"):
-            read_matrix_csv(path)
+            read_matrix_csv(path, 2)
 
-    def test_task_count_is_bounded_by_the_entries(self, tmp_path):
-        # One row cannot claim a task count it has no entries for: the
-        # array would be sized by it.
+    def test_task_count_comes_from_the_caller(self, tmp_path):
+        # A row cannot claim a task count: the array would be sized by it.
         path = tmp_path / "matrix.csv"
         path.write_text("after_task,tested_task,value\n1,1,0.5\n100000000,1,0.5\n")
         with pytest.raises(ValueError, match=r"matrix.csv:3: after_task 100000000 out of range 1..2"):
-            read_matrix_csv(path)
+            read_matrix_csv(path, 2)
+        # Fewer rows than tasks leave the missing entries unrecorded.
+        path.write_text("after_task,tested_task,value\n1,1,0.5\n")
+        assert np.array_equal(read_matrix_csv(path, 2), result_matrix([[0.5], []]), equal_nan=True)
 
     def test_report_from_full_matrices(self):
         fde, mr = self._matrices()
