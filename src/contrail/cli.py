@@ -19,7 +19,6 @@ import argparse
 import concurrent.futures
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -422,19 +421,23 @@ def _read_json(path: Path) -> object:
             raise ValueError(f"{path}: not a JSON document: {exc}") from None
 
 
-def _read_manifest(out_root: Path) -> tuple[int, list[str]]:
-    """The task count and the strategy order of the finished run under
-    ``out_root``, from the ``manifest.json`` that ``run_experiment``
-    writes last.  A run without one (interrupted, or not a run
-    directory) and a manifest without a non-empty ``tasks`` list and a
-    ``strategies`` list of distinct strings raise a ValueError that
-    starts with the manifest's path."""
+def _read_manifest(out_root: Path) -> tuple[int, dict[str, list[Path]]]:
+    """The task count and the cell directories, by strategy in the
+    manifest's order, of the finished run under ``out_root``, from the
+    ``manifest.json`` that ``run_experiment`` writes last.  A run
+    without one (interrupted, or not a run directory), and a manifest
+    without a non-empty ``tasks`` list, a ``strategies`` list of
+    distinct strings, a ``repetitions`` count of at least 1 and a
+    ``cells`` object naming exactly ``runs/<strategy>/rep_NN`` for each
+    strategy and repetition, raise a ValueError that starts with the
+    manifest's path."""
     path = out_root / "manifest.json"
     if not path.exists():
         raise ValueError(f"{path}: no such file: run writes it last, so this is not a finished run")
     manifest = _read_json(path)
-    tasks = manifest.get("tasks") if isinstance(manifest, dict) else None
-    strategies = manifest.get("strategies") if isinstance(manifest, dict) else None
+    if not isinstance(manifest, dict):
+        manifest = {}
+    tasks, strategies, reps = (manifest.get(key) for key in ("tasks", "strategies", "repetitions"))
     if not (isinstance(tasks, list) and tasks):
         raise ValueError(f"{path}: 'tasks' is not a non-empty list")
     if not (
@@ -443,7 +446,12 @@ def _read_manifest(out_root: Path) -> tuple[int, list[str]]:
         and len(set(strategies)) == len(strategies)
     ):
         raise ValueError(f"{path}: 'strategies' is not a list of distinct strategy names")
-    return len(tasks), strategies
+    if type(reps) is not int or reps < 1:
+        raise ValueError(f"{path}: 'repetitions' is not an int >= 1")
+    cells = {s: [f"runs/{s}/rep_{r:02d}" for r in range(reps)] for s in strategies}
+    if manifest.get("cells") != {cell[5:]: cell for names in cells.values() for cell in names}:
+        raise ValueError(f"{path}: 'cells' does not name one runs/<strategy>/rep_NN cell per strategy and repetition")
+    return len(tasks), {s: [out_root / cell for cell in names] for s, names in cells.items()}
 
 
 def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
@@ -451,35 +459,36 @@ def recompute_summary_from_csv(out_root: Path) -> tuple[dict, list[str]]:
     run that ``out_root``'s manifest describes (``_read_manifest``),
     and return it with the manifest's strategy order.  Every entry of
     ``runs`` must be a directory named for one of the manifest's
-    strategies, each of which must hold at least one ``rep_NN`` cell
-    directory and nothing else; each cell must hold both CSVs.  A CSV
-    that is missing or cannot be read raises a ValueError that starts
-    with its path; a matrix pair that does not record the manifest's
-    task count, or that disagrees on the entries it records, a
-    ValueError naming the cell."""
-    n_tasks, strategies = _read_manifest(out_root)
+    strategies, each of which must hold exactly the ``rep_NN`` cell
+    directories that the manifest names, and each cell both CSVs.  A
+    missing or extra cell raises a ValueError naming it; a CSV that is
+    missing or cannot be read, a ValueError that starts with its path;
+    a matrix pair that does not record the manifest's task count, or
+    that disagrees on the entries it records, a ValueError naming the
+    cell."""
+    n_tasks, cells = _read_manifest(out_root)
     runs_dir = out_root / "runs"
     if not runs_dir.is_dir():
         raise FileNotFoundError(f"no runs directory under {out_root}")
     for entry in sorted(runs_dir.iterdir()):
-        if entry.name not in strategies:
-            raise ValueError(f"{entry} is not a strategy directory (one of {', '.join(strategies)})")
+        if entry.name not in cells:
+            raise ValueError(f"{entry} is not a strategy directory (one of {', '.join(cells)})")
     reports = []
-    for strategy in strategies:
+    for strategy, rep_dirs in cells.items():
         strat_dir = runs_dir / strategy
-        rep_dirs = sorted(strat_dir.iterdir()) if strat_dir.is_dir() else []
-        if not rep_dirs:
-            raise ValueError(f"{strat_dir} holds no rep_NN cell directory")
+        for entry in sorted(strat_dir.iterdir()) if strat_dir.is_dir() else []:
+            if entry not in rep_dirs or not entry.is_dir():
+                raise ValueError(f"{entry} is not a rep_NN cell directory that the manifest names")
         for rep_dir in rep_dirs:
-            if not (rep_dir.is_dir() and re.fullmatch(r"rep_\d{2,}", rep_dir.name)):
-                raise ValueError(f"{rep_dir} is not a rep_NN cell directory")
+            if not rep_dir.is_dir():
+                raise ValueError(f"{rep_dir}: no such cell directory, though the manifest names it")
             fde_m = read_matrix_csv(rep_dir / "matrix_fde.csv", n_tasks)
             mr_m = read_matrix_csv(rep_dir / "matrix_mr.csv", n_tasks)
             try:
                 reports.append(EvalReport(strategy, int(rep_dir.name[4:]), fde_m, mr_m))
             except ValueError as exc:
                 raise ValueError(f"{rep_dir}: {exc}") from None
-    return summarize(reports), strategies
+    return summarize(reports), list(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ surface).  Final displacement error takes the best candidate per
 sample; miss rate checks every candidate against a speed-dependent
 longitudinal gate and a fixed 1 m lateral gate in the target vehicle's
 heading frame.  All three work on whole stacks of samples as arrays; a
-single heatmap is a stack of one.  Backward transfer summarises how
-much performance on earlier tasks degraded after later training,
-straight off a result matrix, an ``(n, n)`` array per metric.
+single heatmap is a stack of one.  Extraction takes a stack
+``BLOCK_ROWS`` heatmaps at a time, so its memory does not grow with the
+stack; each heatmap is scored on its own, so the candidates are the
+same bit for bit as from one pass over the whole stack.  Backward
+transfer summarises how much performance on earlier tasks degraded
+after later training, straight off a result matrix, an ``(n, n)`` array
+per metric.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ def _strict_peaks(probs: np.ndarray) -> np.ndarray:
     return (probs > neighbors).reshape(n, -1)
 
 
+# Heatmaps of a stack whose top-W candidates are extracted at a time:
+# the extraction's transients, a few arrays of a block's cells, stay the
+# same size however many heatmaps the stack holds.
+BLOCK_ROWS = 64
+
+
 def extract_endpoints(logits: np.ndarray, grid: GridSpec, w: int = 6) -> np.ndarray:
     """Top-W endpoint candidates of each heatmap in a stack.
 
@@ -61,12 +71,9 @@ def extract_endpoints(logits: np.ndarray, grid: GridSpec, w: int = 6) -> np.ndar
     over 3x3 neighborhoods (clipped at the borders), in descending
     probability; if fewer than W exist, the highest remaining cells fill
     the tail.  Ties break lexicographically by (row, col), the order of
-    the flat cell index.  Each cell gets one order-preserving uint64 key
-    (the non-peak flag in bit 63, then the probability's bits inverted:
-    probabilities are at least +0.0, so their bits order as they do);
-    one partition per row finds the W-th key, the cells below it and
-    the lowest-index cells equal to it are taken, and only those W keys
-    are sorted, stably.
+    the flat cell index.  Each heatmap is scored on its own, so the
+    stack is taken ``BLOCK_ROWS`` heatmaps at a time
+    (:func:`_block_endpoints`).
     """
     if not (1 <= w <= grid.n_cells):
         raise ValueError(f"w must be in 1..{grid.n_cells}")
@@ -75,8 +82,22 @@ def extract_endpoints(logits: np.ndarray, grid: GridSpec, w: int = 6) -> np.ndar
         raise ValueError(
             f"logits shape {logits.shape} does not match grid ({grid.rows_h}, {grid.cols_w})"
         )
+    endpoints = np.empty((n, w, 2))
+    for start in range(0, n, BLOCK_ROWS):
+        endpoints[start : start + BLOCK_ROWS] = _block_endpoints(logits[start : start + BLOCK_ROWS], grid, w)
+    return endpoints
+
+
+def _block_endpoints(logits: np.ndarray, grid: GridSpec, w: int) -> np.ndarray:
+    """:func:`extract_endpoints` of one block of heatmaps.  Each cell
+    gets one order-preserving uint64 key (the non-peak flag in bit 63,
+    then the probability's bits inverted: probabilities are at least
+    +0.0, so their bits order as they do); one partition per row finds
+    the W-th key, the cells below it and the lowest-index cells equal
+    to it are taken, and only those W keys are sorted, stably."""
     if not np.all(np.isfinite(logits)):
         raise ValueError("heatmap logits must be finite")
+    n = len(logits)
     probs = softmax(logits)
     keys = np.where(_strict_peaks(probs), np.uint64(0x7FFF_FFFF_FFFF_FFFF), np.uint64(0xFFFF_FFFF_FFFF_FFFF))
     keys -= probs.reshape(n, -1).view(np.uint64)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import io
 import json
 import re
 import tracemalloc
@@ -22,6 +21,22 @@ from contrail.predictor import AdamState, HeatmapPredictor, PredictorConfig
 from contrail.scenarios import TaskSpec, generate_task
 
 from conftest import make_scenes
+
+
+def read_lines(path):
+    """A saved checkpoint's lines, each parsed as JSON: the header, then
+    one ``{part: block}`` object per float block."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_lines(path, lines):
+    """Inverse of ``read_lines``: one JSON value per line."""
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
+def block_line(lines, part):
+    """The block line of ``part``."""
+    return next(line for line in lines[1:] if part in line)
 
 
 def assert_contents_equal(a, b):
@@ -119,16 +134,16 @@ class TestRoundTrip:
         config = dataclasses.replace(tiny_model.config, t_pred=20)
         path = tmp_path / "ck.json"
         save_checkpoint(path, config, tiny_model.init_params())
-        header = json.loads(path.read_text())["config"]
+        header = read_lines(path)[0]["config"]
         assert header["t_pred"] == 20 and "dt" not in header
         assert load_checkpoint(path)[0] == config
 
     def test_header_without_horizon_is_named(self, tiny_model, tmp_path):
         path = tmp_path / "old.json"
         save_checkpoint(path, tiny_model.config, tiny_model.init_params())
-        data = json.loads(path.read_text())
-        del data["config"]["t_pred"]
-        path.write_text(json.dumps(data))
+        lines = read_lines(path)
+        del lines[0]["config"]["t_pred"]
+        write_lines(path, lines)
         with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint lacks the key 't_pred'")):
             load_checkpoint(path, params_only=True)
 
@@ -151,12 +166,12 @@ class TestRoundTrip:
         the wrong JSON type is refused, naming the file and the key."""
         path = tmp_path / "ck.json"
         save_checkpoint(path, tiny_model.config, tiny_model.init_params())
-        data = json.loads(path.read_text())
-        header = data["config"]
+        lines = read_lines(path)
+        header = lines[0]["config"]
         for key in keys[:-1]:
             header = header[key]
         header[keys[-1]] = value
-        path.write_text(json.dumps(data))
+        write_lines(path, lines)
         with pytest.raises(ValueError, match=re.escape(f"{path}: malformed checkpoint: {message}")):
             load_checkpoint(path, params_only=True)
 
@@ -196,7 +211,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "unreadable, message",
-        [("directory", "cannot be read: Is a directory"), ("not UTF-8", "not a JSON document: 'utf-8' codec")],
+        [("directory", "cannot be read: Is a directory"), ("not UTF-8", "not UTF-8 text: 'utf-8' codec")],
     )
     def test_unreadable_file_is_named(self, tmp_path, unreadable, message):
         path = tmp_path / "checkpoint.json"
@@ -242,40 +257,49 @@ def pack(array):
     return {"dtype": "<f8", "shape": list(array.shape), "data": base64.b64encode(array.tobytes()).decode()}
 
 
+# What each line of a saved ``dual`` checkpoint holds, in file order.
+PARTS_IN_ORDER = [
+    "the header", "params", "adam.m", "adam.v",
+    "separation.x", "separation.ends", "separation.speeds", "separation.logits", "separation.scores",
+    "completion.x", "completion.ends", "completion.speeds", "completion.logits",
+]
+
+
 def eager_text(config, params, adam=None, separation=None, completion=None):
-    """The document as ``json.dump`` writes it when every array is
-    packed into the payload first: the oracle for the streaming
-    writer."""
+    """The file as ``json.dumps`` writes each line when every array is
+    packed first: the oracle for the streaming writer."""
     g = config.grid
 
-    def columns(buffer):
+    def columns(name, buffer):
         rows, logits = buffer.contents()
         stacked = logits.reshape(len(rows), g.rows_h, g.cols_w)
-        items = {"x": pack(rows.x), "ends": pack(rows.ends), "speeds": pack(rows.speeds), "logits": pack(stacked)}
+        items = {"x": rows.x, "ends": rows.ends, "speeds": rows.speeds, "logits": stacked}
         if isinstance(buffer, SeparationBuffer):
-            items["scores"] = pack(buffer.scores)
-        return items
+            items["scores"] = buffer.scores
+        return [{f"{name}.{key}": pack(column)} for key, column in items.items()]
 
-    eager = {
-        "format": "contrail-checkpoint-v4",
+    header = {
+        "format": "contrail-checkpoint-v5",
         "config": dataclasses.asdict(config),
-        "params": pack(params),
-        "adam": None if adam is None else {"m": pack(adam.m), "v": pack(adam.v), "t": adam.t},
+        "adam": None if adam is None else {"t": adam.t},
         "separation": None if separation is None else {
             "capacity": separation.capacity,
             "b_compare": separation.b_compare,
             "stream_count": separation.stream_count,
-            "items": columns(separation),
         },
         "completion": None if completion is None else {
             "capacity": completion.capacity,
             "stream_count": completion.stream_count,
-            "items": columns(completion),
         },
     }
-    text = io.StringIO()
-    json.dump(eager, text)
-    return text.getvalue()
+    lines = [header, {"params": pack(params)}]
+    if adam is not None:
+        lines += [{"adam.m": pack(adam.m)}, {"adam.v": pack(adam.v)}]
+    if separation is not None:
+        lines += columns("separation", separation)
+    if completion is not None:
+        lines += columns("completion", completion)
+    return "".join(json.dumps(line) + "\n" for line in lines)
 
 
 def _random_blocks(n):
@@ -306,37 +330,45 @@ class TestFormat:
     def test_arrays_are_packed_and_buffers_are_columns(self, tiny_model, dual_result, tmp_path):
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
-        data = json.loads(path.read_text())
-        assert data["format"] == "contrail-checkpoint-v4"
-        assert data["params"]["dtype"] == "<f8"
-        assert data["params"]["shape"] == [tiny_model.param_count]
-        assert np.array_equal(unpack(data["params"]), dual_result.final_params)
-        items = data["separation"]["items"]
+        lines = read_lines(path)
+        header = lines[0]
+        assert header["format"] == "contrail-checkpoint-v5"
+        assert header["adam"] == {"t": dual_result.adam_state.t}
+        assert sorted(header["separation"]) == ["b_compare", "capacity", "stream_count"]
+        assert sorted(header["completion"]) == ["capacity", "stream_count"]
+        assert [list(line) for line in lines[1:]] == [[part] for part in PARTS_IN_ORDER[1:]]
+        params = lines[1]["params"]
+        assert params["dtype"] == "<f8"
+        assert params["shape"] == [tiny_model.param_count]
+        assert np.array_equal(unpack(params), dual_result.final_params)
         rows, _ = dual_result.separation.contents()
         g = tiny_model.config.grid
-        assert sorted(items) == ["ends", "logits", "scores", "speeds", "x"]
-        assert np.array_equal(unpack(items["x"]), rows.x)
-        assert unpack(items["x"]).shape == (len(rows), tiny_model.config.input_dim)
-        assert np.array_equal(unpack(items["ends"]), rows.ends)
-        assert np.array_equal(unpack(items["speeds"]), rows.speeds)
-        assert unpack(items["logits"]).shape == (len(rows), g.rows_h, g.cols_w)
-        assert np.array_equal(unpack(items["scores"]), dual_result.separation.scores)
-        assert sorted(data["completion"]["items"]) == ["ends", "logits", "speeds", "x"]
+        column = {part: unpack(block_line(lines, part)[part]) for part in PARTS_IN_ORDER[2:]}
+        assert np.array_equal(column["separation.x"], rows.x)
+        assert column["separation.x"].shape == (len(rows), tiny_model.config.input_dim)
+        assert np.array_equal(column["separation.ends"], rows.ends)
+        assert np.array_equal(column["separation.speeds"], rows.speeds)
+        assert column["separation.logits"].shape == (len(rows), g.rows_h, g.cols_w)
+        assert np.array_equal(column["separation.scores"], dual_result.separation.scores)
 
     def test_v1_document_is_rejected_by_name(self, tiny_model, dual_result, tmp_path):
-        path = tmp_path / "v1.json"
+        v1 = tmp_path / "v1.json"
         config = dataclasses.asdict(tiny_model.config)
-        params = tiny_model.init_params().tolist()
-        path.write_text(json.dumps({"format": "contrail-checkpoint-v1", "config": config, "params": params}))
-        # v2 and v3 documents: the same header and blocks as v4 under an
-        # older format string.
-        older = [tmp_path / "v2.json", tmp_path / "v3.json"]
-        for old, version in zip(older, ("v2", "v3")):
+        params = tiny_model.init_params()
+        v1.write_text(json.dumps({"format": "contrail-checkpoint-v1", "config": config, "params": params.tolist()}))
+        # A v4 file is one JSON document on one line, so its first line
+        # is the whole of it.
+        v4 = tmp_path / "v4.json"
+        parts = {"adam": None, "separation": None, "completion": None}
+        v4.write_text(json.dumps({"format": "contrail-checkpoint-v4", "config": config, "params": pack(params), **parts}))
+        # v2, v3 and v4 headers over v5 lines.
+        older = [tmp_path / f"v{version}-lines.json" for version in (2, 3, 4)]
+        for old, version in zip(older, (2, 3, 4)):
             save_full(old, tiny_model, dual_result)
-            old.write_text(old.read_text().replace("contrail-checkpoint-v4", f"contrail-checkpoint-{version}"))
-        for old in (path, *older):
+            old.write_text(old.read_text().replace("contrail-checkpoint-v5", f"contrail-checkpoint-v{version}"))
+        for old in (v1, v4, *older):
             for params_only in (False, True):
-                with pytest.raises(ValueError, match="^" + re.escape(f"{old} is not a contrail-checkpoint-v4 file")):
+                with pytest.raises(ValueError, match="^" + re.escape(f"{old} is not a contrail-checkpoint-v5 file")):
                     load_checkpoint(old, params_only=params_only)
 
     def test_extreme_floats_round_trip_bit_exact(self, tiny_model, tmp_path):
@@ -409,139 +441,168 @@ class TestFormat:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.fixture(scope="module")
+def state():
+    """A training state at the README's sizes: P = 33,664 and 100-slot
+    buffers on the 16 x 16 grid."""
+    grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
+    model = HeatmapPredictor(PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(64, 64), grid=grid, seed=7))
+    params = model.init_params()
+    adam = AdamState(m=params * 0.5, v=params * params, t=40)
+    table = model.encode(generate_task(TaskSpec("arc", 120, seed=2, noise_sigma=0.1), 1))
+    rng = np.random.default_rng(0)
+    separation = SeparationBuffer(capacity=100, source=table, n_cells=grid.n_cells, stream_count=300)
+    separation.fill(rng.permutation(120)[:100], rng.standard_normal((100, grid.n_cells)), rng.random(100))
+    completion = CompletionBuffer(capacity=100, source=table, n_cells=grid.n_cells, stream_count=300)
+    completion.fill(rng.permutation(120)[:100], rng.standard_normal((100, grid.n_cells)))
+    return model.config, params, adam, separation, completion
+
+
+def traced_peak(call):
+    """The tracemalloc peak of ``call()``, run once before so that
+    first-call caches stay out of the count."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSaveMemory:
-    """tracemalloc peaks of one ``save_checkpoint`` at the README's
-    sizes (P = 33,664; 100-slot buffers on the 16 x 16 grid; numpy 2.4,
-    Python 3.11).  Measured: 206,072 B with the parameters and Adam
+    """tracemalloc peaks of one ``save_checkpoint`` of ``state`` (numpy
+    2.4, Python 3.11).  Measured: 204,504 B with the parameters and Adam
     moments, about two chunks of base64 (the encoded bytes and their
     str), where one parameter-length block's base64 is 359,088 B; and
-    580,474 B with both buffers, one buffer's gathered columns at a
+    579,839 B with both buffers, one buffer's gathered columns at a
     time.  ``json.dump`` of blocks packed as it reached them peaked at
     1,092,237 and 1,828,141 B."""
 
     PEAKS = {"params and adam": 240_000, "both buffers": 650_000}
 
-    @pytest.fixture(scope="class")
-    def state(self):
-        grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
-        model = HeatmapPredictor(PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(64, 64), grid=grid, seed=7))
-        params = model.init_params()
-        adam = AdamState(m=params * 0.5, v=params * params, t=40)
-        table = model.encode(generate_task(TaskSpec("arc", 120, seed=2, noise_sigma=0.1), 1))
-        rng = np.random.default_rng(0)
-        separation = SeparationBuffer(capacity=100, source=table, n_cells=grid.n_cells, stream_count=300)
-        separation.fill(rng.permutation(120)[:100], rng.standard_normal((100, grid.n_cells)), rng.random(100))
-        completion = CompletionBuffer(capacity=100, source=table, n_cells=grid.n_cells, stream_count=300)
-        completion.fill(rng.permutation(120)[:100], rng.standard_normal((100, grid.n_cells)))
-        return model.config, params, adam, separation, completion
-
     @pytest.mark.parametrize("parts", PEAKS)
     def test_peak_is_pinned(self, state, tmp_path, parts):
         args = state[:3] if parts == "params and adam" else state
+        assert traced_peak(lambda: save_checkpoint(tmp_path / "ck.json", *args)) <= self.PEAKS[parts]
+
+
+class TestLoadMemory:
+    """tracemalloc peaks of one ``load_checkpoint`` of the 2,058,691 B
+    file that ``TestSaveMemory`` saves with both buffers (numpy 2.4,
+    Python 3.11).  Measured: 1,014,125 B with ``params_only``, which
+    reads two lines: the parameters' line as read, its parsed base64
+    string, the decoded bytes and the array; and 2,112,808 B for a full
+    load, about 1.4 MB of it the arrays it returns, plus one block's
+    text.  The v4 reader parsed the whole document first and peaked at
+    4,127,201 B for either."""
+
+    PEAKS = {"params only": 1_150_000, "full": 2_400_000}
+
+    @pytest.mark.parametrize("parts", PEAKS)
+    def test_peak_is_pinned(self, state, tmp_path, parts):
         path = tmp_path / "ck.json"
-        save_checkpoint(path, *args)  # first-call caches stay out of the count
-        tracemalloc.start()
-        try:
-            save_checkpoint(path, *args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        save_checkpoint(path, *state)
+        peak = traced_peak(lambda: load_checkpoint(path, params_only=parts == "params only"))
         assert peak <= self.PEAKS[parts]
 
 
-def _adam_nan_v(adam, n):
-    adam["v"] = pack(np.full(3, np.nan))
+def _column(part, edit):
+    """A fault that replaces the block of ``part`` by ``edit`` of its
+    array."""
 
-
-def _adam_nan_m(adam, n):
-    m = unpack(adam["m"])
-    m[5] = np.inf
-    adam["m"] = pack(m)
-
-
-ADAM_FAULTS = {
-    "v missing": (lambda adam, n: adam.pop("v"), "lacks the key 'v'"),
-    "v three NaNs": (_adam_nan_v, "adam.v has shape (3,)"),
-    "m non-finite": (_adam_nan_m, "adam.m holds non-finite values"),
-    "t negative": (lambda adam, n: adam.update(t=-1), "adam.t is -1"),
-    "t not an int": (lambda adam, n: adam.update(t=2.5), "adam.t is 2.5"),
-}
-
-
-def _column(name, field, edit):
-    def fault(data):
-        items = data[name]["items"]
-        items[field] = pack(edit(unpack(items[field])))
+    def fault(lines):
+        line = block_line(lines, part)
+        line[part] = pack(edit(unpack(line[part])))
 
     return fault
 
 
 def _set(name, key, edit):
-    def fault(data):
-        data[name][key] = edit(data[name][key])
+    """A fault that edits the header field ``key`` of part ``name``."""
+
+    def fault(lines):
+        lines[0][name][key] = edit(lines[0][name][key])
 
     return fault
 
 
+def _drop(part):
+    def fault(lines):
+        lines.remove(block_line(lines, part))
+
+    return fault
+
+
+ADAM_FAULTS = {
+    "v missing": (_drop("adam.v"), "unknown key(s) in adam.v (line 4): ['separation.x']"),
+    "v three NaNs": (_column("adam.v", lambda v: np.full(3, np.nan)), "adam.v has shape (3,)"),
+    "m non-finite": (_column("adam.m", lambda m: np.where(m == m[5], np.inf, m)), "adam.m holds non-finite values"),
+    "t negative": (_set("adam", "t", lambda t: -1), "adam.t is -1"),
+    "t not an int": (_set("adam", "t", lambda t: 2.5), "adam.t is 2.5"),
+    "t missing": (lambda lines: lines[0]["adam"].pop("t"), "lacks the key 't'"),
+}
+
+
 BUFFER_FAULTS = {
     "column one slot short": (
-        _column("completion", "speeds", lambda a: a[:-1]),
+        _column("completion.speeds", lambda a: a[:-1]),
         "completion.speeds has shape (3,), the header's geometry needs (4,)",
     ),
     "column off the geometry": (
-        _column("separation", "ends", lambda a: a[:, :1]),
+        _column("separation.ends", lambda a: a[:, :1]),
         "separation.ends has shape",
     ),
     "x off the input width": (
-        _column("separation", "x", lambda a: a[:, :-1]),
+        _column("separation.x", lambda a: a[:, :-1]),
         "separation.x has shape (4, 15), the header's geometry needs (4, 16)",
     ),
     "x one row short": (
-        _column("completion", "x", lambda a: a[:-1]),
+        _column("completion.x", lambda a: a[:-1]),
         "completion.x has shape (3, 16), the header's geometry needs (4, 16)",
     ),
     "logits one row short": (
-        _column("separation", "logits", lambda a: a[:-1]),
+        _column("separation.logits", lambda a: a[:-1]),
         "separation.logits has shape (3, 4, 5), the header's geometry needs (4, 4, 5)",
     ),
     "logits off the grid": (
-        _column("completion", "logits", lambda a: a[:, :, :-1]),
+        _column("completion.logits", lambda a: a[:, :, :-1]),
         "completion.logits has shape",
     ),
     "negative speed": (
-        _column("completion", "speeds", lambda a: -a),
+        _column("completion.speeds", lambda a: -a),
         "completion.speeds holds a negative speed",
     ),
     "non-finite x": (
-        _column("completion", "x", lambda a: np.where(a == a.flat[2], -np.inf, a)),
+        _column("completion.x", lambda a: np.where(a == a.flat[2], -np.inf, a)),
         "completion.x holds non-finite values",
     ),
     "non-finite speed": (
-        _column("separation", "speeds", lambda a: np.where(a == a.flat[1], np.nan, a)),
+        _column("separation.speeds", lambda a: np.where(a == a.flat[1], np.nan, a)),
         "separation.speeds holds non-finite values",
     ),
     "non-finite logit": (
-        _column("separation", "logits", lambda a: np.where(a == a.flat[3], np.inf, a)),
+        _column("separation.logits", lambda a: np.where(a == a.flat[3], np.inf, a)),
         "separation.logits holds non-finite values",
     ),
     "non-finite endpoint": (
-        _column("completion", "ends", lambda a: np.where(a == a.flat[0], np.nan, a)),
+        _column("completion.ends", lambda a: np.where(a == a.flat[0], np.nan, a)),
         "completion.ends holds non-finite values",
     ),
     "column missing": (
-        _set("completion", "items", lambda items: {k: v for k, v in items.items() if k != "ends"}),
-        "lacks the key 'ends'",
+        _drop("completion.ends"),
+        "unknown key(s) in completion.ends (line 11): ['completion.speeds']",
     ),
     "scores one short": (
-        _column("separation", "scores", lambda q: q[:-1]),
+        _column("separation.scores", lambda q: q[:-1]),
         "separation.scores has shape (3,), the header's geometry needs (4,)",
     ),
     "score non-finite": (
-        _column("separation", "scores", lambda q: np.where(q == q[0], np.nan, q)),
+        _column("separation.scores", lambda q: np.where(q == q[0], np.nan, q)),
         "separation.scores holds non-finite values",
     ),
     "score negative": (
-        _column("separation", "scores", lambda q: np.where(q == q[0], -0.5, q)),
+        _column("separation.scores", lambda q: np.where(q == q[0], -0.5, q)),
         "separation score -0.5 is not a finite non-negative number",
     ),
     "more slots than capacity": (
@@ -549,8 +610,8 @@ BUFFER_FAULTS = {
         "completion.x has shape (4, 16), the header's geometry needs (3, 16)",
     ),
     "scores missing": (
-        _set("separation", "items", lambda items: {k: v for k, v in items.items() if k != "scores"}),
-        "lacks the key 'scores'",
+        _drop("separation.scores"),
+        "unknown key(s) in separation.scores (line 9): ['completion.x']",
     ),
     "stream_count negative": (
         _set("separation", "stream_count", lambda c: -3),
@@ -590,20 +651,28 @@ BUFFER_FAULTS = {
         "separation.b_compare is 2.5, not an int >= 1",
     ),
     "block shape not a list": (
-        lambda data: data["completion"]["items"]["x"].update(shape="x"),
+        lambda lines: block_line(lines, "completion.x")["completion.x"].update(shape="x"),
         'completion.x.shape is "x": it must be a list of integers',
     ),
     "block data not base64": (
-        lambda data: data["separation"]["items"]["scores"].update(data="!!!!"),
+        lambda lines: block_line(lines, "separation.scores")["separation.scores"].update(data="!!!!"),
         "separation.scores.data is not base64",
     ),
     "block with an unknown key": (
-        lambda data: data["separation"]["items"]["ends"].update(extra=1),
+        lambda lines: block_line(lines, "separation.ends")["separation.ends"].update(extra=1),
         "unknown key(s) in separation.ends: ['extra']",
     ),
     "scores in the completion buffer": (
-        lambda data: data["completion"]["items"].update(scores=data["separation"]["items"]["scores"]),
-        "unknown key(s) in completion.items: ['scores']",
+        lambda lines: lines.append({"completion.scores": block_line(lines, "separation.scores")["separation.scores"]}),
+        "line 14 follows completion.logits, the last part the header names",
+    ),
+    "a header part with an unknown key": (
+        lambda lines: lines[0]["completion"].update(b_compare=2),
+        "unknown key(s) in completion: ['b_compare']",
+    ),
+    "a second block on one line": (
+        lambda lines: block_line(lines, "completion.x").update(block_line(lines, "completion.ends")),
+        "unknown key(s) in completion.x (line 10): ['completion.ends']",
     ),
 }
 
@@ -616,10 +685,10 @@ class TestFullLoadChecks:
     def test_bad_adam_state_is_named(self, tiny_model, dual_result, tmp_path, layout, fault):
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
-        data = json.loads(path.read_text())
+        lines = read_lines(path)
         edit, message = ADAM_FAULTS[fault]
-        edit(data["adam"], tiny_model.param_count)
-        path.write_text(json.dumps(data))
+        edit(lines)
+        write_lines(path, lines)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             load_checkpoint(path)
         # Evaluation reads only the header and parameters.
@@ -628,10 +697,10 @@ class TestFullLoadChecks:
     def test_huge_capacity_allocates_only_stored_slots(self, tiny_model, dual_result, tmp_path):
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
-        data = json.loads(path.read_text())
+        lines = read_lines(path)
         n = len(dual_result.separation)
-        data["separation"].update(capacity=10**12, stream_count=n)
-        path.write_text(json.dumps(data))
+        lines[0]["separation"].update(capacity=10**12, stream_count=n)
+        write_lines(path, lines)
         sp = load_checkpoint(path)[3]
         assert sp.capacity == 10**12 and len(sp) == n
         assert len(sp._rows) == len(sp._logits) == len(sp._scores) == n
@@ -640,49 +709,113 @@ class TestFullLoadChecks:
     def test_bad_buffer_is_named(self, tiny_model, dual_result, tmp_path, fault):
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
-        data = json.loads(path.read_text())
+        lines = read_lines(path)
         edit, message = BUFFER_FAULTS[fault]
-        edit(data)
-        path.write_text(json.dumps(data))
+        edit(lines)
+        write_lines(path, lines)
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
             load_checkpoint(path)
 
 
+# Where a value that must be a JSON object sits: a header field, a
+# whole block line, or the block inside one; and how the reader names it.
 PARTS = [
-    ("config",), ("params",), ("adam",), ("adam", "m"), ("adam", "v"),
-    ("separation",), ("separation", "items"), ("completion",), ("completion", "items"),
+    *(((0, key), key) for key in ("config", "adam", "separation", "completion")),
+    *(((i,), f"{part} (line {i + 1})") for i, part in enumerate(PARTS_IN_ORDER) if i),
+    *(((i, part), part) for i, part in enumerate(PARTS_IN_ORDER) if i),
 ]
 # null is legal for the optional parts (TestRoundTrip::test_params_only).
 NOT_OBJECTS = [
-    (keys, value) for keys in PARTS for value in (3, "x", [1], None)
-    if not (value is None and keys in [("adam",), ("separation",), ("completion",)])
+    (keys, name, value) for keys, name in PARTS for value in (3, "x", [1], None)
+    if not (value is None and keys in [(0, "adam"), (0, "separation"), (0, "completion")])
 ]
 
 
 class TestPartsAreObjects:
     @pytest.mark.parametrize(
-        "keys, value", NOT_OBJECTS, ids=[f"{'.'.join(k)}={json.dumps(v)}" for k, v in NOT_OBJECTS]
+        "keys, name, value", NOT_OBJECTS, ids=[f"{n}={json.dumps(v)}" for _, n, v in NOT_OBJECTS]
     )
-    def test_a_part_that_is_not_an_object_is_named(self, tiny_model, dual_result, tmp_path, keys, value):
+    def test_a_part_that_is_not_an_object_is_named(self, tiny_model, dual_result, tmp_path, keys, name, value):
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
-        data = json.loads(path.read_text())
-        node = data
+        lines = read_lines(path)
+        node = lines
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = value
-        path.write_text(json.dumps(data))
-        message = f"{path}: malformed checkpoint: {'.'.join(keys)} is {json.dumps(value)}: it must be a JSON object"
+        write_lines(path, lines)
+        message = f"{path}: malformed checkpoint: {name} is {json.dumps(value)}: it must be a JSON object"
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             load_checkpoint(path)
 
     def test_a_missing_part_is_named(self, tiny_model, dual_result, tmp_path):
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
-        data = json.loads(path.read_text())
-        del data["adam"]["m"]
-        path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: checkpoint lacks the key 'm'") + "$"):
+        lines = read_lines(path)
+        del lines[0]["completion"]
+        write_lines(path, lines)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: checkpoint lacks the key 'completion'") + "$"):
+            load_checkpoint(path)
+
+
+def _misplace(lines, edit, index):
+    """``lines`` with line ``index`` dropped, duplicated, or swapped with
+    the next one."""
+    lines = list(lines)
+    if edit == "dropped":
+        del lines[index]
+    elif edit == "duplicated":
+        lines.insert(index, lines[index])
+    else:
+        lines[index], lines[index + 1] = lines[index + 1], lines[index]
+    return lines
+
+
+MISPLACED = [
+    (edit, index)
+    for edit in ("dropped", "duplicated", "swapped")
+    for index in range(len(PARTS_IN_ORDER) - (edit == "swapped"))
+]
+
+
+class TestLineOrder:
+    """A line that is missing, repeated or out of place is named for the
+    part expected where it went wrong, on a full load and, when that is
+    among the first two lines, on a ``params_only`` load, which reads
+    nothing further."""
+
+    @pytest.mark.parametrize("edit, index", MISPLACED, ids=[f"{e} {PARTS_IN_ORDER[i]}" for e, i in MISPLACED])
+    def test_a_misplaced_line_is_named(self, tiny_model, dual_result, tmp_path, edit, index):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result)
+        write_lines(path, _misplace(read_lines(path), edit, index))
+        # The first line that no longer holds the part expected there.
+        at = index + (edit == "duplicated")
+        n = len(PARTS_IN_ORDER)
+        if at == 0:
+            message = f"{path} is not a contrail-checkpoint-v5 file"
+        elif at == n:
+            message = f"{path}: malformed checkpoint: line {n + 1} follows completion.logits, the last part"
+        elif at == n - 1 and edit == "dropped":
+            message = f"{path}: malformed checkpoint: completion.logits (line {n}) is missing: the file ends"
+        else:
+            message = f"{path}: malformed checkpoint: unknown key(s) in {PARTS_IN_ORDER[at]} (line {at + 1}): "
+        for params_only in (False, True):
+            if params_only and at > 1:
+                assert np.array_equal(load_checkpoint(path, params_only=True)[1], dual_result.final_params)
+                continue
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
+                load_checkpoint(path, params_only=params_only)
+
+    def test_params_only_stops_after_the_second_line(self, tiny_model, dual_result, tmp_path):
+        path = tmp_path / "ck.json"
+        save_full(path, tiny_model, dual_result)
+        write_lines(path, read_lines(path)[:2])
+        config, params, *rest = load_checkpoint(path, params_only=True)
+        assert config == tiny_model.config and np.array_equal(params, dual_result.final_params)
+        assert rest == [None, None, None]
+        message = f"{path}: malformed checkpoint: adam.m (line 3) is missing: the file ends"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             load_checkpoint(path)
 
 
@@ -700,26 +833,29 @@ def json_paths(node, prefix=()):
 
 
 class TestDocumentMutations:
-    """Seeded probes over the whole document of a saved ``dual``
-    checkpoint, each replacing one value anywhere in it by one of
-    ``PROBE_VALUES``.  A load, full or ``params_only``, either succeeds
-    or raises a ValueError that starts with the path; no other exception
-    escapes, and no value of the wrong JSON type reaches the reader's
-    arithmetic (it is named before a TypeError could name it)."""
+    """Seeded probes over every line of a saved ``dual`` checkpoint,
+    each replacing one value in it, the whole line or any value inside,
+    by one of ``PROBE_VALUES``; probe ``seed`` picks line ``seed`` modulo
+    the line count, so every line is probed.  A load, full or
+    ``params_only``, either succeeds or raises a ValueError that starts
+    with the path; no other exception escapes, and no value of the wrong
+    JSON type reaches the reader's arithmetic (it is named before a
+    TypeError could name it)."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_a_replaced_value_loads_or_is_named(self, tiny_model, dual_result, tmp_path, seed):
         path = tmp_path / "ck.json"
         save_full(path, tiny_model, dual_result)
-        data = json.loads(path.read_text())
+        lines = read_lines(path)
         rng = np.random.default_rng([2024, seed])
-        paths = list(json_paths(data))
+        index = seed % len(lines)
+        paths = [(index,), *json_paths(lines[index], (index,))]
         *parents, key = paths[int(rng.integers(len(paths)))]
-        node = data
+        node = lines
         for k in parents:
             node = node[k]
         node[key] = PROBE_VALUES[int(rng.integers(len(PROBE_VALUES)))]
-        path.write_text(json.dumps(data))
+        write_lines(path, lines)
         for params_only in (False, True):
             try:
                 load_checkpoint(path, params_only=params_only)

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -35,7 +36,7 @@ from contrail.cli import (
     summarize,
 )
 from contrail.core import JSON_FIELDS, GridSpec, SampleTable
-from contrail.learner import Strategy, TrainConfig
+from contrail.learner import Strategy, TrainConfig, train_stream
 from contrail.losses import LossSpec
 from contrail.metrics import EvalReport, matrix_entries
 from contrail.predictor import HeatmapPredictor, PredictorConfig
@@ -406,6 +407,20 @@ class TestEvaluateTask:
         assert got_fde == pytest.approx(float(np.mean(fdes)), rel=1e-12)
         assert got_mr == pytest.approx(want_mr, rel=1e-12)
 
+    def test_a_gen_table_scores_as_one_pass_over_the_whole_stack(self, tmp_path):
+        """A 400-row table written by ``gen``, scored by a briefly trained
+        README-sized model, gives the (fde, mr) that one extraction pass
+        over the whole stack of heatmaps gave, bit for bit: the row
+        blocks of ``extract_endpoints`` change no candidate."""
+        grid = GridSpec(rows_h=16, cols_w=16, origin=(-5.0, -20.0), cell_size=2.5)
+        model = HeatmapPredictor(PredictorConfig(t_obs=10, k_sv=4, hidden_dims=(64, 64), grid=grid, seed=7))
+        [(path, _)] = write_task_csvs([TaskSpec("turn", 400, seed=3, noise_sigma=0.1)], tmp_path)
+        table = model.encode(ingest_csv(path))
+        train = model.encode(generate_task(TaskSpec("turn", 400, seed=4, noise_sigma=0.1), 1))
+        params = train_stream(model, train, Strategy.VANILLA, TrainConfig(seed=5)).final_params
+        assert len(table) == 400
+        assert evaluate_task(model, params, table, 6) == (2.4803589113768068, 96.58333333333333)
+
     def test_empty_task_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="empty task"):
             empty = make_scenes(np.random.default_rng(0), 0)
@@ -708,11 +723,11 @@ class TestRunCommand:
 
 
 class TestReportCommand:
-    def _run(self, tmp_path, strategies=("vanilla",)):
+    def _run(self, tmp_path, strategies=("vanilla",), repetitions=1):
         cfg = write_config(
             tmp_path / "cfg.json",
             strategies=list(strategies),
-            repetitions=1,
+            repetitions=repetitions,
             tasks=[
                 {"kind": "straight", "n_samples": 20},
                 {"kind": "turn", "n_samples": 20},
@@ -882,8 +897,16 @@ class TestReportCommand:
             (lambda m: m.pop("strategies"), "'strategies' is not a list of distinct strategy names"),
             (lambda m: m.__setitem__("strategies", ["vanilla", 1]), "'strategies' is not a list of distinct"),
             (lambda m: m.__setitem__("strategies", ["vanilla", "vanilla"]), "'strategies' is not a list of distinct"),
+            (lambda m: m.pop("repetitions"), "'repetitions' is not an int >= 1"),
+            (lambda m: m.__setitem__("repetitions", 0), "'repetitions' is not an int >= 1"),
+            (lambda m: m.__setitem__("repetitions", 2), "'cells' does not name one runs/<strategy>/rep_NN cell per"),
+            (lambda m: m.pop("cells"), "'cells' does not name one runs/<strategy>/rep_NN cell per"),
+            (lambda m: m["cells"].__setitem__("vanilla/rep_00", "runs/vanilla/rep_01"), "'cells' does not name"),
         ],
-        ids=["no tasks", "empty tasks", "tasks not a list", "no strategies", "non-string strategy", "repeated strategy"],
+        ids=[
+            "no tasks", "empty tasks", "tasks not a list", "no strategies", "non-string strategy", "repeated strategy",
+            "no repetitions", "zero repetitions", "more repetitions than cells", "no cells", "cell elsewhere",
+        ],
     )
     def test_malformed_manifest_is_named(self, tmp_path, capsys, edit, message):
         out = self._run(tmp_path)
@@ -901,7 +924,32 @@ class TestReportCommand:
         path.write_text(json.dumps({**json.loads(path.read_text()), "strategies": ["vanilla", "dual"]}))
         capsys.readouterr()
         assert main(["report", "--run-dir", str(out)]) == 2
-        assert f"error: ValueError: {out / 'runs' / 'dual'} holds no rep_NN cell directory" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {path}: 'cells' does not name one runs/<strategy>/rep_NN cell "
+            "per strategy and repetition\n"
+        )
+
+    def test_missing_cell_is_named(self, tmp_path, capsys):
+        """A finished run with one cell directory deleted is refused,
+        not summarised over the repetitions that are left."""
+        out = self._run(tmp_path, strategies=("vanilla", "dual"), repetitions=2)
+        cell = out / "runs" / "dual" / "rep_01"
+        shutil.rmtree(cell)
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {cell}: no such cell directory, though the manifest names it\n"
+
+    def test_extra_cell_is_named(self, tmp_path, capsys):
+        out = self._run(tmp_path)
+        cell = out / "runs" / "vanilla" / "rep_01"
+        shutil.copytree(out / "runs" / "vanilla" / "rep_00", cell)
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {cell} is not a rep_NN cell directory that the manifest names\n"
 
     # tracemalloc peak of the refused report below on its 41 KB CSV:
     # 815,845 B, mostly the file's rows as lists (numpy 2.4, Python 3.11);
@@ -989,7 +1037,7 @@ class TestEvalCommand:
         assert main(["gen", "--config", str(cfg), "--output", str(out)]) == 0
         assert main(["run", "--config", str(cfg), "--output", str(out)]) == 0
         checkpoint = out / "runs" / "dual" / "rep_00" / "checkpoint.json"
-        assert json.loads(checkpoint.read_text())["separation"]["stream_count"]
+        assert json.loads(checkpoint.read_text().splitlines()[0])["separation"]["stream_count"]
 
         def refuse(*args, **kwargs):
             raise AssertionError("eval built optimizer or buffer state")
@@ -1018,11 +1066,11 @@ class TestEvalCommand:
     def test_malformed_v2_checkpoint_is_named(self, tiny_model, tmp_path, capsys, fault):
         path = tmp_path / "ck.json"
         save_checkpoint(path, tiny_model.config, tiny_model.init_params())
-        data = json.loads(path.read_text())
-        block = data["params"]
+        header, line = (json.loads(text) for text in path.read_text().splitlines())
+        block = line["params"]
         params = np.frombuffer(base64.b64decode(block["data"]), dtype="<f8").copy()
         if fault == "missing header key":
-            del data["config"]["k_sv"]
+            del header["config"]["k_sv"]
         elif fault == "params one short":
             block.update(shape=[params.size - 1], data=base64.b64encode(params[:-1].tobytes()).decode())
         elif fault == "nan param":
@@ -1033,8 +1081,8 @@ class TestEvalCommand:
         elif fault == "bytes do not fit shape":
             block["data"] = base64.b64encode(params.tobytes()[:-4]).decode()
         elif fault == "nan cell_size":
-            data["config"]["grid"]["cell_size"] = math.nan
-        path.write_text("{broken" if fault == "not JSON" else json.dumps(data))
+            header["config"]["grid"]["cell_size"] = math.nan
+        path.write_text("{broken" if fault == "not JSON" else f"{json.dumps(header)}\n{json.dumps(line)}\n")
         code = main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "x.csv")])
         assert code == 2
         assert f"error: ValueError: {path}: " in capsys.readouterr().err
@@ -1080,7 +1128,7 @@ class TestEvalCommand:
         "name, unreadable, message",
         [
             ("checkpoint", "directory", "cannot be read: Is a directory"),
-            ("checkpoint", "not UTF-8", "not a JSON document: 'utf-8' codec"),
+            ("checkpoint", "not UTF-8", "not UTF-8 text: 'utf-8' codec"),
             ("data", "directory", "cannot be read: Is a directory"),
             ("data", "not UTF-8", "not UTF-8 text: "),
         ],
